@@ -1,0 +1,68 @@
+package archive
+
+import (
+	"bytes"
+	"testing"
+
+	"repro/internal/grid"
+)
+
+// benchCampaign is a K=4 campaign at a frame size like the corpus the
+// repo's benchmark runs on (64³ finest, 8³ unit blocks, 64-block frames —
+// 32k symbols a frame), opened for extraction.
+func benchCampaign(b *testing.B) (*Reader, grid.Dims) {
+	snaps := campaignOf(b, 64, 8, 4)
+	blob := buildDeltaArchiveBatch(b, snaps, 4, 64)
+	r, err := Open(bytes.NewReader(blob), int64(len(blob)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return r, snaps[0].FinestDims()
+}
+
+// BenchmarkExtractRegion pulls an eighth of the volume out of the intra
+// member: every touched frame is entropy-decoded whole, but only the
+// wanted blocks should be reconstructed and nothing per frame allocated.
+func BenchmarkExtractRegion(b *testing.B) {
+	r, fd := benchCampaign(b)
+	roi := grid.Region{X0: 8, Y0: 16, Z0: 24, X1: 8 + fd.X/2, Y1: 16 + fd.Y/2, Z1: 24 + fd.Z/2}
+	part, err := r.ExtractRegion(0, roi)
+	if err != nil {
+		b.Fatal(err)
+	}
+	stored := 0
+	for _, l := range part.Levels {
+		stored += l.StoredCells()
+	}
+	b.SetBytes(int64(stored) * 4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.ExtractRegion(0, roi); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkExtractDeltaChain extracts the member at chain depth 3: four
+// frames decoded per batch, which should cost four entropy decodes and
+// one set of blocks, not four.
+func BenchmarkExtractDeltaChain(b *testing.B) {
+	r, _ := benchCampaign(b)
+	const deepest = 3
+	if m := r.Members()[deepest]; !m.IsDelta() {
+		b.Fatalf("member %d is not delta-coded", deepest)
+	}
+	ds, err := r.Extract(deepest)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(ds.OriginalBytes()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.Extract(deepest); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

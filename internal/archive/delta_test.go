@@ -46,9 +46,14 @@ func driftDataset(ds *amr.Dataset, name string, eb float64, seed int64) *amr.Dat
 // testCampaign generates steps correlated snapshots of one field at a
 // shared AMR structure.
 func testCampaign(t testing.TB, steps int) []*amr.Dataset {
+	return campaignOf(t, 32, 4, steps)
+}
+
+// campaignOf is testCampaign at a chosen finest edge and unit block.
+func campaignOf(t testing.TB, finestN, unitBlock, steps int) []*amr.Dataset {
 	t.Helper()
 	base, err := sim.Generate(sim.Spec{
-		Name: "t0", FinestN: 32, Levels: 2, UnitBlock: 4,
+		Name: "t0", FinestN: finestN, Levels: 2, UnitBlock: unitBlock,
 		Seed: 7, LeafFractions: []float64{0.3, 0.7},
 	}, sim.BaryonDensity)
 	if err != nil {
@@ -63,13 +68,18 @@ func testCampaign(t testing.TB, steps int) []*amr.Dataset {
 
 // buildDeltaArchive writes the snapshots with the given keyframe interval.
 func buildDeltaArchive(t testing.TB, snaps []*amr.Dataset, keyframe int) []byte {
+	return buildDeltaArchiveBatch(t, snaps, keyframe, 16)
+}
+
+// buildDeltaArchiveBatch is buildDeltaArchive at a chosen frame size.
+func buildDeltaArchiveBatch(t testing.TB, snaps []*amr.Dataset, keyframe, batchBlocks int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.BatchBlocks = 16
+	w.BatchBlocks = batchBlocks
 	w.Keyframe = keyframe
 	for _, ds := range snaps {
 		if err := w.AddDataset(ds, codec.Config{ErrorBound: testEB}); err != nil {

@@ -7,7 +7,9 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/amr"
 	"repro/internal/grid"
@@ -334,22 +336,44 @@ func (r *Reader) member(i int) (*Member, error) {
 	return &r.members[i], nil
 }
 
-// DecodeBatch reads and decodes exactly one block-batch frame: batch b of
-// level li of member mi. The returned grids are the frame's occupied unit
-// blocks in row-major mask order — ordinals BatchSpan(b) of the level's
-// Mask.OccupiedIndices() — freshly allocated and owned by the caller. This
-// is the frame-granularity extraction hook the serving layer builds its
-// block cache on. Decoding borrows a pooled sz decoder; DecodeBatchWith
-// lets a caller supply its own.
-func (r *Reader) DecodeBatch(mi, li, b int) ([]*grid.Grid3[amr.Value], error) {
-	dec := decoders.Get()
-	defer decoders.Put(dec)
-	return r.DecodeBatchWith(dec, mi, li, b)
+// frameDecoder is the per-goroutine state of the decode path, pooled
+// process-wide so steady-state extraction allocates nothing per frame: a
+// warm sz decoder (inflate buffers, code stream, Huffman tables), the
+// buffer compressed frames are read into, and block scratch that an
+// extraction decodes into and scatters from.
+type frameDecoder struct {
+	dec    sz.Decoder[amr.Value]
+	frame  []byte
+	slab   []amr.Value
+	hdrs   []grid.Grid3[amr.Value]
+	blocks []*grid.Grid3[amr.Value]
 }
 
-// DecodeBatchWith is DecodeBatch decoding through dec, for callers that
-// pin per-goroutine decoders instead of sharing the package pool.
-func (r *Reader) DecodeBatchWith(dec *sz.Decoder[amr.Value], mi, li, b int) ([]*grid.Grid3[amr.Value], error) {
+var frameDecoders = sync.Pool{New: func() any { return new(frameDecoder) }}
+
+// scratch returns count blocks of dims d laid over the decoder's slab,
+// every entry non-nil and holding stale values. They are valid until the
+// next scratch call.
+func (fd *frameDecoder) scratch(d grid.Dims, count int) []*grid.Grid3[amr.Value] {
+	per := d.Count()
+	if cap(fd.slab) < per*count {
+		fd.slab = make([]amr.Value, per*count)
+	}
+	if cap(fd.hdrs) < count {
+		fd.hdrs = make([]grid.Grid3[amr.Value], count)
+		fd.blocks = make([]*grid.Grid3[amr.Value], count)
+	}
+	hdrs, blocks := fd.hdrs[:count], fd.blocks[:count]
+	for i := range hdrs {
+		hdrs[i] = grid.Grid3[amr.Value]{Dim: d, Data: fd.slab[i*per : (i+1)*per : (i+1)*per]}
+		blocks[i] = &hdrs[i]
+	}
+	return blocks
+}
+
+// batchIndex bounds-checks a (member, level, batch) coordinate and
+// returns the level's index record.
+func (r *Reader) batchIndex(mi, li, b int) (*LevelIndex, error) {
 	m, err := r.member(mi)
 	if err != nil {
 		return nil, err
@@ -361,73 +385,97 @@ func (r *Reader) DecodeBatchWith(dec *sz.Decoder[amr.Value], mi, li, b int) ([]*
 	if b < 0 || b >= len(idx.Batches) {
 		return nil, fmt.Errorf("archive: member %d level %d has no batch %d (have %d)", mi, li, b, len(idx.Batches))
 	}
-	return r.decodeBatch(dec, idx, mi, li, b)
+	return idx, nil
 }
 
-// decodeBatch reads frame b of idx through the ReaderAt and decodes it,
-// validating the frame geometry against the index. A delta frame first
-// resolves its reference chain: the matching batch of the referenced
-// member (structure-identical by footer validation, so batch b covers the
-// same blocks) is decoded recursively down to the nearest intra frame,
-// then residuals apply upward. References point strictly backward, so the
-// recursion depth is bounded by the keyframe interval the writer used. mi
-// and li only provide error context; idx must be level li of member mi.
-func (r *Reader) decodeBatch(dec *sz.Decoder[amr.Value], idx *LevelIndex, mi, li, b int) ([]*grid.Grid3[amr.Value], error) {
-	var refs []*grid.Grid3[amr.Value]
-	if idx.IsDelta(b) {
-		refMi := r.members[mi].Ref
-		refIdx := &r.members[refMi].Levels[li]
-		var err error
-		if refs, err = r.decodeBatch(dec, refIdx, refMi, li, b); err != nil {
-			return nil, err
-		}
-	}
-	return r.decodeBatchOn(dec, idx, mi, li, b, refs)
+// unitDims is the shape of every block of the level.
+func (li *LevelIndex) unitDims() grid.Dims {
+	return grid.Dims{X: li.UnitBlock, Y: li.UnitBlock, Z: li.UnitBlock}
 }
 
-// decodeBatchOn decodes frame b of idx given its already-decoded
-// reference blocks (nil for an intra frame). The frame's coding mode must
-// match the footer's flag — a delta payload in an intra slot (or the
-// reverse) is corruption, caught before any reconstruction.
-func (r *Reader) decodeBatchOn(dec *sz.Decoder[amr.Value], idx *LevelIndex, mi, li, b int, refs []*grid.Grid3[amr.Value]) ([]*grid.Grid3[amr.Value], error) {
-	blob, err := r.readFrame(idx, mi, li, b)
+// DecodeBatch reads and decodes exactly one block-batch frame: batch b of
+// level li of member mi, reference chain included. The returned grids are
+// the frame's occupied unit blocks in row-major mask order — ordinals
+// BatchSpan(b) of the level's Mask.OccupiedIndices() — freshly allocated
+// and owned by the caller. This is the frame-granularity extraction hook
+// the serving layer builds its block cache on.
+func (r *Reader) DecodeBatch(mi, li, b int) ([]*grid.Grid3[amr.Value], error) {
+	idx, err := r.batchIndex(mi, li, b)
 	if err != nil {
 		return nil, err
 	}
-	lo, hi := idx.BatchSpan(b)
-	info, err := sz.PeekBatch(blob)
-	if err != nil {
-		return nil, fmt.Errorf("archive: member %d level %d batch %d: %w: %w", mi, li, b, ErrCorrupt, err)
+	fd := frameDecoders.Get().(*frameDecoder)
+	defer frameDecoders.Put(fd)
+	out := grid.NewBlocks[amr.Value](idx.unitDims(), idx.blockCount(b))
+	if err := r.decodeChain(fd, out, mi, li, b); err != nil {
+		return nil, err
 	}
-	wantDims := grid.Dims{X: idx.UnitBlock, Y: idx.UnitBlock, Z: idx.UnitBlock}
-	if info.BlockDims != wantDims || info.Blocks != hi-lo {
-		return nil, fmt.Errorf("archive: member %d level %d batch %d: %w: frame holds %d×%v blocks, index implies %d×%v",
-			mi, li, b, ErrCorrupt, info.Blocks, info.BlockDims, hi-lo, wantDims)
-	}
-	if info.Delta != idx.IsDelta(b) {
-		return nil, fmt.Errorf("archive: member %d level %d batch %d: %w: frame delta=%v, index says %v",
-			mi, li, b, ErrCorrupt, info.Delta, idx.IsDelta(b))
-	}
-	var blocks []*grid.Grid3[amr.Value]
-	if info.Delta {
-		blocks, err = dec.DecompressBlocksDelta(blob, refs)
-	} else {
-		blocks, err = dec.DecompressBlocks(blob)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("archive: member %d level %d batch %d: %w: %w", mi, li, b, ErrCorrupt, err)
-	}
-	return blocks, nil
+	return out, nil
 }
 
-// readFrame reads frame b of idx and, when the footer carries digests,
-// verifies its CRC32C before any byte reaches the codec. Read failures
-// are tagged ErrIO (the transient class) in addition to ErrCorrupt;
-// digest mismatches are ErrCorrupt alone — the bytes arrived, they are
-// simply wrong. mi and li only provide error context.
-func (r *Reader) readFrame(idx *LevelIndex, mi, li, b int) ([]byte, error) {
+// decodeChain decodes batch b of level li of member mi into the non-nil
+// entries of dst (nil means the caller does not want that block), reference
+// chain first and in place: the matching batch of the referenced member
+// (structure-identical by footer validation, so batch b covers the same
+// blocks) is decoded recursively down to the nearest intra frame, then each
+// delta frame applies its residuals to dst with dst as its own reference —
+// one set of blocks for the whole chain, and skipped blocks skipped at
+// every depth. References point strictly backward, so the recursion depth
+// is bounded by the keyframe interval the writer used.
+func (r *Reader) decodeChain(fd *frameDecoder, dst []*grid.Grid3[amr.Value], mi, li, b int) error {
+	if !r.members[mi].Levels[li].IsDelta(b) {
+		return r.decodeFrame(fd, dst, mi, li, b, nil)
+	}
+	if err := r.decodeChain(fd, dst, r.members[mi].Ref, li, b); err != nil {
+		return err
+	}
+	return r.decodeFrame(fd, dst, mi, li, b, dst)
+}
+
+// decodeFrame reads frame b of level li of member mi and decodes it into
+// the non-nil entries of dst given its already-decoded reference blocks
+// (nil for an intra frame; dst itself is allowed). The frame's geometry
+// and coding mode must match the footer's — a delta payload in an intra
+// slot (or the reverse) is corruption, caught before any reconstruction.
+func (r *Reader) decodeFrame(fd *frameDecoder, dst []*grid.Grid3[amr.Value], mi, li, b int, refs []*grid.Grid3[amr.Value]) error {
+	idx := &r.members[mi].Levels[li]
+	blob, err := r.readFrame(fd.frame[:0], idx, mi, li, b)
+	if err != nil {
+		return err
+	}
+	fd.frame = blob
+	info, err := sz.PeekBatch(blob)
+	if err != nil {
+		return fmt.Errorf("archive: member %d level %d batch %d: %w: %w", mi, li, b, ErrCorrupt, err)
+	}
+	if want := idx.blockCount(b); info.BlockDims != idx.unitDims() || info.Blocks != want {
+		return fmt.Errorf("archive: member %d level %d batch %d: %w: frame holds %d×%v blocks, index implies %d×%v",
+			mi, li, b, ErrCorrupt, info.Blocks, info.BlockDims, want, idx.unitDims())
+	}
+	if info.Delta != idx.IsDelta(b) {
+		return fmt.Errorf("archive: member %d level %d batch %d: %w: frame delta=%v, index says %v",
+			mi, li, b, ErrCorrupt, info.Delta, idx.IsDelta(b))
+	}
+	if info.Delta {
+		err = fd.dec.DecompressBlocksDeltaInto(dst, blob, refs)
+	} else {
+		err = fd.dec.DecompressBlocksInto(dst, blob)
+	}
+	if err != nil {
+		return fmt.Errorf("archive: member %d level %d batch %d: %w: %w", mi, li, b, ErrCorrupt, err)
+	}
+	return nil
+}
+
+// readFrame reads frame b of idx into buf's capacity (growing it as
+// needed) and, when the footer carries digests, verifies its CRC32C
+// before any byte reaches the codec. Read failures are tagged ErrIO (the
+// transient class) in addition to ErrCorrupt; digest mismatches are
+// ErrCorrupt alone — the bytes arrived, they are simply wrong. mi and li
+// only provide error context.
+func (r *Reader) readFrame(buf []byte, idx *LevelIndex, mi, li, b int) ([]byte, error) {
 	rec := idx.Batches[b]
-	blob := make([]byte, rec.Length)
+	blob := slices.Grow(buf[:0], int(rec.Length))[:rec.Length]
 	if _, err := r.r.ReadAt(blob, rec.Offset); err != nil {
 		return nil, fmt.Errorf("archive: member %d level %d batch %d: %w: %w: reading frame: %w", mi, li, b, ErrCorrupt, ErrIO, err)
 	}
@@ -478,7 +526,7 @@ func (r *Reader) ScrubMember(mi int) []ScrubIssue {
 		idx := &m.Levels[li]
 		for b := range idx.Batches {
 			if idx.Sums != nil {
-				if _, err := r.readFrame(idx, mi, li, b); err != nil {
+				if _, err := r.readFrame(nil, idx, mi, li, b); err != nil {
 					issues = append(issues, ScrubIssue{Member: mi, Level: li, Batch: b, Err: err})
 				}
 				continue
@@ -498,19 +546,12 @@ func (r *Reader) ScrubMember(mi int) []ScrubIssue {
 // layer's cache) use it to decode references through their own storage
 // and then apply the residual via DecodeBatchOn.
 func (r *Reader) BatchDep(mi, li, b int) (ref int, delta bool, err error) {
-	m, err := r.member(mi)
+	idx, err := r.batchIndex(mi, li, b)
 	if err != nil {
 		return -1, false, err
 	}
-	if li < 0 || li >= len(m.Levels) {
-		return -1, false, fmt.Errorf("archive: member %d has no level %d", mi, li)
-	}
-	idx := &m.Levels[li]
-	if b < 0 || b >= len(idx.Batches) {
-		return -1, false, fmt.Errorf("archive: member %d level %d has no batch %d (have %d)", mi, li, b, len(idx.Batches))
-	}
 	if idx.IsDelta(b) {
-		return m.Ref, true, nil
+		return r.members[mi].Ref, true, nil
 	}
 	return -1, false, nil
 }
@@ -520,25 +561,26 @@ func (r *Reader) BatchDep(mi, li, b int) (ref int, delta bool, err error) {
 // reported by BatchDep (nil for an intra frame). The returned grids are
 // freshly allocated; refs is read only.
 func (r *Reader) DecodeBatchOn(mi, li, b int, refs []*grid.Grid3[amr.Value]) ([]*grid.Grid3[amr.Value], error) {
-	m, err := r.member(mi)
+	idx, err := r.batchIndex(mi, li, b)
 	if err != nil {
 		return nil, err
 	}
-	if li < 0 || li >= len(m.Levels) {
-		return nil, fmt.Errorf("archive: member %d has no level %d", mi, li)
+	fd := frameDecoders.Get().(*frameDecoder)
+	defer frameDecoders.Put(fd)
+	out := grid.NewBlocks[amr.Value](idx.unitDims(), idx.blockCount(b))
+	if err := r.decodeFrame(fd, out, mi, li, b, refs); err != nil {
+		return nil, err
 	}
-	idx := &m.Levels[li]
-	if b < 0 || b >= len(idx.Batches) {
-		return nil, fmt.Errorf("archive: member %d level %d has no batch %d (have %d)", mi, li, b, len(idx.Batches))
-	}
-	dec := decoders.Get()
-	defer decoders.Put(dec)
-	return r.decodeBatchOn(dec, idx, mi, li, b, refs)
+	return out, nil
 }
 
 // Extract reconstructs a whole member as a dataset.
 func (r *Reader) Extract(i int) (*amr.Dataset, error) {
-	return r.extract(i, nil)
+	m, err := r.member(i)
+	if err != nil {
+		return nil, err
+	}
+	return r.extractDataset(m, i, nil)
 }
 
 // ExtractLevel reconstructs one refinement level of a member. The returned
@@ -551,13 +593,17 @@ func (r *Reader) ExtractLevel(i, li int) (*amr.Level, error) {
 	if li < 0 || li >= len(m.Levels) {
 		return nil, fmt.Errorf("archive: member %d has no level %d", i, li)
 	}
-	return r.extractLevel(m, i, li, nil)
+	levels, err := r.extract(i, li, li+1, nil)
+	if err != nil {
+		return nil, err
+	}
+	return levels[0], nil
 }
 
 // ExtractRegion reconstructs the part of a member covering roi, a region
 // in finest-level cell coordinates. Only unit blocks whose extent
-// intersects roi are read and decoded; the returned dataset's masks mark
-// exactly those blocks, so it is a partial view that does not tile the
+// intersects roi are read and reconstructed; the returned dataset's masks
+// mark exactly those blocks, so it is a partial view that does not tile the
 // domain (Dataset.Validate will reject it by design).
 func (r *Reader) ExtractRegion(i int, roi grid.Region) (*amr.Dataset, error) {
 	m, err := r.member(i)
@@ -587,139 +633,158 @@ func (r *Reader) ExtractRegion(i int, roi grid.Region) (*amr.Dataset, error) {
 		wants[li] = want
 		scale *= m.Ratio
 	}
-	return r.extract(i, wants)
+	return r.extractDataset(m, i, wants)
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
-// extract reconstructs a member; wants optionally restricts each level to
-// a subset of its occupied blocks (nil, or a nil entry, means all).
-func (r *Reader) extract(i int, wants []*grid.Mask) (*amr.Dataset, error) {
-	m, err := r.member(i)
+// extractDataset extracts every level of member mi (see extract).
+func (r *Reader) extractDataset(m *Member, mi int, wants []*grid.Mask) (*amr.Dataset, error) {
+	levels, err := r.extract(mi, 0, len(m.Levels), wants)
 	if err != nil {
 		return nil, err
 	}
-	ds := &amr.Dataset{Name: m.Name, Field: m.Field, Ratio: m.Ratio}
-	for li := range m.Levels {
-		var want *grid.Mask
-		if wants != nil {
-			want = wants[li]
-		}
-		l, err := r.extractLevel(m, i, li, want)
-		if err != nil {
-			return nil, err
-		}
-		ds.Levels = append(ds.Levels, l)
-	}
-	return ds, nil
+	return &amr.Dataset{Name: m.Name, Field: m.Field, Ratio: m.Ratio, Levels: levels}, nil
 }
 
-// extractLevel reads and decodes only the batches containing wanted blocks
-// (want nil means every occupied block), scattering them into a fresh
-// level. mi only provides error context.
-func (r *Reader) extractLevel(m *Member, mi, liIdx int, want *grid.Mask) (*amr.Level, error) {
-	idx := &m.Levels[liIdx]
-	l := amr.NewLevel(idx.Dims, idx.UnitBlock)
-	ords := idx.Mask.OccupiedIndices()
-	if want == nil {
-		l.Mask.CopyFrom(idx.Mask)
-	} else if want.Dim != idx.Mask.Dim {
-		return nil, fmt.Errorf("archive: member %d level %d: want mask dims %v, level has %v", mi, liIdx, want.Dim, idx.Mask.Dim)
-	}
+// levelPlan is one level of an extraction: what to decode, and the level
+// being assembled.
+type levelPlan struct {
+	li   int
+	idx  *LevelIndex
+	ords []int      // occupied unit-block indices, in ordinal order
+	want *grid.Mask // subset of idx.Mask to extract; nil means all of it
 
-	// Plan which batches to touch before reading a single frame byte.
-	type job struct {
-		batch int
-		lo    int // first ordinal covered
-	}
-	var jobs []job
-	for b := range idx.Batches {
-		lo := b * idx.BatchBlocks
-		hi := lo + idx.blockCount(b)
-		if want != nil {
-			hit := false
-			for _, ord := range ords[lo:hi] {
-				if want.AtIndex(ord) {
-					hit = true
-					break
-				}
-			}
-			if !hit {
-				continue
+	// The level is allocated by the first worker with blocks to scatter
+	// into it, inside the decode pool, so that zeroing a grid of megabytes
+	// overlaps other workers' decoding instead of preceding all of it.
+	once  sync.Once
+	level *amr.Level
+}
+
+func (p *levelPlan) get() *amr.Level {
+	p.once.Do(func() { p.level = amr.NewLevel(p.idx.Dims, p.idx.UnitBlock) })
+	return p.level
+}
+
+// frameJob is one frame an extraction has to decode.
+type frameJob struct {
+	plan  *levelPlan
+	batch int
+}
+
+// extract reconstructs levels [lo, hi) of member mi. wants, indexed by
+// level, optionally restricts each level to a subset of its occupied
+// blocks (nil, or a nil entry, means all). The frames of every level are
+// planned before a single frame byte is read — only batches holding a
+// wanted block are touched — and run through one pool of at most Workers
+// decoders, so a small level's frames fill the cores a large level's tail
+// leaves idle.
+func (r *Reader) extract(mi, lo, hi int, wants []*grid.Mask) ([]*amr.Level, error) {
+	m := &r.members[mi]
+	plans := make([]levelPlan, hi-lo)
+	var jobs []frameJob
+	for k := range plans {
+		p := &plans[k]
+		p.li, p.idx = lo+k, &m.Levels[lo+k]
+		p.ords = p.idx.Mask.OccupiedIndices()
+		if wants != nil {
+			p.want = wants[p.li]
+		}
+		for b := range p.idx.Batches {
+			blo, bhi := p.idx.BatchSpan(b)
+			if p.want == nil || slices.ContainsFunc(p.ords[blo:bhi], p.want.AtIndex) {
+				jobs = append(jobs, frameJob{plan: p, batch: b})
 			}
 		}
-		jobs = append(jobs, job{batch: b, lo: lo})
 	}
-	if len(jobs) == 0 {
-		return l, nil
+
+	// run decodes one frame — and its whole reference chain — into the
+	// worker's block scratch, leaving unwanted blocks out of every stage
+	// after the entropy decode, and scatters the rest into the level.
+	run := func(fd *frameDecoder, j frameJob) error {
+		p := j.plan
+		blo, bhi := p.idx.BatchSpan(j.batch)
+		ords := p.ords[blo:bhi]
+		blocks := fd.scratch(p.idx.unitDims(), len(ords))
+		if p.want != nil {
+			for k, ord := range ords {
+				if !p.want.AtIndex(ord) {
+					blocks[k] = nil
+				}
+			}
+		}
+		if err := r.decodeChain(fd, blocks, mi, p.li, j.batch); err != nil {
+			return err
+		}
+		l := p.get()
+		for k, ord := range ords {
+			if blocks[k] != nil {
+				bx, by, bz := p.idx.Mask.Dim.Coords(ord)
+				l.Grid.SetRegion(l.BlockRegion(bx, by, bz), blocks[k].Data)
+			}
+		}
+		return nil
 	}
 
 	workers := r.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	run := func(j job) error {
-		dec := decoders.Get()
-		defer decoders.Put(dec)
-		blocks, err := r.decodeBatch(dec, idx, mi, liIdx, j.batch)
-		if err != nil {
-			return err
-		}
-		count := idx.blockCount(j.batch)
-		for k, ord := range ords[j.lo : j.lo+count] {
-			if want != nil && !want.AtIndex(ord) {
-				continue
-			}
-			bx, by, bz := idx.Mask.Dim.Coords(ord)
-			l.Grid.SetRegion(l.BlockRegion(bx, by, bz), blocks[k].Data)
-		}
-		return nil
-	}
-	// Mark the extracted blocks after the decode fan-out: bits of one packed
-	// word are shared between batches, so the mask cannot be written from
-	// concurrent workers.
-	markWanted := func() {
-		if want == nil {
-			return
-		}
+	workers = min(workers, len(jobs))
+	if workers <= 1 {
+		fd := frameDecoders.Get().(*frameDecoder)
+		defer frameDecoders.Put(fd)
 		for _, j := range jobs {
-			for _, ord := range ords[j.lo : j.lo+idx.blockCount(j.batch)] {
-				if want.AtIndex(ord) {
-					l.Mask.SetIndex(ord, true)
-				}
-			}
-		}
-	}
-	if workers == 1 {
-		for _, j := range jobs {
-			if err := run(j); err != nil {
+			if err := run(fd, j); err != nil {
 				return nil, err
 			}
 		}
-		markWanted()
-		return l, nil
-	}
-	errs := make([]error, len(jobs))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for ji, j := range jobs {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(ji int, j job) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			errs[ji] = run(j)
-		}(ji, j)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	} else {
+		// Workers claim jobs in plan order; after a failure no new job
+		// starts, and the error reported is the first in plan order.
+		errs := make([]error, len(jobs))
+		var next atomic.Int64
+		var failed atomic.Bool
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				fd := frameDecoders.Get().(*frameDecoder)
+				defer frameDecoders.Put(fd)
+				for !failed.Load() {
+					ji := int(next.Add(1)) - 1
+					if ji >= len(jobs) {
+						return
+					}
+					if errs[ji] = run(fd, jobs[ji]); errs[ji] != nil {
+						failed.Store(true)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				return nil, err
+			}
 		}
 	}
-	markWanted()
-	return l, nil
+
+	// Masks are marked after the fan-out: bits of one packed word are
+	// shared between batches, so workers cannot write them concurrently.
+	// The extracted blocks of a level are exactly its want mask (callers
+	// intersect it with the occupancy), or all occupied ones.
+	levels := make([]*amr.Level, len(plans))
+	for k := range plans {
+		p := &plans[k]
+		levels[k] = p.get()
+		if p.want == nil {
+			levels[k].Mask.CopyFrom(p.idx.Mask)
+		} else {
+			levels[k].Mask.CopyFrom(p.want)
+		}
+	}
+	return levels, nil
 }

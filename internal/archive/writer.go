@@ -15,15 +15,12 @@ import (
 	"repro/internal/sz"
 )
 
-// encoders and decoders keep warm sz scratch shared by all writers and
-// readers in the process: each worker of the batch pipelines borrows one
-// for the duration of a frame, so steady-state archive traffic stops
-// allocating code streams, recon grids, Huffman codebook arenas and
-// decode lookup tables, and DEFLATE state.
-var (
-	encoders sz.EncoderPool[amr.Value]
-	decoders sz.DecoderPool[amr.Value]
-)
+// encoders keeps warm sz scratch shared by all writers in the process:
+// each worker of the batch pipeline borrows one for the duration of a
+// frame, so steady-state archive writes stop allocating code streams,
+// recon grids, Huffman codebook arenas and DEFLATE state. The read side's
+// counterpart is frameDecoders (reader.go).
+var encoders sz.EncoderPool[amr.Value]
 
 // Writer appends members to a TACA archive, streaming frames to the
 // underlying io.Writer as they are compressed. Only the unit-block batches

@@ -31,6 +31,33 @@ func quantStream(n int) []uint32 {
 	return syms
 }
 
+// wideQuantStream synthesizes what the archive's own frames look like to
+// the decoder, which quantStream is too tidy to show: ≈2.9 bit/symbol over
+// an alphabet of ~300 bins — a geometric core around the centre bin, a
+// heavy tail of large residuals whose codes run past TableBits, and the
+// literal marker — so a code deeper than the primary table turns up every
+// few hundred symbols.
+func wideQuantStream(n int) []uint32 {
+	rng := rand.New(rand.NewSource(9))
+	syms := make([]uint32, n)
+	const center = 1 << 15
+	for i := range syms {
+		switch r := rng.Float64(); {
+		case r < 0.01:
+			syms[i] = 0 // literal marker
+		case r < 0.04:
+			syms[i] = uint32(center - 150 + rng.Intn(301))
+		default:
+			d := 0
+			for rng.Intn(2) == 0 && d < 40 {
+				d++
+			}
+			syms[i] = uint32(center + d*(1-2*rng.Intn(2)))
+		}
+	}
+	return syms
+}
+
 func BenchmarkHuffmanEncode(b *testing.B) {
 	syms := quantStream(1 << 18)
 	var e Encoder
@@ -57,4 +84,30 @@ func BenchmarkHuffmanDecode(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkHuffmanDecodeWide is BenchmarkHuffmanDecode on the realistic
+// stream: long codes present, so a fast loop that cannot resume after one
+// shows up here and not above.
+func BenchmarkHuffmanDecodeWide(b *testing.B) {
+	syms := wideQuantStream(1 << 18)
+	var e Encoder
+	blob := e.AppendEncode(nil, syms)
+	if maxLen := e.codes[len(e.codes)-1].len; maxLen <= TableBits {
+		b.Fatalf("max code length %d does not exceed TableBits=%d", maxLen, TableBits)
+	}
+	var d Decoder
+	out, err := d.AppendDecode(nil, blob)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(4 * len(syms)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err = d.AppendDecode(out[:0], blob)
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(8*len(blob))/float64(len(syms)), "bit/sym")
 }

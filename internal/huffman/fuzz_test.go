@@ -55,14 +55,28 @@ func huffFuzzSeeds() [][]byte {
 		mk(8, [][2]uint64{{0, 57}, {1, 57}}, []byte{0xff, 0xff}), // max-length codes
 		mk(100, [][2]uint64{{5, 3}}, []byte{0x00}),               // count beyond stream
 	)
+
+	// The shapes the fast decode loop is differentially tested on (counts
+	// around its entry condition, 1-bit codes, symbols past 2^16, long
+	// codes back to back) and a few random codebooks over random bits.
+	for _, syms := range diffStreams() {
+		if len(syms) <= 65 || len(syms) > 40000 {
+			seeds = append(seeds, Encode(syms))
+		}
+	}
+	for i := 0; i < 8; i++ {
+		seeds = append(seeds, randomCodebookBlob(rng))
+	}
 	return seeds
 }
 
 // FuzzAppendDecode fuzzes the full decode surface: header framing, the
 // codebook validator (Kraft, duplicates, overflow), the LUT build and both
-// decode paths. Corrupt input must error, never panic or over-allocate;
-// successful decodes must survive a re-encode/re-decode round trip and be
-// reproducible through a reused Decoder.
+// decode loops. Corrupt input must error, never panic or over-allocate,
+// and every input must decode — or fail, with the same message — exactly
+// as through the retained per-symbol oracle; successful decodes must
+// survive a re-encode/re-decode round trip and be reproducible through a
+// reused Decoder.
 func FuzzAppendDecode(f *testing.F) {
 	for _, s := range huffFuzzSeeds() {
 		f.Add(s)
@@ -74,8 +88,10 @@ func FuzzAppendDecode(f *testing.F) {
 		}
 	}
 	var pooled Decoder
+	var oracle oracleDecoder
 	var scratch []uint32
 	f.Fuzz(func(t *testing.T, data []byte) {
+		agree(t, &pooled, &oracle, "fuzz input", data)
 		syms, err := AppendDecode(nil, data)
 		if err != nil {
 			return

@@ -11,9 +11,13 @@
 // emits codes through dense arrays whenever the alphabet is small (the
 // common case: quantization codes are bounded by 2^QuantBits), falling back
 // to maps for sparse 32-bit alphabets. The decoder resolves symbols through
-// a primary lookup table indexed by the next TableBits bits of the stream —
-// one table hit per symbol instead of a bit-by-bit walk — with a canonical
-// first-code/offset path for the rare codes longer than TableBits.
+// one lookup table indexed by the next TableBits bits of the stream: each
+// 8-byte entry carries up to two complete symbols and the bits they
+// consume, so a probe is a single load — the whole table is 32 KiB, an L1
+// cache's worth — and the inner loop refills its bit accumulator once per
+// four probes. Codes longer than TableBits take a canonical
+// first-code/offset path and the loop carries on; only the last few
+// symbols of a stream run through a bounds-checking per-probe loop.
 package huffman
 
 import (
@@ -33,13 +37,15 @@ const (
 	// by limitLengths, preserving prefix-freeness.
 	maxCodeLen = 57
 
-	// TableBits is the index width of the primary decode table: one
+	// TableBits is the index width of the decode table: one
 	// 2^TableBits-entry lookup resolves every code of up to TableBits
-	// bits in a single probe. It is the decoder's footprint knob — each
-	// pooled Decoder keeps a 2^TableBits × 8-byte table (32 KiB at 12)
-	// warm across calls; codes longer than TableBits (rare by
-	// construction: a code that long had a tiny frequency) take the
-	// canonical first-code overflow path instead.
+	// bits — and a second one behind it, when both fit — in a single
+	// probe. It is the decoder's footprint knob: each pooled Decoder keeps
+	// exactly one 2^TableBits × 8-byte table (32 KiB at 12) warm across
+	// calls. Codes longer than TableBits (rare by construction: a code
+	// that long had a tiny frequency) take the canonical first-code
+	// overflow path instead. Four probes of TableBits bits must fit the
+	// 57 bits a refill guarantees, so TableBits may not exceed 14.
 	TableBits = 12
 
 	// denseAlphabet bounds the symbol range for the dense encode-side
@@ -248,6 +254,13 @@ func canonicalize(codes []symCode) []symCode {
 		}
 		return cmp.Compare(a.sym, b.sym)
 	})
+	assignCodes(codes)
+	return codes
+}
+
+// assignCodes gives a codebook already in (length, symbol) order its
+// consecutive canonical codes.
+func assignCodes(codes []symCode) {
 	var code uint64
 	var prevLen uint8
 	for i := range codes {
@@ -256,7 +269,6 @@ func canonicalize(codes []symCode) []symCode {
 		code++
 		prevLen = codes[i].len
 	}
-	return codes
 }
 
 // Encoder holds reusable encoding scratch (frequency tables, the tree-
@@ -419,18 +431,36 @@ func AppendDecode(dst []uint32, blob []byte) ([]uint32, error) {
 	return d.AppendDecode(dst, blob)
 }
 
-// lutLong marks a primary-table entry whose bits are the prefix of one or
-// more codes longer than the table index; decoding falls through to the
-// canonical first-code path. Primary entries pack sym<<8 | len; a zero
-// entry is an unassigned (invalid) code.
-const lutLong = 0xff
+// Primary-table entries pack everything one probe needs into 8 bytes:
+//
+//	bits  0–7   total bits the probe consumes (len1, or len1+len2 for a pair)
+//	bits  8–11  symbols the probe emits (1 or 2)
+//	bits 12–15  len1, the first code's own length
+//	bits 16–47  sym1
+//	bits 48–63  sym2 (pairs only, so only symbols below 2^16 pair)
+//
+// A zero entry is an unassigned (invalid) code. Two low-byte values above
+// any real length send the fast loop to its slow branch: lutLong marks the
+// prefix of one or more codes longer than the table index, which resolve
+// through the canonical first-code path, and lutWide marks a pair whose
+// second symbol does not fit sym2 — it is fetched from its own entry
+// instead, so probes consume the same codes whatever the alphabet. A
+// single keeps its full 32-bit symbol, and pairing never disturbs an
+// entry's len1/sym1 fields.
+const (
+	lutLong       = 0xff
+	lutWide       = 0xfe
+	lutCountShift = 8
+	lutCountOne   = uint64(1) << lutCountShift
+	lutCountTwo   = uint64(2) << lutCountShift
+	lutLen1Shift  = 12
+	lutSym1Shift  = 16
+	lutSym2Shift  = 48
+)
 
-// lutPairFlag marks a primary entry that resolves two complete codes in
-// one probe (the len byte then holds the combined length; sym2 and the
-// first code's own length live in the parallel lutPair table). The
-// sym<<8 | len layout uses bits 0..39, so the flag sits at bit 40 — and
-// the uint32 cast of e>>8 drops it when extracting sym1.
-const lutPairFlag = uint64(1) << 40
+// len1 extracts an entry's first-code length: 0 for an invalid or long
+// entry, which is how the pairing pass and the careful loop tell.
+func len1(e uint64) uint { return uint(e>>lutLen1Shift) & 0xf }
 
 // Decoder holds the reusable decode-side scratch: the parsed codebook, the
 // primary lookup table and the canonical overflow tables, kept warm across
@@ -438,10 +468,10 @@ const lutPairFlag = uint64(1) << 40
 // is ready to use; a Decoder is not safe for concurrent use — pool one per
 // goroutine (internal/sz's Decoder engines do exactly that).
 type Decoder struct {
-	codes   []symCode
-	lut     []uint64 // 2^k entries, k = min(maxLen, TableBits)
-	lutPair []uint64 // sym2<<8 | len1 for entries with lutPairFlag
-	syms    []uint32 // symbols in canonical order, for the overflow path
+	codes []symCode // parsed codebook, in header (symbol) order
+	canon []symCode // the same codebook in canonical order, codes assigned
+	lut   []uint64  // 2^TableBits packed entries, allocated on first use
+	syms  []uint32  // symbols in canonical order, for the overflow path
 
 	// Canonical decode state for code lengths in (TableBits, maxCodeLen]:
 	// at length l, codes occupy [first[l], first[l]+count[l]) and map to
@@ -456,32 +486,56 @@ type Decoder struct {
 // claimed symbol counts are validated against the bit stream's actual size
 // and the codebook against the Kraft inequality before any table is built.
 func (d *Decoder) AppendDecode(dst []uint32, blob []byte) ([]uint32, error) {
+	nsyms, body, err := d.parseCodebook(blob)
+	if err != nil {
+		return nil, err
+	}
+	if nsyms == 0 {
+		return dst[:0], nil
+	}
+	tableBits, maxLen := d.build(d.canonical())
+
+	out := dst[:0]
+	if cap(out) < nsyms {
+		out = make([]uint32, 0, nsyms)
+	}
+	out = out[:nsyms]
+	if err := d.decode(out, body, tableBits, maxLen); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// parseCodebook validates blob's header into d.codes (symbol and length
+// only; canonicalize assigns the codes) and returns the claimed symbol
+// count and the bit stream.
+func (d *Decoder) parseCodebook(blob []byte) (int, []byte, error) {
 	hdr, n, err := bitio.Bytes(blob)
 	if err != nil {
-		return nil, fmt.Errorf("huffman: reading header: %w", err)
+		return 0, nil, fmt.Errorf("huffman: reading header: %w", err)
 	}
 	body := blob[n:]
 
 	nsyms, k, err := bitio.Uvarint(hdr)
 	if err != nil {
-		return nil, fmt.Errorf("huffman: symbol count: %w", err)
+		return 0, nil, fmt.Errorf("huffman: symbol count: %w", err)
 	}
 	hdr = hdr[k:]
 	ncodes, k, err := bitio.Uvarint(hdr)
 	if err != nil {
-		return nil, fmt.Errorf("huffman: code count: %w", err)
+		return 0, nil, fmt.Errorf("huffman: code count: %w", err)
 	}
 	hdr = hdr[k:]
 	if nsyms > 0 && ncodes == 0 {
-		return nil, errors.New("huffman: nonempty stream with empty codebook")
+		return 0, nil, errors.New("huffman: nonempty stream with empty codebook")
 	}
 	// Every symbol costs at least one bit and every codebook entry at least
 	// two header bytes, so corrupt counts cannot drive the allocations below.
 	if nsyms > 8*uint64(len(body)) {
-		return nil, fmt.Errorf("huffman: %d symbols claimed but bit stream holds %d bits", nsyms, 8*len(body))
+		return 0, nil, fmt.Errorf("huffman: %d symbols claimed but bit stream holds %d bits", nsyms, 8*len(body))
 	}
 	if ncodes > uint64(len(hdr)) {
-		return nil, fmt.Errorf("huffman: %d codebook entries claimed in a %d-byte header", ncodes, len(hdr))
+		return 0, nil, fmt.Errorf("huffman: %d codebook entries claimed in a %d-byte header", ncodes, len(hdr))
 	}
 
 	const full = uint64(1) << maxCodeLen
@@ -491,183 +545,262 @@ func (d *Decoder) AppendDecode(dst []uint32, blob []byte) ([]uint32, error) {
 	for i := uint64(0); i < ncodes; i++ {
 		ds, k, err := bitio.Uvarint(hdr)
 		if err != nil {
-			return nil, fmt.Errorf("huffman: codebook symbol %d: %w", i, err)
+			return 0, nil, fmt.Errorf("huffman: codebook symbol %d: %w", i, err)
 		}
 		hdr = hdr[k:]
 		l, k, err := bitio.Uvarint(hdr)
 		if err != nil {
-			return nil, fmt.Errorf("huffman: codebook length %d: %w", i, err)
+			return 0, nil, fmt.Errorf("huffman: codebook length %d: %w", i, err)
 		}
 		hdr = hdr[k:]
 		if l == 0 || l > maxCodeLen {
-			return nil, fmt.Errorf("huffman: invalid code length %d", l)
+			return 0, nil, fmt.Errorf("huffman: invalid code length %d", l)
 		}
 		if i > 0 && ds == 0 {
-			return nil, fmt.Errorf("huffman: duplicate codebook symbol %d", prev)
+			return 0, nil, fmt.Errorf("huffman: duplicate codebook symbol %d", prev)
 		}
 		sym := prev + ds
 		if ds > math.MaxUint32 || sym > math.MaxUint32 {
-			return nil, errors.New("huffman: codebook symbol overflows uint32")
+			return 0, nil, errors.New("huffman: codebook symbol overflows uint32")
 		}
 		// A valid codebook satisfies the Kraft inequality; rejecting
 		// over-subscribed length sets here keeps the table build safe.
 		kraft += full >> l
 		if kraft > full {
-			return nil, errors.New("huffman: over-subscribed codebook")
+			return 0, nil, errors.New("huffman: over-subscribed codebook")
 		}
 		codes = append(codes, symCode{sym: uint32(sym), len: uint8(l)})
 		prev = sym
 	}
 	d.codes = codes
+	return int(nsyms), body, nil
+}
 
-	if nsyms == 0 {
-		return dst[:0], nil
+// canonical is canonicalize for a parsed codebook: the header lists
+// symbols in increasing order, so a stable counting sort on length yields
+// the (length, symbol) order without a comparison sort — which otherwise
+// costs a tenth of decoding a typical 30k-symbol frame.
+func (d *Decoder) canonical() []symCode {
+	var start [maxCodeLen + 2]int
+	for _, c := range d.codes {
+		start[c.len+1]++
 	}
-
-	codes = canonicalize(codes)
-	tableBits, maxLen := d.build(codes)
-
-	// The symbol loop runs on a local bit-reader state — accumulator,
-	// valid-bit count and byte cursor — instead of a bitio.Reader, so the
-	// per-symbol cost is a table load and two shifts with no method-call
-	// or pointer traffic. The refill mirrors bitio.Reader.refill exactly
-	// (whole-word loads with the byte tail near the end; bits of acc
-	// beyond nbit mirror the bytes still at pos), and a code claiming
-	// more bits than the stream holds reports the same truncation error
-	// Consume used to.
-	out := dst[:0]
-	if cap(out) < int(nsyms) {
-		out = make([]uint32, 0, nsyms)
+	for l := 1; l < len(start); l++ {
+		start[l] += start[l-1]
 	}
-	out = out[:nsyms]
-	lut := d.lut
-	lutPair := d.lutPair[:len(lut)]
-	// len(lut) is a power of two, so masking the probe index proves the
-	// accesses in bounds — without it the variable shift below defeats
-	// bounds-check elimination and every probe pays a checked branch.
-	mask := uint64(len(lut) - 1)
-	shift := 64 - tableBits
+	if cap(d.canon) < len(d.codes) {
+		d.canon = make([]symCode, len(d.codes))
+	}
+	canon := d.canon[:len(d.codes)]
+	for _, c := range d.codes {
+		canon[start[c.len]] = c
+		start[c.len]++
+	}
+	assignCodes(canon)
+	return canon
+}
+
+// decode fills out from the bit stream in body through the tables build
+// left behind.
+//
+// Both loops run on a local bit-reader state — accumulator, valid-bit
+// count and byte cursor — instead of a bitio.Reader, so the per-symbol cost
+// is a table load and two shifts with no method-call or pointer traffic.
+// The refill mirrors bitio.Reader.refill exactly (whole-word loads with the
+// byte tail near the end; bits of acc beyond nbit mirror the bytes still at
+// pos), and a code claiming more bits than the stream holds reports the
+// same truncation error Consume used to.
+func (d *Decoder) decode(out []uint32, body []byte, tableBits, maxLen uint) error {
+	// The table is always indexed by TableBits bits, whatever the deepest
+	// code: a constant shift into a fixed-size array needs no mask and no
+	// bounds check on the probe's critical path.
+	lut := (*[1 << TableBits]uint64)(d.lut)
+	const (
+		shift = 64 - TableBits
+		mask  = 1<<TableBits - 1
+	)
 	var (
 		acc  uint64
 		nbit uint
 		pos  int
+		n    int
 	)
-	for n := 0; n < int(nsyms); n++ {
-		// Refill only when the primary probe could run short: the bits of
-		// acc beyond nbit mirror the bytes still at pos, so the probe
-		// value is the same either way and a deep codebook (large maxLen)
-		// does not force a refill per symbol — short, frequent codes
-		// refill once per ~(64-tableBits) consumed bits. The overflow
-		// path refills again for its maxLen-bit view.
-		if nbit < tableBits {
-			if pos+8 <= len(body) {
-				acc |= binary.BigEndian.Uint64(body[pos:]) >> nbit
-				adv := (64 - nbit) >> 3
-				pos += int(adv)
-				nbit += adv * 8
-			} else {
-				for nbit <= 56 && pos < len(body) {
-					acc |= uint64(body[pos]) << (56 - nbit)
-					pos++
-					nbit += 8
-				}
+
+	// Fast loop: one whole-word refill leaves at least 57 valid bits, which
+	// covers four probes of at most TableBits each with no further checks.
+	// Every probe stores both symbol slots and advances by the entry's
+	// count, so singles and pairs share one branch-free path. It runs while
+	// at least 8 symbols are owed (four pairs, so the unconditional second
+	// store stays inside out) and a whole word is left to load (so every
+	// bit consumed is a stream bit and truncation cannot occur here). A
+	// code longer than the table is resolved in place and the loop resumes:
+	// real quantization streams carry one every few hundred symbols, so a
+	// loop that bailed on the first would never run.
+fast:
+	for n+8 <= len(out) && pos+8 <= len(body) {
+		acc, nbit, pos = refillWord(acc, nbit, pos, body)
+		for probe := 0; probe < 4; probe++ {
+			idx := acc >> shift
+			e := lut[idx]
+			l := uint(e & 0xff)
+			if l-1 < tableBits {
+				out[n] = uint32(e >> lutSym1Shift)
+				out[n+1] = uint32(e >> lutSym2Shift)
+				n += int(e>>lutCountShift) & 3
+				acc <<= l & 63
+				nbit -= l
+				continue
 			}
-		}
-		idx := (acc >> shift) & mask
-		e := lut[idx]
-		l := uint(e & 0xff)
-		if l == 0 {
-			return nil, fmt.Errorf("huffman: invalid code at symbol %d", n)
-		}
-		if l != lutLong {
-			if e&lutPairFlag != 0 && n+1 < int(nsyms) {
-				// Paired entry: two complete codes in one probe.
-				if l > nbit {
-					return nil, fmt.Errorf("huffman: bit stream truncated at symbol %d: %w", n, bitio.ErrUnexpectedEOF)
-				}
+			switch l {
+			case 0:
+				return fmt.Errorf("huffman: invalid code at symbol %d", n)
+			case lutWide:
+				l = len1(e)
+				e2 := lut[(idx<<l)&mask]
+				l += len1(e2)
+				out[n] = uint32(e >> lutSym1Shift)
+				out[n+1] = uint32(e2 >> lutSym1Shift)
+				n += 2
 				acc <<= l
 				nbit -= l
-				out[n] = uint32(e >> 8)
-				n++
-				out[n] = uint32(lutPair[idx&mask] >> 8)
-				continue
-			}
-			if e&lutPairFlag != 0 {
-				// The claimed symbol count ends between the pair: consume
-				// only the first code's own length.
-				l = uint(lutPair[idx&mask] & 0xff)
-			}
-			if l > nbit {
-				return nil, fmt.Errorf("huffman: bit stream truncated at symbol %d: %w", n, bitio.ErrUnexpectedEOF)
-			}
-			acc <<= l
-			nbit -= l
-			out[n] = uint32(e >> 8)
-			continue
-		}
-		// Overflow path: resolve codes longer than the primary table by
-		// canonical (first code, offset) comparison per length.
-		if nbit < maxLen {
-			if pos+8 <= len(body) {
-				acc |= binary.BigEndian.Uint64(body[pos:]) >> nbit
-				adv := (64 - nbit) >> 3
-				pos += int(adv)
-				nbit += adv * 8
-			} else {
-				for nbit <= 56 && pos < len(body) {
-					acc |= uint64(body[pos]) << (56 - nbit)
-					pos++
-					nbit += 8
+			case lutLong:
+				if nbit < maxLen {
+					if pos+8 > len(body) {
+						break fast // the careful loop finishes near the end
+					}
+					acc, nbit, pos = refillWord(acc, nbit, pos, body)
 				}
+				sym, cl := d.resolveLong(acc, tableBits, maxLen)
+				if cl == 0 {
+					return fmt.Errorf("huffman: invalid code at symbol %d", n)
+				}
+				acc <<= cl
+				nbit -= cl
+				out[n] = sym
+				n++
+				continue fast // the budget of four probes per refill is spent
 			}
-		}
-		v := acc >> (64 - maxLen)
-		matched := false
-		for cl := tableBits + 1; cl <= maxLen; cl++ {
-			cnt := d.count[cl]
-			if cnt == 0 {
-				continue
-			}
-			c := v >> (maxLen - cl)
-			if c < d.first[cl] {
-				continue
-			}
-			off := c - d.first[cl]
-			if off >= uint64(cnt) {
-				continue
-			}
-			if cl > nbit {
-				return nil, fmt.Errorf("huffman: bit stream truncated at symbol %d: %w", n, bitio.ErrUnexpectedEOF)
-			}
-			acc <<= cl
-			nbit -= cl
-			out[n] = d.syms[int(d.base[cl])+int(off)]
-			matched = true
-			break
-		}
-		if !matched {
-			return nil, fmt.Errorf("huffman: invalid code at symbol %d", n)
 		}
 	}
-	return out, nil
+
+	// Careful loop: the last <8 symbols or last 8 bytes, one probe at a
+	// time with every length checked against the bits actually left.
+	for n < len(out) {
+		// Refill only when the primary probe could run short: the bits of
+		// acc beyond nbit mirror the bytes still at pos, so the probe
+		// value is the same either way. The overflow path refills again
+		// for its maxLen-bit view.
+		if nbit < tableBits {
+			acc, nbit, pos = refillTail(acc, nbit, pos, body)
+		}
+		idx := acc >> shift
+		e := lut[idx]
+		l := len1(e)
+		sym := uint32(e >> lutSym1Shift)
+		step := 1
+		switch {
+		case e == 0:
+			return fmt.Errorf("huffman: invalid code at symbol %d", n)
+		case e&0xff == lutLong:
+			// Overflow path: resolve codes longer than the primary table
+			// by canonical (first code, offset) comparison per length.
+			if nbit < maxLen {
+				acc, nbit, pos = refillTail(acc, nbit, pos, body)
+			}
+			if sym, l = d.resolveLong(acc, tableBits, maxLen); l == 0 {
+				return fmt.Errorf("huffman: invalid code at symbol %d", n)
+			}
+		case n+1 < len(out):
+			// Two complete codes within the index decode as one step — all
+			// or nothing against the bits left — unless the claimed symbol
+			// count ends between them. The second code is read from its
+			// own entry rather than the packed sym2 field, so symbols too
+			// wide to pair in the fast loop behave the same here.
+			e2 := lut[(idx<<l)&mask]
+			if l2 := len1(e2); l2 != 0 && l+l2 <= tableBits {
+				l += l2
+				out[n+1] = uint32(e2 >> lutSym1Shift)
+				step = 2
+			}
+		}
+		if l > nbit {
+			return fmt.Errorf("huffman: bit stream truncated at symbol %d: %w", n, bitio.ErrUnexpectedEOF)
+		}
+		acc <<= l
+		nbit -= l
+		out[n] = sym
+		n += step
+	}
+	return nil
+}
+
+// refillWord tops the accumulator up from a whole big-endian word, which
+// the caller guarantees is left (pos+8 <= len(body)), consuming as many
+// whole bytes as fit: at least 57 bits are valid afterwards.
+func refillWord(acc uint64, nbit uint, pos int, body []byte) (uint64, uint, int) {
+	acc |= binary.BigEndian.Uint64(body[pos:]) >> nbit
+	adv := (64 - nbit) >> 3
+	return acc, nbit + adv*8, pos + int(adv)
+}
+
+// refillTail tops the accumulator up near the end of the stream: a whole
+// word while one is left, then byte by byte.
+func refillTail(acc uint64, nbit uint, pos int, body []byte) (uint64, uint, int) {
+	if pos+8 <= len(body) {
+		return refillWord(acc, nbit, pos, body)
+	}
+	for nbit <= 56 && pos < len(body) {
+		acc |= uint64(body[pos]) << (56 - nbit)
+		pos++
+		nbit += 8
+	}
+	return acc, nbit, pos
+}
+
+// resolveLong matches the code at the top of acc against the canonical
+// (first code, count) ranges of every length above tableBits, returning
+// its symbol and length, or length 0 if no code matches.
+func (d *Decoder) resolveLong(acc uint64, tableBits, maxLen uint) (uint32, uint) {
+	v := acc >> (64 - maxLen)
+	for cl := tableBits + 1; cl <= maxLen; cl++ {
+		cnt := d.count[cl]
+		if cnt == 0 {
+			continue
+		}
+		c := v >> (maxLen - cl)
+		if c < d.first[cl] {
+			continue
+		}
+		off := c - d.first[cl]
+		if off >= uint64(cnt) {
+			continue
+		}
+		return d.syms[int(d.base[cl])+int(off)], cl
+	}
+	return 0, 0
 }
 
 // build (re)fills the decoder's tables from a canonicalized codebook and
-// returns the primary table's index width and the maximum code length.
-// The codebook must be non-empty and satisfy Kraft (validated by the
-// caller), which guarantees every fill range below stays in bounds.
+// returns the probe window — min(maxLen, TableBits), the longest code the
+// table resolves and the most bits a pair may span — and the maximum code
+// length. The codebook must be non-empty and satisfy Kraft (validated by
+// the caller), which guarantees every fill range below stays in bounds.
+//
+// The table is built at the window's width and then, for a codebook
+// shallower than TableBits, stretched to the full 2^TableBits entries the
+// decode loops index — each entry repeated across the index bits it
+// ignores — so that the work of building scales with the codebook (a
+// 256-symbol frame with 7-bit codes pairs 128 entries, not 4096) while the
+// probe keeps its constant shift.
 func (d *Decoder) build(codes []symCode) (tableBits uint, maxLen uint) {
 	maxLen = uint(codes[len(codes)-1].len)
-	tableBits = maxLen
-	if tableBits > TableBits {
-		tableBits = TableBits
+	tableBits = min(maxLen, TableBits)
+	if d.lut == nil {
+		d.lut = make([]uint64, 1<<TableBits)
 	}
 	size := 1 << tableBits
-	if cap(d.lut) < size {
-		d.lut = make([]uint64, size)
-	}
-	d.lut = d.lut[:size]
-	clear(d.lut)
+	lut := d.lut[:size]
+	clear(lut)
 	d.syms = d.syms[:0]
 	if maxLen > TableBits {
 		for i := range d.count {
@@ -678,11 +811,11 @@ func (d *Decoder) build(codes []symCode) (tableBits uint, maxLen uint) {
 		d.syms = append(d.syms, c.sym)
 		cl := uint(c.len)
 		if cl <= tableBits {
-			entry := uint64(c.sym)<<8 | uint64(c.len)
+			entry := uint64(c.sym)<<lutSym1Shift | uint64(cl)<<lutLen1Shift | lutCountOne | uint64(cl)
 			lo := c.code << (tableBits - cl)
 			hi := lo + 1<<(tableBits-cl)
 			for j := lo; j < hi; j++ {
-				d.lut[j] = entry
+				lut[j] = entry
 			}
 			continue
 		}
@@ -691,38 +824,42 @@ func (d *Decoder) build(codes []symCode) (tableBits uint, maxLen uint) {
 			d.base[cl] = int32(i)
 		}
 		d.count[cl]++
-		d.lut[c.code>>(cl-tableBits)] = lutLong
+		lut[c.code>>(cl-tableBits)] = lutLong
 	}
 
 	// Second pass: pair entries. Where the first code leaves enough index
 	// bits to fully determine a second complete code, the entry consumes
 	// both in one probe: quantization streams are dominated by one short
 	// code (values near the prediction), so most probes then emit two
-	// symbols. The paired entry keeps sym1 and the combined length and
-	// sets lutPairFlag; the parallel lutPair table carries sym2 and the
-	// first code's own length (needed when the claimed symbol count ends
-	// between the two).
-	if cap(d.lutPair) < size {
-		d.lutPair = make([]uint64, size)
+	// symbols. Pairing rewrites only the total, count and sym2 fields, so
+	// an entry already paired still answers for its own first code.
+	for idx, e := range lut {
+		l1 := len1(e)
+		if l1 == 0 { // invalid or long
+			continue
+		}
+		e2 := lut[(idx<<l1)&(size-1)]
+		l2 := len1(e2)
+		sym2 := uint32(e2 >> lutSym1Shift)
+		if l2 == 0 || l1+l2 > tableBits {
+			continue
+		}
+		if sym2 >= 1<<16 {
+			lut[idx] = e&^0xff | lutWide
+			continue
+		}
+		lut[idx] = e&^0xfff | uint64(sym2)<<lutSym2Shift | lutCountTwo | uint64(l1+l2)
 	}
-	d.lutPair = d.lutPair[:size]
-	for idx, e := range d.lut {
-		l1 := uint(e & 0xff)
-		if l1 == 0 || l1 == lutLong || l1 > tableBits {
-			continue
+
+	// Stretch in place, back to front: entry i's run starts at i<<k ≥ i.
+	if k := TableBits - tableBits; k > 0 {
+		for i := size - 1; i >= 0; i-- {
+			e := lut[i]
+			run := d.lut[i<<k : (i+1)<<k]
+			for j := range run {
+				run[j] = e
+			}
 		}
-		idx2 := (uint(idx) << l1) & uint(size-1)
-		e2 := d.lut[idx2]
-		l2 := uint(e2 & 0xff)
-		if e2&lutPairFlag != 0 {
-			// idx2 was already paired; recover its first code's own length.
-			l2 = uint(d.lutPair[idx2] & 0xff)
-		}
-		if l2 == 0 || l2 == lutLong || l1+l2 > tableBits {
-			continue
-		}
-		d.lutPair[idx] = uint64(uint32(e2>>8))<<8 | uint64(l1)
-		d.lut[idx] = (e &^ 0xff) | uint64(l1+l2) | lutPairFlag
 	}
 	return tableBits, maxLen
 }

@@ -236,7 +236,11 @@ func TestLongCodesOverflowPath(t *testing.T) {
 
 // TestDecoderReuse interleaves decodes of different codebooks (shallow,
 // deep, single-symbol) through one pooled Decoder: stale tables from a
-// previous call must never leak into the next.
+// previous call must never leak into the next. Narrow alphabets (whose
+// pairs pack sym2 into the entry) alternate with ones past 2^16 (whose
+// pairs cannot), each long enough to run the fast loop, so a packed pair
+// or a wide-pair marker surviving a rebuild would surface as a wrong
+// symbol.
 func TestDecoderReuse(t *testing.T) {
 	streams := [][]uint32{
 		{5, 5, 5, 5},
@@ -250,6 +254,13 @@ func TestDecoderReuse(t *testing.T) {
 		wide[i] = uint32(rng.Intn(9000))
 	}
 	streams = append(streams, wide)
+	for _, base := range []uint32{3, 1 << 16, 40, 1 << 20} {
+		s := make([]uint32, 1000)
+		for i := range s {
+			s[i] = base + uint32(rng.Intn(3))
+		}
+		streams = append(streams, s)
+	}
 
 	blobs := make([][]byte, len(streams))
 	for i, s := range streams {

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -111,14 +112,26 @@ func TestRemoteAutoSegmentTuning(t *testing.T) {
 // member is quarantined (network faults are ErrIO, not corruption).
 func TestRemoteFaultsRetryNotQuarantine(t *testing.T) {
 	blob := testArchiveBytes(t, 4)
-	var n atomic.Int64
 	var armed atomic.Bool // faults start after the footer is parsed
+	var mu sync.Mutex
+	failed := map[string]bool{} // Range headers that have had their fault
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		// Drop every third data request mid-body once armed. The headers
-		// must be flushed first: a connection lost before any response
-		// bytes is retried transparently by net/http's transport and
-		// would never reach the serving tier's retry machinery.
-		if armed.Load() && n.Add(1)%3 == 1 {
+		// Once armed, every distinct range fails its first attempt mid-body
+		// and then heals — the faultio fail-N-then-heal shape, keyed per
+		// Range header so the schedule does not depend on how concurrent
+		// fetches interleave: a frame spanning k segments needs at most k+1
+		// attempts, and test frames span at most two. The headers must be
+		// flushed first: a connection lost before any response bytes is
+		// retried transparently by net/http's transport and would never
+		// reach the serving tier's retry machinery.
+		mu.Lock()
+		rng := req.Header.Get("Range")
+		drop := armed.Load() && !failed[rng]
+		if drop {
+			failed[rng] = true
+		}
+		mu.Unlock()
+		if drop {
 			w.WriteHeader(http.StatusOK)
 			w.(http.Flusher).Flush()
 			conn, _, _ := w.(http.Hijacker).Hijack()

@@ -548,35 +548,133 @@ func (d *Decoder[T]) unseal3D(blob []byte) (header, []uint32, []byte, error) {
 	return hdr, codes, lits, nil
 }
 
-// DecompressBlocks is DecompressBlocks reusing the decoder's scratch.
+// DecompressBlocks is DecompressBlocks reusing the decoder's scratch; the
+// returned blocks are freshly allocated (one slab) and owned by the caller.
 func (d *Decoder[T]) DecompressBlocks(blob []byte) ([]*grid.Grid3[T], error) {
-	hdr, codes, lits, err := d.unseal(blob, kindBatch)
+	b, err := d.openBatch(blob, kindBatch)
 	if err != nil {
 		return nil, err
+	}
+	out := grid.NewBlocks[T](b.dims, b.count)
+	return out, b.reconstruct(out, nil)
+}
+
+// DecompressBlocksInto is DecompressBlocks into caller-owned blocks: dst
+// must hold one entry per block of the payload, each either a grid of the
+// payload's block dims — every cell of which is overwritten — or nil,
+// meaning "skip this block". The entropy stage always decodes the whole
+// payload (the code stream is one Huffman blob, and every block's literal
+// offset depends on the blocks before it), but reconstruction runs only
+// for the non-nil entries, so a region extraction that keeps a quarter of
+// a frame's blocks pays a quarter of its Lorenzo cost.
+//
+// Scratch lifetime: the decoder keeps no reference to dst or its grids
+// past the call, and writes nothing but the non-nil grids' Data; the
+// caller may reuse or drop them the moment it returns. On error, grids
+// may hold partial output.
+func (d *Decoder[T]) DecompressBlocksInto(dst []*grid.Grid3[T], blob []byte) error {
+	b, err := d.openBatch(blob, kindBatch)
+	if err != nil {
+		return err
+	}
+	return b.reconstruct(dst, nil)
+}
+
+// batch is an unsealed block-batch payload ready for reconstruction. Its
+// slices alias the decoder's scratch: valid until the decoder's next call.
+type batch[T grid.Float] struct {
+	delta  bool
+	dims   grid.Dims
+	count  int
+	codes  []uint32
+	lits   []byte
+	litOff []int // block i's literals are lits[litOff[i]:litOff[i+1]]
+	twoEB  float64
+	radius int64
+}
+
+// openBatch runs a batch payload's entropy stage and validates everything
+// the kernels rely on — geometry, code count, literal pool size — so that
+// reconstruct has no per-element error paths.
+func (d *Decoder[T]) openBatch(blob []byte, kind int) (batch[T], error) {
+	hdr, codes, lits, err := d.unseal(blob, kind)
+	if err != nil {
+		return batch[T]{}, err
 	}
 	bd, count, err := hdr.batchGeometry()
 	if err != nil {
-		return nil, err
+		return batch[T]{}, err
 	}
-	per := bd.Count()
-	litOff, err := d.litOffsets(codes, per, count, lits)
+	litOff, err := d.litOffsets(codes, bd.Count(), count, lits)
 	if err != nil {
-		return nil, err
+		return batch[T]{}, err
 	}
-	twoEB := 2 * hdr.eb
-	radius := quantRadius(hdr.quantBits)
-	out := grid.NewBlocks[T](bd, count)
-	i := 0
-	for ; i+4 <= count; i += 4 {
+	return batch[T]{
+		delta: kind == kindBatchDelta, dims: bd, count: count,
+		codes: codes, lits: lits, litOff: litOff,
+		twoEB: 2 * hdr.eb, radius: quantRadius(hdr.quantBits),
+	}, nil
+}
+
+// reconstruct decodes the batch's blocks into the non-nil entries of dst
+// (see DecompressBlocksInto), against refs for a temporal batch.
+func (b batch[T]) reconstruct(dst, refs []*grid.Grid3[T]) error {
+	if len(dst) != b.count {
+		return fmt.Errorf("sz: %d destination blocks for %d blocks", len(dst), b.count)
+	}
+	if b.delta && len(refs) != b.count {
+		return fmt.Errorf("sz: %d reference blocks for %d blocks", len(refs), b.count)
+	}
+	for i, g := range dst {
+		if g == nil {
+			continue
+		}
+		if g.Dim != b.dims {
+			return fmt.Errorf("sz: destination block %d dims %v differ from %v", i, g.Dim, b.dims)
+		}
+		if !b.delta {
+			continue
+		}
+		if refs[i] == nil {
+			return fmt.Errorf("sz: reference block %d missing", i)
+		}
+		if refs[i].Dim != b.dims {
+			return fmt.Errorf("sz: reference block %d dims %v differ from %v", i, refs[i].Dim, b.dims)
+		}
+	}
+	per := b.dims.Count()
+	codes := func(i int) []uint32 { return b.codes[i*per : (i+1)*per] }
+	if b.delta {
+		for i, g := range dst {
+			if g != nil {
+				decodeTemporalBlock(g.Data, refs[i].Data, codes(i), b.lits[b.litOff[i]:b.litOff[i+1]], b.twoEB, b.radius)
+			}
+		}
+		return nil
+	}
+	// Blocks are mutually independent, so wanted blocks — adjacent or not —
+	// regroup into fours for the lock-step quad kernel (kernel_quad.go);
+	// up to three left over decode singly.
+	var q [4]int
+	nq := 0
+	for i, g := range dst {
+		if g == nil {
+			continue
+		}
+		q[nq] = i
+		if nq++; nq < 4 {
+			continue
+		}
+		nq = 0
 		decodeBlockQuad(
-			out[i].Data, out[i+1].Data, out[i+2].Data, out[i+3].Data, bd,
-			codes[i*per:(i+1)*per], codes[(i+1)*per:(i+2)*per], codes[(i+2)*per:(i+3)*per], codes[(i+3)*per:(i+4)*per],
-			lits, litOff[i], litOff[i+1], litOff[i+2], litOff[i+3], twoEB, radius)
+			dst[q[0]].Data, dst[q[1]].Data, dst[q[2]].Data, dst[q[3]].Data, b.dims,
+			codes(q[0]), codes(q[1]), codes(q[2]), codes(q[3]),
+			b.lits, b.litOff[q[0]], b.litOff[q[1]], b.litOff[q[2]], b.litOff[q[3]], b.twoEB, b.radius)
 	}
-	for ; i < count; i++ {
-		decodeBlock3(out[i].Data, bd, codes[i*per:(i+1)*per], lits[litOff[i]:litOff[i+1]], twoEB, radius)
+	for _, i := range q[:nq] {
+		decodeBlock3(dst[i].Data, b.dims, codes(i), b.lits[b.litOff[i]:b.litOff[i+1]], b.twoEB, b.radius)
 	}
-	return out, nil
+	return nil
 }
 
 // litOffsets computes every block's literal-pool offset in one scan over
@@ -609,36 +707,29 @@ func (d *Decoder[T]) litOffsets(codes []uint32, per, count int, lits []byte) ([]
 // the reconstructed reference blocks it was encoded against — one grid
 // per block, same dims, read only. It is the inverse of
 // CompressBlocksDelta; passing different references than the encoder used
-// yields wrong values (but never a panic or out-of-bounds access).
+// yields wrong values (but never a panic or out-of-bounds access). The
+// returned blocks are freshly allocated and owned by the caller.
 func (d *Decoder[T]) DecompressBlocksDelta(blob []byte, refs []*grid.Grid3[T]) ([]*grid.Grid3[T], error) {
-	hdr, codes, lits, err := d.unseal(blob, kindBatchDelta)
+	b, err := d.openBatch(blob, kindBatchDelta)
 	if err != nil {
 		return nil, err
 	}
-	bd, count, err := hdr.batchGeometry()
+	out := grid.NewBlocks[T](b.dims, b.count)
+	return out, b.reconstruct(out, refs)
+}
+
+// DecompressBlocksDeltaInto is DecompressBlocksDelta into caller-owned
+// blocks, with DecompressBlocksInto's contract for dst (nil entries skip
+// their block; refs entries are only read where dst is non-nil). dst may
+// be refs itself: the temporal kernel computes each cell from the same
+// cell of the reference alone, so a chain of delta frames applies in
+// place, residual after residual, on one set of blocks.
+func (d *Decoder[T]) DecompressBlocksDeltaInto(dst []*grid.Grid3[T], blob []byte, refs []*grid.Grid3[T]) error {
+	b, err := d.openBatch(blob, kindBatchDelta)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if len(refs) != count {
-		return nil, fmt.Errorf("sz: %d reference blocks for %d blocks", len(refs), count)
-	}
-	for i, r := range refs {
-		if r.Dim != bd {
-			return nil, fmt.Errorf("sz: reference block %d dims %v differ from %v", i, r.Dim, bd)
-		}
-	}
-	per := bd.Count()
-	litOff, err := d.litOffsets(codes, per, count, lits)
-	if err != nil {
-		return nil, err
-	}
-	twoEB := 2 * hdr.eb
-	radius := quantRadius(hdr.quantBits)
-	out := grid.NewBlocks[T](bd, count)
-	for i := 0; i < count; i++ {
-		decodeTemporalBlock(out[i].Data, refs[i].Data, codes[i*per:(i+1)*per], lits[litOff[i]:litOff[i+1]], twoEB, radius)
-	}
-	return out, nil
+	return b.reconstruct(dst, refs)
 }
 
 // DecompressBlocksDelta is the one-shot form of
