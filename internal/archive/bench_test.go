@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/grid"
 )
 
@@ -62,6 +63,40 @@ func BenchmarkExtractDeltaChain(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := r.Extract(deepest); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkArchiveWriteCampaign writes what the repo's benchmark times on
+// its delta archive: a 6-step campaign at Keyframe=4, checksummed, 64³
+// finest with 8³ unit blocks in 64-block frames. Run it at -cpu 1,2: the
+// writer's fan-out is cfg.Workers = -1.
+func BenchmarkArchiveWriteCampaign(b *testing.B) {
+	snaps := campaignOf(b, 64, 8, 6)
+	var raw int64
+	for _, ds := range snaps {
+		raw += int64(ds.OriginalBytes())
+	}
+	var buf bytes.Buffer
+	b.SetBytes(raw)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		w, err := NewWriter(&buf)
+		if err != nil {
+			b.Fatal(err)
+		}
+		w.BatchBlocks = 64
+		w.Keyframe = 4
+		w.Checksums = true
+		for _, ds := range snaps {
+			if err := w.AddDataset(ds, codec.Config{ErrorBound: testEB, Workers: -1}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
 			b.Fatal(err)
 		}
 	}

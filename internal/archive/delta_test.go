@@ -257,37 +257,6 @@ func TestDeltaAppendContinuesChain(t *testing.T) {
 	}
 }
 
-// TestDeltaParallelWriterMatchesSerial extends the byte-identity contract
-// to campaign mode: the parallel batch pipeline must emit the same delta
-// archive as the serial path.
-func TestDeltaParallelWriterMatchesSerial(t *testing.T) {
-	snaps := testCampaign(t, 4)
-	write := func(workers int) []byte {
-		var buf bytes.Buffer
-		w, err := NewWriter(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.BatchBlocks = 8
-		w.Keyframe = 3
-		for _, ds := range snaps {
-			if err := w.AddDataset(ds, codec.Config{ErrorBound: testEB, Workers: workers}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	serial := write(1)
-	for _, workers := range []int{2, 4} {
-		if got := write(workers); !bytes.Equal(got, serial) {
-			t.Fatalf("workers=%d delta archive differs from serial (%d vs %d bytes)", workers, len(got), len(serial))
-		}
-	}
-}
-
 // rawV2Member appends one hand-built v2 footer member record: one level
 // of dims edge³ at unit block 4, a full occupancy mask, and nb batches
 // whose delta flags are taken from flags. It exists so the hostile-link

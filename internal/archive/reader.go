@@ -342,30 +342,37 @@ func (r *Reader) member(i int) (*Member, error) {
 // buffer compressed frames are read into, and block scratch that an
 // extraction decodes into and scatters from.
 type frameDecoder struct {
-	dec    sz.Decoder[amr.Value]
-	frame  []byte
+	dec   sz.Decoder[amr.Value]
+	frame []byte
+	blockScratch
+}
+
+var frameDecoders = sync.Pool{New: func() any { return new(frameDecoder) }}
+
+// blockScratch is a reusable batch of unit blocks over one slab: what a
+// frame decodes into on the read side and is gathered into on the write
+// side.
+type blockScratch struct {
 	slab   []amr.Value
 	hdrs   []grid.Grid3[amr.Value]
 	blocks []*grid.Grid3[amr.Value]
 }
 
-var frameDecoders = sync.Pool{New: func() any { return new(frameDecoder) }}
-
-// scratch returns count blocks of dims d laid over the decoder's slab,
-// every entry non-nil and holding stale values. They are valid until the
-// next scratch call.
-func (fd *frameDecoder) scratch(d grid.Dims, count int) []*grid.Grid3[amr.Value] {
+// scratch returns count blocks of dims d laid over the slab, every entry
+// non-nil and holding stale values. They are valid until the next scratch
+// call.
+func (bs *blockScratch) scratch(d grid.Dims, count int) []*grid.Grid3[amr.Value] {
 	per := d.Count()
-	if cap(fd.slab) < per*count {
-		fd.slab = make([]amr.Value, per*count)
+	if cap(bs.slab) < per*count {
+		bs.slab = make([]amr.Value, per*count)
 	}
-	if cap(fd.hdrs) < count {
-		fd.hdrs = make([]grid.Grid3[amr.Value], count)
-		fd.blocks = make([]*grid.Grid3[amr.Value], count)
+	if cap(bs.hdrs) < count {
+		bs.hdrs = make([]grid.Grid3[amr.Value], count)
+		bs.blocks = make([]*grid.Grid3[amr.Value], count)
 	}
-	hdrs, blocks := fd.hdrs[:count], fd.blocks[:count]
+	hdrs, blocks := bs.hdrs[:count], bs.blocks[:count]
 	for i := range hdrs {
-		hdrs[i] = grid.Grid3[amr.Value]{Dim: d, Data: fd.slab[i*per : (i+1)*per : (i+1)*per]}
+		hdrs[i] = grid.Grid3[amr.Value]{Dim: d, Data: bs.slab[i*per : (i+1)*per : (i+1)*per]}
 		blocks[i] = &hdrs[i]
 	}
 	return blocks

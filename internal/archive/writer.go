@@ -15,12 +15,17 @@ import (
 	"repro/internal/sz"
 )
 
-// encoders keeps warm sz scratch shared by all writers in the process:
-// each worker of the batch pipeline borrows one for the duration of a
-// frame, so steady-state archive writes stop allocating code streams,
-// recon grids, Huffman codebook arenas and DEFLATE state. The read side's
-// counterpart is frameDecoders (reader.go).
-var encoders sz.EncoderPool[amr.Value]
+// frameEncoder is the per-goroutine state of the encode path, pooled
+// process-wide so steady-state archive writes allocate nothing per frame
+// but the frame: a warm sz encoder (code streams, recon slab, Huffman
+// tables, DEFLATE staging) and the block scratch a batch is gathered
+// into. The read side's counterpart is frameDecoder (reader.go).
+type frameEncoder struct {
+	enc sz.Encoder[amr.Value]
+	blockScratch
+}
+
+var frameEncoders = sync.Pool{New: func() any { return new(frameEncoder) }}
 
 // Writer appends members to a TACA archive, streaming frames to the
 // underlying io.Writer as they are compressed. Only the unit-block batches
@@ -37,13 +42,16 @@ type Writer struct {
 
 	// Keyframe enables campaign (delta) coding for subsequently begun
 	// members: when a member's field was already written at identical AMR
-	// structure, each batch is coded both intra and as residuals against
-	// the previous member's reconstruction, and the smaller frame wins —
-	// so a delta archive is never larger than its intra counterpart. A
-	// fresh keyframe (fully intra member) starts at least every Keyframe
-	// members per field, bounding every reference chain a reader must
-	// resolve. 0 or 1 disables delta coding entirely, and the output is
-	// then byte-identical to a pre-delta writer (v1 footer and trailers).
+	// structure, each batch is predicted both spatially and as residuals
+	// against the previous member's reconstruction, and the coding that
+	// seals smaller is the frame (sz.Encoder.CompressBlocksEither: frame
+	// bytes against frame bytes, the spatial seal given up once it
+	// outgrows the temporal frame) — so a delta archive is never larger
+	// than its intra counterpart. A fresh keyframe (fully intra
+	// member) starts at least every Keyframe members per field, bounding
+	// every reference chain a reader must resolve. 0 or 1 disables delta
+	// coding entirely, and the output is then byte-identical to a
+	// pre-delta writer (v1 footer and trailers).
 	// Delta mode keeps one reconstructed snapshot per field in memory,
 	// relaxing the streaming-memory guarantee by the field's stored cells.
 	Keyframe int
@@ -156,6 +164,9 @@ func (w *Writer) AddDataset(ds *amr.Dataset, cfg codec.Config) error {
 	}
 	for _, l := range ds.Levels {
 		if err := mw.AddLevel(l); err != nil {
+			// Unhook the half-built member so the writer survives for the
+			// next one; its flushed frames become dead bytes.
+			mw.Abort()
 			return err
 		}
 	}
@@ -294,14 +305,14 @@ func (mw *MemberWriter) workers() int {
 // out. Batches are gathered and compressed by a pool of cfg.Workers
 // goroutines (each batch is an independent sz stream, so the pool
 // pipelines gather → compress → in-order write), and only the batches in
-// flight exist uncompressed outside l itself.
+// flight exist uncompressed outside l itself. Every frame of the level is
+// written before AddLevel returns, so the caller may then discard l.
 func (mw *MemberWriter) AddLevel(l *amr.Level) error {
 	if mw.done {
 		return fmt.Errorf("archive: member %q already closed", mw.member.Name)
 	}
-	liIdx := len(mw.member.Levels)
-	eb := mw.cfg.LevelEB(liIdx, l)
-	opts := sz.Options{ErrorBound: eb, QuantBits: mw.cfg.QuantBits}
+	li := len(mw.member.Levels)
+	opts := sz.Options{ErrorBound: mw.cfg.LevelEB(li, l), QuantBits: mw.cfg.QuantBits}
 
 	batchBlocks := mw.w.BatchBlocks
 	if batchBlocks <= 0 {
@@ -320,10 +331,9 @@ func (mw *MemberWriter) AddLevel(l *amr.Level) error {
 	// Campaign mode: capture this level's reconstruction (so the next
 	// member can reference it), and resolve the reference level delta
 	// batches would code against — only legal at bit-identical structure.
-	ubDims := grid.Dims{X: l.UnitBlock, Y: l.UnitBlock, Z: l.UnitBlock}
 	var capture []*grid.Grid3[amr.Value]
 	if mw.capturing {
-		capture = grid.NewBlocks[amr.Value](ubDims, len(ords))
+		capture = grid.NewBlocks[amr.Value](idx.unitDims(), len(ords))
 		mw.capture = append(mw.capture, levelRecon{
 			dims:        idx.Dims,
 			unitBlock:   idx.UnitBlock,
@@ -332,25 +342,19 @@ func (mw *MemberWriter) AddLevel(l *amr.Level) error {
 			blocks:      capture,
 		})
 	}
-	var refLevel *levelRecon
-	if mw.ref != nil && liIdx < len(mw.ref.levels) &&
-		mw.ref.levels[liIdx].matches(l.Grid.Dim, l.UnitBlock, batchBlocks, l.Mask) {
-		refLevel = &mw.ref.levels[liIdx]
+	var ref *levelRecon
+	var delta []bool // per batch, set by the writing goroutine
+	if mw.ref != nil && li < len(mw.ref.levels) &&
+		mw.ref.levels[li].matches(l.Grid.Dim, l.UnitBlock, batchBlocks, l.Mask) {
+		ref = &mw.ref.levels[li]
+		delta = make([]bool, nbatch)
 	}
 
-	if nbatch == 0 {
-		mw.member.Levels = append(mw.member.Levels, idx)
-		return nil
-	}
-
-	// compress gathers and encodes one batch, reporting whether the delta
-	// coding won. With a reference in scope each batch is coded BOTH ways
-	// and the smaller frame kept, so delta mode can only shrink the
-	// archive (at roughly half the encode throughput).
-	compress := func(b int) ([]byte, bool, error) {
-		lo := b * batchBlocks
-		hi := min(lo+batchBlocks, len(ords))
-		cells := int64(hi-lo) * int64(l.UnitBlock*l.UnitBlock*l.UnitBlock)
+	// encode gathers batch b into the worker's scratch and codes it,
+	// reporting whether the delta coding won.
+	encode := func(fe *frameEncoder, b int) ([]byte, bool, error) {
+		lo, hi := idx.BatchSpan(b)
+		cells := int64(hi-lo) * int64(idx.unitDims().Count())
 		cur := mw.w.gatheredCells.Add(cells)
 		for {
 			peak := mw.w.peakGathered.Load()
@@ -359,143 +363,140 @@ func (mw *MemberWriter) AddLevel(l *amr.Level) error {
 			}
 		}
 		defer mw.w.gatheredCells.Add(-cells)
-		blocks := make([]*grid.Grid3[amr.Value], 0, hi-lo)
-		for _, ord := range ords[lo:hi] {
+		blocks := fe.scratch(idx.unitDims(), hi-lo)
+		for k, ord := range ords[lo:hi] {
 			bx, by, bz := l.Mask.Dim.Coords(ord)
-			blocks = append(blocks, l.Grid.Extract(l.BlockRegion(bx, by, bz)))
+			l.Grid.CopyRegionTo(l.BlockRegion(bx, by, bz), blocks[k].Data)
 		}
-		enc := encoders.Get()
-		defer encoders.Put(enc)
-		var caps []*grid.Grid3[amr.Value]
-		if capture != nil {
-			caps = capture[lo:hi]
-		}
-		var intra []byte
+		var blob []byte
+		var isDelta bool
 		var err error
-		if caps != nil {
-			intra, _, err = enc.CompressBlocksCapture(blocks, opts, caps)
-		} else {
-			intra, _, err = enc.CompressBlocks(blocks, opts)
+		switch {
+		case ref != nil:
+			// The retained reconstruction is that of the coding that ships.
+			blob, isDelta, _, err = fe.enc.CompressBlocksEither(blocks, ref.blocks[lo:hi], opts, capture[lo:hi])
+		case capture != nil:
+			blob, _, err = fe.enc.CompressBlocksCapture(blocks, opts, capture[lo:hi])
+		default:
+			blob, _, err = fe.enc.CompressBlocks(blocks, opts)
 		}
-		if err != nil || refLevel == nil {
-			return intra, false, err
-		}
-		deltaRec := grid.NewBlocks[amr.Value](ubDims, hi-lo)
-		delta, _, err := enc.CompressBlocksDelta(blocks, refLevel.blocks[lo:hi], opts, deltaRec)
 		if err != nil {
-			return nil, false, err
+			err = fmt.Errorf("archive: level %d batch %d: %w", li, b, err)
 		}
-		if len(delta) >= len(intra) {
-			return intra, false, nil
-		}
-		// The delta frame ships, so the retained reconstruction must be
-		// the one ITS decoder produces.
-		for k, c := range caps {
-			copy(c.Data, deltaRec[k].Data)
-		}
-		return delta, true, nil
+		return blob, isDelta, err
 	}
-	var deltaFlags []bool
-	anyDelta := false
-	sealBatches := func() {
-		if anyDelta {
-			idx.Delta = deltaFlags
+	// write emits batch b's frame and records its coding in the level index.
+	write := func(b int, blob []byte, isDelta bool) error {
+		if err := mw.w.writeFrame(blob, &idx); err != nil {
+			return err
+		}
+		if isDelta {
+			delta[b] = true
+			idx.Delta = delta
 			mw.usedDelta = true
 		}
-		mw.member.Levels = append(mw.member.Levels, idx)
-	}
-	if refLevel != nil {
-		deltaFlags = make([]bool, nbatch)
-	}
-
-	workers := mw.workers()
-	if workers == 1 {
-		// Serial path: gather, compress, and flush one batch at a time.
-		for b := 0; b < nbatch; b++ {
-			blob, isDelta, err := compress(b)
-			if err != nil {
-				return fmt.Errorf("archive: level %d batch %d: %w", liIdx, b, err)
-			}
-			if err := mw.w.writeFrame(blob, &idx); err != nil {
-				return err
-			}
-			if isDelta {
-				deltaFlags[b] = true
-				anyDelta = true
-			}
-		}
-		sealBatches()
 		return nil
 	}
 
-	// Parallel path: a bounded pool compresses batches out of order while
+	workers := min(mw.workers(), nbatch)
+	if workers <= 1 {
+		// Serial path: gather, compress, and flush one batch at a time.
+		fe := frameEncoders.Get().(*frameEncoder)
+		defer frameEncoders.Put(fe)
+		for b := 0; b < nbatch; b++ {
+			blob, isDelta, err := encode(fe, b)
+			if err == nil {
+				err = write(b, blob, isDelta)
+			}
+			if err != nil {
+				return err
+			}
+		}
+		mw.member.Levels = append(mw.member.Levels, idx)
+		return nil
+	}
+
+	// Parallel path: a bounded pool compresses frames out of order while
 	// this goroutine flushes them in batch order, so the index layout
 	// matches the serial path exactly and each frame streams out as soon
-	// as its predecessors have. The window semaphore caps batches that
-	// are in flight or compressed-but-unwritten, bounding both gathered
-	// cells and buffered frames to ~workers batches even when one slow
-	// batch heads the queue.
+	// as its predecessors have. Two semaphores bound it: active caps the
+	// frames being gathered and coded at workers, which is the
+	// streaming-memory guarantee, and window caps the frames started but
+	// not yet written at twice that, so that a slow frame at the head of
+	// the queue idles nobody until the pool is a full round ahead of it,
+	// yet a stalled sink cannot let compressed frames pile up. Each frame
+	// is its own short goroutine, not a turn of a long-lived worker: a
+	// worker that never blocks holds its P for the level's whole length,
+	// and in a process that also serves requests (tacd ingest) the
+	// scheduler then notices a request whose bytes have arrived only at
+	// its 10 ms preemption tick, instead of between two frames.
+	type encoded struct {
+		blob    []byte
+		isDelta bool
+		err     error
+		done    bool
+	}
 	var (
 		mu     sync.Mutex
 		cond   = sync.NewCond(&mu)
-		blobs  = make([][]byte, nbatch)
-		deltas = make([]bool, nbatch)
-		errs   = make([]error, nbatch)
-		done   = make([]bool, nbatch)
-		wg     sync.WaitGroup
-		window = make(chan struct{}, workers)
+		out    = make([]encoded, nbatch)
+		window = make(chan struct{}, 2*workers)
+		active = make(chan struct{}, workers)
 		stop   = make(chan struct{})
+		wg     sync.WaitGroup
 	)
 	// The spawner holds its own WaitGroup slot for its whole life, so the
 	// nested Add calls always run while the counter is positive and
-	// fail()'s Wait cannot return before every spawned worker is counted.
+	// finish's Wait cannot return before every spawned frame is counted.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for b := 0; b < nbatch; b++ {
-			select {
-			case window <- struct{}{}:
-			case <-stop:
-				return
+			for _, sem := range []chan struct{}{window, active} {
+				select {
+				case sem <- struct{}{}:
+				case <-stop:
+					return
+				}
 			}
 			wg.Add(1)
-			go func(b int) {
+			go func() {
 				defer wg.Done()
-				blob, isDelta, err := compress(b)
+				fe := frameEncoders.Get().(*frameEncoder)
+				blob, isDelta, err := encode(fe, b)
+				frameEncoders.Put(fe)
+				<-active
 				mu.Lock()
-				blobs[b], deltas[b], errs[b], done[b] = blob, isDelta, err, true
+				out[b] = encoded{blob, isDelta, err, true}
 				cond.Broadcast()
 				mu.Unlock()
-			}(b)
+			}()
 		}
 	}()
-	fail := func(err error) error {
+	// Frames in flight read the level: never return before they are done.
+	finish := func(err error) error {
 		close(stop)
 		wg.Wait()
 		return err
 	}
 	for b := 0; b < nbatch; b++ {
 		mu.Lock()
-		for !done[b] {
+		for !out[b].done {
 			cond.Wait()
 		}
-		blob, isDelta, err := blobs[b], deltas[b], errs[b]
-		blobs[b] = nil
+		r := out[b]
+		out[b].blob = nil
 		mu.Unlock()
-		if err != nil {
-			return fail(fmt.Errorf("archive: level %d batch %d: %w", liIdx, b, err))
+		if r.err == nil {
+			r.err = write(b, r.blob, r.isDelta)
 		}
-		if err := mw.w.writeFrame(blob, &idx); err != nil {
-			return fail(err)
-		}
-		if isDelta {
-			deltaFlags[b] = true
-			anyDelta = true
+		if r.err != nil {
+			return finish(r.err)
 		}
 		<-window
 	}
-	sealBatches()
-	return nil
+	mw.member.Levels = append(mw.member.Levels, idx)
+	return finish(nil)
 }
 
 // writeFrame emits one batch frame and records it in the level index,

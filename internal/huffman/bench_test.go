@@ -93,7 +93,7 @@ func BenchmarkHuffmanDecodeWide(b *testing.B) {
 	syms := wideQuantStream(1 << 18)
 	var e Encoder
 	blob := e.AppendEncode(nil, syms)
-	if maxLen := e.codes[len(e.codes)-1].len; maxLen <= TableBits {
+	if maxLen := e.maxCodeLen(); maxLen <= TableBits {
 		b.Fatalf("max code length %d does not exceed TableBits=%d", maxLen, TableBits)
 	}
 	var d Decoder
@@ -110,4 +110,22 @@ func BenchmarkHuffmanDecodeWide(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(8*len(blob))/float64(len(syms)), "bit/sym")
+}
+
+// BenchmarkHuffmanEncodeWide is the encode twin of
+// BenchmarkHuffmanDecodeWide at the size of one archive frame (≈26 k
+// symbols): the per-frame work — histogram, tree build, canonical order,
+// emit table — is a fixed cost here, not amortised over 2^18 symbols as in
+// BenchmarkHuffmanEncode.
+func BenchmarkHuffmanEncodeWide(b *testing.B) {
+	syms := wideQuantStream(26 << 10)
+	var e Encoder
+	dst := e.AppendEncode(nil, syms)
+	b.SetBytes(int64(4 * len(syms)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = e.AppendEncode(dst[:0], syms)
+	}
+	b.ReportMetric(float64(8*len(dst))/float64(len(syms)), "bit/sym")
 }

@@ -7,17 +7,19 @@
 // serialized, and both sides reconstruct identical codebooks, so the header
 // overhead stays small even for large quantization-bin alphabets.
 //
-// Both directions are table-driven. The encoder counts frequencies and
-// emits codes through dense arrays whenever the alphabet is small (the
-// common case: quantization codes are bounded by 2^QuantBits), falling back
-// to maps for sparse 32-bit alphabets. The decoder resolves symbols through
-// one lookup table indexed by the next TableBits bits of the stream: each
-// 8-byte entry carries up to two complete symbols and the bits they
-// consume, so a probe is a single load — the whole table is 32 KiB, an L1
-// cache's worth — and the inner loop refills its bit accumulator once per
-// four probes. Codes longer than TableBits take a canonical
-// first-code/offset path and the loop carries on; only the last few
-// symbols of a stream run through a bounds-checking per-probe loop.
+// Both directions are table-driven. The encoder counts frequencies into a
+// dense, multi-lane histogram and emits through one packed table — an
+// entry per symbol holding its code and length — eight symbols to a step,
+// whenever the alphabet is small (the common case: quantization codes are
+// bounded by 2^QuantBits); nothing it does per frame is a comparison sort.
+// Sparse 32-bit alphabets fall back to maps. The decoder resolves symbols
+// through one lookup table indexed by the next TableBits bits of the
+// stream: each 8-byte entry carries up to two complete symbols and the
+// bits they consume, so a probe is a single load — the whole table is
+// 32 KiB, an L1 cache's worth — and the inner loop refills its bit
+// accumulator once per four probes. Codes longer than TableBits take a
+// canonical first-code/offset path and the loop carries on; only the last
+// few symbols of a stream run through a bounds-checking per-probe loop.
 package huffman
 
 import (
@@ -65,79 +67,57 @@ type symFreq struct {
 // construction. Leaves have left == -1; children always precede their
 // parent in the arena.
 type node struct {
-	freq        uint64
-	sym         uint32 // min symbol in subtree: deterministic tie-break
 	depth       uint32
 	left, right int32
+}
+
+// heapEnt is one live subtree in the tree build's priority queue, keyed in
+// place — a sift compares entries, never the arena behind them.
+type heapEnt struct {
+	freq uint64
+	sym  uint32 // min symbol in subtree: deterministic tie-break
+	node int32
+}
+
+// less orders subtrees by (freq, sym). The tie-break keeps encodings
+// reproducible across runs: subtrees alive in the heap are disjoint, so
+// the order is strict and total, and the pop sequence — hence every code
+// length — is independent of input order and of how the heap is laid out.
+func (a heapEnt) less(b heapEnt) bool {
+	return a.freq < b.freq || a.freq == b.freq && a.sym < b.sym
 }
 
 // treeBuilder owns the node arena and heap scratch for Huffman tree
 // construction, so repeated builds stop allocating.
 type treeBuilder struct {
 	nodes []node
-	heap  []int32
+	heap  []heapEnt
 }
 
-func (tb *treeBuilder) less(a, b int32) bool {
-	na, nb := &tb.nodes[a], &tb.nodes[b]
-	if na.freq != nb.freq {
-		return na.freq < nb.freq
-	}
-	// Deterministic tie-break keeps encodings reproducible across runs:
-	// subtrees alive in the heap are disjoint, so (freq, sym) is a strict
-	// total order and the pop sequence — hence every code length — is
-	// independent of input order.
-	return na.sym < nb.sym
-}
-
-func (tb *treeBuilder) siftDown(i int) {
-	h := tb.heap
+// siftDown restores the heap below i.
+func siftDown(h []heapEnt, i int) {
+	e := h[i]
 	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < len(h) && tb.less(h[l], h[m]) {
-			m = l
+		c := 2*i + 1
+		if c >= len(h) {
+			break
 		}
-		if r < len(h) && tb.less(h[r], h[m]) {
-			m = r
+		if c+1 < len(h) && h[c+1].less(h[c]) {
+			c++
 		}
-		if m == i {
-			return
+		if !h[c].less(e) {
+			break
 		}
-		h[i], h[m] = h[m], h[i]
-		i = m
+		h[i] = h[c]
+		i = c
 	}
+	h[i] = e
 }
 
-func (tb *treeBuilder) siftUp(i int) {
-	h := tb.heap
-	for i > 0 {
-		p := (i - 1) / 2
-		if !tb.less(h[i], h[p]) {
-			return
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-}
-
-func (tb *treeBuilder) pop() int32 {
-	h := tb.heap
-	top := h[0]
-	h[0] = h[len(h)-1]
-	tb.heap = h[:len(h)-1]
-	tb.siftDown(0)
-	return top
-}
-
-func (tb *treeBuilder) push(i int32) {
-	tb.heap = append(tb.heap, i)
-	tb.siftUp(len(tb.heap) - 1)
-}
-
-// codeLengths appends per-symbol (symbol, length) pairs computed with the
-// classic Huffman construction. Lengths are raw tree depths (capped at 255
-// for storage); callers must run limitLengths before canonicalize.
+// codeLengths appends per-symbol (symbol, length) pairs, in sf's order,
+// computed with the classic Huffman construction. Lengths are raw tree
+// depths (capped at 255 for storage); callers must run limitLengths before
+// assigning codes.
 func (tb *treeBuilder) codeLengths(dst []symCode, sf []symFreq) []symCode {
 	switch len(sf) {
 	case 0:
@@ -145,33 +125,30 @@ func (tb *treeBuilder) codeLengths(dst []symCode, sf []symFreq) []symCode {
 	case 1:
 		return append(dst, symCode{sym: sf[0].sym, len: 1})
 	}
-	nodes := tb.nodes[:0]
-	for _, p := range sf {
-		nodes = append(nodes, node{freq: p.freq, sym: p.sym, left: -1, right: -1})
+	nodes, h := tb.nodes[:0], tb.heap[:0]
+	for i, p := range sf {
+		nodes = append(nodes, node{left: -1, right: -1})
+		h = append(h, heapEnt{freq: p.freq, sym: p.sym, node: int32(i)})
 	}
-	tb.nodes = nodes
-	tb.heap = tb.heap[:0]
-	for i := range nodes {
-		tb.heap = append(tb.heap, int32(i))
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
 	}
-	for i := len(tb.heap)/2 - 1; i >= 0; i-- {
-		tb.siftDown(i)
+	// Merge the two lightest subtrees until one is left: pop the lightest,
+	// then replace the new top — the second lightest — by their parent.
+	for len(h) > 1 {
+		a := h[0]
+		h[0] = h[len(h)-1]
+		h = h[:len(h)-1]
+		siftDown(h, 0)
+		b := h[0]
+		h[0] = heapEnt{freq: a.freq + b.freq, sym: min(a.sym, b.sym), node: int32(len(nodes))}
+		nodes = append(nodes, node{left: a.node, right: b.node})
+		siftDown(h, 0)
 	}
-	for len(tb.heap) > 1 {
-		a := tb.pop()
-		b := tb.pop()
-		na, nb := &tb.nodes[a], &tb.nodes[b]
-		sym := na.sym
-		if nb.sym < sym {
-			sym = nb.sym
-		}
-		tb.nodes = append(tb.nodes, node{freq: na.freq + nb.freq, sym: sym, left: a, right: b})
-		tb.push(int32(len(tb.nodes) - 1))
-	}
+	tb.nodes, tb.heap = nodes, h
 	// Children precede parents in the arena, so one reverse sweep from the
 	// root (always the last merge) assigns every depth without recursion —
 	// no stack growth even for pathologically deep trees.
-	nodes = tb.nodes
 	nodes[len(nodes)-1].depth = 0
 	for i := len(nodes) - 1; i >= len(sf); i-- {
 		d := nodes[i].depth + 1
@@ -243,21 +220,6 @@ type symCode struct {
 	code uint64
 }
 
-// canonicalize assigns canonical codes in place: symbols sorted by
-// (length, symbol) receive consecutive codes. The (length, symbol) keys
-// are unique, so any comparison sort yields the same order —
-// slices.SortFunc avoids the reflect-based swapping of sort.Slice.
-func canonicalize(codes []symCode) []symCode {
-	slices.SortFunc(codes, func(a, b symCode) int {
-		if a.len != b.len {
-			return int(a.len) - int(b.len)
-		}
-		return cmp.Compare(a.sym, b.sym)
-	})
-	assignCodes(codes)
-	return codes
-}
-
 // assignCodes gives a codebook already in (length, symbol) order its
 // consecutive canonical codes.
 func assignCodes(codes []symCode) {
@@ -271,63 +233,192 @@ func assignCodes(codes []symCode) {
 	}
 }
 
-// Encoder holds reusable encoding scratch (frequency tables, the tree-
-// build arena, codebooks, header buffer and the bit writer) so repeated
+// assignCanonical gives a codebook in symbol order the codes assignCodes
+// gives it in (length, symbol) order, without reordering it: the first
+// code of each length follows from the counts of the shorter lengths, and
+// within a length codes are consecutive in symbol order — the order the
+// walk visits them in.
+func assignCanonical(codes []symCode) {
+	var count, next [maxCodeLen + 1]uint64
+	for _, c := range codes {
+		count[c.len]++
+	}
+	for l := 1; l <= maxCodeLen; l++ {
+		next[l] = (next[l-1] + count[l-1]) << 1
+	}
+	for i := range codes {
+		l := codes[i].len
+		codes[i].code = next[l]
+		next[l]++
+	}
+}
+
+const (
+	// histLanes is the number of interleaved counters the dense histogram
+	// keeps per symbol. Quantization streams are runs of the centre bin;
+	// with one counter every increment waits for the store of the one
+	// before (a store-to-load forward, ~5 cycles), with four, neighbouring
+	// symbols count into different words.
+	histLanes = 4
+
+	// markShift sets the granularity at which the histogram records where
+	// it was counted into: blocks of 64 symbols.
+	markShift = 6
+
+	// An emit-table entry is code<<lenBits | len.
+	lenBits = 6
+	lenMask = 1<<lenBits - 1
+
+	// groupBits is the most a group of symbols may add to the bit
+	// accumulator in one step: 64 less the 7 bits a flush can leave behind.
+	groupBits = 57
+)
+
+// Encoder holds reusable encoding scratch (the histogram, the tree-build
+// arena, the codebook, the emit table and the header buffer) so repeated
 // Encode calls on a hot path stop allocating. The zero value is ready to
 // use; an Encoder is not safe for concurrent use. Output is byte-identical
 // to the package-level Encode.
+//
+// The dense tables are sized by denseAlphabet, not by the alphabet in use:
+// an Encoder that has coded a non-empty dense stream holds 1 MiB of
+// histogram and 512 KiB of emit table from then on.
 type Encoder struct {
-	freq    map[uint32]uint64 // sparse-alphabet frequency fallback
-	dense   []uint64          // dense frequencies, indexed by symbol (all-zero between calls)
-	touched []uint32          // symbols seen this call, for the sparse reset
-	sf      []symFreq         // (symbol, frequency) worklist
-	tb      treeBuilder
-	codes   []symCode // canonical codebook scratch
-	bySym   []symCode // codebook in symbol order for the header
-	encLen  []uint8   // dense emit tables, indexed by symbol
-	encCode []uint64
-	table   map[uint32]symCode // sparse emit fallback
-	hdr     []byte
-	w       bitio.Writer
+	hist  []uint32                          // histLanes counters per dense symbol, all-zero between calls
+	mark  [denseAlphabet >> markShift]uint8 // blocks of hist counted into, all-zero between calls
+	freq  map[uint32]uint64                 // sparse-alphabet frequency fallback
+	sf    []symFreq                         // (symbol, frequency) worklist, in symbol order
+	tb    treeBuilder
+	codes []symCode         // the codebook, in symbol order like sf
+	emit  []uint64          // dense emit table, indexed by symbol; stale outside the codebook
+	table map[uint32]uint64 // sparse emit fallback, same entries
+	hdr   []byte
 }
 
 // AppendEncode Huffman-codes syms and appends the self-contained blob
 // (codebook header + bit stream) to dst, returning the extended slice.
 func (e *Encoder) AppendEncode(dst []byte, syms []uint32) []byte {
-	var maxSym uint32
-	for _, s := range syms {
-		if s > maxSym {
-			maxSym = s
+	dense := e.count(syms)
+	nbits := e.build(len(syms), dense)
+	return e.emitBits(bitio.AppendBytes(dst, e.hdr), syms, dense, nbits)
+}
+
+// build turns the frequencies in e.sf, of a stream of nsyms symbols, into
+// the codebook, the header and the emit table (dense or sparse), and
+// returns the length of the bit stream.
+func (e *Encoder) build(nsyms int, dense bool) (nbits uint64) {
+	codes := e.tb.codeLengths(e.codes[:0], e.sf)
+	limitLengths(codes)
+	assignCanonical(codes)
+	e.codes = codes
+
+	// Header: nsyms, count of distinct symbols, then (symbol, length) pairs
+	// with delta-coded symbols (quantization codes cluster near the middle
+	// bin, so deltas varint-pack tightly).
+	hdr := e.hdr[:0]
+	hdr = bitio.AppendUvarint(hdr, uint64(nsyms))
+	hdr = bitio.AppendUvarint(hdr, uint64(len(codes)))
+	prev := uint32(0)
+	for i, c := range codes {
+		hdr = bitio.AppendUvarint(hdr, uint64(c.sym-prev))
+		hdr = bitio.AppendUvarint(hdr, uint64(c.len))
+		prev = c.sym
+		nbits += e.sf[i].freq * uint64(c.len)
+	}
+	e.hdr = hdr
+
+	switch {
+	case len(codes) == 0:
+		// Nothing to emit: no table, dense or sparse, is touched.
+	case dense:
+		if e.emit == nil {
+			e.emit = make([]uint64, denseAlphabet)
+		}
+		for _, c := range codes {
+			e.emit[c.sym] = c.code<<lenBits | uint64(c.len)
+		}
+	default:
+		if e.table == nil {
+			e.table = make(map[uint32]uint64, len(codes))
+		} else {
+			clear(e.table)
+		}
+		for _, c := range codes {
+			e.table[c.sym] = c.code<<lenBits | uint64(c.len)
 		}
 	}
-	dense := len(syms) > 0 && maxSym < denseAlphabet
+	return nbits
+}
+
+// count fills e.sf with the frequency of every distinct symbol, in symbol
+// order, and reports whether the alphabet is dense (all below
+// denseAlphabet).
+//
+// The dense histogram holds an all-zero invariant between calls, restored
+// as the counts are collected, so counting never pays a clear of the full
+// symbol range. The one pass over the stream also marks the markSpan-wide
+// blocks of the symbol range it touches, and collection walks those blocks
+// alone: in symbol order with no sort, and at a cost set by the bins in
+// use — the literal marker at 0 and the quantization bins a radius away
+// are two blocks or so, not the 2^15 symbols between them.
+func (e *Encoder) count(syms []uint32) (dense bool) {
 	sf := e.sf[:0]
-	if dense {
-		n := int(maxSym) + 1
-		if cap(e.dense) < n {
-			e.dense = make([]uint64, n)
+	dense = uint64(len(syms)) < 1<<32 // a lane counts in 32 bits
+	// A wide alphabet's bins lie past the dense range almost to a symbol
+	// (all but the literal marker), so three samples spare nearly every
+	// sparse stream the dense pass and its undoing; any they miss, the
+	// pass finds.
+	if n := len(syms); n > 0 && syms[0]|syms[n/2]|syms[n-1] >= denseAlphabet {
+		dense = false
+	}
+	if dense && len(syms) > 0 {
+		if e.hist == nil {
+			e.hist = make([]uint32, histLanes*denseAlphabet)
 		}
-		// The dense array holds the all-zero invariant between calls
-		// (restored sparsely below), so counting never pays a clear of
-		// the full symbol range — with QuantBits=16 that clear used to
-		// move 512 KiB per payload. Touched symbols are recorded on first
-		// increment and sorted, reproducing the increasing-symbol order
-		// the frequency-scan collection produced.
-		fr := e.dense[:n]
-		touched := e.touched[:0]
-		for _, s := range syms {
-			if fr[s] == 0 {
-				touched = append(touched, s)
+		h := (*[histLanes * denseAlphabet]uint32)(e.hist)
+		mark := &e.mark
+		const m = denseAlphabet - 1
+		var any uint32 // reaches denseAlphabet iff some symbol does
+		i := 0
+		for ; i+histLanes <= len(syms); i += histLanes {
+			s0, s1, s2, s3 := syms[i], syms[i+1], syms[i+2], syms[i+3]
+			h[(s0&m)<<2]++
+			h[(s1&m)<<2|1]++
+			h[(s2&m)<<2|2]++
+			h[(s3&m)<<2|3]++
+			mark[(s0&m)>>markShift] = 1
+			mark[(s1&m)>>markShift] = 1
+			mark[(s2&m)>>markShift] = 1
+			mark[(s3&m)>>markShift] = 1
+			any |= s0 | s1 | s2 | s3
+		}
+		for _, s := range syms[i:] {
+			h[(s&m)<<2]++
+			mark[(s&m)>>markShift] = 1
+			any |= s
+		}
+		dense = any < denseAlphabet
+		for b, set := range mark {
+			if set == 0 {
+				continue
 			}
-			fr[s]++
+			mark[b] = 0
+			for s := uint32(b) << markShift; s < uint32(b+1)<<markShift; s++ {
+				p := (*[histLanes]uint32)(h[s<<2:])
+				f := uint64(p[0]) + uint64(p[1]) + uint64(p[2]) + uint64(p[3])
+				if f == 0 {
+					continue
+				}
+				*p = [histLanes]uint32{}
+				// Symbols past the dense range wrapped into it: their
+				// counts are taken back out, not collected.
+				if dense {
+					sf = append(sf, symFreq{sym: s, freq: f})
+				}
+			}
 		}
-		slices.Sort(touched)
-		for _, s := range touched {
-			sf = append(sf, symFreq{sym: s, freq: fr[s]})
-			fr[s] = 0
-		}
-		e.touched = touched[:0]
-	} else if len(syms) > 0 {
+	}
+	if !dense {
 		if e.freq == nil {
 			e.freq = make(map[uint32]uint64)
 		} else {
@@ -339,78 +430,85 @@ func (e *Encoder) AppendEncode(dst []byte, syms []uint32) []byte {
 		for s, f := range e.freq {
 			sf = append(sf, symFreq{sym: s, freq: f})
 		}
+		slices.SortFunc(sf, func(a, b symFreq) int { return cmp.Compare(a.sym, b.sym) })
 	}
 	e.sf = sf
+	return dense
+}
 
-	codes := e.tb.codeLengths(e.codes[:0], sf)
-	limitLengths(codes)
-	codes = canonicalize(codes)
-	e.codes = codes
-
-	// Header: nsyms, count of distinct symbols, then (symbol, length) pairs
-	// with delta-coded symbols (quantization codes cluster near the middle
-	// bin, so deltas varint-pack tightly).
-	hdr := e.hdr[:0]
-	hdr = bitio.AppendUvarint(hdr, uint64(len(syms)))
-	hdr = bitio.AppendUvarint(hdr, uint64(len(codes)))
-	bySym := append(e.bySym[:0], codes...)
-	slices.SortFunc(bySym, func(a, b symCode) int { return cmp.Compare(a.sym, b.sym) })
-	e.bySym = bySym
-	prev := uint32(0)
-	for _, c := range bySym {
-		hdr = bitio.AppendUvarint(hdr, uint64(c.sym-prev))
-		hdr = bitio.AppendUvarint(hdr, uint64(c.len))
-		prev = c.sym
+// emitBits appends the nbits-long bit stream of syms to dst, through the
+// emit table build left (dense or sparse).
+//
+// Codes are packed most significant bit first into a 64-bit accumulator,
+// eight symbols to a step — at the three bits or so a quantization code
+// averages, under half of it — and every step stores the whole accumulator
+// at the output cursor and advances the cursor by the whole bytes in it:
+// no branch on how full it is. A step that would overflow it — eight
+// codes over groupBits bits, which takes a long code among them — is put
+// one code at a time. The bit sequence is the one per-symbol writes
+// produce. (The &63 on shift counts the step has already bounded only
+// spares the compiler's over-shift guards.)
+func (e *Encoder) emitBits(dst []byte, syms []uint32, dense bool, nbits uint64) []byte {
+	if len(syms) == 0 {
+		return dst
 	}
-	e.hdr = hdr
-
-	// The bit stream is written straight onto dst after the header — no
-	// staging copy.
-	dst = bitio.AppendBytes(dst, hdr)
-	e.w.Reset(dst)
+	start, body := len(dst), int((nbits+7)/8)
+	// Whole-word stores run up to 7 bytes past the stream's last.
+	dst = slices.Grow(dst, body+8)
+	buf := dst[start : start+body+8]
+	var w bitPacker
 	if dense {
-		n := int(maxSym) + 1
-		if cap(e.encLen) < n {
-			e.encLen = make([]uint8, n)
-			e.encCode = make([]uint64, n)
-		}
-		encLen := e.encLen[:n]
-		encCode := e.encCode[:n]
-		for _, c := range codes {
-			encLen[c.sym] = c.len
-			encCode[c.sym] = c.code
-		}
-		// Pack whole runs of symbols into a local accumulator and hand
-		// bitio one wide write per ~57 bits: typical quantization streams
-		// average a few bits per symbol, so this trades ~10 WriteBits
-		// calls for one. The emitted bit sequence is identical.
-		var acc uint64
-		var na uint
-		for _, s := range syms {
-			l := uint(encLen[s])
-			if na+l > 57 {
-				e.w.WriteBits(acc, na)
-				acc, na = 0, 0
+		tab := (*[denseAlphabet]uint64)(e.emit)
+		const m = denseAlphabet - 1
+		i := 0
+		for ; i+8 <= len(syms); i += 8 {
+			e0, e1, e2, e3 := tab[syms[i]&m], tab[syms[i+1]&m], tab[syms[i+2]&m], tab[syms[i+3]&m]
+			e4, e5, e6, e7 := tab[syms[i+4]&m], tab[syms[i+5]&m], tab[syms[i+6]&m], tab[syms[i+7]&m]
+			l1, l3, l5, l7 := uint(e1&lenMask), uint(e3&lenMask), uint(e5&lenMask), uint(e7&lenMask)
+			l23, l45, l67 := uint(e2&lenMask)+l3, uint(e4&lenMask)+l5, uint(e6&lenMask)+l7
+			if l := uint(e0&lenMask) + l1 + l23 + l45 + l67; l <= groupBits {
+				c01, c23 := e0>>lenBits<<l1|e1>>lenBits, e2>>lenBits<<l3|e3>>lenBits
+				c45, c67 := e4>>lenBits<<l5|e5>>lenBits, e6>>lenBits<<l7|e7>>lenBits
+				w = w.put(buf, (c01<<(l23&63)|c23)<<((l45+l67)&63)|(c45<<(l67&63)|c67), l)
+				continue
 			}
-			acc = acc<<l | encCode[s]
-			na += l
+			for _, ent := range [8]uint64{e0, e1, e2, e3, e4, e5, e6, e7} {
+				w = w.put(buf, ent>>lenBits, uint(ent&lenMask))
+			}
 		}
-		e.w.WriteBits(acc, na)
+		for _, s := range syms[i:] {
+			ent := tab[s&m]
+			w = w.put(buf, ent>>lenBits, uint(ent&lenMask))
+		}
 	} else {
-		if e.table == nil {
-			e.table = make(map[uint32]symCode, len(codes))
-		} else {
-			clear(e.table)
-		}
-		for _, c := range codes {
-			e.table[c.sym] = c
-		}
 		for _, s := range syms {
-			c := e.table[s]
-			e.w.WriteBits(c.code, uint(c.len))
+			ent := e.table[s]
+			w = w.put(buf, ent>>lenBits, uint(ent&lenMask))
 		}
 	}
-	return e.w.Bytes()
+	return dst[:start+body]
+}
+
+// bitPacker is the cursor of a most-significant-bit-first write into a
+// presized buffer, passed and returned by value so that it lives in
+// registers.
+type bitPacker struct {
+	pos  int    // next byte to complete
+	acc  uint64 // the last nbit bits put, right-aligned below stale ones
+	nbit uint   // bits of acc not yet part of a whole byte before pos, < 8
+}
+
+// put appends the n-bit value v, 1 ≤ n ≤ groupBits. The store lays the
+// pending bits, zero-padded, over the next eight bytes; only the whole
+// bytes among them are kept, so the last store of a stream leaves its
+// final partial byte padded the way bitio.Writer.Bytes does.
+func (w bitPacker) put(buf []byte, v uint64, n uint) bitPacker {
+	w.acc = w.acc<<(n&63) | v
+	w.nbit += n
+	binary.BigEndian.PutUint64(buf[w.pos:], w.acc<<((64-w.nbit)&63))
+	w.pos += int(w.nbit >> 3)
+	w.nbit &= 7
+	return w
 }
 
 // Encode Huffman-codes syms and returns a self-contained byte blob

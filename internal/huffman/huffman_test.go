@@ -217,7 +217,7 @@ func TestLongCodesOverflowPath(t *testing.T) {
 
 	var e Encoder
 	blob := e.AppendEncode(nil, syms)
-	maxLen := e.codes[len(e.codes)-1].len
+	maxLen := e.maxCodeLen()
 	if maxLen <= TableBits {
 		t.Fatalf("max code length %d does not exceed TableBits=%d; test is vacuous", maxLen, TableBits)
 	}

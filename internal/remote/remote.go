@@ -402,11 +402,20 @@ func (r *Reader) fetch(start, end int64) ([]byte, error) {
 		r.fetched.Add(want)
 		return buf, nil
 	case http.StatusOK:
-		// Range ignored (or If-Range did not match but the validator is
-		// unchanged/absent — the ETag comparison above already rejected a
-		// changed one): the body is the whole resource.
+		// Range ignored, or If-Range did not match: the body is the whole
+		// resource, of whichever generation. The ETag comparison above
+		// already rejected a changed validator.
 		if resp.ContentLength >= 0 && resp.ContentLength != r.size {
 			return nil, fmt.Errorf("remote: %s: size %d -> %d: %w", r.url, r.size, resp.ContentLength, ErrChanged)
+		}
+		// A reader pinned to a strong ETag sent If-Range, so a 200 says
+		// the validator no longer matched — or the server ignores ranges.
+		// Only a matching ETag or a matching length tells the two apart; a
+		// body that carries neither (chunked, no validator) may be any
+		// generation, and reading it would be the torn bytes the pin
+		// exists to rule out.
+		if r.strong && resp.Header.Get("ETag") == "" && resp.ContentLength < 0 {
+			return nil, fmt.Errorf("remote: %s: full response with neither ETag nor length to match %s against: %w", r.url, r.etag, ErrChanged)
 		}
 		if _, err := io.CopyN(io.Discard, resp.Body, start); err != nil {
 			return nil, fmt.Errorf("remote: %s: skipping to %d in full body: %w", r.url, start, err)

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -395,6 +396,63 @@ func TestETagChangeVia200Fallback(t *testing.T) {
 	buf := make([]byte, 100)
 	if _, err := r.ReadAt(buf, 0); !errors.Is(err, ErrChanged) {
 		t.Fatalf("200-fallback after change: err = %v, want ErrChanged", err)
+	}
+}
+
+func TestUnvalidated200AfterAppend(t *testing.T) {
+	// The hole a pin to a strong ETag has to close: after an append the
+	// origin answers the If-Range request with a 200 that carries no ETag
+	// and, being chunked, no length. Nothing ties that body to the pinned
+	// generation, so the read must fail ErrChanged — whether the origin
+	// appended or not — and never return bytes of it. A weak or absent
+	// validator never sends If-Range, pins nothing, and keeps the old
+	// full-body fallback.
+	blobV1 := testBlob(32 << 10)
+	blobV2 := append(testBlob(8<<10), blobV1...) // shifts every byte
+	for _, c := range []struct {
+		name, etag string
+		appended   bool
+		wantErr    bool
+	}{
+		{"strong/appended", `"v1"`, true, true},
+		{"strong/unchanged", `"v1"`, false, true},
+		{"weak/unchanged", `W/"v1"`, false, false},
+		{"none/unchanged", ``, false, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var appended atomic.Bool
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+				if req.Header.Get("Range") == "bytes=0-0" { // Open's probe
+					if c.etag != "" {
+						w.Header().Set("ETag", c.etag)
+					}
+					http.ServeContent(w, req, "b", time.Time{}, bytes.NewReader(blobV1))
+					return
+				}
+				body := blobV1
+				if appended.Load() {
+					body = blobV2
+				}
+				w.WriteHeader(http.StatusOK)
+				w.(http.Flusher).Flush() // commits to chunked: no Content-Length
+				w.Write(body)
+			}))
+			defer ts.Close()
+			r, err := Open(ts.URL, Config{SegmentBytes: 8 << 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			appended.Store(c.appended)
+			buf := make([]byte, 1<<10)
+			_, err = r.ReadAt(buf, 16<<10)
+			switch {
+			case c.wantErr && !errors.Is(err, ErrChanged):
+				t.Fatalf("err = %v, want ErrChanged", err)
+			case !c.wantErr && (err != nil || !bytes.Equal(buf, blobV1[16<<10:17<<10])):
+				t.Fatalf("unpinned full-body fallback: err = %v", err)
+			}
+		})
 	}
 }
 

@@ -213,19 +213,10 @@ func (ing *ingester) handle(ds *amr.Dataset) ingestResult {
 	if ing.beforeHandle != nil {
 		ing.beforeHandle()
 	}
-	mw, err := ing.w.BeginMember(ds.Name, ds.Field, ds.Ratio, ing.cfg)
-	if err != nil {
-		return ingestResult{err: err}
-	}
-	for _, l := range ds.Levels {
-		if err := mw.AddLevel(l); err != nil {
-			// Abort unhooks the half-built member so the writer survives
-			// for the next job; its flushed frames become dead bytes.
-			mw.Abort()
-			return ingestResult{err: err}
-		}
-	}
-	if err := mw.Close(); err != nil {
+	// A member that fails half-built is unhooked by AddDataset, so the
+	// writer survives for the next job; its flushed frames become dead
+	// bytes.
+	if err := ing.w.AddDataset(ds, ing.cfg); err != nil {
 		return ingestResult{err: err}
 	}
 	if err := ing.w.Commit(); err != nil {

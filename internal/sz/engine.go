@@ -3,6 +3,7 @@ package sz
 import (
 	"bytes"
 	"compress/flate"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -42,16 +43,29 @@ var flateReaders = sync.Pool{
 }
 
 // sliceWriter adapts an append-grown []byte to io.Writer for the pooled
-// flate writers.
-type sliceWriter struct{ b []byte }
+// flate writers. A positive limit caps len(b): the write that would pass
+// it fails with errOverLimit instead.
+type sliceWriter struct {
+	b     []byte
+	limit int
+}
+
+var errOverLimit = errors.New("sz: section outgrew its limit")
 
 func (w *sliceWriter) Write(p []byte) (int, error) {
+	if w.limit > 0 && len(w.b)+len(p) > w.limit {
+		return 0, errOverLimit
+	}
 	w.b = append(w.b, p...)
 	return len(p), nil
 }
 
-// deflateAppend DEFLATEs data and appends the result to dst.
-func deflateAppend(dst, data []byte) ([]byte, error) {
+// deflateAppend DEFLATEs data and appends the result to dst. A positive
+// limit makes it give up with errOverLimit once dst would pass limit
+// bytes: flate has by then matched and built the codes of the input block
+// (64 KiB) it is in, but writes out no more of it, and never looks at the
+// blocks after it.
+func deflateAppend(dst, data []byte, limit int) ([]byte, error) {
 	fw := flateWriters.Get().(*flate.Writer)
 	defer func() {
 		// Detach the destination before pooling, so an idle writer does not
@@ -59,7 +73,7 @@ func deflateAppend(dst, data []byte) ([]byte, error) {
 		fw.Reset(io.Discard)
 		flateWriters.Put(fw)
 	}()
-	sw := sliceWriter{b: dst}
+	sw := sliceWriter{b: dst, limit: limit}
 	fw.Reset(&sw)
 	if _, err := fw.Write(data); err != nil {
 		return nil, err
@@ -111,6 +125,11 @@ type Encoder[T grid.Float] struct {
 	recon []T
 	huff  huffman.Encoder
 
+	// The temporal candidate CompressBlocksEither codes beside the spatial
+	// one: a code stream and literal pool of its own.
+	alt     []uint32
+	altLits []byte
+
 	huffBuf []byte // raw huffman blob staging
 	deflBuf []byte // deflated section staging
 	metas   []blockMeta
@@ -119,12 +138,18 @@ type Encoder[T grid.Float] struct {
 // NewEncoder returns an empty Encoder; scratch grows on first use.
 func NewEncoder[T grid.Float]() *Encoder[T] { return &Encoder[T]{} }
 
-// reconBuf returns the pooled reconstruction scratch, length n, zeroed.
-func (e *Encoder[T]) reconBuf(n int) []T {
+// reconSlab returns the pooled reconstruction scratch, length n, holding
+// stale values.
+func (e *Encoder[T]) reconSlab(n int) []T {
 	if cap(e.recon) < n {
 		e.recon = make([]T, n)
 	}
-	r := e.recon[:n]
+	return e.recon[:n]
+}
+
+// reconBuf is reconSlab, zeroed.
+func (e *Encoder[T]) reconBuf(n int) []T {
+	r := e.reconSlab(n)
 	clear(r)
 	return r
 }
@@ -132,10 +157,17 @@ func (e *Encoder[T]) reconBuf(n int) []T {
 // codesBuf returns the pooled code buffer presized to exactly n entries,
 // so the kernels write codes by index with no append growth.
 func (e *Encoder[T]) codesBuf(n int) []uint32 {
-	if cap(e.codes) < n {
-		e.codes = make([]uint32, n)
+	e.codes = sized(e.codes, n)
+	return e.codes
+}
+
+// sized returns buf resliced to n entries, reallocated if it cannot hold
+// them; the contents are stale.
+func sized(buf []uint32, n int) []uint32 {
+	if cap(buf) < n {
+		return make([]uint32, n)
 	}
-	return e.codes[:n]
+	return buf[:n]
 }
 
 // Compress1D is Compress1D reusing the encoder's scratch.
@@ -165,7 +197,8 @@ func (e *Encoder[T]) Compress3D(g *grid.Grid3[T], opts Options) ([]byte, Stats, 
 
 // CompressBlocks is CompressBlocks reusing the encoder's scratch.
 func (e *Encoder[T]) CompressBlocks(blocks []*grid.Grid3[T], opts Options) ([]byte, Stats, error) {
-	return e.compressBlocksCapture(blocks, opts, nil)
+	out, _, st, err := e.compressBlocks(blocks, nil, opts, nil, codeSpatial)
+	return out, st, err
 }
 
 // CompressBlocksCapture is CompressBlocks that additionally writes each
@@ -179,72 +212,8 @@ func (e *Encoder[T]) CompressBlocksCapture(blocks []*grid.Grid3[T], opts Options
 	if len(recons) != len(blocks) {
 		return nil, Stats{}, fmt.Errorf("sz: %d recon grids for %d blocks", len(recons), len(blocks))
 	}
-	return e.compressBlocksCapture(blocks, opts, recons)
-}
-
-func (e *Encoder[T]) compressBlocksCapture(blocks []*grid.Grid3[T], opts Options, recons []*grid.Grid3[T]) ([]byte, Stats, error) {
-	opts = opts.withDefaults()
-	if err := opts.validate(); err != nil {
-		return nil, Stats{}, err
-	}
-	d, total, eb, err := batchGeometry(blocks, opts)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	if recons != nil {
-		for i, r := range recons {
-			if r.Dim != d {
-				return nil, Stats{}, fmt.Errorf("sz: recon grid %d dims %v differ from %v", i, r.Dim, d)
-			}
-		}
-	}
-	per := d.Count()
-	radius := quantRadius(opts.QuantBits)
-	codes := e.codesBuf(total)
-	lits := e.lits[:0]
-	nlit := 0
-	// Blocks are mutually independent, so groups of four encode in lock
-	// step through the quad kernel — four overlapping dependency chains
-	// instead of one (see kernel_quad.go). Literals post-pass per block,
-	// in block order, preserving the pool layout exactly.
-	reconLen := per
-	if len(blocks) >= 4 {
-		reconLen = 4 * per
-	}
-	var recon []T
-	if recons == nil {
-		recon = e.reconBuf(reconLen)
-	}
-	// rec returns the (zeroed) reconstruction destination for block i: the
-	// caller's capture grid, or slot of the pooled scratch.
-	rec := func(i, slot int) []T {
-		var r []T
-		if recons != nil {
-			r = recons[i].Data
-		} else {
-			r = recon[slot*per : (slot+1)*per]
-		}
-		clear(r)
-		return r
-	}
-	i := 0
-	for ; i+4 <= len(blocks); i += 4 {
-		encodeBlockQuad(
-			blocks[i].Data, blocks[i+1].Data, blocks[i+2].Data, blocks[i+3].Data,
-			rec(i, 0), rec(i+1, 1), rec(i+2, 2), rec(i+3, 3), d,
-			codes[i*per:(i+1)*per], codes[(i+1)*per:(i+2)*per], codes[(i+2)*per:(i+3)*per], codes[(i+3)*per:(i+4)*per],
-			eb, radius)
-		for k := 0; k < 4; k++ {
-			lits, nlit = collectLits(codes[(i+k)*per:(i+k+1)*per], blocks[i+k].Data, lits, nlit)
-		}
-	}
-	for ; i < len(blocks); i++ {
-		var k int
-		lits, k = encodeBlock3(blocks[i].Data, rec(i, 0), d, codes[i*per:(i+1)*per], lits, eb, radius)
-		nlit += k
-	}
-	dims := []grid.Dims{d, {X: len(blocks)}} // block count rides in a dims record
-	return e.seal(kindBatch, dims, total, eb, opts, codes, lits, nlit)
+	out, _, st, err := e.compressBlocks(blocks, nil, opts, recons, codeSpatial)
+	return out, st, err
 }
 
 // CompressBlocksDelta compresses a batch temporally: each block's values
@@ -258,49 +227,179 @@ func (e *Encoder[T]) compressBlocksCapture(blocks []*grid.Grid3[T], opts Options
 // reference. The payload kind is kindBatchDelta; it only decodes through
 // DecompressBlocksDelta with the same refs.
 func (e *Encoder[T]) CompressBlocksDelta(blocks, refs []*grid.Grid3[T], opts Options, recons []*grid.Grid3[T]) ([]byte, Stats, error) {
+	out, _, st, err := e.compressBlocks(blocks, refs, opts, recons, codeTemporal)
+	return out, st, err
+}
+
+// CompressBlocksEither codes a batch whichever way is smaller, spatially
+// as CompressBlocksCapture does or temporally against refs as
+// CompressBlocksDelta does, and reports which: delta is true for a
+// kindBatchDelta payload. Ties go to the spatial coding, which decodes
+// without a reference. recons, if non-nil, receives the reconstruction of
+// the coding that won.
+//
+// The payload is exactly the one sealing the batch both ways and keeping
+// the strictly smaller temporal payload gives: no size is estimated. Both
+// predictors run and the temporal candidate is sealed in full; the spatial
+// one is then sealed into a sink capped at the temporal payload's size and
+// abandoned once it overflows — on a campaign whose snapshots follow one
+// another, a fifth to a half of the way through writing out its first
+// DEFLATE pass, with the second not begun.
+func (e *Encoder[T]) CompressBlocksEither(blocks, refs []*grid.Grid3[T], opts Options, recons []*grid.Grid3[T]) (payload []byte, delta bool, st Stats, err error) {
+	payload, kind, st, err := e.compressBlocks(blocks, refs, opts, recons, codeEither)
+	return payload, kind == kindBatchDelta, st, err
+}
+
+// coding is how a batch is to be predicted.
+type coding int
+
+const (
+	codeSpatial  coding = iota // Lorenzo, within each block
+	codeTemporal               // against the reference blocks
+	codeEither                 // whichever seals smaller
+)
+
+// compressBlocks is the batch encoder behind the CompressBlocks* methods.
+// It returns the payload and its kind; recons, if non-nil, captures the
+// reconstruction of that payload.
+func (e *Encoder[T]) compressBlocks(blocks, refs []*grid.Grid3[T], opts Options, recons []*grid.Grid3[T], how coding) ([]byte, int, Stats, error) {
+	fail := func(err error) ([]byte, int, Stats, error) { return nil, 0, Stats{}, err }
 	opts = opts.withDefaults()
 	if err := opts.validate(); err != nil {
-		return nil, Stats{}, err
+		return fail(err)
 	}
 	d, total, eb, err := batchGeometry(blocks, opts)
 	if err != nil {
-		return nil, Stats{}, err
+		return fail(err)
 	}
-	if len(refs) != len(blocks) {
-		return nil, Stats{}, fmt.Errorf("sz: %d reference blocks for %d blocks", len(refs), len(blocks))
-	}
-	for i, r := range refs {
-		if r.Dim != d {
-			return nil, Stats{}, fmt.Errorf("sz: reference block %d dims %v differ from %v", i, r.Dim, d)
+	if how != codeSpatial {
+		if len(refs) != len(blocks) {
+			return fail(fmt.Errorf("sz: %d reference blocks for %d blocks", len(refs), len(blocks)))
+		}
+		for i, r := range refs {
+			if r.Dim != d {
+				return fail(fmt.Errorf("sz: reference block %d dims %v differ from %v", i, r.Dim, d))
+			}
 		}
 	}
 	if recons != nil {
 		if len(recons) != len(blocks) {
-			return nil, Stats{}, fmt.Errorf("sz: %d recon grids for %d blocks", len(recons), len(blocks))
+			return fail(fmt.Errorf("sz: %d recon grids for %d blocks", len(recons), len(blocks)))
 		}
 		for i, r := range recons {
 			if r.Dim != d {
-				return nil, Stats{}, fmt.Errorf("sz: recon grid %d dims %v differ from %v", i, r.Dim, d)
+				return fail(fmt.Errorf("sz: recon grid %d dims %v differ from %v", i, r.Dim, d))
 			}
 		}
 	}
 	per := d.Count()
 	radius := quantRadius(opts.QuantBits)
-	codes := e.codesBuf(total)
-	lits := e.lits[:0]
-	nlit := 0
-	recon := e.reconBuf(per)
-	for i := range blocks {
-		rec := recon
-		if recons != nil {
-			rec = recons[i].Data
+	dims := []grid.Dims{d, {X: len(blocks)}} // block count rides in a dims record
+
+	// rec is where block i reconstructs: the caller's capture grid, or —
+	// reconstructions nobody keeps being working memory only — scratch of
+	// the encoder's, set up per coding below.
+	rec := func(i int) []T { return recons[i].Data }
+	switch how {
+	case codeSpatial:
+		if recons == nil {
+			quad := e.reconSlab(min(len(blocks), 4) * per)
+			rec = func(i int) []T { return quad[i%4*per:][:per] }
 		}
+		codes := e.codesBuf(total)
+		lits, nlit := encodeSpatial(blocks, d, codes, e.lits[:0], eb, radius, rec)
+		out, st, err := e.seal(kindBatch, dims, total, eb, opts, codes, lits, nlit)
+		return out, kindBatch, st, err
+	case codeTemporal:
+		if recons == nil {
+			// The temporal kernel never reads its reconstruction.
+			one := e.reconSlab(per)
+			rec = func(int) []T { return one }
+		}
+		codes := e.codesBuf(total)
+		lits, nlit := encodeTemporal(blocks, refs, codes, e.lits[:0], eb, radius, rec)
+		out, st, err := e.seal(kindBatchDelta, dims, total, eb, opts, codes, lits, nlit)
+		return out, kindBatchDelta, st, err
+	}
+
+	// Both ways. The temporal candidate reconstructs into the capture, the
+	// spatial one into a slab of the encoder's: the winner of a campaign's
+	// batch is nearly always temporal and is then already in place, and a
+	// spatial winner costs one copy of the batch.
+	slab := e.reconSlab((len(blocks) + 1) * per)
+	if recons == nil {
+		rec = func(int) []T { return slab[len(blocks)*per:] }
+	}
+	e.alt = sized(e.alt, total)
+	tlits, tnlit := encodeTemporal(blocks, refs, e.alt, e.altLits[:0], eb, radius, rec)
+	e.altLits = tlits[:0]
+	codes := e.codesBuf(total)
+	lits, nlit := encodeSpatial(blocks, d, codes, e.lits[:0], eb, radius, func(i int) []T { return slab[i*per:][:per] })
+	e.lits = lits[:0]
+
+	temporal, tst, err := e.sealWithin(0, kindBatchDelta, dims, total, eb, opts, e.alt, tlits, tnlit)
+	if err != nil {
+		return fail(err)
+	}
+	// The spatial payload ships unless it is the larger one, which its seal
+	// finds out for itself.
+	spatial, sst, err := e.sealWithin(len(temporal), kindBatch, dims, total, eb, opts, codes, lits, nlit)
+	if err != nil {
+		return fail(err)
+	}
+	if spatial == nil {
+		return temporal, kindBatchDelta, tst, nil
+	}
+	for i, r := range recons {
+		copy(r.Data, slab[i*per:][:per])
+	}
+	return spatial, kindBatch, sst, nil
+}
+
+// encodeSpatial Lorenzo-codes blocks into codes, one block after another,
+// appending their literals to lits. rec(i) is where block i reconstructs.
+func encodeSpatial[T grid.Float](blocks []*grid.Grid3[T], d grid.Dims, codes []uint32, lits []byte, eb float64, radius int64, rec func(i int) []T) ([]byte, int) {
+	per := d.Count()
+	zeroed := func(i int) []T {
+		r := rec(i)
+		clear(r)
+		return r
+	}
+	nlit := 0
+	// Blocks are mutually independent, so groups of four encode in lock
+	// step through the quad kernel — four overlapping dependency chains
+	// instead of one (see kernel_quad.go). Literals post-pass per block,
+	// in block order, preserving the pool layout exactly.
+	i := 0
+	for ; i+4 <= len(blocks); i += 4 {
+		encodeBlockQuad(
+			blocks[i].Data, blocks[i+1].Data, blocks[i+2].Data, blocks[i+3].Data,
+			zeroed(i), zeroed(i+1), zeroed(i+2), zeroed(i+3), d,
+			codes[i*per:(i+1)*per], codes[(i+1)*per:(i+2)*per], codes[(i+2)*per:(i+3)*per], codes[(i+3)*per:(i+4)*per],
+			eb, radius)
+		for k := 0; k < 4; k++ {
+			lits, nlit = collectLits(codes[(i+k)*per:(i+k+1)*per], blocks[i+k].Data, lits, nlit)
+		}
+	}
+	for ; i < len(blocks); i++ {
 		var k int
-		lits, k = encodeTemporalBlock(blocks[i].Data, refs[i].Data, rec, codes[i*per:(i+1)*per], lits, eb, radius)
+		lits, k = encodeBlock3(blocks[i].Data, zeroed(i), d, codes[i*per:(i+1)*per], lits, eb, radius)
 		nlit += k
 	}
-	dims := []grid.Dims{d, {X: len(blocks)}}
-	return e.seal(kindBatchDelta, dims, total, eb, opts, codes, lits, nlit)
+	return lits, nlit
+}
+
+// encodeTemporal codes blocks against refs into codes, appending their
+// literals to lits. rec(i) is where block i reconstructs.
+func encodeTemporal[T grid.Float](blocks, refs []*grid.Grid3[T], codes []uint32, lits []byte, eb float64, radius int64, rec func(i int) []T) ([]byte, int) {
+	per := len(codes) / len(blocks)
+	nlit := 0
+	for i := range blocks {
+		var k int
+		lits, k = encodeTemporalBlock(blocks[i].Data, refs[i].Data, rec(i), codes[i*per:(i+1)*per], lits, eb, radius)
+		nlit += k
+	}
+	return lits, nlit
 }
 
 // CompressBlocksDelta is the one-shot form of Encoder.CompressBlocksDelta.
@@ -339,7 +438,14 @@ func batchGeometry[T grid.Float](blocks []*grid.Grid3[T], opts Options) (grid.Di
 func (e *Encoder[T]) seal(kind int, dims []grid.Dims, n int, eb float64, opts Options, codes []uint32, lits []byte, nlit int) ([]byte, Stats, error) {
 	e.codes = codes[:0]
 	e.lits = lits[:0]
+	return e.sealWithin(0, kind, dims, n, eb, opts, codes, lits, nlit)
+}
 
+// sealWithin is seal for a payload that is only wanted if it comes to at
+// most limit bytes (0: wanted whatever it comes to). For a larger one it
+// returns a nil payload and no error, having stopped working on it as soon
+// as its size was certain to pass the limit.
+func (e *Encoder[T]) sealWithin(limit int, kind int, dims []grid.Dims, n int, eb float64, opts Options, codes []uint32, lits []byte, nlit int) ([]byte, Stats, error) {
 	var hdr [64]byte
 	h := hdr[:0]
 	h = bitio.AppendUvarint(h, magic)
@@ -363,13 +469,18 @@ func (e *Encoder[T]) seal(kind int, dims []grid.Dims, n int, eb float64, opts Op
 	huff := e.huff.AppendEncode(e.huffBuf[:0], codes)
 	e.huffBuf = huff[:0]
 	if !opts.DisableLossless {
-		var err error
-		defl := e.deflBuf[:0]
-		if defl, err = deflateAppend(defl, huff); err != nil {
-			return nil, Stats{}, err
-		}
+		// The sections alone passing the limit settles it: the sink's cap
+		// leaves the header and the length prefixes out, so it never gives
+		// up on a payload that would have fitted.
+		defl, err := deflateAppend(e.deflBuf[:0], huff, limit)
 		huffLen := len(defl)
-		if defl, err = deflateAppend(defl, lits); err != nil {
+		if err == nil {
+			defl, err = deflateAppend(defl, lits, limit)
+		}
+		if errors.Is(err, errOverLimit) {
+			return nil, Stats{}, nil
+		}
+		if err != nil {
 			return nil, Stats{}, err
 		}
 		e.deflBuf = defl[:0]
@@ -379,6 +490,9 @@ func (e *Encoder[T]) seal(kind int, dims []grid.Dims, n int, eb float64, opts Op
 	out = append(out, h...)
 	out = bitio.AppendBytes(out, huff)
 	out = bitio.AppendBytes(out, lits)
+	if limit > 0 && len(out) > limit {
+		return nil, Stats{}, nil
+	}
 	st := Stats{N: n, EffectiveEB: eb, Literals: nlit, CompressedLen: len(out), ElemBytes: literalSize[T]()}
 	return out, st, nil
 }
