@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"os"
 
 	"repro/internal/grid"
@@ -21,60 +20,86 @@ const (
 	fileVersion = uint32(1)
 )
 
+// The stream has one writer: AppendStreamHeader, then per level
+// AppendLevelPrologue followed by the level's payload — the cells of its
+// occupied unit blocks in mask order (row-major over blocks, each block
+// row-major over its cells), as PutValues or WireBytes lay them out.
+// Dataset.Write gathers that payload out of dense level grids; a producer
+// that already holds the blocks (tacd's block cache) puts them in place
+// directly, at offsets the Len functions give before a block is touched.
+
+// StreamHeaderLen is the encoded length of the stream header.
+func StreamHeaderLen(name, field string) int {
+	return len(fileMagic) + 4 + 4 + len(name) + 4 + len(field) + 4 + 4
+}
+
+// AppendStreamHeader appends the stream header: magic, version, the two
+// names, the refinement ratio and the number of levels that follow.
+func AppendStreamHeader(dst []byte, name, field string, ratio, levels int) []byte {
+	dst = append(dst, fileMagic...)
+	dst = binary.LittleEndian.AppendUint32(dst, fileVersion)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(name)))
+	dst = append(dst, name...)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(field)))
+	dst = append(dst, field...)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(ratio))
+	return binary.LittleEndian.AppendUint32(dst, uint32(levels))
+}
+
+// LevelPrologueLen is the encoded length of what precedes a level's
+// payload: dims, unit block, packed mask, value count.
+func LevelPrologueLen(mask *grid.Mask) int { return 16 + mask.PackedLen() + 4 }
+
+// LevelPayloadLen is the encoded length of a level's payload.
+func LevelPayloadLen(mask *grid.Mask, unitBlock int) int {
+	return ValueBytes * mask.Count() * unitBlock * unitBlock * unitBlock
+}
+
+// AppendLevelPrologue appends a level's dims, unit block, packed occupancy
+// mask and the number of values its payload holds.
+func AppendLevelPrologue(dst []byte, d grid.Dims, unitBlock int, mask *grid.Mask) []byte {
+	for _, v := range [...]int{d.X, d.Y, d.Z, unitBlock} {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
+	}
+	dst = mask.AppendPacked(dst)
+	return binary.LittleEndian.AppendUint32(dst, uint32(LevelPayloadLen(mask, unitBlock)/ValueBytes))
+}
+
+// writeChunkCells is how many cells of payload Write gathers between two
+// calls to the underlying writer (rounded to whole unit blocks).
+const writeChunkCells = 1 << 18
+
 // Write serializes the dataset.
 func (ds *Dataset) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(fileMagic); err != nil {
+	buf := AppendStreamHeader(nil, ds.Name, ds.Field, ds.Ratio, len(ds.Levels))
+	if _, err := w.Write(buf); err != nil {
 		return err
 	}
-	writeU32 := func(v uint32) error { return binary.Write(bw, binary.LittleEndian, v) }
-	writeStr := func(s string) error {
-		if err := writeU32(uint32(len(s))); err != nil {
+	var cells []Value
+	for _, l := range ds.Levels {
+		buf = AppendLevelPrologue(buf[:0], l.Grid.Dim, l.UnitBlock, l.Mask)
+		if _, err := w.Write(buf); err != nil {
 			return err
 		}
-		_, err := bw.WriteString(s)
-		return err
-	}
-	if err := writeU32(fileVersion); err != nil {
-		return err
-	}
-	if err := writeStr(ds.Name); err != nil {
-		return err
-	}
-	if err := writeStr(ds.Field); err != nil {
-		return err
-	}
-	if err := writeU32(uint32(ds.Ratio)); err != nil {
-		return err
-	}
-	if err := writeU32(uint32(len(ds.Levels))); err != nil {
-		return err
-	}
-	for _, l := range ds.Levels {
-		d := l.Grid.Dim
-		for _, v := range []uint32{uint32(d.X), uint32(d.Y), uint32(d.Z), uint32(l.UnitBlock)} {
-			if err := writeU32(v); err != nil {
+		per := l.UnitBlock * l.UnitBlock * l.UnitBlock
+		ords := l.Mask.OccupiedIndices()
+		step := max(1, writeChunkCells/per)
+		if need := per * min(step, len(ords)); cap(cells) < need {
+			cells = make([]Value, need)
+		}
+		for len(ords) > 0 {
+			n := min(step, len(ords))
+			chunk := cells[:n*per]
+			for k, ord := range ords[:n] {
+				l.Grid.CopyRegionTo(l.BlockRegion(l.Mask.Dim.Coords(ord)), chunk[k*per:(k+1)*per])
+			}
+			if _, err := w.Write(WireBytes(chunk)); err != nil {
 				return err
 			}
-		}
-		// Packed mask bits.
-		packed := l.Mask.AppendPacked(make([]byte, 0, l.Mask.PackedLen()))
-		if _, err := bw.Write(packed); err != nil {
-			return err
-		}
-		vals := l.MaskedValues(nil)
-		if err := writeU32(uint32(len(vals))); err != nil {
-			return err
-		}
-		buf := make([]byte, 4*len(vals))
-		for i, v := range vals {
-			binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
-		}
-		if _, err := bw.Write(buf); err != nil {
-			return err
+			ords = ords[n:]
 		}
 	}
-	return bw.Flush()
+	return nil
 }
 
 // ReadFrom deserializes a dataset written by Write.
@@ -168,13 +193,9 @@ func ReadFrom(r io.Reader) (*Dataset, error) {
 		if int(nv) != want {
 			return nil, fmt.Errorf("amr: level %d holds %d values, mask implies %d", li, nv, want)
 		}
-		buf := make([]byte, 4*nv)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, fmt.Errorf("amr: reading level %d values: %w", li, err)
-		}
 		vals := make([]Value, nv)
-		for i := range vals {
-			vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
+		if err := readValues(br, vals); err != nil {
+			return nil, fmt.Errorf("amr: reading level %d values: %w", li, err)
 		}
 		l.SetMaskedValues(vals)
 		ds.Levels = append(ds.Levels, l)

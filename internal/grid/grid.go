@@ -284,10 +284,12 @@ func CopyRegionOverlap[T Float](dst []T, dr Region, src []T, sr Region) {
 	}
 	nz := ov.Z1 - ov.Z0
 	for x := ov.X0; x < ov.X1; x++ {
+		di := ((x-dr.X0)*dd.Y+(ov.Y0-dr.Y0))*dd.Z + (ov.Z0 - dr.Z0)
+		si := ((x-sr.X0)*sd.Y+(ov.Y0-sr.Y0))*sd.Z + (ov.Z0 - sr.Z0)
 		for y := ov.Y0; y < ov.Y1; y++ {
-			di := ((x-dr.X0)*dd.Y+(y-dr.Y0))*dd.Z + (ov.Z0 - dr.Z0)
-			si := ((x-sr.X0)*sd.Y+(y-sr.Y0))*sd.Z + (ov.Z0 - sr.Z0)
 			copy(dst[di:di+nz], src[si:si+nz])
+			di += dd.Z
+			si += sd.Z
 		}
 	}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -107,7 +108,7 @@ func TestServedDeltaChainByteIdentity(t *testing.T) {
 
 	last := steps - 1
 	for li := range members[last].Levels {
-		g, _, err := s.Level("test", last, li)
+		g, _, err := s.LevelContext(context.Background(), "test", last, li)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +137,7 @@ func TestServedDeltaChainByteIdentity(t *testing.T) {
 
 	// Intermediates were cached by the chain walk: serving one now costs
 	// zero decodes.
-	if _, _, err := s.Level("test", last/2, 0); err != nil {
+	if _, _, err := s.LevelContext(context.Background(), "test", last/2, 0); err != nil {
 		t.Fatal(err)
 	}
 	if st2 := s.Cache().Stats(); st2.Decodes != wantDecodes {
@@ -201,7 +202,7 @@ func TestIngestDeltaChain(t *testing.T) {
 	// snapshot — per-member guarantee, no accumulation down the chain.
 	for mi := 1; mi <= 3; mi++ {
 		for li, l := range snaps[mi].Levels {
-			g, _, err := s.Level("live", mi, li)
+			g, _, err := s.LevelContext(context.Background(), "live", mi, li)
 			if err != nil {
 				t.Fatal(err)
 			}

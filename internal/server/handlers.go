@@ -3,12 +3,10 @@ package server
 import (
 	"compress/gzip"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"math"
+	"math/bits"
 	"net/http"
 	"strconv"
 	"strings"
@@ -38,8 +36,16 @@ import (
 //	POST /v1/a/{name}/ingest                        append one .amr snapshot (writable archives)
 //	POST /v1/a/{name}/repair[?member=i]             re-fetch and splice damaged members
 //
-// Binary responses carry the payload geometry in X-Tac-* headers and are
-// gzip-compressed when the client advertises Accept-Encoding: gzip.
+// Binary responses (level, ROI, .amr) carry the payload geometry in
+// X-Tac-* headers and are gzip-compressed when the client advertises
+// Accept-Encoding: gzip; both encodings say Vary: Accept-Encoding. The
+// identity encoding carries Content-Length — a body's length is known from
+// the index — and leaves in one write; gzip bodies are chunked. A body is
+// complete before its status line is sent, so a frame that fails to decode
+// answers the error envelope, never a 200 cut short. The GET patterns also
+// match HEAD, which on the binary routes answers the GET's status, X-Tac-*
+// headers and Content-Length from the index without reading a frame or
+// touching the cache (a quarantined member still answers its 502).
 // Ingest bodies are .amr streams (amr.Dataset.Write), optionally
 // gzip-compressed with Content-Encoding: gzip; a full ingest queue
 // answers 429 with a Retry-After hint.
@@ -311,25 +317,27 @@ type levelInfo struct {
 }
 
 // snapArgs resolves the {name}/{snap} path segments shared by the
-// snapshot handlers.
-func (s *Server) snapArgs(r *http.Request) (*servedArchive, int, *archive.Member, error) {
+// snapshot handlers, pinning the archive's current generation for the
+// rest of the request.
+func (s *Server) snapArgs(r *http.Request) (*servedArchive, *archiveState, int, *archive.Member, error) {
 	sa, err := s.lookup(r.PathValue("name"))
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, nil, 0, nil, err
 	}
 	mi, err := strconv.Atoi(r.PathValue("snap"))
 	if err != nil {
-		return nil, 0, nil, fmt.Errorf("server: %w: snapshot index %q is not a number", ErrBadRequest, r.PathValue("snap"))
+		return nil, nil, 0, nil, fmt.Errorf("server: %w: snapshot index %q is not a number", ErrBadRequest, r.PathValue("snap"))
 	}
-	m, err := sa.member(sa.view(), mi)
+	st := sa.view()
+	m, err := sa.member(st, mi)
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, nil, 0, nil, err
 	}
-	return sa, mi, m, nil
+	return sa, st, mi, m, nil
 }
 
 func (s *Server) handleSnap(w http.ResponseWriter, r *http.Request) {
-	sa, mi, m, err := s.snapArgs(r)
+	sa, _, mi, m, err := s.snapArgs(r)
 	if err != nil {
 		s.httpError(w, err)
 		return
@@ -357,29 +365,108 @@ func (s *Server) handleSnap(w http.ResponseWriter, r *http.Request) {
 	}{sa.name, mi, m.Name, m.Field, m.Ratio, levels})
 }
 
+// Binary bodies (level, ROI, .amr) are built whole in a pooled wire buffer
+// before the status line goes out: their length is known from the index,
+// so the identity encoding carries Content-Length and leaves in a single
+// Write, a failing frame still answers the JSON envelope, and a HEAD
+// answers from the index alone.
+
+// wireBufs pools response buffers by size class: class c holds slices of
+// 1<<c values, so whatever Get returns fits every request of the class.
+// A buffer comes back dirty; callers overwrite or clear what they send.
+var wireBufs [bits.UintSize]sync.Pool
+
+func wireClass(n int) int { return bits.Len(uint(max(n, 1) - 1)) }
+
+// getWire returns a buffer of at least n values with arbitrary contents.
+func getWire(n int) *[]amr.Value {
+	c := wireClass(n)
+	if p, _ := wireBufs[c].Get().(*[]amr.Value); p != nil {
+		return p
+	}
+	b := make([]amr.Value, 1<<c)
+	return &b
+}
+
+// putWire returns a buffer no response references any more.
+func putWire(p *[]amr.Value) { wireBufs[wireClass(len(*p))].Put(p) }
+
+// bodyHeaders sets what a binary response of n bytes says about its
+// encoding: the negotiation it depended on, and either gzip (chunked, the
+// compressed length is not known up front) or the identity length.
+func bodyHeaders(h http.Header, gz bool, n int) {
+	h.Set("Content-Type", "application/octet-stream")
+	h.Set("Vary", "Accept-Encoding")
+	if gz {
+		h.Set("Content-Encoding", "gzip")
+	} else {
+		h.Set("Content-Length", strconv.Itoa(n))
+	}
+}
+
+// writeBody sends body after bodyHeaders. Best effort: the status line is
+// gone by the first byte, so a write failure can only surface to the client
+// as a short body. body may be reused as soon as writeBody returns.
+func writeBody(w http.ResponseWriter, gz bool, body []byte) {
+	if !gz {
+		w.Write(body) //nolint:errcheck // client went away; nothing to do
+		return
+	}
+	zw := gzipWriters.Get().(*gzip.Writer)
+	zw.Reset(w)
+	zw.Write(body) //nolint:errcheck // as above; Close reports it again
+	zw.Close()     //nolint:errcheck
+	zw.Reset(nil)
+	gzipWriters.Put(zw)
+}
+
 func (s *Server) handleSnapAMR(w http.ResponseWriter, r *http.Request) {
-	sa, mi, _, err := s.snapArgs(r)
+	sa, st, mi, m, err := s.snapArgs(r)
 	if err != nil {
 		s.httpError(w, err)
+		return
+	}
+	gz := acceptsGzip(r.Header.Get("Accept-Encoding"))
+	n := amr.StreamHeaderLen(m.Name, m.Field)
+	for li := range m.Levels {
+		idx := &m.Levels[li]
+		n += amr.LevelPrologueLen(idx.Mask) + amr.LevelPayloadLen(idx.Mask, idx.UnitBlock)
+	}
+	if r.Method == http.MethodHead {
+		if err := sa.quarantineErr(mi); err != nil {
+			s.httpError(w, err)
+			return
+		}
+		bodyHeaders(w.Header(), gz, n)
 		return
 	}
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	ds, err := s.DatasetContext(ctx, sa.name, mi)
-	if err != nil {
-		s.httpError(w, err)
-		return
+	buf := getWire((n + amr.ValueBytes - 1) / amr.ValueBytes)
+	defer putWire(buf)
+	// Every byte of body[:n] is written below, so what the view holds now
+	// does not matter.
+	body := amr.AppendStreamHeader(amr.WireBytes(*buf)[:0], m.Name, m.Field, m.Ratio, len(m.Levels))
+	for li := range m.Levels {
+		lv, err := sa.level(st, mi, li)
+		if err != nil {
+			s.httpError(w, err)
+			return
+		}
+		body = amr.AppendLevelPrologue(body, lv.idx.Dims, lv.idx.UnitBlock, lv.idx.Mask)
+		payload := len(body)
+		body = body[:payload+amr.LevelPayloadLen(lv.idx.Mask, lv.idx.UnitBlock)]
+		if err := s.assembleStream(ctx, lv, body[payload:]); err != nil {
+			s.httpError(w, err)
+			return
+		}
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	bw := compressedBody(w, r)
-	defer bw.Close()
-	// Best effort: the status line is already gone, so a mid-stream write
-	// failure can only surface as a truncated body.
-	_ = ds.Write(bw)
+	bodyHeaders(w.Header(), gz, n)
+	writeBody(w, gz, body)
 }
 
 func (s *Server) handleLevel(w http.ResponseWriter, r *http.Request) {
-	sa, mi, m, err := s.snapArgs(r)
+	sa, st, mi, _, err := s.snapArgs(r)
 	if err != nil {
 		s.httpError(w, err)
 		return
@@ -389,61 +476,57 @@ func (s *Server) handleLevel(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, fmt.Errorf("server: %w: level index %q is not a number", ErrBadRequest, r.PathValue("level")))
 		return
 	}
-	ctx, cancel := s.requestCtx(r)
-	defer cancel()
-	var g *grid.Grid3[amr.Value]
-	var reg grid.Region
+	lv, err := sa.level(st, mi, li)
+	if err != nil {
+		s.httpError(w, err)
+		return
+	}
+	reg := grid.RegionOf(lv.idx.Dims)
 	if roiStr := r.URL.Query().Get("roi"); roiStr != "" {
 		roi, err := grid.ParseRegion(roiStr)
 		if err != nil {
 			s.httpError(w, fmt.Errorf("server: %w: %w", ErrBadRequest, err))
 			return
 		}
-		g, reg, err = s.RegionContext(ctx, sa.name, mi, li, roi)
-		if err != nil {
+		if reg, err = lv.clip(roi); err != nil {
 			s.httpError(w, err)
 			return
 		}
-	} else {
-		var idx *archive.LevelIndex
-		g, idx, err = s.LevelContext(ctx, sa.name, mi, li)
-		if err != nil {
+	}
+	gz := acceptsGzip(r.Header.Get("Accept-Encoding"))
+	d := reg.Dims()
+	headers := func() {
+		h := w.Header()
+		h.Set("X-Tac-Elem", "float32le")
+		h.Set("X-Tac-Dims", fmt.Sprintf("%d %d %d", d.X, d.Y, d.Z))
+		h.Set("X-Tac-Region", fmt.Sprintf("%d:%d,%d:%d,%d:%d", reg.X0, reg.X1, reg.Y0, reg.Y1, reg.Z0, reg.Z1))
+		h.Set("X-Tac-Unit-Block", strconv.Itoa(lv.idx.UnitBlock))
+		bodyHeaders(h, gz, amr.ValueBytes*d.Count())
+	}
+	if r.Method == http.MethodHead {
+		if err := sa.quarantineErr(mi); err != nil {
 			s.httpError(w, err)
 			return
 		}
-		reg = grid.RegionOf(idx.Dims)
+		headers()
+		return
 	}
-	// Both assembly paths above return ErrNotFound for an out-of-range
-	// level, so li is valid here.
-	ub := m.Levels[li].UnitBlock
-	h := w.Header()
-	h.Set("Content-Type", "application/octet-stream")
-	h.Set("X-Tac-Elem", "float32le")
-	h.Set("X-Tac-Dims", fmt.Sprintf("%d %d %d", g.Dim.X, g.Dim.Y, g.Dim.Z))
-	h.Set("X-Tac-Region", fmt.Sprintf("%d:%d,%d:%d,%d:%d", reg.X0, reg.X1, reg.Y0, reg.Y1, reg.Z0, reg.Z1))
-	h.Set("X-Tac-Unit-Block", strconv.Itoa(ub))
-	bw := compressedBody(w, r)
-	defer bw.Close()
-	writeFloats(bw, g.Data)
-}
-
-// writeFloats streams values as little-endian float32, chunked so a large
-// level never materializes a second full-size byte buffer.
-func writeFloats(w io.Writer, vals []amr.Value) error {
-	const chunk = 16384
-	buf := make([]byte, 0, chunk*4)
-	for len(vals) > 0 {
-		n := min(len(vals), chunk)
-		buf = buf[:0]
-		for _, v := range vals[:n] {
-			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(v))
-		}
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-		vals = vals[n:]
+	ctx, cancel := s.requestCtx(r)
+	defer cancel()
+	buf := getWire(d.Count())
+	defer putWire(buf)
+	vals := (*buf)[:d.Count()]
+	if !lv.covers(reg) {
+		// One clear of the whole window, stored cells included: clearing
+		// only the gaps between blocks, run by run, measured no faster.
+		clear(vals)
 	}
-	return nil
+	if err := s.assemble(ctx, lv, reg, vals); err != nil {
+		s.httpError(w, err)
+		return
+	}
+	headers()
+	writeBody(w, gz, amr.WireBytes(vals))
 }
 
 // gzipWriters pools the serving-side gzip state (BestSpeed; level grids
@@ -453,23 +536,6 @@ var gzipWriters = sync.Pool{
 		zw, _ := gzip.NewWriterLevel(nil, gzip.BestSpeed)
 		return zw
 	},
-}
-
-// bodyWriter is the response body sink: possibly gzip-wrapped.
-type bodyWriter struct {
-	io.Writer
-	zw *gzip.Writer
-}
-
-// Close flushes and pools the gzip writer, if any.
-func (b *bodyWriter) Close() error {
-	if b.zw == nil {
-		return nil
-	}
-	err := b.zw.Close()
-	b.zw.Reset(nil)
-	gzipWriters.Put(b.zw)
-	return err
 }
 
 // acceptsGzip reports whether the request's Accept-Encoding lists gzip
@@ -494,16 +560,4 @@ func acceptsGzip(header string) bool {
 		return true
 	}
 	return false
-}
-
-// compressedBody wraps w in gzip when the request advertises support.
-// Callers must Close the result before returning.
-func compressedBody(w http.ResponseWriter, r *http.Request) *bodyWriter {
-	if !acceptsGzip(r.Header.Get("Accept-Encoding")) {
-		return &bodyWriter{Writer: w}
-	}
-	w.Header().Set("Content-Encoding", "gzip")
-	zw := gzipWriters.Get().(*gzip.Writer)
-	zw.Reset(w)
-	return &bodyWriter{Writer: zw, zw: zw}
 }

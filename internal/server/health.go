@@ -82,6 +82,16 @@ func (sa *servedArchive) quarantinedMember(mi int) (string, bool) {
 	return rec.reason, ok
 }
 
+// quarantineErr is the error a request for member mi answers while the
+// member is out of service, nil otherwise.
+func (sa *servedArchive) quarantineErr(mi int) error {
+	reason, q := sa.quarantinedMember(mi)
+	if !q {
+		return nil
+	}
+	return &memberError{mi: mi, err: fmt.Errorf("server: %w: archive %q snapshot %d: %s", ErrQuarantined, sa.name, mi, reason)}
+}
+
 // quarantine takes member mi out of service (via names the damaged
 // member responsible — mi itself for direct damage), reporting whether
 // this call was the one that did it.

@@ -139,11 +139,7 @@ func TestIngestVisibility(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var wb bytes.Buffer
-		if err := writeFloats(&wb, l.Grid.Data); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(served[li], wb.Bytes()) {
+		if !bytes.Equal(served[li], leBytes(l.Grid.Data)) {
 			t.Fatalf("level %d: served bytes differ from cold extraction", li)
 		}
 	}

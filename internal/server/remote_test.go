@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -54,7 +55,7 @@ func TestRemotePrimaryByteIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := s.Dataset("test", mi)
+		got, err := s.DatasetContext(context.Background(), "test", mi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +165,7 @@ func TestRemoteFaultsRetryNotQuarantine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := s.Dataset("test", mi)
+		got, err := s.DatasetContext(context.Background(), "test", mi)
 		if err != nil {
 			t.Fatalf("member %d under faults: %v", mi, err)
 		}
@@ -206,11 +207,11 @@ func TestRemoteMountOnRawEndpoint(t *testing.T) {
 	if name != "test" {
 		t.Fatalf("derived name %q, want %q", name, "test")
 	}
-	want, err := origin.Dataset("test", 0)
+	want, err := origin.DatasetContext(context.Background(), "test", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := edge.Dataset("test", 0)
+	got, err := edge.DatasetContext(context.Background(), "test", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +258,7 @@ func TestRemoteReplicaFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Dataset("test", 0)
+	got, err := s.DatasetContext(context.Background(), "test", 0)
 	if err != nil {
 		t.Fatalf("failover to URL replica: %v", err)
 	}

@@ -66,11 +66,7 @@ func cleanLevelBody(t testing.TB, blob []byte, mi, li int) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := writeFloats(&buf, l.Grid.Data); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return leBytes(l.Grid.Data)
 }
 
 // TestRetryFlakyThenHeal drives a request through storage that fails its

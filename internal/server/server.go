@@ -16,8 +16,9 @@
 //     on one frame decodes it once while everyone else waits for the
 //     shared result.
 //
-// Decoding borrows pooled sz engines (archive.Reader.DecodeBatch), so
-// steady-state serving allocates only response buffers.
+// Decoding borrows pooled sz engines (archive.Reader.DecodeBatch) and HTTP
+// response bodies are assembled in pooled buffers, so steady-state serving
+// allocates next to nothing.
 package server
 
 import (
@@ -605,8 +606,8 @@ func (sa *servedArchive) member(st *archiveState, mi int) (*archive.Member, erro
 // deterministic corruption counts a strike toward quarantine against the
 // member it was detected in.
 func (s *Server) batch(sa *servedArchive, st *archiveState, mi, li, b int) (blocks, error) {
-	if reason, q := sa.quarantinedMember(mi); q {
-		return nil, &memberError{mi: mi, err: fmt.Errorf("server: %w: archive %q snapshot %d: %s", ErrQuarantined, sa.name, mi, reason)}
+	if err := sa.quarantineErr(mi); err != nil {
+		return nil, err
 	}
 	v, err := s.cache.GetOrFill(Key{Archive: sa.name, Member: mi, Level: li, Batch: b}, func() (blocks, int64, error) {
 		ref, delta, err := st.r.BatchDep(mi, li, b)
@@ -694,149 +695,197 @@ func (s *Server) forEachBatch(ctx context.Context, jobs []int, fn func(b int) er
 	return ctxErr
 }
 
-// Level assembles the full grid of one refinement level from cached
-// batches: byte-identical to archive.Reader.ExtractLevel(mi, li).Grid.
-func (s *Server) Level(name string, mi, li int) (*grid.Grid3[amr.Value], *archive.LevelIndex, error) {
-	return s.LevelContext(context.Background(), name, mi, li)
+// levelView pins one level of one member in one generation of an archive:
+// everything an assembly needs that does not depend on the request's
+// window.
+type levelView struct {
+	sa     *servedArchive
+	st     *archiveState
+	mi, li int
+	idx    *archive.LevelIndex
+	ords   []int // occupied block indices, row-major (st.ords[mi][li])
 }
 
-// LevelContext is Level under a context: assembly stops between batches
-// once ctx is done (deadline overruns surface as context.DeadlineExceeded,
-// which the HTTP layer maps to 504).
-func (s *Server) LevelContext(ctx context.Context, name string, mi, li int) (*grid.Grid3[amr.Value], *archive.LevelIndex, error) {
-	sa, err := s.lookup(name)
-	if err != nil {
-		return nil, nil, err
-	}
-	st := sa.view()
+// level bounds-checks and resolves level li of member mi of st.
+func (sa *servedArchive) level(st *archiveState, mi, li int) (levelView, error) {
 	m, err := sa.member(st, mi)
 	if err != nil {
-		return nil, nil, err
+		return levelView{}, err
 	}
 	if li < 0 || li >= len(m.Levels) {
-		return nil, nil, fmt.Errorf("server: %w: archive %q snapshot %d has no level %d", ErrNotFound, name, mi, li)
+		return levelView{}, fmt.Errorf("server: %w: archive %q snapshot %d has no level %d", ErrNotFound, sa.name, mi, li)
 	}
-	idx := &m.Levels[li]
-	g := grid.New[amr.Value](idx.Dims)
-	ords := st.ords[mi][li]
-	jobs := make([]int, len(idx.Batches))
-	for b := range jobs {
-		jobs[b] = b
-	}
-	err = s.forEachBatch(ctx, jobs, func(b int) error {
-		bl, err := s.batch(sa, st, mi, li, b)
-		if err != nil {
-			return err
-		}
-		lo, hi := idx.BatchSpan(b)
-		for k, ord := range ords[lo:hi] {
-			bx, by, bz := idx.Mask.Dim.Coords(ord)
-			g.SetRegion(blockRegion(bx, by, bz, idx.UnitBlock), bl[k].Data)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return g, idx, nil
+	return levelView{sa: sa, st: st, mi: mi, li: li, idx: &m.Levels[li], ords: st.ords[mi][li]}, nil
 }
 
-// Region assembles the dense window of one level covering roi (in that
-// level's cell coordinates, clipped to its extent): the returned grid has
-// roi.Dims() cells, with cells outside the level's stored blocks zero —
-// byte-identical to the same window of the fully extracted level. Only
-// frames whose blocks intersect roi are fetched or decoded.
-func (s *Server) Region(name string, mi, li int, roi grid.Region) (*grid.Grid3[amr.Value], grid.Region, error) {
-	return s.RegionContext(context.Background(), name, mi, li, roi)
-}
-
-// RegionContext is Region under a context (see LevelContext).
-func (s *Server) RegionContext(ctx context.Context, name string, mi, li int, roi grid.Region) (*grid.Grid3[amr.Value], grid.Region, error) {
-	sa, err := s.lookup(name)
-	if err != nil {
-		return nil, grid.Region{}, err
-	}
-	st := sa.view()
-	m, err := sa.member(st, mi)
-	if err != nil {
-		return nil, grid.Region{}, err
-	}
-	if li < 0 || li >= len(m.Levels) {
-		return nil, grid.Region{}, fmt.Errorf("server: %w: archive %q snapshot %d has no level %d", ErrNotFound, name, mi, li)
-	}
-	idx := &m.Levels[li]
-	clipped := roi.Intersect(idx.Dims)
+// clip bounds a requested window to the level's extent.
+func (lv levelView) clip(roi grid.Region) (grid.Region, error) {
+	clipped := roi.Intersect(lv.idx.Dims)
 	if clipped.Empty() {
-		return nil, grid.Region{}, fmt.Errorf("server: %w: region %v does not intersect level %d extent %v", ErrBadRequest, roi, li, idx.Dims)
+		return grid.Region{}, fmt.Errorf("server: %w: region %v does not intersect level %d extent %v", ErrBadRequest, roi, lv.li, lv.idx.Dims)
 	}
-	roi = clipped
-	ub := idx.UnitBlock
-	// Block-space window of the ROI: frames with no block inside it are
-	// skipped without touching the ReaderAt or the cache.
-	br := grid.Region{
+	return clipped, nil
+}
+
+// blockWindow is the block-space window covering cell region roi.
+func blockWindow(roi grid.Region, ub int) grid.Region {
+	return grid.Region{
 		X0: roi.X0 / ub, Y0: roi.Y0 / ub, Z0: roi.Z0 / ub,
 		X1: (roi.X1 + ub - 1) / ub, Y1: (roi.Y1 + ub - 1) / ub, Z1: (roi.Z1 + ub - 1) / ub,
 	}
-	ords := st.ords[mi][li]
+}
+
+// assemble fills dst — dense over roi, a non-empty window inside the
+// level's extent — with every stored cell of the level that falls in roi,
+// from cached batches. It is the one block→window routine of the serving
+// layer: a whole level is the window RegionOf(idx.Dims). Cells no stored
+// block covers are not written, so unless lv.covers(roi) dst must hold
+// zeros there already, as a fresh slice does. Only frames with a block
+// inside roi are fetched or decoded. Assembly stops between batches once
+// ctx is done (deadline overruns surface as context.DeadlineExceeded,
+// which the HTTP layer maps to 504).
+func (s *Server) assemble(ctx context.Context, lv levelView, roi grid.Region, dst []amr.Value) error {
+	idx, ub := lv.idx, lv.idx.UnitBlock
+	br := blockWindow(roi, ub)
+	inWindow := func(bx, by, bz int) bool {
+		return bx >= br.X0 && bx < br.X1 && by >= br.Y0 && by < br.Y1 && bz >= br.Z0 && bz < br.Z1
+	}
 	var jobs []int
 	for b := range idx.Batches {
 		lo, hi := idx.BatchSpan(b)
-		for _, ord := range ords[lo:hi] {
-			bx, by, bz := idx.Mask.Dim.Coords(ord)
-			if bx >= br.X0 && bx < br.X1 && by >= br.Y0 && by < br.Y1 && bz >= br.Z0 && bz < br.Z1 {
+		for _, ord := range lv.ords[lo:hi] {
+			if inWindow(idx.Mask.Dim.Coords(ord)) {
 				jobs = append(jobs, b)
 				break
 			}
 		}
 	}
-	out := grid.New[amr.Value](roi.Dims())
-	err = s.forEachBatch(ctx, jobs, func(b int) error {
-		bl, err := s.batch(sa, st, mi, li, b)
+	return s.forEachBatch(ctx, jobs, func(b int) error {
+		bl, err := s.batch(lv.sa, lv.st, lv.mi, lv.li, b)
 		if err != nil {
 			return err
 		}
 		lo, hi := idx.BatchSpan(b)
-		for k, ord := range ords[lo:hi] {
-			bx, by, bz := idx.Mask.Dim.Coords(ord)
-			reg := blockRegion(bx, by, bz, ub)
-			if reg.Clip(roi).Empty() {
-				continue
+		for k, ord := range lv.ords[lo:hi] {
+			if bx, by, bz := idx.Mask.Dim.Coords(ord); inWindow(bx, by, bz) {
+				grid.CopyRegionOverlap(dst, roi, bl[k].Data, blockRegion(bx, by, bz, ub))
 			}
-			grid.CopyRegionOverlap(out.Data, roi, bl[k].Data, reg)
 		}
 		return nil
 	})
+}
+
+// covers reports whether every unit block that roi touches is stored, so
+// that assemble writes every cell of the window.
+func (lv levelView) covers(roi grid.Region) bool {
+	br := blockWindow(roi, lv.idx.UnitBlock)
+	return lv.idx.Mask.CountRegion(br) == br.Count()
+}
+
+// assembleStream fills dst with the level's .amr payload: its occupied
+// unit blocks in mask order, little-endian — which is the order the
+// batches hold them in, so every cached block is one copy to its final
+// place. dst must be amr.LevelPayloadLen bytes.
+func (s *Server) assembleStream(ctx context.Context, lv levelView, dst []byte) error {
+	ub := lv.idx.UnitBlock
+	blockBytes := amr.ValueBytes * ub * ub * ub
+	jobs := make([]int, len(lv.idx.Batches))
+	for b := range jobs {
+		jobs[b] = b
+	}
+	return s.forEachBatch(ctx, jobs, func(b int) error {
+		bl, err := s.batch(lv.sa, lv.st, lv.mi, lv.li, b)
+		if err != nil {
+			return err
+		}
+		lo, _ := lv.idx.BatchSpan(b)
+		out := dst[lo*blockBytes:]
+		for _, blk := range bl {
+			out = out[amr.PutValues(out, blk.Data):]
+		}
+		return nil
+	})
+}
+
+// resolve pins the current generation of archive name and resolves one
+// level in it.
+func (s *Server) resolve(name string, mi, li int) (levelView, error) {
+	sa, err := s.lookup(name)
 	if err != nil {
+		return levelView{}, err
+	}
+	return sa.level(sa.view(), mi, li)
+}
+
+// levelGrid assembles the whole of one level into a grid of its own.
+func (s *Server) levelGrid(ctx context.Context, lv levelView) (*grid.Grid3[amr.Value], error) {
+	g := grid.New[amr.Value](lv.idx.Dims)
+	if err := s.assemble(ctx, lv, grid.RegionOf(lv.idx.Dims), g.Data); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// LevelContext assembles the full grid of one refinement level from cached
+// batches into a grid the caller owns: byte-identical to
+// archive.Reader.ExtractLevel(mi, li).Grid. See assemble for ctx.
+func (s *Server) LevelContext(ctx context.Context, name string, mi, li int) (*grid.Grid3[amr.Value], *archive.LevelIndex, error) {
+	lv, err := s.resolve(name, mi, li)
+	if err != nil {
+		return nil, nil, err
+	}
+	g, err := s.levelGrid(ctx, lv)
+	if err != nil {
+		return nil, nil, err
+	}
+	return g, lv.idx, nil
+}
+
+// RegionContext assembles the dense window of one level covering roi (in
+// that level's cell coordinates, clipped to its extent) into a grid the
+// caller owns: it has the clipped roi's dims, with cells outside the
+// level's stored blocks zero — byte-identical to the same window of the
+// fully extracted level. See assemble for what is fetched and for ctx.
+func (s *Server) RegionContext(ctx context.Context, name string, mi, li int, roi grid.Region) (*grid.Grid3[amr.Value], grid.Region, error) {
+	lv, err := s.resolve(name, mi, li)
+	if err != nil {
+		return nil, grid.Region{}, err
+	}
+	if roi, err = lv.clip(roi); err != nil {
+		return nil, grid.Region{}, err
+	}
+	out := grid.New[amr.Value](roi.Dims())
+	if err := s.assemble(ctx, lv, roi, out.Data); err != nil {
 		return nil, grid.Region{}, err
 	}
 	return out, roi, nil
 }
 
-// Dataset assembles a whole member from cached batches: structurally
-// equal to archive.Reader.Extract(mi), with every level grid
+// DatasetContext assembles a whole member from cached batches:
+// structurally equal to archive.Reader.Extract(mi), with every level grid
 // byte-identical. The levels share the reader's occupancy masks, which
-// must not be mutated.
-func (s *Server) Dataset(name string, mi int) (*amr.Dataset, error) {
-	return s.DatasetContext(context.Background(), name, mi)
-}
-
-// DatasetContext is Dataset under a context (see LevelContext).
+// must not be mutated. See assemble for ctx.
 func (s *Server) DatasetContext(ctx context.Context, name string, mi int) (*amr.Dataset, error) {
 	sa, err := s.lookup(name)
 	if err != nil {
 		return nil, err
 	}
-	m, err := sa.member(sa.view(), mi)
+	st := sa.view()
+	m, err := sa.member(st, mi)
 	if err != nil {
 		return nil, err
 	}
 	ds := &amr.Dataset{Name: m.Name, Field: m.Field, Ratio: m.Ratio}
 	for li := range m.Levels {
-		g, idx, err := s.LevelContext(ctx, name, mi, li)
+		lv, err := sa.level(st, mi, li)
 		if err != nil {
 			return nil, err
 		}
-		ds.Levels = append(ds.Levels, &amr.Level{Grid: g, UnitBlock: idx.UnitBlock, Mask: idx.Mask})
+		g, err := s.levelGrid(ctx, lv)
+		if err != nil {
+			return nil, err
+		}
+		ds.Levels = append(ds.Levels, &amr.Level{Grid: g, UnitBlock: lv.idx.UnitBlock, Mask: lv.idx.Mask})
 	}
 	return ds, nil
 }

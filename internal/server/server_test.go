@@ -81,6 +81,17 @@ func floatsOf(t *testing.T, b []byte) []amr.Value {
 	return out
 }
 
+// leBytes is the wire form of a level body — little-endian float32 —
+// written the slow way, so the serving path's reinterpretation is held to
+// an encoding it does not share code with.
+func leBytes(vals []amr.Value) []byte {
+	out := make([]byte, 0, 4*len(vals))
+	for _, v := range vals {
+		out = binary.LittleEndian.AppendUint32(out, math.Float32bits(v))
+	}
+	return out
+}
+
 // get drives the handler in-process and returns the response.
 func get(t *testing.T, h http.Handler, url string, hdr ...string) *httptest.ResponseRecorder {
 	t.Helper()
@@ -328,6 +339,20 @@ func TestGzipEncoding(t *testing.T) {
 	}
 	if !bytes.Equal(refused.Body.Bytes(), plain.Body.Bytes()) {
 		t.Fatal("gzip-refusing client did not get the identity payload")
+	}
+	// All three binary routes are negotiated on Accept-Encoding and must
+	// say so on both outcomes, or a shared cache may hand the gzip body to
+	// a client that refused it.
+	for _, path := range []string{"/a/test/snap/0/level/1", "/a/test/snap/0/level/0?roi=0:8,0:8,0:8", "/a/test/snap/0/amr"} {
+		for _, accept := range []string{"", "gzip", "gzip;q=0, identity"} {
+			rec := get(t, h, path, "Accept-Encoding", accept)
+			if v := rec.Header().Get("Vary"); rec.Code != http.StatusOK || v != "Accept-Encoding" {
+				t.Fatalf("GET %s (Accept-Encoding %q): status %d, Vary %q", path, accept, rec.Code, v)
+			}
+			if gz := rec.Header().Get("Content-Encoding") == "gzip"; gz != (accept == "gzip") {
+				t.Fatalf("GET %s (Accept-Encoding %q): Content-Encoding %q", path, accept, rec.Header().Get("Content-Encoding"))
+			}
+		}
 	}
 }
 
