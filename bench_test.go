@@ -7,7 +7,8 @@
 //
 //	go test -bench=. -benchmem
 //
-// The paper-style tables themselves are printed by cmd/benchall.
+// The paper-style tables themselves are printed by cmd/benchall; the
+// storage stack's end-to-end and per-layer numbers come from bench/.
 package tac_test
 
 import (

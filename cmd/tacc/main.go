@@ -48,7 +48,7 @@ import (
 )
 
 // openArchive opens a .taca archive named by a local path or an
-// http(s):// URL of any range-capable server (a tacd /a/{name}/raw
+// http(s):// URL of any range-capable server (a tacd /v1/a/{name}/raw
 // endpoint, nginx, an S3-style store). ls, extract and verify work
 // identically either way; over a URL only the footer and the frames a
 // command touches cross the wire.

@@ -26,18 +26,18 @@
 // to replicas per read when the primary errors, and a quarantined
 // member is automatically re-fetched, digest-verified, and spliced back
 // into a file-backed primary — the 502 lifts without a restart.
-// Endpoints, also served under /v1/ (see internal/server for the full
-// table):
+// Endpoints (see internal/server for the full table):
 //
-//	GET  /archives
-//	GET  /a/{name}
-//	GET  /a/{name}/snap/{i}
-//	GET  /a/{name}/snap/{i}/amr
-//	GET  /a/{name}/snap/{i}/level/{l}[?roi=x0:x1,y0:y1,z0:z1]
-//	POST /a/{name}/ingest        (with -ingest)
-//	POST /a/{name}/repair[?member=i]   (with -replica)
-//	GET  /stats
-//	GET  /healthz
+//	GET  /v1/archives
+//	GET  /v1/a/{name}
+//	GET  /v1/a/{name}/raw
+//	GET  /v1/a/{name}/snap/{i}
+//	GET  /v1/a/{name}/snap/{i}/amr
+//	GET  /v1/a/{name}/snap/{i}/level/{l}[?roi=x0:x1,y0:y1,z0:z1]
+//	POST /v1/a/{name}/ingest        (with -ingest)
+//	POST /v1/a/{name}/repair[?member=i]   (with -replica)
+//	GET  /v1/stats
+//	GET  /healthz                   (also /v1/healthz)
 //
 // On SIGINT/SIGTERM tacd drains gracefully: /healthz flips to 503 so
 // load balancers stop routing here, in-flight requests and queued
@@ -70,7 +70,7 @@ func main() {
 	cacheMB := flag.Int64("cache-mb", 256, "decoded block-batch cache budget in MiB")
 	shards := flag.Int("shards", server.DefaultCacheShards, "cache shard count")
 	workers := flag.Int("workers", 0, "per-request batch fan-out (0 = GOMAXPROCS, 1 = serial)")
-	ingest := flag.Bool("ingest", false, "open archives read-write and accept POST /a/{name}/ingest")
+	ingest := flag.Bool("ingest", false, "open archives read-write and accept POST /v1/a/{name}/ingest")
 	ingestQueue := flag.Int("ingest-queue", server.DefaultIngestQueue, "queued snapshots per archive before 429s")
 	keyframe := flag.Int("keyframe", 0, "delta-code ingested members with this keyframe interval (0 = intra only)")
 	eb := flag.Float64("eb", 0, "error bound for ingested snapshots (0 = inherit from the archive's newest member)")
@@ -168,7 +168,7 @@ func main() {
 		if remote.IsURL(primary) {
 			mode += ", remote"
 		}
-		log.Printf("serving %s as /a/%s (%s)", primary, name, mode)
+		log.Printf("serving %s as /v1/a/%s (%s)", primary, name, mode)
 	}
 	for name := range replicas {
 		log.Fatalf("-replica %s=...: no archive is served under that name", name)

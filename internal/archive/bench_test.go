@@ -2,10 +2,12 @@ package archive
 
 import (
 	"bytes"
+	"io"
 	"testing"
 
 	"repro/internal/codec"
 	"repro/internal/grid"
+	"repro/internal/replica"
 )
 
 // benchCampaign is a K=4 campaign at a frame size like the corpus the
@@ -42,6 +44,47 @@ func BenchmarkExtractRegion(b *testing.B) {
 		if _, err := r.ExtractRegion(0, roi); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkExtractMember extracts one intra member of the same campaign
+// three ways: from a plain archive, from a digest-carrying one (per-frame
+// CRC32C and footer self-digest, verified on every read), and from that
+// one behind a healthy two-source replica.Multi. The last two against the
+// first are what verification and the failover layer cost a read.
+func BenchmarkExtractMember(b *testing.B) {
+	snaps := campaignOf(b, 64, 8, 4)
+	plain := buildArchive(b, snaps, codec.Config{ErrorBound: testEB}, 64)
+	summed := buildV4(b, snaps, 64) // FooterSum implies Checksums
+	multi, err := replica.New(replica.Config{},
+		replica.Reader(bytes.NewReader(summed), "primary"),
+		replica.Reader(bytes.NewReader(summed), "replica"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, src := range []struct {
+		name string
+		ra   io.ReaderAt
+		size int
+	}{
+		{"plain", bytes.NewReader(plain), len(plain)},
+		{"summed", bytes.NewReader(summed), len(summed)},
+		{"replica", multi, len(summed)},
+	} {
+		b.Run(src.name, func(b *testing.B) {
+			r, err := Open(src.ra, int64(src.size))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(snaps[1].OriginalBytes()))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := r.Extract(1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

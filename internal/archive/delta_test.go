@@ -93,8 +93,8 @@ func buildDeltaArchiveBatch(t testing.TB, snaps []*amr.Dataset, keyframe, batchB
 }
 
 // TestDeltaArchiveRoundTrip is the campaign-mode acceptance test: a
-// 6-snapshot campaign at keyframe interval 4 must produce a smaller
-// archive than intra coding, carry the expected keyframe/delta member
+// 6-snapshot campaign at keyframe interval 4 must produce a markedly
+// smaller archive than intra coding, carry the expected keyframe/delta member
 // pattern, and reconstruct EVERY chain member within the error bound —
 // residuals are taken against reconstructed predecessors, so depth never
 // compounds error.
@@ -105,6 +105,12 @@ func TestDeltaArchiveRoundTrip(t *testing.T) {
 	intra := buildDeltaArchive(t, snaps, 0)
 	if len(delta) >= len(intra) {
 		t.Fatalf("delta archive %d bytes, intra %d — campaign coding did not pay", len(delta), len(intra))
+	}
+	// This campaign stores 1.84× smaller in campaign mode; the floor is
+	// that less a tenth, so a writer that quietly stops choosing the
+	// temporal coding fails here, not only one that grows the archive.
+	if gain := float64(len(intra)) / float64(len(delta)); gain < 1.66 {
+		t.Fatalf("campaign coding stores %.2f× smaller than intra, want >= 1.66×", gain)
 	}
 
 	r, err := Open(bytes.NewReader(delta), int64(len(delta)))

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
 )
 
 // Exhibit is one named table or figure reproduction.
@@ -36,22 +35,12 @@ func Exhibits() []Exhibit {
 
 // RunAll executes every exhibit in order, separating them with blank lines.
 func RunAll(w io.Writer, env *Env) error {
-	return RunAllTimed(w, env, nil)
-}
-
-// RunAllTimed is RunAll with a per-exhibit wall-time callback (nil is
-// allowed), the hook cmd/benchall's -json record uses.
-func RunAllTimed(w io.Writer, env *Env, timed func(id string, d time.Duration)) error {
 	for i, ex := range Exhibits() {
 		if i > 0 {
 			fprintf(w, "\n")
 		}
-		start := time.Now()
 		if err := ex.Run(w, env); err != nil {
 			return fmt.Errorf("experiments: %s: %w", ex.ID, err)
-		}
-		if timed != nil {
-			timed(ex.ID, time.Since(start))
 		}
 	}
 	return nil

@@ -1,15 +1,16 @@
 // Package remote provides an io.ReaderAt backed by HTTP Range requests,
 // so a TACA archive hosted on any range-capable server — another tacd's
-// /a/{name}/raw endpoint, nginx, an S3-style blob store — can be opened,
+// /v1/a/{name}/raw endpoint, nginx, an S3-style blob store — can be opened,
 // served, and repaired from without a local copy.
 //
 // The reader is built for the archive's access pattern: level and ROI
-// extraction touch only a few percent of archive bytes (BENCH_engine.json
-// records 2.7–3.1%), in frame-sized spans clustered by batch index. Reads
-// therefore go through a byte-budgeted read-ahead cache of aligned
-// segments; concurrent batch decodes that miss on the same segment are
-// collapsed into one fetch by a singleflight gate, so a fleet of workers
-// pulls each segment over the wire at most once.
+// extraction touch only a few percent of archive bytes (2.7–3.1% of a
+// local file; server.TestRemoteFetchFraction holds both paths under 10%),
+// in frame-sized spans clustered by batch index. Reads therefore go
+// through a byte-budgeted read-ahead cache of aligned segments; concurrent
+// batch decodes that miss on the same segment are collapsed into one fetch
+// by a singleflight gate, so a fleet of workers pulls each segment over
+// the wire at most once.
 //
 // Generation pinning: Open records the resource's ETag, every request
 // carries If-Range (strong validators only), and every response's ETag is

@@ -55,15 +55,15 @@ func frameMidpoint(t testing.TB, r *archive.Reader, mi, li, b int) int64 {
 
 // quarantineBody is httpError's structured 502 payload.
 type quarantineBody struct {
-	Error       string `json:"error"`
+	Code        string `json:"code"`
+	Message     string `json:"message"`
 	Quarantined bool   `json:"quarantined"`
-	Retryable   bool   `json:"retryable"`
 }
 
 // healthOf decodes the /stats health section.
 func healthOf(t *testing.T, h http.Handler) HealthStats {
 	t.Helper()
-	rec := get(t, h, "/stats")
+	rec := get(t, h, "/v1/stats")
 	var out struct {
 		Health HealthStats `json:"health"`
 	}
@@ -93,7 +93,7 @@ func TestChaosBitFlipQuarantinesMember(t *testing.T) {
 	// Strikes 1 and 2: corruption is detected (500, error names the
 	// damage), and the second strike trips the quarantine.
 	for strike := 1; strike <= 2; strike++ {
-		rec := get(t, h, "/a/test/snap/0/level/0")
+		rec := get(t, h, "/v1/a/test/snap/0/level/0")
 		if rec.Code != http.StatusInternalServerError {
 			t.Fatalf("strike %d: status %d, want 500: %s", strike, rec.Code, rec.Body.String())
 		}
@@ -104,7 +104,7 @@ func TestChaosBitFlipQuarantinesMember(t *testing.T) {
 
 	// Quarantined: every level of member 0 answers the structured 502.
 	for li := 0; li < 2; li++ {
-		rec := get(t, h, fmt.Sprintf("/a/test/snap/0/level/%d", li))
+		rec := get(t, h, fmt.Sprintf("/v1/a/test/snap/0/level/%d", li))
 		if rec.Code != http.StatusBadGateway {
 			t.Fatalf("quarantined member level %d: status %d, want 502: %s", li, rec.Code, rec.Body.String())
 		}
@@ -112,7 +112,7 @@ func TestChaosBitFlipQuarantinesMember(t *testing.T) {
 		if err := json.Unmarshal(rec.Body.Bytes(), &qb); err != nil {
 			t.Fatalf("502 body is not the structured form: %v (%s)", err, rec.Body.String())
 		}
-		if !qb.Quarantined || qb.Retryable || qb.Error == "" {
+		if !qb.Quarantined || qb.Code != "quarantined" || qb.Message == "" {
 			t.Fatalf("structured 502 fields: %+v", qb)
 		}
 	}
@@ -131,7 +131,7 @@ func TestChaosBitFlipQuarantinesMember(t *testing.T) {
 
 	// Member 1, through the same hostile storage, serves byte-identical.
 	for li := 0; li < 2; li++ {
-		rec := get(t, h, fmt.Sprintf("/a/test/snap/1/level/%d", li))
+		rec := get(t, h, fmt.Sprintf("/v1/a/test/snap/1/level/%d", li))
 		if rec.Code != http.StatusOK {
 			t.Fatalf("healthy member level %d: status %d: %s", li, rec.Code, rec.Body.String())
 		}
@@ -162,10 +162,10 @@ func TestChaosScrubQuarantinesBeforeTraffic(t *testing.T) {
 	if hs.ScrubPasses != 1 || hs.ScrubIssues == 0 || hs.QuarantinedMembers != 1 {
 		t.Fatalf("health after scrub: %+v", hs)
 	}
-	if rec := get(t, h, "/a/test/snap/0/level/0"); rec.Code != http.StatusBadGateway {
+	if rec := get(t, h, "/v1/a/test/snap/0/level/0"); rec.Code != http.StatusBadGateway {
 		t.Fatalf("scrub-quarantined member: status %d, want 502", rec.Code)
 	}
-	if rec := get(t, h, "/a/test/snap/1/level/0"); rec.Code != http.StatusOK {
+	if rec := get(t, h, "/v1/a/test/snap/1/level/0"); rec.Code != http.StatusOK {
 		t.Fatalf("healthy member after scrub: status %d", rec.Code)
 	} else if want := cleanLevelBody(t, blob, 1, 0); !bytes.Equal(rec.Body.Bytes(), want) {
 		t.Fatal("healthy member differs from a clean extraction after scrub")
@@ -200,10 +200,10 @@ func TestChaosBackgroundScrubber(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if rec := get(t, s.Handler(), "/a/test/snap/1/level/0"); rec.Code != http.StatusBadGateway {
+	if rec := get(t, s.Handler(), "/v1/a/test/snap/1/level/0"); rec.Code != http.StatusBadGateway {
 		t.Fatalf("rotted member after background scrub: status %d, want 502", rec.Code)
 	}
-	if rec := get(t, s.Handler(), "/a/test/snap/0/level/0"); rec.Code != http.StatusOK {
+	if rec := get(t, s.Handler(), "/v1/a/test/snap/0/level/0"); rec.Code != http.StatusOK {
 		t.Fatalf("healthy member: status %d", rec.Code)
 	}
 	if err := s.Close(); err != nil {
@@ -232,7 +232,7 @@ func TestChaosLatencyDeadline(t *testing.T) {
 	fr.SetContext(ctx)
 	fr.SetPlan(faultio.Delay(10 * time.Second))
 	start := time.Now()
-	rec := get(t, s.Handler(), "/a/test/snap/0/level/0")
+	rec := get(t, s.Handler(), "/v1/a/test/snap/0/level/0")
 	if rec.Code != http.StatusGatewayTimeout {
 		t.Fatalf("stalled storage: status %d, want 504: %s", rec.Code, rec.Body.String())
 	}
@@ -243,7 +243,7 @@ func TestChaosLatencyDeadline(t *testing.T) {
 	// overrun is transient, never a quarantine.
 	fr.SetPlan(nil)
 	fr.SetContext(nil)
-	if rec := get(t, s.Handler(), "/a/test/snap/0/level/0"); rec.Code != http.StatusOK {
+	if rec := get(t, s.Handler(), "/v1/a/test/snap/0/level/0"); rec.Code != http.StatusOK {
 		t.Fatalf("after the stall lifted: status %d", rec.Code)
 	}
 	if hs := s.HealthStats(); hs.QuarantinedMembers != 0 {

@@ -177,7 +177,7 @@ func TestIngestDeltaChain(t *testing.T) {
 	}
 
 	s := New(Config{IngestKeyframe: 3})
-	if _, err := s.AddAppendFile("live="+path, codec.Config{ErrorBound: deltaEB, Workers: 2}); err != nil {
+	if _, err := s.Add("live", ArchiveSpec{Primary: path, Append: true, Ingest: codec.Config{ErrorBound: deltaEB, Workers: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	h := s.Handler()
@@ -192,7 +192,7 @@ func TestIngestDeltaChain(t *testing.T) {
 		if err := ds.Write(&wire); err != nil {
 			t.Fatal(err)
 		}
-		rec := post(t, h, "/a/live/ingest", wire.Bytes())
+		rec := post(t, h, "/v1/a/live/ingest", wire.Bytes())
 		if rec.Code != http.StatusCreated {
 			t.Fatalf("ingest %d: status %d: %s", i, rec.Code, rec.Body.String())
 		}

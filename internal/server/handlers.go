@@ -18,11 +18,11 @@ import (
 	"repro/internal/grid"
 )
 
-// Handler returns the HTTP API. Every route is mounted twice: under
-// /v1/ (the versioned surface) and at its legacy unprefixed path (kept
-// as an alias for one release):
+// Handler returns the HTTP API, mounted under /v1/; the liveness probe
+// alone also answers at the root, where probes configured outside this
+// repository expect it:
 //
-//	GET  /v1/healthz                                liveness probe ("ok", or 503 "draining")
+//	GET  /healthz, /v1/healthz                      liveness probe ("ok", or 503 "draining")
 //	GET  /v1/stats                                  cache + ingest + registry counters (JSON)
 //	GET  /v1/archives                               registered archives (JSON)
 //	GET  /v1/a/{name}                               member listing (JSON)
@@ -54,17 +54,12 @@ import (
 // probes) carry the JSON error envelope {code, message, member?,
 // quarantined?}: code is a stable slug (not_found, bad_request,
 // read_only, busy, draining, no_replica, timeout, quarantined, corrupt,
-// io, too_large, internal), member is the snapshot index the failure
-// concerns when known, and the legacy error/retryable fields mirror
-// message for pre-v1 clients.
+// io, too_large, internal) that also tells a client whether to retry
+// (busy, draining, timeout, io), and member is the snapshot index the
+// failure concerns when known.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	handle := func(pattern string, h http.HandlerFunc) {
-		mux.HandleFunc(pattern, h)
-		method, path, _ := strings.Cut(pattern, " ")
-		mux.HandleFunc(method+" /v1"+path, h)
-	}
-	handle("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+	healthz := func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		if s.Draining() {
 			w.WriteHeader(http.StatusServiceUnavailable)
@@ -79,16 +74,18 @@ func (s *Server) Handler() http.Handler {
 			return
 		}
 		fmt.Fprintln(w, "ok")
-	})
-	handle("GET /stats", s.handleStats)
-	handle("GET /archives", s.handleArchives)
-	handle("GET /a/{name}", s.handleArchive)
-	handle("GET /a/{name}/raw", s.handleRaw)
-	handle("GET /a/{name}/snap/{snap}", s.handleSnap)
-	handle("GET /a/{name}/snap/{snap}/amr", s.handleSnapAMR)
-	handle("GET /a/{name}/snap/{snap}/level/{level}", s.handleLevel)
-	handle("POST /a/{name}/ingest", s.handleIngest)
-	handle("POST /a/{name}/repair", s.handleRepair)
+	}
+	mux.HandleFunc("GET /healthz", healthz)
+	mux.HandleFunc("GET /v1/healthz", healthz)
+	mux.HandleFunc("GET /v1/stats", s.handleStats)
+	mux.HandleFunc("GET /v1/archives", s.handleArchives)
+	mux.HandleFunc("GET /v1/a/{name}", s.handleArchive)
+	mux.HandleFunc("GET /v1/a/{name}/raw", s.handleRaw)
+	mux.HandleFunc("GET /v1/a/{name}/snap/{snap}", s.handleSnap)
+	mux.HandleFunc("GET /v1/a/{name}/snap/{snap}/amr", s.handleSnapAMR)
+	mux.HandleFunc("GET /v1/a/{name}/snap/{snap}/level/{level}", s.handleLevel)
+	mux.HandleFunc("POST /v1/a/{name}/ingest", s.handleIngest)
+	mux.HandleFunc("POST /v1/a/{name}/repair", s.handleRepair)
 	return mux
 }
 
@@ -110,15 +107,12 @@ func (s *Server) handleRaw(w http.ResponseWriter, r *http.Request) {
 	http.ServeContent(w, r, sa.name+".taca", time.Time{}, st.r.Section())
 }
 
-// errorBody is the JSON error envelope. Error and Retryable predate the
-// v1 surface and mirror Message; new clients should key on Code.
+// errorBody is the JSON error envelope; clients key on Code.
 type errorBody struct {
 	Code        string `json:"code"`
 	Message     string `json:"message"`
 	Member      *int   `json:"member,omitempty"`
 	Quarantined bool   `json:"quarantined,omitempty"`
-	Error       string `json:"error"`
-	Retryable   bool   `json:"retryable"`
 }
 
 // memberError tags an error with the member index it concerns so the
@@ -170,26 +164,22 @@ func (s *Server) httpError(w http.ResponseWriter, err error) {
 		w.Header().Set("Retry-After", "1")
 		code = http.StatusTooManyRequests
 		env.Code = "busy"
-		env.Retryable = true
 	case errors.Is(err, ErrDraining):
 		w.Header().Set("Retry-After", "5")
 		code = http.StatusServiceUnavailable
 		env.Code = "draining"
-		env.Retryable = true
 	case errors.Is(err, ErrNoReplica):
 		code = http.StatusConflict
 		env.Code = "no_replica"
 	case errors.Is(err, context.DeadlineExceeded):
 		code = http.StatusGatewayTimeout
 		env.Code = "timeout"
-		env.Retryable = true
 	case errors.Is(err, archive.ErrIO):
 		// Transient storage fault that survived the retry budget. The
 		// underlying error is an OS or network message (paths, URLs,
 		// offsets) — log it, don't leak it.
 		env.Code = "io"
 		env.Message = "transient storage read failure (retries exhausted); try again"
-		env.Retryable = true
 		s.cfg.Logf("server: io error: %v", err)
 	case errors.Is(err, archive.ErrCorrupt):
 		// Deterministic damage: the message is archive-constructed
@@ -199,13 +189,11 @@ func (s *Server) httpError(w http.ResponseWriter, err error) {
 		env.Message = "internal server error"
 		s.cfg.Logf("server: internal error: %v", err)
 	}
-	env.Error = env.Message
 	s.writeError(w, code, env)
 }
 
 // writeError emits the envelope with the given status.
 func (s *Server) writeError(w http.ResponseWriter, code int, env errorBody) {
-	env.Error = env.Message
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -228,7 +216,7 @@ func writeJSON(w http.ResponseWriter, v any) {
 	enc.Encode(v) //nolint:errcheck // client went away; nothing to do
 }
 
-// archiveInfo is the /archives listing row.
+// archiveInfo is the /v1/archives listing row.
 type archiveInfo struct {
 	Name            string `json:"name"`
 	Members         int    `json:"members"`
@@ -272,7 +260,7 @@ func (s *Server) handleArchives(w http.ResponseWriter, r *http.Request) {
 	}{out})
 }
 
-// memberInfo is the /a/{name} listing row.
+// memberInfo is the /v1/a/{name} listing row.
 type memberInfo struct {
 	Index           int     `json:"index"`
 	Name            string  `json:"name"`
@@ -306,7 +294,7 @@ func (s *Server) handleArchive(w http.ResponseWriter, r *http.Request) {
 	}{sa.name, out})
 }
 
-// levelInfo is the /a/{name}/snap/{i} geometry row.
+// levelInfo is the /v1/a/{name}/snap/{i} geometry row.
 type levelInfo struct {
 	Level           int    `json:"level"`
 	Dims            [3]int `json:"dims"`

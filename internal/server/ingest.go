@@ -90,18 +90,9 @@ func (s *Server) IngestStats() IngestStats {
 	return st
 }
 
-// AddAppendFile opens a .taca file read-write and registers it as a
-// writable archive.
-//
-// Deprecated: use Add with an ArchiveSpec{Append: true}.
-func (s *Server) AddAppendFile(spec string, cfg codec.Config) (string, error) {
-	name, primary := splitSpec(spec)
-	return s.Add(name, ArchiveSpec{Primary: primary, Append: true, Ingest: cfg})
-}
-
 // addAppend opens spec.Primary read-write and registers it as a
 // writable archive: reads are served exactly as read-only specs, and
-// POST /a/{name}/ingest appends snapshots to it. A torn tail from an
+// POST /v1/a/{name}/ingest appends snapshots to it. A torn tail from an
 // earlier crash is truncated on open (archive.OpenAppend). spec.Ingest
 // sets the compression parameters for ingested members; a zero
 // ErrorBound inherits them from the archive's newest member, so a
@@ -236,7 +227,7 @@ func (ing *ingester) handle(ds *amr.Dataset) ingestResult {
 	return ingestResult{member: len(r.Members()) - 1, gen: r.Generation()}
 }
 
-// handleIngest is POST /a/{name}/ingest: parse an .amr body, queue it,
+// handleIngest is POST /v1/a/{name}/ingest: parse an .amr body, queue it,
 // and answer with the committed member's coordinates.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	sa, err := s.lookup(r.PathValue("name"))

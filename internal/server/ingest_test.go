@@ -64,7 +64,7 @@ func newAppendServer(t testing.TB, cfg Config) (*Server, string) {
 	t.Helper()
 	path := writeTestArchiveFile(t, t.TempDir())
 	s := New(cfg)
-	if _, err := s.AddAppendFile("live="+path, codec.Config{ErrorBound: 1e9, Workers: 2}); err != nil {
+	if _, err := s.Add("live", ArchiveSpec{Primary: path, Append: true, Ingest: codec.Config{ErrorBound: 1e9, Workers: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	return s, path
@@ -78,16 +78,16 @@ func TestIngestVisibility(t *testing.T) {
 	s, path := newAppendServer(t, Config{})
 	h := s.Handler()
 
-	before := get(t, h, "/a/live/snap/0/level/0")
+	before := get(t, h, "/v1/a/live/snap/0/level/0")
 	if before.Code != http.StatusOK {
 		t.Fatalf("pre-ingest read: status %d", before.Code)
 	}
-	if rec := get(t, h, "/a/live/snap/2"); rec.Code != http.StatusNotFound {
+	if rec := get(t, h, "/v1/a/live/snap/2"); rec.Code != http.StatusNotFound {
 		t.Fatalf("snapshot 2 before ingest: status %d, want 404", rec.Code)
 	}
 
 	_, wire := ingestSnap(t, "live0", 123)
-	rec := post(t, h, "/a/live/ingest", wire)
+	rec := post(t, h, "/v1/a/live/ingest", wire)
 	if rec.Code != http.StatusCreated {
 		t.Fatalf("ingest: status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -107,14 +107,14 @@ func TestIngestVisibility(t *testing.T) {
 	// The appended member is readable on the very next request.
 	var served [][]byte
 	for li := 0; li < 2; li++ {
-		rec := get(t, h, fmt.Sprintf("/a/live/snap/2/level/%d", li))
+		rec := get(t, h, fmt.Sprintf("/v1/a/live/snap/2/level/%d", li))
 		if rec.Code != http.StatusOK {
 			t.Fatalf("new member level %d: status %d: %s", li, rec.Code, rec.Body.String())
 		}
 		served = append(served, append([]byte(nil), rec.Body.Bytes()...))
 	}
 	// Pre-existing member payloads are untouched.
-	after := get(t, h, "/a/live/snap/0/level/0")
+	after := get(t, h, "/v1/a/live/snap/0/level/0")
 	if !bytes.Equal(before.Body.Bytes(), after.Body.Bytes()) {
 		t.Fatal("pre-existing member payload changed across ingest")
 	}
@@ -150,13 +150,13 @@ func TestIngestVisibility(t *testing.T) {
 func TestIngestConfigInheritance(t *testing.T) {
 	path := writeTestArchiveFile(t, t.TempDir())
 	s := New(Config{})
-	if _, err := s.AddAppendFile(path, codec.Config{}); err != nil {
+	if _, err := s.Add("", ArchiveSpec{Primary: path, Append: true}); err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	h := s.Handler()
 	_, wire := ingestSnap(t, "inherit", 9)
-	rec := post(t, h, "/a/live/ingest", wire)
+	rec := post(t, h, "/v1/a/live/ingest", wire)
 	if rec.Code != http.StatusCreated {
 		t.Fatalf("ingest: status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -198,7 +198,7 @@ func TestIngestBackpressure(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			codes <- post(t, h, "/a/live/ingest", wire).Code
+			codes <- post(t, h, "/v1/a/live/ingest", wire).Code
 		}()
 	}
 	// Job 1 occupies the loop (parked on hold), job 2 fills the queue.
@@ -208,7 +208,7 @@ func TestIngestBackpressure(t *testing.T) {
 	launch()
 	waitFor(t, func() bool { return len(sa.ing.q) == 1 })
 	// Queue full: this one must bounce immediately, before hold releases.
-	rec := post(t, h, "/a/live/ingest", wire)
+	rec := post(t, h, "/v1/a/live/ingest", wire)
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("overflow ingest: status %d, want 429: %s", rec.Code, rec.Body.String())
 	}
@@ -250,7 +250,7 @@ func TestIngestDraining(t *testing.T) {
 		t.Fatalf("healthz: status %d", rec.Code)
 	}
 	_, wire := ingestSnap(t, "pre", 31)
-	if rec := post(t, h, "/a/live/ingest", wire); rec.Code != http.StatusCreated {
+	if rec := post(t, h, "/v1/a/live/ingest", wire); rec.Code != http.StatusCreated {
 		t.Fatalf("pre-drain ingest: status %d", rec.Code)
 	}
 
@@ -258,7 +258,7 @@ func TestIngestDraining(t *testing.T) {
 	if rec := get(t, h, "/healthz"); rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("draining healthz: status %d, want 503", rec.Code)
 	}
-	rec := post(t, h, "/a/live/ingest", wire)
+	rec := post(t, h, "/v1/a/live/ingest", wire)
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("draining ingest: status %d, want 503: %s", rec.Code, rec.Body.String())
 	}
@@ -266,7 +266,7 @@ func TestIngestDraining(t *testing.T) {
 		t.Fatal("draining 503 missing Retry-After")
 	}
 	// Reads still work during the drain window.
-	if rec := get(t, h, "/a/live/snap/2/level/0"); rec.Code != http.StatusOK {
+	if rec := get(t, h, "/v1/a/live/snap/2/level/0"); rec.Code != http.StatusOK {
 		t.Fatalf("read during drain: status %d", rec.Code)
 	}
 	if err := s.Close(); err != nil {
@@ -290,23 +290,23 @@ func TestIngestMisuse(t *testing.T) {
 	s, _ := newTestServer(t, blob, Config{}) // read-only registration
 	h := s.Handler()
 	_, wire := ingestSnap(t, "x", 1)
-	if rec := post(t, h, "/a/test/ingest", wire); rec.Code != http.StatusMethodNotAllowed {
+	if rec := post(t, h, "/v1/a/test/ingest", wire); rec.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("read-only ingest: status %d, want 405: %s", rec.Code, rec.Body.String())
 	}
-	if rec := post(t, h, "/a/nope/ingest", wire); rec.Code != http.StatusNotFound {
+	if rec := post(t, h, "/v1/a/nope/ingest", wire); rec.Code != http.StatusNotFound {
 		t.Fatalf("unknown archive ingest: status %d, want 404", rec.Code)
 	}
 
 	sw, path := newAppendServer(t, Config{})
 	defer sw.Close()
 	hw := sw.Handler()
-	if rec := post(t, hw, "/a/live/ingest", []byte("not an amr stream")); rec.Code != http.StatusBadRequest {
+	if rec := post(t, hw, "/v1/a/live/ingest", []byte("not an amr stream")); rec.Code != http.StatusBadRequest {
 		t.Fatalf("garbage body: status %d, want 400", rec.Code)
 	}
-	if rec := post(t, hw, "/a/live/ingest", wire[:len(wire)/2]); rec.Code != http.StatusBadRequest {
+	if rec := post(t, hw, "/v1/a/live/ingest", wire[:len(wire)/2]); rec.Code != http.StatusBadRequest {
 		t.Fatalf("truncated body: status %d, want 400", rec.Code)
 	}
-	if rec := post(t, hw, "/a/live/ingest", wire, "Content-Encoding", "gzip"); rec.Code != http.StatusBadRequest {
+	if rec := post(t, hw, "/v1/a/live/ingest", wire, "Content-Encoding", "gzip"); rec.Code != http.StatusBadRequest {
 		t.Fatalf("bogus gzip body: status %d, want 400", rec.Code)
 	}
 	// Nothing above should have grown the archive.
@@ -329,7 +329,7 @@ func TestReadWhileIngest(t *testing.T) {
 	defer s.Close()
 	h := s.Handler()
 
-	baseline := get(t, h, "/a/live/snap/1/level/0")
+	baseline := get(t, h, "/v1/a/live/snap/1/level/0")
 	if baseline.Code != http.StatusOK {
 		t.Fatalf("baseline read: status %d", baseline.Code)
 	}
@@ -349,7 +349,7 @@ func TestReadWhileIngest(t *testing.T) {
 					return
 				default:
 				}
-				rec := get(t, h, "/a/live/snap/1/level/0")
+				rec := get(t, h, "/v1/a/live/snap/1/level/0")
 				if rec.Code != http.StatusOK {
 					errs <- fmt.Errorf("concurrent read: status %d", rec.Code)
 					return
@@ -363,12 +363,12 @@ func TestReadWhileIngest(t *testing.T) {
 	}
 	for i := 0; i < ingests; i++ {
 		_, wire := ingestSnap(t, fmt.Sprintf("live%d", i), int64(100+i))
-		rec := post(t, h, "/a/live/ingest", wire)
+		rec := post(t, h, "/v1/a/live/ingest", wire)
 		if rec.Code != http.StatusCreated {
 			t.Fatalf("ingest %d: status %d: %s", i, rec.Code, rec.Body.String())
 		}
 		// The member must be visible to an immediately following read.
-		if rec := get(t, h, fmt.Sprintf("/a/live/snap/%d", 2+i)); rec.Code != http.StatusOK {
+		if rec := get(t, h, fmt.Sprintf("/v1/a/live/snap/%d", 2+i)); rec.Code != http.StatusOK {
 			t.Fatalf("ingest %d not visible: status %d", i, rec.Code)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -15,7 +16,10 @@ import (
 
 	"repro/internal/amr"
 	"repro/internal/archive"
+	"repro/internal/codec"
+	"repro/internal/grid"
 	"repro/internal/remote"
+	"repro/internal/sim"
 )
 
 // rawServer exposes blob with standard Range/ETag handling, as any
@@ -107,6 +111,114 @@ func TestRemoteAutoSegmentTuning(t *testing.T) {
 	}
 }
 
+// countingReaderAt counts the bytes a local reader pulls from its source.
+type countingReaderAt struct {
+	r    io.ReaderAt
+	read atomic.Int64
+}
+
+func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	n, err := c.r.ReadAt(p, off)
+	c.read.Add(int64(n))
+	return n, err
+}
+
+// TestRemoteFetchFraction pins the random-access claim on both read
+// paths: one level of one snapshot, or an octant of its finest level,
+// moves at most a tenth of the archive — off a local source, and over
+// HTTP ranges once the segments are tuned to the frame span (a segment
+// four frames wide pulls twice that). Each remote read starts from a cold
+// mount, so no read's fetches pay for another's. A second full extract
+// on one mount must come out of the segment cache, and fills never
+// outnumber misses.
+func TestRemoteFetchFraction(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := archive.NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"Run1_Z10", "Run1_Z5"} {
+		spec, err := sim.SpecByName(name, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds, err := sim.Generate(spec, sim.BaryonDensity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.AddDataset(ds, codec.Config{ErrorBound: 1e9, Workers: -1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	blob := buf.Bytes()
+	ts := rawServer(t, blob)
+
+	mount := func() (*archive.Reader, *remote.Reader) {
+		t.Helper()
+		rr, err := remote.Open(ts.URL, remote.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { rr.Close() })
+		r, err := archive.Open(rr, rr.Size())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tuneRemote(r, rr, remote.Config{})
+		return r, rr
+	}
+	cr := &countingReaderAt{r: bytes.NewReader(blob)}
+	local, err := archive.Open(cr, int64(len(blob)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fd := local.Members()[0].Levels[0].Dims
+	octant := grid.Region{X1: fd.X / 2, Y1: fd.Y / 2, Z1: fd.Z / 2}
+
+	reads := []struct {
+		what string
+		read func(r *archive.Reader) error
+	}{
+		{"level 1 of member 1", func(r *archive.Reader) error { _, err := r.ExtractLevel(1, 1); return err }},
+		{"octant of member 0", func(r *archive.Reader) error { _, err := r.ExtractRegion(0, octant); return err }},
+	}
+	for _, rd := range reads {
+		check := func(path string, moved int64) {
+			t.Helper()
+			frac := float64(moved) / float64(len(blob))
+			t.Logf("%s, %s: %d of %d bytes (%.1f%%)", rd.what, path, moved, len(blob), 100*frac)
+			if moved == 0 || frac > 0.10 {
+				t.Errorf("%s, %s: moved %.1f%% of the archive, want 0 < share <= 10%%", rd.what, path, 100*frac)
+			}
+		}
+		before := cr.read.Load()
+		if err := rd.read(local); err != nil {
+			t.Fatal(err)
+		}
+		check("local", cr.read.Load()-before)
+
+		r, rr := mount()
+		fetched := rr.Stats().BytesFetched
+		if err := rd.read(r); err != nil {
+			t.Fatal(err)
+		}
+		check("remote", rr.Stats().BytesFetched-fetched)
+	}
+
+	r, rr := mount()
+	for pass := 0; pass < 2; pass++ {
+		if _, err := r.Extract(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := rr.Stats(); st.Hits == 0 || st.Fills > st.Misses {
+		t.Errorf("warm re-extract: %+v, want hits > 0 and fills <= misses", st)
+	}
+}
+
 // TestRemoteFaultsRetryNotQuarantine injects transient connection drops
 // into the range origin and asserts the serving tier's existing retry
 // machinery absorbs them: reads succeed, retries are counted, and no
@@ -190,7 +302,7 @@ func TestRemoteFaultsRetryNotQuarantine(t *testing.T) {
 // TestRemoteMountOnRawEndpoint stacks one serving tier on another: a
 // second Server opens the first Server's /v1/a/{name}/raw endpoint as
 // its primary, and both must serve identical bytes. Also checks the
-// derived name (".../a/test/raw" mounts as "test").
+// derived name (".../v1/a/test/raw" mounts as "test").
 func TestRemoteMountOnRawEndpoint(t *testing.T) {
 	blob := testArchiveBytes(t, 4)
 	origin, _ := newTestServer(t, blob, Config{})
@@ -270,8 +382,9 @@ func TestRemoteReplicaFailover(t *testing.T) {
 }
 
 // TestV1RoutesAndEnvelope exercises the versioned surface: every
-// endpoint must answer under /v1/, and errors must carry the JSON
-// envelope with stable codes on both route sets.
+// endpoint answers under /v1/ and nowhere else — the liveness probe alone
+// keeps its root path — and errors carry the JSON envelope with a stable
+// code and no pre-v1 mirror fields.
 func TestV1RoutesAndEnvelope(t *testing.T) {
 	blob := testArchiveBytes(t, 4)
 	s, _ := newTestServer(t, blob, Config{})
@@ -285,44 +398,37 @@ func TestV1RoutesAndEnvelope(t *testing.T) {
 		}
 	}
 	for _, path := range []string{
-		"/stats", "/v1/stats",
-		"/archives", "/v1/archives",
-		"/a/test", "/v1/a/test",
-		"/a/test/snap/0", "/v1/a/test/snap/0",
+		"/stats", "/archives", "/a/test", "/a/test/raw", "/a/test/snap/0",
+		"/a/test/snap/0/amr", "/a/test/snap/0/level/0",
 	} {
-		if rec := get(t, h, path); rec.Code != 200 {
-			t.Fatalf("%s = %d", path, rec.Code)
+		if rec := get(t, h, "/v1"+path); rec.Code != 200 {
+			t.Fatalf("/v1%s = %d", path, rec.Code)
+		}
+		if rec := get(t, h, path); rec.Code != 404 {
+			t.Fatalf("unprefixed %s = %d, want 404", path, rec.Code)
 		}
 	}
-	// Binary surfaces must be byte-identical across route sets.
-	legacy := get(t, h, "/a/test/snap/0/amr")
-	v1 := get(t, h, "/v1/a/test/snap/0/amr")
-	if legacy.Code != 200 || v1.Code != 200 || !bytes.Equal(legacy.Body.Bytes(), v1.Body.Bytes()) {
-		t.Fatalf("amr differs across route sets: %d vs %d", legacy.Code, v1.Code)
+	for _, path := range []string{"/a/test/ingest", "/a/test/repair"} {
+		if rec := post(t, h, path, nil); rec.Code != 404 {
+			t.Fatalf("unprefixed POST %s = %d, want 404", path, rec.Code)
+		}
 	}
 
-	// Error envelope, both route sets.
-	for _, path := range []string{"/a/nope", "/v1/a/nope"} {
-		rec := get(t, h, path)
-		if rec.Code != 404 {
-			t.Fatalf("%s = %d, want 404", path, rec.Code)
-		}
-		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
-			t.Fatalf("%s content-type %q", path, ct)
-		}
-		var env struct {
-			Code    string `json:"code"`
-			Message string `json:"message"`
-			Error   string `json:"error"`
-		}
-		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
-			t.Fatalf("%s body %q: %v", path, rec.Body.String(), err)
-		}
-		if env.Code != "not_found" || env.Message == "" || env.Error != env.Message {
-			t.Fatalf("%s envelope %+v", path, env)
-		}
+	rec := get(t, h, "/v1/a/nope")
+	if rec.Code != 404 {
+		t.Fatalf("/v1/a/nope = %d, want 404", rec.Code)
 	}
-	rec := get(t, h, "/v1/a/test/snap/99")
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("envelope content-type %q", ct)
+	}
+	var fields map[string]any
+	if err := json.Unmarshal(rec.Body.Bytes(), &fields); err != nil {
+		t.Fatalf("envelope body %q: %v", rec.Body.String(), err)
+	}
+	if fields["code"] != "not_found" || fields["message"] == "" || len(fields) != 2 {
+		t.Fatalf("envelope %v, want exactly code and message", fields)
+	}
+	rec = get(t, h, "/v1/a/test/snap/99")
 	var env errorBody
 	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || rec.Code != 404 || env.Code != "not_found" {
 		t.Fatalf("bad-snapshot envelope: %d %q (%v)", rec.Code, rec.Body.String(), err)
@@ -345,7 +451,7 @@ func TestRawEndpointRangeSemantics(t *testing.T) {
 	if etag == "" || strings.HasPrefix(etag, "W/") {
 		t.Fatalf("raw ETag %q is not strong", etag)
 	}
-	part := get(t, h, "/a/test/raw", "Range", "bytes=8-23")
+	part := get(t, h, "/v1/a/test/raw", "Range", "bytes=8-23")
 	if part.Code != http.StatusPartialContent || !bytes.Equal(part.Body.Bytes(), blob[8:24]) {
 		t.Fatalf("raw range read: %d, %q", part.Code, part.Body.Bytes())
 	}
@@ -359,12 +465,12 @@ func TestSpecNameDerivation(t *testing.T) {
 	cases := []struct{ spec, want string }{
 		{"runs/alpha.taca", "alpha"},
 		{"mine=runs/alpha.taca", "mine"},
-		{"http://h:1234/a/origin/raw", "origin"},
+		{"http://h:1234/v1/a/origin/raw", "origin"},
 		{"https://h/files/camp.taca", "camp"},
-		{"edge=http://h/a/origin/raw", "edge"},
+		{"edge=http://h/v1/a/origin/raw", "edge"},
 		// A query string contains '=' but must not be mis-split as a
 		// name=primary form.
-		{"http://h/a/origin/raw?x=1", "origin"},
+		{"http://h/v1/a/origin/raw?x=1", "origin"},
 	}
 	for _, c := range cases {
 		if got := SpecName(c.spec); got != c.want {

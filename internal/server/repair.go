@@ -82,7 +82,7 @@ func (s *Server) tryAutoRepair(sa *servedArchive, mi int) {
 	_, _, _ = s.repairMember(sa, sa.view(), mi)
 }
 
-// handleRepair is POST /a/{name}/repair: with ?member=i it repairs that
+// handleRepair is POST /v1/a/{name}/repair: with ?member=i it repairs that
 // member; without, it repairs every currently quarantined member (via
 // the damaged roots of their reference chains). The response reports the
 // splice stats and which members returned to service; a repair that

@@ -41,7 +41,7 @@ func replicaServer(t *testing.T, blob []byte, cfg Config) (*Server, string, stri
 	}
 	s := New(cfg)
 	t.Cleanup(func() { s.Close() })
-	name, err := s.AddFileReplicas("test="+primary, []string{rep})
+	name, err := s.Add("test", ArchiveSpec{Primary: primary, Replicas: []string{rep}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestRepairAutoHealsOnQuarantine(t *testing.T) {
 	// quarantine, whose synchronous auto-repair heals the member before
 	// the response is on the wire.
 	for strike := 1; strike <= 2; strike++ {
-		if rec := get(t, h, "/a/test/snap/0/level/0"); rec.Code != http.StatusInternalServerError {
+		if rec := get(t, h, "/v1/a/test/snap/0/level/0"); rec.Code != http.StatusInternalServerError {
 			t.Fatalf("strike %d: status %d: %s", strike, rec.Code, rec.Body.String())
 		}
 	}
@@ -106,7 +106,7 @@ func TestRepairAutoHealsOnQuarantine(t *testing.T) {
 	// Every level of every member now serves clean, byte-identical.
 	for mi := 0; mi < 2; mi++ {
 		for li := 0; li < 2; li++ {
-			rec := get(t, h, fmt.Sprintf("/a/test/snap/%d/level/%d", mi, li))
+			rec := get(t, h, fmt.Sprintf("/v1/a/test/snap/%d/level/%d", mi, li))
 			if rec.Code != http.StatusOK {
 				t.Fatalf("member %d level %d after auto-repair: status %d: %s", mi, li, rec.Code, rec.Body.String())
 			}
@@ -141,7 +141,7 @@ func TestRepairAutoHealsOnQuarantine(t *testing.T) {
 // TestRepairEndpointHealsAfterReplicaFixed exercises the operator loop
 // when auto-repair cannot help: the replica is rotten at the same frame,
 // so the quarantine stands (502) — until the replica is restored and
-// POST /a/{name}/repair heals the member in place.
+// POST /v1/a/{name}/repair heals the member in place.
 func TestRepairEndpointHealsAfterReplicaFixed(t *testing.T) {
 	blob := chaosArchiveBytes(t)
 	off := damageOffset(t, blob, 0, 0, 0)
@@ -151,7 +151,7 @@ func TestRepairEndpointHealsAfterReplicaFixed(t *testing.T) {
 	h := s.Handler()
 
 	for strike := 1; strike <= 2; strike++ {
-		if rec := get(t, h, "/a/test/snap/0/level/0"); rec.Code != http.StatusInternalServerError {
+		if rec := get(t, h, "/v1/a/test/snap/0/level/0"); rec.Code != http.StatusInternalServerError {
 			t.Fatalf("strike %d: status %d: %s", strike, rec.Code, rec.Body.String())
 		}
 	}
@@ -161,19 +161,19 @@ func TestRepairEndpointHealsAfterReplicaFixed(t *testing.T) {
 	if hs.RepairsAttempted < 1 || hs.RepairsSucceeded != 0 {
 		t.Fatalf("counters after failed auto-repair: %+v", hs)
 	}
-	if rec := get(t, h, "/a/test/snap/0/level/0"); rec.Code != http.StatusBadGateway {
+	if rec := get(t, h, "/v1/a/test/snap/0/level/0"); rec.Code != http.StatusBadGateway {
 		t.Fatalf("unrepairable member: status %d, want 502", rec.Code)
 	}
 	// Manual repair against the still-damaged replica fails the same way,
 	// and must not splice the bad bytes into the primary.
-	if rec := post(t, h, "/a/test/repair", nil); rec.Code != http.StatusBadGateway {
+	if rec := post(t, h, "/v1/a/test/repair", nil); rec.Code != http.StatusBadGateway {
 		t.Fatalf("repair from damaged replica: status %d, want 502: %s", rec.Code, rec.Body.String())
 	}
 
 	// The operator restores the replica (rsync, snapshot, …) and POSTs
 	// the repair: member healed, quarantine lifted, no restart.
 	flipAt(t, rep, off, 0x08)
-	rec := post(t, h, "/a/test/repair", nil)
+	rec := post(t, h, "/v1/a/test/repair", nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("repair: status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -188,7 +188,7 @@ func TestRepairEndpointHealsAfterReplicaFixed(t *testing.T) {
 		t.Fatalf("unquarantined %v, want [0]", rb.Unquarantined)
 	}
 
-	if rec := get(t, h, "/a/test/snap/0/level/0"); rec.Code != http.StatusOK {
+	if rec := get(t, h, "/v1/a/test/snap/0/level/0"); rec.Code != http.StatusOK {
 		t.Fatalf("after manual repair: status %d: %s", rec.Code, rec.Body.String())
 	} else if want := cleanLevelBody(t, blob, 0, 0); !bytes.Equal(rec.Body.Bytes(), want) {
 		t.Fatal("repaired member differs from a clean extraction")
@@ -200,7 +200,7 @@ func TestRepairEndpointHealsAfterReplicaFixed(t *testing.T) {
 		t.Fatalf("quarantine not lifted: %+v", hs)
 	}
 	// Repairing the now-clean archive again is a harmless no-op.
-	rec = post(t, h, "/a/test/repair", nil)
+	rec = post(t, h, "/v1/a/test/repair", nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("idempotent repair: status %d", rec.Code)
 	}
@@ -226,7 +226,7 @@ func TestFailoverServesThroughTruncatedPrimary(t *testing.T) {
 	}
 	for mi := 0; mi < 2; mi++ {
 		for li := 0; li < 2; li++ {
-			rec := get(t, h, fmt.Sprintf("/a/test/snap/%d/level/%d", mi, li))
+			rec := get(t, h, fmt.Sprintf("/v1/a/test/snap/%d/level/%d", mi, li))
 			if rec.Code != http.StatusOK {
 				t.Fatalf("member %d level %d through truncated primary: status %d: %s", mi, li, rec.Code, rec.Body.String())
 			}
@@ -247,22 +247,22 @@ func TestRepairEndpointErrors(t *testing.T) {
 	blob := chaosArchiveBytes(t)
 	s, _, _ := flakyServer(t, blob, Config{Workers: 1})
 	h := s.Handler()
-	if rec := post(t, h, "/a/test/repair", nil); rec.Code != http.StatusConflict {
+	if rec := post(t, h, "/v1/a/test/repair", nil); rec.Code != http.StatusConflict {
 		t.Fatalf("repair without replicas: status %d, want 409: %s", rec.Code, rec.Body.String())
 	}
-	if rec := post(t, h, "/a/nope/repair", nil); rec.Code != http.StatusNotFound {
+	if rec := post(t, h, "/v1/a/nope/repair", nil); rec.Code != http.StatusNotFound {
 		t.Fatalf("unknown archive: status %d, want 404", rec.Code)
 	}
 
 	sr, _, _ := replicaServer(t, blob, Config{Workers: 1})
 	hr := sr.Handler()
-	if rec := post(t, hr, "/a/test/repair?member=wat", nil); rec.Code != http.StatusBadRequest {
+	if rec := post(t, hr, "/v1/a/test/repair?member=wat", nil); rec.Code != http.StatusBadRequest {
 		t.Fatalf("garbage member: status %d, want 400", rec.Code)
 	}
-	if rec := post(t, hr, "/a/test/repair?member=99", nil); rec.Code != http.StatusNotFound {
+	if rec := post(t, hr, "/v1/a/test/repair?member=99", nil); rec.Code != http.StatusNotFound {
 		t.Fatalf("member out of range: status %d, want 404", rec.Code)
 	}
-	rec := post(t, hr, "/a/test/repair?member=0", nil)
+	rec := post(t, hr, "/v1/a/test/repair?member=0", nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("repair of a clean member: status %d: %s", rec.Code, rec.Body.String())
 	}

@@ -54,7 +54,7 @@ func flakyServer(t testing.TB, blob []byte, cfg Config) (*Server, *faultio.Reade
 	return s, fr, sr
 }
 
-// cleanLevelBody is the expected payload of /a/test/snap/{mi}/level/{li},
+// cleanLevelBody is the expected payload of /v1/a/test/snap/{mi}/level/{li},
 // extracted from a pristine reader so no serving-path state is involved.
 func cleanLevelBody(t testing.TB, blob []byte, mi, li int) []byte {
 	t.Helper()
@@ -78,7 +78,7 @@ func TestRetryFlakyThenHeal(t *testing.T) {
 	blob := testArchiveBytes(t, 4)
 	s, fr, sr := flakyServer(t, blob, Config{Workers: 1, RetryBackoff: 4 * time.Millisecond})
 	fr.SetPlan(faultio.FailFirst(2, errFlaky))
-	rec := get(t, s.Handler(), "/a/test/snap/0/level/0")
+	rec := get(t, s.Handler(), "/v1/a/test/snap/0/level/0")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("request through flaky-then-heal storage: status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -124,7 +124,7 @@ func TestRetryExhaustionStaysTransient(t *testing.T) {
 	blob := testArchiveBytes(t, 4)
 	s, fr, sr := flakyServer(t, blob, Config{Workers: 1, RetryBackoff: time.Millisecond})
 	fr.SetPlan(faultio.FailFirst(1<<30, errFlaky))
-	rec := get(t, s.Handler(), "/a/test/snap/0/level/0")
+	rec := get(t, s.Handler(), "/v1/a/test/snap/0/level/0")
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("unhealed storage: status %d, want 500: %s", rec.Code, rec.Body.String())
 	}
@@ -135,7 +135,7 @@ func TestRetryExhaustionStaysTransient(t *testing.T) {
 		t.Fatalf("transient exhaustion must not quarantine: %+v", hs)
 	}
 	fr.SetPlan(nil) // storage healed
-	rec = get(t, s.Handler(), "/a/test/snap/0/level/0")
+	rec = get(t, s.Handler(), "/v1/a/test/snap/0/level/0")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("after storage healed: status %d", rec.Code)
 	}
@@ -150,13 +150,13 @@ func TestRetryDisabled(t *testing.T) {
 	blob := testArchiveBytes(t, 4)
 	s, fr, sr := flakyServer(t, blob, Config{Workers: 1, RetryAttempts: -1})
 	fr.SetPlan(faultio.FailFirst(1, errFlaky))
-	if rec := get(t, s.Handler(), "/a/test/snap/0/level/0"); rec.Code != http.StatusInternalServerError {
+	if rec := get(t, s.Handler(), "/v1/a/test/snap/0/level/0"); rec.Code != http.StatusInternalServerError {
 		t.Fatalf("status %d, want 500", rec.Code)
 	}
 	if got := sr.all(); len(got) != 0 {
 		t.Fatalf("retries disabled but slept %v", got)
 	}
-	if rec := get(t, s.Handler(), "/a/test/snap/0/level/0"); rec.Code != http.StatusOK {
+	if rec := get(t, s.Handler(), "/v1/a/test/snap/0/level/0"); rec.Code != http.StatusOK {
 		t.Fatalf("after the single fault: status %d", rec.Code)
 	}
 }
@@ -177,7 +177,7 @@ func TestRetryDecodesNeverExceedMisses(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			url := fmt.Sprintf("/a/test/snap/%d/level/%d", i%2, i%2)
+			url := fmt.Sprintf("/v1/a/test/snap/%d/level/%d", i%2, i%2)
 			codes[i] = get(t, h, url).Code
 		}(i)
 	}
@@ -188,7 +188,7 @@ func TestRetryDecodesNeverExceedMisses(t *testing.T) {
 	}
 	// The plan healed after 8 faults, so a final pass must serve clean.
 	for mi := 0; mi < 2; mi++ {
-		rec := get(t, h, fmt.Sprintf("/a/test/snap/%d/level/%d", mi, mi))
+		rec := get(t, h, fmt.Sprintf("/v1/a/test/snap/%d/level/%d", mi, mi))
 		if rec.Code != http.StatusOK {
 			t.Fatalf("post-storm request for member %d: status %d", mi, rec.Code)
 		}

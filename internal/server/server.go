@@ -167,7 +167,7 @@ type servedArchive struct {
 	ing    *ingester     // non-nil iff the archive accepts POST ingest
 	health archiveHealth // per-member quarantine state machine
 
-	// Self-healing hooks, set by AddFileReplicas: the local file path
+	// Self-healing hooks, set by Add for a spec with Replicas: the local file path
 	// (splice target for in-place member repair) and the replicas-only
 	// failover reader repairs fetch healthy frames from. Both nil/empty
 	// for archives registered without replicas — repair then answers
@@ -265,12 +265,11 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // ArchiveSpec describes one archive to register: where its bytes live
 // (a local path or an http(s):// URL), which replica copies back it, and
 // whether it accepts live ingest. Server.Add is the single registration
-// entry point; AddFile / AddFileReplicas / AddAppendFile are deprecated
-// wrappers over it.
+// entry point.
 type ArchiveSpec struct {
 	// Primary is the archive's byte source: a local file path, or an
 	// http(s):// URL of any range-capable server (another tacd's
-	// /a/{name}/raw endpoint, nginx, an S3-style store).
+	// /v1/a/{name}/raw endpoint, nginx, an S3-style store).
 	Primary string
 	// Replicas are additional byte-identical copies (paths or URLs):
 	// reads fail over to them when the primary errors, and they are the
@@ -432,7 +431,7 @@ func tuneRemote(r *archive.Reader, src replica.Source, rcfg remote.Config) {
 // deriveName is the serving name derived from a primary source: the
 // base name minus extension for paths; for URLs, the last path element
 // (with a trailing /raw resolving to its parent, so mounting another
-// tacd's /a/{name}/raw endpoint inherits that name).
+// tacd's /v1/a/{name}/raw endpoint inherits that name).
 func deriveName(primary string) string {
 	if remote.IsURL(primary) {
 		p := primary
@@ -454,20 +453,16 @@ func deriveName(primary string) string {
 // deriveName). cmd/tacd uses it to bind -replica flags by name before
 // anything is opened.
 func SpecName(spec string) string {
-	name, _ := splitSpec(spec)
+	name, _ := SplitSpec(spec)
 	return name
 }
 
 // SplitSpec splits a CLI archive spec into its serving name and primary
-// source (path or URL), per the SpecName rules.
+// source (path or URL). The name=primary form only applies when the part
+// before '=' looks like a name (no '/' or ':'), so bare URLs with query
+// strings are not mis-split; otherwise the name is derived (see
+// deriveName).
 func SplitSpec(spec string) (name, primary string) {
-	return splitSpec(spec)
-}
-
-// splitSpec splits a CLI spec into (name, primary). The name=primary
-// form only applies when the part before '=' looks like a name (no '/'
-// or ':'), so bare URLs with query strings are not mis-split.
-func splitSpec(spec string) (name, primary string) {
 	if n, p, ok := strings.Cut(spec, "="); ok && !strings.ContainsAny(n, "/:") {
 		return n, p
 	}
@@ -504,26 +499,6 @@ func (s *Server) addArchive(sa *servedArchive, r *archive.Reader) error {
 		go ing.run()
 	}
 	return nil
-}
-
-// AddFile opens a .taca file (or URL) and registers it under its
-// derived name (override by passing spec as "name=path").
-//
-// Deprecated: use Add with an ArchiveSpec.
-func (s *Server) AddFile(spec string) (string, error) {
-	name, primary := splitSpec(spec)
-	return s.Add(name, ArchiveSpec{Primary: primary})
-}
-
-// AddFileReplicas is AddFile with replica copies attached: reads fail
-// over to them when the primary errors, and a quarantined member is
-// automatically re-fetched, digest-verified, and spliced back into the
-// primary.
-//
-// Deprecated: use Add with an ArchiveSpec.
-func (s *Server) AddFileReplicas(spec string, replicaPaths []string) (string, error) {
-	name, primary := splitSpec(spec)
-	return s.Add(name, ArchiveSpec{Primary: primary, Replicas: replicaPaths})
 }
 
 // Close drains every ingester (queued snapshots finish compressing and

@@ -114,7 +114,7 @@ func TestServedLevelByteIdentity(t *testing.T) {
 	h := s.Handler()
 	for mi := range r.Members() {
 		for li := range r.Members()[mi].Levels {
-			rec := get(t, h, fmt.Sprintf("/a/test/snap/%d/level/%d", mi, li))
+			rec := get(t, h, fmt.Sprintf("/v1/a/test/snap/%d/level/%d", mi, li))
 			if rec.Code != http.StatusOK {
 				t.Fatalf("member %d level %d: status %d: %s", mi, li, rec.Code, rec.Body.String())
 			}
@@ -135,7 +135,7 @@ func TestServedLevelByteIdentity(t *testing.T) {
 	}
 	// A second pass over an already-served level must be all hits.
 	st0 := s.Cache().Stats()
-	if rec := get(t, h, "/a/test/snap/0/level/0"); rec.Code != http.StatusOK {
+	if rec := get(t, h, "/v1/a/test/snap/0/level/0"); rec.Code != http.StatusOK {
 		t.Fatalf("repeat request failed: %d", rec.Code)
 	}
 	st1 := s.Cache().Stats()
@@ -167,7 +167,7 @@ func TestServedRegionByteIdentity(t *testing.T) {
 				if clipped.Empty() {
 					continue
 				}
-				url := fmt.Sprintf("/a/test/snap/%d/level/%d?roi=%d:%d,%d:%d,%d:%d",
+				url := fmt.Sprintf("/v1/a/test/snap/%d/level/%d?roi=%d:%d,%d:%d,%d:%d",
 					mi, li, roi.X0, roi.X1, roi.Y0, roi.Y1, roi.Z0, roi.Z1)
 				rec := get(t, h, url)
 				if rec.Code != http.StatusOK {
@@ -194,7 +194,7 @@ func TestServedRegionByteIdentity(t *testing.T) {
 func TestServedDatasetByteIdentity(t *testing.T) {
 	blob := testArchiveBytes(t, 6)
 	s, r := newTestServer(t, blob, Config{})
-	rec := get(t, s.Handler(), "/a/test/snap/1/amr")
+	rec := get(t, s.Handler(), "/v1/a/test/snap/1/amr")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -263,14 +263,14 @@ func TestConcurrentMixedPaths(t *testing.T) {
 	s, _ := newTestServer(t, blob, Config{CacheBytes: 1 << 20, CacheShards: 4})
 	h := s.Handler()
 	paths := []string{
-		"/archives",
-		"/a/test",
-		"/a/test/snap/0",
-		"/a/test/snap/0/level/0",
-		"/a/test/snap/0/level/1",
-		"/a/test/snap/1/level/0?roi=0:16,0:16,0:16",
-		"/a/test/snap/1/amr",
-		"/stats",
+		"/v1/archives",
+		"/v1/a/test",
+		"/v1/a/test/snap/0",
+		"/v1/a/test/snap/0/level/0",
+		"/v1/a/test/snap/0/level/1",
+		"/v1/a/test/snap/1/level/0?roi=0:16,0:16,0:16",
+		"/v1/a/test/snap/1/amr",
+		"/v1/stats",
 		"/healthz",
 	}
 	// First pass serially to learn the expected sizes.
@@ -297,7 +297,7 @@ func TestConcurrentMixedPaths(t *testing.T) {
 				}
 				// /stats and /archives bodies change as counters move;
 				// extraction payloads must not.
-				if p != "/stats" && rec.Body.Len() != wantLen[p] {
+				if p != "/v1/stats" && rec.Body.Len() != wantLen[p] {
 					errCh <- fmt.Errorf("%s: body %d bytes, want %d", p, rec.Body.Len(), wantLen[p])
 				}
 			}(p)
@@ -316,8 +316,8 @@ func TestGzipEncoding(t *testing.T) {
 	blob := testArchiveBytes(t, 4)
 	s, _ := newTestServer(t, blob, Config{})
 	h := s.Handler()
-	plain := get(t, h, "/a/test/snap/0/level/1")
-	zipped := get(t, h, "/a/test/snap/0/level/1", "Accept-Encoding", "gzip")
+	plain := get(t, h, "/v1/a/test/snap/0/level/1")
+	zipped := get(t, h, "/v1/a/test/snap/0/level/1", "Accept-Encoding", "gzip")
 	if enc := zipped.Header().Get("Content-Encoding"); enc != "gzip" {
 		t.Fatalf("Content-Encoding %q, want gzip", enc)
 	}
@@ -333,7 +333,7 @@ func TestGzipEncoding(t *testing.T) {
 		t.Fatalf("gzip payload decodes to %d bytes, identity is %d", len(unzipped), plain.Body.Len())
 	}
 	// A client that explicitly refuses gzip must get the identity body.
-	refused := get(t, h, "/a/test/snap/0/level/1", "Accept-Encoding", "gzip;q=0, identity")
+	refused := get(t, h, "/v1/a/test/snap/0/level/1", "Accept-Encoding", "gzip;q=0, identity")
 	if enc := refused.Header().Get("Content-Encoding"); enc != "" {
 		t.Fatalf("Content-Encoding %q for a client that refused gzip", enc)
 	}
@@ -343,7 +343,7 @@ func TestGzipEncoding(t *testing.T) {
 	// All three binary routes are negotiated on Accept-Encoding and must
 	// say so on both outcomes, or a shared cache may hand the gzip body to
 	// a client that refused it.
-	for _, path := range []string{"/a/test/snap/0/level/1", "/a/test/snap/0/level/0?roi=0:8,0:8,0:8", "/a/test/snap/0/amr"} {
+	for _, path := range []string{"/v1/a/test/snap/0/level/1", "/v1/a/test/snap/0/level/0?roi=0:8,0:8,0:8", "/v1/a/test/snap/0/amr"} {
 		for _, accept := range []string{"", "gzip", "gzip;q=0, identity"} {
 			rec := get(t, h, path, "Accept-Encoding", accept)
 			if v := rec.Header().Get("Vary"); rec.Code != http.StatusOK || v != "Accept-Encoding" {
@@ -365,13 +365,13 @@ func TestHTTPErrors(t *testing.T) {
 		url  string
 		code int
 	}{
-		{"/a/nope", http.StatusNotFound},
-		{"/a/nope/snap/0/level/0", http.StatusNotFound},
-		{"/a/test/snap/99", http.StatusNotFound},
-		{"/a/test/snap/0/level/9", http.StatusNotFound},
-		{"/a/test/snap/x/level/0", http.StatusBadRequest},                    // non-numeric snap
-		{"/a/test/snap/0/level/0?roi=bogus", http.StatusBadRequest},          // malformed roi
-		{"/a/test/snap/0/level/0?roi=99:100,0:1,0:1", http.StatusBadRequest}, // outside extent
+		{"/v1/a/nope", http.StatusNotFound},
+		{"/v1/a/nope/snap/0/level/0", http.StatusNotFound},
+		{"/v1/a/test/snap/99", http.StatusNotFound},
+		{"/v1/a/test/snap/0/level/9", http.StatusNotFound},
+		{"/v1/a/test/snap/x/level/0", http.StatusBadRequest},                    // non-numeric snap
+		{"/v1/a/test/snap/0/level/0?roi=bogus", http.StatusBadRequest},          // malformed roi
+		{"/v1/a/test/snap/0/level/0?roi=99:100,0:1,0:1", http.StatusBadRequest}, // outside extent
 	}
 	for _, c := range cases {
 		rec := get(t, h, c.url)
@@ -387,7 +387,7 @@ func TestHTTPErrors(t *testing.T) {
 func TestCloseThenReaddServesFreshData(t *testing.T) {
 	s, _ := newTestServer(t, testArchiveBytes(t, 4), Config{})
 	h := s.Handler()
-	old := get(t, h, "/a/test/snap/0/level/0")
+	old := get(t, h, "/v1/a/test/snap/0/level/0")
 	if old.Code != http.StatusOK {
 		t.Fatalf("status %d", old.Code)
 	}
@@ -402,7 +402,7 @@ func TestCloseThenReaddServesFreshData(t *testing.T) {
 	if err := s.AddReader("test", r2, nil); err != nil {
 		t.Fatal(err)
 	}
-	fresh := get(t, h, "/a/test/snap/0/level/0")
+	fresh := get(t, h, "/v1/a/test/snap/0/level/0")
 	if fresh.Code != http.StatusOK {
 		t.Fatalf("status %d after re-add", fresh.Code)
 	}
@@ -427,11 +427,11 @@ func TestStatsEndpoint(t *testing.T) {
 	s, _ := newTestServer(t, blob, Config{})
 	h := s.Handler()
 	for i := 0; i < 3; i++ {
-		if rec := get(t, h, "/a/test/snap/0/level/0"); rec.Code != http.StatusOK {
+		if rec := get(t, h, "/v1/a/test/snap/0/level/0"); rec.Code != http.StatusOK {
 			t.Fatalf("level request failed: %d", rec.Code)
 		}
 	}
-	rec := get(t, h, "/stats")
+	rec := get(t, h, "/v1/stats")
 	var out struct {
 		Archives []string   `json:"archives"`
 		Cache    CacheStats `json:"cache"`

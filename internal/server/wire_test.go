@@ -199,7 +199,7 @@ func TestWireFrontsOwnTheirGrids(t *testing.T) {
 		t.Fatal("two LevelContext results share storage")
 	}
 	for i := 0; i < 8; i++ {
-		get(t, s.Handler(), "/a/test/snap/1/level/0")
+		get(t, s.Handler(), "/v1/a/test/snap/1/level/0")
 	}
 	if !bytes.Equal(leBytes(a.Data), leBytes(want.Grid.Data)) || !bytes.Equal(leBytes(b.Data), leBytes(want.Grid.Data)) {
 		t.Fatal("a grid returned by LevelContext changed under later requests")
@@ -301,9 +301,9 @@ func TestWireDirtyPool(t *testing.T) {
 	if err := sparse.Write(&stream); err != nil {
 		t.Fatal(err)
 	}
-	shots = append(shots, shot{"/a/test/snap/0/amr", stream.Bytes()})
+	shots = append(shots, shot{"/v1/a/test/snap/0/amr", stream.Bytes()})
 	for li, l := range sparse.Levels {
-		shots = append(shots, shot{fmt.Sprintf("/a/test/snap/0/level/%d", li), leBytes(l.Grid.Data)})
+		shots = append(shots, shot{fmt.Sprintf("/v1/a/test/snap/0/level/%d", li), leBytes(l.Grid.Data)})
 	}
 	fine := sparse.Levels[0].Grid
 	for _, roi := range []grid.Region{
@@ -313,7 +313,7 @@ func TestWireDirtyPool(t *testing.T) {
 		{X0: 0, X1: 16, Y0: 0, Y1: 16, Z0: 0, Z1: 16},    // fully covered: nothing cleared
 	} {
 		shots = append(shots, shot{
-			fmt.Sprintf("/a/test/snap/0/level/0?roi=%d:%d,%d:%d,%d:%d", roi.X0, roi.X1, roi.Y0, roi.Y1, roi.Z0, roi.Z1),
+			fmt.Sprintf("/v1/a/test/snap/0/level/0?roi=%d:%d,%d:%d,%d:%d", roi.X0, roi.X1, roi.Y0, roi.Y1, roi.Z0, roi.Z1),
 			leBytes(fine.Extract(roi.Intersect(fine.Dim)).Data),
 		})
 	}
@@ -327,7 +327,7 @@ func TestWireDirtyPool(t *testing.T) {
 		t.Fatalf("sparse level has only %d uncovered cells; the test would prove little", zeros)
 	}
 	for round := 0; round < 100; round++ {
-		if rec := get(t, h, "/a/test/snap/1/level/0"); rec.Code != http.StatusOK {
+		if rec := get(t, h, "/v1/a/test/snap/1/level/0"); rec.Code != http.StatusOK {
 			t.Fatalf("dense level: status %d", rec.Code)
 		}
 		poisonWire(len(fine.Data))
@@ -429,7 +429,7 @@ func TestWireCorruptFrameAMR(t *testing.T) {
 	m := &sa.reader().Members()[0]
 	li := len(m.Levels) - 1
 	fr.SetPlan(faultio.FlipByte(frameMidpoint(t, sa.reader(), 0, li, len(m.Levels[li].Batches)-1), 0x20))
-	for _, path := range []string{"/a/test/snap/0/amr", fmt.Sprintf("/a/test/snap/0/level/%d", li)} {
+	for _, path := range []string{"/v1/a/test/snap/0/amr", fmt.Sprintf("/v1/a/test/snap/0/level/%d", li)} {
 		for _, enc := range []string{"identity", "gzip"} {
 			rec := get(t, h, path, "Accept-Encoding", enc)
 			var env errorBody
@@ -457,7 +457,7 @@ func TestWireCorruptFrameAMR(t *testing.T) {
 	if err := ds.Write(&want); err != nil {
 		t.Fatal(err)
 	}
-	if rec := get(t, h, "/a/test/snap/1/amr"); rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want.Bytes()) {
+	if rec := get(t, h, "/v1/a/test/snap/1/amr"); rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want.Bytes()) {
 		t.Fatalf("healthy member: status %d, stream differs from a clean extraction", rec.Code)
 	}
 }

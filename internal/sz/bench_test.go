@@ -8,8 +8,8 @@ import (
 
 // Predictor-stage benchmarks: the Lorenzo prediction/quantization kernels
 // in isolation (no entropy or DEFLATE stage), the numbers the PR 4
-// boundary-peeled kernels are tracked by. cmd/benchall's `predict`
-// section measures the same stage on the real Run1_Z10 snapshot.
+// boundary-peeled kernels are tracked by. bench/ measures the same stage
+// on real snapshots as sz.predict_mb_s and sz.reconstruct_mb_s.
 
 func benchGrid(edge int) *grid.Grid3[float32] {
 	return smoothGrid(grid.Dims{X: edge, Y: edge, Z: edge})

@@ -16,7 +16,7 @@ import (
 
 // The pooled engine. Every one-shot Compress*/Decompress* call allocates
 // fresh code streams, reconstruction grids, Huffman tables and DEFLATE
-// coders; on repeated-snapshot campaigns (the archive writer, benchall,
+// coders; on repeated-snapshot campaigns (the archive writer, the paper exhibits,
 // services compressing a stream of members) that allocation dominates the
 // small-block hot path. Encoder and Decoder keep all of that scratch alive
 // across calls, and the process-wide DEFLATE coder pools are shared even by
