@@ -53,8 +53,9 @@ func OpenAppend(f *os.File) (*Writer, error) {
 		// A checksummed tail keeps its digests: new frames are digested as
 		// they stream out instead of being read back at Commit. A v4 tail
 		// likewise keeps its footer digest on every later commit.
-		Checksums: rd.sums,
-		FooterSum: rd.fsum,
+		Checksums: rd.Checksummed(),
+		FooterSum: rd.FooterChecksummed(),
+		footerVer: rd.ver,
 		// The committed tail doubles as the delta-reference source: if the
 		// appender enables Keyframe, the first member of each field primes
 		// its reference by decoding the field's newest committed member.

@@ -17,7 +17,7 @@
 //
 //	header    "TACA" magic + 1 version byte
 //	frames    raw sz block-batch payloads, back to back, in index order
-//	footer    varint-coded member index (see encodeFooter)
+//	footer    varint-coded member index (see appendMemberRecord)
 //	trailer   uint64 LE footer length + 8-byte end magic "TACAEND1"
 //
 // Each frame is an independently decodable sz.CompressBlocks stream over
@@ -272,78 +272,77 @@ func needV2(members []Member) bool {
 	return false
 }
 
-// encodeFooter serializes the member index at the given footer version.
+// appendMemberRecord appends the footer record of member mi at the given
+// footer version. A footer is the member count followed by one record per
+// member, and a record's bytes depend on nothing but the member and the
+// version — mi is only what a reference is checked against — so a footer
+// grows by appending records (Writer.footer).
 // The v2 layout interleaves the dependency links: per member a reference
 // index (+1, 0 = none) and generation after QuantBits, and per batch a
 // coding-mode flag varint after the batch records. The v3 layout is v2
 // plus, per batch, the frame's CRC32C digest varint after the mode flags
 // — all-or-nothing: every level of every member must carry digests.
-func encodeFooter(members []Member, ver int) ([]byte, error) {
+func appendMemberRecord(out []byte, mi int, m *Member, ver int) ([]byte, error) {
 	v2 := ver >= 2
 	sums := ver >= 3
-	var out []byte
-	out = bitio.AppendUvarint(out, uint64(len(members)))
-	for mi := range members {
-		m := &members[mi]
-		out = bitio.AppendBytes(out, []byte(m.Name))
-		out = bitio.AppendBytes(out, []byte(m.Field))
-		out = bitio.AppendUvarint(out, uint64(m.Ratio))
-		out = bitio.AppendUvarint(out, math.Float64bits(m.ErrorBound))
-		out = bitio.AppendUvarint(out, uint64(m.Mode))
-		out = bitio.AppendUvarint(out, uint64(m.QuantBits))
+	out = bitio.AppendBytes(out, []byte(m.Name))
+	out = bitio.AppendBytes(out, []byte(m.Field))
+	out = bitio.AppendUvarint(out, uint64(m.Ratio))
+	out = bitio.AppendUvarint(out, math.Float64bits(m.ErrorBound))
+	out = bitio.AppendUvarint(out, uint64(m.Mode))
+	out = bitio.AppendUvarint(out, uint64(m.QuantBits))
+	if v2 {
+		if m.Ref >= mi {
+			return nil, fmt.Errorf("archive: member %d references member %d (must point strictly backward)", mi, m.Ref)
+		}
+		out = bitio.AppendUvarint(out, uint64(m.Ref+1)) // −1 (intra) encodes as 0
+		out = bitio.AppendUvarint(out, uint64(m.Gen))
+	} else if m.Ref >= 0 {
+		return nil, fmt.Errorf("archive: member %d is delta-coded but footer is v1", mi)
+	}
+	out = bitio.AppendUvarint(out, uint64(len(m.LevelScales)))
+	for _, s := range m.LevelScales {
+		out = bitio.AppendUvarint(out, math.Float64bits(s))
+	}
+	out = bitio.AppendUvarint(out, uint64(len(m.Levels)))
+	for i := range m.Levels {
+		li := &m.Levels[i]
+		out = bitio.AppendUvarint(out, uint64(li.Dims.X))
+		out = bitio.AppendUvarint(out, uint64(li.Dims.Y))
+		out = bitio.AppendUvarint(out, uint64(li.Dims.Z))
+		out = bitio.AppendUvarint(out, uint64(li.UnitBlock))
+		comp, err := codec.EncodeMask(li.Mask)
+		if err != nil {
+			return nil, err
+		}
+		out = bitio.AppendBytes(out, comp)
+		out = bitio.AppendUvarint(out, uint64(li.BatchBlocks))
+		out = bitio.AppendUvarint(out, uint64(len(li.Batches)))
+		for _, b := range li.Batches {
+			out = bitio.AppendUvarint(out, uint64(b.Offset))
+			out = bitio.AppendUvarint(out, uint64(b.Length))
+		}
 		if v2 {
-			if m.Ref >= mi {
-				return nil, fmt.Errorf("archive: member %d references member %d (must point strictly backward)", mi, m.Ref)
+			if li.Delta != nil && len(li.Delta) != len(li.Batches) {
+				return nil, fmt.Errorf("archive: member %d level %d has %d delta flags for %d batches", mi, i, len(li.Delta), len(li.Batches))
 			}
-			out = bitio.AppendUvarint(out, uint64(m.Ref+1)) // −1 (intra) encodes as 0
-			out = bitio.AppendUvarint(out, uint64(m.Gen))
-		} else if m.Ref >= 0 {
-			return nil, fmt.Errorf("archive: member %d is delta-coded but footer is v1", mi)
+			for b := range li.Batches {
+				var flag uint64
+				if li.IsDelta(b) {
+					flag = 1
+				}
+				out = bitio.AppendUvarint(out, flag)
+			}
 		}
-		out = bitio.AppendUvarint(out, uint64(len(m.LevelScales)))
-		for _, s := range m.LevelScales {
-			out = bitio.AppendUvarint(out, math.Float64bits(s))
-		}
-		out = bitio.AppendUvarint(out, uint64(len(m.Levels)))
-		for i := range m.Levels {
-			li := &m.Levels[i]
-			out = bitio.AppendUvarint(out, uint64(li.Dims.X))
-			out = bitio.AppendUvarint(out, uint64(li.Dims.Y))
-			out = bitio.AppendUvarint(out, uint64(li.Dims.Z))
-			out = bitio.AppendUvarint(out, uint64(li.UnitBlock))
-			comp, err := codec.EncodeMask(li.Mask)
-			if err != nil {
-				return nil, err
+		if sums {
+			if len(li.Sums) != len(li.Batches) {
+				return nil, fmt.Errorf("archive: member %d level %d has %d checksums for %d batches", mi, i, len(li.Sums), len(li.Batches))
 			}
-			out = bitio.AppendBytes(out, comp)
-			out = bitio.AppendUvarint(out, uint64(li.BatchBlocks))
-			out = bitio.AppendUvarint(out, uint64(len(li.Batches)))
-			for _, b := range li.Batches {
-				out = bitio.AppendUvarint(out, uint64(b.Offset))
-				out = bitio.AppendUvarint(out, uint64(b.Length))
+			for _, s := range li.Sums {
+				out = bitio.AppendUvarint(out, uint64(s))
 			}
-			if v2 {
-				if li.Delta != nil && len(li.Delta) != len(li.Batches) {
-					return nil, fmt.Errorf("archive: member %d level %d has %d delta flags for %d batches", mi, i, len(li.Delta), len(li.Batches))
-				}
-				for b := range li.Batches {
-					var flag uint64
-					if li.IsDelta(b) {
-						flag = 1
-					}
-					out = bitio.AppendUvarint(out, flag)
-				}
-			}
-			if sums {
-				if len(li.Sums) != len(li.Batches) {
-					return nil, fmt.Errorf("archive: member %d level %d has %d checksums for %d batches", mi, i, len(li.Sums), len(li.Batches))
-				}
-				for _, s := range li.Sums {
-					out = bitio.AppendUvarint(out, uint64(s))
-				}
-			} else if li.Sums != nil && len(li.Sums) != 0 {
-				return nil, fmt.Errorf("archive: member %d level %d carries checksums but footer is v%d", mi, i, ver)
-			}
+		} else if li.Sums != nil && len(li.Sums) != 0 {
+			return nil, fmt.Errorf("archive: member %d level %d carries checksums but footer is v%d", mi, i, ver)
 		}
 	}
 	return out, nil

@@ -1,0 +1,371 @@
+package archive
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"slices"
+	"testing"
+
+	"repro/internal/amr"
+	"repro/internal/bitio"
+	"repro/internal/codec"
+)
+
+// encodeFooter serializes the member index at the given footer version
+// from scratch — the count, then every member's record — as Commit did
+// before the Writer kept records between commits: the oracle Writer.footer
+// is held to.
+func encodeFooter(members []Member, ver int) ([]byte, error) {
+	out := bitio.AppendUvarint(nil, uint64(len(members)))
+	for mi := range members {
+		var err error
+		if out, err = appendMemberRecord(out, mi, &members[mi], ver); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// lastFooter returns the footer bytes of the newest generation of the
+// archive file at path and the footer version its trailer names.
+func lastFooter(t testing.TB, path string) ([]byte, int) {
+	t.Helper()
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tlen, ver int
+	switch [8]byte(blob[len(blob)-8:]) {
+	case trailerMagic:
+		tlen, ver = trailerLen, 1
+	case trailer2Magic:
+		tlen, ver = trailer2Len, 1
+	case trailer3Magic:
+		tlen, ver = trailer3Len, 2
+	case trailer4Magic:
+		tlen, ver = trailer4Len, 3
+	case trailer5Magic:
+		tlen, ver = trailer5Len, 4
+	default:
+		t.Fatalf("%s: no trailer magic at the end", path)
+	}
+	trailer := blob[len(blob)-tlen:]
+	var flen int
+	for i := 7; i >= 0; i-- {
+		flen = flen<<8 | int(trailer[i])
+	}
+	return blob[len(blob)-tlen-flen : len(blob)-tlen], ver
+}
+
+// indexOf is what a Reader knows apart from its source, with the one
+// difference between a parsed and a written index that no caller can see —
+// an empty digest slice against none, on a level without frames — removed.
+func indexOf(r *Reader) (int64, uint64, int, []Member) {
+	members := slices.Clone(r.members)
+	for mi := range members {
+		members[mi].Levels = slices.Clone(members[mi].Levels)
+		for li := range members[mi].Levels {
+			if idx := &members[mi].Levels[li]; len(idx.Sums) == 0 {
+				idx.Sums = nil
+			}
+		}
+	}
+	return r.size, r.gen, r.ver, members
+}
+
+// TestIncrementalFooterAndView drives file-backed writers through random
+// sequences of AddDataset, Commit, integrity-flag toggles and
+// close-and-reopen-for-append, over two fields with and without delta
+// coding, so that footers step through v1 → v4 in every order the flags
+// allow (a late Checksums backfills digests into members whose records
+// are already held). After every commit the footer in the file must be
+// byte for byte encodeFooter over the whole index — the writer codes only
+// the members sealed since the last commit — and Writer.View must equal,
+// field for field, what Open parses from the file.
+func TestIncrementalFooterAndView(t *testing.T) {
+	campaign := campaignOf(t, 16, 4, 6)
+	var pool []*amr.Dataset
+	for _, ds := range campaign {
+		other := ds.Clone()
+		other.Field = "temperature"
+		pool = append(pool, ds, other)
+	}
+	cfg := codec.Config{ErrorBound: testEB}
+	versions := map[int]bool{}
+	for seed := int64(1); seed <= 24; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		path := filepath.Join(t.TempDir(), "prop.taca")
+		writeArchiveFile(t, path, pool[:1])
+		keyframe := []int{0, 3}[rng.Intn(2)]
+		open := func() (*Writer, *os.File) {
+			w, f, err := OpenAppendFile(path)
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			w.BatchBlocks, w.Keyframe = 8, keyframe
+			return w, f
+		}
+		w, f := open()
+		next := 1
+		check := func(op int) {
+			footer, ver := lastFooter(t, path)
+			versions[ver] = true
+			want, err := encodeFooter(w.Members(), ver)
+			if err != nil {
+				t.Fatalf("seed %d op %d: %v", seed, op, err)
+			}
+			if !bytes.Equal(footer, want) {
+				t.Fatalf("seed %d op %d: v%d footer over %d members differs from encodeFooter from scratch", seed, op, ver, len(w.Members()))
+			}
+			view, err := w.View(f)
+			if err != nil {
+				t.Fatalf("seed %d op %d: %v", seed, op, err)
+			}
+			st, err := f.Stat()
+			if err != nil {
+				t.Fatal(err)
+			}
+			opened, err := Open(f, st.Size())
+			if err != nil {
+				t.Fatalf("seed %d op %d: %v", seed, op, err)
+			}
+			ve, vg, vv, vm := indexOf(view)
+			oe, og, ov, om := indexOf(opened)
+			if ve != oe || vg != og || vv != ov {
+				t.Fatalf("seed %d op %d: view ends at %d, generation %d, v%d; Open says %d, %d, v%d", seed, op, ve, vg, vv, oe, og, ov)
+			}
+			if !reflect.DeepEqual(vm, om) {
+				t.Fatalf("seed %d op %d: view's members differ from Open's", seed, op)
+			}
+		}
+		for op := 0; op < 14; op++ {
+			switch k := rng.Intn(10); {
+			case k < 4:
+				if err := w.AddDataset(pool[next%len(pool)], cfg); err != nil {
+					t.Fatalf("seed %d op %d: %v", seed, op, err)
+				}
+				next++
+				if _, err := w.View(f); err == nil {
+					t.Fatalf("seed %d op %d: View of a writer with an uncommitted member", seed, op)
+				}
+			case k < 7:
+				if err := w.Commit(); err != nil {
+					t.Fatalf("seed %d op %d: %v", seed, op, err)
+				}
+				check(op)
+			case k < 8:
+				w.Checksums = true
+			case k < 9:
+				w.FooterSum = true
+			default:
+				if err := w.Close(); err != nil {
+					t.Fatalf("seed %d op %d: %v", seed, op, err)
+				}
+				f.Close()
+				w, f = open()
+				check(op)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		check(-1)
+		f.Close()
+	}
+	for ver := 1; ver <= 4; ver++ {
+		if !versions[ver] {
+			t.Errorf("no sequence committed a v%d footer", ver)
+		}
+	}
+}
+
+// TestRetainedMatchesDecodeBatch holds what Writer.Retained hands out to
+// what a Reader decodes from the frames, bit for bit: after every member of
+// a two-field Keyframe=3 campaign, and again for the references a reopened
+// writer primes from the file. Only the newest member of each field is
+// retained, and an intra-mode writer retains nothing.
+func TestRetainedMatchesDecodeBatch(t *testing.T) {
+	var snaps []*amr.Dataset
+	for _, ds := range campaignOf(t, 32, 4, 5) {
+		other := ds.Clone()
+		other.Field = "temperature"
+		snaps = append(snaps, ds, other)
+	}
+	cfg := codec.Config{ErrorBound: testEB, Workers: 2}
+	path := filepath.Join(t.TempDir(), "tail.taca")
+	writeArchiveFile(t, path, snaps[:1])
+
+	check := func(w *Writer, r *Reader, wantMembers []int) {
+		t.Helper()
+		tail := w.Retained()
+		var got []int
+		for mi := range tail {
+			got = append(got, mi)
+		}
+		slices.Sort(got)
+		if !slices.Equal(got, wantMembers) {
+			t.Fatalf("retained members %v, want %v", got, wantMembers)
+		}
+		for mi, levels := range tail {
+			m := &r.Members()[mi]
+			if len(levels) != len(m.Levels) {
+				t.Fatalf("member %d: %d retained levels, index has %d", mi, len(levels), len(m.Levels))
+			}
+			for li := range m.Levels {
+				idx := &m.Levels[li]
+				if len(levels[li]) != idx.Mask.Count() {
+					t.Fatalf("member %d level %d: %d retained blocks, mask has %d", mi, li, len(levels[li]), idx.Mask.Count())
+				}
+				for b := range idx.Batches {
+					want, err := r.DecodeBatch(mi, li, b)
+					if err != nil {
+						t.Fatal(err)
+					}
+					lo, hi := idx.BatchSpan(b)
+					for k, blk := range levels[li][lo:hi] {
+						if blk.Dim != want[k].Dim || !sameBits(blk.Data, want[k].Data) {
+							t.Fatalf("member %d level %d batch %d block %d: retained reconstruction differs from the decoded frame", mi, li, b, k)
+						}
+					}
+				}
+			}
+		}
+	}
+
+	w, f, err := OpenAppendFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.Retained() != nil {
+		t.Fatal("a writer that has coded nothing retains something")
+	}
+	w.BatchBlocks, w.Keyframe, w.Checksums = 8, 3, true
+	for i, ds := range snaps[1:6] {
+		if err := w.AddDataset(ds, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		// The newest member of each field: i+1, just written, and i before
+		// it. Member 0 is another writer's and is never retained here.
+		want := []int{i, i + 1}
+		if i == 0 {
+			want = []int{1}
+		}
+		r, err := w.View(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(w, r, want)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	// Reopened: beginning a member primes its field's reference from the
+	// file — member 4 here — and that reconstruction is retained like one
+	// the writer made itself.
+	w, f, err = OpenAppendFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	w.BatchBlocks, w.Keyframe = 8, 3
+	r, err := w.View(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mw, err := w.BeginMember(snaps[6].Name, snaps[6].Field, snaps[6].Ratio, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(w, r, []int{4})
+	mw.Abort()
+
+	iw, err := NewWriter(io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := iw.AddDataset(snaps[0], cfg); err != nil {
+		t.Fatal(err)
+	}
+	if iw.Retained() != nil {
+		t.Fatal("an intra-mode writer retains a reconstruction")
+	}
+}
+
+// committedWriter returns an in-memory intra writer with n members
+// committed one commit each, and the snapshot they were made from.
+func committedWriter(t testing.TB, n int) (*Writer, *amr.Dataset, codec.Config) {
+	t.Helper()
+	ds := smallSnapshot(t, "s", 5)
+	cfg := codec.Config{ErrorBound: testEB}
+	w, err := NewWriter(io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.BatchBlocks, w.Checksums = 8, true
+	for i := 0; i < n; i++ {
+		if err := w.AddDataset(ds, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return w, ds, cfg
+}
+
+// TestCommitCostDoesNotGrow: committing one more member allocates the same
+// whether 8 or 128 are committed already — the footer is extended, not
+// coded again (at the parent every commit deflated every mask of every
+// member: 16 more allocations per member already there).
+func TestCommitCostDoesNotGrow(t *testing.T) {
+	allocs := func(n int) float64 {
+		w, ds, cfg := committedWriter(t, n)
+		return testing.AllocsPerRun(8, func() {
+			if err := w.AddDataset(ds, cfg); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	at8, at128 := allocs(8), allocs(128)
+	t.Logf("AddDataset + Commit: %.0f allocations on top of 8 members, %.0f on top of 128", at8, at128)
+	// Slack for the amortized growth of the member and record slices, and
+	// for a collection emptying a pool mid-run.
+	if at128 > at8+32 {
+		t.Fatalf("one member and a commit allocate %.0f times on top of 8 members, %.0f on top of 128", at8, at128)
+	}
+}
+
+// BenchmarkCommitGrowing times Commit alone, one new member sealed, on top
+// of 8, 32 and 128 committed ones.
+func BenchmarkCommitGrowing(b *testing.B) {
+	for _, n := range []int{8, 32, 128} {
+		b.Run(fmt.Sprintf("members=%d", n), func(b *testing.B) {
+			w, ds, cfg := committedWriter(b, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if err := w.AddDataset(ds, cfg); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if err := w.Commit(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -46,21 +46,20 @@ type Reader struct {
 	r       io.ReaderAt
 	size    int64 // end of the generation this Reader parsed, ≤ the file size
 	gen     uint64
-	sums    bool // footer is v3+: every frame carries a CRC32C digest
-	fsum    bool // footer is v4: the trailer carries a CRC32C digest of the footer itself
+	ver     int // footer version: ≥ 3 digests every frame, 4 digests the footer itself in the trailer
 	members []Member
 }
 
 // Checksummed reports whether the archive's footer carries per-frame
 // CRC32C digests (format v3): every frame read is then verified, and
 // Scrub audits without decoding.
-func (r *Reader) Checksummed() bool { return r.sums }
+func (r *Reader) Checksummed() bool { return r.ver >= 3 }
 
 // FooterChecksummed reports whether the archive's newest trailer carries
 // a CRC32C digest of the footer itself (format v4): Open verified the
 // index before trusting it, and falls back to the previous committed
 // generation when the newest footer is damaged.
-func (r *Reader) FooterChecksummed() bool { return r.fsum }
+func (r *Reader) FooterChecksummed() bool { return r.ver >= 4 }
 
 // Open reads and parses the archive index from r, which must cover size
 // bytes. If the tail of the file is torn — a crash mid-append left a
@@ -191,7 +190,7 @@ func openAt(r io.ReaderAt, end int64) (*Reader, error) {
 			}
 		}
 	}
-	return &Reader{r: r, size: end, gen: gen, sums: ver >= 3, fsum: ver >= 4, members: members}, nil
+	return &Reader{r: r, size: end, gen: gen, ver: ver, members: members}, nil
 }
 
 // recoverScan searches backward from size for the newest end-of-trailer

@@ -1,11 +1,13 @@
 package archive
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -96,6 +98,14 @@ type Writer struct {
 	committed uint64 // footer generations written so far (== next trailer's generation)
 	dirty     bool   // members sealed since the last Commit
 
+	// footerVer is the version of the newest footer (0 before the first),
+	// and recs the records of members [0, recN) coded at it, after
+	// countRoom bytes kept free for the member count: a commit codes only
+	// the members sealed since the one before (see footer).
+	footerVer int
+	recs      []byte
+	recN      int
+
 	gatheredCells atomic.Int64 // cells currently gathered, pre-compression
 	peakGathered  atomic.Int64
 }
@@ -144,6 +154,54 @@ func NewWriter(w io.Writer) (*Writer, error) {
 		return nil, fmt.Errorf("archive: writing header: %w", err)
 	}
 	return &Writer{w: w, off: headerLen}, nil
+}
+
+// Retained returns what campaign mode holds in memory anyway: for the
+// newest sealed member of each field, by member index and then level, the
+// reconstructed occupied unit blocks in row-major mask order — blocks
+// [BatchSpan(b)) of a level are, value for value, what a Reader's
+// DecodeBatch(mi, li, b) decodes from the frames. The map is the caller's;
+// the blocks are shared with the writer, which only reads them once the
+// member is sealed, and so must the caller. Nil when nothing is retained
+// (Keyframe < 2 and no delta member written).
+func (w *Writer) Retained() map[int][][]*grid.Grid3[amr.Value] {
+	var out map[int][][]*grid.Grid3[amr.Value]
+	for _, fr := range w.prev {
+		if fr == nil {
+			continue
+		}
+		levels := make([][]*grid.Grid3[amr.Value], len(fr.levels))
+		for li := range fr.levels {
+			levels[li] = fr.levels[li].blocks
+		}
+		if out == nil {
+			out = make(map[int][][]*grid.Grid3[amr.Value], len(w.prev))
+		}
+		out[fr.index] = levels
+	}
+	return out
+}
+
+// View returns a Reader over the generation just committed, reading frames
+// through src (the file the writer appends to, or any copy of its bytes):
+// field for field what Open parses from those bytes, built from the index
+// the writer holds instead of from the footer it has just written. It
+// needs a committed writer with nothing sealed since — call it after
+// Commit or OpenAppend. The view stays valid while the writer goes on: its
+// member slice is its own, and sealed members are never written again
+// (backfillSums replaces a level slice it has to change).
+func (w *Writer) View(src io.ReaderAt) (*Reader, error) {
+	if w.committed == 0 || w.dirty || w.cur != nil {
+		return nil, fmt.Errorf("archive: View needs a committed writer with no member sealed or open since")
+	}
+	members := slices.Clone(w.members)
+	if w.footerVer < 2 {
+		// A v1 footer does not record generations, so Open reports none.
+		for mi := range members {
+			members[mi].Gen = 0
+		}
+	}
+	return &Reader{r: src, size: w.off, gen: w.committed - 1, ver: w.footerVer, members: members}, nil
 }
 
 // Stats returns the writer's progress counters.
@@ -520,10 +578,15 @@ func (w *Writer) writeFrame(blob []byte, idx *LevelIndex) error {
 func (w *Writer) backfillSums() error {
 	for mi := range w.members {
 		m := &w.members[mi]
+		shared := true // m.Levels may be indexed by a View
 		for li := range m.Levels {
 			idx := &m.Levels[li]
 			if len(idx.Sums) == len(idx.Batches) {
 				continue
+			}
+			if shared {
+				m.Levels, shared = slices.Clone(m.Levels), false
+				idx = &m.Levels[li]
 			}
 			if len(idx.Sums) != 0 {
 				return fmt.Errorf("archive: member %d level %d has %d checksums for %d batches (Checksums toggled mid-member)", mi, li, len(idx.Sums), len(idx.Batches))
@@ -627,7 +690,9 @@ func (w *Writer) Generation() uint64 { return w.committed }
 // ordering is crash-safe: frames are fsynced before the footer is written
 // and the trailer is fsynced before Commit returns, so a crash at any
 // byte offset leaves the previous committed generation's footer intact
-// and the archive openable.
+// and the archive openable. The footer is extended, not coded again: a
+// commit codes the records of the members sealed since the last one (see
+// footer), so what it costs does not grow with the archive.
 //
 // Generation 0 (a fresh archive's first commit) writes the 16-byte v1
 // trailer, byte-identical to archives written before append existed;
@@ -663,7 +728,7 @@ func (w *Writer) Commit() error {
 	if w.FooterSum {
 		ver = 4
 	}
-	footer, err := encodeFooter(w.members, ver)
+	footer, err := w.footer(ver)
 	if err != nil {
 		return err
 	}
@@ -744,6 +809,36 @@ func (w *Writer) Commit() error {
 	w.committed++
 	w.dirty = false
 	return nil
+}
+
+// countRoom is the space recs keeps ahead of the first record for the
+// member count varint, which changes with every commit.
+const countRoom = binary.MaxVarintLen64
+
+// footer returns the footer over every sealed member at version ver — the
+// member count, then every member's record, byte for byte what coding them
+// all from scratch gives — coding only the members no earlier call has: a
+// record depends on its member alone, and a sealed
+// member changes only by gaining digests (backfillSums), which no record
+// below version 3 carries and none at 3 or above can lack, so the records
+// held stay good until the version steps. The bytes are valid until the
+// next call.
+func (w *Writer) footer(ver int) ([]byte, error) {
+	if ver != w.footerVer || w.recs == nil {
+		w.recs = append(w.recs[:0], make([]byte, countRoom)...)
+		w.recN, w.footerVer = 0, ver
+	}
+	for ; w.recN < len(w.members); w.recN++ {
+		recs, err := appendMemberRecord(w.recs, w.recN, &w.members[w.recN], ver)
+		if err != nil {
+			return nil, err
+		}
+		w.recs = recs
+	}
+	var count [countRoom]byte
+	n := binary.PutUvarint(count[:], uint64(len(w.members)))
+	copy(w.recs[countRoom-n:], count[:n])
+	return w.recs[countRoom-n:], nil
 }
 
 // Close commits any members added since the last Commit (or the whole

@@ -15,6 +15,7 @@ import (
 	"compress/flate"
 	"fmt"
 	"io"
+	"sync"
 
 	"repro/internal/amr"
 	"repro/internal/grid"
@@ -172,6 +173,12 @@ type Codec interface {
 
 const containerMagic = 0x54414343 // "TACC"
 
+// maskDeflaters holds idle BestCompression writers: flate.NewWriter zeroes
+// ≈650 KB of match tables, and an archive footer codes one mask per level
+// of every member it indexes. Reset makes a pooled writer code exactly as
+// a new one does.
+var maskDeflaters sync.Pool
+
 // EncodeMask serializes an occupancy mask as bit-packed bytes passed
 // through DEFLATE — the representation both the in-memory container and
 // the on-disk archive footer store (one bit per unit block before the
@@ -179,9 +186,14 @@ const containerMagic = 0x54414343 // "TACC"
 func EncodeMask(m *grid.Mask) ([]byte, error) {
 	packed := m.AppendPacked(make([]byte, 0, m.PackedLen()))
 	var buf bytes.Buffer
-	fw, err := flate.NewWriter(&buf, flate.BestCompression)
-	if err != nil {
-		return nil, err
+	fw, _ := maskDeflaters.Get().(*flate.Writer)
+	if fw == nil {
+		var err error
+		if fw, err = flate.NewWriter(&buf, flate.BestCompression); err != nil {
+			return nil, err
+		}
+	} else {
+		fw.Reset(&buf)
 	}
 	if _, err := fw.Write(packed); err != nil {
 		return nil, err
@@ -189,6 +201,7 @@ func EncodeMask(m *grid.Mask) ([]byte, error) {
 	if err := fw.Close(); err != nil {
 		return nil, err
 	}
+	maskDeflaters.Put(fw)
 	return buf.Bytes(), nil
 }
 

@@ -1,6 +1,8 @@
 package codec
 
 import (
+	"bytes"
+	"compress/flate"
 	"math/rand"
 	"testing"
 
@@ -150,6 +152,46 @@ func TestStrategyString(t *testing.T) {
 	for s, want := range names {
 		if s.String() != want {
 			t.Fatalf("%d.String() = %q, want %q", s, s.String(), want)
+		}
+	}
+}
+
+// TestEncodeMaskPooledMatchesFresh holds EncodeMask, whose DEFLATE writer
+// comes out of a pool, to a writer made new for every mask — masks of many
+// sizes and densities in one run, each coded twice, so a writer carries
+// whatever it could carry from one mask into the next, and decoded back.
+func TestEncodeMaskPooledMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 200; i++ {
+		d := grid.Dims{X: 1 + rng.Intn(40), Y: 1 + rng.Intn(40), Z: 1 + rng.Intn(40)}
+		m := grid.NewMask(d)
+		density := rng.Float64()
+		for j := 0; j < m.Len(); j++ {
+			if rng.Float64() < density*density {
+				m.SetIndex(j, true)
+			}
+		}
+		var fresh bytes.Buffer
+		fw, err := flate.NewWriter(&fresh, flate.BestCompression)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fw.Write(m.AppendPacked(nil)) //nolint:errcheck // a bytes.Buffer
+		if err := fw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for pass := 0; pass < 2; pass++ {
+			got, err := EncodeMask(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, fresh.Bytes()) {
+				t.Fatalf("mask %d (%v) pass %d: pooled writer coded %d bytes, a new one %d, or they differ", i, d, pass, len(got), fresh.Len())
+			}
+			back, err := DecodeMask(d, got)
+			if err != nil || !back.Equal(m) {
+				t.Fatalf("mask %d (%v): round trip: %v", i, d, err)
+			}
 		}
 	}
 }

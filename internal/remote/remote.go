@@ -117,6 +117,7 @@ type segment struct {
 }
 
 type fill struct {
+	seg  int64 // the segment unit the fill was aligned to
 	done chan struct{}
 	data []byte
 	err  error
@@ -239,9 +240,10 @@ func (r *Reader) Close() error {
 }
 
 // Retune resizes the segment unit (clamped to [4 KiB, 4 MiB]) and drops
-// the cache so existing alignment cannot mix. The serving tier calls
-// this after parsing the footer, sizing segments to the archive's
-// typical frame span.
+// the cache so existing alignment cannot mix: fills in flight stay with
+// the readers already waiting on them and are not cached when they land.
+// The serving tier calls this after parsing the footer, sizing segments
+// to the archive's typical frame span.
 func (r *Reader) Retune(segmentBytes int64) {
 	segmentBytes = min(max(segmentBytes, minSegmentBytes), maxSegmentBytes)
 	r.mu.Lock()
@@ -253,6 +255,7 @@ func (r *Reader) Retune(segmentBytes int64) {
 	r.segs = make(map[int64]*list.Element)
 	r.lru.Init()
 	r.resident = 0
+	r.inflight = make(map[int64]*fill)
 }
 
 // SegmentBytes is the current aligned fetch unit.
@@ -281,11 +284,7 @@ func (r *Reader) ReadAt(p []byte, off int64) (int, error) {
 	}
 	n := 0
 	for n < want {
-		r.mu.Lock()
-		seg := r.segBytes
-		r.mu.Unlock()
-		start := (off + int64(n)) / seg * seg
-		data, err := r.segment(start, seg)
+		data, start, err := r.segment(off + int64(n))
 		if err != nil {
 			return n, err
 		}
@@ -298,41 +297,48 @@ func (r *Reader) ReadAt(p []byte, off int64) (int, error) {
 	return n, nil
 }
 
-// segment returns the bytes of the aligned segment at start, from cache
-// or by fetching. Concurrent misses on one segment share a single fetch;
-// errors are returned to every waiter but never cached.
-func (r *Reader) segment(start, seg int64) ([]byte, error) {
+// segment returns the bytes of the aligned segment holding off and the
+// offset they start at, from cache or by fetching. Concurrent misses on
+// one segment share a single fetch; errors are returned to every waiter
+// but never cached. The segment unit is read in the same critical section
+// as the cache and the fills in flight, so what a lookup finds is always
+// aligned the way it expects, whenever Retune runs; a fill that Retune
+// overtook serves its waiters and is dropped, since the cache it would
+// enter is indexed in another unit.
+func (r *Reader) segment(off int64) (data []byte, start int64, err error) {
 	r.mu.Lock()
+	seg := r.segBytes
+	start = off / seg * seg
 	if e, ok := r.segs[start]; ok {
 		r.lru.MoveToFront(e)
-		data := e.Value.(*segment).data
+		data = e.Value.(*segment).data
 		r.mu.Unlock()
 		r.hits.Add(1)
-		return data, nil
+		return data, start, nil
 	}
 	r.misses.Add(1)
 	if f, ok := r.inflight[start]; ok {
 		r.mu.Unlock()
 		<-f.done
-		return f.data, f.err
+		return f.data, start, f.err
 	}
-	f := &fill{done: make(chan struct{})}
+	f := &fill{seg: seg, done: make(chan struct{})}
 	r.inflight[start] = f
 	r.mu.Unlock()
 
 	r.fills.Add(1)
-	end := min(start+seg, r.size)
-	data, err := r.fetch(start, end)
-	f.data, f.err = data, err
+	f.data, f.err = r.fetch(start, min(start+seg, r.size))
 
 	r.mu.Lock()
-	delete(r.inflight, start)
-	if err == nil && r.budget > 0 {
-		r.insert(start, data)
+	if r.inflight[start] == f {
+		delete(r.inflight, start)
+	}
+	if f.err == nil && r.budget > 0 && f.seg == r.segBytes {
+		r.insert(start, f.data)
 	}
 	r.mu.Unlock()
 	close(f.done)
-	return data, err
+	return f.data, start, f.err
 }
 
 // insert caches one segment, evicting least-recently-used segments past

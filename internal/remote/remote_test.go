@@ -485,6 +485,72 @@ func TestRetune(t *testing.T) {
 	}
 }
 
+// TestRetuneDuringStalledFetch holds one segment fetch at the origin,
+// retunes to a larger unit under it, and lets it land. The read that was
+// waiting gets its bytes; the fill, aligned to the old unit, must not
+// enter the cache under the new one — there a read further into the same
+// (now larger) segment would index past its end — and a reader arriving
+// after the Retune must not be handed the old fill either.
+func TestRetuneDuringStalledFetch(t *testing.T) {
+	blob := testBlob(64 << 10)
+	arrived, release := make(chan struct{}), make(chan struct{})
+	var stallOnce sync.Once
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if req.Header.Get("Range") == "bytes=0-4095" {
+			stallOnce.Do(func() {
+				close(arrived)
+				<-release
+			})
+		}
+		w.Header().Set("ETag", `"v1"`)
+		http.ServeContent(w, req, "blob.bin", time.Time{}, bytes.NewReader(blob))
+	}))
+	t.Cleanup(ts.Close)
+	letGo := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(letGo) // before ts.Close, which waits for the handler
+	r, err := Open(ts.URL, Config{SegmentBytes: 4 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	read := func(off, n int) error {
+		got := make([]byte, n)
+		if _, err := r.ReadAt(got, int64(off)); err != nil {
+			return err
+		}
+		if !bytes.Equal(got, blob[off:off+n]) {
+			return fmt.Errorf("ReadAt(%d, %d): bytes differ", off, n)
+		}
+		return nil
+	}
+	stalled := make(chan error, 1)
+	go func() { stalled <- read(100, 200) }()
+	<-arrived
+	r.Retune(16 << 10)
+	// Same segment start, new unit, while the old fill is still out.
+	late := make(chan error, 1)
+	go func() { late <- read(8000, 100) }()
+	select {
+	case err := <-late:
+		if err != nil {
+			t.Fatalf("read under the new unit while the old fill is out: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("read under the new unit waited on the fill of the old one")
+	}
+	letGo()
+	if err := <-stalled; err != nil {
+		t.Fatalf("read that spanned the Retune: %v", err)
+	}
+	if err := read(8000, 100); err != nil {
+		t.Fatal(err)
+	}
+	if err := read(4000, 9000); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestParseContentRange(t *testing.T) {
 	good := []struct {
 		h                  string

@@ -29,7 +29,10 @@ type Key struct {
 // out of them.
 type blocks = []*grid.Grid3[amr.Value]
 
-// CacheStats is a point-in-time snapshot of cache behavior.
+// CacheStats is a point-in-time snapshot of cache behavior. A batch
+// answered from a live archive's tail view (archiveState.tail) never
+// reaches the cache: it is neither a hit nor a miss nor a decode here, and
+// is counted by IngestStats.TailBatchesServed instead.
 type CacheStats struct {
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`

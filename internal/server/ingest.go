@@ -72,6 +72,15 @@ type IngestStats struct {
 	Rejected int64 `json:"rejected"`
 	// Bytes is the uncompressed size of everything accepted.
 	Bytes int64 `json:"bytes"`
+	// TailMembers and TailBytes size the tail views now published: the
+	// newest member of each field of a campaign-mode archive, as the
+	// writer holds it reconstructed for delta coding — memory ingest costs
+	// anyway, which requests for those members are answered from.
+	TailMembers int64 `json:"tail_members"`
+	TailBytes   int64 `json:"tail_bytes"`
+	// TailBatchesServed counts batches answered from a tail view: no
+	// decode, and neither a hit nor a miss of the block cache.
+	TailBatchesServed int64 `json:"tail_batches_served"`
 }
 
 // IngestStats sums the counters of every writable archive.
@@ -86,6 +95,13 @@ func (s *Server) IngestStats() IngestStats {
 		st.Accepted += sa.ing.accepted.Load()
 		st.Rejected += sa.ing.rejected.Load()
 		st.Bytes += sa.ing.bytesIn.Load()
+		st.TailBatchesServed += sa.tailServed.Load()
+		for _, levels := range sa.view().tail {
+			st.TailMembers++
+			for _, bl := range levels {
+				st.TailBytes += batchCost(bl)
+			}
+		}
 	}
 	return st
 }
@@ -120,7 +136,7 @@ func (s *Server) addAppend(name string, spec ArchiveSpec) (string, error) {
 	}
 	w.Checksums = w.Checksums || spec.Checksums
 	w.FooterSum = w.FooterSum || spec.FooterSum
-	r, err := archive.Open(f, w.Stats().BytesWritten)
+	r, err := w.View(f)
 	if err != nil {
 		f.Close()
 		return "", fmt.Errorf("%s: %w", spec.Primary, err)
@@ -213,15 +229,16 @@ func (ing *ingester) handle(ds *amr.Dataset) ingestResult {
 	if err := ing.w.Commit(); err != nil {
 		return ingestResult{err: err}
 	}
-	// Re-open the index over the new generation and publish it. Readers
-	// pinned to the old view keep working: the bytes they index were
-	// never touched.
-	r, err := archive.Open(ing.f, ing.w.Stats().BytesWritten)
+	// Publish the new generation — the writer's own index over the file,
+	// not a parse of the footer it has just written — and, in the same
+	// store, the tail view that goes with it. Readers pinned to the old
+	// view keep working: the bytes they index were never touched.
+	r, err := ing.w.View(ing.f)
 	if err != nil {
-		return ingestResult{err: fmt.Errorf("server: reopening after commit: %w", err)}
+		return ingestResult{err: fmt.Errorf("server: viewing the committed generation: %w", err)}
 	}
 	old := ing.sa.state.Load()
-	ing.sa.state.Store(newArchiveState(r, old))
+	ing.sa.state.Store(newArchiveState(r, old, ing.w.Retained()))
 	ing.accepted.Add(1)
 	ing.bytesIn.Add(int64(ds.OriginalBytes()))
 	return ingestResult{member: len(r.Members()) - 1, gen: r.Generation()}

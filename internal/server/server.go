@@ -137,13 +137,25 @@ type Config struct {
 type archiveState struct {
 	r    *archive.Reader
 	ords [][][]int // [member][level] -> occupied block indices
+
+	// tail is the tail view of a live campaign: the reconstruction the
+	// ingesting writer keeps of each field's newest member as the next
+	// one's delta reference (archive.Writer.Retained), by member index and
+	// level, in the order and with the values the member's frames decode
+	// to. batch serves those members from it — the step that has just
+	// landed, otherwise the deepest chain in the archive, costs no decode
+	// and no cache space, and no memory the writer was not holding already.
+	// Published with the generation that commits the member, so a request
+	// never sees one without the other; nil for read-only archives and for
+	// intra-mode ingest, which retains nothing.
+	tail map[int][]blocks
 }
 
 // newArchiveState builds the view for r, reusing prev's ordinal tables
 // for the members both generations share.
-func newArchiveState(r *archive.Reader, prev *archiveState) *archiveState {
+func newArchiveState(r *archive.Reader, prev *archiveState, tail map[int][]blocks) *archiveState {
 	members := r.Members()
-	st := &archiveState{r: r, ords: make([][][]int, len(members))}
+	st := &archiveState{r: r, ords: make([][][]int, len(members)), tail: tail}
 	start := 0
 	if prev != nil {
 		start = copy(st.ords, prev.ords)
@@ -166,6 +178,8 @@ type servedArchive struct {
 	state  atomic.Pointer[archiveState]
 	ing    *ingester     // non-nil iff the archive accepts POST ingest
 	health archiveHealth // per-member quarantine state machine
+
+	tailServed atomic.Int64 // batches answered from a tail view
 
 	// Self-healing hooks, set by Add for a spec with Replicas: the local file path
 	// (splice target for in-place member repair) and the replicas-only
@@ -485,7 +499,7 @@ func (s *Server) addArchive(sa *servedArchive, r *archive.Reader) error {
 	if name == "" {
 		return fmt.Errorf("server: empty archive name")
 	}
-	sa.state.Store(newArchiveState(r, nil))
+	sa.state.Store(newArchiveState(r, nil, nil))
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, dup := s.archives[name]; dup {
@@ -575,6 +589,8 @@ func (sa *servedArchive) member(st *archiveState, mi int) (*archive.Member, erro
 // Quarantined members — and, transitively, members whose reference chain
 // passes through one — answer ErrQuarantined up front, before the cache:
 // blocks decoded from a member later found damaged must not keep serving.
+// A member in the generation's tail view is answered from it next, ahead
+// of the cache and counted by neither of its counters.
 // Transient read failures are retried inside the fill (decodeRetry), so
 // the decodes ≤ misses cache invariant holds across retries; failures
 // that survive retry are inspected by the health state machine, where a
@@ -583,6 +599,11 @@ func (sa *servedArchive) member(st *archiveState, mi int) (*archive.Member, erro
 func (s *Server) batch(sa *servedArchive, st *archiveState, mi, li, b int) (blocks, error) {
 	if err := sa.quarantineErr(mi); err != nil {
 		return nil, err
+	}
+	if levels, ok := st.tail[mi]; ok {
+		lo, hi := st.r.Members()[mi].Levels[li].BatchSpan(b)
+		sa.tailServed.Add(1)
+		return levels[li][lo:hi], nil
 	}
 	v, err := s.cache.GetOrFill(Key{Archive: sa.name, Member: mi, Level: li, Batch: b}, func() (blocks, int64, error) {
 		ref, delta, err := st.r.BatchDep(mi, li, b)
