@@ -265,6 +265,7 @@ func info(args []string) {
 		fmt.Printf("  level %d: %v cells, unit block %d, density %.4g%%\n",
 			li, l.Grid.Dim, l.UnitBlock, l.Density()*100)
 	}
+	fmt.Printf("codec kernels: %s\n", sz.KernelPath())
 	if err := ds.Validate(); err != nil {
 		fmt.Printf("VALIDATION FAILED: %v\n", err)
 		os.Exit(1)

@@ -61,6 +61,7 @@ import (
 	"repro/internal/codec"
 	"repro/internal/remote"
 	"repro/internal/server"
+	"repro/internal/sz"
 )
 
 func main() {
@@ -173,8 +174,8 @@ func main() {
 	for name := range replicas {
 		log.Fatalf("-replica %s=...: no archive is served under that name", name)
 	}
-	log.Printf("listening on %s (%d archives, cache %d MiB / %d shards)",
-		*listen, len(s.Names()), *cacheMB, *shards)
+	log.Printf("listening on %s (%d archives, cache %d MiB / %d shards, %s codec kernels)",
+		*listen, len(s.Names()), *cacheMB, *shards, sz.KernelPath())
 
 	// No WriteTimeout: level and snapshot responses stream and can
 	// legitimately take a while on slow links; the read-side timeouts are

@@ -16,6 +16,7 @@ import (
 	"repro/internal/amr"
 	"repro/internal/archive"
 	"repro/internal/grid"
+	"repro/internal/sz"
 )
 
 // Handler returns the HTTP API, mounted under /v1/; the liveness probe
@@ -235,7 +236,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Ingest   IngestStats `json:"ingest"`
 		Health   HealthStats `json:"health"`
 		Draining bool        `json:"draining"`
-	}{s.Names(), st, st.HitRatio(), s.IngestStats(), s.HealthStats(), s.Draining()})
+		// Which batch kernels decode and encode in this process (sz.KernelPath).
+		CodecKernel string `json:"codec_kernel"`
+	}{s.Names(), st, st.HitRatio(), s.IngestStats(), s.HealthStats(), s.Draining(), sz.KernelPath()})
 }
 
 func (s *Server) handleArchives(w http.ResponseWriter, r *http.Request) {

@@ -18,6 +18,7 @@ import (
 	"repro/internal/codec"
 	"repro/internal/grid"
 	"repro/internal/sim"
+	"repro/internal/sz"
 )
 
 // testArchiveBytes builds a small two-snapshot archive in memory.
@@ -436,12 +437,16 @@ func TestStatsEndpoint(t *testing.T) {
 		Archives []string   `json:"archives"`
 		Cache    CacheStats `json:"cache"`
 		HitRatio float64    `json:"cache_hit_ratio"`
+		Kernel   string     `json:"codec_kernel"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
 		t.Fatalf("stats decode: %v (%s)", err, rec.Body.String())
 	}
 	if len(out.Archives) != 1 || out.Archives[0] != "test" {
 		t.Fatalf("archives %v, want [test]", out.Archives)
+	}
+	if out.Kernel != sz.KernelPath() {
+		t.Fatalf("codec_kernel %q, want %q", out.Kernel, sz.KernelPath())
 	}
 	if out.Cache.Hits == 0 || out.HitRatio <= 0 {
 		t.Fatalf("expected hits after repeated requests: %+v", out.Cache)

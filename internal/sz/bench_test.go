@@ -1,6 +1,7 @@
 package sz
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/grid"
@@ -77,4 +78,80 @@ func BenchmarkLorenzo3DecodeRef(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// The predictor stage as the archive runs it: a frame's worth of unit
+// blocks, 64 of 8³ or of 16³, through the batch kernels — "simd" the
+// vector path where this build and CPU have one, "portable" the Go kernels
+// (both time the same code where they do not).
+
+func benchBatch(b *testing.B, edge int) ([]*grid.Grid3[float32], []*grid.Grid3[float32]) {
+	d := grid.Dims{X: edge, Y: edge, Z: edge}
+	blocks, refs := grid.NewBlocks[float32](d, 64), grid.NewBlocks[float32](d, 64)
+	for k := range blocks {
+		g := smoothGrid(d)
+		for i, v := range g.Data {
+			blocks[k].Data[i] = v + float32(k)
+			refs[k].Data[i] = v + float32(k) + float32(i%7)*0.03
+		}
+	}
+	b.SetBytes(int64(4 * 64 * d.Count()))
+	return blocks, refs
+}
+
+func eachBatchKernel(b *testing.B, run func(b *testing.B, edge int, scalar bool)) {
+	for _, edge := range []int{8, 16} {
+		for _, path := range []string{"portable", "simd"} {
+			b.Run(fmt.Sprintf("64x%d^3/%s", edge, path), func(b *testing.B) { run(b, edge, path == "portable") })
+		}
+	}
+}
+
+func BenchmarkEncodeBatch(b *testing.B) {
+	eachBatchKernel(b, func(b *testing.B, edge int, scalar bool) {
+		blocks, _ := benchBatch(b, edge)
+		e := &Encoder[float32]{scalar: scalar}
+		d, per := blocks[0].Dim, blocks[0].Dim.Count()
+		codes, recon := make([]uint32, 64*per), make([]float32, 4*per)
+		rec := func(i int) []float32 { return recon[i%4*per:][:per] }
+		var lits []byte
+		for b.Loop() {
+			lits, _ = e.encodeSpatial(blocks, d, codes, lits[:0], 0.05, 1<<15, rec, false)
+		}
+	})
+}
+
+func BenchmarkEncodeTemporalBatch(b *testing.B) {
+	eachBatchKernel(b, func(b *testing.B, edge int, scalar bool) {
+		blocks, refs := benchBatch(b, edge)
+		e := &Encoder[float32]{scalar: scalar}
+		per := blocks[0].Dim.Count()
+		codes, recon := make([]uint32, 64*per), make([]float32, per)
+		rec := func(int) []float32 { return recon }
+		var lits []byte
+		for b.Loop() {
+			lits, _ = e.encodeTemporal(blocks, refs, codes, lits[:0], 0.05, 1<<15, rec)
+		}
+	})
+}
+
+func BenchmarkDecodeBatch(b *testing.B) {
+	eachBatchKernel(b, func(b *testing.B, edge int, scalar bool) {
+		blocks, _ := benchBatch(b, edge)
+		blob, _, err := CompressBlocks(blocks, Options{ErrorBound: 0.05, DisableLossless: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		d := &Decoder[float32]{scalar: scalar}
+		bt, err := d.openBatch(blob, kindBatch)
+		if err != nil {
+			b.Fatal(err)
+		}
+		out := grid.NewBlocks[float32](bt.dims, bt.count)
+		for b.Loop() {
+			if err := d.reconstruct(bt, out, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

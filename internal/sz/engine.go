@@ -130,6 +130,9 @@ type Encoder[T grid.Float] struct {
 	alt     []uint32
 	altLits []byte
 
+	lanes  lanes // the vector kernels' scratch (simd.go)
+	scalar bool  // tests: hold the vector kernels off
+
 	huffBuf []byte // raw huffman blob staging
 	deflBuf []byte // deflated section staging
 	metas   []blockMeta
@@ -307,7 +310,7 @@ func (e *Encoder[T]) compressBlocks(blocks, refs []*grid.Grid3[T], opts Options,
 			rec = func(i int) []T { return quad[i%4*per:][:per] }
 		}
 		codes := e.codesBuf(total)
-		lits, nlit := encodeSpatial(blocks, d, codes, e.lits[:0], eb, radius, rec)
+		lits, nlit := e.encodeSpatial(blocks, d, codes, e.lits[:0], eb, radius, rec, recons != nil)
 		out, st, err := e.seal(kindBatch, dims, total, eb, opts, codes, lits, nlit)
 		return out, kindBatch, st, err
 	case codeTemporal:
@@ -317,7 +320,7 @@ func (e *Encoder[T]) compressBlocks(blocks, refs []*grid.Grid3[T], opts Options,
 			rec = func(int) []T { return one }
 		}
 		codes := e.codesBuf(total)
-		lits, nlit := encodeTemporal(blocks, refs, codes, e.lits[:0], eb, radius, rec)
+		lits, nlit := e.encodeTemporal(blocks, refs, codes, e.lits[:0], eb, radius, rec)
 		out, st, err := e.seal(kindBatchDelta, dims, total, eb, opts, codes, lits, nlit)
 		return out, kindBatchDelta, st, err
 	}
@@ -331,10 +334,10 @@ func (e *Encoder[T]) compressBlocks(blocks, refs []*grid.Grid3[T], opts Options,
 		rec = func(int) []T { return slab[len(blocks)*per:] }
 	}
 	e.alt = sized(e.alt, total)
-	tlits, tnlit := encodeTemporal(blocks, refs, e.alt, e.altLits[:0], eb, radius, rec)
+	tlits, tnlit := e.encodeTemporal(blocks, refs, e.alt, e.altLits[:0], eb, radius, rec)
 	e.altLits = tlits[:0]
 	codes := e.codesBuf(total)
-	lits, nlit := encodeSpatial(blocks, d, codes, e.lits[:0], eb, radius, func(i int) []T { return slab[i*per:][:per] })
+	lits, nlit := e.encodeSpatial(blocks, d, codes, e.lits[:0], eb, radius, func(i int) []T { return slab[i*per:][:per] }, recons != nil)
 	e.lits = lits[:0]
 
 	temporal, tst, err := e.sealWithin(0, kindBatchDelta, dims, total, eb, opts, e.alt, tlits, tnlit)
@@ -357,20 +360,23 @@ func (e *Encoder[T]) compressBlocks(blocks, refs []*grid.Grid3[T], opts Options,
 }
 
 // encodeSpatial Lorenzo-codes blocks into codes, one block after another,
-// appending their literals to lits. rec(i) is where block i reconstructs.
-func encodeSpatial[T grid.Float](blocks []*grid.Grid3[T], d grid.Dims, codes []uint32, lits []byte, eb float64, radius int64, rec func(i int) []T) ([]byte, int) {
+// appending their literals to lits. rec(i) is where block i reconstructs;
+// unless keep is set it is working memory that nobody reads afterwards, and
+// the vector kernels, which have their own, leave it alone.
+func (e *Encoder[T]) encodeSpatial(blocks []*grid.Grid3[T], d grid.Dims, codes []uint32, lits []byte, eb float64, radius int64, rec func(i int) []T, keep bool) ([]byte, int) {
 	per := d.Count()
 	zeroed := func(i int) []T {
 		r := rec(i)
 		clear(r)
 		return r
 	}
-	nlit := 0
-	// Blocks are mutually independent, so groups of four encode in lock
-	// step through the quad kernel — four overlapping dependency chains
-	// instead of one (see kernel_quad.go). Literals post-pass per block,
-	// in block order, preserving the pool layout exactly.
-	i := 0
+	// Blocks are mutually independent, so they encode in lock step: full
+	// groups of simdLanes through the vector kernel where there is one
+	// (simd.go), then groups of four through the quad kernel — four
+	// overlapping dependency chains instead of one (see kernel_quad.go).
+	// Literals post-pass per block, in block order, preserving the pool
+	// layout exactly.
+	i, lits, nlit := e.encodeGroups(blocks, d, codes, lits, eb, radius, rec, keep)
 	for ; i+4 <= len(blocks); i += 4 {
 		encodeBlockQuad(
 			blocks[i].Data, blocks[i+1].Data, blocks[i+2].Data, blocks[i+3].Data,
@@ -391,12 +397,12 @@ func encodeSpatial[T grid.Float](blocks []*grid.Grid3[T], d grid.Dims, codes []u
 
 // encodeTemporal codes blocks against refs into codes, appending their
 // literals to lits. rec(i) is where block i reconstructs.
-func encodeTemporal[T grid.Float](blocks, refs []*grid.Grid3[T], codes []uint32, lits []byte, eb float64, radius int64, rec func(i int) []T) ([]byte, int) {
+func (e *Encoder[T]) encodeTemporal(blocks, refs []*grid.Grid3[T], codes []uint32, lits []byte, eb float64, radius int64, rec func(i int) []T) ([]byte, int) {
 	per := len(codes) / len(blocks)
 	nlit := 0
 	for i := range blocks {
 		var k int
-		lits, k = encodeTemporalBlock(blocks[i].Data, refs[i].Data, rec(i), codes[i*per:(i+1)*per], lits, eb, radius)
+		lits, k = e.temporalEncode(blocks[i].Data, refs[i].Data, rec(i), codes[i*per:(i+1)*per], lits, eb, radius)
 		nlit += k
 	}
 	return lits, nlit
@@ -539,6 +545,10 @@ type Decoder[T grid.Float] struct {
 	huffBuf []byte
 	litBuf  []byte
 	litOff  []int
+	want    []int // the blocks a reconstruct was asked for
+
+	lanes  lanes // the vector kernels' scratch (simd.go)
+	scalar bool  // tests: hold the vector kernels off
 }
 
 // NewDecoder returns an empty Decoder; scratch grows on first use.
@@ -670,7 +680,7 @@ func (d *Decoder[T]) DecompressBlocks(blob []byte) ([]*grid.Grid3[T], error) {
 		return nil, err
 	}
 	out := grid.NewBlocks[T](b.dims, b.count)
-	return out, b.reconstruct(out, nil)
+	return out, d.reconstruct(b, out, nil)
 }
 
 // DecompressBlocksInto is DecompressBlocks into caller-owned blocks: dst
@@ -691,7 +701,7 @@ func (d *Decoder[T]) DecompressBlocksInto(dst []*grid.Grid3[T], blob []byte) err
 	if err != nil {
 		return err
 	}
-	return b.reconstruct(dst, nil)
+	return d.reconstruct(b, dst, nil)
 }
 
 // batch is an unsealed block-batch payload ready for reconstruction. Its
@@ -730,9 +740,9 @@ func (d *Decoder[T]) openBatch(blob []byte, kind int) (batch[T], error) {
 	}, nil
 }
 
-// reconstruct decodes the batch's blocks into the non-nil entries of dst
-// (see DecompressBlocksInto), against refs for a temporal batch.
-func (b batch[T]) reconstruct(dst, refs []*grid.Grid3[T]) error {
+// reconstruct decodes the blocks of b into the non-nil entries of dst (see
+// DecompressBlocksInto), against refs for a temporal batch.
+func (d *Decoder[T]) reconstruct(b batch[T], dst, refs []*grid.Grid3[T]) error {
 	if len(dst) != b.count {
 		return fmt.Errorf("sz: %d destination blocks for %d blocks", len(dst), b.count)
 	}
@@ -761,31 +771,31 @@ func (b batch[T]) reconstruct(dst, refs []*grid.Grid3[T]) error {
 	if b.delta {
 		for i, g := range dst {
 			if g != nil {
-				decodeTemporalBlock(g.Data, refs[i].Data, codes(i), b.lits[b.litOff[i]:b.litOff[i+1]], b.twoEB, b.radius)
+				d.temporalDecode(g.Data, refs[i].Data, codes(i), b.lits[b.litOff[i]:b.litOff[i+1]], b.twoEB, b.radius)
 			}
 		}
 		return nil
 	}
 	// Blocks are mutually independent, so wanted blocks — adjacent or not —
-	// regroup into fours for the lock-step quad kernel (kernel_quad.go);
-	// up to three left over decode singly.
-	var q [4]int
-	nq := 0
+	// regroup: into groups of simdLanes for the vector kernel where there
+	// is one (simd.go), then into fours for the lock-step quad kernel
+	// (kernel_quad.go); up to three left over decode singly.
+	want := d.want[:0]
 	for i, g := range dst {
-		if g == nil {
-			continue
+		if g != nil {
+			want = append(want, i)
 		}
-		q[nq] = i
-		if nq++; nq < 4 {
-			continue
-		}
-		nq = 0
+	}
+	d.want = want[:0]
+	want = d.decodeGroups(b, want, dst)
+	for ; len(want) >= 4; want = want[4:] {
+		q := want[:4]
 		decodeBlockQuad(
 			dst[q[0]].Data, dst[q[1]].Data, dst[q[2]].Data, dst[q[3]].Data, b.dims,
 			codes(q[0]), codes(q[1]), codes(q[2]), codes(q[3]),
 			b.lits, b.litOff[q[0]], b.litOff[q[1]], b.litOff[q[2]], b.litOff[q[3]], b.twoEB, b.radius)
 	}
-	for _, i := range q[:nq] {
+	for _, i := range want {
 		decodeBlock3(dst[i].Data, b.dims, codes(i), b.lits[b.litOff[i]:b.litOff[i+1]], b.twoEB, b.radius)
 	}
 	return nil
@@ -829,7 +839,7 @@ func (d *Decoder[T]) DecompressBlocksDelta(blob []byte, refs []*grid.Grid3[T]) (
 		return nil, err
 	}
 	out := grid.NewBlocks[T](b.dims, b.count)
-	return out, b.reconstruct(out, refs)
+	return out, d.reconstruct(b, out, refs)
 }
 
 // DecompressBlocksDeltaInto is DecompressBlocksDelta into caller-owned
@@ -843,7 +853,7 @@ func (d *Decoder[T]) DecompressBlocksDeltaInto(dst []*grid.Grid3[T], blob []byte
 	if err != nil {
 		return err
 	}
-	return b.reconstruct(dst, refs)
+	return d.reconstruct(b, dst, refs)
 }
 
 // DecompressBlocksDelta is the one-shot form of

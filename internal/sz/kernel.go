@@ -91,7 +91,7 @@ func fastRound(x float64) float64 {
 //	qv := fastRound(diff / twoEB)
 //	c, r := uint32(0), v                  // literal marker unless...
 //	if math.Abs(qv) < radiusF {           // (range-check before the
-//		if rr := T(float64(pred)+twoEB*qv); // int conversion: out-of-
+//		if rr := T(float64(pred)+float64(twoEB*qv)); // int conv.: out-of-
 //			math.Abs(float64(v)-float64(rr)) <= eb { // range conversions
 //			c, r = uint32(int64(qv)+radius), rr      // are undefined)
 //		}
@@ -100,7 +100,7 @@ func fastRound(x float64) float64 {
 // dqstep is the dequantizer twin; it is small enough to inline even as a
 // shape instantiation.
 func dqstep[T grid.Float](c uint32, pred T, twoEB float64, radius int64) T {
-	return T(float64(pred) + twoEB*float64(int64(c)-radius))
+	return T(float64(pred) + float64(twoEB*float64(int64(c)-radius)))
 }
 
 // loadLiteral reads one exact literal from the front of b. The caller
@@ -166,7 +166,7 @@ func encodeBlock3[T grid.Float](src, recon []T, d grid.Dims, codes []uint32, lit
 			qv := fastRound(diff / twoEB)
 			c, r := uint32(0), v
 			if math.Abs(qv) < radiusF {
-				if rr := T(float64(p) + twoEB*qv); math.Abs(float64(v)-float64(rr)) <= eb {
+				if rr := T(float64(p) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 					c, r = uint32(int64(qv)+radius), rr
 				}
 			}
@@ -179,7 +179,7 @@ func encodeBlock3[T grid.Float](src, recon []T, d grid.Dims, codes []uint32, lit
 			qv := fastRound(diff / twoEB)
 			c, r := uint32(0), v
 			if math.Abs(qv) < radiusF {
-				if rr := T(float64(pred) + twoEB*qv); math.Abs(float64(v)-float64(rr)) <= eb {
+				if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 					c, r = uint32(int64(qv)+radius), rr
 				}
 			}
@@ -201,7 +201,7 @@ func encodeBlock3[T grid.Float](src, recon []T, d grid.Dims, codes []uint32, lit
 			qv := fastRound(diff / twoEB)
 			c, r := uint32(0), v
 			if math.Abs(qv) < radiusF {
-				if rr := T(float64(pred) + twoEB*qv); math.Abs(float64(v)-float64(rr)) <= eb {
+				if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 					c, r = uint32(int64(qv)+radius), rr
 				}
 			}
@@ -214,7 +214,7 @@ func encodeBlock3[T grid.Float](src, recon []T, d grid.Dims, codes []uint32, lit
 			qv := fastRound(diff / twoEB)
 			c, r := uint32(0), v
 			if math.Abs(qv) < radiusF {
-				if rr := T(float64(pred) + twoEB*qv); math.Abs(float64(v)-float64(rr)) <= eb {
+				if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 					c, r = uint32(int64(qv)+radius), rr
 				}
 			}
@@ -239,7 +239,7 @@ func encodeBlock3[T grid.Float](src, recon []T, d grid.Dims, codes []uint32, lit
 				qv := fastRound(diff / twoEB)
 				c, r := uint32(0), v
 				if math.Abs(qv) < radiusF {
-					if rr := T(float64(pred) + twoEB*qv); math.Abs(float64(v)-float64(rr)) <= eb {
+					if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 						c, r = uint32(int64(qv)+radius), rr
 					}
 				}
@@ -252,7 +252,7 @@ func encodeBlock3[T grid.Float](src, recon []T, d grid.Dims, codes []uint32, lit
 				qv := fastRound(diff / twoEB)
 				c, r := uint32(0), v
 				if math.Abs(qv) < radiusF {
-					if rr := T(float64(pred) + twoEB*qv); math.Abs(float64(v)-float64(rr)) <= eb {
+					if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 						c, r = uint32(int64(qv)+radius), rr
 					}
 				}
@@ -297,7 +297,7 @@ func encodeBlock3[T grid.Float](src, recon []T, d grid.Dims, codes []uint32, lit
 				qv := fastRound(diff / twoEB)
 				c, r := uint32(0), v
 				if math.Abs(qv) < radiusF {
-					if rr := T(float64(pred) + twoEB*qv); math.Abs(float64(v)-float64(rr)) <= eb {
+					if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 						c, r = uint32(int64(qv)+radius), rr
 					}
 				}
@@ -310,7 +310,7 @@ func encodeBlock3[T grid.Float](src, recon []T, d grid.Dims, codes []uint32, lit
 				qv := fastRound(diff / twoEB)
 				c, r := uint32(0), v
 				if math.Abs(qv) < radiusF {
-					if rr := T(float64(pred) + twoEB*qv); math.Abs(float64(v)-float64(rr)) <= eb {
+					if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 						c, r = uint32(int64(qv)+radius), rr
 					}
 				}
@@ -323,7 +323,7 @@ func encodeBlock3[T grid.Float](src, recon []T, d grid.Dims, codes []uint32, lit
 				qv := fastRound(diff / twoEB)
 				c, r := uint32(0), v
 				if math.Abs(qv) < radiusF {
-					if rr := T(float64(pred) + twoEB*qv); math.Abs(float64(v)-float64(rr)) <= eb {
+					if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 						c, r = uint32(int64(qv)+radius), rr
 					}
 				}
@@ -344,7 +344,7 @@ func encodeBlock3[T grid.Float](src, recon []T, d grid.Dims, codes []uint32, lit
 				qvA := fastRound(diffA / twoEB)
 				okA := false
 				if math.Abs(qvA) < radiusF {
-					r := T(float64(predA) + twoEB*qvA)
+					r := T(float64(predA) + float64(twoEB*qvA))
 					if math.Abs(float64(vA)-float64(r)) <= eb {
 						codeA[t] = uint32(int64(qvA) + radius)
 						pA = r
@@ -366,7 +366,7 @@ func encodeBlock3[T grid.Float](src, recon []T, d grid.Dims, codes []uint32, lit
 				qvB := fastRound(diffB / twoEB)
 				okB := false
 				if math.Abs(qvB) < radiusF {
-					r := T(float64(predB) + twoEB*qvB)
+					r := T(float64(predB) + float64(twoEB*qvB))
 					if math.Abs(float64(vB)-float64(r)) <= eb {
 						codeB[zb] = uint32(int64(qvB) + radius)
 						pB = r
@@ -390,7 +390,7 @@ func encodeBlock3[T grid.Float](src, recon []T, d grid.Dims, codes []uint32, lit
 				qv := fastRound(diff / twoEB)
 				c, r := uint32(0), v
 				if math.Abs(qv) < radiusF {
-					if rr := T(float64(pred) + twoEB*qv); math.Abs(float64(v)-float64(rr)) <= eb {
+					if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 						c, r = uint32(int64(qv)+radius), rr
 					}
 				}
@@ -417,7 +417,7 @@ func encodeBlock3[T grid.Float](src, recon []T, d grid.Dims, codes []uint32, lit
 				qv := fastRound(diff / twoEB)
 				c, r := uint32(0), v
 				if math.Abs(qv) < radiusF {
-					if rr := T(float64(pred) + twoEB*qv); math.Abs(float64(v)-float64(rr)) <= eb {
+					if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 						c, r = uint32(int64(qv)+radius), rr
 					}
 				}
@@ -431,7 +431,7 @@ func encodeBlock3[T grid.Float](src, recon []T, d grid.Dims, codes []uint32, lit
 				qv := fastRound(diff / twoEB)
 				c, r := uint32(0), v
 				if math.Abs(qv) < radiusF {
-					if rr := T(float64(pred) + twoEB*qv); math.Abs(float64(v)-float64(rr)) <= eb {
+					if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 						c, r = uint32(int64(qv)+radius), rr
 					}
 				}
@@ -675,7 +675,7 @@ func encodeBlock2[T grid.Float](src, recon []T, nx, ny int, codes []uint32, lits
 			qv := fastRound(diff / twoEB)
 			c, r := uint32(0), v
 			if math.Abs(qv) < radiusF {
-				if rr := T(float64(p) + twoEB*qv); math.Abs(float64(v)-float64(rr)) <= eb {
+				if rr := T(float64(p) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 					c, r = uint32(int64(qv)+radius), rr
 				}
 			}
@@ -688,7 +688,7 @@ func encodeBlock2[T grid.Float](src, recon []T, nx, ny int, codes []uint32, lits
 			qv := fastRound(diff / twoEB)
 			c, r := uint32(0), v
 			if math.Abs(qv) < radiusF {
-				if rr := T(float64(pred) + twoEB*qv); math.Abs(float64(v)-float64(rr)) <= eb {
+				if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 					c, r = uint32(int64(qv)+radius), rr
 				}
 			}
@@ -710,7 +710,7 @@ func encodeBlock2[T grid.Float](src, recon []T, nx, ny int, codes []uint32, lits
 			qv := fastRound(diff / twoEB)
 			c, r := uint32(0), v
 			if math.Abs(qv) < radiusF {
-				if rr := T(float64(pred) + twoEB*qv); math.Abs(float64(v)-float64(rr)) <= eb {
+				if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 					c, r = uint32(int64(qv)+radius), rr
 				}
 			}
@@ -724,7 +724,7 @@ func encodeBlock2[T grid.Float](src, recon []T, nx, ny int, codes []uint32, lits
 			qv := fastRound(diff / twoEB)
 			c, r := uint32(0), v
 			if math.Abs(qv) < radiusF {
-				if rr := T(float64(pred) + twoEB*qv); math.Abs(float64(v)-float64(rr)) <= eb {
+				if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 					c, r = uint32(int64(qv)+radius), rr
 				}
 			}
@@ -797,7 +797,7 @@ func encodeStream1[T grid.Float](values []T, codes []uint32, lits []byte, eb flo
 		diff := float64(v) - float64(prev)
 		qv := fastRound(diff / twoEB)
 		if math.Abs(qv) < radiusF {
-			r := T(float64(prev) + twoEB*qv)
+			r := T(float64(prev) + float64(twoEB*qv))
 			if math.Abs(float64(v)-float64(r)) <= eb {
 				codes[i] = uint32(int64(qv) + radius)
 				prev = r

@@ -49,7 +49,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 			qv := fastRound(diff / twoEB)
 			c, r := uint32(0), v
 			if math.Abs(qv) < radiusF {
-				if rr := T(float64(zero) + twoEB*qv); math.Abs(float64(v)-float64(rr)) <= eb {
+				if rr := T(float64(zero) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 					c, r = uint32(int64(qv)+radius), rr
 				}
 			}
@@ -61,7 +61,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 			qv := fastRound(diff / twoEB)
 			c, r := uint32(0), v
 			if math.Abs(qv) < radiusF {
-				if rr := T(float64(zero) + twoEB*qv); math.Abs(float64(v)-float64(rr)) <= eb {
+				if rr := T(float64(zero) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 					c, r = uint32(int64(qv)+radius), rr
 				}
 			}
@@ -73,7 +73,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 			qv := fastRound(diff / twoEB)
 			c, r := uint32(0), v
 			if math.Abs(qv) < radiusF {
-				if rr := T(float64(zero) + twoEB*qv); math.Abs(float64(v)-float64(rr)) <= eb {
+				if rr := T(float64(zero) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 					c, r = uint32(int64(qv)+radius), rr
 				}
 			}
@@ -85,7 +85,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 			qv := fastRound(diff / twoEB)
 			c, r := uint32(0), v
 			if math.Abs(qv) < radiusF {
-				if rr := T(float64(zero) + twoEB*qv); math.Abs(float64(v)-float64(rr)) <= eb {
+				if rr := T(float64(zero) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 					c, r = uint32(int64(qv)+radius), rr
 				}
 			}
@@ -99,7 +99,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 				qv := fastRound(diff / twoEB)
 				c, r := uint32(0), v
 				if math.Abs(qv) < radiusF {
-					if rr := T(float64(pred) + twoEB*qv); math.Abs(float64(v)-float64(rr)) <= eb {
+					if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 						c, r = uint32(int64(qv)+radius), rr
 					}
 				}
@@ -112,7 +112,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 				qv := fastRound(diff / twoEB)
 				c, r := uint32(0), v
 				if math.Abs(qv) < radiusF {
-					if rr := T(float64(pred) + twoEB*qv); math.Abs(float64(v)-float64(rr)) <= eb {
+					if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 						c, r = uint32(int64(qv)+radius), rr
 					}
 				}
@@ -125,7 +125,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 				qv := fastRound(diff / twoEB)
 				c, r := uint32(0), v
 				if math.Abs(qv) < radiusF {
-					if rr := T(float64(pred) + twoEB*qv); math.Abs(float64(v)-float64(rr)) <= eb {
+					if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 						c, r = uint32(int64(qv)+radius), rr
 					}
 				}
@@ -138,7 +138,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 				qv := fastRound(diff / twoEB)
 				c, r := uint32(0), v
 				if math.Abs(qv) < radiusF {
-					if rr := T(float64(pred) + twoEB*qv); math.Abs(float64(v)-float64(rr)) <= eb {
+					if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 						c, r = uint32(int64(qv)+radius), rr
 					}
 				}
@@ -157,7 +157,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 			qv := fastRound(diff / twoEB)
 			c, r := uint32(0), v
 			if math.Abs(qv) < radiusF {
-				if rr := T(float64(pred) + twoEB*qv); math.Abs(float64(v)-float64(rr)) <= eb {
+				if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 					c, r = uint32(int64(qv)+radius), rr
 				}
 			}
@@ -170,7 +170,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 			qv := fastRound(diff / twoEB)
 			c, r := uint32(0), v
 			if math.Abs(qv) < radiusF {
-				if rr := T(float64(pred) + twoEB*qv); math.Abs(float64(v)-float64(rr)) <= eb {
+				if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 					c, r = uint32(int64(qv)+radius), rr
 				}
 			}
@@ -183,7 +183,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 			qv := fastRound(diff / twoEB)
 			c, r := uint32(0), v
 			if math.Abs(qv) < radiusF {
-				if rr := T(float64(pred) + twoEB*qv); math.Abs(float64(v)-float64(rr)) <= eb {
+				if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 					c, r = uint32(int64(qv)+radius), rr
 				}
 			}
@@ -196,7 +196,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 			qv := fastRound(diff / twoEB)
 			c, r := uint32(0), v
 			if math.Abs(qv) < radiusF {
-				if rr := T(float64(pred) + twoEB*qv); math.Abs(float64(v)-float64(rr)) <= eb {
+				if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 					c, r = uint32(int64(qv)+radius), rr
 				}
 			}
@@ -211,7 +211,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 				qv := fastRound(diff / twoEB)
 				c, r := uint32(0), v
 				if math.Abs(qv) < radiusF {
-					if rr := T(float64(pred) + twoEB*qv); math.Abs(float64(v)-float64(rr)) <= eb {
+					if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 						c, r = uint32(int64(qv)+radius), rr
 					}
 				}
@@ -224,7 +224,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 				qv := fastRound(diff / twoEB)
 				c, r := uint32(0), v
 				if math.Abs(qv) < radiusF {
-					if rr := T(float64(pred) + twoEB*qv); math.Abs(float64(v)-float64(rr)) <= eb {
+					if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 						c, r = uint32(int64(qv)+radius), rr
 					}
 				}
@@ -237,7 +237,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 				qv := fastRound(diff / twoEB)
 				c, r := uint32(0), v
 				if math.Abs(qv) < radiusF {
-					if rr := T(float64(pred) + twoEB*qv); math.Abs(float64(v)-float64(rr)) <= eb {
+					if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 						c, r = uint32(int64(qv)+radius), rr
 					}
 				}
@@ -250,7 +250,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 				qv := fastRound(diff / twoEB)
 				c, r := uint32(0), v
 				if math.Abs(qv) < radiusF {
-					if rr := T(float64(pred) + twoEB*qv); math.Abs(float64(v)-float64(rr)) <= eb {
+					if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 						c, r = uint32(int64(qv)+radius), rr
 					}
 				}
@@ -270,7 +270,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 				qv := fastRound(diff / twoEB)
 				c, r := uint32(0), v
 				if math.Abs(qv) < radiusF {
-					if rr := T(float64(pred) + twoEB*qv); math.Abs(float64(v)-float64(rr)) <= eb {
+					if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 						c, r = uint32(int64(qv)+radius), rr
 					}
 				}
@@ -283,7 +283,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 				qv := fastRound(diff / twoEB)
 				c, r := uint32(0), v
 				if math.Abs(qv) < radiusF {
-					if rr := T(float64(pred) + twoEB*qv); math.Abs(float64(v)-float64(rr)) <= eb {
+					if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 						c, r = uint32(int64(qv)+radius), rr
 					}
 				}
@@ -296,7 +296,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 				qv := fastRound(diff / twoEB)
 				c, r := uint32(0), v
 				if math.Abs(qv) < radiusF {
-					if rr := T(float64(pred) + twoEB*qv); math.Abs(float64(v)-float64(rr)) <= eb {
+					if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 						c, r = uint32(int64(qv)+radius), rr
 					}
 				}
@@ -309,7 +309,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 				qv := fastRound(diff / twoEB)
 				c, r := uint32(0), v
 				if math.Abs(qv) < radiusF {
-					if rr := T(float64(pred) + twoEB*qv); math.Abs(float64(v)-float64(rr)) <= eb {
+					if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 						c, r = uint32(int64(qv)+radius), rr
 					}
 				}
@@ -324,7 +324,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 					qv := fastRound(diff / twoEB)
 					c, r := uint32(0), v
 					if math.Abs(qv) < radiusF {
-						if rr := T(float64(pred) + twoEB*qv); math.Abs(float64(v)-float64(rr)) <= eb {
+						if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 							c, r = uint32(int64(qv)+radius), rr
 						}
 					}
@@ -337,7 +337,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 					qv := fastRound(diff / twoEB)
 					c, r := uint32(0), v
 					if math.Abs(qv) < radiusF {
-						if rr := T(float64(pred) + twoEB*qv); math.Abs(float64(v)-float64(rr)) <= eb {
+						if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 							c, r = uint32(int64(qv)+radius), rr
 						}
 					}
@@ -350,7 +350,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 					qv := fastRound(diff / twoEB)
 					c, r := uint32(0), v
 					if math.Abs(qv) < radiusF {
-						if rr := T(float64(pred) + twoEB*qv); math.Abs(float64(v)-float64(rr)) <= eb {
+						if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 							c, r = uint32(int64(qv)+radius), rr
 						}
 					}
@@ -363,7 +363,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 					qv := fastRound(diff / twoEB)
 					c, r := uint32(0), v
 					if math.Abs(qv) < radiusF {
-						if rr := T(float64(pred) + twoEB*qv); math.Abs(float64(v)-float64(rr)) <= eb {
+						if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 							c, r = uint32(int64(qv)+radius), rr
 						}
 					}
@@ -381,7 +381,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 				qv := fastRound(diff / twoEB)
 				c, r := uint32(0), v
 				if math.Abs(qv) < radiusF {
-					if rr := T(float64(pred) + twoEB*qv); math.Abs(float64(v)-float64(rr)) <= eb {
+					if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 						c, r = uint32(int64(qv)+radius), rr
 					}
 				}
@@ -394,7 +394,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 				qv := fastRound(diff / twoEB)
 				c, r := uint32(0), v
 				if math.Abs(qv) < radiusF {
-					if rr := T(float64(pred) + twoEB*qv); math.Abs(float64(v)-float64(rr)) <= eb {
+					if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 						c, r = uint32(int64(qv)+radius), rr
 					}
 				}
@@ -407,7 +407,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 				qv := fastRound(diff / twoEB)
 				c, r := uint32(0), v
 				if math.Abs(qv) < radiusF {
-					if rr := T(float64(pred) + twoEB*qv); math.Abs(float64(v)-float64(rr)) <= eb {
+					if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 						c, r = uint32(int64(qv)+radius), rr
 					}
 				}
@@ -420,7 +420,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 				qv := fastRound(diff / twoEB)
 				c, r := uint32(0), v
 				if math.Abs(qv) < radiusF {
-					if rr := T(float64(pred) + twoEB*qv); math.Abs(float64(v)-float64(rr)) <= eb {
+					if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 						c, r = uint32(int64(qv)+radius), rr
 					}
 				}
@@ -435,7 +435,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 					qv := fastRound(diff / twoEB)
 					c, r := uint32(0), v
 					if math.Abs(qv) < radiusF {
-						if rr := T(float64(pred) + twoEB*qv); math.Abs(float64(v)-float64(rr)) <= eb {
+						if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 							c, r = uint32(int64(qv)+radius), rr
 						}
 					}
@@ -448,7 +448,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 					qv := fastRound(diff / twoEB)
 					c, r := uint32(0), v
 					if math.Abs(qv) < radiusF {
-						if rr := T(float64(pred) + twoEB*qv); math.Abs(float64(v)-float64(rr)) <= eb {
+						if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 							c, r = uint32(int64(qv)+radius), rr
 						}
 					}
@@ -461,7 +461,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 					qv := fastRound(diff / twoEB)
 					c, r := uint32(0), v
 					if math.Abs(qv) < radiusF {
-						if rr := T(float64(pred) + twoEB*qv); math.Abs(float64(v)-float64(rr)) <= eb {
+						if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 							c, r = uint32(int64(qv)+radius), rr
 						}
 					}
@@ -474,7 +474,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 					qv := fastRound(diff / twoEB)
 					c, r := uint32(0), v
 					if math.Abs(qv) < radiusF {
-						if rr := T(float64(pred) + twoEB*qv); math.Abs(float64(v)-float64(rr)) <= eb {
+						if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 							c, r = uint32(int64(qv)+radius), rr
 						}
 					}

@@ -31,6 +31,12 @@ import (
 // values at the same shape. Literals are appended via the standard
 // collectLits post-pass and (lits, nlit) returned grown.
 func encodeTemporalBlock[T grid.Float](src, ref, recon []T, codes []uint32, lits []byte, eb float64, radius int64) ([]byte, int) {
+	quantizeTemporal(src, ref, recon, codes, eb, radius)
+	return collectLits(codes, src, lits, 0)
+}
+
+// quantizeTemporal is encodeTemporalBlock without the literal post-pass.
+func quantizeTemporal[T grid.Float](src, ref, recon []T, codes []uint32, eb float64, radius int64) {
 	twoEB := 2 * eb
 	radiusF := float64(radius)
 	for i, v := range src {
@@ -39,13 +45,12 @@ func encodeTemporalBlock[T grid.Float](src, ref, recon []T, codes []uint32, lits
 		qv := fastRound(diff / twoEB)
 		c, r := uint32(0), v
 		if math.Abs(qv) < radiusF {
-			if rr := T(float64(pred) + twoEB*qv); math.Abs(float64(v)-float64(rr)) <= eb {
+			if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 				c, r = uint32(int64(qv)+radius), rr
 			}
 		}
 		codes[i], recon[i] = c, r
 	}
-	return collectLits(codes, src, lits, 0)
 }
 
 // decodeTemporalBlock decodes one block given the reconstructed reference

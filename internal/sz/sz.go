@@ -295,7 +295,7 @@ func (q *quantizer[T]) encode(v, pred T) T {
 	// floats to int64 are implementation-dependent in Go.
 	if math.Abs(qv) < float64(q.radius) {
 		iq := int64(qv)
-		recon := T(float64(pred) + q.twoEB*qv)
+		recon := T(float64(pred) + float64(q.twoEB*qv))
 		if math.Abs(float64(v)-float64(recon)) <= q.eb {
 			q.codes = append(q.codes, uint32(iq+q.radius))
 			return recon
@@ -345,7 +345,7 @@ func (d *dequantizer[T]) decode(pred T) (T, error) {
 		return v, nil
 	}
 	qv := int64(c) - d.radius
-	return T(float64(pred) + d.twoEB*float64(qv)), nil
+	return T(float64(pred) + float64(d.twoEB*float64(qv))), nil
 }
 
 // appendLiteral stores the exact bit pattern of v.
