@@ -291,14 +291,14 @@ func BenchmarkTACCompressZ10Parallel(b *testing.B) {
 }
 
 // BenchmarkTACDecompressZ10Parallel measures the decompress-side fan-out
-// (levels × block batches) with all CPUs.
+// (one job per payload unit, heaviest first) with all CPUs.
 func BenchmarkTACDecompressZ10Parallel(b *testing.B) {
 	benchDecompress(b, core.TAC{Workers: -1}, "Run1_Z10")
 }
 
-// BenchmarkEncoderReuseZ10 measures the pooled engine on a
-// repeated-snapshot campaign: same codec work as BenchmarkTACCompressZ10,
-// but all sz scratch pinned across iterations.
+// BenchmarkEncoderReuseZ10 measures the facade's reusable Encoder on a
+// repeated-snapshot campaign: the same codec work, on the same pooled
+// scratch, as BenchmarkTACCompressZ10.
 func BenchmarkEncoderReuseZ10(b *testing.B) {
 	ds := dataset(b, "Run1_Z10")
 	enc := tac.NewEncoder()
@@ -432,19 +432,6 @@ func BenchmarkArchiveOpen(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := archive.Open(rd, int64(len(blob))); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSZCompressBlocksParallel(b *testing.B) {
-	l := level(b, experiments.LevelRef{Label: "z10 fine", Dataset: "Run1_Z10", Level: 0})
-	boxes := preprocess.OpST(l.Mask)
-	groups := preprocess.GroupBoxes(boxes)
-	grids := preprocess.Gather(l.Grid, groups[len(groups)-1].Boxes, l.UnitBlock)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := sz.CompressBlocksParallel(grids, sz.Options{ErrorBound: 1e9}, -1); err != nil {
 			b.Fatal(err)
 		}
 	}

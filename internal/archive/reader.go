@@ -9,9 +9,9 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/amr"
+	"repro/internal/fanout"
 	"repro/internal/grid"
 	"repro/internal/sz"
 )
@@ -705,12 +705,19 @@ func (r *Reader) extract(mi, lo, hi int, wants []*grid.Mask) ([]*amr.Level, erro
 		}
 	}
 
-	// run decodes one frame — and its whole reference chain — into the
-	// worker's block scratch, leaving unwanted blocks out of every stage
-	// after the entropy decode, and scatters the rest into the level.
-	run := func(fd *frameDecoder, j frameJob) error {
-		p := j.plan
-		blo, bhi := p.idx.BatchSpan(j.batch)
+	// Workers claim jobs in plan order. Each job decodes one frame — and
+	// its whole reference chain — into pooled block scratch, leaving
+	// unwanted blocks out of every stage after the entropy decode, and
+	// scatters the rest into the level.
+	workers := r.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	err := fanout.Run(len(jobs), workers, func(ji int) error {
+		fd := frameDecoders.Get().(*frameDecoder)
+		defer frameDecoders.Put(fd)
+		p, batch := jobs[ji].plan, jobs[ji].batch
+		blo, bhi := p.idx.BatchSpan(batch)
 		ords := p.ords[blo:bhi]
 		blocks := fd.scratch(p.idx.unitDims(), len(ords))
 		if p.want != nil {
@@ -720,7 +727,7 @@ func (r *Reader) extract(mi, lo, hi int, wants []*grid.Mask) ([]*amr.Level, erro
 				}
 			}
 		}
-		if err := r.decodeChain(fd, blocks, mi, p.li, j.batch); err != nil {
+		if err := r.decodeChain(fd, blocks, mi, p.li, batch); err != nil {
 			return err
 		}
 		l := p.get()
@@ -731,51 +738,9 @@ func (r *Reader) extract(mi, lo, hi int, wants []*grid.Mask) ([]*amr.Level, erro
 			}
 		}
 		return nil
-	}
-
-	workers := r.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = min(workers, len(jobs))
-	if workers <= 1 {
-		fd := frameDecoders.Get().(*frameDecoder)
-		defer frameDecoders.Put(fd)
-		for _, j := range jobs {
-			if err := run(fd, j); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		// Workers claim jobs in plan order; after a failure no new job
-		// starts, and the error reported is the first in plan order.
-		errs := make([]error, len(jobs))
-		var next atomic.Int64
-		var failed atomic.Bool
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				fd := frameDecoders.Get().(*frameDecoder)
-				defer frameDecoders.Put(fd)
-				for !failed.Load() {
-					ji := int(next.Add(1)) - 1
-					if ji >= len(jobs) {
-						return
-					}
-					if errs[ji] = run(fd, jobs[ji]); errs[ji] != nil {
-						failed.Store(true)
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Masks are marked after the fan-out: bits of one packed word are

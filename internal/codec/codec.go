@@ -86,9 +86,10 @@ type Config struct {
 	AdaptiveBaseline bool
 	// GSP tunes ghost-shell padding.
 	GSP preprocess.GSPOptions
-	// Workers > 1 compresses the sub-block batches of each level in
-	// parallel (payloads stay byte-identical to the serial path); ≤ 1 is
-	// serial. -1 uses all CPUs.
+	// Workers > 1 codes that many payload units at once — a dense level is
+	// one unit, a sparse level one per shape group of its sub-blocks — and
+	// the archive writer's batches; -1 uses all CPUs, ≤ 1 is serial.
+	// Payloads are byte-identical at every value.
 	Workers int
 }
 
@@ -205,10 +206,18 @@ func EncodeMask(m *grid.Mask) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+// maxInflate is the most DEFLATE can expand: a stored byte yields at most
+// 1032 (a 258-byte match costs two bits at the least).
+const maxInflate = 1032
+
 // DecodeMask inverts EncodeMask, allocating a mask of the given dims. The
-// inflate is capped at the mask's own packed size, so a corrupt stream
-// cannot balloon past it.
+// dims are checked against what comp can inflate to before the mask is
+// allocated, and the inflate is capped at the mask's own packed size, so a
+// corrupt stream can neither size an allocation nor balloon past it.
 func DecodeMask(d grid.Dims, comp []byte) (*grid.Mask, error) {
+	if packed := (d.Count() + 7) / 8; packed > maxInflate*len(comp) {
+		return nil, fmt.Errorf("codec: %d mask bytes cannot inflate to the %d a %v mask packs into", len(comp), packed, d)
+	}
 	m := grid.NewMask(d)
 	fr := flate.NewReader(bytes.NewReader(comp))
 	packed, err := io.ReadAll(io.LimitReader(fr, int64(m.PackedLen())+1))
@@ -362,6 +371,19 @@ func DecodeContainer(blob []byte, wantCodecID byte) (Skeleton, []byte, error) {
 			return sk, nil, fmt.Errorf("codec: level %d mask: %w", i, err)
 		}
 		sk.Levels = append(sk.Levels, li)
+	}
+	// Every codec spends at least one bit on each cell it stores before
+	// DEFLATE (huffman.parseCodebook leans on the same fact), so a body
+	// that cannot hold a level's stored cells is corrupt, and is refused
+	// here, before any caller sizes a grid by the skeleton. Cells of
+	// unoccupied blocks cost a sparse level nothing and are not counted:
+	// Run2_T4 holds 500 cells of level grid for each one it stores.
+	canCode := 8 * maxInflate * uint64(len(blob))
+	for i, li := range sk.Levels {
+		ub := uint64(li.UnitBlock)
+		if stored := uint64(li.Mask.Count()) * ub * ub * ub; stored > canCode {
+			return sk, nil, fmt.Errorf("codec: level %d stores %d cells, more than its %d-byte body can code", i, stored, len(blob))
+		}
 	}
 	return sk, blob, nil
 }

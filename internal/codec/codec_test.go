@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/amr"
+	"repro/internal/bitio"
 	"repro/internal/grid"
 	"repro/internal/sz"
 )
@@ -54,6 +55,57 @@ func TestContainerRoundTrip(t *testing.T) {
 	}
 	if string(gotBody) != string(body) {
 		t.Fatalf("body: %v", gotBody)
+	}
+}
+
+// hostileContainer is a 29-byte container whose one level claims 8192³
+// cells in a single, stored, unit block, over a one-byte body.
+func hostileContainer(tb testing.TB, codecID byte) []byte {
+	tb.Helper()
+	m := grid.NewMask(grid.Dims{X: 1, Y: 1, Z: 1})
+	m.Fill(true)
+	sk := Skeleton{Name: "h", Field: "f", Ratio: 2, Levels: []LevelInfo{
+		{Dims: grid.Dims{X: 8192, Y: 8192, Z: 8192}, UnitBlock: 8192, Mask: m}}}
+	blob, err := EncodeContainer(codecID, sk, []byte{0})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return blob
+}
+
+// maskBombContainer claims the same 8192³ cells at unit block 1, so that
+// the mask alone would be 64 GiB, behind a mask stream of a few bytes.
+func maskBombContainer(codecID byte) []byte {
+	out := bitio.AppendUvarint(nil, containerMagic)
+	out = append(out, codecID)
+	out = bitio.AppendBytes(out, []byte("h"))
+	out = bitio.AppendBytes(out, []byte("f"))
+	out = bitio.AppendUvarint(out, 2) // ratio
+	out = bitio.AppendUvarint(out, 1) // levels
+	for _, v := range []uint64{8192, 8192, 8192, 1} {
+		out = bitio.AppendUvarint(out, v)
+	}
+	out = bitio.AppendBytes(out, []byte{0x63, 0x00, 0x00}) // the mask stream: three bytes
+	return append(out, 0)
+}
+
+// TestContainerBoundsSkeletonByItsBytes: a skeleton is refused, before
+// anything is allocated from its dims, when the bytes behind it cannot
+// hold what it describes.
+func TestContainerBoundsSkeletonByItsBytes(t *testing.T) {
+	hostile := hostileContainer(t, 9)
+	if len(hostile) != 29 {
+		t.Fatalf("hostile container is %d bytes, want 29", len(hostile))
+	}
+	for name, blob := range map[string][]byte{"stored cells": hostile, "mask": maskBombContainer(9)} {
+		var err error
+		allocs := testing.AllocsPerRun(1, func() { _, _, err = DecodeContainer(blob, 9) })
+		if err == nil {
+			t.Fatalf("%s: %d-byte container claiming 8192³ cells was accepted", name, len(blob))
+		}
+		if allocs > 64 {
+			t.Fatalf("%s: %v allocations to refuse %d bytes", name, allocs, len(blob))
+		}
 	}
 }
 

@@ -36,12 +36,18 @@ func FuzzDecodeContainer(f *testing.F) {
 	mut := append([]byte(nil), seed...)
 	mut[len(mut)/4] ^= 0x80
 	f.Add(mut)
+	f.Add(hostileContainer(f, 7))
+	f.Add(maskBombContainer(7))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sk, _, err := DecodeContainer(data, 7)
+		sk, body, err := DecodeContainer(data, 7)
 		if err != nil {
 			return
 		}
 		for li, l := range sk.Levels {
+			ub := uint64(l.UnitBlock)
+			if stored := uint64(l.Mask.Count()) * ub * ub * ub; stored > 8*1032*uint64(len(body)) {
+				t.Fatalf("DecodeContainer accepted level %d storing %d cells over a %d-byte body", li, stored, len(body))
+			}
 			if l.UnitBlock <= 0 || l.Dims.Count() <= 0 || l.Dims.Count() > 1<<40 ||
 				l.Dims.X > 1<<20 || l.Dims.Y > 1<<20 || l.Dims.Z > 1<<20 ||
 				l.Dims.X%l.UnitBlock != 0 || l.Dims.Y%l.UnitBlock != 0 || l.Dims.Z%l.UnitBlock != 0 {

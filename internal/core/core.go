@@ -18,21 +18,22 @@
 // container stores; decompression replays it, so no coordinates are
 // serialized.
 //
-// Both directions run on the pooled sz engine: one-shot TAC values draw
-// Encoder/Decoder scratch from process-wide pools, and Engine pins a
-// private pair for single-goroutine repeated-snapshot campaigns.
+// Both directions plan every level into units — one per independently
+// decodable sz payload — and hand them, heaviest first, to one fan-out
+// whose workers each draw Encoder/Decoder scratch from process-wide pools.
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
-	"sync"
+	"slices"
 
 	"repro/internal/amr"
 	"repro/internal/baseline"
 	"repro/internal/bitio"
 	"repro/internal/codec"
-	"repro/internal/grid"
+	"repro/internal/fanout"
 	"repro/internal/kdtree"
 	"repro/internal/preprocess"
 	"repro/internal/sz"
@@ -42,9 +43,8 @@ import (
 const ID = 1
 
 // encoders and decoders hold warm sz scratch — including the Huffman
-// encode arenas and the decode-side lookup tables — for the one-shot
-// entry points, so even codec.Codec-interface callers stop paying
-// per-call allocation once the process is warm.
+// encode arenas and the decode-side lookup tables — one per unit in
+// flight, so no caller pays per-call allocation once the process is warm.
 var (
 	encoders sz.EncoderPool[amr.Value]
 	decoders sz.DecoderPool[amr.Value]
@@ -53,10 +53,10 @@ var (
 // TAC is the hybrid level-wise 3D AMR codec. The zero value is ready to
 // use; compression configuration travels in codec.Config.
 type TAC struct {
-	// Workers bounds the decompress-side fan-out (levels and block batches
-	// decode concurrently): -1 uses all CPUs, 0 or 1 decodes serially, n>1
-	// uses n workers. The compress side reads codec.Config.Workers instead,
-	// which arrives with the dataset.
+	// Workers bounds how many payload units (see plan) decode at once: -1
+	// uses all CPUs, 0 or 1 decodes serially, n>1 uses n goroutines. The
+	// compress side reads codec.Config.Workers instead, which arrives with
+	// the dataset.
 	Workers int
 }
 
@@ -92,14 +92,130 @@ func resolveWorkers(w int) int {
 	}
 }
 
-// Compress implements codec.Codec.
-func (t TAC) Compress(ds *amr.Dataset, cfg codec.Config) ([]byte, error) {
-	enc := encoders.Get()
-	defer encoders.Put(enc)
-	return compress(enc, ds, cfg)
+// unit is one independently decodable sz payload of a level, the grain
+// both directions run in parallel: the whole level grid under ZF and GSP,
+// one shape group of extracted sub-blocks under the sparse strategies.
+type unit struct {
+	li    int
+	l     *amr.Level
+	st    codec.Strategy
+	group *preprocess.Group // nil: the whole level grid
+	cells int               // the unit's weight
+	blob  []byte            // its payload: compress writes it, decompress reads it
 }
 
-func compress(enc *sz.Encoder[amr.Value], ds *amr.Dataset, cfg codec.Config) ([]byte, error) {
+// tag names the unit in an error.
+func (u *unit) tag(err error) error {
+	if u.group == nil {
+		return fmt.Errorf("core: level %d (%s): %w", u.li, u.st, err)
+	}
+	return fmt.Errorf("core: level %d (%s): group %v: %w", u.li, u.st, u.group.Shape, err)
+}
+
+// levelPlan is one level's strategy and its units in stream order.
+type levelPlan struct {
+	st    codec.Strategy
+	units []unit
+}
+
+func dense(st codec.Strategy) bool { return st == codec.ZF || st == codec.GSP }
+
+// plan lists the units of level li under strategy st. Both directions
+// derive it from the occupancy mask alone, which is why no coordinates are
+// serialized.
+func plan(li int, l *amr.Level, st codec.Strategy) (levelPlan, error) {
+	var boxes []kdtree.Box
+	switch st {
+	case codec.ZF, codec.GSP:
+		return levelPlan{st, []unit{{li: li, l: l, st: st, cells: l.Grid.Dim.Count()}}}, nil
+	case codec.NaST:
+		boxes = preprocess.NaST(l.Mask)
+	case codec.OpST:
+		boxes = preprocess.OpST(l.Mask)
+	case codec.AKD:
+		boxes, _ = kdtree.Adaptive(l.Mask)
+	case codec.ClassicKD:
+		boxes, _ = kdtree.Classic(l.Mask)
+	default:
+		return levelPlan{}, fmt.Errorf("core: level %d: unknown strategy %s", li, st)
+	}
+	groups := preprocess.GroupBoxes(boxes)
+	units := make([]unit, len(groups))
+	block := l.UnitBlock * l.UnitBlock * l.UnitBlock
+	for gi := range groups {
+		g := &groups[gi]
+		units[gi] = unit{li: li, l: l, st: st, group: g, cells: len(g.Boxes) * g.Shape.Count() * block}
+	}
+	return levelPlan{st, units}, nil
+}
+
+// section serializes the level: strategy byte, the group count of a sparse
+// level, then each unit's payload.
+func (p levelPlan) section() []byte {
+	sec := []byte{byte(p.st)}
+	if !dense(p.st) {
+		sec = bitio.AppendUvarint(sec, uint64(len(p.units)))
+	}
+	for i := range p.units {
+		sec = bitio.AppendBytes(sec, p.units[i].blob)
+	}
+	return sec
+}
+
+// split inverts section: it plans level li from the strategy byte and the
+// mask, and hands every unit its payload.
+func split(li int, l *amr.Level, sec []byte) (levelPlan, error) {
+	if len(sec) == 0 {
+		return levelPlan{}, fmt.Errorf("core: level %d: empty level section", li)
+	}
+	p, err := plan(li, l, codec.Strategy(sec[0]))
+	if err != nil {
+		return p, err
+	}
+	sec = sec[1:]
+	if !dense(p.st) {
+		ngroups, n, err := bitio.Uvarint(sec)
+		if err != nil {
+			return p, fmt.Errorf("core: level %d (%s): %w", li, p.st, err)
+		}
+		sec = sec[n:]
+		if ngroups != uint64(len(p.units)) {
+			return p, fmt.Errorf("core: level %d (%s): payload has %d groups, mask implies %d", li, p.st, ngroups, len(p.units))
+		}
+	}
+	for i := range p.units {
+		u := &p.units[i]
+		var n int
+		if u.blob, n, err = bitio.Bytes(sec); err != nil {
+			return p, u.tag(err)
+		}
+		sec = sec[n:]
+	}
+	return p, nil
+}
+
+// run calls fn on every unit of every level over at most workers
+// goroutines, heaviest unit first (ties in stream order): a level that is
+// one payload starts at once and the small groups fill in behind it. The
+// order does not depend on workers, so neither does the error reported.
+func run(plans []levelPlan, workers int, fn func(u *unit) error) error {
+	var order []*unit
+	for _, p := range plans {
+		for i := range p.units {
+			order = append(order, &p.units[i])
+		}
+	}
+	slices.SortStableFunc(order, func(a, b *unit) int { return cmp.Compare(b.cells, a.cells) })
+	return fanout.Run(len(order), workers, func(i int) error {
+		if err := fn(order[i]); err != nil {
+			return order[i].tag(err)
+		}
+		return nil
+	})
+}
+
+// Compress implements codec.Codec.
+func (TAC) Compress(ds *amr.Dataset, cfg codec.Config) ([]byte, error) {
 	cfg = cfg.WithDefaults()
 	if cfg.AdaptiveBaseline && ds.Levels[0].Density() >= cfg.T2 {
 		// Sec. 4.4: a dense finest level means the dataset is close to
@@ -107,31 +223,52 @@ func compress(enc *sz.Encoder[amr.Value], ds *amr.Dataset, cfg codec.Config) ([]
 		// redundancy is negligible.
 		return baseline.Uniform3D{}.Compress(ds, cfg)
 	}
-	var body []byte
+	plans := make([]levelPlan, len(ds.Levels))
+	ebs := make([]float64, len(ds.Levels))
 	for li, l := range ds.Levels {
-		st := PickStrategy(l.Density(), cfg)
-		sec, err := compressLevel(enc, l, st, cfg.LevelEB(li, l), cfg)
-		if err != nil {
-			return nil, fmt.Errorf("core: level %d (%s): %w", li, st, err)
+		var err error
+		if plans[li], err = plan(li, l, PickStrategy(l.Density(), cfg)); err != nil {
+			return nil, err
 		}
-		body = bitio.AppendBytes(body, sec)
+		ebs[li] = cfg.LevelEB(li, l)
+	}
+	if err := compress(plans, ebs, cfg); err != nil {
+		return nil, err
+	}
+	var body []byte
+	for _, p := range plans {
+		body = bitio.AppendBytes(body, p.section())
 	}
 	return codec.EncodeContainer(ID, codec.SkeletonOf(ds), body)
 }
 
-// Decompress implements codec.Codec. It transparently handles payloads the
-// AdaptiveBaseline switch routed to the 3D baseline. With Workers set, the
-// level sections fan out across goroutines and each level's block batches
-// decode in parallel.
-func (t TAC) Decompress(blob []byte) (*amr.Dataset, error) {
-	return decompress(blob, resolveWorkers(t.Workers), nil)
+// compress codes every unit of plans, level li under the absolute bound
+// ebs[li]. Each worker codes on pooled scratch with the serial sz entry
+// points, and sections are assembled afterwards in stream order, so the
+// bytes do not depend on cfg.Workers.
+func compress(plans []levelPlan, ebs []float64, cfg codec.Config) error {
+	return run(plans, resolveWorkers(cfg.Workers), func(u *unit) error {
+		enc := encoders.Get()
+		defer encoders.Put(enc)
+		opts := sz.Options{ErrorBound: ebs[u.li], QuantBits: cfg.QuantBits}
+		var err error
+		if u.group != nil {
+			u.blob, _, err = enc.CompressBlocks(preprocess.Gather(u.l.Grid, u.group.Boxes, u.l.UnitBlock), opts)
+			return err
+		}
+		g := u.l.Grid.Clone()
+		preprocess.ZeroUnmasked(g, u.l.Mask, u.l.UnitBlock)
+		if u.st == codec.GSP {
+			preprocess.GSP(g, u.l.Mask, u.l.UnitBlock, cfg.GSP)
+		}
+		u.blob, _, err = enc.Compress3D(g, opts)
+		return err
+	})
 }
 
-// decompress is the shared implementation behind TAC.Decompress and
-// Engine.Decompress: container sniffing, section splitting, and the
-// optional level fan-out. pinned, when non-nil, serves the serial path;
-// parallel paths always borrow per-level decoders from the pool.
-func decompress(blob []byte, workers int, pinned *sz.Decoder[amr.Value]) (*amr.Dataset, error) {
+// Decompress implements codec.Codec. It transparently handles payloads the
+// AdaptiveBaseline switch routed to the 3D baseline.
+func (t TAC) Decompress(blob []byte) (*amr.Dataset, error) {
 	if _, _, err := codec.DecodeContainer(blob, baseline.IDUniform3D); err == nil {
 		return baseline.Uniform3D{}.Decompress(blob)
 	}
@@ -140,252 +277,84 @@ func decompress(blob []byte, workers int, pinned *sz.Decoder[amr.Value]) (*amr.D
 		return nil, err
 	}
 	ds := sk.NewDataset()
-	secs := make([][]byte, len(ds.Levels))
-	for li := range ds.Levels {
+	plans := make([]levelPlan, len(ds.Levels))
+	for li, l := range ds.Levels {
 		sec, n, err := bitio.Bytes(body)
 		if err != nil {
 			return nil, fmt.Errorf("core: level %d section: %w", li, err)
 		}
 		body = body[n:]
-		secs[li] = sec
-	}
-	if workers == 1 || len(ds.Levels) == 1 {
-		dec := pinned
-		if dec == nil {
-			dec = decoders.Get()
-			defer decoders.Put(dec)
+		if plans[li], err = split(li, l, sec); err != nil {
+			return nil, err
 		}
-		for li, l := range ds.Levels {
-			if err := decompressLevel(dec, l, secs[li], workers); err != nil {
-				return nil, fmt.Errorf("core: level %d: %w", li, err)
-			}
-		}
-		return ds, nil
 	}
-	// Split the worker budget between the level fan-out and each level's
-	// batch fan-out so total decode goroutines never exceed workers.
-	levelWorkers := min(workers, len(ds.Levels))
-	inner := workers / levelWorkers
-	sem := make(chan struct{}, levelWorkers)
-	errs := make([]error, len(ds.Levels))
-	var wg sync.WaitGroup
-	for li, l := range ds.Levels {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(li int, l *amr.Level) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			dec := decoders.Get()
-			defer decoders.Put(dec)
-			errs[li] = decompressLevel(dec, l, secs[li], inner)
-		}(li, l)
-	}
-	wg.Wait()
-	for li, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("core: level %d: %w", li, err)
-		}
+	if err := decompress(plans, resolveWorkers(t.Workers)); err != nil {
+		return nil, err
 	}
 	return ds, nil
 }
 
-// Engine is a reusable TAC codec instance: it pins one sz Encoder/Decoder
-// pair, so a single-goroutine campaign over many snapshots (archive
-// writing, benchmark sweeps, a serving loop) reuses all compression scratch
-// deterministically instead of going through the process-wide pools. The
-// zero value is ready to use (scratch materializes on first call); an
-// Engine is not safe for concurrent use.
-type Engine struct {
-	// Workers mirrors TAC.Workers for the decompress side.
-	Workers int
-
-	enc *sz.Encoder[amr.Value]
-	dec *sz.Decoder[amr.Value]
-}
-
-// NewEngine returns an Engine; workers bounds the decompress-side fan-out
-// exactly like TAC.Workers.
-func NewEngine(workers int) *Engine {
-	return &Engine{Workers: workers, enc: sz.NewEncoder[amr.Value](), dec: sz.NewDecoder[amr.Value]()}
-}
-
-// init materializes the pinned scratch for zero-value Engines.
-func (e *Engine) init() {
-	if e.enc == nil {
-		e.enc = sz.NewEncoder[amr.Value]()
-	}
-	if e.dec == nil {
-		e.dec = sz.NewDecoder[amr.Value]()
-	}
-}
-
-// Name implements codec.Codec.
-func (e *Engine) Name() string { return "TAC" }
-
-// Compress is TAC.Compress on the engine's pinned scratch.
-func (e *Engine) Compress(ds *amr.Dataset, cfg codec.Config) ([]byte, error) {
-	e.init()
-	return compress(e.enc, ds, cfg)
-}
-
-// Decompress is TAC.Decompress on the engine's pinned scratch. The pinned
-// decoder serves the serial path; a parallel fan-out draws per-level
-// decoders from the process pool instead.
-func (e *Engine) Decompress(blob []byte) (*amr.Dataset, error) {
-	e.init()
-	return decompress(blob, resolveWorkers(e.Workers), e.dec)
-}
-
-// extract runs the chosen sparse extraction over the mask.
-func extract(st codec.Strategy, mask *grid.Mask) ([]kdtree.Box, error) {
-	switch st {
-	case codec.NaST:
-		return preprocess.NaST(mask), nil
-	case codec.OpST:
-		return preprocess.OpST(mask), nil
-	case codec.AKD:
-		boxes, _ := kdtree.Adaptive(mask)
-		return boxes, nil
-	case codec.ClassicKD:
-		boxes, _ := kdtree.Classic(mask)
-		return boxes, nil
-	default:
-		return nil, fmt.Errorf("core: strategy %s is not a sparse extraction", st)
-	}
-}
-
-// CompressLevel compresses one AMR level with an explicit strategy and
-// absolute error bound. It is the unit the Fig. 7/11/12 experiments
-// measure; TAC.Compress calls it per level.
-func CompressLevel(l *amr.Level, st codec.Strategy, eb float64, cfg codec.Config) ([]byte, error) {
-	enc := encoders.Get()
-	defer encoders.Put(enc)
-	return compressLevel(enc, l, st, eb, cfg)
-}
-
-func compressLevel(enc *sz.Encoder[amr.Value], l *amr.Level, st codec.Strategy, eb float64, cfg codec.Config) ([]byte, error) {
-	var out []byte
-	out = append(out, byte(st))
-	opts := sz.Options{ErrorBound: eb, QuantBits: cfg.QuantBits}
-	switch st {
-	case codec.ZF, codec.GSP:
-		g := l.Grid.Clone()
-		preprocess.ZeroUnmasked(g, l.Mask, l.UnitBlock)
-		if st == codec.GSP {
-			preprocess.GSP(g, l.Mask, l.UnitBlock, cfg.GSP)
-		}
-		blob, _, err := enc.Compress3D(g, opts)
-		if err != nil {
-			return nil, err
-		}
-		return bitio.AppendBytes(out, blob), nil
-	case codec.NaST, codec.OpST, codec.AKD, codec.ClassicKD:
-		boxes, err := extract(st, l.Mask)
-		if err != nil {
-			return nil, err
-		}
-		groups := preprocess.GroupBoxes(boxes)
-		out = bitio.AppendUvarint(out, uint64(len(groups)))
-		for _, grp := range groups {
-			grids := preprocess.Gather(l.Grid, grp.Boxes, l.UnitBlock)
-			var blob []byte
-			var err error
-			if cfg.Workers > 1 || cfg.Workers == -1 {
-				blob, _, err = enc.CompressBlocksParallel(grids, opts, cfg.Workers)
-			} else {
-				blob, _, err = enc.CompressBlocks(grids, opts)
-			}
+// decompress decodes every unit of plans into its level. Units of one
+// level write disjoint cells of its grid, so they need no ordering.
+func decompress(plans []levelPlan, workers int) error {
+	return run(plans, workers, func(u *unit) error {
+		dec := decoders.Get()
+		defer decoders.Put(dec)
+		if u.group != nil {
+			grids, err := dec.DecompressBlocks(u.blob)
 			if err != nil {
-				return nil, fmt.Errorf("group %v: %w", grp.Shape, err)
+				return err
 			}
-			out = bitio.AppendBytes(out, blob)
+			return preprocess.Scatter(u.l.Grid, u.group.Boxes, u.l.UnitBlock, grids)
 		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("core: cannot compress with strategy %s", st)
-	}
-}
-
-// DecompressLevel inverts CompressLevel, filling l.Grid (unmasked blocks
-// are zero). It decodes serially; DecompressLevelWorkers fans the block
-// batches out.
-func DecompressLevel(l *amr.Level, sec []byte) error {
-	return DecompressLevelWorkers(l, sec, 1)
-}
-
-// DecompressLevelWorkers is DecompressLevel with the level's block batches
-// decoded by up to workers goroutines (-1 means all CPUs).
-func DecompressLevelWorkers(l *amr.Level, sec []byte, workers int) error {
-	dec := decoders.Get()
-	defer decoders.Put(dec)
-	return decompressLevel(dec, l, sec, resolveWorkers(workers))
-}
-
-func decompressLevel(dec *sz.Decoder[amr.Value], l *amr.Level, sec []byte, workers int) error {
-	if len(sec) == 0 {
-		return fmt.Errorf("core: empty level section")
-	}
-	st := codec.Strategy(sec[0])
-	sec = sec[1:]
-	switch st {
-	case codec.ZF, codec.GSP:
-		blob, _, err := bitio.Bytes(sec)
-		if err != nil {
+		// Decode straight into the level grid: every cell is overwritten,
+		// and the dims check is the geometry validation.
+		if err := dec.Decompress3DInto(u.l.Grid, u.blob); err != nil {
 			return err
 		}
-		// Decode straight into the level grid (every cell is overwritten;
-		// the dims check doubles as the old geometry validation) — the
-		// whole-level staging grid and its copy are gone.
-		if err := dec.Decompress3DInto(l.Grid, blob); err != nil {
-			return err
-		}
-		if st == codec.GSP {
+		if u.st == codec.GSP {
 			// The padding positions are implied by the mask, so padded
 			// cells are restored to exact zeros — the "saved padding
 			// information" of Algorithm 3 with no explicit metadata.
-			preprocess.ZeroUnmasked(l.Grid, l.Mask, l.UnitBlock)
+			preprocess.ZeroUnmasked(u.l.Grid, u.l.Mask, u.l.UnitBlock)
 		}
 		// ZF is the naive strawman of Sec. 3.1: it ships no knowledge of
 		// the empty regions, so their reconstructed near-zero noise stays.
 		return nil
-	case codec.NaST, codec.OpST, codec.AKD, codec.ClassicKD:
-		boxes, err := extract(st, l.Mask)
-		if err != nil {
-			return err
-		}
-		groups := preprocess.GroupBoxes(boxes)
-		ngroups, n, err := bitio.Uvarint(sec)
-		if err != nil {
-			return err
-		}
-		sec = sec[n:]
-		if int(ngroups) != len(groups) {
-			return fmt.Errorf("core: payload has %d groups, mask implies %d", ngroups, len(groups))
-		}
-		for _, grp := range groups {
-			blob, n, err := bitio.Bytes(sec)
-			if err != nil {
-				return fmt.Errorf("group %v: %w", grp.Shape, err)
-			}
-			sec = sec[n:]
-			var grids []*grid.Grid3[amr.Value]
-			if workers > 1 {
-				grids, err = dec.DecompressBlocksParallel(blob, workers)
-			} else {
-				grids, err = dec.DecompressBlocks(blob)
-			}
-			if err != nil {
-				return fmt.Errorf("group %v: %w", grp.Shape, err)
-			}
-			if err := preprocess.Scatter(l.Grid, grp.Boxes, l.UnitBlock, grids); err != nil {
-				return err
-			}
-		}
-		return nil
-	default:
-		return fmt.Errorf("core: unknown strategy byte %d", st)
+	})
+}
+
+// Engine is TAC, under the name tac.NewEncoder, tac.NewDecoder and bench/
+// hold it by: a private sz Encoder/Decoder pair measured no faster than
+// the pools (EXPERIMENTS.md, PR 18), so there is nothing for it to add.
+type Engine = TAC
+
+// NewEngine returns an Engine; workers bounds the decompress-side fan-out
+// exactly like TAC.Workers.
+func NewEngine(workers int) *Engine { return &Engine{Workers: workers} }
+
+// CompressLevel compresses one AMR level with an explicit strategy and
+// absolute error bound. It is the unit the Fig. 7/11/12 experiments
+// measure; TAC.Compress does the same for every level at once.
+func CompressLevel(l *amr.Level, st codec.Strategy, eb float64, cfg codec.Config) ([]byte, error) {
+	p, err := plan(0, l, st)
+	if err != nil {
+		return nil, err
 	}
+	if err := compress([]levelPlan{p}, []float64{eb}, cfg); err != nil {
+		return nil, err
+	}
+	return p.section(), nil
+}
+
+// DecompressLevel inverts CompressLevel, filling l.Grid (unmasked blocks
+// are zero).
+func DecompressLevel(l *amr.Level, sec []byte) error {
+	p, err := split(0, l, sec)
+	if err != nil {
+		return err
+	}
+	return decompress([]levelPlan{p}, 1)
 }
 
 var _ codec.Codec = TAC{}
-var _ codec.Codec = (*Engine)(nil)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -323,22 +324,54 @@ func TestTighterBoundHigherPSNR(t *testing.T) {
 	}
 }
 
+// workerCounts are the Workers values every fan-out test compares with
+// Workers = 1: even, odd, more than there are units or cores, and all CPUs.
+var workerCounts = []int{2, 3, 8, -1}
+
+type workerCase struct {
+	name string
+	ds   *amr.Dataset
+	cfg  codec.Config
+}
+
+// workerCases covers every shape a plan takes: each forced strategy, the
+// density filter over three levels, and the Sec. 4.4 hand-off to the 3D
+// baseline.
+func workerCases(t *testing.T) []workerCase {
+	t.Helper()
+	var cases []workerCase
+	two := testDataset(t, 0.4, 14)
+	for _, st := range []codec.Strategy{codec.ZF, codec.GSP, codec.NaST, codec.OpST, codec.AKD, codec.ClassicKD} {
+		cases = append(cases, workerCase{st.String(), two, codec.Config{ErrorBound: 1e9, Strategy: st}})
+	}
+	three, err := sim.Generate(sim.Spec{
+		Name: "t3", FinestN: 64, Levels: 3, UnitBlock: 4, Seed: 15,
+		LeafFractions: []float64{0.05, 0.33, 0.62},
+	}, sim.BaryonDensity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases = append(cases, workerCase{"Auto", three, codec.Config{ErrorBound: 1e9}})
+	cases = append(cases, workerCase{"AdaptiveBaseline", testDataset(t, 0.75, 16), codec.Config{ErrorBound: 1e9, AdaptiveBaseline: true}})
+	return cases
+}
+
 func TestParallelWorkersIdenticalPayload(t *testing.T) {
-	ds := testDataset(t, 0.25, 14)
-	serial, err := TAC{}.Compress(ds, codec.Config{ErrorBound: 1e9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := TAC{}.Compress(ds, codec.Config{ErrorBound: 1e9, Workers: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial) != len(par) {
-		t.Fatalf("parallel payload length %d differs from serial %d", len(par), len(serial))
-	}
-	for i := range serial {
-		if serial[i] != par[i] {
-			t.Fatalf("payloads differ at byte %d", i)
+	for _, c := range workerCases(t) {
+		c.cfg.Workers = 1
+		serial, err := TAC{}.Compress(c.ds, c.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for _, w := range workerCounts {
+			c.cfg.Workers = w
+			par, err := TAC{}.Compress(c.ds, c.cfg)
+			if err != nil {
+				t.Fatalf("%s workers %d: %v", c.name, w, err)
+			}
+			if !bytes.Equal(serial, par) {
+				t.Fatalf("%s workers %d: payload differs from Workers = 1", c.name, w)
+			}
 		}
 	}
 }

@@ -2,15 +2,18 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
+	"repro/internal/bitio"
 	"repro/internal/codec"
 	"repro/internal/grid"
 )
 
-// TestEngineMatchesTAC checks that the pinned-scratch Engine — fresh,
-// zero-valued, and warm — produces byte-identical payloads and identical
-// reconstructions to the one-shot TAC codec, serial and parallel.
+// TestEngineMatchesTAC checks that an Engine — fresh, zero-valued, and
+// warm — produces byte-identical payloads and identical reconstructions to
+// the one-shot TAC codec, serial and parallel.
 func TestEngineMatchesTAC(t *testing.T) {
 	ds := testDataset(t, 0.3, 11)
 	cfg := codec.Config{ErrorBound: 1e9}
@@ -48,33 +51,90 @@ func TestEngineMatchesTAC(t *testing.T) {
 	}
 }
 
-// TestParallelDecompressMatchesSerialTAC checks the level/batch fan-out of
-// TAC{Workers} against the serial decoder on datasets covering all three
-// strategies.
+// TestParallelDecompressMatchesSerialTAC checks the unit fan-out of
+// TAC{Workers} against the serial decoder on every shape of plan.
 func TestParallelDecompressMatchesSerialTAC(t *testing.T) {
-	for _, frac := range []float64{0.1, 0.55, 0.95} {
-		ds := testDataset(t, frac, int64(20+int(frac*100)))
-		blob, err := TAC{}.Compress(ds, codec.Config{ErrorBound: 1e9, Workers: -1})
+	for _, c := range workerCases(t) {
+		blob, err := TAC{}.Compress(c.ds, c.cfg)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", c.name, err)
 		}
-		ref, err := TAC{}.Decompress(blob)
+		ref, err := TAC{Workers: 1}.Decompress(blob)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", c.name, err)
 		}
-		for _, w := range []int{-1, 2, 4} {
+		for _, w := range workerCounts {
 			got, err := TAC{Workers: w}.Decompress(blob)
 			if err != nil {
-				t.Fatalf("frac %v workers %d: %v", frac, w, err)
+				t.Fatalf("%s workers %d: %v", c.name, w, err)
 			}
 			for li := range ref.Levels {
 				if grid.MaxAbsDiff(got.Levels[li].Grid, ref.Levels[li].Grid) != 0 {
-					t.Fatalf("frac %v workers %d: level %d differs from serial", frac, w, li)
+					t.Fatalf("%s workers %d: level %d differs from serial", c.name, w, li)
 				}
-				if got.Levels[li].Mask.Count() != ref.Levels[li].Mask.Count() {
-					t.Fatalf("frac %v workers %d: level %d mask differs", frac, w, li)
+				if !got.Levels[li].Mask.Equal(ref.Levels[li].Mask) {
+					t.Fatalf("%s workers %d: level %d mask differs", c.name, w, li)
 				}
 			}
 		}
 	}
+}
+
+// TestCorruptUnitSameErrorAtEveryWorkerCount spoils payload units in place
+// and requires the error to name the level and group, and to be the same
+// one whatever the worker count: which unit is reported when several are
+// bad is a property of the plan, not of the schedule.
+func TestCorruptUnitSameErrorAtEveryWorkerCount(t *testing.T) {
+	ds := testDataset(t, 0.25, 17)
+	blob, err := TAC{}.Compress(ds, codec.Config{ErrorBound: 1e9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The units' payloads, as slices of blob.
+	sk, body, err := codec.DecodeContainer(blob, ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var units []*unit
+	for li, l := range sk.NewDataset().Levels {
+		sec, n, err := bitio.Bytes(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body = body[n:]
+		p, err := split(li, l, sec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range p.units {
+			units = append(units, &p.units[i])
+		}
+	}
+	sparse := units[0]
+	if sparse.group == nil || len(units) < 3 {
+		t.Fatalf("want a sparse fine level over a second level, got %d units", len(units))
+	}
+
+	check := func(spoiled []*unit, want string) {
+		t.Helper()
+		for _, u := range spoiled {
+			u.blob[0] ^= 0xff // the sz magic
+		}
+		defer func() {
+			for _, u := range spoiled {
+				u.blob[0] ^= 0xff
+			}
+		}()
+		_, serial := TAC{Workers: 1}.Decompress(blob)
+		if serial == nil || !strings.Contains(serial.Error(), want) {
+			t.Fatalf("got %v, want an error naming %q", serial, want)
+		}
+		for _, w := range workerCounts {
+			if _, err := (TAC{Workers: w}).Decompress(blob); err == nil || err.Error() != serial.Error() {
+				t.Fatalf("workers %d: got %v, want %v", w, err, serial)
+			}
+		}
+	}
+	check([]*unit{sparse}, fmt.Sprintf("level 0 (OpST): group %v", sparse.group.Shape))
+	check(units, "core: level ")
 }

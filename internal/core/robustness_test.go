@@ -2,13 +2,97 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 
+	"repro/internal/amr"
+	"repro/internal/baseline"
 	"repro/internal/codec"
+	"repro/internal/grid"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 )
+
+// TestHostileSkeletonIsRefused: 29 bytes that claim one stored 8192³ block
+// (2 TiB of float32) over a one-byte body used to reach
+// Skeleton.NewDataset and kill the process with an out-of-memory fatal
+// error no recover can catch. Every codec must now refuse them at once,
+// having allocated nothing sized by the dims.
+func TestHostileSkeletonIsRefused(t *testing.T) {
+	m := grid.NewMask(grid.Dims{X: 1, Y: 1, Z: 1})
+	m.Fill(true)
+	sk := codec.Skeleton{Name: "h", Field: "f", Ratio: 2, Levels: []codec.LevelInfo{
+		{Dims: grid.Dims{X: 8192, Y: 8192, Z: 8192}, UnitBlock: 8192, Mask: m}}}
+	ids := []byte{ID, baseline.IDNaive1D, baseline.IDZMesh, baseline.IDUniform3D}
+	for i, c := range allCodecs() {
+		blob, err := codec.EncodeContainer(ids[i], sk, []byte{0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		_, err = c.Decompress(blob)
+		took := time.Since(start)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: decoded a %d-byte container claiming 8192³ cells", c.Name(), len(blob))
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 || took > time.Second {
+			t.Fatalf("%s: refusing %d bytes took %v and %d bytes of allocation", c.Name(), len(blob), took, grew)
+		}
+	}
+}
+
+// TestSparseHierarchyAtHighRatioDecodes pins the reason the skeleton bound
+// counts stored cells and not level cells: a four-level hierarchy refined
+// around one patch (the shape of Run2_T4), coded at a bound that leaves a
+// constant code stream, is a valid payload whose level grids hold more
+// cells than 8·1032 for each of its bytes. It must read back.
+func TestSparseHierarchyAtHighRatioDecodes(t *testing.T) {
+	ds := &amr.Dataset{Name: "patch", Field: "f", Ratio: 2}
+	cells := 0
+	for li := 0; li < 4; li++ {
+		n, p := 192>>li, 8>>li
+		l := amr.NewLevel(grid.Dims{X: n, Y: n, Z: n}, 4)
+		if li == 3 {
+			l.Mask.Fill(true)
+		} else {
+			l.Mask.FillRegion(grid.Region{X0: p, Y0: p, Z0: p, X1: p + 2, Y1: p + 2, Z1: p + 2}, true)
+		}
+		if li > 0 {
+			l.Mask.Set(p, p, p, false) // refined: the level above stores it
+		}
+		for i := range l.Grid.Data {
+			l.Grid.Data[i] = 1
+		}
+		ds.Levels = append(ds.Levels, l)
+		cells += l.Grid.Dim.Count()
+	}
+	if err := ds.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := TAC{}.Compress(ds, codec.Config{ErrorBound: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if 8*1032*len(blob) >= cells {
+		t.Fatalf("%d bytes for %d level cells no longer shows a payload under one bit a level cell", len(blob), cells)
+	}
+	got, err := TAC{}.Decompress(blob)
+	if err != nil {
+		t.Fatalf("a valid %d-byte payload over %d level cells was refused: %v", len(blob), cells, err)
+	}
+	dist, err := metrics.DatasetDistortion(ds, got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dist.MaxErr > 1 {
+		t.Fatalf("max error %v exceeds bound", dist.MaxErr)
+	}
+}
 
 // TestCorruptionNeverPanics flips random bytes of a valid TAC payload and
 // requires Decompress to either error or return a structurally valid

@@ -1,0 +1,58 @@
+// Package fanout holds the one loop every parallel path of the repository
+// hands its independent jobs to: core's payload units in both directions,
+// archive.Reader's frames and tacd's batches.
+package fanout
+
+import (
+	"sync"
+	"sync/atomic"
+)
+
+// Run calls fn(i) for every i in [0, n) on at most workers goroutines,
+// the caller's included, and returns the error of the lowest index that
+// failed. With workers ≤ 1 the jobs run inline, in order, up to the first
+// failure. Otherwise the goroutines claim indices in order and none is
+// claimed after a failure; every index below a failed one was claimed
+// before it and runs to completion, so the error returned does not depend
+// on the schedule. fn must be safe to call from several goroutines at once.
+func Run(n, workers int, fn func(i int) error) error {
+	workers = min(workers, n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			if err := fn(i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	errs := make([]error, n)
+	var next atomic.Int64
+	var failed atomic.Bool
+	work := func() {
+		for !failed.Load() {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			if errs[i] = fn(i); errs[i] != nil {
+				failed.Store(true)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}

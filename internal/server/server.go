@@ -40,6 +40,7 @@ import (
 	"repro/internal/amr"
 	"repro/internal/archive"
 	"repro/internal/codec"
+	"repro/internal/fanout"
 	"repro/internal/grid"
 	"repro/internal/remote"
 	"repro/internal/replica"
@@ -641,54 +642,12 @@ func (s *Server) batch(sa *servedArchive, st *archiveState, mi, li, b int) (bloc
 // short and its result is shared through the cache, so abandoning one
 // mid-flight would poison the singleflight result other requests wait on.
 func (s *Server) forEachBatch(ctx context.Context, jobs []int, fn func(b int) error) error {
-	workers := s.cfg.Workers
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers <= 1 {
-		for _, b := range jobs {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("server: request aborted: %w", err)
-			}
-			if err := fn(b); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, len(jobs))
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	var ctxErr error
-	for ji, b := range jobs {
-		// Once any batch fails the request is lost; don't burn decode
-		// time on the rest (undispatched jobs stay nil in errs).
-		if failed.Load() {
-			break
-		}
+	return fanout.Run(len(jobs), s.cfg.Workers, func(ji int) error {
 		if err := ctx.Err(); err != nil {
-			ctxErr = fmt.Errorf("server: request aborted: %w", err)
-			break
+			return fmt.Errorf("server: request aborted: %w", err)
 		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(ji, b int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if err := fn(b); err != nil {
-				errs[ji] = err
-				failed.Store(true)
-			}
-		}(ji, b)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return ctxErr
+		return fn(jobs[ji])
+	})
 }
 
 // levelView pins one level of one member in one generation of an archive:

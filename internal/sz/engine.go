@@ -135,7 +135,6 @@ type Encoder[T grid.Float] struct {
 
 	huffBuf []byte // raw huffman blob staging
 	deflBuf []byte // deflated section staging
-	metas   []blockMeta
 }
 
 // NewEncoder returns an empty Encoder; scratch grows on first use.
@@ -438,6 +437,26 @@ func batchGeometry[T grid.Float](blocks []*grid.Grid3[T], opts Options) (grid.Di
 	return d, total, eb, nil
 }
 
+// rangeOfBlocks returns the min and max over the union of all blocks.
+func rangeOfBlocks[T grid.Float](blocks []*grid.Grid3[T]) (lo, hi float64) {
+	first := true
+	for _, b := range blocks {
+		bl, bh := b.MinMax()
+		if first {
+			lo, hi = float64(bl), float64(bh)
+			first = false
+			continue
+		}
+		if float64(bl) < lo {
+			lo = float64(bl)
+		}
+		if float64(bh) > hi {
+			hi = float64(bh)
+		}
+	}
+	return lo, hi
+}
+
 // seal assembles the final payload from the code stream and literal pool,
 // stashing the grown scratch buffers back on the encoder for the next
 // call.
@@ -537,8 +556,7 @@ func (p *DecoderPool[T]) Put(d *Decoder[T]) { p.p.Put(d) }
 // Decoder is the reusable decompression engine: it keeps the inflated
 // section buffers, decoded symbol stream, the Huffman decode tables and
 // literal-offset scratch alive across calls. The zero value is ready to
-// use; a Decoder is not safe for concurrent use (DecompressBlocksParallel
-// fans out internally).
+// use; a Decoder is not safe for concurrent use.
 type Decoder[T grid.Float] struct {
 	codes   []uint32
 	huff    huffman.Decoder

@@ -36,11 +36,10 @@ func testBlocks(n, edge int, seed int64) []*grid.Grid3[float32] {
 	return blocks
 }
 
-// TestGoldenByteIdentity asserts that every compression path — one-shot
-// serial, one-shot parallel at several worker counts, pooled Encoder serial
-// and parallel, and a reused (warm) Encoder — produces bit-identical
-// payloads. This is the contract that lets the parallel and pooled paths
-// ship without a format version bump.
+// TestGoldenByteIdentity asserts that every compression path — one-shot,
+// pooled Encoder cold, and a reused (warm) Encoder — produces bit-identical
+// payloads. This is the contract that lets the pooled path ship without a
+// format version bump.
 func TestGoldenByteIdentity(t *testing.T) {
 	blocks := testBlocks(13, 8, 42)
 	opts := Options{ErrorBound: 0.05}
@@ -59,11 +58,6 @@ func TestGoldenByteIdentity(t *testing.T) {
 		}
 	}
 
-	for _, w := range []int{2, 3, 4, 8, 16} {
-		blob, _, err := CompressBlocksParallel(blocks, opts, w)
-		check(fmt.Sprintf("one-shot parallel workers=%d", w), blob, err)
-	}
-
 	enc := NewEncoder[float32]()
 	blob, st, err := enc.CompressBlocks(blocks, opts)
 	check("encoder serial cold", blob, err)
@@ -73,10 +67,6 @@ func TestGoldenByteIdentity(t *testing.T) {
 	// Warm reuse: scratch now holds stale state from the previous call.
 	blob, _, err = enc.CompressBlocks(blocks, opts)
 	check("encoder serial warm", blob, err)
-	for _, w := range []int{2, 8} {
-		blob, _, err = enc.CompressBlocksParallel(blocks, opts, w)
-		check(fmt.Sprintf("encoder parallel warm workers=%d", w), blob, err)
-	}
 	// Interleave a different payload, then re-check the original.
 	other := testBlocks(5, 4, 7)
 	if _, _, err := enc.CompressBlocks(other, opts); err != nil {
@@ -118,41 +108,6 @@ func sha256sum(b []byte) []byte {
 	return h[:]
 }
 
-// TestDecoderParallelMatchesSerial checks the pooled decoder's fan-out
-// path (including the parallel literal-offset scan) against the serial
-// decoder at several worker counts.
-func TestDecoderParallelMatchesSerial(t *testing.T) {
-	blocks := testBlocks(13, 8, 43)
-	blob, _, err := CompressBlocks(blocks, Options{ErrorBound: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := DecompressBlocks[float32](blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec := NewDecoder[float32]()
-	for _, w := range []int{1, 2, 3, 8, 64} {
-		got, err := dec.DecompressBlocksParallel(blob, w)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if len(got) != len(ref) {
-			t.Fatalf("workers=%d: %d blocks, want %d", w, len(got), len(ref))
-		}
-		for i := range got {
-			if got[i].Dim != ref[i].Dim {
-				t.Fatalf("workers=%d block %d dims %v, want %v", w, i, got[i].Dim, ref[i].Dim)
-			}
-			for j := range got[i].Data {
-				if got[i].Data[j] != ref[i].Data[j] {
-					t.Fatalf("workers=%d block %d cell %d: %v != %v", w, i, j, got[i].Data[j], ref[i].Data[j])
-				}
-			}
-		}
-	}
-}
-
 // TestPoolConcurrentReuse hammers the Encoder/Decoder pools from many
 // goroutines (run with -race): every borrowed engine must produce the
 // reference payload and a bound-respecting round trip regardless of what
@@ -182,13 +137,7 @@ func TestPoolConcurrentReuse(t *testing.T) {
 			for it := 0; it < iters; it++ {
 				pi := (g + it) % len(payloads)
 				enc := encs.Get()
-				var blob []byte
-				var err error
-				if it%2 == 0 {
-					blob, _, err = enc.CompressBlocks(payloads[pi], opts)
-				} else {
-					blob, _, err = enc.CompressBlocksParallel(payloads[pi], opts, 3)
-				}
+				blob, _, err := enc.CompressBlocks(payloads[pi], opts)
 				encs.Put(enc)
 				if err != nil {
 					errCh <- err
@@ -199,7 +148,7 @@ func TestPoolConcurrentReuse(t *testing.T) {
 					return
 				}
 				dec := decs.Get()
-				got, err := dec.DecompressBlocksParallel(blob, 2)
+				got, err := dec.DecompressBlocks(blob)
 				decs.Put(dec)
 				if err != nil {
 					errCh <- err

@@ -134,8 +134,7 @@ func FuzzParseHeader(f *testing.F) {
 }
 
 // FuzzDecompress fuzzes the full unseal + entropy decode + reconstruction
-// paths of every payload kind, serial and parallel, in both element
-// widths. Corrupt inputs must error (or round-trip), never panic or
+// paths of every payload kind in both element widths. Corrupt inputs must error (or round-trip), never panic or
 // over-allocate.
 func FuzzDecompress(f *testing.F) {
 	for _, s := range fuzzSeeds(f) {
@@ -153,8 +152,7 @@ func FuzzDecompress(f *testing.F) {
 		_, _, _, _ = Decompress2D[float32](data)
 		_, _ = Decompress3D[float32](data)
 		_, _ = DecompressBlocks[float32](data)
-		_, _ = DecompressBlocksParallel[float32](data, 3)
-		_, _ = DecompressBlocksParallel[float64](data, 2)
+		_, _ = DecompressBlocks[float64](data)
 		// Delta decode with a reference batch matching whatever geometry the
 		// payload claims (bounded), so corrupt bodies reach the temporal
 		// kernel rather than dying at the shape check.

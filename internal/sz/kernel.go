@@ -103,6 +103,17 @@ func dqstep[T grid.Float](c uint32, pred T, twoEB float64, radius int64) T {
 	return T(float64(pred) + float64(twoEB*float64(int64(c)-radius)))
 }
 
+// literalSize returns the byte width of one exact literal for T.
+func literalSize[T grid.Float]() int {
+	var zero T
+	switch any(zero).(type) {
+	case float32:
+		return 4
+	default:
+		return 8
+	}
+}
+
 // loadLiteral reads one exact literal from the front of b. The caller
 // guarantees b holds at least one literal (checkLiterals ran).
 func loadLiteral[T grid.Float](b []byte) T {

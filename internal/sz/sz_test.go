@@ -152,9 +152,18 @@ func TestBlocksRoundTrip(t *testing.T) {
 			t.Fatalf("block %d max abs diff %v exceeds bound", i, mad)
 		}
 	}
+	if _, err := DecompressBlocks[float32](blob[:len(blob)/2]); err == nil {
+		t.Fatal("truncated batch payload should error")
+	}
+	if _, err := DecompressBlocks[float32](nil); err == nil {
+		t.Fatal("nil batch payload should error")
+	}
 }
 
 func TestBlocksRejectMixedShapes(t *testing.T) {
+	if _, _, err := CompressBlocks[float32](nil, Options{ErrorBound: 1}); err == nil {
+		t.Fatal("an empty batch should be rejected")
+	}
 	a := grid.New[float32](grid.Dims{X: 4, Y: 4, Z: 4})
 	b := grid.New[float32](grid.Dims{X: 4, Y: 4, Z: 8})
 	if _, _, err := CompressBlocks([]*grid.Grid3[float32]{a, b}, Options{ErrorBound: 1}); err == nil {

@@ -90,9 +90,9 @@ func Decompress(blob []byte) (*Dataset, error) {
 	return core.TAC{}.Decompress(blob)
 }
 
-// DecompressParallel is Decompress with the level sections and block
-// batches decoded by up to workers goroutines (-1 means all CPUs, ≤ 1 is
-// serial).
+// DecompressParallel is Decompress with the payload units — one per
+// dense level, one per shape group of a sparse level — decoded by up to
+// workers goroutines, largest first (-1 means all CPUs, ≤ 1 is serial).
 func DecompressParallel(blob []byte, workers int) (*Dataset, error) {
 	return core.TAC{Workers: workers}.Decompress(blob)
 }
@@ -100,33 +100,30 @@ func DecompressParallel(blob []byte, workers int) (*Dataset, error) {
 // NewTAC returns the TAC codec as a Codec.
 func NewTAC() Codec { return core.TAC{} }
 
-// Encoder is a reusable TAC compression engine: it pins the quantization,
-// Huffman and DEFLATE scratch of the underlying SZ compressor across
-// calls, so repeated-snapshot campaigns (archive writing, services
-// compressing a stream of members) stop paying per-call allocation.
-// Payloads are byte-identical to Compress. An Encoder is not safe for
-// concurrent use; use one per goroutine.
+// Encoder is a handle on the TAC compressor for repeated-snapshot
+// campaigns (archive writing, services compressing a stream of members).
+// It codes on the same process-wide pool of quantization, Huffman and
+// DEFLATE scratch as Compress, so neither pays per-call allocation once
+// warm, and payloads are byte-identical.
 type Encoder struct{ eng *core.Engine }
 
-// NewEncoder returns a reusable compression engine.
+// NewEncoder returns a compression engine.
 func NewEncoder() *Encoder { return &Encoder{eng: core.NewEngine(0)} }
 
-// Compress compresses ds exactly like the package-level Compress, reusing
-// the encoder's scratch.
+// Compress compresses ds exactly like the package-level Compress.
 func (e *Encoder) Compress(ds *Dataset, cfg Config) ([]byte, error) {
 	return e.eng.Compress(ds, cfg)
 }
 
-// Decoder is the matching reusable decompression engine. workers bounds
-// the decompress-side fan-out (-1 means all CPUs, ≤ 1 is serial). A
-// Decoder is not safe for concurrent use.
+// Decoder is the matching decompression engine: DecompressParallel with
+// the worker count fixed at construction (-1 means all CPUs, ≤ 1 is
+// serial).
 type Decoder struct{ eng *core.Engine }
 
-// NewDecoder returns a reusable decompression engine.
+// NewDecoder returns a decompression engine.
 func NewDecoder(workers int) *Decoder { return &Decoder{eng: core.NewEngine(workers)} }
 
-// Decompress reconstructs a dataset exactly like the package-level
-// Decompress, reusing the decoder's scratch.
+// Decompress reconstructs a dataset exactly like DecompressParallel.
 func (d *Decoder) Decompress(blob []byte) (*Dataset, error) {
 	return d.eng.Decompress(blob)
 }
