@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	tacd [-listen :8080] [-cache-mb 256] [-shards 16] [-workers 0]
+//	tacd [-listen :8080] [-cache-mb 256] [-workers 0]
 //	     [-ingest] [-ingest-queue 4] [-keyframe 0] [-eb 0]
 //	     [-read-header-timeout 10s] [-read-timeout 5m] [-idle-timeout 2m]
 //	     [-request-timeout 0] [-scrub-interval 0]
@@ -69,7 +69,6 @@ func main() {
 	log.SetPrefix("tacd: ")
 	listen := flag.String("listen", ":8080", "address to listen on")
 	cacheMB := flag.Int64("cache-mb", 256, "decoded block-batch cache budget in MiB")
-	shards := flag.Int("shards", server.DefaultCacheShards, "cache shard count")
 	workers := flag.Int("workers", 0, "per-request batch fan-out (0 = GOMAXPROCS, 1 = serial)")
 	ingest := flag.Bool("ingest", false, "open archives read-write and accept POST /v1/a/{name}/ingest")
 	ingestQueue := flag.Int("ingest-queue", server.DefaultIngestQueue, "queued snapshots per archive before 429s")
@@ -91,7 +90,7 @@ func main() {
 		return nil
 	})
 	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: tacd [-listen :8080] [-cache-mb 256] [-shards 16] [-workers 0] [-ingest] [-replica name=replica.taca] archive.taca|http://host/v1/a/name/raw [name=other.taca ...]")
+		fmt.Fprintln(os.Stderr, "usage: tacd [-listen :8080] [-cache-mb 256] [-workers 0] [-ingest] [-replica name=replica.taca] archive.taca|http://host/v1/a/name/raw [name=other.taca ...]")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -126,10 +125,8 @@ func main() {
 
 	s := server.New(server.Config{
 		CacheBytes:      *cacheMB << 20,
-		CacheShards:     *shards,
 		Workers:         *workers,
 		IngestQueue:     *ingestQueue,
-		IngestKeyframe:  *keyframe,
 		RequestTimeout:  *requestTimeout,
 		ScrubInterval:   *scrubInterval,
 		QuarantineAfter: *quarantineAfter,
@@ -155,6 +152,7 @@ func main() {
 		if *ingest {
 			spec.Append = true
 			spec.Ingest = codec.Config{ErrorBound: *eb, Workers: -1}
+			spec.Keyframe = *keyframe
 		}
 		if _, err := s.Add(name, spec); err != nil {
 			log.Fatal(err)
@@ -174,8 +172,8 @@ func main() {
 	for name := range replicas {
 		log.Fatalf("-replica %s=...: no archive is served under that name", name)
 	}
-	log.Printf("listening on %s (%d archives, cache %d MiB / %d shards, %s codec kernels)",
-		*listen, len(s.Names()), *cacheMB, *shards, sz.KernelPath())
+	log.Printf("listening on %s (%d archives, cache %d MiB, %s codec kernels)",
+		*listen, len(s.Names()), *cacheMB, sz.KernelPath())
 
 	// No WriteTimeout: level and snapshot responses stream and can
 	// legitimately take a while on slow links; the read-side timeouts are

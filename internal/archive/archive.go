@@ -93,6 +93,7 @@
 package archive
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -111,22 +112,91 @@ const (
 	// enough that a region query decodes little beyond its footprint.
 	DefaultBatchBlocks = 64
 
-	headerLen   = 5  // "TACA" + version byte
-	trailerLen  = 16 // generation-0 trailer: footer length + magic
-	trailer2Len = 24 // appended generations: footer length + generation + magic
-	trailer3Len = 24 // v2 (delta-bearing) footer: footer length + generation + magic
-	trailer4Len = 24 // v3 (checksummed) footer: footer length + generation + magic
-	trailer5Len = 28 // v4 (footer-digested): footer length + generation + footer CRC32C + magic
+	headerLen = 5 // "TACA" + version byte
 )
 
-var (
-	headerMagic   = [4]byte{'T', 'A', 'C', 'A'}
-	trailerMagic  = [8]byte{'T', 'A', 'C', 'A', 'E', 'N', 'D', '1'}
-	trailer2Magic = [8]byte{'T', 'A', 'C', 'A', 'E', 'N', 'D', '2'}
-	trailer3Magic = [8]byte{'T', 'A', 'C', 'A', 'E', 'N', 'D', '3'}
-	trailer4Magic = [8]byte{'T', 'A', 'C', 'A', 'E', 'N', 'D', '4'}
-	trailer5Magic = [8]byte{'T', 'A', 'C', 'A', 'E', 'N', 'D', '5'}
-)
+var headerMagic = [4]byte{'T', 'A', 'C', 'A'}
+
+// trailerKind is one of the five layouts a committed generation can end
+// in (see the package comment): uint64 LE footer length, then the words
+// the flags name, then the magic.
+type trailerKind struct {
+	magic  [8]byte
+	ver    int  // footer layout sealed under it, as decodeFooter numbers them
+	gen    bool // a uint64 LE generation follows the footer length
+	digest bool // a uint32 LE CRC32C of the footer and of the words before it follows those
+}
+
+var trailerKinds = [...]trailerKind{
+	{magic: [8]byte{'T', 'A', 'C', 'A', 'E', 'N', 'D', '1'}, ver: 1},
+	{magic: [8]byte{'T', 'A', 'C', 'A', 'E', 'N', 'D', '2'}, ver: 1, gen: true},
+	{magic: [8]byte{'T', 'A', 'C', 'A', 'E', 'N', 'D', '3'}, ver: 2, gen: true},
+	{magic: [8]byte{'T', 'A', 'C', 'A', 'E', 'N', 'D', '4'}, ver: 3, gen: true},
+	{magic: [8]byte{'T', 'A', 'C', 'A', 'E', 'N', 'D', '5'}, ver: 4, gen: true, digest: true},
+}
+
+// minTrailerLen is the shortest layout: footer length + magic.
+const minTrailerLen = 16
+
+// size is the layout's length in bytes: what appendTrailer writes.
+func (k *trailerKind) size() int64 { return int64(len(appendTrailer(nil, k, nil, 0))) }
+
+// trailerByMagic returns the layout m names, nil if none.
+func trailerByMagic(m [8]byte) *trailerKind {
+	for i := range trailerKinds {
+		if trailerKinds[i].magic == m {
+			return &trailerKinds[i]
+		}
+	}
+	return nil
+}
+
+// trailerFor returns the layout that seals a version-ver footer at
+// generation gen. Only v1 has two: its generation 0 carries no generation
+// word, byte-identical to archives written before append existed.
+func trailerFor(ver int, gen uint64) *trailerKind {
+	for i := range trailerKinds {
+		if k := &trailerKinds[i]; k.ver == ver && (k.gen || gen == 0) {
+			return k
+		}
+	}
+	panic(fmt.Sprintf("archive: no trailer for footer version %d", ver))
+}
+
+// appendTrailer appends the trailer of layout k sealing footer at
+// generation gen.
+func appendTrailer(dst []byte, k *trailerKind, footer []byte, gen uint64) []byte {
+	words := len(dst)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(footer)))
+	if k.gen {
+		dst = binary.LittleEndian.AppendUint64(dst, gen)
+	}
+	if k.digest {
+		dst = binary.LittleEndian.AppendUint32(dst, footerDigest(footer, dst[words:]))
+	}
+	return append(dst, k.magic[:]...)
+}
+
+// parseTrailer reads the words of t, a whole trailer of layout k; what k
+// does not carry is zero. sum is to be held against footerDigest over the
+// footer and the words that precede it in t.
+func parseTrailer(k *trailerKind, t []byte) (flen, gen uint64, sum uint32) {
+	flen = binary.LittleEndian.Uint64(t)
+	if k.gen {
+		gen = binary.LittleEndian.Uint64(t[8:])
+	}
+	if k.digest {
+		sum = binary.LittleEndian.Uint32(t[16:])
+	}
+	return flen, gen, sum
+}
+
+// footerDigest seals the footer bytes plus the trailer's length and
+// generation words, so a flip anywhere in the index or in the words that
+// locate it fails verification.
+func footerDigest(footer, words []byte) uint32 {
+	return crc32.Update(crc32.Checksum(footer, castagnoli), castagnoli, words)
+}
 
 // castagnoli is the CRC32C table frame digests are computed with. The
 // Castagnoli polynomial has hardware support (SSE4.2 / ARMv8 CRC) through

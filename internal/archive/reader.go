@@ -84,7 +84,7 @@ func Open(r io.ReaderAt, size int64) (*Reader, error) {
 // openAt strictly parses the archive whose newest trailer ends exactly at
 // end.
 func openAt(r io.ReaderAt, end int64) (*Reader, error) {
-	if end < headerLen+trailerLen {
+	if end < headerLen+minTrailerLen {
 		return nil, fmt.Errorf("archive: %d bytes is too short for a TACA archive", end)
 	}
 	hdr := make([]byte, headerLen)
@@ -101,57 +101,23 @@ func openAt(r io.ReaderAt, end int64) (*Reader, error) {
 	if _, err := r.ReadAt(magic, end-8); err != nil {
 		return nil, fmt.Errorf("archive: reading trailer: %w", err)
 	}
-	var tlen int64
-	var gen uint64
-	ver := 1
-	switch [8]byte(magic) {
-	case trailerMagic:
-		tlen = trailerLen
-	case trailer2Magic:
-		tlen = trailer2Len
-		if end < headerLen+trailer2Len {
-			return nil, fmt.Errorf("archive: %w: %d bytes is too short for a generation trailer", ErrCorrupt, end)
-		}
-	case trailer3Magic:
-		// Same 24-byte shape as trailer₂, but signals the v2 (delta-aware)
-		// footer layout and is legal at generation 0.
-		tlen = trailer3Len
-		ver = 2
-		if end < headerLen+trailer3Len {
-			return nil, fmt.Errorf("archive: %w: %d bytes is too short for a generation trailer", ErrCorrupt, end)
-		}
-	case trailer4Magic:
-		// v3 footer: the v2 layout plus per-frame CRC32C digests.
-		tlen = trailer4Len
-		ver = 3
-		if end < headerLen+trailer4Len {
-			return nil, fmt.Errorf("archive: %w: %d bytes is too short for a generation trailer", ErrCorrupt, end)
-		}
-	case trailer5Magic:
-		// v4: the v3 footer layout sealed under a whole-footer digest.
-		tlen = trailer5Len
-		ver = 4
-		if end < headerLen+trailer5Len {
-			return nil, fmt.Errorf("archive: %w: %d bytes is too short for a footer-digest trailer", ErrCorrupt, end)
-		}
-	default:
+	k := trailerByMagic([8]byte(magic))
+	if k == nil {
 		return nil, fmt.Errorf("archive: %w: bad trailer magic %q", ErrCorrupt, magic)
+	}
+	tlen, ver := k.size(), k.ver
+	if end < headerLen+tlen {
+		return nil, fmt.Errorf("archive: %w: %d bytes is too short for a %s trailer", ErrCorrupt, end, magic)
 	}
 	trailer := make([]byte, tlen)
 	if _, err := r.ReadAt(trailer, end-tlen); err != nil {
 		return nil, fmt.Errorf("archive: reading trailer: %w", err)
 	}
-	var flen uint64
-	for i := 7; i >= 0; i-- {
-		flen = flen<<8 | uint64(trailer[i])
-	}
-	if tlen >= trailer2Len {
-		for i := 7; i >= 0; i-- {
-			gen = gen<<8 | uint64(trailer[8+i])
-		}
-		if gen == 0 && ver < 2 {
-			return nil, fmt.Errorf("archive: %w: generation trailer claims generation 0", ErrCorrupt)
-		}
+	flen, gen, wantSum := parseTrailer(k, trailer)
+	// TACAEND2 only stamps a generation onto the v1 layout, whose
+	// generation 0 is written as TACAEND1; the later layouts are legal there.
+	if k.gen && gen == 0 && ver < 2 {
+		return nil, fmt.Errorf("archive: %w: generation trailer claims generation 0", ErrCorrupt)
 	}
 	if flen > uint64(end-headerLen-tlen) {
 		return nil, fmt.Errorf("archive: %w: footer length %d exceeds file size %d", ErrCorrupt, flen, end)
@@ -160,20 +126,13 @@ func openAt(r io.ReaderAt, end int64) (*Reader, error) {
 	if _, err := r.ReadAt(footer, end-tlen-int64(flen)); err != nil {
 		return nil, fmt.Errorf("archive: %w: reading footer: %w", ErrCorrupt, err)
 	}
-	if ver >= 4 {
-		// Verify the footer digest before trusting a single index varint:
-		// it seals the footer bytes plus the trailer's length and
-		// generation words, so a flip anywhere in the index — or in the
-		// words that locate it — is rejected here, and Open falls back to
-		// the previous committed generation.
-		var want uint32
-		for i := 3; i >= 0; i-- {
-			want = want<<8 | uint32(trailer[16+i])
-		}
-		got := crc32.Checksum(footer, castagnoli)
-		got = crc32.Update(got, castagnoli, trailer[:16])
-		if got != want {
-			return nil, fmt.Errorf("archive: %w: footer digest %08x, trailer records %08x", ErrCorrupt, got, want)
+	if k.digest {
+		// Verify the footer digest before trusting a single index varint,
+		// so a flip anywhere in the index — or in the words that locate
+		// it — is rejected here, and Open falls back to the previous
+		// committed generation.
+		if got := footerDigest(footer, trailer[:16]); got != wantSum {
+			return nil, fmt.Errorf("archive: %w: footer digest %08x, trailer records %08x", ErrCorrupt, got, wantSum)
 		}
 	}
 	members, err := decodeFooter(footer, ver)
@@ -223,8 +182,7 @@ func recoverScan(r io.ReaderAt, size int64) (*Reader, int64, error) {
 			if win[i] != 'T' {
 				continue
 			}
-			m := [8]byte(win[i : i+8])
-			if m != trailerMagic && m != trailer2Magic && m != trailer3Magic && m != trailer4Magic && m != trailer5Magic {
+			if trailerByMagic([8]byte(win[i:i+8])) == nil {
 				continue
 			}
 			end := lo + int64(i) + 8

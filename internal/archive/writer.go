@@ -741,60 +741,7 @@ func (w *Writer) Commit() error {
 	if _, err := w.w.Write(footer); err != nil {
 		return fmt.Errorf("archive: writing footer: %w", err)
 	}
-	flen := uint64(len(footer))
-	var trailer []byte
-	switch {
-	case ver >= 4:
-		trailer = make([]byte, 0, trailer5Len)
-		for i := 0; i < 8; i++ {
-			trailer = append(trailer, byte(flen>>(8*i)))
-		}
-		for i := 0; i < 8; i++ {
-			trailer = append(trailer, byte(w.committed>>(8*i)))
-		}
-		// The digest seals the footer bytes plus the length and
-		// generation words above, so a flip anywhere in the index or in
-		// the words that locate it fails verification.
-		sum := crc32.Checksum(footer, castagnoli)
-		sum = crc32.Update(sum, castagnoli, trailer)
-		for i := 0; i < 4; i++ {
-			trailer = append(trailer, byte(sum>>(8*i)))
-		}
-		trailer = append(trailer, trailer5Magic[:]...)
-	case ver >= 3:
-		trailer = make([]byte, 0, trailer4Len)
-		for i := 0; i < 8; i++ {
-			trailer = append(trailer, byte(flen>>(8*i)))
-		}
-		for i := 0; i < 8; i++ {
-			trailer = append(trailer, byte(w.committed>>(8*i)))
-		}
-		trailer = append(trailer, trailer4Magic[:]...)
-	case ver == 2:
-		trailer = make([]byte, 0, trailer3Len)
-		for i := 0; i < 8; i++ {
-			trailer = append(trailer, byte(flen>>(8*i)))
-		}
-		for i := 0; i < 8; i++ {
-			trailer = append(trailer, byte(w.committed>>(8*i)))
-		}
-		trailer = append(trailer, trailer3Magic[:]...)
-	case w.committed == 0:
-		trailer = make([]byte, 0, trailerLen)
-		for i := 0; i < 8; i++ {
-			trailer = append(trailer, byte(flen>>(8*i)))
-		}
-		trailer = append(trailer, trailerMagic[:]...)
-	default:
-		trailer = make([]byte, 0, trailer2Len)
-		for i := 0; i < 8; i++ {
-			trailer = append(trailer, byte(flen>>(8*i)))
-		}
-		for i := 0; i < 8; i++ {
-			trailer = append(trailer, byte(w.committed>>(8*i)))
-		}
-		trailer = append(trailer, trailer2Magic[:]...)
-	}
+	trailer := appendTrailer(nil, trailerFor(ver, w.committed), footer, w.committed)
 	if _, err := w.w.Write(trailer); err != nil {
 		return fmt.Errorf("archive: writing trailer: %w", err)
 	}

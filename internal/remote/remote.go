@@ -7,9 +7,9 @@
 // extraction touch only a few percent of archive bytes (2.7–3.1% of a
 // local file; server.TestRemoteFetchFraction holds both paths under 10%),
 // in frame-sized spans clustered by batch index. Reads therefore go
-// through a byte-budgeted read-ahead cache of aligned segments; concurrent
-// batch decodes that miss on the same segment are collapsed into one fetch
-// by a singleflight gate, so a fleet of workers pulls each segment over
+// through a byte-budgeted read-ahead cache of aligned segments (an
+// internal/lru instance); concurrent batch decodes that miss on the same
+// segment share one fetch, so a fleet of workers pulls each segment over
 // the wire at most once.
 //
 // Generation pinning: Open records the resource's ETag, every request
@@ -22,7 +22,6 @@
 package remote
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -30,9 +29,10 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/lru"
 )
 
 // ErrChanged reports that the remote resource's validator (ETag) no
@@ -76,7 +76,7 @@ type Stats struct {
 	BytesRead    int64 `json:"bytes_read"`    // logical bytes served to callers
 	Hits         int64 `json:"hits"`          // segment lookups served from cache
 	Misses       int64 `json:"misses"`        // segment lookups that had to wait for a fill
-	Fills        int64 `json:"fills"`         // actual segment fills (≤ Misses: singleflight)
+	Fills        int64 `json:"fills"`         // actual segment fills (≤ Misses: concurrent misses share one)
 }
 
 // HitRatio is the fraction of segment lookups served from cache.
@@ -98,54 +98,35 @@ type Reader struct {
 	etag     string // pinned validator, "" if the server sent none
 	strong   bool   // etag is strong: eligible for If-Range
 
-	budget   int64
-	segBytes int64
-
-	mu       sync.Mutex
-	segs     map[int64]*list.Element // segment start -> lru element
-	lru      list.List               // of *segment, front = most recent
-	resident int64                   // cached bytes
-	inflight map[int64]*fill
+	segBytes atomic.Int64 // the aligned fetch/cache unit
+	// cache holds fetched segments. Its budget is one reader's, in one
+	// shard: split further, a small budget would be less than a segment
+	// per shard.
+	cache *lru.Cache[segKey, []byte]
 
 	requests, fetched, read atomic.Int64
-	hits, misses, fills     atomic.Int64
 }
 
-type segment struct {
-	start int64
-	data  []byte
-}
-
-type fill struct {
-	seg  int64 // the segment unit the fill was aligned to
-	done chan struct{}
-	data []byte
-	err  error
-}
+// segKey names one aligned segment. The unit is part of the key, so a
+// segment cut under one unit is never found, or waited for, under another.
+type segKey struct{ unit, start int64 }
 
 // Open probes url with a 1-byte range request to learn the resource
 // size and pin its ETag, and returns a Reader over it. The server must
 // either honor Range (206) or expose Content-Length on a 200.
 func Open(url string, cfg Config) (*Reader, error) {
-	r := &Reader{
-		url:      url,
-		client:   cfg.Client,
-		timeout:  cfg.Timeout,
-		budget:   cfg.CacheBytes,
-		segBytes: int64(cfg.SegmentBytes),
-		segs:     make(map[int64]*list.Element),
-		inflight: make(map[int64]*fill),
-	}
+	r := &Reader{url: url, client: cfg.Client, timeout: cfg.Timeout}
 	if r.timeout == 0 {
 		r.timeout = DefaultTimeout
 	}
-	if r.budget == 0 {
-		r.budget = DefaultCacheBytes
+	if cfg.CacheBytes == 0 {
+		cfg.CacheBytes = DefaultCacheBytes
 	}
-	if r.segBytes == 0 {
-		r.segBytes = DefaultSegmentBytes
+	r.cache = lru.New[segKey, []byte](cfg.CacheBytes, 1, nil)
+	if cfg.SegmentBytes == 0 {
+		cfg.SegmentBytes = DefaultSegmentBytes
 	}
-	r.segBytes = min(max(r.segBytes, minSegmentBytes), maxSegmentBytes)
+	r.segBytes.Store(clampSegment(int64(cfg.SegmentBytes)))
 	if r.client == nil {
 		r.ownsConn = true
 		r.client = &http.Client{Transport: &http.Transport{
@@ -215,24 +196,21 @@ func (r *Reader) Label() string { return r.url }
 
 // Stats snapshots the reader's counters.
 func (r *Reader) Stats() Stats {
+	c := r.cache.Stats()
 	return Stats{
 		Requests:     r.requests.Load(),
 		BytesFetched: r.fetched.Load(),
 		BytesRead:    r.read.Load(),
-		Hits:         r.hits.Load(),
-		Misses:       r.misses.Load(),
-		Fills:        r.fills.Load(),
+		Hits:         c.Hits,
+		Misses:       c.Misses,
+		Fills:        c.Fills,
 	}
 }
 
 // Close drops the cache and, when the Reader owns its client, the
 // pooled connections. The Reader must not be used afterwards.
 func (r *Reader) Close() error {
-	r.mu.Lock()
-	r.segs = make(map[int64]*list.Element)
-	r.lru.Init()
-	r.resident = 0
-	r.mu.Unlock()
+	r.cache.Purge()
 	if r.ownsConn {
 		r.client.CloseIdleConnections()
 	}
@@ -240,30 +218,21 @@ func (r *Reader) Close() error {
 }
 
 // Retune resizes the segment unit (clamped to [4 KiB, 4 MiB]) and drops
-// the cache so existing alignment cannot mix: fills in flight stay with
-// the readers already waiting on them and are not cached when they land.
-// The serving tier calls this after parsing the footer, sizing segments
-// to the archive's typical frame span.
+// the cache, whose segments are cut in the old unit: fills in flight stay
+// with the readers already waiting on them and are not cached when they
+// land. The serving tier calls this after parsing the footer, sizing
+// segments to the archive's typical frame span.
 func (r *Reader) Retune(segmentBytes int64) {
-	segmentBytes = min(max(segmentBytes, minSegmentBytes), maxSegmentBytes)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if segmentBytes == r.segBytes {
-		return
+	segmentBytes = clampSegment(segmentBytes)
+	if r.segBytes.Swap(segmentBytes) != segmentBytes {
+		r.cache.Purge()
 	}
-	r.segBytes = segmentBytes
-	r.segs = make(map[int64]*list.Element)
-	r.lru.Init()
-	r.resident = 0
-	r.inflight = make(map[int64]*fill)
 }
 
 // SegmentBytes is the current aligned fetch unit.
-func (r *Reader) SegmentBytes() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.segBytes
-}
+func (r *Reader) SegmentBytes() int64 { return r.segBytes.Load() }
+
+func clampSegment(n int64) int64 { return min(max(n, minSegmentBytes), maxSegmentBytes) }
 
 // ReadAt implements io.ReaderAt. Reads past the pinned size return
 // io.EOF; every fetched byte is validated against the pinned ETag, so a
@@ -300,62 +269,18 @@ func (r *Reader) ReadAt(p []byte, off int64) (int, error) {
 // segment returns the bytes of the aligned segment holding off and the
 // offset they start at, from cache or by fetching. Concurrent misses on
 // one segment share a single fetch; errors are returned to every waiter
-// but never cached. The segment unit is read in the same critical section
-// as the cache and the fills in flight, so what a lookup finds is always
-// aligned the way it expects, whenever Retune runs; a fill that Retune
-// overtook serves its waiters and is dropped, since the cache it would
-// enter is indexed in another unit.
+// but never cached. The unit read here is part of the cache key, so what a
+// lookup finds is always aligned the way it expects, whenever Retune runs;
+// a fetch keyed just before a Retune may land in the cache under the old
+// unit, where nothing looks it up again and the LRU ages it out.
 func (r *Reader) segment(off int64) (data []byte, start int64, err error) {
-	r.mu.Lock()
-	seg := r.segBytes
-	start = off / seg * seg
-	if e, ok := r.segs[start]; ok {
-		r.lru.MoveToFront(e)
-		data = e.Value.(*segment).data
-		r.mu.Unlock()
-		r.hits.Add(1)
-		return data, start, nil
-	}
-	r.misses.Add(1)
-	if f, ok := r.inflight[start]; ok {
-		r.mu.Unlock()
-		<-f.done
-		return f.data, start, f.err
-	}
-	f := &fill{seg: seg, done: make(chan struct{})}
-	r.inflight[start] = f
-	r.mu.Unlock()
-
-	r.fills.Add(1)
-	f.data, f.err = r.fetch(start, min(start+seg, r.size))
-
-	r.mu.Lock()
-	if r.inflight[start] == f {
-		delete(r.inflight, start)
-	}
-	if f.err == nil && r.budget > 0 && f.seg == r.segBytes {
-		r.insert(start, f.data)
-	}
-	r.mu.Unlock()
-	close(f.done)
-	return f.data, start, f.err
-}
-
-// insert caches one segment, evicting least-recently-used segments past
-// the byte budget. Caller holds r.mu.
-func (r *Reader) insert(start int64, data []byte) {
-	if _, ok := r.segs[start]; ok {
-		return
-	}
-	r.segs[start] = r.lru.PushFront(&segment{start: start, data: data})
-	r.resident += int64(len(data))
-	for r.resident > r.budget && r.lru.Len() > 1 {
-		e := r.lru.Back()
-		sg := e.Value.(*segment)
-		r.lru.Remove(e)
-		delete(r.segs, sg.start)
-		r.resident -= int64(len(sg.data))
-	}
+	unit := r.segBytes.Load()
+	start = off / unit * unit
+	data, err = r.cache.GetOrFill(segKey{unit, start}, func() ([]byte, int64, error) {
+		data, err := r.fetch(start, min(start+unit, r.size))
+		return data, int64(len(data)), err
+	})
+	return data, start, err
 }
 
 // fetch pulls [start, end) in one range request and validates the

@@ -118,9 +118,7 @@ func TestCacheHitsAndEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r.mu.Lock()
-	resident := r.resident
-	r.mu.Unlock()
+	resident := r.cache.Stats().Bytes
 	if resident > 16<<10 {
 		t.Fatalf("resident %d bytes exceeds 16KiB budget", resident)
 	}

@@ -3,11 +3,10 @@ package server
 import (
 	"fmt"
 	"hash/maphash"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/amr"
 	"repro/internal/grid"
+	"repro/internal/lru"
 	"repro/internal/sz"
 )
 
@@ -54,214 +53,55 @@ func (s CacheStats) HitRatio() float64 {
 	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
 
-// Cache is a sharded, byte-budgeted LRU over decoded block batches. Each
-// shard owns an independent lock, hash ring and budget slice, so lookups
-// from concurrent request goroutines contend only when they land on the
-// same shard; fills are collapsed per key by a singleflight group that
-// lives outside the shard locks, so a slow decode never blocks unrelated
-// lookups.
+// Cache is the block cache: an lru.Cache over decoded block batches, so
+// lookups from concurrent request goroutines contend only when they land
+// on the same shard, and concurrent misses on one frame share one decode
+// that runs with no lock held.
 type Cache struct {
-	shards  []cacheShard
-	seed    maphash.Seed
-	flight  group[Key, blocks]
-	decodes atomic.Int64
-}
-
-// cacheEntry is an intrusive LRU node; root.next is most recent.
-type cacheEntry struct {
-	key        Key
-	val        blocks
-	cost       int64
-	prev, next *cacheEntry
-}
-
-type cacheShard struct {
-	mu     sync.Mutex
-	m      map[Key]*cacheEntry
-	root   cacheEntry // sentinel of the recency ring
-	bytes  int64
-	budget int64
-
-	hits, misses, evictions int64
+	c *lru.Cache[Key, blocks]
 }
 
 // NewCache returns a cache budgeted at budgetBytes of decoded data split
 // evenly across shards (shards ≤ 0 means DefaultCacheShards; a single
 // shard makes eviction order fully deterministic, which the tests use).
+// A key's shard comes from a hash of every field.
 func NewCache(budgetBytes int64, shards int) *Cache {
 	if shards <= 0 {
 		shards = DefaultCacheShards
 	}
-	c := &Cache{shards: make([]cacheShard, shards), seed: maphash.MakeSeed()}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.m = make(map[Key]*cacheEntry)
-		sh.root.prev, sh.root.next = &sh.root, &sh.root
-		sh.budget = budgetBytes / int64(shards)
-	}
-	return c
-}
-
-// shard maps a key to its shard by hashing every field.
-func (c *Cache) shard(k Key) *cacheShard {
-	var h maphash.Hash
-	h.SetSeed(c.seed)
-	h.WriteString(k.Archive)
-	var num [24]byte
-	for i, v := range [3]int{k.Member, k.Level, k.Batch} {
-		u := uint64(v)
-		for j := 0; j < 8; j++ {
-			num[i*8+j] = byte(u >> (8 * j))
-		}
-	}
-	h.Write(num[:])
-	return &c.shards[h.Sum64()%uint64(len(c.shards))]
+	seed := maphash.MakeSeed()
+	return &Cache{lru.New[Key, blocks](budgetBytes, shards, func(k Key) uint64 {
+		return maphash.Comparable(seed, k)
+	})}
 }
 
 // GetOrFill returns the cached batch for k, or runs fill — once per key
 // across all concurrent callers — and caches its result. fill returns the
 // decoded blocks and their byte cost against the budget.
 func (c *Cache) GetOrFill(k Key, fill func() (blocks, int64, error)) (blocks, error) {
-	sh := c.shard(k)
-	if v, ok := sh.get(k); ok {
-		return v, nil
-	}
-	v, _, err := c.flight.Do(k, func() (blocks, error) {
-		// Re-check under the flight: a previous flight for this key may
-		// have landed between our miss and this call.
-		if v, ok := sh.peek(k); ok {
-			return v, nil
-		}
-		c.decodes.Add(1)
-		v, cost, err := fill()
-		if err != nil {
-			return nil, err
-		}
-		sh.insert(k, v, cost)
-		return v, nil
-	})
-	return v, err
+	return c.c.GetOrFill(k, fill)
 }
 
 // Purge drops every resident entry (counters are kept). Server.Close
 // uses it so a registry reset cannot leave batches of a closed archive
 // resident under a name a later Add might reuse.
-func (c *Cache) Purge() {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		sh.m = make(map[Key]*cacheEntry)
-		sh.root.prev, sh.root.next = &sh.root, &sh.root
-		sh.bytes = 0
-		sh.mu.Unlock()
-	}
-}
+func (c *Cache) Purge() { c.c.Purge() }
 
 // PurgeMember drops every resident entry of one member of one archive —
 // the repair path calls it after resplicing the member's frames on disk,
 // so blocks decoded while the member was damaged cannot outlive the
-// repair.
+// repair, whether they are resident or still being decoded.
 func (c *Cache) PurgeMember(name string, mi int) {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for k, e := range sh.m {
-			if k.Archive == name && k.Member == mi {
-				sh.unlink(e)
-				delete(sh.m, k)
-				sh.bytes -= e.cost
-			}
-		}
-		sh.mu.Unlock()
-	}
+	c.c.PurgeFunc(func(k Key) bool { return k.Archive == name && k.Member == mi })
 }
 
-// Stats sums the shard counters.
+// Stats snapshots the cache counters.
 func (c *Cache) Stats() CacheStats {
-	var st CacheStats
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		st.Hits += sh.hits
-		st.Misses += sh.misses
-		st.Evictions += sh.evictions
-		st.Entries += int64(len(sh.m))
-		st.Bytes += sh.bytes
-		st.Budget += sh.budget
-		sh.mu.Unlock()
+	st := c.c.Stats()
+	return CacheStats{
+		Hits: st.Hits, Misses: st.Misses, Evictions: st.Evictions,
+		Entries: st.Entries, Bytes: st.Bytes, Budget: st.Budget, Decodes: st.Fills,
 	}
-	st.Decodes = c.decodes.Load()
-	return st
-}
-
-// get looks k up, bumping recency and the hit/miss counters.
-func (sh *cacheShard) get(k Key) (blocks, bool) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, ok := sh.m[k]
-	if !ok {
-		sh.misses++
-		return nil, false
-	}
-	sh.hits++
-	sh.moveToFront(e)
-	return e.val, true
-}
-
-// peek is get without counters: the double-check inside a fill is not a
-// new request, so it must not skew the hit ratio.
-func (sh *cacheShard) peek(k Key) (blocks, bool) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if e, ok := sh.m[k]; ok {
-		sh.moveToFront(e)
-		return e.val, true
-	}
-	return nil, false
-}
-
-// insert adds the entry at the front and evicts from the tail until the
-// shard fits its budget again. An entry larger than the whole budget is
-// still admitted (and everything else evicted): repeated requests for one
-// oversized frame must hit, not thrash.
-func (sh *cacheShard) insert(k Key, v blocks, cost int64) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if e, ok := sh.m[k]; ok {
-		// Lost a race with another insert of the same key; keep the
-		// resident entry.
-		sh.moveToFront(e)
-		return
-	}
-	e := &cacheEntry{key: k, val: v, cost: cost}
-	sh.m[k] = e
-	sh.pushFront(e)
-	sh.bytes += cost
-	for sh.bytes > sh.budget && sh.root.prev != e {
-		old := sh.root.prev
-		sh.unlink(old)
-		delete(sh.m, old.key)
-		sh.bytes -= old.cost
-		sh.evictions++
-	}
-}
-
-func (sh *cacheShard) pushFront(e *cacheEntry) {
-	e.prev = &sh.root
-	e.next = sh.root.next
-	e.prev.next = e
-	e.next.prev = e
-}
-
-func (sh *cacheShard) unlink(e *cacheEntry) {
-	e.prev.next = e.next
-	e.next.prev = e.prev
-	e.prev, e.next = nil, nil
-}
-
-func (sh *cacheShard) moveToFront(e *cacheEntry) {
-	sh.unlink(e)
-	sh.pushFront(e)
 }
 
 // batchCost prices a decoded batch for the byte budget: the data slab

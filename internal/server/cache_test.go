@@ -1,235 +1,91 @@
 package server
 
 import (
-	"errors"
-	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/amr"
 	"repro/internal/grid"
 )
 
-// fakeBlocks makes a distinguishable one-block batch.
-func fakeBlocks(tag amr.Value) blocks {
-	g := grid.NewCube[amr.Value](2)
-	g.Fill(tag)
-	return blocks{g}
+// The LRU itself — budget, recency, oversized entries, fill errors,
+// collapse, purges — is tested where it lives, in internal/lru; PurgeMember
+// is driven end to end by the repair suite. What is left here is what the
+// block cache adds: its key, its hash and its pricing.
+
+// fakeBlocks makes a distinguishable batch of n blocks of edge dim.
+func fakeBlocks(tag amr.Value, n, dim int) blocks {
+	v := make(blocks, n)
+	for i := range v {
+		v[i] = grid.NewCube[amr.Value](dim)
+		v[i].Fill(tag)
+	}
+	return v
 }
 
-func key(b int) Key { return Key{Archive: "a", Member: 0, Level: 0, Batch: b} }
-
-// fill returns a constant-cost fill that counts executions.
-func fill(tag amr.Value, cost int64, calls *atomic.Int64) func() (blocks, int64, error) {
-	return func() (blocks, int64, error) {
-		calls.Add(1)
-		return fakeBlocks(tag), cost, nil
+// TestCacheKeyFields: keys that differ in any one field are distinct
+// entries, whichever shards they hash to; the same key hits; a fill that
+// ran is a decode in CacheStats; PurgeMember drops one member's keys only.
+func TestCacheKeyFields(t *testing.T) {
+	c := NewCache(1<<20, 0)
+	base := Key{Archive: "a", Member: 1, Level: 2, Batch: 3}
+	keys := []Key{
+		base,
+		{Archive: "b", Member: 1, Level: 2, Batch: 3},
+		{Archive: "a", Member: 2, Level: 2, Batch: 3},
+		{Archive: "a", Member: 1, Level: 3, Batch: 3},
+		{Archive: "a", Member: 1, Level: 2, Batch: 4},
+		{Archive: "a", Member: 3, Level: 2, Batch: 1}, // the fields of base, permuted
 	}
-}
-
-// TestCacheEvictionTinyBudget squeezes distinct keys through a
-// single-shard cache whose budget fits only one entry: every insert after
-// the first evicts its predecessor, and the resident set never exceeds
-// the budget.
-func TestCacheEvictionTinyBudget(t *testing.T) {
-	c := NewCache(100, 1)
-	var calls atomic.Int64
-	for b := 0; b < 5; b++ {
-		if _, err := c.GetOrFill(key(b), fill(amr.Value(b), 60, &calls)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := c.Stats()
-	if st.Entries != 1 {
-		t.Fatalf("entries %d, want 1 (stats %+v)", st.Entries, st)
-	}
-	if st.Bytes > st.Budget {
-		t.Fatalf("bytes %d exceed budget %d", st.Bytes, st.Budget)
-	}
-	if st.Evictions != 4 {
-		t.Fatalf("evictions %d, want 4", st.Evictions)
-	}
-	// The survivor is the most recent key; re-requesting it hits.
-	if _, err := c.GetOrFill(key(4), fill(4, 60, &calls)); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Stats().Hits; got != 1 {
-		t.Fatalf("hits %d, want 1", got)
-	}
-	if calls.Load() != 5 {
-		t.Fatalf("fills %d, want 5", calls.Load())
-	}
-}
-
-// TestCacheLRUOrder verifies recency bumps: touching an old entry saves
-// it from the next eviction.
-func TestCacheLRUOrder(t *testing.T) {
-	c := NewCache(130, 1) // fits two 60-cost entries
-	var calls atomic.Int64
-	mustFill := func(b int) {
+	get := func(k Key, tag amr.Value) amr.Value {
 		t.Helper()
-		if _, err := c.GetOrFill(key(b), fill(amr.Value(b), 60, &calls)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mustFill(0)
-	mustFill(1)
-	mustFill(0) // bump 0; 1 becomes LRU
-	mustFill(2) // evicts 1
-	st := c.Stats()
-	if st.Evictions != 1 {
-		t.Fatalf("evictions %d, want 1", st.Evictions)
-	}
-	before := calls.Load()
-	mustFill(0) // still resident
-	if calls.Load() != before {
-		t.Fatal("key 0 was evicted despite recency bump")
-	}
-	mustFill(1) // gone: must refill
-	if calls.Load() != before+1 {
-		t.Fatal("key 1 unexpectedly survived")
-	}
-}
-
-// TestCacheOversizedEntry: an entry larger than the whole budget is still
-// admitted so repeats hit instead of thrashing.
-func TestCacheOversizedEntry(t *testing.T) {
-	c := NewCache(10, 1)
-	var calls atomic.Int64
-	for i := 0; i < 3; i++ {
-		if _, err := c.GetOrFill(key(0), fill(1, 1000, &calls)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if calls.Load() != 1 {
-		t.Fatalf("oversized entry decoded %d times, want 1", calls.Load())
-	}
-	st := c.Stats()
-	if st.Hits != 2 || st.Entries != 1 {
-		t.Fatalf("stats %+v, want 2 hits and 1 entry", st)
-	}
-}
-
-// TestCacheFillError: errors are returned, never cached.
-func TestCacheFillError(t *testing.T) {
-	c := NewCache(1000, 1)
-	boom := errors.New("boom")
-	var calls atomic.Int64
-	for i := 0; i < 2; i++ {
-		_, err := c.GetOrFill(key(0), func() (blocks, int64, error) {
-			calls.Add(1)
-			return nil, 0, boom
+		v, err := c.GetOrFill(k, func() (blocks, int64, error) {
+			b := fakeBlocks(tag, 1, 2)
+			return b, batchCost(b), nil
 		})
-		if !errors.Is(err, boom) {
-			t.Fatalf("err %v, want boom", err)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return v[0].Data[0]
 	}
-	if calls.Load() != 2 {
-		t.Fatalf("failed fill ran %d times, want 2 (errors must not be cached)", calls.Load())
-	}
-	if st := c.Stats(); st.Entries != 0 {
-		t.Fatalf("error left %d entries resident", st.Entries)
-	}
-}
-
-// TestCacheConcurrentDistinctKeys runs concurrent fills over many keys
-// through many shards (race coverage for the shard locks and the flight
-// map) and checks the counters add up.
-func TestCacheConcurrentDistinctKeys(t *testing.T) {
-	c := NewCache(1<<20, 8)
-	const keys, rounds, workers = 32, 4, 8
-	var calls atomic.Int64
-	var wg sync.WaitGroup
-	errCh := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				for b := 0; b < keys; b++ {
-					v, err := c.GetOrFill(key(b), fill(amr.Value(b), 64, &calls))
-					if err != nil {
-						errCh <- err
-						return
-					}
-					if got := v[0].Data[0]; got != amr.Value(b) {
-						errCh <- fmt.Errorf("key %d returned batch tagged %g", b, got)
-						return
-					}
-				}
+	for round := 0; round < 2; round++ {
+		for i, k := range keys {
+			// The second round offers another tag; a hit returns the first.
+			if got := get(k, amr.Value(i+100*round)); got != amr.Value(i) {
+				t.Fatalf("round %d: key %v returned the batch tagged %g, want %d", round, k, got, i)
 			}
-		}(w)
+		}
 	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatal(err)
+	n := int64(len(keys))
+	want := CacheStats{Hits: n, Misses: n, Entries: n, Bytes: n * batchCost(fakeBlocks(0, 1, 2)), Budget: 1 << 20, Decodes: n}
+	if st := c.Stats(); st != want {
+		t.Fatalf("stats %+v, want %+v", st, want)
 	}
-	st := c.Stats()
-	if st.Decodes != keys {
-		t.Fatalf("decodes %d, want %d (budget fits everything; each key fills once)", st.Decodes, keys)
-	}
-	if st.Hits+st.Misses != keys*rounds*workers {
-		t.Fatalf("hits %d + misses %d != %d requests", st.Hits, st.Misses, keys*rounds*workers)
+
+	c.PurgeMember("a", 1)
+	for i, k := range keys {
+		wantTag := amr.Value(i)
+		if k.Archive == "a" && k.Member == 1 {
+			wantTag += 200 // purged: this lookup decodes again
+		}
+		if got := get(k, amr.Value(i+200)); got != wantTag {
+			t.Fatalf("after PurgeMember(a, 1): key %v returned the batch tagged %g, want %g", k, got, wantTag)
+		}
 	}
 }
 
-// TestSingleflightGroup exercises the group primitive directly: a blocked
-// leader, piggybacking followers, one execution.
-func TestSingleflightGroup(t *testing.T) {
-	var g group[string, int]
-	var calls atomic.Int64
-	started := make(chan struct{})
-	release := make(chan struct{})
-	leaderDone := make(chan struct{})
-	go func() {
-		defer close(leaderDone)
-		v, shared, err := g.Do("k", func() (int, error) {
-			calls.Add(1)
-			close(started)
-			<-release
-			return 42, nil
-		})
-		if err != nil || v != 42 || shared {
-			t.Errorf("leader got (%d, shared=%v, %v), want (42, false, nil)", v, shared, err)
+// TestBatchCost: a batch is priced at its decoded cells plus a fixed
+// header per block, and an empty one at nothing.
+func TestBatchCost(t *testing.T) {
+	for _, c := range []struct {
+		n, dim int
+		want   int64
+	}{
+		{0, 0, 0},
+		{1, 2, 8*amr.ValueBytes + 64},
+		{5, 8, 5 * (512*amr.ValueBytes + 64)},
+	} {
+		if got := batchCost(fakeBlocks(1, c.n, c.dim)); got != c.want {
+			t.Errorf("batchCost(%d blocks of %d³) = %d, want %d", c.n, c.dim, got, c.want)
 		}
-	}()
-	<-started
-	const followers = 4
-	var wg sync.WaitGroup
-	results := make([]int, followers)
-	shareds := make([]bool, followers)
-	for i := 0; i < followers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], shareds[i], _ = g.Do("k", func() (int, error) {
-				calls.Add(1)
-				return -1, nil
-			})
-		}(i)
-	}
-	// The leader is parked on release, so the key stays in flight while
-	// the followers enter Do; give them ample time to park, and verify
-	// none of them executed a fill of their own while the flight was up.
-	time.Sleep(50 * time.Millisecond)
-	if calls.Load() != 1 {
-		t.Fatalf("fill ran %d times while leader in flight, want 1", calls.Load())
-	}
-	close(release)
-	wg.Wait()
-	<-leaderDone
-	for i := range results {
-		if results[i] != 42 {
-			t.Fatalf("follower %d got %d, want 42 (shared=%v)", i, results[i], shareds[i])
-		}
-		if !shareds[i] {
-			t.Fatalf("follower %d did not piggyback", i)
-		}
-	}
-	if calls.Load() != 1 {
-		t.Fatalf("fill ran %d times, want 1", calls.Load())
 	}
 }

@@ -146,7 +146,7 @@ func TestServedDeltaChainByteIdentity(t *testing.T) {
 }
 
 // TestIngestDeltaChain runs the write path in campaign mode: with
-// Config.IngestKeyframe set, ingested snapshots delta-code against the
+// ArchiveSpec.Keyframe set, ingested snapshots delta-code against the
 // archive's committed tail, keyframes cut the chain at the configured
 // interval, and every served member stays within the error bound of its
 // own source snapshot.
@@ -176,8 +176,8 @@ func TestIngestDeltaChain(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s := New(Config{IngestKeyframe: 3})
-	if _, err := s.Add("live", ArchiveSpec{Primary: path, Append: true, Ingest: codec.Config{ErrorBound: deltaEB, Workers: 2}}); err != nil {
+	s := New(Config{})
+	if _, err := s.Add("live", ArchiveSpec{Primary: path, Append: true, Keyframe: 3, Ingest: codec.Config{ErrorBound: deltaEB, Workers: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	h := s.Handler()

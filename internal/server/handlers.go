@@ -16,6 +16,7 @@ import (
 	"repro/internal/amr"
 	"repro/internal/archive"
 	"repro/internal/grid"
+	"repro/internal/remote"
 	"repro/internal/sz"
 )
 
@@ -24,7 +25,7 @@ import (
 // repository expect it:
 //
 //	GET  /healthz, /v1/healthz                      liveness probe ("ok", or 503 "draining")
-//	GET  /v1/stats                                  cache + ingest + registry counters (JSON)
+//	GET  /v1/stats                                  cache + ingest + URL-source + registry counters (JSON)
 //	GET  /v1/archives                               registered archives (JSON)
 //	GET  /v1/a/{name}                               member listing (JSON)
 //	GET  /v1/a/{name}/raw                           committed archive bytes (Range/ETag/If-Range;
@@ -235,10 +236,34 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		HitRatio float64     `json:"cache_hit_ratio"`
 		Ingest   IngestStats `json:"ingest"`
 		Health   HealthStats `json:"health"`
-		Draining bool        `json:"draining"`
+		// URL sources per archive, primary first; archives without one are absent.
+		Remote   map[string][]mountStats `json:"remote"`
+		Draining bool                    `json:"draining"`
 		// Which batch kernels decode and encode in this process (sz.KernelPath).
 		CodecKernel string `json:"codec_kernel"`
-	}{s.Names(), st, st.HitRatio(), s.IngestStats(), s.HealthStats(), s.Draining(), sz.KernelPath()})
+	}{s.Names(), st, st.HitRatio(), s.IngestStats(), s.HealthStats(), s.remoteStats(), s.Draining(), sz.KernelPath()})
+}
+
+// mountStats is one URL source's counters and its current segment unit.
+// Sources are told apart by position, not by URL: origins stay out of
+// client-visible bodies.
+type mountStats struct {
+	remote.Stats
+	SegmentBytes int64 `json:"segment_bytes"`
+}
+
+// remoteStats snapshots the URL sources of every archive that has any, in
+// source order (the primary, then the replicas).
+func (s *Server) remoteStats() map[string][]mountStats {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	out := make(map[string][]mountStats)
+	for name, sa := range s.archives {
+		for _, rr := range sa.mounts {
+			out[name] = append(out[name], mountStats{rr.Stats(), rr.SegmentBytes()})
+		}
+	}
+	return out
 }
 
 func (s *Server) handleArchives(w http.ResponseWriter, r *http.Request) {

@@ -130,10 +130,7 @@ func (s *Server) addAppend(name string, spec ArchiveSpec) (string, error) {
 	// Campaign mode: delta-code ingested members against the committed
 	// tail. The writer primes each field's reference from the newest
 	// committed member, so chains continue seamlessly across restarts.
-	w.Keyframe = s.cfg.IngestKeyframe
-	if spec.Keyframe >= 2 {
-		w.Keyframe = spec.Keyframe
-	}
+	w.Keyframe = spec.Keyframe
 	w.Checksums = w.Checksums || spec.Checksums
 	w.FooterSum = w.FooterSum || spec.FooterSum
 	r, err := w.View(f)
@@ -158,7 +155,7 @@ func (s *Server) addAppend(name string, spec ArchiveSpec) (string, error) {
 		q:    make(chan ingestJob, s.cfg.IngestQueue),
 		done: make(chan struct{}),
 	}
-	if err := s.add(name, r, nil, ing); err != nil {
+	if err := s.addArchive(&servedArchive{name: name, ing: ing}, r); err != nil {
 		f.Close()
 		return "", err
 	}

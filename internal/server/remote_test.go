@@ -94,7 +94,7 @@ func TestRemoteAutoSegmentTuning(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := rr.SegmentBytes()
-	tuneRemote(r, rr, remote.Config{})
+	tuneRemote(r, []*remote.Reader{rr}, remote.Config{})
 	fb := r.TypicalFrameBytes()
 	if fb <= 0 {
 		t.Fatal("no typical frame size")
@@ -108,6 +108,40 @@ func TestRemoteAutoSegmentTuning(t *testing.T) {
 	// overshot into ROI-overfetch territory.
 	if seg > 4<<10 && (seg < fb || seg >= 2*fb) {
 		t.Fatalf("tuned segment %d is not the covering power of two for frames of %d bytes (was %d)", seg, fb, before)
+	}
+}
+
+// TestRemoteReplicasRetuned: every URL source of a spec is cut to the
+// archive's frame span, not the primary alone — a replica left at the
+// default 128 KiB would over-fetch exactly when a failover lands on it —
+// and an explicit Remote.SegmentBytes pins them all.
+func TestRemoteReplicasRetuned(t *testing.T) {
+	blob := testArchiveBytes(t, 4)
+	primary, replica1, replica2 := rawServer(t, blob), rawServer(t, blob), rawServer(t, blob)
+	s := New(Config{})
+	defer s.Close()
+	for name, rcfg := range map[string]remote.Config{"auto": {}, "pinned": {SegmentBytes: 8 << 10}} {
+		if _, err := s.Add(name, ArchiveSpec{Primary: primary.URL, Replicas: []string{replica1.URL, replica2.URL}, Remote: rcfg}); err != nil {
+			t.Fatal(err)
+		}
+		sa, err := s.lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sa.mounts) != 3 {
+			t.Fatalf("%s: %d URL sources recorded, want 3", name, len(sa.mounts))
+		}
+		want := int64(rcfg.SegmentBytes)
+		if want == 0 {
+			if want = sa.mounts[0].SegmentBytes(); want == remote.DefaultSegmentBytes {
+				t.Fatalf("%s: primary still at the default segment, nothing was tuned", name)
+			}
+		}
+		for i, rr := range sa.mounts {
+			if got := rr.SegmentBytes(); got != want {
+				t.Errorf("%s: source %d cut to %d-byte segments, want %d like the primary", name, i, got, want)
+			}
+		}
 	}
 }
 
@@ -167,7 +201,7 @@ func TestRemoteFetchFraction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tuneRemote(r, rr, remote.Config{})
+		tuneRemote(r, []*remote.Reader{rr}, remote.Config{})
 		return r, rr
 	}
 	cr := &countingReaderAt{r: bytes.NewReader(blob)}

@@ -8,13 +8,13 @@
 //     exactly once, and every request reads frames through the shared
 //     io.ReaderAt, which archive.Reader supports from any number of
 //     goroutines;
-//   - a sharded, byte-budgeted LRU cache over decoded block batches,
-//     keyed at exactly the container's frame granularity
+//   - a sharded, byte-budgeted LRU cache over decoded block batches
+//     (internal/lru), keyed at exactly the container's frame granularity
 //     (archive/member/level/batch), so the popular frames of a campaign
 //     stay decoded;
-//   - singleflight collapse of concurrent misses, so a thundering herd
-//     on one frame decodes it once while everyone else waits for the
-//     shared result.
+//   - its collapse of concurrent misses into one fill, so a thundering
+//     herd on one frame decodes it once while everyone else waits for
+//     the shared result.
 //
 // Decoding borrows pooled sz engines (archive.Reader.DecodeBatch) and HTTP
 // response bodies are assembled in pooled buffers, so steady-state serving
@@ -83,11 +83,9 @@ var (
 // Config parameterizes a Server.
 type Config struct {
 	// CacheBytes budgets the decoded-batch LRU cache; 0 means
-	// DefaultCacheBytes. The budget is split evenly across shards.
+	// DefaultCacheBytes. The budget is split evenly across its
+	// DefaultCacheShards shards.
 	CacheBytes int64
-	// CacheShards splits the cache into independently locked shards;
-	// 0 means DefaultCacheShards.
-	CacheShards int
 	// Workers bounds the per-request batch fan-out during level and
 	// region assembly; 0 means GOMAXPROCS, 1 assembles serially.
 	Workers int
@@ -95,11 +93,6 @@ type Config struct {
 	// behind the one being compressed; an arriving ingest finding the
 	// queue full is rejected with ErrBusy. 0 means DefaultIngestQueue.
 	IngestQueue int
-	// IngestKeyframe, when ≥ 2, makes ingested members delta-code against
-	// the archive's committed tail (archive.Writer.Keyframe): every K-th
-	// member per field is a keyframe bounding the reference chain. 0 or 1
-	// keeps ingest in intra mode, byte-identical to previous releases.
-	IngestKeyframe int
 	// RetryAttempts bounds retries of transient frame-read failures
 	// (archive.ErrIO) before a request fails; 0 means
 	// DefaultRetryAttempts, negative disables retrying. Deterministic
@@ -189,6 +182,9 @@ type servedArchive struct {
 	// ErrNoReplica.
 	path     string
 	replicas *replica.Multi
+	// mounts are the URL sources among the archive's byte sources, primary
+	// first (/v1/stats reports them by that index).
+	mounts   []*remote.Reader
 	repairMu sync.Mutex // serializes repair attempts on this archive
 }
 
@@ -227,9 +223,6 @@ func New(cfg Config) *Server {
 	if cfg.CacheBytes == 0 {
 		cfg.CacheBytes = DefaultCacheBytes
 	}
-	if cfg.CacheShards <= 0 {
-		cfg.CacheShards = DefaultCacheShards
-	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -252,7 +245,7 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		cfg:      cfg,
-		cache:    NewCache(cfg.CacheBytes, cfg.CacheShards),
+		cache:    NewCache(cfg.CacheBytes, DefaultCacheShards),
 		sleep:    time.Sleep,
 		jitter:   defaultJitter,
 		archives: make(map[string]*servedArchive),
@@ -298,8 +291,10 @@ type ArchiveSpec struct {
 	// Ingest sets compression parameters for ingested members (Append
 	// only). A zero ErrorBound inherits from the archive's newest member.
 	Ingest codec.Config
-	// Keyframe, when ≥ 2, delta-codes ingested members with this
-	// keyframe interval; 0 falls back to Config.IngestKeyframe.
+	// Keyframe, when ≥ 2, makes ingested members delta-code against the
+	// archive's committed tail (archive.Writer.Keyframe): every K-th
+	// member per field is a keyframe bounding the reference chain. 0 or 1
+	// keeps ingest in intra mode, byte-identical to previous releases.
 	Keyframe int
 	// Checksums and FooterSum set the integrity policy for ingested
 	// frames (archive.Writer.Checksums / FooterSum). Appending to an
@@ -326,77 +321,69 @@ func (s *Server) Add(name string, spec ArchiveSpec) (string, error) {
 	if spec.Append {
 		return s.addAppend(name, spec)
 	}
-	if len(spec.Replicas) == 0 {
-		src, size, err := s.openSource(spec.Primary, spec.Remote)
-		if err != nil {
-			return "", err
-		}
-		r, err := archive.Open(src, size)
-		if err != nil {
-			src.Close()
-			return "", fmt.Errorf("%s: %w", spec.Primary, err)
-		}
-		tuneRemote(r, src, spec.Remote)
-		if err := s.AddReader(name, r, src); err != nil {
-			src.Close()
-			return "", err
-		}
-		return name, nil
-	}
-	srcs := make([]replica.Source, 0, 1+len(spec.Replicas))
-	closeAll := func() {
-		for _, src := range srcs {
-			if c, ok := src.(io.Closer); ok {
-				c.Close()
-			}
-		}
-	}
 	primary, size, err := s.openSource(spec.Primary, spec.Remote)
 	if err != nil {
 		return "", err
 	}
-	srcs = append(srcs, primary)
+	srcs := []replica.Source{primary}
 	for _, rp := range spec.Replicas {
 		src, _, err := s.openSource(rp, spec.Remote)
 		if err != nil {
-			closeAll()
+			closeAll(srcs)
 			return "", err
 		}
 		srcs = append(srcs, src)
 	}
-	serve, err := replica.New(replica.Config{}, srcs...)
-	if err != nil {
-		closeAll()
-		return "", err
-	}
-	// The repair fetch path reads from the replicas only — re-fetching a
-	// damaged frame from the file being repaired would splice the damage
-	// back. Sources are shared with the serve Multi; only serve owns
+	sa := &servedArchive{name: name, closer: primary, mounts: mountsOf(srcs)}
+	// serve is what the archive is read through: the primary itself, or
+	// with replicas a failover reader over all sources, which then owns
 	// closing them.
-	fetch, err := replica.New(replica.Config{}, srcs[1:]...)
-	if err != nil {
-		serve.Close()
-		return "", err
+	var serve interface {
+		io.ReaderAt
+		io.Closer
+	} = primary
+	if len(spec.Replicas) > 0 {
+		multi, err := replica.New(replica.Config{}, srcs...)
+		if err != nil {
+			closeAll(srcs)
+			return "", err
+		}
+		serve, sa.closer = multi, multi
+		// The repair fetch path reads from the replicas only — re-fetching a
+		// damaged frame from the file being repaired would splice the damage
+		// back. Sources are shared with the serve Multi; only serve owns
+		// closing them.
+		if sa.replicas, err = replica.New(replica.Config{}, srcs[1:]...); err != nil {
+			serve.Close()
+			return "", err
+		}
+		// In-place member repair splices into the primary file; a URL
+		// primary has no splice target, so repair stays ErrNoReplica there
+		// while per-read failover still works.
+		if !remote.IsURL(spec.Primary) {
+			sa.path = spec.Primary
+		}
 	}
 	r, err := archive.Open(serve, size)
 	if err != nil {
 		serve.Close()
 		return "", fmt.Errorf("%s: %w", spec.Primary, err)
 	}
-	tuneRemote(r, primary, spec.Remote)
-	// In-place member repair splices into the primary file; a URL
-	// primary has no splice target, so repair stays ErrNoReplica there
-	// while per-read failover still works.
-	path := spec.Primary
-	if remote.IsURL(path) {
-		path = ""
-	}
-	sa := &servedArchive{name: name, closer: serve, path: path, replicas: fetch}
+	tuneRemote(r, sa.mounts, spec.Remote)
 	if err := s.addArchive(sa, r); err != nil {
 		serve.Close()
 		return "", err
 	}
 	return name, nil
+}
+
+// closeAll releases sources opened for a registration that failed.
+func closeAll(srcs []replica.Source) {
+	for _, src := range srcs {
+		if c, ok := src.(io.Closer); ok {
+			c.Close()
+		}
+	}
 }
 
 // sourceCloser is a replica.Source that can release its resources.
@@ -421,24 +408,36 @@ func (s *Server) openSource(spec string, rcfg remote.Config) (sourceCloser, int6
 	return fs, fs.Size(), nil
 }
 
-// tuneRemote sizes a remote source's read-ahead segments to the parsed
-// archive's typical frame span, unless the spec pinned an explicit
-// size. A frame is the archive's unit of read, so one-frame segments
-// get each frame fetched over the wire exactly once (singleflight +
-// cache) while keeping scattered ROI reads from dragging in neighbors
-// they never touch — larger segments were measured to double or triple
-// the bytes fetched for region queries for a marginal request-count
-// saving on sequential scans.
-func tuneRemote(r *archive.Reader, src replica.Source, rcfg remote.Config) {
-	rr, ok := src.(*remote.Reader)
-	if !ok || rcfg.SegmentBytes != 0 {
+// mountsOf picks the URL sources out of an archive's sources, in order.
+func mountsOf(srcs []replica.Source) []*remote.Reader {
+	var mounts []*remote.Reader
+	for _, src := range srcs {
+		if rr, ok := src.(*remote.Reader); ok {
+			mounts = append(mounts, rr)
+		}
+	}
+	return mounts
+}
+
+// tuneRemote sizes the read-ahead segments of every URL source — primary
+// and replicas alike: a failover must not land on a source still cut the
+// default way — to the parsed archive's typical frame span, unless the
+// spec pinned an explicit size. A frame is the archive's unit of read, so
+// one-frame segments get each frame fetched over the wire exactly once
+// (one fill, then the cache) while keeping scattered ROI reads from
+// dragging in neighbors they never touch — larger segments were measured
+// to double or triple the bytes fetched for region queries for a marginal
+// request-count saving on sequential scans.
+func tuneRemote(r *archive.Reader, mounts []*remote.Reader, rcfg remote.Config) {
+	fb := r.TypicalFrameBytes()
+	if rcfg.SegmentBytes != 0 || fb <= 0 {
 		return
 	}
-	if fb := r.TypicalFrameBytes(); fb > 0 {
-		seg := int64(1)
-		for seg < fb {
-			seg <<= 1
-		}
+	seg := int64(1)
+	for seg < fb {
+		seg <<= 1
+	}
+	for _, rr := range mounts {
 		rr.Retune(seg)
 	}
 }
@@ -488,11 +487,7 @@ func SplitSpec(spec string) (name, primary string) {
 // non-nil, is closed by Server.Close. Names must be unique and
 // non-empty.
 func (s *Server) AddReader(name string, r *archive.Reader, closer io.Closer) error {
-	return s.add(name, r, closer, nil)
-}
-
-func (s *Server) add(name string, r *archive.Reader, closer io.Closer, ing *ingester) error {
-	return s.addArchive(&servedArchive{name: name, closer: closer, ing: ing}, r)
+	return s.addArchive(&servedArchive{name: name, closer: closer}, r)
 }
 
 func (s *Server) addArchive(sa *servedArchive, r *archive.Reader) error {
@@ -584,7 +579,7 @@ func (sa *servedArchive) member(st *archiveState, mi int) (*archive.Member, erro
 // key — so extracting member t warms the cache for every member on its
 // chain, each reconstruction stored exactly once — and only the final
 // residual decode runs here. Recursing inside the fill closure is safe:
-// singleflight runs fills with no locks held, and chain references are
+// the cache runs fills with no locks held, and chain references are
 // strictly backward, so the keys strictly decrease and never collide
 // with a fill already in flight on this goroutine.
 // Quarantined members — and, transitively, members whose reference chain
@@ -640,7 +635,7 @@ func (s *Server) batch(sa *servedArchive, st *archiveState, mi, li, b int) (bloc
 // per batch (the assembly paths write disjoint cell ranges). The context
 // is checked between batches, not inside a decode: a frame decode is
 // short and its result is shared through the cache, so abandoning one
-// mid-flight would poison the singleflight result other requests wait on.
+// mid-flight would poison the shared fill other requests wait on.
 func (s *Server) forEachBatch(ctx context.Context, jobs []int, fn func(b int) error) error {
 	return fanout.Run(len(jobs), s.cfg.Workers, func(ji int) error {
 		if err := ctx.Err(); err != nil {

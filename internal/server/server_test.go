@@ -10,6 +10,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -261,7 +262,7 @@ func TestSingleflightCollapse(t *testing.T) {
 // identically sized across rounds.
 func TestConcurrentMixedPaths(t *testing.T) {
 	blob := testArchiveBytes(t, 4)
-	s, _ := newTestServer(t, blob, Config{CacheBytes: 1 << 20, CacheShards: 4})
+	s, _ := newTestServer(t, blob, Config{CacheBytes: 1 << 20})
 	h := s.Handler()
 	paths := []string{
 		"/v1/archives",
@@ -432,18 +433,46 @@ func TestStatsEndpoint(t *testing.T) {
 			t.Fatalf("level request failed: %d", rec.Code)
 		}
 	}
+	// The same archive again, mounted from two URL sources.
+	origin, mirror := rawServer(t, blob), rawServer(t, blob)
+	if _, err := s.Add("mounted", ArchiveSpec{Primary: origin.URL, Replicas: []string{mirror.URL}}); err != nil {
+		t.Fatal(err)
+	}
+	if rec := get(t, h, "/v1/a/mounted/snap/0/level/0"); rec.Code != http.StatusOK {
+		t.Fatalf("mounted level request failed: %d", rec.Code)
+	}
 	rec := get(t, h, "/v1/stats")
 	var out struct {
 		Archives []string   `json:"archives"`
 		Cache    CacheStats `json:"cache"`
 		HitRatio float64    `json:"cache_hit_ratio"`
 		Kernel   string     `json:"codec_kernel"`
+		Remote   map[string][]struct {
+			Requests     int64 `json:"requests"`
+			BytesFetched int64 `json:"bytes_fetched"`
+			BytesRead    int64 `json:"bytes_read"`
+			Hits         int64 `json:"hits"`
+			Misses       int64 `json:"misses"`
+			Fills        int64 `json:"fills"`
+			SegmentBytes int64 `json:"segment_bytes"`
+		} `json:"remote"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
 		t.Fatalf("stats decode: %v (%s)", err, rec.Body.String())
 	}
-	if len(out.Archives) != 1 || out.Archives[0] != "test" {
-		t.Fatalf("archives %v, want [test]", out.Archives)
+	if len(out.Archives) != 2 || out.Archives[0] != "mounted" || out.Archives[1] != "test" {
+		t.Fatalf("archives %v, want [mounted test]", out.Archives)
+	}
+	// One entry per URL source, primary first; a local archive has none,
+	// and no origin URL reaches the body.
+	if m := out.Remote["mounted"]; len(out.Remote) != 1 || len(m) != 2 {
+		t.Fatalf("remote %+v, want two sources under \"mounted\" only", out.Remote)
+	} else if p, r := m[0], m[1]; p.Requests < 2 || p.BytesFetched == 0 || p.BytesRead == 0 || p.Fills == 0 || p.Fills > p.Misses ||
+		p.SegmentBytes == 0 || r.SegmentBytes != p.SegmentBytes || r.Requests != 1 || r.Fills != 0 {
+		t.Fatalf("remote sources %+v: want a primary that fetched and a replica that was only probed, cut alike", m)
+	}
+	if strings.Contains(rec.Body.String(), "127.0.0.1") {
+		t.Fatalf("stats body names an origin: %s", rec.Body.String())
 	}
 	if out.Kernel != sz.KernelPath() {
 		t.Fatalf("codec_kernel %q, want %q", out.Kernel, sz.KernelPath())
