@@ -480,23 +480,42 @@ func (r *Reader) Scrub() []ScrubIssue {
 }
 
 // ScrubMember audits every frame of one member (see Scrub).
-func (r *Reader) ScrubMember(mi int) []ScrubIssue {
+func (r *Reader) ScrubMember(mi int) []ScrubIssue { return r.ScrubMemberFrames(mi, nil) }
+
+// ScrubMemberFrames is ScrubMember that also shows seen, from the one read
+// the audit makes of it anyway, the header of every frame it found sound
+// (sz.PeekBatch: the coding mode, whether the code section is stored).
+func (r *Reader) ScrubMemberFrames(mi int, seen func(li, b int, info sz.BatchInfo)) []ScrubIssue {
 	m, err := r.member(mi)
 	if err != nil {
 		return []ScrubIssue{{Member: mi, Err: err}}
 	}
 	var issues []ScrubIssue
+	var buf []byte
 	for li := range m.Levels {
 		idx := &m.Levels[li]
 		for b := range idx.Batches {
-			if idx.Sums != nil {
-				if _, err := r.readFrame(nil, idx, mi, li, b); err != nil {
-					issues = append(issues, ScrubIssue{Member: mi, Level: li, Batch: b, Err: err})
+			// A frame without a digest is audited by decoding it, which reads
+			// it; it is read here as well only for seen's sake.
+			var blob []byte
+			var err error
+			if idx.Sums != nil || seen != nil {
+				if blob, err = r.readFrame(buf, idx, mi, li, b); err == nil {
+					buf = blob
 				}
+			}
+			if err == nil && idx.Sums == nil {
+				_, err = r.DecodeBatch(mi, li, b)
+			}
+			if err != nil {
+				issues = append(issues, ScrubIssue{Member: mi, Level: li, Batch: b, Err: err})
 				continue
 			}
-			if _, err := r.DecodeBatch(mi, li, b); err != nil {
-				issues = append(issues, ScrubIssue{Member: mi, Level: li, Batch: b, Err: err})
+			if seen == nil {
+				continue
+			}
+			if info, err := sz.PeekBatch(blob); err == nil {
+				seen(li, b, info)
 			}
 		}
 	}

@@ -3,8 +3,10 @@ package sz
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/grid"
+	"repro/internal/sim"
 )
 
 // Predictor-stage benchmarks: the Lorenzo prediction/quantization kernels
@@ -154,4 +156,87 @@ func BenchmarkDecodeBatch(b *testing.B) {
 			}
 		}
 	})
+}
+
+// The lossless stage as the archive writer and reader run it, on the two
+// kinds of section deflateAppend tells apart: the code section of a 64×8³
+// Lorenzo batch cut from a snapshot of the bench corpus' distribution,
+// which DEFLATE cannot shrink and the rule stores unseen, and that of
+// eitherCases' tiled512 batch, which folds to a tenth and goes to flate.
+// ns/op is one seal (Huffman and both sections; allocs/op 1, the payload)
+// or one unseal; section-µs is the code section through deflateAppend
+// alone, section-B what it came to.
+
+func corpusBatch(tb testing.TB) []*grid.Grid3[float32] {
+	tb.Helper()
+	ds, err := sim.Generate(sim.Spec{Name: "bench", FinestN: 64, Levels: 2, UnitBlock: 8, Seed: 1001, LeafFractions: []float64{0.58, 0.42}}, sim.BaryonDensity)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	l := ds.Levels[0]
+	blocks := grid.NewBlocks[float32](grid.Dims{X: 8, Y: 8, Z: 8}, 64)
+	for i, ord := range l.Mask.OccupiedIndices()[:len(blocks)] {
+		l.Grid.CopyRegionTo(l.BlockRegion(l.Mask.Dim.Coords(ord)), blocks[i].Data)
+	}
+	return blocks
+}
+
+const corpusEB = 1e9 // the bench corpus' bound on baryon density
+
+func benchSeal(b *testing.B, blocks []*grid.Grid3[float32], eb float64, wantStored bool) {
+	var e Encoder[float32]
+	d, total := blocks[0].Dim, len(blocks)*blocks[0].Dim.Count()
+	codes := make([]uint32, total)
+	rec := make([]float32, 4*d.Count())
+	lits, nlit := e.encodeSpatial(blocks, d, codes, nil, eb, 1<<15, func(i int) []float32 { return rec[i%4*d.Count():][:d.Count()] }, false)
+	dims := []grid.Dims{d, {X: len(blocks)}}
+	opts := Options{ErrorBound: eb}.withDefaults()
+
+	huff := e.huff.AppendEncode(nil, codes)
+	sec, err := deflateAppend(nil, huff, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, stored := storedAppend(nil, sec); stored != wantStored {
+		b.Fatalf("code section of %d B sealed to %d B, stored=%v: not the case this benchmark is for", len(huff), len(sec), stored)
+	}
+	t0 := time.Now()
+	const reps = 16
+	for i := 0; i < reps; i++ {
+		sec, _ = deflateAppend(sec[:0], huff, 0)
+	}
+	perSection := float64(time.Since(t0).Microseconds()) / reps
+
+	b.SetBytes(int64(4 * total))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, _, err := e.sealWithin(0, kindBatch, dims, total, eb, opts, codes, lits, nlit); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(perSection, "section-µs")
+	b.ReportMetric(float64(len(sec)), "section-B")
+}
+
+func BenchmarkSealIncompressible(b *testing.B) { benchSeal(b, corpusBatch(b), corpusEB, true) }
+
+func BenchmarkSealFoldable(b *testing.B) { benchSeal(b, eitherCases()["tiled512"][1], 0.05, false) }
+
+func BenchmarkUnsealStored(b *testing.B) {
+	blocks := corpusBatch(b)
+	blob, _, err := CompressBlocks(blocks, Options{ErrorBound: corpusEB})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if info, err := PeekBatch(blob); err != nil || !info.CodeStored {
+		b.Fatalf("PeekBatch = %+v, %v: want a stored code section", info, err)
+	}
+	var d Decoder[float32]
+	b.SetBytes(int64(4 * len(blocks) * blocks[0].Dim.Count()))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, _, _, err := d.unseal(blob, kindBatch); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

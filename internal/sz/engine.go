@@ -3,10 +3,12 @@ package sz
 import (
 	"bytes"
 	"compress/flate"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/bitio"
@@ -60,12 +62,21 @@ func (w *sliceWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// deflateAppend DEFLATEs data and appends the result to dst. A positive
-// limit makes it give up with errOverLimit once dst would pass limit
-// bytes: flate has by then matched and built the codes of the input block
-// (64 KiB) it is in, but writes out no more of it, and never looks at the
-// blocks after it.
+// deflateAppend appends data to dst as a DEFLATE stream: the output of
+// compress/flate at BestSpeed where that could come to less than the bytes
+// themselves, and stored blocks written here (storeAppend) where
+// worthDeflating says it could not — the same stream flate would have
+// ended up writing, less its empty final block, without the match search,
+// histogram and code construction it runs to find that out. Either way any
+// inflater reads the section back. A positive limit makes it give up with
+// errOverLimit once dst would pass limit bytes: a stored section has then
+// cost nothing, and flate has matched and built the codes of the input
+// block (64 KiB) it is in, but writes out no more of it, and never looks at
+// the blocks after it.
 func deflateAppend(dst, data []byte, limit int) ([]byte, error) {
+	if !worthDeflating(data) {
+		return storeAppend(dst, data, limit)
+	}
 	fw := flateWriters.Get().(*flate.Writer)
 	defer func() {
 		// Detach the destination before pooling, so an idle writer does not
@@ -84,8 +95,168 @@ func deflateAppend(dst, data []byte, limit int) ([]byte, error) {
 	return sw.b, nil
 }
 
-// inflateAppend inflates data and appends the result to dst.
+// DEFLATE's own numbers, as compress/flate holds them: a stored block
+// carries at most maxStored bytes, which is also the unit in which its
+// BestSpeed level takes input; a match reaches back at most flateWindow
+// bytes; and a coded block has to undercut the stored one by a sixteenth of
+// itself to be written (writeBlockHuff), as matching has to remove a
+// sixteenth of a block's bytes for its tokens to be used (encSpeed).
+const (
+	maxStored   = 65535
+	flateWindow = 32768
+	flateMargin = 4 // the sixteenth, as a shift
+
+	probeBits = 12 // the repeat probe's hash table: 4 Ki entries of 2 bytes
+)
+
+// worthDeflating reports whether flate could write any block of data other
+// than stored: whether, in some maxStored-byte block, a byte-wise Huffman
+// code or back-references have something to work with.
+func worthDeflating(data []byte) bool {
+	for len(data) > 16 { // flate stores a block of up to 16 bytes unseen
+		blk := data[:min(len(data), maxStored)]
+		data = data[len(blk):]
+		if huffmanPays(blk) || repeatsCover(blk) {
+			return true
+		}
+	}
+	return false
+}
+
+// huffmanPays reports whether the order-0 entropy of blk's bytes leaves a
+// Huffman code room to pay for itself. No prefix code is shorter than the
+// entropy, so the size tested here is a floor under the one flate tests in
+// writeBlockHuff, with the same margin: a block this refuses, that stores.
+func huffmanPays(blk []byte) bool {
+	var hist [4][256]uint32 // four tables: a run of one value does not queue on one counter
+	i := 0
+	for ; i+8 <= len(blk); i += 8 {
+		v := binary.LittleEndian.Uint64(blk[i:])
+		hist[0][byte(v)]++
+		hist[1][byte(v>>8)]++
+		hist[2][byte(v>>16)]++
+		hist[3][byte(v>>24)]++
+		hist[0][byte(v>>32)]++
+		hist[1][byte(v>>40)]++
+		hist[2][byte(v>>48)]++
+		hist[3][byte(v>>56)]++
+	}
+	for ; i < len(blk); i++ {
+		hist[0][blk[i]]++
+	}
+	// Σ c·log2(n/c) = n·log2 n − Σ c·log2 c. The conversions keep the
+	// products from fusing into the sums, so every platform rounds alike.
+	n := float64(len(blk))
+	bits := float64(n * math.Log2(n))
+	for b := range hist[0] {
+		if c := float64(hist[0][b] + hist[1][b] + hist[2][b] + hist[3][b]); c > 0 {
+			bits -= float64(c * math.Log2(c))
+		}
+	}
+	size, stored := int(bits), (len(blk)+5)*8
+	return stored >= size+size>>flateMargin
+}
+
+// repeatsCover reports whether back-references cover at least a sixteenth
+// of blk, searched for the way flate's BestSpeed level (and snappy before
+// it) searches: one candidate per 4-byte hash, a step that lengthens for as
+// long as nothing matches. flate's own search has a table four times this
+// one and the block before still in it, and uses a block's match tokens
+// only if they remove a sixteenth of its bytes: a block refused here is one
+// it would go on to code by Huffman alone, which huffmanPays answers for.
+func repeatsCover(blk []byte) bool {
+	var table [1 << probeBits]uint16
+	need := len(blk) >> flateMargin
+	covered := 0
+	for s, skip := 0, 32; s+4 <= len(blk); {
+		v := binary.LittleEndian.Uint32(blk[s:])
+		h := v * 0x1e35a7bd >> (32 - probeBits)
+		c := int(table[h])
+		table[h] = uint16(s)
+		// An entry never written reads as position 0, which is then compared
+		// like any other: a match there is a match.
+		if c >= s || s-c > flateWindow || binary.LittleEndian.Uint32(blk[c:]) != v {
+			s += skip >> 5
+			skip++
+			continue
+		}
+		n := 4
+		for s+n < len(blk) && blk[c+n] == blk[s+n] {
+			n++
+		}
+		if covered += n; covered >= need {
+			return true
+		}
+		s += n
+		skip = 32
+	}
+	return false
+}
+
+// storeAppend appends data to dst as DEFLATE stored blocks (BTYPE 00): a
+// 5-byte header — BFINAL, LEN, ^LEN — before every maxStored bytes, the last
+// block final; no data is one empty final block, the stream flate writes
+// for it. limit is deflateAppend's.
+func storeAppend(dst, data []byte, limit int) ([]byte, error) {
+	size := len(data) + 5*max(1, (len(data)+maxStored-1)/maxStored)
+	if limit > 0 && len(dst)+size > limit {
+		return nil, errOverLimit
+	}
+	dst = slices.Grow(dst, size)
+	for {
+		n := min(len(data), maxStored)
+		final := byte(0)
+		if n == len(data) {
+			final = 1
+		}
+		dst = append(dst, final, byte(n), byte(n>>8), ^byte(n), ^byte(n>>8))
+		dst = append(dst, data[:n]...)
+		if data = data[n:]; final == 1 {
+			return dst, nil
+		}
+	}
+}
+
+// storedAppend appends to dst the contents of a DEFLATE stream made of
+// stored blocks alone, sized once from their LEN fields, and reports whether
+// data was one. It follows the stream exactly as far as flate would —
+// padding bits ignored, LEN checked against NLEN, nothing read past the
+// final block — and for anything else (a coded block anywhere, a header or
+// block cut short, a LEN that does not match) appends nothing and leaves
+// the decoding, or the refusal, to flate.
+func storedAppend(dst, data []byte) ([]byte, bool) {
+	total := 0
+	for p, final := 0, false; !final; {
+		if len(data)-p < 5 || data[p]&6 != 0 {
+			return dst, false
+		}
+		n := int(binary.LittleEndian.Uint16(data[p+1:]))
+		if n^0xffff != int(binary.LittleEndian.Uint16(data[p+3:])) || len(data)-p-5 < n {
+			return dst, false
+		}
+		final = data[p]&1 != 0
+		total += n
+		p += 5 + n
+	}
+	dst = slices.Grow(dst, total)
+	for p := 0; ; {
+		n := int(binary.LittleEndian.Uint16(data[p+1:]))
+		dst = append(dst, data[p+5:p+5+n]...)
+		if data[p]&1 != 0 {
+			return dst, true
+		}
+		p += 5 + n
+	}
+}
+
+// inflateAppend inflates data and appends the result to dst. A section of
+// stored blocks — every section deflateAppend found nothing in, and flate
+// before it — is copied out of the payload directly; only one with a coded
+// block borrows a flate reader.
 func inflateAppend(dst, data []byte) ([]byte, error) {
+	if out, ok := storedAppend(dst, data); ok {
+		return out, nil
+	}
 	fr := flateReaders.Get().(io.ReadCloser)
 	defer func() {
 		// Detach the source before pooling so an idle reader does not pin
@@ -245,8 +416,9 @@ func (e *Encoder[T]) CompressBlocksDelta(blocks, refs []*grid.Grid3[T], opts Opt
 // predictors run and the temporal candidate is sealed in full; the spatial
 // one is then sealed into a sink capped at the temporal payload's size and
 // abandoned once it overflows — on a campaign whose snapshots follow one
-// another, a fifth to a half of the way through writing out its first
-// DEFLATE pass, with the second not begun.
+// another, before a byte of its code section is copied where that is one
+// deflateAppend stores, and a fifth to a half of the way through flate's
+// writing it out where it is not, with the literal section not begun.
 func (e *Encoder[T]) CompressBlocksEither(blocks, refs []*grid.Grid3[T], opts Options, recons []*grid.Grid3[T]) (payload []byte, delta bool, st Stats, err error) {
 	payload, kind, st, err := e.compressBlocks(blocks, refs, opts, recons, codeEither)
 	return payload, kind == kindBatchDelta, st, err

@@ -522,6 +522,10 @@ type BatchInfo struct {
 	// stream only decodes against the reconstructed reference batch it
 	// was encoded from.
 	Delta bool
+	// CodeStored reports that the code section opens with a DEFLATE stored
+	// block: the writer found nothing in the Huffman output for DEFLATE to
+	// remove and copied it in as it was.
+	CodeStored bool
 }
 
 // DecodedBytes returns the in-memory footprint of the batch once decoded
@@ -537,7 +541,7 @@ func (bi BatchInfo) DecodedBytes(elemBytes int) int64 {
 // listings) validate geometry, learn the coding mode, or report the
 // applied bound without paying for entropy decoding.
 func PeekBatch(blob []byte) (BatchInfo, error) {
-	h, _, err := parseHeader(blob)
+	h, rest, err := parseHeader(blob)
 	if err != nil {
 		return BatchInfo{}, err
 	}
@@ -548,7 +552,11 @@ func PeekBatch(blob []byte) (BatchInfo, error) {
 	if err != nil {
 		return BatchInfo{}, err
 	}
-	return BatchInfo{BlockDims: d, Blocks: count, EffectiveEB: h.eb, QuantBits: h.quantBits, Delta: h.kind == kindBatchDelta}, nil
+	// One byte past the code section's length prefix: BTYPE is bits 1–2 of a
+	// DEFLATE stream's first byte.
+	n, k, err := bitio.Uvarint(rest)
+	stored := h.lossless && err == nil && n > 0 && k < len(rest) && rest[k]&6 == 0
+	return BatchInfo{BlockDims: d, Blocks: count, EffectiveEB: h.eb, QuantBits: h.quantBits, Delta: h.kind == kindBatchDelta, CodeStored: stored}, nil
 }
 
 // unseal parses a payload and returns the header, code stream and literal
