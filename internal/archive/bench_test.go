@@ -3,8 +3,12 @@ package archive
 import (
 	"bytes"
 	"io"
+	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
 
+	"repro/internal/amr"
 	"repro/internal/codec"
 	"repro/internal/grid"
 	"repro/internal/replica"
@@ -23,6 +27,52 @@ func benchCampaign(b *testing.B) (*Reader, grid.Dims) {
 	return r, snaps[0].FinestDims()
 }
 
+// allocCheck holds what an extraction benchmark allocates per operation to
+// what it allocated before frames could park, plus what parking may add.
+// Bytes: the levels returned and 64 KiB of planning around them, then a
+// slab with its headers for every frame parked. Allocations: the count
+// measured at the commit before (parentAllocs), then three for every
+// frame parked and the growth of one list per level.
+type allocCheck struct {
+	r      *Reader
+	ms     runtime.MemStats
+	parked int64
+}
+
+func startAllocCheck(b *testing.B, r *Reader) *allocCheck {
+	c := &allocCheck{r: r, parked: r.parked.Load()}
+	runtime.ReadMemStats(&c.ms)
+	b.ResetTimer()
+	return c
+}
+
+func (c *allocCheck) done(b *testing.B, returned []*amr.Level, parentAllocs float64) {
+	b.StopTimer()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	n := float64(b.N)
+	parked := float64(c.r.parked.Load()-c.parked) / n
+	b.ReportMetric(parked, "parked/op")
+	if b.N < 100 || runtime.GOMAXPROCS(0) > 2 {
+		// A cold decoder pool is still being paid for; and parentAllocs was
+		// measured at -cpu 1,2: every further worker is a decoder more for
+		// the collector to drop from the pool between operations.
+		return
+	}
+	levels := 64 << 10
+	for _, l := range returned {
+		levels += 4*len(l.Grid.Data) + l.Mask.PackedLen()
+	}
+	idx := &c.r.Members()[0].Levels[0]
+	slab := idx.BatchBlocks * (4*idx.unitDims().Count() + 64)
+	if got, most := float64(ms.TotalAlloc-c.ms.TotalAlloc)/n, float64(levels)+parked*float64(slab); got > most {
+		b.Errorf("%.0f B/op with %.2f frames parked an operation: more than the %.0f that allows", got, parked, most)
+	}
+	if got, most := float64(ms.Mallocs-c.ms.Mallocs)/n, parentAllocs+3*parked+4*float64(len(returned)); got > most {
+		b.Errorf("%.1f allocs/op with %.2f frames parked an operation: more than the %.1f that allows", got, parked, most)
+	}
+}
+
 // BenchmarkExtractRegion pulls an eighth of the volume out of the intra
 // member: every touched frame is entropy-decoded whole, but only the
 // wanted blocks should be reconstructed and nothing per frame allocated.
@@ -39,12 +89,13 @@ func BenchmarkExtractRegion(b *testing.B) {
 	}
 	b.SetBytes(int64(stored) * 4)
 	b.ReportAllocs()
-	b.ResetTimer()
+	check := startAllocCheck(b, r)
 	for i := 0; i < b.N; i++ {
 		if _, err := r.ExtractRegion(0, roi); err != nil {
 			b.Fatal(err)
 		}
 	}
+	check.done(b, part.Levels, 46)
 }
 
 // BenchmarkExtractMember extracts one intra member of the same campaign
@@ -103,12 +154,65 @@ func BenchmarkExtractDeltaChain(b *testing.B) {
 	}
 	b.SetBytes(int64(ds.OriginalBytes()))
 	b.ReportAllocs()
-	b.ResetTimer()
+	check := startAllocCheck(b, r)
 	for i := 0; i < b.N; i++ {
 		if _, err := r.Extract(deepest); err != nil {
 			b.Fatal(err)
 		}
 	}
+	check.done(b, ds.Levels, 196)
+}
+
+// coldArchive writes snaps, intra-coded in 64-block frames, to a file.
+func coldArchive(b *testing.B, snaps []*amr.Dataset) string {
+	path := filepath.Join(b.TempDir(), "cold.taca")
+	if err := os.WriteFile(path, buildV4(b, snaps, 64), 0o644); err != nil {
+		b.Fatal(err)
+	}
+	return path
+}
+
+// BenchmarkColdOpen is what every cold operation pays before its first
+// frame: OpenFile — trailer, footer digest, the index of 16 members with
+// an inflated mask per level — and Close.
+func BenchmarkColdOpen(b *testing.B) {
+	path := coldArchive(b, campaignOf(b, 64, 8, 16))
+	b.ReportAllocs()
+	for b.Loop() {
+		fr, err := OpenFile(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(fr.Members()) != 16 {
+			b.Fatalf("%d members", len(fr.Members()))
+		}
+		fr.Close()
+	}
+}
+
+// BenchmarkExtractLevelCold is one `tacc extract -level 0` on two workers:
+// open, the finest level of a 128³ snapshot (an 8 MB grid to clear beside
+// some forty frames to decode), close. parked/op is the frames that were
+// decoded while the grid was being cleared.
+func BenchmarkExtractLevelCold(b *testing.B) {
+	snaps := campaignOf(b, 128, 8, 1)
+	path := coldArchive(b, snaps)
+	b.SetBytes(int64(snaps[0].Levels[0].StoredCells()) * 4)
+	b.ReportAllocs()
+	parked := int64(0)
+	for b.Loop() {
+		fr, err := OpenFile(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		fr.Workers = 2
+		if _, err := fr.ExtractLevel(0, 0); err != nil {
+			b.Fatal(err)
+		}
+		parked += fr.parked.Load()
+		fr.Close()
+	}
+	b.ReportMetric(float64(parked)/float64(b.N), "parked/op")
 }
 
 // BenchmarkArchiveWriteCampaign writes what the repo's benchmark times on

@@ -66,6 +66,16 @@ func requireLevel(t *testing.T, what string, got, want *amr.Level) {
 	}
 }
 
+// testROIs is the regions the extraction tests ask for, in finest-level
+// cells of a fd domain with unit blocks of edge ub.
+func testROIs(fd grid.Dims, ub int) map[string]grid.Region {
+	return map[string]grid.Region{
+		"octant":    {X0: ub, Y0: 2 * ub, Z0: 0, X1: ub + fd.X/2, Y1: 2*ub + fd.Y/2, Z1: fd.Z / 2},
+		"one block": {X0: ub, Y0: ub, Z0: ub, X1: 2 * ub, Y1: 2 * ub, Z1: 2 * ub},
+		"unaligned": {X0: 3, Y0: 5, Z0: 7, X1: fd.X - 3, Y1: 9, Z1: fd.Z},
+	}
+}
+
 // TestExtractMatchesDecodeBatch pins the scratch-decoding extraction paths
 // to the allocating one on the K=4 campaign archive (members at chain
 // depth 0–3, then a fresh keyframe): Extract, ExtractLevel and
@@ -80,13 +90,7 @@ func TestExtractMatchesDecodeBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fd := snaps[0].FinestDims()
-	ub := snaps[0].Levels[0].UnitBlock
-	rois := map[string]grid.Region{
-		"octant":    {X0: ub, Y0: 2 * ub, Z0: 0, X1: ub + fd.X/2, Y1: 2*ub + fd.Y/2, Z1: fd.Z / 2},
-		"one block": {X0: ub, Y0: ub, Z0: ub, X1: 2 * ub, Y1: 2 * ub, Z1: 2 * ub},
-		"unaligned": {X0: 3, Y0: 5, Z0: 7, X1: fd.X - 3, Y1: 9, Z1: fd.Z},
-	}
+	rois := testROIs(snaps[0].FinestDims(), snaps[0].Levels[0].UnitBlock)
 	for mi, m := range r.Members() {
 		refs := make([]*amr.Level, len(m.Levels))
 		for li := range m.Levels {

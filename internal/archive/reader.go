@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/amr"
 	"repro/internal/fanout"
@@ -36,8 +37,8 @@ var ErrIO = errors.New("read error")
 
 // Reader is a random-access view of a TACA archive. Open parses only the
 // footer index; every extraction then reads exactly the frames it needs
-// through the io.ReaderAt. A Reader holds no mutable state after Open, so
-// any number of goroutines may extract concurrently.
+// through the io.ReaderAt. A Reader holds no mutable state after Open but a
+// counter, so any number of goroutines may extract concurrently.
 type Reader struct {
 	// Workers bounds the per-extraction decode pool; 0 means GOMAXPROCS,
 	// 1 decodes serially.
@@ -48,6 +49,12 @@ type Reader struct {
 	gen     uint64
 	ver     int // footer version: ≥ 3 digests every frame, 4 digests the footer itself in the trailer
 	members []Member
+
+	// Tests and benchmarks: parked counts the frames extractions have parked
+	// (levelPlan.place), and levelAlloc, if set, runs before a plan's level
+	// is allocated, to hold the allocation while frames park.
+	parked     atomic.Int64
+	levelAlloc func(*levelPlan)
 }
 
 // Checksummed reports whether the archive's footer carries per-frame
@@ -297,14 +304,18 @@ func (r *Reader) member(i int) (*Member, error) {
 // process-wide so steady-state extraction allocates nothing per frame: a
 // warm sz decoder (inflate buffers, code stream, Huffman tables), the
 // buffer compressed frames are read into, and block scratch that an
-// extraction decodes into and scatters from.
+// extraction decodes into and scatters from — its own, or, once it has
+// parked that with a frame in it (levelPlan.place), one of blockScratches'.
 type frameDecoder struct {
 	dec   sz.Decoder[amr.Value]
 	frame []byte
-	blockScratch
+	*blockScratch
 }
 
-var frameDecoders = sync.Pool{New: func() any { return new(frameDecoder) }}
+var (
+	frameDecoders  = sync.Pool{New: func() any { return &frameDecoder{blockScratch: new(blockScratch)} }}
+	blockScratches = sync.Pool{New: func() any { return new(blockScratch) }}
+)
 
 // blockScratch is a reusable batch of unit blocks over one slab: what a
 // frame decodes into on the read side and is gathered into on the write
@@ -638,16 +649,78 @@ type levelPlan struct {
 	ords []int      // occupied unit-block indices, in ordinal order
 	want *grid.Mask // subset of idx.Mask to extract; nil means all of it
 
-	// The level is allocated by the first worker with blocks to scatter
-	// into it, inside the decode pool, so that zeroing a grid of megabytes
-	// overlaps other workers' decoding instead of preceding all of it.
-	once  sync.Once
-	level *amr.Level
+	// The level is allocated inside the decode pool, by the first worker
+	// with blocks to scatter into it, and no worker waits for that: clearing
+	// a grid of megabytes takes as long as decoding several frames, so a
+	// worker that has decoded one meanwhile parks its block scratch here,
+	// takes other scratch and claims its next frame, and the allocating
+	// worker scatters what was parked and pools the scratch. Who scatters a
+	// frame, and when, does not show in the level: its blocks are disjoint
+	// regions of the grid, and masks are marked after the fan-out.
+	mu       sync.Mutex
+	ready    sync.Cond // level has been set; L is &mu
+	level    *amr.Level
+	claiming bool // a worker is allocating level
+	parked   []parkedFrame
 }
 
-func (p *levelPlan) get() *amr.Level {
-	p.once.Do(func() { p.level = amr.NewLevel(p.idx.Dims, p.idx.UnitBlock) })
-	return p.level
+// parkedFrame is a decoded frame waiting for its level, in the scratch
+// taken out of its worker's frameDecoder.
+type parkedFrame struct {
+	*blockScratch
+	batch int
+}
+
+// maxParked bounds a plan's parked list, and so the scratch an extraction
+// holds beyond one per worker; a worker that finds it full waits for the
+// level. Clearing an 8 MB level takes another worker 3–5 frames on
+// average, more than 8 one time in twenty (EXPERIMENTS.md, PR 23).
+const maxParked = 8
+
+// place scatters batch, decoded into fd's scratch, into the level, or parks
+// that scratch and gives fd another.
+func (p *levelPlan) place(r *Reader, fd *frameDecoder, batch int) {
+	p.mu.Lock()
+	for p.level == nil && p.claiming && len(p.parked) >= maxParked {
+		p.ready.Wait()
+	}
+	l := p.level
+	if l == nil && p.claiming {
+		p.parked = append(p.parked, parkedFrame{fd.blockScratch, batch})
+		p.mu.Unlock()
+		fd.blockScratch = blockScratches.Get().(*blockScratch)
+		r.parked.Add(1)
+		return
+	}
+	p.claiming = true
+	p.mu.Unlock()
+	var parked []parkedFrame
+	if l == nil {
+		if r.levelAlloc != nil {
+			r.levelAlloc(p)
+		}
+		l = amr.NewLevel(p.idx.Dims, p.idx.UnitBlock)
+		p.mu.Lock()
+		p.level, parked, p.parked = l, p.parked, nil
+		p.mu.Unlock()
+		p.ready.Broadcast()
+	}
+	p.scatter(l, fd.blocks, batch)
+	for _, f := range parked {
+		p.scatter(l, f.blocks, f.batch)
+		blockScratches.Put(f.blockScratch)
+	}
+}
+
+// scatter copies the non-nil blocks of batch into l.
+func (p *levelPlan) scatter(l *amr.Level, blocks []*grid.Grid3[amr.Value], batch int) {
+	blo, bhi := p.idx.BatchSpan(batch)
+	for k, ord := range p.ords[blo:bhi] {
+		if blocks[k] != nil {
+			bx, by, bz := p.idx.Mask.Dim.Coords(ord)
+			l.Grid.SetRegion(l.BlockRegion(bx, by, bz), blocks[k].Data)
+		}
+	}
 }
 
 // frameJob is one frame an extraction has to decode.
@@ -669,7 +742,7 @@ func (r *Reader) extract(mi, lo, hi int, wants []*grid.Mask) ([]*amr.Level, erro
 	var jobs []frameJob
 	for k := range plans {
 		p := &plans[k]
-		p.li, p.idx = lo+k, &m.Levels[lo+k]
+		p.li, p.idx, p.ready.L = lo+k, &m.Levels[lo+k], &p.mu
 		p.ords = p.idx.Mask.OccupiedIndices()
 		if wants != nil {
 			p.want = wants[p.li]
@@ -685,7 +758,7 @@ func (r *Reader) extract(mi, lo, hi int, wants []*grid.Mask) ([]*amr.Level, erro
 	// Workers claim jobs in plan order. Each job decodes one frame — and
 	// its whole reference chain — into pooled block scratch, leaving
 	// unwanted blocks out of every stage after the entropy decode, and
-	// scatters the rest into the level.
+	// places the rest in the level.
 	workers := r.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -707,13 +780,7 @@ func (r *Reader) extract(mi, lo, hi int, wants []*grid.Mask) ([]*amr.Level, erro
 		if err := r.decodeChain(fd, blocks, mi, p.li, batch); err != nil {
 			return err
 		}
-		l := p.get()
-		for k, ord := range ords {
-			if blocks[k] != nil {
-				bx, by, bz := p.idx.Mask.Dim.Coords(ord)
-				l.Grid.SetRegion(l.BlockRegion(bx, by, bz), blocks[k].Data)
-			}
-		}
+		p.place(r, fd, batch)
 		return nil
 	})
 	if err != nil {
@@ -723,11 +790,15 @@ func (r *Reader) extract(mi, lo, hi int, wants []*grid.Mask) ([]*amr.Level, erro
 	// Masks are marked after the fan-out: bits of one packed word are
 	// shared between batches, so workers cannot write them concurrently.
 	// The extracted blocks of a level are exactly its want mask (callers
-	// intersect it with the occupancy), or all occupied ones.
+	// intersect it with the occupancy), or all occupied ones. A level none
+	// of whose frames was wanted is allocated here.
 	levels := make([]*amr.Level, len(plans))
 	for k := range plans {
 		p := &plans[k]
-		levels[k] = p.get()
+		if p.level == nil {
+			p.level = amr.NewLevel(p.idx.Dims, p.idx.UnitBlock)
+		}
+		levels[k] = p.level
 		if p.want == nil {
 			levels[k].Mask.CopyFrom(p.idx.Mask)
 		} else {

@@ -3,6 +3,7 @@ package huffman
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bitio"
@@ -107,6 +108,9 @@ func FuzzAppendDecode(f *testing.F) {
 		}
 		if len(scratch) != len(syms) {
 			t.Fatalf("pooled decoder: %d symbols, fresh: %d", len(scratch), len(syms))
+		}
+		if !pooled.CodesZero() && slices.Contains(syms, 0) {
+			t.Fatal("a codebook without symbol 0 decoded to a stream holding one")
 		}
 		for i := range syms {
 			if scratch[i] != syms[i] {

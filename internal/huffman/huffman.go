@@ -604,6 +604,13 @@ func (d *Decoder) AppendDecode(dst []uint32, blob []byte) ([]uint32, error) {
 	return out, nil
 }
 
+// CodesZero reports whether the codebook of an AppendDecode that has just
+// returned without error assigns a code to symbol 0 — the first entry if
+// any, as the header lists symbols in increasing order. The decode loops
+// emit codebook symbols only, so when it does not, no element of that
+// call's output is 0.
+func (d *Decoder) CodesZero() bool { return len(d.codes) > 0 && d.codes[0].sym == 0 }
+
 // parseCodebook validates blob's header into d.codes (symbol and length
 // only; canonicalize assigns the codes) and returns the claimed symbol
 // count and the bit stream.

@@ -2,6 +2,7 @@ package huffman
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -282,6 +283,48 @@ func TestDecoderReuse(t *testing.T) {
 				if out[j] != s[j] {
 					t.Fatalf("round %d stream %d symbol %d: got %d, want %d", round, i, j, out[j], s[j])
 				}
+			}
+		}
+	}
+}
+
+// TestCodesZero holds CodesZero to the codebook of the call before it, on
+// one decoder run over streams with and without symbol 0, an empty one and
+// a codebook that lists symbol 0 for a stream that never uses it; and
+// holds every accepted stream to what it promises: no code for 0, no 0 in
+// the output.
+func TestCodesZero(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	long := make([]uint32, 5000)
+	for i := range long {
+		long[i] = 1 + uint32(rng.Intn(40)) + uint32(rng.Intn(2))<<15
+	}
+	cases := []struct {
+		name string
+		blob []byte
+		want bool
+	}{
+		{"with zero", Encode([]uint32{0, 3, 0, 9}), true},
+		{"without", Encode([]uint32{4, 3, 4, 9}), false},
+		{"only zeros", Encode([]uint32{0, 0, 0}), true},
+		{"empty", Encode(nil), false},
+		{"long, long codes, without", Encode(long), false},
+		{"zero listed, never used", corruptBlob(8, [][2]uint64{{0, 1}, {5, 1}}, []byte{0xff}), true},
+		{"zero first of many", Encode([]uint32{7, 1 << 20, 0, 7, 7}), true},
+	}
+	var d Decoder
+	var out []uint32
+	for round := 0; round < 2; round++ {
+		for _, c := range cases {
+			var err error
+			if out, err = d.AppendDecode(out[:0], c.blob); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if got := d.CodesZero(); got != c.want {
+				t.Errorf("round %d, %s: CodesZero = %v, want %v", round, c.name, got, c.want)
+			}
+			if !d.CodesZero() && slices.Contains(out, 0) {
+				t.Errorf("round %d, %s: no code for symbol 0, and a 0 in the output", round, c.name)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package sz_test
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/amr"
@@ -49,6 +50,24 @@ func TestParentArchiveReads(t *testing.T) {
 		}
 		if got := sz.ValuesHash(levels); got != want[mi] {
 			t.Errorf("member %d extracts to %s, the parent extracted %s", mi, got, want[mi])
+		}
+	}
+}
+
+// TestParentArchiveLiteralOffsets holds, for every frame of the archive the
+// parent wrote, the literal offsets the decoder takes from the frame's
+// codebook to the ones a scan of its codes finds (litoff_test.go).
+func TestParentArchiveLiteralOffsets(t *testing.T) {
+	b := sz.Fixture(t, "parent_archive.hex")
+	r, err := archive.Open(bytes.NewReader(b), int64(len(b)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for mi, m := range r.Members() {
+		for li, l := range m.Levels {
+			for bi, rec := range l.Batches {
+				sz.ShortcutEqualsScan(t, fmt.Sprintf("member %d level %d frame %d", mi, li, bi), b[rec.Offset:rec.Offset+rec.Length])
+			}
 		}
 	}
 }

@@ -737,6 +737,11 @@ type Decoder[T grid.Float] struct {
 	litOff  []int
 	want    []int // the blocks a reconstruct was asked for
 
+	// noLits is unseal's word to the litOffsets that follows it, which
+	// takes it back: the codebook of the stream just decoded has no code
+	// for 0, the literal marker, so no block of it owns a literal.
+	noLits bool
+
 	lanes  lanes // the vector kernels' scratch (simd.go)
 	scalar bool  // tests: hold the vector kernels off
 }
@@ -749,6 +754,7 @@ func NewDecoder[T grid.Float]() *Decoder[T] { return &Decoder[T]{} }
 // decoder and are valid until the next call. A negative wantKind accepts
 // any payload kind.
 func (d *Decoder[T]) unseal(blob []byte, wantKind int) (header, []uint32, []byte, error) {
+	d.noLits = false
 	h, blob, err := parseHeader(blob)
 	if err != nil {
 		return h, nil, nil, err
@@ -784,6 +790,7 @@ func (d *Decoder[T]) unseal(blob []byte, wantKind int) (header, []uint32, []byte
 	if len(codes) != h.n {
 		return h, nil, nil, fmt.Errorf("sz: %d codes for %d values", len(codes), h.n)
 	}
+	d.noLits = !d.huff.CodesZero()
 	return h, codes, lits, nil
 }
 
@@ -877,8 +884,9 @@ func (d *Decoder[T]) DecompressBlocks(blob []byte) ([]*grid.Grid3[T], error) {
 // must hold one entry per block of the payload, each either a grid of the
 // payload's block dims — every cell of which is overwritten — or nil,
 // meaning "skip this block". The entropy stage always decodes the whole
-// payload (the code stream is one Huffman blob, and every block's literal
-// offset depends on the blocks before it), but reconstruction runs only
+// payload (the code stream is one Huffman blob, and where the codebook has
+// a literal marker every block's literal offset is the count of markers in
+// the blocks before it), but reconstruction runs only
 // for the non-nil entries, so a region extraction that keeps a quarter of
 // a frame's blocks pays a quarter of its Lorenzo cost.
 //
@@ -991,16 +999,25 @@ func (d *Decoder[T]) reconstruct(b batch[T], dst, refs []*grid.Grid3[T]) error {
 	return nil
 }
 
-// litOffsets computes every block's literal-pool offset in one scan over
-// the code stream AND validates the pool size, so the kernels run with no
-// per-element checks (and, for intra batches, groups of four blocks can
-// decode in lock step — see kernel_quad.go).
+// litOffsets computes every block's literal-pool offset AND validates the
+// pool size, so the kernels run with no per-element checks (and, for intra
+// batches, groups of four blocks can decode in lock step — see
+// kernel_quad.go). An offset is the count of zero codes in the blocks
+// before: one scan over the code stream, unless unseal has just found that
+// the stream's codebook cannot produce a zero (most frames), which makes
+// every offset zero without reading a code.
 func (d *Decoder[T]) litOffsets(codes []uint32, per, count int, lits []byte) ([]int, error) {
+	noLits := d.noLits
+	d.noLits = false
 	litSize := literalSize[T]()
 	if cap(d.litOff) < count+1 {
 		d.litOff = make([]int, count+1)
 	}
 	litOff := d.litOff[:count+1]
+	if noLits {
+		clear(litOff)
+		return litOff, nil
+	}
 	litOff[0] = 0
 	for i := 0; i < count; i++ {
 		zeros := 0

@@ -164,12 +164,27 @@ func checkKernelEquivalence(t testing.TB, what string, blocks, refs []*grid.Grid
 	out := decoded(t, false, d, n, want.codes, want.lits, eb, radius, nil, nil)
 	sameBits(t, what+", Lorenzo decode", out, decoded(t, true, d, n, want.codes, want.lits, eb, radius, nil, nil))
 	sameValues(t, what+", Lorenzo decode against encode", out, want.recon, true)
+	sealedShortcutEqualsScan(t, what+", Lorenzo", kindBatch, d, n, want)
 
 	want = temporalStages(true, blocks, refs, eb, radius)
 	sameStages(t, what+", temporal encode", temporalStages(false, blocks, refs, eb, radius), want)
 	out = decoded(t, false, d, n, want.codes, want.lits, eb, radius, refs, nil)
 	sameBits(t, what+", temporal decode", out, decoded(t, true, d, n, want.codes, want.lits, eb, radius, refs, nil))
 	sameValues(t, what+", temporal decode against encode", out, want.recon, true)
+	sealedShortcutEqualsScan(t, what+", temporal", kindBatchDelta, d, n, want)
+}
+
+// sealedShortcutEqualsScan seals a batch's stages and holds litOffsets'
+// answer from the payload's codebook to its scan (litoff_test.go).
+func sealedShortcutEqualsScan(t testing.TB, what string, kind int, d grid.Dims, n int, s stages) {
+	t.Helper()
+	blob, _, err := seal[float32](kind, []grid.Dims{d, {X: n}}, len(s.codes), 0.5, Options{QuantBits: 16, DisableLossless: true}, s.codes, s.lits, s.nlit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shortcutEqualsScan[float32](t, what, blob) != (s.nlit == 0) {
+		t.Fatalf("%s: %d literals, and the codebook says otherwise", what, s.nlit)
+	}
 }
 
 func TestSIMDMatchesPortable(t *testing.T) {
