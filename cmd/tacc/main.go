@@ -1,19 +1,22 @@
 // Command tacc compresses and decompresses .amr snapshots with TAC or one
 // of the paper's baselines.
 //
-// Usage:
+// Usage (as usage() prints it):
 //
 //	tacc [-cpuprofile cpu.pprof] [-memprofile mem.pprof] <subcommand> ...
+//	  tacc compress   [-codec TAC|1D|zMesh|3D] [-eb 1e9] [-rel] [-scales 3,1] [-adaptive] in.amr out.tacz
+//	  tacc decompress in.tacz out.amr
+//	  tacc info       in.amr
+//	  tacc verify     [-codec ...] [-eb ...] [-rel] in.amr      (round-trip check)
+//	  tacc verify     [-repair replica.taca] in.taca    (archive scrub; non-zero exit on damage)
+//	  tacc repair     -replica replica.taca in.taca     (splice damaged frames back from a replica)
+//	  tacc errmap     [-codec ...] [-eb ...] [-rel] [-level 0] [-slice -1] in.amr out.png
+//	  tacc archive    [-eb 1e9] [-rel] [-scales 3,1] [-workers -1] [-batch 64] [-append] [-delta] [-keyframe 8] [-sum] [-fsum] out.taca in.amr...
+//	  tacc ls         [-scrub] in.taca
+//	  tacc extract    [-member 0] [-level -1] [-roi x0:x1,y0:y1,z0:z1] in.taca out.amr
 //
-//	tacc compress   [-codec TAC] [-eb 1e9] [-rel] [-scales 3,1] [-adaptive] in.amr out.tacz
-//	tacc decompress in.tacz out.amr
-//	tacc info       in.amr
-//	tacc verify     [-codec TAC] [-eb 1e9] [-rel] in.amr    (round-trip check)
-//	tacc verify     [-repair replica.taca] in.taca          (archive scrub; non-zero exit on damage)
-//	tacc repair     -replica replica.taca in.taca           (splice damaged frames back from a replica)
-//	tacc archive    [-eb 1e9] [-rel] [-scales 3,1] [-workers -1] [-batch 64] [-append] [-delta] [-keyframe 8] [-sum] [-fsum] out.taca in.amr...
-//	tacc ls         [-scrub] in.taca
-//	tacc extract    [-member 0] [-level -1] [-roi x0:x1,y0:y1,z0:z1] in.taca out.amr
+// compress, verify and errmap take the same codec flags; errmap renders
+// one z slice of a level's pointwise compression error as a PNG.
 //
 // The global -cpuprofile/-memprofile flags write runtime/pprof profiles
 // of whatever subcommand follows, so perf work can profile the real
@@ -149,7 +152,7 @@ func usage() {
   tacc compress   [-codec TAC|1D|zMesh|3D] [-eb 1e9] [-rel] [-scales 3,1] [-adaptive] in.amr out.tacz
   tacc decompress in.tacz out.amr
   tacc info       in.amr
-  tacc verify     [-codec ...] [-eb ...] [-rel] in.amr
+  tacc verify     [-codec ...] [-eb ...] [-rel] in.amr      (round-trip check)
   tacc verify     [-repair replica.taca] in.taca    (archive scrub; non-zero exit on damage)
   tacc repair     -replica replica.taca in.taca     (splice damaged frames back from a replica)
   tacc errmap     [-codec ...] [-eb ...] [-rel] [-level 0] [-slice -1] in.amr out.png

@@ -69,8 +69,8 @@
 // (same 24-byte shape again, legal at generation 0). Readers verify the
 // digest of every frame they read before any bytes reach the codec, so a
 // flipped bit inside a compressed payload surfaces as ErrCorrupt instead
-// of silently wrong field values; Reader.Scrub audits every frame of the
-// archive the same way without decoding. Checksums are strictly opt-in:
+// of silently wrong field values; Reader.ScrubMember audits every frame of a
+// member the same way without decoding. Checksums are strictly opt-in:
 // with them off the output stays byte-identical to the v1/v2 formats
 // above, and v1–v3 archives (no digests) remain fully readable.
 //

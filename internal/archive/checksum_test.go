@@ -11,6 +11,15 @@ import (
 	"repro/internal/codec"
 )
 
+// Scrub is ScrubMember over every member of the archive.
+func (r *Reader) Scrub() []ScrubIssue {
+	var issues []ScrubIssue
+	for mi := range r.members {
+		issues = append(issues, r.ScrubMember(mi)...)
+	}
+	return issues
+}
+
 // TestChecksumRoundTrip builds the same snapshots with and without
 // checksums: the checksummed archive must commit the v3 (TACAEND4)
 // format with a digest per frame, keep the data section byte-identical

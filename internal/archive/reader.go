@@ -59,7 +59,7 @@ type Reader struct {
 
 // Checksummed reports whether the archive's footer carries per-frame
 // CRC32C digests (format v3): every frame read is then verified, and
-// Scrub audits without decoding.
+// ScrubMember audits without decoding.
 func (r *Reader) Checksummed() bool { return r.ver >= 3 }
 
 // FooterChecksummed reports whether the archive's newest trailer carries
@@ -462,7 +462,7 @@ func (r *Reader) readFrame(buf []byte, idx *LevelIndex, mi, li, b int) ([]byte, 
 	return blob, nil
 }
 
-// ScrubIssue is one damaged frame found by Scrub: the member, level, and
+// ScrubIssue is one damaged frame found by ScrubMember: the member, level, and
 // batch it lives in, plus the ErrCorrupt-tagged error describing it.
 type ScrubIssue struct {
 	Member int
@@ -475,22 +475,13 @@ func (si ScrubIssue) String() string {
 	return fmt.Sprintf("member %d level %d batch %d: %v", si.Member, si.Level, si.Batch, si.Err)
 }
 
-// Scrub audits every frame of the archive, returning one issue per
-// damaged frame (nil means the archive is clean). On a checksummed (v3)
+// ScrubMember audits every frame of one member, returning one issue per
+// damaged frame (nil means the member is clean). On a checksummed (v3)
 // archive each frame is read once and its CRC32C verified — no decoding,
-// so a scrub runs at I/O speed; on older archives Scrub falls back to
-// fully decoding every batch, which still catches structural damage but
-// not a bit flip the codec happens to tolerate. Scrub keeps going after a
-// hit so one pass reports the archive's full damage map.
-func (r *Reader) Scrub() []ScrubIssue {
-	var issues []ScrubIssue
-	for mi := range r.members {
-		issues = append(issues, r.ScrubMember(mi)...)
-	}
-	return issues
-}
-
-// ScrubMember audits every frame of one member (see Scrub).
+// so a scrub runs at I/O speed; on older archives it falls back to fully
+// decoding every batch, which still catches structural damage but not a
+// bit flip the codec happens to tolerate. It keeps going after a hit so
+// one pass reports the member's full damage map.
 func (r *Reader) ScrubMember(mi int) []ScrubIssue { return r.ScrubMemberFrames(mi, nil) }
 
 // ScrubMemberFrames is ScrubMember that also shows seen, from the one read

@@ -60,7 +60,7 @@ type Writer struct {
 
 	// Checksums records a CRC32C digest of every frame in the footer and
 	// commits the v3 (TACAEND4) format, so readers verify each frame
-	// before decoding and Scrub audits without decoding. Set it before
+	// before decoding and ScrubMember audits without decoding. Set it before
 	// the first frame is written; enabling it later is only supported on
 	// file-backed writers (OpenAppend), where Commit backfills digests
 	// for already-written frames by reading them back. Off (the default)

@@ -1,11 +1,7 @@
-// Package bitio provides bit-granular writers and readers plus varint
-// framing helpers, used by the Huffman coder and the TAC container format.
-//
-// Both the Writer and the Reader run on 64-bit accumulators: the Writer
-// packs pending bits left-aligned in a word and flushes eight bytes at a
-// time, and the Reader refills eight bytes at a time with a branch-light
-// byte tail, so the per-call cost on the entropy hot path is a couple of
-// shifts instead of a per-byte loop.
+// Package bitio holds the byte-level framing the TAC formats share:
+// unsigned LEB128 varints and length-prefixed byte blocks, as written by
+// the Huffman codebook header, the sz payload header and the container and
+// archive footers, and the error a truncated frame reads as.
 package bitio
 
 import (
@@ -13,252 +9,18 @@ import (
 	"errors"
 )
 
-// Writer accumulates bits most-significant-first into a byte buffer.
-type Writer struct {
-	buf  []byte
-	acc  uint64 // pending bits, left-aligned (bit 63 is the next bit out)
-	nbit uint   // number of pending bits in acc (< 64)
-}
-
-// NewWriter returns an empty bit writer.
-func NewWriter() *Writer { return &Writer{} }
-
-// Reset makes w append to dst (commonly a recycled buffer, or a payload
-// under construction so the bit stream lands in place), discarding any
-// pending bits.
-func (w *Writer) Reset(dst []byte) { w.buf, w.acc, w.nbit = dst, 0, 0 }
-
-// WriteBits appends the low n bits of v, most significant first. n must be
-// in [0, 57] so a single write can never spill more than one word.
-//
-// The body is split so the all-accumulator fast path stays within the
-// compiler's inlining budget (constant-string panic, word flushes
-// outlined): the per-symbol cost on the entropy hot path is then a mask,
-// a shift and an add with no call.
-func (w *Writer) WriteBits(v uint64, n uint) {
-	if free := 64 - w.nbit; n < free && n <= 57 {
-		// The double shift self-masks v to its low n bits and lands them
-		// just below the pending bits (a shift by 64 yields 0, so n == 0
-		// writes nothing).
-		w.acc |= v << (64 - n) >> (64 - free)
-		w.nbit += n
-		return
-	}
-	w.writeBitsSpill(v, n)
-}
-
-// writeBitsSpill handles the WriteBits cases that leave the fast path:
-// out-of-range widths (the deterministic panic lives here so the fast
-// path stays inlinable) and writes that emit a word — the accumulator
-// filling exactly, or the value straddling two words. n is nonzero here:
-// the accumulator always has at least one free bit, so a zero-width write
-// never leaves the fast path.
-func (w *Writer) writeBitsSpill(v uint64, n uint) {
-	if n > 57 {
-		panic(panicBitRange)
-	}
-	v &= 1<<n - 1
-	if free := 64 - w.nbit; n == free {
-		w.buf = binary.BigEndian.AppendUint64(w.buf, w.acc|v)
-		w.acc, w.nbit = 0, 0
-		return
-	}
-	// The word fills mid-value: emit it and start the next with the spill.
-	spill := n - (64 - w.nbit)
-	w.buf = binary.BigEndian.AppendUint64(w.buf, w.acc|v>>spill)
-	w.acc = v << (64 - spill)
-	w.nbit = spill
-}
-
-// WriteBit appends a single bit.
-func (w *Writer) WriteBit(b bool) {
-	if b {
-		w.WriteBits(1, 1)
-	} else {
-		w.WriteBits(0, 1)
-	}
-}
-
-// Bytes flushes any partial byte (zero-padded on the right) and returns the
-// accumulated buffer. The writer may not be reused afterwards without Reset.
-func (w *Writer) Bytes() []byte {
-	for w.nbit > 0 {
-		w.buf = append(w.buf, byte(w.acc>>56))
-		w.acc <<= 8
-		if w.nbit >= 8 {
-			w.nbit -= 8
-		} else {
-			w.nbit = 0
-		}
-	}
-	return w.buf
-}
-
-// BitLen returns the number of bits written so far.
-func (w *Writer) BitLen() int { return len(w.buf)*8 + int(w.nbit) }
-
-// Reader consumes bits most-significant-first from a byte slice.
-type Reader struct {
-	buf  []byte
-	pos  int    // next unread byte
-	acc  uint64 // upcoming bits, left-aligned (bit 63 is the next bit in)
-	nbit uint   // number of valid bits in acc
-}
-
-// NewReader wraps buf for bit-level reading.
-func NewReader(buf []byte) *Reader { return &Reader{buf: buf} }
-
 // ErrUnexpectedEOF is returned when a read runs past the end of the buffer.
 var ErrUnexpectedEOF = errors.New("bitio: unexpected end of bit stream")
-
-// panicBitRange is the pre-boxed panic value for out-of-range bit counts;
-// a predeclared any keeps the guard cheap enough for the hot-path methods
-// to stay inlinable (a string literal would add a conversion at each site).
-var panicBitRange any = "bitio: bit count out of range (max 57)"
-
-// refill tops the accumulator up to at least 57 valid bits (or to the end
-// of the stream). The common case absorbs a whole big-endian word in one
-// load; within eight bytes of the end it falls back to a short byte loop.
-// Bits of acc beyond nbit always mirror the bytes still at pos, so the OR
-// in the word path is idempotent across partial consumes.
-func (r *Reader) refill() {
-	if r.pos+8 <= len(r.buf) {
-		r.acc |= binary.BigEndian.Uint64(r.buf[r.pos:]) >> r.nbit
-		adv := (64 - r.nbit) >> 3
-		r.pos += int(adv)
-		r.nbit += adv * 8
-		return
-	}
-	for r.nbit <= 56 && r.pos < len(r.buf) {
-		r.acc |= uint64(r.buf[r.pos]) << (56 - r.nbit)
-		r.pos++
-		r.nbit += 8
-	}
-}
-
-// drain empties the reader so every subsequent read fails too: a truncated
-// stream yields no partial values, before or after the error.
-func (r *Reader) drain() {
-	r.acc, r.nbit = 0, 0
-	r.pos = len(r.buf)
-}
-
-// ReadBits reads n bits (n ≤ 57) and returns them right-aligned.
-//
-// If fewer than n bits remain the stream is truncated: ReadBits returns
-// ErrUnexpectedEOF and leaves the reader drained, so the leftover bits are
-// never handed out piecemeal by later, smaller reads.
-func (r *Reader) ReadBits(n uint) (uint64, error) {
-	if r.nbit < n || n > 57 {
-		return r.readBitsSlow(n)
-	}
-	// A shift by 64 (n == 0) is defined to yield 0 in Go, so the
-	// zero-width read needs no special case.
-	v := r.acc >> (64 - n)
-	r.acc <<= n
-	r.nbit -= n
-	return v, nil
-}
-
-// readBitsSlow refills and retries a ReadBits that outran the accumulator
-// (and hosts the deterministic out-of-range panic, keeping ReadBits
-// itself inlinable).
-func (r *Reader) readBitsSlow(n uint) (uint64, error) {
-	if n > 57 {
-		panic(panicBitRange)
-	}
-	r.refill()
-	if r.nbit < n {
-		r.drain()
-		return 0, ErrUnexpectedEOF
-	}
-	v := r.acc >> (64 - n)
-	r.acc <<= n
-	r.nbit -= n
-	return v, nil
-}
-
-// ReadBit reads one bit.
-func (r *Reader) ReadBit() (bool, error) {
-	v, err := r.ReadBits(1)
-	return v == 1, err
-}
-
-// Peek returns the next n bits (n ≤ 57) right-aligned in the low n bits
-// (MSB first) without consuming them. If fewer than n bits remain, the missing low
-// bits are zero; pair with Remaining to detect the true stream end. This
-// is the table-driven entropy decoder's lookup key.
-func (r *Reader) Peek(n uint) uint64 {
-	if r.nbit < n || n > 57 {
-		return r.peekSlow(n)
-	}
-	return r.acc >> (64 - n)
-}
-
-// peekSlow refills and retries a Peek that outran the accumulator (and
-// hosts the deterministic out-of-range panic).
-func (r *Reader) peekSlow(n uint) uint64 {
-	if n > 57 {
-		panic(panicBitRange)
-	}
-	r.refill()
-	return r.acc >> (64 - n)
-}
-
-// Consume discards n bits (n ≤ 57), typically after a Peek decided how
-// many were used. Like ReadBits it returns ErrUnexpectedEOF and drains the
-// reader if fewer than n bits remain.
-func (r *Reader) Consume(n uint) error {
-	if r.nbit < n || n > 57 {
-		return r.consumeSlow(n)
-	}
-	r.acc <<= n
-	r.nbit -= n
-	return nil
-}
-
-// consumeSlow refills and retries a Consume that outran the accumulator
-// (and hosts the deterministic out-of-range panic).
-func (r *Reader) consumeSlow(n uint) error {
-	if n > 57 {
-		panic(panicBitRange)
-	}
-	r.refill()
-	if r.nbit < n {
-		r.drain()
-		return ErrUnexpectedEOF
-	}
-	r.acc <<= n
-	r.nbit -= n
-	return nil
-}
-
-// Remaining reports how many unread bits the stream still holds.
-func (r *Reader) Remaining() int { return int(r.nbit) + 8*(len(r.buf)-r.pos) }
 
 // AppendUvarint appends x to dst in unsigned LEB128 form.
 func AppendUvarint(dst []byte, x uint64) []byte {
 	return binary.AppendUvarint(dst, x)
 }
 
-// AppendVarint appends x to dst in zig-zag signed LEB128 form.
-func AppendVarint(dst []byte, x int64) []byte {
-	return binary.AppendVarint(dst, x)
-}
-
 // Uvarint decodes an unsigned varint from buf, returning the value and the
 // number of bytes consumed, or an error if the buffer is malformed.
 func Uvarint(buf []byte) (uint64, int, error) {
 	v, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return 0, 0, ErrUnexpectedEOF
-	}
-	return v, n, nil
-}
-
-// Varint decodes a signed varint from buf.
-func Varint(buf []byte) (int64, int, error) {
-	v, n := binary.Varint(buf)
 	if n <= 0 {
 		return 0, 0, ErrUnexpectedEOF
 	}

@@ -1,225 +1,11 @@
 package bitio
 
-import (
-	"math/rand"
-	"testing"
-	"testing/quick"
-)
-
-func TestWriteReadRoundTrip(t *testing.T) {
-	w := NewWriter()
-	w.WriteBits(0b101, 3)
-	w.WriteBits(0xdead, 16)
-	w.WriteBit(true)
-	w.WriteBits(0, 5)
-	w.WriteBits(0x1ffffffffffff, 49)
-	buf := w.Bytes()
-
-	r := NewReader(buf)
-	got, err := r.ReadBits(3)
-	if err != nil || got != 0b101 {
-		t.Fatalf("ReadBits(3) = %v, %v; want 0b101", got, err)
-	}
-	if got, _ := r.ReadBits(16); got != 0xdead {
-		t.Fatalf("ReadBits(16) = %#x, want 0xdead", got)
-	}
-	if b, _ := r.ReadBit(); !b {
-		t.Fatal("ReadBit = false, want true")
-	}
-	if got, _ := r.ReadBits(5); got != 0 {
-		t.Fatalf("ReadBits(5) = %v, want 0", got)
-	}
-	if got, _ := r.ReadBits(49); got != 0x1ffffffffffff {
-		t.Fatalf("ReadBits(49) = %#x", got)
-	}
-}
-
-func TestBitLen(t *testing.T) {
-	w := NewWriter()
-	if w.BitLen() != 0 {
-		t.Fatalf("empty writer BitLen = %d", w.BitLen())
-	}
-	w.WriteBits(1, 1)
-	w.WriteBits(0xff, 8)
-	if w.BitLen() != 9 {
-		t.Fatalf("BitLen = %d, want 9", w.BitLen())
-	}
-}
-
-func TestReadPastEnd(t *testing.T) {
-	r := NewReader([]byte{0xab})
-	if _, err := r.ReadBits(8); err != nil {
-		t.Fatalf("first byte: %v", err)
-	}
-	if _, err := r.ReadBits(1); err != ErrUnexpectedEOF {
-		t.Fatalf("past end err = %v, want ErrUnexpectedEOF", err)
-	}
-}
-
-func TestTruncationDrainsReader(t *testing.T) {
-	// A read that runs past the end must error AND leave the reader
-	// drained: the leftover bits are not handed out by later smaller
-	// reads (the old reader kept them, which made truncation ambiguous).
-	r := NewReader([]byte{0xff})
-	if _, err := r.ReadBits(16); err != ErrUnexpectedEOF {
-		t.Fatalf("truncated ReadBits(16) err = %v, want ErrUnexpectedEOF", err)
-	}
-	if _, err := r.ReadBits(1); err != ErrUnexpectedEOF {
-		t.Fatalf("read after truncation err = %v, want ErrUnexpectedEOF", err)
-	}
-	if got := r.Remaining(); got != 0 {
-		t.Fatalf("Remaining after truncation = %d, want 0", got)
-	}
-
-	r = NewReader([]byte{0xff, 0xff, 0xff})
-	if err := r.Consume(25); err != ErrUnexpectedEOF {
-		t.Fatalf("truncated Consume(25) err = %v, want ErrUnexpectedEOF", err)
-	}
-	if _, err := r.ReadBit(); err != ErrUnexpectedEOF {
-		t.Fatalf("read after truncated Consume err = %v, want ErrUnexpectedEOF", err)
-	}
-}
-
-func TestPeekConsume(t *testing.T) {
-	w := NewWriter()
-	w.WriteBits(0b1011, 4)
-	w.WriteBits(0x3fff, 14)
-	w.WriteBits(0x155, 9)
-	buf := w.Bytes()
-
-	r := NewReader(buf)
-	if got := r.Peek(4); got != 0b1011 {
-		t.Fatalf("Peek(4) = %#b, want 0b1011", got)
-	}
-	// Peek must not consume.
-	if got := r.Peek(4); got != 0b1011 {
-		t.Fatalf("second Peek(4) = %#b, want 0b1011", got)
-	}
-	if err := r.Consume(4); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.Peek(14); got != 0x3fff {
-		t.Fatalf("Peek(14) = %#x, want 0x3fff", got)
-	}
-	if err := r.Consume(14); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := r.ReadBits(9); err != nil || got != 0x155 {
-		t.Fatalf("ReadBits(9) = %#x, %v; want 0x155", got, err)
-	}
-}
-
-func TestPeekZeroPadsPastEnd(t *testing.T) {
-	r := NewReader([]byte{0b10100000})
-	if err := r.Consume(3); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.Remaining(); got != 5 {
-		t.Fatalf("Remaining = %d, want 5", got)
-	}
-	// Only 5 real bits remain; the low bits of a wider peek are zero.
-	if got := r.Peek(12); got != 0 {
-		t.Fatalf("Peek(12) past end = %#b, want 0 (zero-padded)", got)
-	}
-	// The zero-padded peek must not consume or error; the real bits are
-	// still readable.
-	if got, err := r.ReadBits(5); err != nil || got != 0 {
-		t.Fatalf("ReadBits(5) = %v, %v", got, err)
-	}
-}
-
-func TestPeekConsumeMatchesReadBits(t *testing.T) {
-	// Property: Peek(n)+Consume(n) sees exactly the bits ReadBits(n) sees,
-	// across refill boundaries and the byte-tail path.
-	f := func(seed int64, n uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		count := int(n%96) + 1
-		vals := make([]uint64, count)
-		widths := make([]uint, count)
-		w := NewWriter()
-		for i := range vals {
-			widths[i] = uint(rng.Intn(57)) + 1
-			vals[i] = rng.Uint64() & (1<<widths[i] - 1)
-			w.WriteBits(vals[i], widths[i])
-		}
-		buf := w.Bytes()
-		ra, rb := NewReader(buf), NewReader(buf)
-		for i := range vals {
-			got, err := ra.ReadBits(widths[i])
-			if err != nil || got != vals[i] {
-				return false
-			}
-			if pk := rb.Peek(widths[i]); pk != vals[i] {
-				return false
-			}
-			if err := rb.Consume(widths[i]); err != nil {
-				return false
-			}
-			if ra.Remaining() != rb.Remaining() {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWriterReset(t *testing.T) {
-	w := NewWriter()
-	w.WriteBits(0xde, 8)
-	first := append([]byte(nil), w.Bytes()...)
-
-	w.Reset(nil)
-	w.WriteBits(0xad, 8)
-	if got := w.Bytes(); len(got) != 1 || got[0] != 0xad {
-		t.Fatalf("after Reset(nil): %x", got)
-	}
-
-	// Reset onto an existing prefix appends the bit stream in place.
-	w.Reset([]byte{0x01, 0x02})
-	w.WriteBits(0b101, 3)
-	got := w.Bytes()
-	want := []byte{0x01, 0x02, 0b10100000}
-	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
-		t.Fatalf("Reset(prefix) = %x, want %x", got, want)
-	}
-	_ = first
-}
-
-func TestQuickBitStream(t *testing.T) {
-	// Property: any sequence of (value, width) writes reads back exactly.
-	f := func(seed int64, n uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		count := int(n%64) + 1
-		vals := make([]uint64, count)
-		widths := make([]uint, count)
-		w := NewWriter()
-		for i := range vals {
-			widths[i] = uint(rng.Intn(57)) + 1
-			vals[i] = rng.Uint64() & (1<<widths[i] - 1)
-			w.WriteBits(vals[i], widths[i])
-		}
-		r := NewReader(w.Bytes())
-		for i := range vals {
-			got, err := r.ReadBits(widths[i])
-			if err != nil || got != vals[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
+import "testing"
 
 func TestVarintHelpers(t *testing.T) {
 	var buf []byte
 	buf = AppendUvarint(buf, 0)
 	buf = AppendUvarint(buf, 1<<40)
-	buf = AppendVarint(buf, -12345)
 	v, n, err := Uvarint(buf)
 	if err != nil || v != 0 {
 		t.Fatalf("Uvarint = %v, %v", v, err)
@@ -229,19 +15,14 @@ func TestVarintHelpers(t *testing.T) {
 	if err != nil || v != 1<<40 {
 		t.Fatalf("Uvarint = %v, %v", v, err)
 	}
-	buf = buf[n:]
-	s, _, err := Varint(buf)
-	if err != nil || s != -12345 {
-		t.Fatalf("Varint = %v, %v", s, err)
+	if n != len(buf) {
+		t.Fatalf("Uvarint consumed %d of %d bytes", n, len(buf))
 	}
 }
 
 func TestVarintEmpty(t *testing.T) {
 	if _, _, err := Uvarint(nil); err == nil {
 		t.Fatal("Uvarint(nil) should error")
-	}
-	if _, _, err := Varint(nil); err == nil {
-		t.Fatal("Varint(nil) should error")
 	}
 }
 

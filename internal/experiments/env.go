@@ -12,7 +12,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"time"
 
@@ -192,30 +191,3 @@ func ebSweep() []float64 {
 func fprintf(w io.Writer, format string, args ...any) {
 	fmt.Fprintf(w, format, args...)
 }
-
-// sortedKeys returns the map's keys in sorted order (stable table output).
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// PickStrategyForTest exposes the density filter with default thresholds
-// for the experiment tests without importing internal/core (which imports
-// this package's sibling codecs).
-func PickStrategyForTest(density float64) codec.Strategy {
-	switch {
-	case density < 0.5:
-		return codec.OpST
-	case density < 0.6:
-		return codec.AKD
-	default:
-		return codec.GSP
-	}
-}
-
-// codecConfig is a test helper building a plain absolute-bound config.
-func codecConfig(eb float64) codec.Config { return codec.Config{ErrorBound: eb} }

@@ -5,10 +5,28 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/sz"
 )
+
+// PickStrategyForTest exposes the density filter with default thresholds
+// for the experiment tests without importing internal/core (which imports
+// this package's sibling codecs).
+func PickStrategyForTest(density float64) codec.Strategy {
+	switch {
+	case density < 0.5:
+		return codec.OpST
+	case density < 0.6:
+		return codec.AKD
+	default:
+		return codec.GSP
+	}
+}
+
+// codecConfig is a test helper building a plain absolute-bound config.
+func codecConfig(eb float64) codec.Config { return codec.Config{ErrorBound: eb} }
 
 func TestAblationDimsOrdering(t *testing.T) {
 	// The Sec. 2.3 premise at dataset scale: 3D < 2D < 1D bits/value on

@@ -194,18 +194,3 @@ func FlipByte(off int64, mask byte) Plan {
 func Delay(d time.Duration) Plan {
 	return func(int64, int64, int) *Fault { return &Fault{Delay: d} }
 }
-
-// Compose returns a plan that injects the first fault any of the given
-// plans scripts for a call. Every plan is evaluated (so their internal
-// counters advance in step), but only the first non-nil fault applies.
-func Compose(plans ...Plan) Plan {
-	return func(call int64, off int64, n int) *Fault {
-		var hit *Fault
-		for _, p := range plans {
-			if ft := p(call, off, n); ft != nil && hit == nil {
-				hit = ft
-			}
-		}
-		return hit
-	}
-}

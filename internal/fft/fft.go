@@ -73,12 +73,6 @@ func (p *plan) transform(x []complex128, inverse bool) {
 	}
 }
 
-// Forward computes the in-place forward DFT of x (len must be a power of 2).
-func Forward(x []complex128) { newPlan(len(x)).transform(x, false) }
-
-// Inverse computes the in-place inverse DFT of x, normalized by 1/n.
-func Inverse(x []complex128) { newPlan(len(x)).transform(x, true) }
-
 // Grid3C is a cube of complex values used for 3D transforms, stored with z
 // varying fastest, matching grid.Grid3 layout.
 type Grid3C struct {
@@ -93,12 +87,6 @@ func NewGrid3C(n int) *Grid3C {
 	}
 	return &Grid3C{N: n, Data: make([]complex128, n*n*n)}
 }
-
-// At returns the value at (x,y,z).
-func (g *Grid3C) At(x, y, z int) complex128 { return g.Data[(x*g.N+y)*g.N+z] }
-
-// Set stores v at (x,y,z).
-func (g *Grid3C) Set(x, y, z int, v complex128) { g.Data[(x*g.N+y)*g.N+z] = v }
 
 // Forward3 computes the in-place 3D forward DFT of g by transforming along
 // z, then y, then x.

@@ -7,6 +7,15 @@ import (
 	"testing"
 )
 
+// Forward computes the in-place forward DFT of x (len must be a power of 2).
+func Forward(x []complex128) { newPlan(len(x)).transform(x, false) }
+
+// Inverse computes the in-place inverse DFT of x, normalized by 1/n.
+func Inverse(x []complex128) { newPlan(len(x)).transform(x, true) }
+
+// Set stores v at (x,y,z).
+func (g *Grid3C) Set(x, y, z int, v complex128) { g.Data[(x*g.N+y)*g.N+z] = v }
+
 func TestForwardInverse1D(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, n := range []int{1, 2, 4, 64, 1024} {

@@ -95,16 +95,6 @@ func NewBlocks[T Float](d Dims, count int) []*Grid3[T] {
 	return out
 }
 
-// FromSlice wraps an existing slice as a grid. The slice length must equal
-// d.Count(); FromSlice panics otherwise, since a silent mismatch would
-// corrupt every downstream index computation.
-func FromSlice[T Float](d Dims, data []T) *Grid3[T] {
-	if len(data) != d.Count() {
-		panic(fmt.Sprintf("grid: slice length %d does not match dims %v (%d cells)", len(data), d, d.Count()))
-	}
-	return &Grid3[T]{Dim: d, Data: data}
-}
-
 // At returns the value at (x,y,z).
 func (g *Grid3[T]) At(x, y, z int) T { return g.Data[g.Dim.Index(x, y, z)] }
 
@@ -305,34 +295,6 @@ func (g *Grid3[T]) FillRegion(r Region, v T) {
 			}
 		}
 	}
-}
-
-// Upsample returns a grid refined by integer factor f using piecewise-
-// constant injection: every source cell is replicated into an f×f×f block.
-// This is the up-sampling the 3D baseline performs when unifying AMR levels
-// (Sec. 2.2 of the paper); injection is what Nyx plotfile tools use.
-func (g *Grid3[T]) Upsample(f int) *Grid3[T] {
-	if f == 1 {
-		return g.Clone()
-	}
-	out := New[T](g.Dim.Scale(f))
-	for x := 0; x < g.Dim.X; x++ {
-		for y := 0; y < g.Dim.Y; y++ {
-			for z := 0; z < g.Dim.Z; z++ {
-				v := g.At(x, y, z)
-				for dx := 0; dx < f; dx++ {
-					for dy := 0; dy < f; dy++ {
-						base := out.Dim.Index(x*f+dx, y*f+dy, z*f)
-						row := out.Data[base : base+f]
-						for i := range row {
-							row[i] = v
-						}
-					}
-				}
-			}
-		}
-	}
-	return out
 }
 
 // Downsample returns a grid coarsened by integer factor f, each coarse cell

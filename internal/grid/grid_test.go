@@ -100,15 +100,16 @@ func TestUpsampleDownsampleInverse(t *testing.T) {
 	for i := range g.Data {
 		g.Data[i] = rng.NormFloat64()
 	}
-	// Downsample(Upsample(g, f), f) == g exactly (mean of f³ copies).
-	up := g.Upsample(2)
+	// Downsample of g injected into 2×2×2 blocks is g exactly (the mean
+	// of eight copies).
+	up := New[float64](g.Dim.Scale(2))
+	for i := range up.Data {
+		x, y, z := up.Dim.Coords(i)
+		up.Data[i] = g.At(x/2, y/2, z/2)
+	}
 	down := up.Downsample(2)
 	if MaxAbsDiff(g, down) > 1e-12 {
 		t.Fatalf("down(up(g)) != g: %v", MaxAbsDiff(g, down))
-	}
-	// Upsample replicates.
-	if up.At(3, 3, 3) != g.At(1, 1, 1) {
-		t.Fatal("upsample did not replicate")
 	}
 }
 
@@ -133,15 +134,6 @@ func TestMinMaxMean(t *testing.T) {
 	if g.Mean() != 3.5 {
 		t.Fatalf("Mean = %v", g.Mean())
 	}
-}
-
-func TestFromSlicePanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("FromSlice should panic on length mismatch")
-		}
-	}()
-	FromSlice(Dims{X: 2, Y: 2, Z: 2}, make([]float64, 7))
 }
 
 func TestMaskBasics(t *testing.T) {
@@ -204,14 +196,14 @@ func TestSumTableFullEmpty(t *testing.T) {
 	m := NewMask(Dims{X: 4, Y: 4, Z: 4})
 	m.FillRegion(Region{X1: 2, Y1: 4, Z1: 4}, true)
 	st := NewSumTable(m)
-	if !st.Full(Region{X1: 2, Y1: 4, Z1: 4}) {
-		t.Fatal("filled half should be Full")
+	if full := (Region{X1: 2, Y1: 4, Z1: 4}); st.Count(full) != int64(full.Count()) {
+		t.Fatal("filled half should count every cell")
 	}
-	if st.Full(Region{X1: 3, Y1: 4, Z1: 4}) {
-		t.Fatal("partly-filled region is not Full")
+	if part := (Region{X1: 3, Y1: 4, Z1: 4}); st.Count(part) == int64(part.Count()) {
+		t.Fatal("partly-filled region counted full")
 	}
-	if !st.EmptyRegion(Region{X0: 2, X1: 4, Y1: 4, Z1: 4}) {
-		t.Fatal("unfilled half should be empty")
+	if st.Count(Region{X0: 2, X1: 4, Y1: 4, Z1: 4}) != 0 {
+		t.Fatal("unfilled half should count zero")
 	}
 }
 

@@ -41,10 +41,6 @@ func (m *Mask) SetIndex(i int, v bool) {
 	}
 }
 
-// Words exposes the packed backing store (shared, not copied). The tail
-// bits past Len() are always zero.
-func (m *Mask) Words() []uint64 { return m.words }
-
 // clearTail zeroes the bits past Len() in the final word, preserving the
 // popcount invariant after whole-word writes.
 func (m *Mask) clearTail() {
@@ -315,15 +311,4 @@ func (t *SumTable) Count(r Region) int64 {
 		t.s[idx(r.X0, r.Y1, r.Z1)] - t.s[idx(r.X1, r.Y0, r.Z1)] - t.s[idx(r.X1, r.Y1, r.Z0)] +
 		t.s[idx(r.X0, r.Y0, r.Z1)] + t.s[idx(r.X0, r.Y1, r.Z0)] + t.s[idx(r.X1, r.Y0, r.Z0)] -
 		t.s[idx(r.X0, r.Y0, r.Z0)]
-}
-
-// Full reports whether every bit in region r is set.
-func (t *SumTable) Full(r Region) bool {
-	r = r.Intersect(t.dim)
-	return t.Count(r) == int64(r.Count())
-}
-
-// EmptyRegion reports whether no bit in region r is set.
-func (t *SumTable) EmptyRegion(r Region) bool {
-	return t.Count(r) == 0
 }

@@ -14,7 +14,7 @@ import (
 // The encoder this package shipped before the single-table layout, kept as
 // a slow differential oracle: a map histogram, a heap of arena indices
 // compared through the arena, comparison sorts for the canonical and the
-// header order, and one bitio.WriteBits call per symbol. It pins the code
+// header order, and one bit-at-a-time write per symbol. It pins the code
 // lengths and their tie-breaks, the header and the bit stream of the
 // production Encoder.
 
@@ -170,13 +170,31 @@ func oracleEncodeFreq(sf []symFreq, syms []uint32) []byte {
 	for _, c := range codes {
 		table[c.sym] = c
 	}
-	var w bitio.Writer
-	w.Reset(bitio.AppendBytes(nil, hdr))
+	w := oracleBits{buf: bitio.AppendBytes(nil, hdr)}
 	for _, s := range syms {
 		c := table[s]
-		w.WriteBits(c.code, uint(c.len))
+		w.put(c.code, uint(c.len))
 	}
-	return w.Bytes()
+	return w.buf
+}
+
+// oracleBits appends bits most significant first, one at a time, the last
+// byte zero-padded on the right: the bit stream by definition, with no
+// word packing to get wrong.
+type oracleBits struct {
+	buf  []byte
+	nbit uint // bits used in the last byte of buf, 0 when it is full
+}
+
+// put appends the low n bits of v.
+func (w *oracleBits) put(v uint64, n uint) {
+	for i := n; i > 0; i-- {
+		if w.nbit == 0 {
+			w.buf = append(w.buf, 0)
+		}
+		w.buf[len(w.buf)-1] |= byte(v>>(i-1)&1) << (7 - w.nbit)
+		w.nbit = (w.nbit + 1) & 7
+	}
 }
 
 // maxCodeLen is the longest code of the encoder's current codebook.

@@ -34,9 +34,10 @@ import (
 )
 
 const (
-	// maxCodeLen bounds serialized code lengths so any code fits in a
-	// single bitio read. Lengths beyond it are redistributed (not clamped)
-	// by limitLengths, preserving prefix-freeness.
+	// maxCodeLen bounds serialized code lengths so any code fits in the 57
+	// bits one refill of the decoder's accumulator guarantees. Lengths
+	// beyond it are redistributed (not clamped) by limitLengths, preserving
+	// prefix-freeness.
 	maxCodeLen = 57
 
 	// TableBits is the index width of the decode table: one
@@ -501,7 +502,7 @@ type bitPacker struct {
 // put appends the n-bit value v, 1 ≤ n ≤ groupBits. The store lays the
 // pending bits, zero-padded, over the next eight bytes; only the whole
 // bytes among them are kept, so the last store of a stream leaves its
-// final partial byte padded the way bitio.Writer.Bytes does.
+// final partial byte zero-padded on the right.
 func (w bitPacker) put(buf []byte, v uint64, n uint) bitPacker {
 	w.acc = w.acc<<(n&63) | v
 	w.nbit += n
@@ -709,12 +710,12 @@ func (d *Decoder) canonical() []symCode {
 // left behind.
 //
 // Both loops run on a local bit-reader state — accumulator, valid-bit
-// count and byte cursor — instead of a bitio.Reader, so the per-symbol cost
-// is a table load and two shifts with no method-call or pointer traffic.
-// The refill mirrors bitio.Reader.refill exactly (whole-word loads with the
-// byte tail near the end; bits of acc beyond nbit mirror the bytes still at
-// pos), and a code claiming more bits than the stream holds reports the
-// same truncation error Consume used to.
+// count and byte cursor — passed by value, so the per-symbol cost is a
+// table load and two shifts with no method-call or pointer traffic. The
+// refills (refillWord, refillTail) load whole big-endian words, byte by
+// byte within eight bytes of the end, and keep the bits of acc beyond nbit
+// equal to the bytes still at pos; a code claiming more bits than the
+// stream holds reports bitio.ErrUnexpectedEOF.
 func (d *Decoder) decode(out []uint32, body []byte, tableBits, maxLen uint) error {
 	// The table is always indexed by TableBits bits, whatever the deepest
 	// code: a constant shift into a fixed-size array needs no mask and no

@@ -1,5 +1,5 @@
 // Package metrics computes the generic evaluation metrics of the TAC
-// paper's Sec. 4.2: compression ratio, bit-rate, PSNR, NRMSE, and
+// paper's Sec. 4.2: compression ratio, bit-rate, PSNR, and
 // rate-distortion sweeps.
 package metrics
 
@@ -44,14 +44,6 @@ func (d Distortion) PSNR() float64 {
 		return math.Inf(1)
 	}
 	return 20*math.Log10(d.Range) - 10*math.Log10(d.MSE)
-}
-
-// NRMSE is the range-normalized root mean squared error.
-func (d Distortion) NRMSE() float64 {
-	if d.Range == 0 {
-		return 0
-	}
-	return math.Sqrt(d.MSE) / d.Range
 }
 
 // accumulate folds one (original, reconstructed) pair into the statistics.

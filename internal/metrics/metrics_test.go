@@ -41,16 +41,6 @@ func TestPSNRKnownValue(t *testing.T) {
 	}
 }
 
-func TestNRMSE(t *testing.T) {
-	d := Distortion{Range: 10, MSE: 4}
-	if d.NRMSE() != 0.2 {
-		t.Fatalf("NRMSE = %v", d.NRMSE())
-	}
-	if (Distortion{Range: 0, MSE: 4}).NRMSE() != 0 {
-		t.Fatal("zero range NRMSE should be 0")
-	}
-}
-
 func TestGridDistortion(t *testing.T) {
 	a := grid.New[float32](grid.Dims{X: 2, Y: 2, Z: 2})
 	copy(a.Data, []float32{0, 1, 2, 3, 4, 5, 6, 7})

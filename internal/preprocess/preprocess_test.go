@@ -1,6 +1,7 @@
 package preprocess
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,6 +10,36 @@ import (
 	"repro/internal/grid"
 	"repro/internal/kdtree"
 )
+
+// CoveredExactlyOnce verifies that boxes tile precisely the occupied blocks
+// of the mask — the invariant every sparse extraction must satisfy.
+func CoveredExactlyOnce(mask *grid.Mask, boxes []kdtree.Box) error {
+	cover := make([]int, mask.Dim.Count())
+	for _, b := range boxes {
+		r := b.Region().Intersect(mask.Dim)
+		if r.Count() != b.Blocks() {
+			return fmt.Errorf("preprocess: box %+v leaves the domain %v", b, mask.Dim)
+		}
+		for x := r.X0; x < r.X1; x++ {
+			for y := r.Y0; y < r.Y1; y++ {
+				for z := r.Z0; z < r.Z1; z++ {
+					cover[mask.Dim.Index(x, y, z)]++
+				}
+			}
+		}
+	}
+	for i, c := range cover {
+		want := 0
+		if mask.AtIndex(i) {
+			want = 1
+		}
+		if c != want {
+			x, y, z := mask.Dim.Coords(i)
+			return fmt.Errorf("preprocess: block (%d,%d,%d) covered %d times, want %d", x, y, z, c, want)
+		}
+	}
+	return nil
+}
 
 func randomMask(d grid.Dims, density float64, seed int64) *grid.Mask {
 	rng := rand.New(rand.NewSource(seed))

@@ -188,9 +188,6 @@ func (r *Reader) probe() error {
 // Size is the pinned resource length in bytes.
 func (r *Reader) Size() int64 { return r.size }
 
-// ETag is the validator pinned at Open ("" if the server sent none).
-func (r *Reader) ETag() string { return r.etag }
-
 // Label identifies this source in failover logs (replica.Source).
 func (r *Reader) Label() string { return r.url }
 

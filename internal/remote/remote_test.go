@@ -15,6 +15,9 @@ import (
 	"time"
 )
 
+// ETag is the validator pinned at Open ("" if the server sent none).
+func (r *Reader) ETag() string { return r.etag }
+
 // rangeServer serves blob with net/http's standard Range handling and a
 // strong ETag, like a well-behaved origin.
 func rangeServer(t *testing.T, blob []byte, etag string) *httptest.Server {

@@ -154,16 +154,6 @@ func (ss *sourceState) fail(now time.Time, cfg Config) {
 	ss.retryAt = now.Add(ss.backoff)
 }
 
-// SourceStats is one source's health snapshot.
-type SourceStats struct {
-	Label      string `json:"label"`
-	Reads      int64  `json:"reads"`
-	Failures   int64  `json:"failures"`
-	Demotions  int64  `json:"demotions"`
-	Demoted    bool   `json:"demoted"`
-	FailStreak int    `json:"fail_streak"`
-}
-
 // Multi is the failover ReaderAt over an ordered set of sources. It is
 // safe for concurrent use.
 type Multi struct {
@@ -218,24 +208,6 @@ func (m *Multi) ReadAt(p []byte, off int64) (int, error) {
 		}
 	}
 	return 0, lastErr
-}
-
-// Stats snapshots every source's health, in priority order.
-func (m *Multi) Stats() []SourceStats {
-	out := make([]SourceStats, len(m.srcs))
-	for i, ss := range m.srcs {
-		ss.mu.Lock()
-		out[i] = SourceStats{
-			Label:      ss.src.Label(),
-			Reads:      ss.reads,
-			Failures:   ss.failures,
-			Demotions:  ss.demotions,
-			Demoted:    ss.demoted,
-			FailStreak: ss.streak,
-		}
-		ss.mu.Unlock()
-	}
-	return out
 }
 
 // Len returns the number of sources.

@@ -10,6 +10,34 @@ import (
 	"repro/internal/faultio"
 )
 
+// SourceStats is one source's health snapshot.
+type SourceStats struct {
+	Label      string `json:"label"`
+	Reads      int64  `json:"reads"`
+	Failures   int64  `json:"failures"`
+	Demotions  int64  `json:"demotions"`
+	Demoted    bool   `json:"demoted"`
+	FailStreak int    `json:"fail_streak"`
+}
+
+// Stats snapshots every source's health, in priority order.
+func (m *Multi) Stats() []SourceStats {
+	out := make([]SourceStats, len(m.srcs))
+	for i, ss := range m.srcs {
+		ss.mu.Lock()
+		out[i] = SourceStats{
+			Label:      ss.src.Label(),
+			Reads:      ss.reads,
+			Failures:   ss.failures,
+			Demotions:  ss.demotions,
+			Demoted:    ss.demoted,
+			FailStreak: ss.streak,
+		}
+		ss.mu.Unlock()
+	}
+	return out
+}
+
 var errInjected = errors.New("injected I/O error")
 
 func blob(n int) []byte {

@@ -483,13 +483,6 @@ func SplitSpec(spec string) (name, primary string) {
 	return deriveName(spec), spec
 }
 
-// AddReader registers an already-opened archive under name. closer, if
-// non-nil, is closed by Server.Close. Names must be unique and
-// non-empty.
-func (s *Server) AddReader(name string, r *archive.Reader, closer io.Closer) error {
-	return s.addArchive(&servedArchive{name: name, closer: closer}, r)
-}
-
 func (s *Server) addArchive(sa *servedArchive, r *archive.Reader) error {
 	name, ing := sa.name, sa.ing
 	if name == "" {

@@ -22,6 +22,13 @@ import (
 	"repro/internal/sz"
 )
 
+// AddReader registers an already-opened archive under name. closer, if
+// non-nil, is closed by Server.Close. Names must be unique and
+// non-empty.
+func (s *Server) AddReader(name string, r *archive.Reader, closer io.Closer) error {
+	return s.addArchive(&servedArchive{name: name, closer: closer}, r)
+}
+
 // testArchiveBytes builds a small two-snapshot archive in memory.
 func testArchiveBytes(t testing.TB, batchBlocks int) []byte {
 	return testArchiveBytesSeed(t, batchBlocks, 77)

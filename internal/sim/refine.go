@@ -165,16 +165,6 @@ func Generate(spec Spec, field Field) (*amr.Dataset, error) {
 	return ds, nil
 }
 
-// MustGenerate is Generate, panicking on error; intended for the fixed
-// catalog specs which are validated by tests.
-func MustGenerate(spec Spec, field Field) *amr.Dataset {
-	ds, err := Generate(spec, field)
-	if err != nil {
-		panic(err)
-	}
-	return ds
-}
-
 // buildMasks carves the domain into per-level leaf masks. Working from the
 // coarsest level down, each level refines the blocks with the highest
 // driver-field maxima (the paper's "refine a block when its maximum value

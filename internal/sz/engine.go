@@ -579,12 +579,6 @@ func (e *Encoder[T]) encodeTemporal(blocks, refs []*grid.Grid3[T], codes []uint3
 	return lits, nlit
 }
 
-// CompressBlocksDelta is the one-shot form of Encoder.CompressBlocksDelta.
-func CompressBlocksDelta[T grid.Float](blocks, refs []*grid.Grid3[T], opts Options) ([]byte, Stats, error) {
-	var e Encoder[T]
-	return e.CompressBlocksDelta(blocks, refs, opts, nil)
-}
-
 // batchGeometry validates a block batch and resolves its shared shape,
 // total cell count, and effective absolute bound.
 func batchGeometry[T grid.Float](blocks []*grid.Grid3[T], opts Options) (grid.Dims, int, float64, error) {
@@ -869,8 +863,9 @@ func (d *Decoder[T]) unseal3D(blob []byte) (header, []uint32, []byte, error) {
 	return hdr, codes, lits, nil
 }
 
-// DecompressBlocks is DecompressBlocks reusing the decoder's scratch; the
-// returned blocks are freshly allocated (one slab) and owned by the caller.
+// DecompressBlocks inverts CompressBlocks, reusing the decoder's scratch;
+// the returned blocks are freshly allocated (one slab) and owned by the
+// caller.
 func (d *Decoder[T]) DecompressBlocks(blob []byte) ([]*grid.Grid3[T], error) {
 	b, err := d.openBatch(blob, kindBatch)
 	if err != nil {
@@ -1061,11 +1056,4 @@ func (d *Decoder[T]) DecompressBlocksDeltaInto(dst []*grid.Grid3[T], blob []byte
 		return err
 	}
 	return d.reconstruct(b, dst, refs)
-}
-
-// DecompressBlocksDelta is the one-shot form of
-// Decoder.DecompressBlocksDelta.
-func DecompressBlocksDelta[T grid.Float](blob []byte, refs []*grid.Grid3[T]) ([]*grid.Grid3[T], error) {
-	var d Decoder[T]
-	return d.DecompressBlocksDelta(blob, refs)
 }

@@ -51,7 +51,10 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 	}
 	seeds = append(seeds, raw)
 
-	b2, _, err := Compress2D(vals[:240], 16, 15, Options{ErrorBound: 1e-2})
+	// A CompressSlices payload: a batch of X×Y×1 blocks, the 2D shape.
+	flat := grid.New[float32](grid.Dims{X: 16, Y: 15, Z: 1})
+	copy(flat.Data, vals)
+	b2, _, err := CompressSlices(flat, Options{ErrorBound: 1e-2})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -149,7 +152,6 @@ func FuzzDecompress(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, _ = Decompress1D[float32](data)
 		_, _ = Decompress1D[float64](data)
-		_, _, _, _ = Decompress2D[float32](data)
 		_, _ = Decompress3D[float32](data)
 		_, _ = DecompressBlocks[float32](data)
 		_, _ = DecompressBlocks[float64](data)

@@ -10,11 +10,11 @@ import (
 
 // Boundary-peeled, branch-free Lorenzo kernels.
 //
-// The reference kernels (encodeLorenzo3Ref and friends in sz.go/sz2d.go)
-// pay seven boundary branches per element in lorenzoPred, a non-inlined
-// quantizer.encode with append-grown code storage, and a per-element
-// error-returning dequantizer.decode. The kernels below remove all of
-// that without changing a single payload byte:
+// The reference kernels (encodeLorenzo3Ref and friends, kept as test
+// oracles in oracle_test.go) pay seven boundary branches per element in
+// lorenzoPred, a non-inlined quantizer.encode with append-grown code
+// storage, and a per-element error-returning dequantizer.decode. The
+// kernels below remove all of that without changing a single payload byte:
 //
 //   - each block is split into its x=0 face, the y=0 and z=0 boundary
 //     lines of every plane, and a branch-free interior loop (z innermost,
@@ -660,137 +660,6 @@ func decodeBlock3[T grid.Float](out []T, d grid.Dims, codes []uint32, lits []byt
 					row[z] = loadLiteral[T](lits[lp:])
 					lp += litSize
 				}
-			}
-		}
-	}
-	return lp
-}
-
-// encodeBlock2 is the boundary-peeled 2D kernel (nx×ny, y fastest), the
-// x=0 row and y=0 column peeled off a branch-free interior.
-func encodeBlock2[T grid.Float](src, recon []T, nx, ny int, codes []uint32, lits []byte, eb float64, radius int64) ([]byte, int) {
-	if nx == 0 || ny == 0 {
-		return lits, 0
-	}
-	twoEB := 2 * eb
-	radiusF := float64(radius)
-	nlit := 0
-	var zero T
-
-	{
-		row, srcRow, codeRow := recon[:ny], src[:ny], codes[:ny]
-		p := zero
-		{
-			v := srcRow[0]
-			diff := float64(v) - float64(p)
-			qv := fastRound(diff / twoEB)
-			c, r := uint32(0), v
-			if math.Abs(qv) < radiusF {
-				if rr := T(float64(p) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
-					c, r = uint32(int64(qv)+radius), rr
-				}
-			}
-			codeRow[0], row[0], p = c, r, r
-		}
-		for y := 1; y < ny; y++ {
-			pred := zero + p
-			v := srcRow[y]
-			diff := float64(v) - float64(pred)
-			qv := fastRound(diff / twoEB)
-			c, r := uint32(0), v
-			if math.Abs(qv) < radiusF {
-				if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
-					c, r = uint32(int64(qv)+radius), rr
-				}
-			}
-			codeRow[y], row[y], p = c, r, r
-		}
-		lits, nlit = collectLits(codeRow, srcRow, lits, nlit)
-	}
-	for x := 1; x < nx; x++ {
-		base := x * ny
-		row := recon[base : base+ny]
-		rowX := recon[base-ny : base]
-		srcRow := src[base : base+ny]
-		codeRow := codes[base : base+ny]
-		var p T
-		{
-			pred := rowX[0] + zero
-			v := srcRow[0]
-			diff := float64(v) - float64(pred)
-			qv := fastRound(diff / twoEB)
-			c, r := uint32(0), v
-			if math.Abs(qv) < radiusF {
-				if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
-					c, r = uint32(int64(qv)+radius), rr
-				}
-			}
-			codeRow[0], row[0], p = c, r, r
-		}
-		// Branch-free interior with the quantizer hand-inlined.
-		for y := 1; y < ny; y++ {
-			pred := rowX[y] + p - rowX[y-1]
-			v := srcRow[y]
-			diff := float64(v) - float64(pred)
-			qv := fastRound(diff / twoEB)
-			c, r := uint32(0), v
-			if math.Abs(qv) < radiusF {
-				if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
-					c, r = uint32(int64(qv)+radius), rr
-				}
-			}
-			codeRow[y], row[y], p = c, r, r
-		}
-		lits, nlit = collectLits(codeRow, srcRow, lits, nlit)
-	}
-	return lits, nlit
-}
-
-// decodeBlock2 is the decode twin of encodeBlock2. Pre-validated like
-// decodeBlock3; returns the literal bytes consumed.
-func decodeBlock2[T grid.Float](out []T, nx, ny int, codes []uint32, lits []byte, twoEB float64, radius int64) int {
-	if nx == 0 || ny == 0 {
-		return 0
-	}
-	litSize := literalSize[T]()
-	lp := 0
-	var zero T
-
-	{
-		row, codeRow := out[:ny], codes[:ny]
-		if c := codeRow[0]; c != 0 {
-			row[0] = dqstep(c, zero, twoEB, radius)
-		} else {
-			row[0] = loadLiteral[T](lits[lp:])
-			lp += litSize
-		}
-		for y := 1; y < ny; y++ {
-			if c := codeRow[y]; c != 0 {
-				row[y] = dqstep(c, zero+row[y-1], twoEB, radius)
-			} else {
-				row[y] = loadLiteral[T](lits[lp:])
-				lp += litSize
-			}
-		}
-	}
-	for x := 1; x < nx; x++ {
-		base := x * ny
-		row := out[base : base+ny]
-		rowX := out[base-ny : base]
-		codeRow := codes[base : base+ny]
-		if c := codeRow[0]; c != 0 {
-			row[0] = dqstep(c, rowX[0]+zero, twoEB, radius)
-		} else {
-			row[0] = loadLiteral[T](lits[lp:])
-			lp += litSize
-		}
-		for y := 1; y < ny; y++ {
-			if c := codeRow[y]; c != 0 {
-				pred := rowX[y] + row[y-1] - rowX[y-1]
-				row[y] = dqstep(c, pred, twoEB, radius)
-			} else {
-				row[y] = loadLiteral[T](lits[lp:])
-				lp += litSize
 			}
 		}
 	}

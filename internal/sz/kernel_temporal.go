@@ -22,8 +22,8 @@ import (
 // reference's RECONSTRUCTED value — exactly what the decoder holds — so
 // |v − recon| ≤ eb holds per snapshot and error never accumulates along a
 // reference chain. The scalar oracles encodeTemporalRef/decodeTemporalRef
-// route through quantizer/dequantizer; the equivalence suite compares the
-// two element-for-element.
+// (temporal_test.go) route through quantizer/dequantizer; the equivalence
+// suite compares the two element-for-element.
 
 // encodeTemporalBlock encodes one block against its reference, writing
 // the quantization codes and reconstruction. codes and recon must be
@@ -68,27 +68,4 @@ func decodeTemporalBlock[T grid.Float](out, ref []T, codes []uint32, lits []byte
 		}
 	}
 	return lp
-}
-
-// encodeTemporalRef is the retained scalar reference implementation of
-// the temporal encode: per-element prediction from ref through
-// quantizer.encode, writing the reconstruction into recon. The
-// equivalence suite compares it against encodeTemporalBlock.
-func encodeTemporalRef[T grid.Float](src, ref, recon []T, q *quantizer[T]) {
-	for i, v := range src {
-		recon[i] = q.encode(v, ref[i])
-	}
-}
-
-// decodeTemporalRef is the retained scalar reference decode (see
-// encodeTemporalRef).
-func decodeTemporalRef[T grid.Float](out, ref []T, dq *dequantizer[T]) error {
-	for i := range out {
-		v, err := dq.decode(ref[i])
-		if err != nil {
-			return err
-		}
-		out[i] = v
-	}
-	return nil
 }

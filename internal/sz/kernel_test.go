@@ -26,6 +26,8 @@ var kernelDims = []grid.Dims{
 	{X: 1, Y: 7, Z: 5},
 	{X: 7, Y: 1, Z: 5},
 	{X: 7, Y: 5, Z: 1},
+	{X: 16, Y: 2, Z: 1},
+	{X: 12, Y: 12, Z: 1},
 	{X: 2, Y: 2, Z: 2},
 	{X: 5, Y: 7, Z: 4},
 	{X: 16, Y: 3, Z: 2},
@@ -142,61 +144,6 @@ func TestKernel3Equivalence(t *testing.T) {
 		for _, litFrac := range []float64{0, 0.02, 0.5} {
 			checkKernel3[float32](t, d, int64(d.Count())*7+int64(litFrac*100), litFrac, 0.05)
 			checkKernel3[float64](t, d, int64(d.Count())*13+int64(litFrac*100), litFrac, 0.05)
-		}
-	}
-}
-
-func checkKernel2[T grid.Float](t *testing.T, nx, ny int, seed int64, litFrac, eb float64) {
-	t.Helper()
-	const quantBits = 16
-	n := nx * ny
-	src := make([]T, n)
-	fillKernelData(src, seed, litFrac)
-
-	q := newQuantizer[T](eb, quantBits)
-	refRecon := make([]T, n)
-	encodeLorenzo2Ref(src, refRecon, nx, ny, q)
-
-	codes := make([]uint32, n)
-	recon := make([]T, n)
-	lits, nlit := encodeBlock2(src, recon, nx, ny, codes, nil, eb, quantRadius(quantBits))
-
-	for i := range codes {
-		if codes[i] != q.codes[i] {
-			t.Fatalf("%dx%d: code[%d] = %d, reference %d", nx, ny, i, codes[i], q.codes[i])
-		}
-	}
-	if !bytes.Equal(lits, q.lits) || nlit != q.nlit {
-		t.Fatalf("%dx%d: literal pool differs from reference", nx, ny)
-	}
-	for i := range recon {
-		if bitsOf(recon[i]) != bitsOf(refRecon[i]) {
-			t.Fatalf("%dx%d: encode recon[%d] differs from reference", nx, ny, i)
-		}
-	}
-
-	dq := &dequantizer[T]{twoEB: 2 * eb, radius: quantRadius(quantBits), codes: codes, lits: lits}
-	refOut := make([]T, n)
-	if err := decodeLorenzo2Ref(refOut, nx, ny, dq); err != nil {
-		t.Fatalf("%dx%d: reference decode: %v", nx, ny, err)
-	}
-	out := make([]T, n)
-	if consumed := decodeBlock2(out, nx, ny, codes, lits, 2*eb, quantRadius(quantBits)); consumed != len(lits) {
-		t.Fatalf("%dx%d: decode consumed %d of %d literal bytes", nx, ny, consumed, len(lits))
-	}
-	for i := range out {
-		if bitsOf(out[i]) != bitsOf(refOut[i]) {
-			t.Fatalf("%dx%d: decode[%d] differs from reference", nx, ny, i)
-		}
-	}
-}
-
-// TestKernel2Equivalence is the 2D twin of TestKernel3Equivalence.
-func TestKernel2Equivalence(t *testing.T) {
-	for _, g := range [][2]int{{1, 1}, {1, 9}, {9, 1}, {5, 7}, {16, 2}, {12, 12}} {
-		for _, litFrac := range []float64{0, 0.03, 0.5} {
-			checkKernel2[float32](t, g[0], g[1], int64(g[0]*31+g[1]), litFrac, 0.05)
-			checkKernel2[float64](t, g[0], g[1], int64(g[0]*37+g[1]), litFrac, 0.05)
 		}
 	}
 }

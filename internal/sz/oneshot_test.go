@@ -1,0 +1,55 @@
+package sz
+
+import "repro/internal/grid"
+
+// Entry points only the tests call: the one-shot forms of the pooled
+// Decoder's batch decoders, of CompressBlocksDelta and of the payload
+// seal/unseal, and the ratio of a Stats.
+
+// Ratio returns the compression ratio against the stream's uncompressed
+// storage at its actual element width — 4 bytes for float32 streams (the
+// accounting the paper uses for Nyx data), 8 for float64, so
+// double-precision streams no longer report half their true ratio.
+func (s Stats) Ratio() float64 {
+	if s.CompressedLen == 0 {
+		return 0
+	}
+	eb := s.ElemBytes
+	if eb == 0 {
+		eb = 4
+	}
+	return float64(eb*s.N) / float64(s.CompressedLen)
+}
+
+// DecompressBlocks inverts CompressBlocks.
+func DecompressBlocks[T grid.Float](blob []byte) ([]*grid.Grid3[T], error) {
+	var d Decoder[T]
+	return d.DecompressBlocks(blob)
+}
+
+// seal assembles the final payload from a code stream and literal pool
+// (one-shot entry point; the Encoder method is the implementation).
+func seal[T grid.Float](kind int, dims []grid.Dims, n int, eb float64, opts Options, codes []uint32, lits []byte, nlit int) ([]byte, Stats, error) {
+	var e Encoder[T]
+	return e.seal(kind, dims, n, eb, opts, codes, lits, nlit)
+}
+
+// unseal parses a payload and returns the header, code stream and literal
+// pool (one-shot entry point; the Decoder method is the implementation).
+func unseal(blob []byte, wantKind int) (header, []uint32, []byte, error) {
+	var d Decoder[float32] // T is irrelevant to section parsing
+	return d.unseal(blob, wantKind)
+}
+
+// CompressBlocksDelta is the one-shot form of Encoder.CompressBlocksDelta.
+func CompressBlocksDelta[T grid.Float](blocks, refs []*grid.Grid3[T], opts Options) ([]byte, Stats, error) {
+	var e Encoder[T]
+	return e.CompressBlocksDelta(blocks, refs, opts, nil)
+}
+
+// DecompressBlocksDelta is the one-shot form of
+// Decoder.DecompressBlocksDelta.
+func DecompressBlocksDelta[T grid.Float](blob []byte, refs []*grid.Grid3[T]) ([]*grid.Grid3[T], error) {
+	var d Decoder[T]
+	return d.DecompressBlocksDelta(blob, refs)
+}

@@ -18,11 +18,13 @@ import (
 // and the golden hashes cover that side.
 
 // simdDims is the shape gauntlet: the unit cell, bricks with every edge
-// different (cell counts that are and are not multiples of eight), and the
-// two block edges the archive codes.
+// different (cell counts that are and are not multiples of eight), a
+// one-cell-thick slice as CompressSlices codes, and the two block edges the
+// archive codes.
 var simdDims = []grid.Dims{
 	{X: 1, Y: 1, Z: 1},
 	{X: 3, Y: 5, Z: 7},
+	{X: 9, Y: 7, Z: 1},
 	{X: 8, Y: 8, Z: 8},
 	{X: 16, Y: 16, Z: 16},
 	{X: 17, Y: 4, Z: 9},

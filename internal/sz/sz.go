@@ -19,7 +19,6 @@
 package sz
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -92,21 +91,6 @@ type Stats struct {
 	ElemBytes     int     // uncompressed width of one element (4 or 8)
 }
 
-// Ratio returns the compression ratio against the stream's uncompressed
-// storage at its actual element width — 4 bytes for float32 streams (the
-// accounting the paper uses for Nyx data), 8 for float64, so
-// double-precision streams no longer report half their true ratio.
-func (s Stats) Ratio() float64 {
-	if s.CompressedLen == 0 {
-		return 0
-	}
-	eb := s.ElemBytes
-	if eb == 0 {
-		eb = 4
-	}
-	return float64(eb*s.N) / float64(s.CompressedLen)
-}
-
 const (
 	magic      = 0x535a4752 // "SZGR"
 	version    = 1
@@ -158,12 +142,6 @@ func CompressBlocks[T grid.Float](blocks []*grid.Grid3[T], opts Options) ([]byte
 	return e.CompressBlocks(blocks, opts)
 }
 
-// DecompressBlocks inverts CompressBlocks.
-func DecompressBlocks[T grid.Float](blob []byte) ([]*grid.Grid3[T], error) {
-	var d Decoder[T]
-	return d.DecompressBlocks(blob)
-}
-
 // effectiveEB resolves the options to an absolute error bound for values.
 func effectiveEB[T grid.Float](values []T, opts Options) float64 {
 	if opts.Mode != Rel {
@@ -192,162 +170,6 @@ func relToAbs(rel, lo, hi float64) float64 {
 	return rel * r
 }
 
-// encodeLorenzo3Ref is the retained scalar reference implementation of
-// the 3D Lorenzo encode: per-element branchy prediction through
-// lorenzoPred and append-grown codes through quantizer.encode. Production
-// paths run the boundary-peeled kernels in kernel.go; the equivalence
-// suite in kernel_test.go compares the two element-for-element.
-func encodeLorenzo3Ref[T grid.Float](src, recon *grid.Grid3[T], q *quantizer[T]) {
-	d := src.Dim
-	sy := d.Z
-	sx := d.Y * d.Z
-	for x := 0; x < d.X; x++ {
-		for y := 0; y < d.Y; y++ {
-			base := d.Index(x, y, 0)
-			for z := 0; z < d.Z; z++ {
-				i := base + z
-				pred := lorenzoPred(recon.Data, i, x, y, z, sx, sy)
-				recon.Data[i] = q.encode(src.Data[i], pred)
-			}
-		}
-	}
-}
-
-// decodeLorenzo3Ref is the retained scalar reference decode (see
-// encodeLorenzo3Ref).
-func decodeLorenzo3Ref[T grid.Float](out *grid.Grid3[T], dq *dequantizer[T]) error {
-	d := out.Dim
-	sy := d.Z
-	sx := d.Y * d.Z
-	for x := 0; x < d.X; x++ {
-		for y := 0; y < d.Y; y++ {
-			base := d.Index(x, y, 0)
-			for z := 0; z < d.Z; z++ {
-				i := base + z
-				pred := lorenzoPred(out.Data, i, x, y, z, sx, sy)
-				v, err := dq.decode(pred)
-				if err != nil {
-					return err
-				}
-				out.Data[i] = v
-			}
-		}
-	}
-	return nil
-}
-
-// lorenzoPred computes the order-1 3D Lorenzo prediction from the seven
-// already-visited cube-corner neighbors, treating out-of-grid neighbors as
-// zero (standard SZ boundary handling).
-func lorenzoPred[T grid.Float](data []T, i, x, y, z, sx, sy int) T {
-	var fx, fy, fz, fxy, fxz, fyz, fxyz T
-	if x > 0 {
-		fx = data[i-sx]
-	}
-	if y > 0 {
-		fy = data[i-sy]
-	}
-	if z > 0 {
-		fz = data[i-1]
-	}
-	if x > 0 && y > 0 {
-		fxy = data[i-sx-sy]
-	}
-	if x > 0 && z > 0 {
-		fxz = data[i-sx-1]
-	}
-	if y > 0 && z > 0 {
-		fyz = data[i-sy-1]
-	}
-	if x > 0 && y > 0 && z > 0 {
-		fxyz = data[i-sx-sy-1]
-	}
-	return fx + fy + fz - fxy - fxz - fyz + fxyz
-}
-
-// quantizer turns (value, prediction) pairs into quantization codes plus a
-// literal pool, reconstructing each value as it goes. It is the retained
-// reference implementation of the quantization step; production paths run
-// the inlined qstep in kernel.go, which mirrors encode exactly.
-type quantizer[T grid.Float] struct {
-	eb     float64
-	twoEB  float64
-	radius int64
-	codes  []uint32
-	lits   []byte
-	nlit   int
-}
-
-func newQuantizer[T grid.Float](eb float64, quantBits int) *quantizer[T] {
-	return &quantizer[T]{
-		eb:     eb,
-		twoEB:  2 * eb,
-		radius: int64(1) << (quantBits - 1),
-	}
-}
-
-// encode emits the code for v given prediction pred and returns the
-// reconstructed value the decompressor will produce.
-func (q *quantizer[T]) encode(v, pred T) T {
-	diff := float64(v) - float64(pred)
-	qv := math.Round(diff / q.twoEB)
-	// Range-check before the int conversion: conversions of out-of-range
-	// floats to int64 are implementation-dependent in Go.
-	if math.Abs(qv) < float64(q.radius) {
-		iq := int64(qv)
-		recon := T(float64(pred) + float64(q.twoEB*qv))
-		if math.Abs(float64(v)-float64(recon)) <= q.eb {
-			q.codes = append(q.codes, uint32(iq+q.radius))
-			return recon
-		}
-	}
-	// Unpredictable: code 0 marks a literal stored exactly.
-	q.codes = append(q.codes, 0)
-	q.lits = appendLiteral(q.lits, v)
-	q.nlit++
-	return v
-}
-
-// dequantizer replays a code stream plus literal pool (reference
-// implementation; production decode runs the pre-validated kernels).
-type dequantizer[T grid.Float] struct {
-	twoEB  float64
-	radius int64
-	codes  []uint32
-	lits   []byte
-	ci     int
-}
-
-func newDequantizer[T grid.Float](hdr header, codes []uint32, lits []byte) (*dequantizer[T], error) {
-	if len(codes) != hdr.n {
-		return nil, fmt.Errorf("sz: %d codes for %d values", len(codes), hdr.n)
-	}
-	return &dequantizer[T]{
-		twoEB:  2 * hdr.eb,
-		radius: int64(1) << (hdr.quantBits - 1),
-		codes:  codes,
-		lits:   lits,
-	}, nil
-}
-
-func (d *dequantizer[T]) decode(pred T) (T, error) {
-	if d.ci >= len(d.codes) {
-		return 0, errors.New("sz: code stream exhausted")
-	}
-	c := d.codes[d.ci]
-	d.ci++
-	if c == 0 {
-		v, rest, err := takeLiteral[T](d.lits)
-		if err != nil {
-			return 0, err
-		}
-		d.lits = rest
-		return v, nil
-	}
-	qv := int64(c) - d.radius
-	return T(float64(pred) + float64(d.twoEB*float64(qv))), nil
-}
-
 // appendLiteral stores the exact bit pattern of v.
 func appendLiteral[T grid.Float](dst []byte, v T) []byte {
 	switch x := any(v).(type) {
@@ -363,27 +185,6 @@ func appendLiteral[T grid.Float](dst []byte, v T) []byte {
 	}
 }
 
-func takeLiteral[T grid.Float](src []byte) (T, []byte, error) {
-	var zero T
-	switch any(zero).(type) {
-	case float32:
-		if len(src) < 4 {
-			return 0, nil, errors.New("sz: literal pool exhausted")
-		}
-		b := uint32(src[0]) | uint32(src[1])<<8 | uint32(src[2])<<16 | uint32(src[3])<<24
-		return T(math.Float32frombits(b)), src[4:], nil
-	case float64:
-		if len(src) < 8 {
-			return 0, nil, errors.New("sz: literal pool exhausted")
-		}
-		b := uint64(src[0]) | uint64(src[1])<<8 | uint64(src[2])<<16 | uint64(src[3])<<24 |
-			uint64(src[4])<<32 | uint64(src[5])<<40 | uint64(src[6])<<48 | uint64(src[7])<<56
-		return T(math.Float64frombits(b)), src[8:], nil
-	default:
-		panic("sz: unsupported float type")
-	}
-}
-
 // header is the decoded payload header.
 type header struct {
 	kind      int
@@ -392,13 +193,6 @@ type header struct {
 	quantBits int
 	lossless  bool
 	dims      []grid.Dims
-}
-
-// seal assembles the final payload from a code stream and literal pool
-// (one-shot entry point; the Encoder method is the implementation).
-func seal[T grid.Float](kind int, dims []grid.Dims, n int, eb float64, opts Options, codes []uint32, lits []byte, nlit int) ([]byte, Stats, error) {
-	var e Encoder[T]
-	return e.seal(kind, dims, n, eb, opts, codes, lits, nlit)
 }
 
 // parseHeader decodes the payload header and returns it plus the remaining
@@ -557,11 +351,4 @@ func PeekBatch(blob []byte) (BatchInfo, error) {
 	n, k, err := bitio.Uvarint(rest)
 	stored := h.lossless && err == nil && n > 0 && k < len(rest) && rest[k]&6 == 0
 	return BatchInfo{BlockDims: d, Blocks: count, EffectiveEB: h.eb, QuantBits: h.quantBits, Delta: h.kind == kindBatchDelta, CodeStored: stored}, nil
-}
-
-// unseal parses a payload and returns the header, code stream and literal
-// pool (one-shot entry point; the Decoder method is the implementation).
-func unseal(blob []byte, wantKind int) (header, []uint32, []byte, error) {
-	var d Decoder[float32] // T is irrelevant to section parsing
-	return d.unseal(blob, wantKind)
 }

@@ -1,149 +1,19 @@
 package sz
 
-import (
-	"fmt"
+import "repro/internal/grid"
 
-	"repro/internal/grid"
-)
-
-// 2D compression: the intermediate point between the 1D baseline and TAC's
-// 3D path. The paper's Sec. 2.3 argument — "leveraging more dimensional
-// information can significantly improve the compression performance" —
-// becomes measurable with all three dimensionalities on the same data; the
-// dimensionality ablation bench exercises exactly that.
-
-const kindGrid2D = 4
-
-// Compress2D compresses a dense 2D field (nx × ny, row-major, y fastest)
-// with the order-1 2D Lorenzo predictor f(x−1,y)+f(x,y−1)−f(x−1,y−1).
-func Compress2D[T grid.Float](values []T, nx, ny int, opts Options) ([]byte, Stats, error) {
-	opts = opts.withDefaults()
-	if err := opts.validate(); err != nil {
-		return nil, Stats{}, err
-	}
-	if nx <= 0 || ny <= 0 || nx*ny != len(values) {
-		return nil, Stats{}, fmt.Errorf("sz: 2D geometry %d×%d does not cover %d values", nx, ny, len(values))
-	}
-	eb := effectiveEB(values, opts)
-	codes := make([]uint32, len(values))
-	recon := make([]T, len(values))
-	lits, nlit := encodeBlock2(values, recon, nx, ny, codes, nil, eb, quantRadius(opts.QuantBits))
-	return seal[T](kindGrid2D, []grid.Dims{{X: nx, Y: ny, Z: 1}}, len(values), eb, opts, codes, lits, nlit)
-}
-
-// Decompress2D inverts Compress2D, returning the field and its dims.
-func Decompress2D[T grid.Float](blob []byte) ([]T, int, int, error) {
-	hdr, codes, lits, err := unseal(blob, kindGrid2D)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	if len(hdr.dims) != 1 {
-		return nil, 0, 0, fmt.Errorf("sz: 2D payload with %d dim records", len(hdr.dims))
-	}
-	nx, ny := hdr.dims[0].X, hdr.dims[0].Y
-	if n, ok := checkedCount(grid.Dims{X: nx, Y: ny, Z: 1}); !ok || n != hdr.n {
-		return nil, 0, 0, fmt.Errorf("sz: 2D geometry %d×%d does not cover %d values", nx, ny, hdr.n)
-	}
-	if err := checkLiterals[T](codes, lits); err != nil {
-		return nil, 0, 0, err
-	}
-	out := make([]T, hdr.n)
-	decodeBlock2(out, nx, ny, codes, lits, 2*hdr.eb, quantRadius(hdr.quantBits))
-	return out, nx, ny, nil
-}
-
-// encodeLorenzo2Ref is the retained scalar reference 2D encode (see
-// encodeLorenzo3Ref); production paths run encodeBlock2 in kernel.go.
-func encodeLorenzo2Ref[T grid.Float](src, recon []T, nx, ny int, q *quantizer[T]) {
-	for x := 0; x < nx; x++ {
-		for y := 0; y < ny; y++ {
-			i := x*ny + y
-			recon[i] = q.encode(src[i], lorenzoPred2(recon, i, x, y, ny))
-		}
-	}
-}
-
-// decodeLorenzo2Ref is the retained scalar reference 2D decode.
-func decodeLorenzo2Ref[T grid.Float](out []T, nx, ny int, dq *dequantizer[T]) error {
-	for x := 0; x < nx; x++ {
-		for y := 0; y < ny; y++ {
-			i := x*ny + y
-			v, err := dq.decode(lorenzoPred2(out, i, x, y, ny))
-			if err != nil {
-				return err
-			}
-			out[i] = v
-		}
-	}
-	return nil
-}
-
-func lorenzoPred2[T grid.Float](data []T, i, x, y, ny int) T {
-	var fx, fy, fxy T
-	if x > 0 {
-		fx = data[i-ny]
-	}
-	if y > 0 {
-		fy = data[i-1]
-	}
-	if x > 0 && y > 0 {
-		fxy = data[i-ny-1]
-	}
-	return fx + fy - fxy
-}
-
-// CompressSlices compresses a 3D grid as a sequence of independent 2D
-// slices along z — the natural way 2D compression is applied to 3D data
-// (each x-y plane compressed separately), used by the dimensionality
-// ablation.
+// CompressSlices compresses a 3D grid as independent 2D slices along z —
+// the natural way 2D compression is applied to 3D data (each x-y plane
+// compressed separately), used by the dimensionality ablation. A slice is
+// an X×Y×1 block, on which the 3D Lorenzo predictor reduces to the 2D one,
+// f(x−1,y) + f(x,y−1) − f(x−1,y−1): the payload is the CompressBlocks
+// batch of the grid's z-slices, and DecompressBlocks returns them in z
+// order.
 func CompressSlices[T grid.Float](g *grid.Grid3[T], opts Options) ([]byte, Stats, error) {
-	opts = opts.withDefaults()
-	if err := opts.validate(); err != nil {
-		return nil, Stats{}, err
-	}
-	eb := effectiveEB(g.Data, opts)
-	fixed := opts
-	fixed.Mode = Abs
-	fixed.ErrorBound = eb
 	d := g.Dim
-	per := d.X * d.Y
-	radius := quantRadius(opts.QuantBits)
-	codes := make([]uint32, d.Count())
-	slice := make([]T, per)
-	recon := make([]T, per)
-	var lits []byte
-	nlit := 0
-	for z := 0; z < d.Z; z++ {
-		for x := 0; x < d.X; x++ {
-			for y := 0; y < d.Y; y++ {
-				slice[x*d.Y+y] = g.At(x, y, z)
-			}
-		}
-		clear(recon)
-		var k int
-		lits, k = encodeBlock2(slice, recon, d.X, d.Y, codes[z*per:(z+1)*per], lits, eb, radius)
-		nlit += k
+	slices := grid.NewBlocks[T](grid.Dims{X: d.X, Y: d.Y, Z: 1}, d.Z)
+	for i, v := range g.Data {
+		slices[i%d.Z].Data[i/d.Z] = v
 	}
-	return seal[T](kindBatch, []grid.Dims{{X: d.X, Y: d.Y, Z: 1}, {X: d.Z}}, d.Count(), eb, opts, codes, lits, nlit)
-}
-
-// DecompressSlices inverts CompressSlices back into a 3D grid.
-func DecompressSlices[T grid.Float](blob []byte) (*grid.Grid3[T], error) {
-	blocks, err := DecompressBlocks[T](blob)
-	if err != nil {
-		return nil, err
-	}
-	if len(blocks) == 0 {
-		return nil, fmt.Errorf("sz: empty slice payload")
-	}
-	sd := blocks[0].Dim
-	out := grid.New[T](grid.Dims{X: sd.X, Y: sd.Y, Z: len(blocks)})
-	for z, b := range blocks {
-		for x := 0; x < sd.X; x++ {
-			for y := 0; y < sd.Y; y++ {
-				out.Set(x, y, z, b.At(x, y, 0))
-			}
-		}
-	}
-	return out, nil
+	return CompressBlocks(slices, opts)
 }

@@ -18,61 +18,60 @@ func smooth2D(nx, ny int) []float32 {
 	return out
 }
 
+// decompressSlices reads a CompressSlices payload back into the grid it
+// came from: block z of the batch is slice z.
+func decompressSlices(t *testing.T, blob []byte) *grid.Grid3[float32] {
+	t.Helper()
+	slices, err := DecompressBlocks[float32](blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sd := slices[0].Dim
+	if sd.Z != 1 {
+		t.Fatalf("slice dims %v, want one cell thick", sd)
+	}
+	out := grid.New[float32](grid.Dims{X: sd.X, Y: sd.Y, Z: len(slices)})
+	for i := range out.Data {
+		out.Data[i] = slices[i%len(slices)].Data[i/len(slices)]
+	}
+	return out
+}
+
+// TestRoundTrip2DWithinBound codes a 2D field, one slice thick, and
+// checks the bound and that the 2D predictor finds its smoothness.
 func TestRoundTrip2DWithinBound(t *testing.T) {
-	nx, ny := 40, 28
-	vals := smooth2D(nx, ny)
+	g := grid.New[float32](grid.Dims{X: 40, Y: 28, Z: 1})
+	copy(g.Data, smooth2D(40, 28))
 	eb := 0.01
-	blob, st, err := Compress2D(vals, nx, ny, Options{ErrorBound: eb})
+	blob, st, err := CompressSlices(g, Options{ErrorBound: eb})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, gx, gy, err := Decompress2D[float32](blob)
-	if err != nil {
-		t.Fatal(err)
+	got := decompressSlices(t, blob)
+	if got.Dim != g.Dim {
+		t.Fatalf("dims %v, want %v", got.Dim, g.Dim)
 	}
-	if gx != nx || gy != ny {
-		t.Fatalf("dims %dx%d, want %dx%d", gx, gy, nx, ny)
-	}
-	for i := range vals {
-		if d := math.Abs(float64(vals[i]) - float64(got[i])); d > eb*(1+1e-9) {
-			t.Fatalf("value %d error %v exceeds bound", i, d)
-		}
+	if mad := grid.MaxAbsDiff(g, got); mad > eb*(1+1e-9) {
+		t.Fatalf("max abs diff %v exceeds bound", mad)
 	}
 	if st.Ratio() < 3 {
 		t.Fatalf("smooth 2D field compressed only %.1fx", st.Ratio())
 	}
 }
 
-func TestCompress2DRejectsBadGeometry(t *testing.T) {
-	vals := make([]float32, 12)
-	if _, _, err := Compress2D(vals, 3, 5, Options{ErrorBound: 1}); err == nil {
-		t.Fatal("3×5 ≠ 12 should be rejected")
-	}
-	if _, _, err := Compress2D(vals, 0, 12, Options{ErrorBound: 1}); err == nil {
-		t.Fatal("zero dim should be rejected")
-	}
-}
-
 func TestCompress2DNoisy(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	nx, ny := 32, 32
-	vals := make([]float32, nx*ny)
-	for i := range vals {
-		vals[i] = float32(rng.NormFloat64() * 1e5)
+	g := grid.New[float32](grid.Dims{X: 32, Y: 32, Z: 1})
+	for i := range g.Data {
+		g.Data[i] = float32(rng.NormFloat64() * 1e5)
 	}
 	eb := 10.0
-	blob, _, err := Compress2D(vals, nx, ny, Options{ErrorBound: eb})
+	blob, _, err := CompressSlices(g, Options{ErrorBound: eb})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, _, err := Decompress2D[float32](blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range vals {
-		if d := math.Abs(float64(vals[i]) - float64(got[i])); d > eb*(1+1e-9) {
-			t.Fatalf("value %d error %v exceeds bound", i, d)
-		}
+	if mad := grid.MaxAbsDiff(g, decompressSlices(t, blob)); mad > eb*(1+1e-9) {
+		t.Fatalf("max abs diff %v exceeds bound", mad)
 	}
 }
 
@@ -86,10 +85,7 @@ func TestSlicesRoundTrip(t *testing.T) {
 	if st.N != g.Dim.Count() {
 		t.Fatalf("stats N %d, want %d", st.N, g.Dim.Count())
 	}
-	got, err := DecompressSlices[float32](blob)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := decompressSlices(t, blob)
 	if got.Dim != g.Dim {
 		t.Fatalf("dims %v, want %v", got.Dim, g.Dim)
 	}
@@ -105,11 +101,7 @@ func TestSlicesRelativeMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecompressSlices[float32](blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mad := grid.MaxAbsDiff(g, got); mad > st.EffectiveEB*(1+1e-6) {
+	if mad := grid.MaxAbsDiff(g, decompressSlices(t, blob)); mad > st.EffectiveEB*(1+1e-6) {
 		t.Fatalf("max abs diff %v exceeds effective bound %v", mad, st.EffectiveEB)
 	}
 }
@@ -133,19 +125,5 @@ func TestDimensionalityOrdering(t *testing.T) {
 	}
 	if !(len(b3) < len(b2) && len(b2) < len(b1)) {
 		t.Fatalf("expected 3D < 2D < 1D, got %d / %d / %d bytes", len(b3), len(b2), len(b1))
-	}
-}
-
-func TestKind2DMismatch(t *testing.T) {
-	vals := smooth2D(8, 8)
-	blob, _, err := Compress2D(vals, 8, 8, Options{ErrorBound: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Decompress3D[float32](blob); err == nil {
-		t.Fatal("2D payload must not decode as 3D")
-	}
-	if _, err := Decompress1D[float32](blob); err == nil {
-		t.Fatal("2D payload must not decode as 1D")
 	}
 }

@@ -3,6 +3,7 @@ package sz
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -192,6 +193,69 @@ func TestKindMismatch(t *testing.T) {
 	}
 	if _, err := Decompress3D[float32](blob); err == nil {
 		t.Fatal("decoding a 1D payload as 3D should error")
+	}
+}
+
+// TestPayloadKindsRefuseEachOther: every payload kind has a number of its
+// own, so each one-shot decoder, and PeekBatch, turns another kind's
+// payload away on the kind, before its geometry is looked at.
+func TestPayloadKindsRefuseEachOther(t *testing.T) {
+	g := smoothGrid(grid.Dims{X: 6, Y: 5, Z: 4})
+	blocks, refs := testBlocks(3, 4, 7), testBlocks(3, 4, 8)
+	opts := Options{ErrorBound: 0.1}
+	must := func(blob []byte, _ Stats, err error) []byte {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	kinds := []struct {
+		name    string
+		kind    int
+		payload []byte
+		decode  func([]byte) error
+	}{
+		{"1D", kindRaw1D, must(Compress1D(g.Data, opts)), func(b []byte) error {
+			_, err := Decompress1D[float32](b)
+			return err
+		}},
+		{"3D", kindGrid3D, must(Compress3D(g, opts)), func(b []byte) error {
+			_, err := Decompress3D[float32](b)
+			return err
+		}},
+		{"batch", kindBatch, must(CompressBlocks(blocks, opts)), func(b []byte) error {
+			_, err := DecompressBlocks[float32](b)
+			return err
+		}},
+		{"delta", kindBatchDelta, must(CompressBlocksDelta(blocks, refs, opts)), func(b []byte) error {
+			_, err := DecompressBlocksDelta(b, refs)
+			return err
+		}},
+	}
+	for _, dec := range kinds {
+		for _, p := range kinds {
+			err := dec.decode(p.payload)
+			switch {
+			case p.kind == dec.kind && err != nil:
+				t.Errorf("%s decoder on its own payload: %v", dec.name, err)
+			case p.kind != dec.kind && (err == nil || !strings.Contains(err.Error(), "payload kind")):
+				t.Errorf("%s decoder on a %s payload: %v, want a payload-kind refusal", dec.name, p.name, err)
+			}
+		}
+	}
+	for _, p := range kinds {
+		info, err := PeekBatch(p.payload)
+		switch p.kind {
+		case kindBatch, kindBatchDelta:
+			if err != nil || info.Delta != (p.kind == kindBatchDelta) {
+				t.Errorf("PeekBatch on a %s payload: %+v, %v", p.name, info, err)
+			}
+		default:
+			if err == nil || !strings.Contains(err.Error(), "payload kind") {
+				t.Errorf("PeekBatch on a %s payload: %v, want a payload-kind refusal", p.name, err)
+			}
+		}
 	}
 }
 

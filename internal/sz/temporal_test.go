@@ -9,6 +9,29 @@ import (
 	"repro/internal/grid"
 )
 
+// encodeTemporalRef is the retained scalar reference implementation of
+// the temporal encode: per-element prediction from ref through
+// quantizer.encode, writing the reconstruction into recon. The
+// equivalence suite compares it against encodeTemporalBlock.
+func encodeTemporalRef[T grid.Float](src, ref, recon []T, q *quantizer[T]) {
+	for i, v := range src {
+		recon[i] = q.encode(v, ref[i])
+	}
+}
+
+// decodeTemporalRef is the retained scalar reference decode (see
+// encodeTemporalRef).
+func decodeTemporalRef[T grid.Float](out, ref []T, dq *dequantizer[T]) error {
+	for i := range out {
+		v, err := dq.decode(ref[i])
+		if err != nil {
+			return err
+		}
+		out[i] = v
+	}
+	return nil
+}
+
 // driftBlocks derives a correlated "next snapshot" from base: each cell
 // moves by a smooth per-block drift of a few error bounds plus sub-bound
 // jitter, the regime delta coding is built for.
