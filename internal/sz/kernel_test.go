@@ -26,8 +26,6 @@ var kernelDims = []grid.Dims{
 	{X: 1, Y: 7, Z: 5},
 	{X: 7, Y: 1, Z: 5},
 	{X: 7, Y: 5, Z: 1},
-	{X: 16, Y: 2, Z: 1},
-	{X: 12, Y: 12, Z: 1},
 	{X: 2, Y: 2, Z: 2},
 	{X: 5, Y: 7, Z: 4},
 	{X: 16, Y: 3, Z: 2},
@@ -144,6 +142,19 @@ func TestKernel3Equivalence(t *testing.T) {
 		for _, litFrac := range []float64{0, 0.02, 0.5} {
 			checkKernel3[float32](t, d, int64(d.Count())*7+int64(litFrac*100), litFrac, 0.05)
 			checkKernel3[float64](t, d, int64(d.Count())*13+int64(litFrac*100), litFrac, 0.05)
+		}
+	}
+}
+
+// TestKernel2Equivalence holds the slice geometries CompressSlices codes
+// (X×Y×1 blocks through the 3D kernels) to the reference, at the same
+// element widths and literal densities as the 3D gauntlet.
+func TestKernel2Equivalence(t *testing.T) {
+	for _, g := range [][2]int{{1, 1}, {1, 9}, {9, 1}, {5, 7}, {16, 2}, {12, 12}} {
+		d := grid.Dims{X: g[0], Y: g[1], Z: 1}
+		for _, litFrac := range []float64{0, 0.03, 0.5} {
+			checkKernel3[float32](t, d, int64(g[0]*31+g[1]), litFrac, 0.05)
+			checkKernel3[float64](t, d, int64(g[0]*37+g[1]), litFrac, 0.05)
 		}
 	}
 }
