@@ -14,11 +14,11 @@ import (
 	"bytes"
 	"compress/flate"
 	"fmt"
-	"io"
 	"sync"
 
 	"repro/internal/amr"
 	"repro/internal/grid"
+	"repro/internal/inflate"
 	"repro/internal/preprocess"
 	"repro/internal/sz"
 
@@ -206,11 +206,6 @@ func EncodeMask(m *grid.Mask) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// maskInflaters holds idle DEFLATE readers: flate.NewReader costs more than
-// inflating a mask does, and opening an archive decodes one mask per level
-// of every member. Reset makes a pooled reader decode exactly as a new one.
-var maskInflaters = sync.Pool{New: func() any { return flate.NewReader(bytes.NewReader(nil)) }}
-
 // maxInflate is the most DEFLATE can expand: a stored byte yields at most
 // 1032 (a 258-byte match costs two bits at the least).
 const maxInflate = 1032
@@ -224,16 +219,8 @@ func DecodeMask(d grid.Dims, comp []byte) (*grid.Mask, error) {
 		return nil, fmt.Errorf("codec: %d mask bytes cannot inflate to the %d a %v mask packs into", len(comp), packed, d)
 	}
 	m := grid.NewMask(d)
-	fr := maskInflaters.Get().(io.Reader)
-	err := fr.(flate.Resetter).Reset(bytes.NewReader(comp), nil)
-	var packed []byte
-	if err == nil {
-		packed, err = io.ReadAll(io.LimitReader(fr, int64(m.PackedLen())+1))
-	}
-	// Detach the source before pooling so an idle reader does not pin the
-	// caller's footer.
-	fr.(flate.Resetter).Reset(bytes.NewReader(nil), nil)
-	maskInflaters.Put(fr)
+	var dec inflate.Decoder
+	packed, err := dec.Append(nil, comp, m.PackedLen())
 	if err != nil {
 		return nil, fmt.Errorf("codec: inflating mask: %w", err)
 	}

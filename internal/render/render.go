@@ -51,33 +51,22 @@ func ErrorSlice[T grid.Float](orig, recon *grid.Grid3[T], k int) ([]float64, int
 	return a, nx, ny, nil
 }
 
-// Scale selects how values map to gray levels.
-type Scale uint8
-
-// Supported gray scales.
-const (
-	// Linear maps [0,max] to [0,255].
-	Linear Scale = iota
-	// Log maps log(1+v/max·K) for contrast on heavy-tailed data.
-	Log
-)
-
-// GrayPNG renders a row-major nx×ny field to a grayscale PNG. Brighter is
-// larger, matching the paper's "brighter means higher compression error"
-// convention. maxVal ≤ 0 auto-scales to the field maximum.
-func GrayPNG(w io.Writer, field []float64, nx, ny int, scale Scale, maxVal float64) error {
+// GrayPNG renders a row-major nx×ny field to a grayscale PNG, mapping
+// log(1+v/max·K) for contrast on heavy-tailed data, where max is the field
+// maximum. Brighter is larger, matching the paper's "brighter means higher
+// compression error" convention.
+func GrayPNG(w io.Writer, field []float64, nx, ny int) error {
 	if nx*ny != len(field) {
 		return fmt.Errorf("render: %d×%d does not cover %d values", nx, ny, len(field))
 	}
+	maxVal := 0.0
+	for _, v := range field {
+		if v > maxVal {
+			maxVal = v
+		}
+	}
 	if maxVal <= 0 {
-		for _, v := range field {
-			if v > maxVal {
-				maxVal = v
-			}
-		}
-		if maxVal <= 0 {
-			maxVal = 1
-		}
+		maxVal = 1
 	}
 	img := image.NewGray(image.Rect(0, 0, ny, nx))
 	const logK = 1000
@@ -87,13 +76,7 @@ func GrayPNG(w io.Writer, field []float64, nx, ny int, scale Scale, maxVal float
 			if v < 0 {
 				v = 0
 			}
-			var t float64
-			switch scale {
-			case Log:
-				t = math.Log1p(v/maxVal*logK) / math.Log1p(logK)
-			default:
-				t = v / maxVal
-			}
+			t := math.Log1p(v/maxVal*logK) / math.Log1p(logK)
 			if t > 1 {
 				t = 1
 			}
@@ -116,7 +99,7 @@ func WriteErrorMap[T grid.Float](path string, orig, recon *grid.Grid3[T], k int)
 		return err
 	}
 	defer f.Close()
-	if err := GrayPNG(f, e, nx, ny, Log, 0); err != nil {
+	if err := GrayPNG(f, e, nx, ny); err != nil {
 		return fmt.Errorf("render: %s: %w", path, err)
 	}
 	return f.Close()
@@ -134,7 +117,7 @@ func WriteFieldMap[T grid.Float](path string, g *grid.Grid3[T], k int) error {
 		return err
 	}
 	defer f.Close()
-	if err := GrayPNG(f, s, nx, ny, Log, 0); err != nil {
+	if err := GrayPNG(f, s, nx, ny); err != nil {
 		return fmt.Errorf("render: %s: %w", path, err)
 	}
 	return f.Close()

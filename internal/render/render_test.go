@@ -2,7 +2,9 @@ package render
 
 import (
 	"bytes"
+	"image"
 	"image/png"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -61,7 +63,7 @@ func TestErrorSlice(t *testing.T) {
 func TestGrayPNGValidImage(t *testing.T) {
 	field := []float64{0, 1, 2, 3, 4, 5}
 	var buf bytes.Buffer
-	if err := GrayPNG(&buf, field, 2, 3, Linear, 0); err != nil {
+	if err := GrayPNG(&buf, field, 2, 3); err != nil {
 		t.Fatal(err)
 	}
 	img, err := png.Decode(&buf)
@@ -74,29 +76,34 @@ func TestGrayPNGValidImage(t *testing.T) {
 	}
 }
 
-func TestGrayPNGScales(t *testing.T) {
-	// Log scale must brighten small values relative to linear.
+func TestGrayPNGLogMapping(t *testing.T) {
+	// log(1+v/max·1000)/log(1001): the maximum is white, zero and negative
+	// values black, and a value a thousandth of the maximum already a tenth
+	// of the way up (linear would leave it black).
 	field := make([]float64, 16)
 	field[0] = 1000
 	field[1] = 1
-	var lin, lg bytes.Buffer
-	if err := GrayPNG(&lin, field, 4, 4, Linear, 0); err != nil {
+	field[2] = -5
+	var buf bytes.Buffer
+	if err := GrayPNG(&buf, field, 4, 4); err != nil {
 		t.Fatal(err)
 	}
-	if err := GrayPNG(&lg, field, 4, 4, Log, 0); err != nil {
+	img, err := png.Decode(&buf)
+	if err != nil {
 		t.Fatal(err)
 	}
-	linImg, _ := png.Decode(&lin)
-	logImg, _ := png.Decode(&lg)
-	lr, _, _, _ := linImg.At(1, 0).RGBA()
-	gr, _, _, _ := logImg.At(1, 0).RGBA()
-	if gr <= lr {
-		t.Fatalf("log scale (%d) should brighten small values vs linear (%d)", gr, lr)
+	for _, c := range []struct {
+		x    int
+		want uint8
+	}{{0, 255}, {1, uint8(math.Log1p(1) / math.Log1p(1000) * 255)}, {2, 0}, {3, 0}} {
+		if got := img.(*image.Gray).GrayAt(c.x, 0).Y; got != c.want {
+			t.Errorf("value %v maps to gray %d, want %d", field[c.x], got, c.want)
+		}
 	}
 }
 
 func TestGrayPNGRejectsBadGeometry(t *testing.T) {
-	if err := GrayPNG(&bytes.Buffer{}, make([]float64, 5), 2, 3, Linear, 0); err == nil {
+	if err := GrayPNG(&bytes.Buffer{}, make([]float64, 5), 2, 3); err == nil {
 		t.Fatal("bad geometry should error")
 	}
 }

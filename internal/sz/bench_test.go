@@ -1,11 +1,15 @@
 package sz
 
 import (
+	"bytes"
+	"compress/flate"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
 	"repro/internal/grid"
+	"repro/internal/inflate"
 	"repro/internal/sim"
 )
 
@@ -221,6 +225,63 @@ func benchSeal(b *testing.B, blocks []*grid.Grid3[float32], eb float64, wantStor
 func BenchmarkSealIncompressible(b *testing.B) { benchSeal(b, corpusBatch(b), corpusEB, true) }
 
 func BenchmarkSealFoldable(b *testing.B) { benchSeal(b, eitherCases()["tiled512"][1], 0.05, false) }
+
+// BenchmarkInflate times the reader's DEFLATE stage where it has work: the
+// code sections of delta frames, here of four steps of a campaign drifting
+// from corpusBatch as the bench corpus' does, which DEFLATE shrinks and
+// so leaves coded. MB/s counts inflated bytes; "flate" is compress/flate's
+// reader on the same sections, for the record.
+func BenchmarkInflate(b *testing.B) {
+	opts := Options{ErrorBound: corpusEB}
+	var secs [][]byte
+	total := 0
+	for cur, step := corpusBatch(b), int64(0); step < 4; step++ {
+		refs := reconOf(b, cur, opts)
+		cur = driftBlocks(cur, corpusEB, step)
+		blob, _, err := CompressBlocksDelta(cur, refs, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, code, _ := sections(b, blob)
+		if _, stored := storedAppend(nil, code); stored {
+			b.Fatalf("step %d: the code section is stored: not the case this benchmark is for", step)
+		}
+		raw, err := flateInflate(code)
+		if err != nil {
+			b.Fatal(err)
+		}
+		secs, total = append(secs, code), total+len(raw)
+	}
+	b.Run("inflate", func(b *testing.B) {
+		var d inflate.Decoder
+		var out []byte
+		b.SetBytes(int64(total))
+		b.ReportAllocs()
+		for b.Loop() {
+			for _, sec := range secs {
+				var err error
+				if out, err = d.Append(out[:0], sec, math.MaxInt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	b.Run("flate", func(b *testing.B) {
+		fr := flate.NewReader(nil)
+		var out bytes.Buffer
+		b.SetBytes(int64(total))
+		b.ReportAllocs()
+		for b.Loop() {
+			for _, sec := range secs {
+				out.Reset()
+				fr.(flate.Resetter).Reset(bytes.NewReader(sec), nil)
+				if _, err := out.ReadFrom(fr); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+}
 
 func BenchmarkUnsealStored(b *testing.B) {
 	blocks := corpusBatch(b)

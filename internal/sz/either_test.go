@@ -192,7 +192,7 @@ func TestCompressBlocksEitherErrors(t *testing.T) {
 
 // reconOf is what a decoder holds of blocks: the reference a temporal
 // encode has to run against.
-func reconOf(t *testing.T, blocks []*grid.Grid3[float32], opts Options) []*grid.Grid3[float32] {
+func reconOf(t testing.TB, blocks []*grid.Grid3[float32], opts Options) []*grid.Grid3[float32] {
 	t.Helper()
 	rec := grid.NewBlocks[float32](blocks[0].Dim, len(blocks))
 	var e Encoder[float32]

@@ -1,7 +1,6 @@
 package sz
 
 import (
-	"bytes"
 	"compress/flate"
 	"encoding/binary"
 	"errors"
@@ -14,16 +13,17 @@ import (
 	"repro/internal/bitio"
 	"repro/internal/grid"
 	"repro/internal/huffman"
+	"repro/internal/inflate"
 )
 
 // The pooled engine. Every one-shot Compress*/Decompress* call allocates
 // fresh code streams, reconstruction grids, Huffman tables and DEFLATE
-// coders; on repeated-snapshot campaigns (the archive writer, the paper exhibits,
+// tables; on repeated-snapshot campaigns (the archive writer, the paper exhibits,
 // services compressing a stream of members) that allocation dominates the
 // small-block hot path. Encoder and Decoder keep all of that scratch alive
-// across calls, and the process-wide DEFLATE coder pools are shared even by
-// the one-shot entry points. Payloads are byte-identical to the one-shot
-// functions in both directions.
+// across calls — a Decoder its own inflate tables — and the process-wide
+// pool of DEFLATE writers is shared even by the one-shot entry points.
+// Payloads are byte-identical to the one-shot functions in both directions.
 
 // flateWriters pools DEFLATE writers (each ~600 KiB of window state, the
 // single most expensive allocation of a Compress call).
@@ -34,13 +34,6 @@ var flateWriters = sync.Pool{
 			panic(err) // only fails for invalid levels
 		}
 		return fw
-	},
-}
-
-// flateReaders pools DEFLATE readers via flate.Resetter.
-var flateReaders = sync.Pool{
-	New: func() any {
-		return flate.NewReader(bytes.NewReader(nil))
 	},
 }
 
@@ -213,71 +206,6 @@ func storeAppend(dst, data []byte, limit int) ([]byte, error) {
 		dst = append(dst, data[:n]...)
 		if data = data[n:]; final == 1 {
 			return dst, nil
-		}
-	}
-}
-
-// storedAppend appends to dst the contents of a DEFLATE stream made of
-// stored blocks alone, sized once from their LEN fields, and reports whether
-// data was one. It follows the stream exactly as far as flate would —
-// padding bits ignored, LEN checked against NLEN, nothing read past the
-// final block — and for anything else (a coded block anywhere, a header or
-// block cut short, a LEN that does not match) appends nothing and leaves
-// the decoding, or the refusal, to flate.
-func storedAppend(dst, data []byte) ([]byte, bool) {
-	total := 0
-	for p, final := 0, false; !final; {
-		if len(data)-p < 5 || data[p]&6 != 0 {
-			return dst, false
-		}
-		n := int(binary.LittleEndian.Uint16(data[p+1:]))
-		if n^0xffff != int(binary.LittleEndian.Uint16(data[p+3:])) || len(data)-p-5 < n {
-			return dst, false
-		}
-		final = data[p]&1 != 0
-		total += n
-		p += 5 + n
-	}
-	dst = slices.Grow(dst, total)
-	for p := 0; ; {
-		n := int(binary.LittleEndian.Uint16(data[p+1:]))
-		dst = append(dst, data[p+5:p+5+n]...)
-		if data[p]&1 != 0 {
-			return dst, true
-		}
-		p += 5 + n
-	}
-}
-
-// inflateAppend inflates data and appends the result to dst. A section of
-// stored blocks — every section deflateAppend found nothing in, and flate
-// before it — is copied out of the payload directly; only one with a coded
-// block borrows a flate reader.
-func inflateAppend(dst, data []byte) ([]byte, error) {
-	if out, ok := storedAppend(dst, data); ok {
-		return out, nil
-	}
-	fr := flateReaders.Get().(io.ReadCloser)
-	defer func() {
-		// Detach the source before pooling so an idle reader does not pin
-		// the caller's payload.
-		fr.(flate.Resetter).Reset(bytes.NewReader(nil), nil)
-		flateReaders.Put(fr)
-	}()
-	if err := fr.(flate.Resetter).Reset(bytes.NewReader(data), nil); err != nil {
-		return nil, fmt.Errorf("sz: inflating section: %w", err)
-	}
-	for {
-		if len(dst) == cap(dst) {
-			dst = append(dst, 0)[:len(dst)]
-		}
-		n, err := fr.Read(dst[len(dst):cap(dst)])
-		dst = dst[:len(dst)+n]
-		if err == io.EOF {
-			return dst, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("sz: inflating section: %w", err)
 		}
 	}
 }
@@ -719,17 +647,18 @@ func (p *DecoderPool[T]) Get() *Decoder[T] {
 // Put returns a Decoder to the pool.
 func (p *DecoderPool[T]) Put(d *Decoder[T]) { p.p.Put(d) }
 
-// Decoder is the reusable decompression engine: it keeps the inflated
-// section buffers, decoded symbol stream, the Huffman decode tables and
-// literal-offset scratch alive across calls. The zero value is ready to
-// use; a Decoder is not safe for concurrent use.
+// Decoder is the reusable decompression engine: it keeps the inflate
+// tables, inflated section buffers, decoded symbol stream, the Huffman
+// decode tables and literal-offset scratch alive across calls. The zero
+// value is ready to use; a Decoder is not safe for concurrent use.
 type Decoder[T grid.Float] struct {
-	codes   []uint32
-	huff    huffman.Decoder
-	huffBuf []byte
-	litBuf  []byte
-	litOff  []int
-	want    []int // the blocks a reconstruct was asked for
+	inflater inflate.Decoder
+	codes    []uint32
+	huff     huffman.Decoder
+	huffBuf  []byte
+	litBuf   []byte
+	litOff   []int
+	want     []int // the blocks a reconstruct was asked for
 
 	// noLits is unseal's word to the litOffsets that follows it, which
 	// takes it back: the codebook of the stream just decoded has no code
@@ -767,12 +696,18 @@ func (d *Decoder[T]) unseal(blob []byte, wantKind int) (header, []uint32, []byte
 		return h, nil, nil, fmt.Errorf("sz: reading literal section: %w", err)
 	}
 	if h.lossless {
-		if huff, err = inflateAppend(d.huffBuf[:0], huff); err != nil {
-			return h, nil, nil, err
+		// A section may inflate to no more than the header's value count
+		// can use — the code section to the Huffman blob of n codes (for
+		// each a codebook entry of at most six bytes and a code of at most
+		// 57 bits, and a few bytes of counts), the literal section to a
+		// float64 for every value — so that a hostile one cannot make the
+		// decoder allocate a thousand times its size.
+		if huff, err = d.inflater.Append(d.huffBuf[:0], huff, 14*h.n+32); err != nil {
+			return h, nil, nil, fmt.Errorf("sz: inflating code section: %w", err)
 		}
 		d.huffBuf = huff[:0]
-		if lits, err = inflateAppend(d.litBuf[:0], lits); err != nil {
-			return h, nil, nil, err
+		if lits, err = d.inflater.Append(d.litBuf[:0], lits, 8*h.n); err != nil {
+			return h, nil, nil, fmt.Errorf("sz: inflating literal section: %w", err)
 		}
 		d.litBuf = lits[:0]
 	}

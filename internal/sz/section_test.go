@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"compress/flate"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"io"
 	"math"
 	"math/rand"
 	"os"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -17,14 +19,15 @@ import (
 	"repro/internal/bitio"
 	"repro/internal/grid"
 	"repro/internal/huffman"
+	"repro/internal/inflate"
 )
 
 // A section of a lossless payload is a DEFLATE stream; which blocks it is
 // made of is the writer's business. The tests here hold the writer's choice
 // (deflateAppend: stored blocks of its own where flate has nothing to find)
-// and the reader's short cut (storedAppend) to the two things that make
-// them invisible: every build before them reads what this one writes, and
-// this one reads what every build before it wrote.
+// and the reader (internal/inflate) to the two things that make them
+// invisible: every build before them reads what this one writes, and this
+// one reads what every build before it wrote.
 
 // fixture reads a hex file under testdata/. The parent_* files were written
 // by the commit before deflateAppend learned to store (flate on every
@@ -80,6 +83,44 @@ func flateInflate(data []byte) ([]byte, error) {
 	return io.ReadAll(flate.NewReader(bytes.NewReader(data)))
 }
 
+// storedAppend appends to dst the contents of a DEFLATE stream made of
+// stored blocks alone, and reports whether data was one: the tests' word
+// for a section deflateAppend stored. It follows the stream exactly as far
+// as flate would — padding bits ignored, LEN checked against NLEN, nothing
+// read past the final block — and for anything else (a coded block
+// anywhere, a header or block cut short, a LEN that does not match) appends
+// nothing.
+func storedAppend(dst, data []byte) ([]byte, bool) {
+	total := 0
+	for p, final := 0, false; !final; {
+		if len(data)-p < 5 || data[p]&6 != 0 {
+			return dst, false
+		}
+		n := int(binary.LittleEndian.Uint16(data[p+1:]))
+		if n^0xffff != int(binary.LittleEndian.Uint16(data[p+3:])) || len(data)-p-5 < n {
+			return dst, false
+		}
+		final = data[p]&1 != 0
+		total += n
+		p += 5 + n
+	}
+	dst = slices.Grow(dst, total)
+	for p := 0; ; {
+		n := int(binary.LittleEndian.Uint16(data[p+1:]))
+		dst = append(dst, data[p+5:p+5+n]...)
+		if data[p]&1 != 0 {
+			return dst, true
+		}
+		p += 5 + n
+	}
+}
+
+// inflateSection is the read path of this build, with no limit.
+func inflateSection(dst, data []byte) ([]byte, error) {
+	var d inflate.Decoder
+	return d.Append(dst, data, math.MaxInt)
+}
+
 // flateDeflate is the write path of every earlier build: flate at
 // BestSpeed over the whole section, whatever it holds.
 func flateDeflate(tb testing.TB, data []byte) []byte {
@@ -101,8 +142,8 @@ func flateDeflate(tb testing.TB, data []byte) []byte {
 // TestParentPayloadsDecode is old data under the new reader: payloads the
 // parent commit wrote decode to the values the parent decoded from them.
 // The intra payload's sections are flate's stored form (two blocks each),
-// the delta payload's code section is a dynamic-Huffman block, so both
-// halves of inflateAppend run.
+// the delta payload's code section is a dynamic-Huffman block, so the
+// reader meets both kinds of block.
 func TestParentPayloadsDecode(t *testing.T) {
 	intra, delta := fixture(t, "parent_intra.hex"), fixture(t, "parent_delta.hex")
 	for name, c := range map[string]struct {
@@ -275,18 +316,19 @@ func TestStoredOnlyWhereFlateStores(t *testing.T) {
 	check("text", bytes.Repeat([]byte("the quick brown fox jumps over the lazy dog. "), 40))
 }
 
-// TestStoredAppendDelegates: the direct reader follows stored blocks only.
-// A stream it cannot vouch for to the final block — a coded block after a
+// TestStoredAppendDelegates: storedAppend follows stored blocks only. A
+// stream it cannot vouch for to the final block — a coded block after a
 // stored one, a block cut short, a LEN its complement does not match, the
-// reserved block type — it leaves whole to flate, appending nothing.
+// reserved block type — it leaves alone, appending nothing; the decoder
+// reads the first and refuses the rest, as flate does.
 func TestStoredAppendDelegates(t *testing.T) {
 	abc := []byte{0, 3, 0, 0xfc, 0xff, 'a', 'b', 'c'} // stored, not final
 	mixed := append(bytes.Clone(abc), 0x03, 0x00)     // then an empty fixed-Huffman block, final
 	if out, ok := storedAppend([]byte("x"), mixed); ok || string(out) != "x" {
 		t.Errorf("stored + coded block: read directly (%v), dst now %q", ok, out)
 	}
-	if out, err := inflateAppend([]byte("x"), mixed); err != nil || string(out) != "xabc" {
-		t.Errorf("stored + coded block: inflateAppend = %q, %v", out, err)
+	if out, err := inflateSection([]byte("x"), mixed); err != nil || string(out) != "xabc" {
+		t.Errorf("stored + coded block: the decoder reads %q, %v", out, err)
 	}
 	final := append([]byte{1}, abc[1:]...)
 	if out, ok := storedAppend([]byte("x"), append(bytes.Clone(final), "trailing"...)); !ok || string(out) != "xabc" {
@@ -307,11 +349,55 @@ func TestStoredAppendDelegates(t *testing.T) {
 		if out, ok := storedAppend([]byte("x"), bad); ok || string(out) != "x" {
 			t.Errorf("%s: read directly (%v), dst now %q", name, ok, out)
 		}
-		if _, err := inflateAppend(nil, bad); err == nil {
-			t.Errorf("%s: inflateAppend accepted it", name)
+		if _, err := inflateSection(nil, bad); err == nil {
+			t.Errorf("%s: the decoder accepted it", name)
 		}
 		if _, err := flateInflate(bad); err == nil {
 			t.Errorf("%s: flate accepts it: not the malformed stream this case is for", name)
+		}
+	}
+}
+
+// TestSectionBombRefused: a section inflates to no more than its header's
+// value count can use. A payload of 64 values whose code or literal section
+// is a few KiB of DEFLATE holding 4 MiB of zeros is refused with an sz:
+// error, and decoding it allocates a sliver of the 4 MiB.
+func TestSectionBombRefused(t *testing.T) {
+	blob, _, err := CompressBlocks(testBlocks(1, 4, 1), Options{ErrorBound: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, rest, err := parseHeader(blob)
+	if err != nil || h.n != 64 {
+		t.Fatalf("header: n = %d, %v; want 64", h.n, err)
+	}
+	_, code, lits := sections(t, blob)
+	var buf bytes.Buffer
+	fw, err := flate.NewWriter(&buf, flate.BestCompression)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw.Write(make([]byte, 4<<20))
+	fw.Close()
+	bomb := buf.Bytes()
+	if len(bomb) > 8<<10 {
+		t.Fatalf("the bomb is %d bytes", len(bomb))
+	}
+	prefix := blob[:len(blob)-len(rest)]
+	d := NewDecoder[float32]()
+	for name, payload := range map[string][]byte{
+		"code":    bitio.AppendBytes(bitio.AppendBytes(bytes.Clone(prefix), bomb), lits),
+		"literal": bitio.AppendBytes(bitio.AppendBytes(bytes.Clone(prefix), code), bomb),
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := d.DecompressBlocks(payload)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, inflate.ErrLimit) || !strings.HasPrefix(err.Error(), "sz: inflating "+name+" section") {
+			t.Errorf("%s section bomb: err %v, want an sz: error wrapping inflate.ErrLimit", name, err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 64<<10 {
+			t.Errorf("%s section bomb: decoding it allocated %d bytes", name, n)
 		}
 	}
 }
@@ -375,10 +461,13 @@ func FuzzSectionCoding(f *testing.F) {
 	})
 }
 
-// FuzzInflateStored: on any bytes inflateAppend and compress/flate agree —
+// FuzzInflateStored: on any bytes the decoder and compress/flate agree —
 // the same output or both refuse, bytes after the final block ignored by
 // both — and what storedAppend reads by itself is what flate reads; what it
-// does not, it does not touch.
+// does not, it does not touch. Its seeds are the fixtures' sections as they
+// lie, cut short, trailed, stored by storeAppend, and coded by flate at
+// every level, so that plain go test holds the decoder to flate on sections
+// of every kind.
 func FuzzInflateStored(f *testing.F) {
 	sealed, raw := sectionSeeds(f)
 	for i, s := range sealed {
@@ -396,14 +485,26 @@ func FuzzInflateStored(f *testing.F) {
 	f.Add([]byte{7, 3, 0, 0xfc, 0xff, 'a', 'b', 'c'})                 // reserved BTYPE
 	f.Add([]byte{0, 3, 0, 0xfc, 0xff, 'a', 'b', 'c', 0x03, 0x00})     // stored, then coded
 	f.Add([]byte{0, 1, 0, 0xfe, 0xff, 'a', 1, 1, 0, 0xfe, 0xff, 'b'}) // two stored blocks
+	for _, r := range raw {
+		for _, level := range []int{flate.HuffmanOnly, flate.NoCompression, flate.BestSpeed, flate.DefaultCompression, flate.BestCompression} {
+			var buf bytes.Buffer
+			fw, err := flate.NewWriter(&buf, level)
+			if err != nil {
+				f.Fatal(err)
+			}
+			fw.Write(r)
+			fw.Close()
+			f.Add(buf.Bytes())
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		want, werr := flateInflate(data)
-		got, gerr := inflateAppend([]byte("kept"), data)
+		got, gerr := inflateSection([]byte("kept"), data)
 		if (werr == nil) != (gerr == nil) {
-			t.Fatalf("flate: %v; inflateAppend: %v", werr, gerr)
+			t.Fatalf("flate: %v; the decoder: %v", werr, gerr)
 		}
 		if werr == nil && string(got) != "kept"+string(want) {
-			t.Fatalf("inflateAppend read %d bytes, flate %d", len(got)-4, len(want))
+			t.Fatalf("the decoder read %d bytes, flate %d", len(got)-4, len(want))
 		}
 		direct, ok := storedAppend([]byte("kept"), data)
 		if ok && (werr != nil || string(direct) != "kept"+string(want)) {
