@@ -3,6 +3,7 @@ package huffman
 import (
 	"math/rand"
 	"testing"
+	"time"
 )
 
 // quantStream synthesizes a symbol stream shaped like the Run1_Z10
@@ -50,6 +51,34 @@ func wideQuantStream(n int) []uint32 {
 		default:
 			d := 0
 			for rng.Intn(2) == 0 && d < 40 {
+				d++
+			}
+			syms[i] = uint32(center + d*(1-2*rng.Intn(2)))
+		}
+	}
+	return syms
+}
+
+// frameStream synthesizes one archive frame's code stream as the decoder
+// meets it in the benchmark's cold_extract workload, whose frames average
+// 30.6 k symbols, 105 codebook entries (46 of them within TableBits),
+// 2.585 bit/symbol and 0.35 % of symbols coded past TableBits: a geometric
+// core around the centre bin, a flat band of larger residuals and the
+// literal marker. At 30 k symbols it gives 106 entries, 46 within
+// TableBits, 2.60 bit/symbol and 0.7 % past TableBits.
+func frameStream(n int) []uint32 {
+	rng := rand.New(rand.NewSource(27))
+	syms := make([]uint32, n)
+	const center = 1 << 15
+	for i := range syms {
+		switch r := rng.Float64(); {
+		case r < 0.003:
+			syms[i] = 0 // literal marker
+		case r < 0.019:
+			syms[i] = uint32(center - 52 + rng.Intn(105))
+		default:
+			d := 0
+			for rng.Float64() < 0.47 && d < 40 {
 				d++
 			}
 			syms[i] = uint32(center + d*(1-2*rng.Intn(2)))
@@ -109,6 +138,40 @@ func BenchmarkHuffmanDecodeWide(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(8*len(blob))/float64(len(syms)), "bit/sym")
+}
+
+// BenchmarkHuffmanDecodeFrame decodes one frame-sized stream, so the
+// per-frame table build weighs in ns/op as it does in the reader, and
+// reports the build alone (canonical order plus table fill) as build-ns.
+func BenchmarkHuffmanDecodeFrame(b *testing.B) {
+	syms := frameStream(30000)
+	var e Encoder
+	blob := e.AppendEncode(nil, syms)
+	if maxLen := e.maxCodeLen(); maxLen <= TableBits {
+		b.Fatalf("max code length %d does not exceed TableBits=%d", maxLen, TableBits)
+	}
+	var d Decoder
+	out, err := d.AppendDecode(nil, blob)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(4 * len(syms)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err = d.AppendDecode(out[:0], blob)
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	const builds = 1000
+	start := time.Now()
+	for i := 0; i < builds; i++ {
+		d.build(d.canonical())
+	}
+	b.ReportMetric(float64(time.Since(start).Nanoseconds())/builds, "build-ns")
 	b.ReportMetric(float64(8*len(blob))/float64(len(syms)), "bit/sym")
 }
 

@@ -7,10 +7,11 @@ import (
 )
 
 // diffStreams are the symbol-stream shapes the fast decode loop has to get
-// right: every count around its 8-symbol entry condition, alphabets of one
-// and two symbols (1-bit codes, the densest pairing), symbols too wide for
-// the packed sym2 field, and codes longer than TableBits arriving back to
-// back so the loop must resume after each.
+// right: every count around its 16-symbol entry condition, alphabets of one
+// and two symbols (1-bit codes, the densest pairing), a 1–3-bit codebook
+// whose probes mostly take four codes, symbols past 2^16 (once too wide
+// for a packed field, and inside four-code probes), and codes longer than
+// TableBits arriving back to back so the loop must resume after each.
 func diffStreams() map[string][]uint32 {
 	rng := rand.New(rand.NewSource(41))
 	streams := map[string][]uint32{}
@@ -63,6 +64,39 @@ func diffStreams() map[string][]uint32 {
 		long = append(long, 5, 5, 5)
 	}
 	streams["long-codes-back-to-back"] = long
+	// Counts around the 16-symbol entry condition, drawn last so that the
+	// shapes above keep their symbols. Sixteen equiprobable symbols code
+	// in 4 bits, so sixteen of them also fill the whole word the loop
+	// needs; the 1–3-bit codebook (lengths 1, 2, 3, 3) fills one only at
+	// the longer counts.
+	for _, n := range []int{15, 16, 17, 31, 32, 33, 200} {
+		flat := make([]uint32, n)
+		short := make([]uint32, n)
+		shortWide := make([]uint32, n)
+		for i := range flat {
+			flat[i] = uint32(i%16) * 5
+			k := 0 // 0, 1, 2, 3 with probabilities 1/2, 1/4, 1/8, 1/8
+			for k < 3 && rng.Intn(2) == 0 {
+				k++
+			}
+			short[i] = uint32(9 + k)
+			shortWide[i] = 1<<16 + uint32(k)<<20 + uint32(k)
+		}
+		streams[fmt.Sprintf("flat16/n%d", n)] = flat
+		streams[fmt.Sprintf("short-codes/n%d", n)] = short
+		streams[fmt.Sprintf("short-codes-wide/n%d", n)] = shortWide
+	}
+	for _, n := range []int{1001, 4097} {
+		short := make([]uint32, n)
+		for i := range short {
+			k := 0
+			for k < 3 && rng.Intn(2) == 0 {
+				k++
+			}
+			short[i] = uint32(k) << (8 * uint(k)) // 0, 1<<8, 2<<16, 3<<24
+		}
+		streams[fmt.Sprintf("short-codes-mixed-width/n%d", n)] = short
+	}
 	return streams
 }
 
@@ -83,7 +117,7 @@ func randomCodebookBlob(rng *rand.Rand) []byte {
 		kraft += full >> l
 		ds := uint64(1 + rng.Intn(4))
 		if rng.Intn(4) == 0 {
-			ds += 1 << 16 // symbols past the packed sym2 field
+			ds += 1 << 16 // symbols past 2^16
 		}
 		if len(pairs) == 0 {
 			ds--
@@ -117,8 +151,8 @@ func agree(t *testing.T, dec *Decoder, oracle *oracleDecoder, name string, blob 
 
 // TestDecodeMatchesOracle holds the packed-table decoder to the
 // per-symbol loop it replaced — symbols and error strings — on every
-// stream shape, on each short blob cut at every byte, and on random
-// codebooks over random bits.
+// stream shape, on each short blob cut at every byte and each long one at
+// the bytes below, and on random codebooks over random bits.
 func TestDecodeMatchesOracle(t *testing.T) {
 	var dec Decoder
 	var oracle oracleDecoder
@@ -134,10 +168,12 @@ func TestDecodeMatchesOracle(t *testing.T) {
 				t.Fatalf("%s: symbol %d: got %d, want %d", name, i, got[i], syms[i])
 			}
 		}
-		if len(blob) > 200 {
-			continue
-		}
 		for cut := 0; cut < len(blob); cut++ {
+			// Long blobs are cut at every 97th byte and at each of their
+			// last 24, where the careful loop takes over.
+			if len(blob) > 200 && cut%97 != 0 && cut < len(blob)-24 {
+				continue
+			}
 			agree(t, &dec, &oracle, fmt.Sprintf("%s cut at %d", name, cut), blob[:cut])
 		}
 	}
@@ -145,5 +181,155 @@ func TestDecodeMatchesOracle(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		blob := randomCodebookBlob(rng)
 		agree(t, &dec, &oracle, fmt.Sprintf("random codebook %d (%x)", i, blob), blob)
+	}
+}
+
+// oracleStep is the step the oracle takes at the top of a TableBits-bit
+// window w: the symbols of its one or two codes, the first code's own
+// length and the bits the step consumes. ok is false for an invalid code
+// and long for the prefix of a code longer than the table.
+func oracleStep(o *oracleDecoder, tableBits uint, w uint64) (syms []uint32, l1, total uint, ok, long bool) {
+	idx := w >> (TableBits - tableBits)
+	e := o.lut[idx]
+	switch l := uint(e & 0xff); {
+	case l == 0:
+		return nil, 0, 0, false, false
+	case l == lutLong:
+		return nil, 0, 0, false, true
+	case e&oraclePairFlag != 0:
+		p := o.lutPair[idx]
+		return []uint32{uint32(e >> 8), uint32(p >> 8)}, uint(p & 0xff), l, true, false
+	default:
+		return []uint32{uint32(e >> 8)}, l, l, true, false
+	}
+}
+
+// tableCodebooks are the codebooks TestTableEntriesArePairs builds tables
+// from, as blobs: those of the diffStreams shapes and of a frame-shaped
+// stream, a single one-bit code, and random codebooks — complete and
+// incomplete, shallower and deeper than TableBits, some with symbols past
+// 2^16.
+func tableCodebooks() map[string][]byte {
+	books := map[string][]byte{
+		"frame":          Encode(frameStream(30000)),
+		"one 1-bit code": corruptBlob(1, [][2]uint64{{0, 1}}, []byte{0}),
+	}
+	for name, syms := range diffStreams() {
+		if len(syms) > 0 {
+			books[name] = Encode(syms)
+		}
+	}
+	rng := rand.New(rand.NewSource(47))
+	for i := 0; i < 300; i++ {
+		// Split random leaves of a complete code until it is deep enough.
+		maxLen := uint8(1 + rng.Intn(16))
+		lens := []uint8{1, 1}
+		for k := rng.Intn(200); k > 0; k-- {
+			j := rng.Intn(len(lens))
+			if lens[j] < maxLen {
+				lens[j]++
+				lens = append(lens, lens[j])
+			}
+		}
+		if i%2 == 1 { // incomplete: drop leaves, keeping one
+			for k := rng.Intn(len(lens)); k > 0 && len(lens) > 1; k-- {
+				j := rng.Intn(len(lens))
+				lens = append(lens[:j], lens[j+1:]...)
+			}
+		}
+		var pairs [][2]uint64
+		for j, l := range lens {
+			ds := uint64(1 + rng.Intn(4))
+			if rng.Intn(3) == 0 {
+				ds += 1 << 16
+			}
+			if j == 0 {
+				ds--
+			}
+			pairs = append(pairs, [2]uint64{ds, uint64(l)})
+		}
+		books[fmt.Sprintf("random %d", i)] = corruptBlob(1, pairs, []byte{0})
+	}
+	return books
+}
+
+// TestTableEntriesArePairs walks every index of the table built for each
+// codebook and holds its entry to the rule the decode loops rest on: the
+// oracle's step from a full window at that index, then the oracle's next
+// step too when both steps are pairs and the four codes fit the index —
+// so 1, 2 or 4 codes, with the bits they consume and the first code's own
+// length; in a codebook whose window holds no two codes, two single steps
+// stand for a pair where they fit. It also holds the rank→symbol array to
+// the canonical codebook.
+func TestTableEntriesArePairs(t *testing.T) {
+	var d Decoder
+	var oracle oracleDecoder
+	quads := 0
+	for name, blob := range tableCodebooks() {
+		if _, _, err := d.parseCodebook(blob); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		canon := d.canonical()
+		d.build(canon)
+		if _, _, err := oracle.parseCodebook(blob); err != nil {
+			t.Fatalf("%s: oracle: %v", name, err)
+		}
+		tableBits, _ := oracle.build(canonicalize(oracle.codes))
+		short := 0
+		for r, c := range canon {
+			if d.syms[r] != c.sym {
+				t.Fatalf("%s: rank %d maps to %d, the codebook has %d", name, r, d.syms[r], c.sym)
+			}
+			if c.len <= TableBits {
+				short++
+			}
+		}
+		// Where the window holds no two codes, every step is one code, and
+		// the entries pair steps that fit the bits left instead.
+		const mask = 1<<TableBits - 1
+		noPairs := 2*uint(canon[0].len) > tableBits
+		pair := func(w uint64, bits uint) (syms []uint32, l1, total uint, ok, long bool) {
+			syms, l1, total, ok, long = oracleStep(&oracle, tableBits, w)
+			if ok && noPairs {
+				if syms2, _, total2, ok2, _ := oracleStep(&oracle, tableBits, (w<<total)&mask); ok2 && total+total2 <= bits {
+					syms, total = append(syms, syms2...), total+total2
+				}
+			}
+			return syms, l1, total, ok, long
+		}
+		for w := uint64(0); w < 1<<TableBits; w++ {
+			e := d.lut[w]
+			syms, l1, total, ok, long := pair(w, TableBits)
+			if !ok {
+				want := uint64(0)
+				if long {
+					want = lutLong
+				}
+				if e != want {
+					t.Fatalf("%s: index %012b: entry %#x, want %#x", name, w, e, want)
+				}
+				continue
+			}
+			if len(syms) == 2 {
+				if syms2, _, total2, _, _ := pair((w<<total)&mask, TableBits-total); len(syms2) == 2 && total+total2 <= TableBits {
+					syms, total = append(syms, syms2...), total+total2
+					quads++
+				}
+			}
+			count := int(e>>lutCountShift) & 0xf
+			if uint(e&0xff) != total || len1(e) != l1 || count != len(syms) {
+				t.Fatalf("%s: index %012b: entry takes %d codes over %d bits, first %d; the oracle %d over %d, first %d",
+					name, w, count, e&0xff, len1(e), len(syms), total, l1)
+			}
+			for k, want := range syms {
+				rank := int(e>>(lutRankShift+k*TableBits)) & rankMask
+				if rank >= short || d.syms[rank] != want {
+					t.Fatalf("%s: index %012b: code %d has rank %d (of %d) for symbol %d, want %d", name, w, k, rank, short, d.syms[rank], want)
+				}
+			}
+		}
+	}
+	if quads == 0 {
+		t.Fatal("no four-code entry was built; the test is vacuous")
 	}
 }

@@ -58,10 +58,11 @@ func huffFuzzSeeds() [][]byte {
 	)
 
 	// The shapes the fast decode loop is differentially tested on (counts
-	// around its entry condition, 1-bit codes, symbols past 2^16, long
-	// codes back to back) and a few random codebooks over random bits.
+	// around its entry condition, 1-bit codes, the 1–3-bit codebook of
+	// four-code probes, symbols past 2^16, long codes back to back) and a
+	// few random codebooks over random bits.
 	for _, syms := range diffStreams() {
-		if len(syms) <= 65 || len(syms) > 40000 {
+		if len(syms) <= 200 || len(syms) > 40000 {
 			seeds = append(seeds, Encode(syms))
 		}
 	}

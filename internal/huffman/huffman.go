@@ -12,14 +12,17 @@
 // entry per symbol holding its code and length — eight symbols to a step,
 // whenever the alphabet is small (the common case: quantization codes are
 // bounded by 2^QuantBits); nothing it does per frame is a comparison sort.
-// Sparse 32-bit alphabets fall back to maps. The decoder resolves symbols
+// Sparse 32-bit alphabets fall back to maps. The decoder resolves codes
 // through one lookup table indexed by the next TableBits bits of the
-// stream: each 8-byte entry carries up to two complete symbols and the
-// bits they consume, so a probe is a single load — the whole table is
-// 32 KiB, an L1 cache's worth — and the inner loop refills its bit
-// accumulator once per four probes. Codes longer than TableBits take a
-// canonical first-code/offset path and the loop carries on; only the last
-// few symbols of a stream run through a bounds-checking per-probe loop.
+// stream: each 8-byte entry carries up to four complete codes, as
+// canonical ranks into a rank→symbol array, and the bits they consume, so
+// a probe is one table load and four rank loads — 32 KiB of table and
+// 16 KiB of ranks, an L1 cache's worth — and the inner loop refills its
+// bit accumulator once per four probes. The table is built in one nested
+// fill over the canonical codes that writes each entry once. Codes longer
+// than TableBits take a canonical first-code/offset path and the loop
+// carries on; only the last few symbols of a stream run through a
+// bounds-checking per-probe loop.
 package huffman
 
 import (
@@ -42,13 +45,15 @@ const (
 
 	// TableBits is the index width of the decode table: one
 	// 2^TableBits-entry lookup resolves every code of up to TableBits
-	// bits — and a second one behind it, when both fit — in a single
-	// probe. It is the decoder's footprint knob: each pooled Decoder keeps
-	// exactly one 2^TableBits × 8-byte table (32 KiB at 12) warm across
-	// calls. Codes longer than TableBits (rare by construction: a code
-	// that long had a tiny frequency) take the canonical first-code
-	// overflow path instead. Four probes of TableBits bits must fit the
-	// 57 bits a refill guarantees, so TableBits may not exceed 14.
+	// bits — and up to three more behind it, when they fit — in a single
+	// probe. Each pooled Decoder keeps a 2^TableBits × 8-byte table
+	// (32 KiB) and a 2^TableBits × 4-byte rank→symbol array (16 KiB) warm
+	// across calls. The width is not a tuning knob: an entry holds four
+	// TableBits-bit ranks above 16 bits of header, which caps it at 12
+	// (checked at compile time below), and a narrower table is slower, as
+	// more codes take the overflow path. Codes longer than TableBits (rare
+	// by construction: a code that long had a tiny frequency) take the
+	// canonical first-code overflow path.
 	TableBits = 12
 
 	// denseAlphabet bounds the symbol range for the dense encode-side
@@ -532,45 +537,61 @@ func AppendDecode(dst []uint32, blob []byte) ([]uint32, error) {
 
 // Primary-table entries pack everything one probe needs into 8 bytes:
 //
-//	bits  0–7   total bits the probe consumes (len1, or len1+len2 for a pair)
-//	bits  8–11  symbols the probe emits (1 or 2)
+//	bits  0–7   total bits the probe consumes
+//	bits  8–11  codes the probe emits: 1, 2 or 4
 //	bits 12–15  len1, the first code's own length
-//	bits 16–47  sym1
-//	bits 48–63  sym2 (pairs only, so only symbols below 2^16 pair)
+//	bits 16–63  the codes' canonical ranks, TableBits bits each, first
+//	            code lowest; unused slots hold rank 0
 //
-// A zero entry is an unassigned (invalid) code. Two low-byte values above
-// any real length send the fast loop to its slow branch: lutLong marks the
-// prefix of one or more codes longer than the table index, which resolve
-// through the canonical first-code path, and lutWide marks a pair whose
-// second symbol does not fit sym2 — it is fetched from its own entry
-// instead, so probes consume the same codes whatever the alphabet. A
-// single keeps its full 32-bit symbol, and pairing never disturbs an
-// entry's len1/sym1 fields.
+// A code's rank is its index in canonical (length, symbol) order, and
+// Decoder.syms maps it back to the symbol. Codes of up to TableBits bits
+// come first in that order, and there are at most 2^TableBits of them, so
+// their ranks fit TableBits bits whatever the symbols' width.
+//
+// A probe takes whole steps of the per-symbol loop the decoder replaced
+// (oracle_test.go): a step is one code, or two when both fit the window
+// min(maxLen, TableBits). An entry holds its index's first step, and the
+// step after it too when both steps are pairs and all four codes fit the
+// index — so never three codes, and a probe never ends inside a step. The
+// careful loop relies on it: it takes one step at a time, pairing codes by
+// the old loop's rule, from wherever the fast loop stopped. In a codebook
+// whose window holds no two codes (2·minLen > window) every step is one
+// code and any run of codes is whole steps, so there the entries pair
+// codes the same way with the whole index as the window.
+//
+// A zero entry is an unassigned (invalid) code; lutLong in the low byte
+// marks the prefix of one or more codes longer than the table index,
+// which resolve through the canonical first-code path.
 const (
 	lutLong       = 0xff
-	lutWide       = 0xfe
 	lutCountShift = 8
-	lutCountOne   = uint64(1) << lutCountShift
-	lutCountTwo   = uint64(2) << lutCountShift
 	lutLen1Shift  = 12
-	lutSym1Shift  = 16
-	lutSym2Shift  = 48
+	lutRankShift  = 16
+	rankMask      = 1<<TableBits - 1
 )
 
+// Four ranks of TableBits bits must fit above the entry's header: this
+// constant overflows, and the package does not compile, if they do not.
+const _ uint = 64 - lutRankShift - 4*TableBits
+
 // len1 extracts an entry's first-code length: 0 for an invalid or long
-// entry, which is how the pairing pass and the careful loop tell.
+// entry.
 func len1(e uint64) uint { return uint(e>>lutLen1Shift) & 0xf }
 
 // Decoder holds the reusable decode-side scratch: the parsed codebook, the
-// primary lookup table and the canonical overflow tables, kept warm across
-// calls so steady-state decoding allocates only the output. The zero value
-// is ready to use; a Decoder is not safe for concurrent use — pool one per
-// goroutine (internal/sz's Decoder engines do exactly that).
+// primary lookup table, the rank→symbol array and the canonical overflow
+// tables, kept warm across calls so steady-state decoding allocates only
+// the output. The zero value is ready to use; a Decoder is not safe for
+// concurrent use — pool one per goroutine (internal/sz's Decoder engines
+// do exactly that).
 type Decoder struct {
 	codes []symCode // parsed codebook, in header (symbol) order
 	canon []symCode // the same codebook in canonical order, codes assigned
 	lut   []uint64  // 2^TableBits packed entries, allocated on first use
-	syms  []uint32  // symbols in canonical order, for the overflow path
+	// syms holds the symbols in canonical order: indexed by a table
+	// entry's ranks and by the overflow path. Its capacity is at least
+	// 2^TableBits, so a masked rank indexes it without a bounds check.
+	syms []uint32
 
 	// Canonical decode state for code lengths in (TableBits, maxCodeLen]:
 	// at length l, codes occupy [first[l], first[l]+count[l]) and map to
@@ -580,8 +601,9 @@ type Decoder struct {
 	count [maxCodeLen + 1]uint32
 }
 
-// AppendDecode decodes blob appending into dst's spare capacity. It
-// returns an error for truncated or corrupt input without over-allocating:
+// AppendDecode decodes blob and appends the symbols to dst, into its spare
+// capacity when that suffices, returning the extended slice. It returns
+// an error for truncated or corrupt input without over-allocating:
 // claimed symbol counts are validated against the bit stream's actual size
 // and the codebook against the Kraft inequality before any table is built.
 func (d *Decoder) AppendDecode(dst []uint32, blob []byte) ([]uint32, error) {
@@ -590,16 +612,12 @@ func (d *Decoder) AppendDecode(dst []uint32, blob []byte) ([]uint32, error) {
 		return nil, err
 	}
 	if nsyms == 0 {
-		return dst[:0], nil
+		return dst, nil
 	}
 	tableBits, maxLen := d.build(d.canonical())
 
-	out := dst[:0]
-	if cap(out) < nsyms {
-		out = make([]uint32, 0, nsyms)
-	}
-	out = out[:nsyms]
-	if err := d.decode(out, body, tableBits, maxLen); err != nil {
+	out := slices.Grow(dst, nsyms)[:len(dst)+nsyms]
+	if err := d.decode(out[len(dst):], body, tableBits, maxLen); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -719,8 +737,10 @@ func (d *Decoder) canonical() []symCode {
 func (d *Decoder) decode(out []uint32, body []byte, tableBits, maxLen uint) error {
 	// The table is always indexed by TableBits bits, whatever the deepest
 	// code: a constant shift into a fixed-size array needs no mask and no
-	// bounds check on the probe's critical path.
+	// bounds check on the probe's critical path, and a masked rank into
+	// the fixed-size view of syms none either.
 	lut := (*[1 << TableBits]uint64)(d.lut)
+	syms := (*[1 << TableBits]uint32)(d.syms[:1<<TableBits])
 	const (
 		shift = 64 - TableBits
 		mask  = 1<<TableBits - 1
@@ -734,62 +754,54 @@ func (d *Decoder) decode(out []uint32, body []byte, tableBits, maxLen uint) erro
 
 	// Fast loop: one whole-word refill leaves at least 57 valid bits, which
 	// covers four probes of at most TableBits each with no further checks.
-	// Every probe stores both symbol slots and advances by the entry's
-	// count, so singles and pairs share one branch-free path. It runs while
-	// at least 8 symbols are owed (four pairs, so the unconditional second
-	// store stays inside out) and a whole word is left to load (so every
-	// bit consumed is a stream bit and truncation cannot occur here). A
-	// code longer than the table is resolved in place and the loop resumes:
-	// real quantization streams carry one every few hundred symbols, so a
-	// loop that bailed on the first would never run.
+	// Every probe stores all four symbol slots and advances by the entry's
+	// count, so one, two and four codes share one branch-free path. It
+	// runs while at least 16 symbols are owed (four probes of four, so the
+	// unconditional stores stay inside out) and a whole word is left to
+	// load (so every bit consumed is a stream bit and truncation cannot
+	// occur here). A code longer than the table is resolved in place and
+	// the loop resumes: real quantization streams carry one every few
+	// hundred symbols, so a loop that bailed on the first would never run.
 fast:
-	for n+8 <= len(out) && pos+8 <= len(body) {
+	for n+16 <= len(out) && pos+8 <= len(body) {
 		acc, nbit, pos = refillWord(acc, nbit, pos, body)
 		for probe := 0; probe < 4; probe++ {
-			idx := acc >> shift
-			e := lut[idx]
+			e := lut[acc>>shift]
 			l := uint(e & 0xff)
-			if l-1 < tableBits {
-				out[n] = uint32(e >> lutSym1Shift)
-				out[n+1] = uint32(e >> lutSym2Shift)
-				n += int(e>>lutCountShift) & 3
+			if l-1 < TableBits {
+				o := (*[4]uint32)(out[n:])
+				o[0] = syms[e>>lutRankShift&rankMask]
+				o[1] = syms[e>>(lutRankShift+TableBits)&rankMask]
+				o[2] = syms[e>>(lutRankShift+2*TableBits)&rankMask]
+				o[3] = syms[e>>(lutRankShift+3*TableBits)&rankMask]
+				n += int(e>>lutCountShift) & 0xf
 				acc <<= l & 63
 				nbit -= l
 				continue
 			}
-			switch l {
-			case 0:
+			if l == 0 {
 				return fmt.Errorf("huffman: invalid code at symbol %d", n)
-			case lutWide:
-				l = len1(e)
-				e2 := lut[(idx<<l)&mask]
-				l += len1(e2)
-				out[n] = uint32(e >> lutSym1Shift)
-				out[n+1] = uint32(e2 >> lutSym1Shift)
-				n += 2
-				acc <<= l
-				nbit -= l
-			case lutLong:
-				if nbit < maxLen {
-					if pos+8 > len(body) {
-						break fast // the careful loop finishes near the end
-					}
-					acc, nbit, pos = refillWord(acc, nbit, pos, body)
-				}
-				sym, cl := d.resolveLong(acc, tableBits, maxLen)
-				if cl == 0 {
-					return fmt.Errorf("huffman: invalid code at symbol %d", n)
-				}
-				acc <<= cl
-				nbit -= cl
-				out[n] = sym
-				n++
-				continue fast // the budget of four probes per refill is spent
 			}
+			// lutLong: a code longer than the table.
+			if nbit < maxLen {
+				if pos+8 > len(body) {
+					break fast // the careful loop finishes near the end
+				}
+				acc, nbit, pos = refillWord(acc, nbit, pos, body)
+			}
+			sym, cl := d.resolveLong(acc, tableBits, maxLen)
+			if cl == 0 {
+				return fmt.Errorf("huffman: invalid code at symbol %d", n)
+			}
+			acc <<= cl
+			nbit -= cl
+			out[n] = sym
+			n++
+			continue fast // the budget of four probes per refill is spent
 		}
 	}
 
-	// Careful loop: the last <8 symbols or last 8 bytes, one probe at a
+	// Careful loop: the last <16 symbols or last 8 bytes, one step at a
 	// time with every length checked against the bits actually left.
 	for n < len(out) {
 		// Refill only when the primary probe could run short: the bits of
@@ -802,7 +814,7 @@ fast:
 		idx := acc >> shift
 		e := lut[idx]
 		l := len1(e)
-		sym := uint32(e >> lutSym1Shift)
+		sym := syms[e>>lutRankShift&rankMask]
 		step := 1
 		switch {
 		case e == 0:
@@ -817,15 +829,15 @@ fast:
 				return fmt.Errorf("huffman: invalid code at symbol %d", n)
 			}
 		case n+1 < len(out):
-			// Two complete codes within the index decode as one step — all
-			// or nothing against the bits left — unless the claimed symbol
-			// count ends between them. The second code is read from its
-			// own entry rather than the packed sym2 field, so symbols too
-			// wide to pair in the fast loop behave the same here.
+			// Two complete codes within the window decode as one step —
+			// all or nothing against the bits left — unless the claimed
+			// symbol count ends between them. The second code is read
+			// from its own entry: an entry's count does not say whether
+			// its first two codes are one step.
 			e2 := lut[(idx<<l)&mask]
 			if l2 := len1(e2); l2 != 0 && l+l2 <= tableBits {
 				l += l2
-				out[n+1] = uint32(e2 >> lutSym1Shift)
+				out[n+1] = syms[e2>>lutRankShift&rankMask]
 				step = 2
 			}
 		}
@@ -892,80 +904,103 @@ func (d *Decoder) resolveLong(acc uint64, tableBits, maxLen uint) (uint32, uint)
 // length. The codebook must be non-empty and satisfy Kraft (validated by
 // the caller), which guarantees every fill range below stays in bounds.
 //
-// The table is built at the window's width and then, for a codebook
-// shallower than TableBits, stretched to the full 2^TableBits entries the
-// decode loops index — each entry repeated across the index bits it
-// ignores — so that the work of building scales with the codebook (a
-// 256-symbol frame with 7-bit codes pairs 128 entries, not 4096) while the
-// probe keeps its constant shift.
+// The table is filled in one walk, nested four deep (first code, second,
+// third, fourth), that visits the entries in index order and writes each
+// once. It rests on two facts about canonical codes: the codes of up to r
+// bits are a prefix of the canonical order, so each level's candidates
+// are the codes up to a length bound; and, left-aligned to r bits, they
+// cover a prefix of the r-bit range in that order. So a level's candidates
+// tile the start of their parent's range, and the rest of it — where the
+// next code is longer than the bits left, or absent — takes the parent's
+// shorter entry in one fill. Ranges are laid out at the full index width,
+// so the walk fills the whole table for a codebook shallower than
+// TableBits too.
 func (d *Decoder) build(codes []symCode) (tableBits uint, maxLen uint) {
 	maxLen = uint(codes[len(codes)-1].len)
 	tableBits = min(maxLen, TableBits)
 	if d.lut == nil {
 		d.lut = make([]uint64, 1<<TableBits)
 	}
-	size := 1 << tableBits
-	lut := d.lut[:size]
-	clear(lut)
+	if cap(d.syms) < 1<<TableBits {
+		d.syms = make([]uint32, 0, max(1<<TableBits, len(codes)))
+	}
 	d.syms = d.syms[:0]
 	if maxLen > TableBits {
-		for i := range d.count {
-			d.count[i] = 0
-		}
+		clear(d.count[:])
 	}
+	short := len(codes) // codes[:short] are the ones the table resolves
 	for i, c := range codes {
 		d.syms = append(d.syms, c.sym)
 		cl := uint(c.len)
-		if cl <= tableBits {
-			entry := uint64(c.sym)<<lutSym1Shift | uint64(cl)<<lutLen1Shift | lutCountOne | uint64(cl)
-			lo := c.code << (tableBits - cl)
-			hi := lo + 1<<(tableBits-cl)
-			for j := lo; j < hi; j++ {
-				lut[j] = entry
-			}
+		if cl <= TableBits {
 			continue
 		}
+		short = min(short, i)
 		if d.count[cl] == 0 {
 			d.first[cl] = c.code
 			d.base[cl] = int32(i)
 		}
 		d.count[cl]++
-		lut[c.code>>(cl-tableBits)] = lutLong
 	}
 
-	// Second pass: pair entries. Where the first code leaves enough index
-	// bits to fully determine a second complete code, the entry consumes
-	// both in one probe: quantization streams are dominated by one short
-	// code (values near the prediction), so most probes then emit two
-	// symbols. Pairing rewrites only the total, count and sym2 fields, so
-	// an entry already paired still answers for its own first code.
-	for idx, e := range lut {
-		l1 := len1(e)
-		if l1 == 0 { // invalid or long
-			continue
-		}
-		e2 := lut[(idx<<l1)&(size-1)]
-		l2 := len1(e2)
-		sym2 := uint32(e2 >> lutSym1Shift)
-		if l2 == 0 || l1+l2 > tableBits {
-			continue
-		}
-		if sym2 >= 1<<16 {
-			lut[idx] = e&^0xff | lutWide
-			continue
-		}
-		lut[idx] = e&^0xfff | uint64(sym2)<<lutSym2Shift | lutCountTwo | uint64(l1+l2)
+	lut := (*[1 << TableBits]uint64)(d.lut)
+	minLen := uint(codes[0].len)
+	// Two codes pair when both fit the window. Where no two codes do,
+	// every step is one code and any run of codes is whole steps, so
+	// entries pair codes across the whole index instead.
+	window := tableBits
+	if 2*minLen > tableBits {
+		window = TableBits
 	}
-
-	// Stretch in place, back to front: entry i's run starts at i<<k ≥ i.
-	if k := TableBits - tableBits; k > 0 {
-		for i := size - 1; i >= 0; i-- {
-			e := lut[i]
-			run := d.lut[i<<k : (i+1)<<k]
-			for j := range run {
-				run[j] = e
+	j := 0 // the next entry to write
+	for r1, c1 := range codes[:short] {
+		l1 := uint(c1.len)
+		one := uint64(r1)<<lutRankShift | uint64(l1)<<lutLen1Shift | 1<<lutCountShift | uint64(l1)
+		end1 := j + 1<<(TableBits-l1)
+		for r2, c2 := range codes[:short] {
+			t := l1 + uint(c2.len)
+			if t > window {
+				break
 			}
+			pair := uint64(r2)<<(lutRankShift+TableBits) | uint64(r1)<<lutRankShift | uint64(l1)<<lutLen1Shift
+			two := pair | 2<<lutCountShift | uint64(t)
+			end2 := j + 1<<(TableBits-t)
+			// A second pair joins only when it fits both the window and
+			// the index bits left.
+			room := min(window, TableBits-t)
+			for r3, c3 := range codes[:short] {
+				l3 := uint(c3.len)
+				if l3+minLen > room {
+					break
+				}
+				quad := pair | uint64(r3)<<(lutRankShift+2*TableBits) | 4<<lutCountShift
+				end3 := j + 1<<(TableBits-t-l3)
+				for r4, c4 := range codes[:short] {
+					l4 := uint(c4.len)
+					if l3+l4 > room {
+						break
+					}
+					tt := t + l3 + l4
+					j = fill(lut, j, j+1<<(TableBits-tt), quad|uint64(r4)<<(lutRankShift+3*TableBits)|uint64(tt))
+				}
+				j = fill(lut, j, end3, two)
+			}
+			j = fill(lut, j, end2, two)
 		}
+		j = fill(lut, j, end1, one)
+	}
+	clear(lut[j:])
+	for _, c := range codes[short:] {
+		lut[c.code>>(uint(c.len)-TableBits)] = lutLong
 	}
 	return tableBits, maxLen
+}
+
+// fill sets lut[lo:hi] to e and returns hi.
+func fill(lut *[1 << TableBits]uint64, lo, hi int, e uint64) int {
+	run := lut[lo:hi]
+	for i := range run {
+		run[i] = e
+	}
+	return hi
 }

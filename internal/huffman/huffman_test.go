@@ -237,10 +237,9 @@ func TestLongCodesOverflowPath(t *testing.T) {
 
 // TestDecoderReuse interleaves decodes of different codebooks (shallow,
 // deep, single-symbol) through one pooled Decoder: stale tables from a
-// previous call must never leak into the next. Narrow alphabets (whose
-// pairs pack sym2 into the entry) alternate with ones past 2^16 (whose
-// pairs cannot), each long enough to run the fast loop, so a packed pair
-// or a wide-pair marker surviving a rebuild would surface as a wrong
+// previous call must never leak into the next. Narrow alphabets alternate
+// with ones past 2^16, each long enough to run the fast loop, so an entry
+// or a rank→symbol slot surviving a rebuild would surface as a wrong
 // symbol.
 func TestDecoderReuse(t *testing.T) {
 	streams := [][]uint32{
@@ -283,6 +282,40 @@ func TestDecoderReuse(t *testing.T) {
 				if out[j] != s[j] {
 					t.Fatalf("round %d stream %d symbol %d: got %d, want %d", round, i, j, out[j], s[j])
 				}
+			}
+		}
+	}
+}
+
+// TestAppendDecodeAppends decodes behind a non-empty dst, through a pooled
+// Decoder and the package function, with and without the spare capacity
+// the symbols need: the prefix is kept, the symbols follow it, and spare
+// capacity is decoded into in place. An empty stream returns dst itself.
+func TestAppendDecodeAppends(t *testing.T) {
+	syms := wideQuantStream(5000)
+	blob := Encode(syms)
+	prefix := []uint32{9, 1 << 20, 7}
+	want := append(slices.Clone(prefix), syms...)
+	var d Decoder
+	decoders := map[string]func([]uint32, []byte) ([]uint32, error){
+		"Decoder.AppendDecode": d.AppendDecode,
+		"AppendDecode":         AppendDecode,
+	}
+	for _, spare := range []int{0, len(syms)} {
+		for name, decode := range decoders {
+			dst := append(make([]uint32, 0, len(prefix)+spare), prefix...)
+			got, err := decode(dst, blob)
+			if err != nil {
+				t.Fatalf("%s, spare %d: %v", name, spare, err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s, spare %d: %d symbols, want the prefix then the %d decoded", name, spare, len(got), len(syms))
+			}
+			if spare > 0 && &got[0] != &dst[0] {
+				t.Errorf("%s: spare capacity not decoded into", name)
+			}
+			if empty, err := decode(dst, Encode(nil)); err != nil || len(empty) != len(dst) || &empty[0] != &dst[0] {
+				t.Errorf("%s, spare %d: empty stream returned %d symbols, err %v; want dst itself", name, spare, len(empty), err)
 			}
 		}
 	}

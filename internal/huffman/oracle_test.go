@@ -7,10 +7,11 @@ import (
 	"repro/internal/bitio"
 )
 
-// The decoder this package shipped before the packed single-table layout,
-// kept verbatim as a differential oracle: two parallel tables (lut holds
-// sym1<<8 | len with oraclePairFlag, lutPair holds sym2<<8 | len1) and one
-// careful per-probe loop with no fast path. Header parsing is shared with
+// The decoder this package shipped before its single packed table (whose
+// entries now hold up to four codes as canonical ranks), kept verbatim as
+// a differential oracle: two parallel tables (lut holds sym1<<8 | len
+// with oraclePairFlag, lutPair holds sym2<<8 | len1) and one careful
+// per-probe loop with no fast path. Header parsing is shared with
 // the production Decoder — it did not change — so the oracle pins exactly
 // the table build and the symbol loop, outputs and error strings both.
 
