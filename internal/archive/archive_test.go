@@ -12,6 +12,7 @@ import (
 	"repro/internal/codec"
 	"repro/internal/grid"
 	"repro/internal/sim"
+	"repro/internal/sz"
 )
 
 const testEB = 1e9
@@ -149,6 +150,28 @@ func TestParallelWriterMatchesSerial(t *testing.T) {
 	parallel := buildArchive(t, snaps, codec.Config{ErrorBound: testEB, Workers: -1}, 16)
 	if !bytes.Equal(serial, parallel) {
 		t.Fatalf("parallel archive differs from serial (%d vs %d bytes)", len(parallel), len(serial))
+	}
+
+	// AddDataset's one pool over a member's levels, and AddLevel's over one
+	// level, against one serial AddLevel per level: Abs and Rel (whose
+	// ranges the pool scans span by span), intra and Keyframe=4, on members
+	// whose extreme and non-finite cells sit where a batch span starts.
+	const batchBlocks = 2
+	edges := rangeEdgeCampaign(t, batchBlocks)
+	for _, cfg := range []codec.Config{{ErrorBound: testEB}, {ErrorBound: 1e-3, Mode: sz.Rel}} {
+		for _, keyframe := range []int{0, 4} {
+			cfg.Workers = 1
+			want := writeMembers(t, edges, keyframe, batchBlocks, cfg, true)
+			for _, workers := range []int{1, 2, -1} {
+				cfg.Workers = workers
+				for _, perLevel := range []bool{false, true} {
+					if got := writeMembers(t, edges, keyframe, batchBlocks, cfg, perLevel); !bytes.Equal(got, want) {
+						t.Errorf("mode %d keyframe %d workers %d per-level %v: %d bytes, serial AddLevel writes %d",
+							cfg.Mode, keyframe, workers, perLevel, len(got), len(want))
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -36,7 +35,7 @@ var frameEncoders = sync.Pool{New: func() any { return new(frameEncoder) }}
 // through without full materialization.
 //
 // A Writer is not safe for concurrent use; the parallelism lives inside
-// AddLevel's worker pool.
+// the worker pool a member's frames run through (AddDataset, AddLevel).
 type Writer struct {
 	// BatchBlocks is the number of unit blocks per frame for subsequently
 	// begun members; 0 means DefaultBatchBlocks.
@@ -214,27 +213,28 @@ func (w *Writer) Stats() Stats {
 }
 
 // AddDataset compresses a whole snapshot as one member. The member name is
-// ds.Name and the field ds.Field.
+// ds.Name and the field ds.Field. The frames of all its levels go through
+// one worker pool, in the order and to the bytes BeginMember plus one
+// AddLevel per level would write, but with no barrier between levels.
 func (w *Writer) AddDataset(ds *amr.Dataset, cfg codec.Config) error {
 	mw, err := w.BeginMember(ds.Name, ds.Field, ds.Ratio, cfg)
 	if err != nil {
 		return err
 	}
-	for _, l := range ds.Levels {
-		if err := mw.AddLevel(l); err != nil {
-			// Unhook the half-built member so the writer survives for the
-			// next one; its flushed frames become dead bytes.
-			mw.Abort()
-			return err
-		}
+	if err := mw.addLevels(ds.Levels); err != nil {
+		// Unhook the half-built member so the writer survives for the
+		// next one; its flushed frames become dead bytes.
+		mw.Abort()
+		return err
 	}
 	return mw.Close()
 }
 
 // BeginMember starts a new member. Levels are appended fine to coarse with
-// AddLevel — each is compressed and flushed immediately, so the caller may
-// generate or load levels one at a time and discard them after the call —
-// and the member is sealed with Close before the next BeginMember.
+// AddLevel — each runs through the member's worker pool alone and is
+// flushed before the call returns, so the caller may generate or load
+// levels one at a time and discard them after the call — and the member is
+// sealed with Close before the next BeginMember.
 func (w *Writer) BeginMember(name, field string, ratio int, cfg codec.Config) (*MemberWriter, error) {
 	if w.closed {
 		return nil, fmt.Errorf("archive: writer is closed")
@@ -347,147 +347,186 @@ type MemberWriter struct {
 	usedDelta bool
 }
 
-// workers resolves the configured worker count for the batch pipeline.
-func (mw *MemberWriter) workers() int {
-	switch {
-	case mw.cfg.Workers == -1:
-		return runtime.GOMAXPROCS(0)
-	case mw.cfg.Workers > 1:
-		return mw.cfg.Workers
-	default:
-		return 1
-	}
+// levelWrite is one level of a member on its way out: the index entry its
+// frames are recorded in as they are written, and what they are coded
+// from.
+type levelWrite struct {
+	l     *amr.Level
+	li    int
+	idx   LevelIndex
+	ords  []int      // the occupied block ordinals, row-major
+	opts  sz.Options // ErrorBound is resolved before the first frame is coded
+	first int        // the member-wide job number of batch 0
+
+	// Campaign mode: capture receives the level's reconstruction (so the
+	// next member can reference it); ref is the reference level delta
+	// batches code against, only set at bit-identical structure; delta
+	// records per batch whether the delta coding won, set by the writing
+	// goroutine.
+	capture []*grid.Grid3[amr.Value]
+	ref     *levelRecon
+	delta   []bool
+
+	// Rel mode on the pool: the value range of each batch span, scanned by
+	// the pool's workers and merged in order once all are in.
+	spans   []codec.ValueRange
+	ranging sync.WaitGroup
 }
 
-// AddLevel compresses one level into block-batch frames and streams them
-// out. Batches are gathered and compressed by a pool of cfg.Workers
-// goroutines (each batch is an independent sz stream, so the pool
-// pipelines gather → compress → in-order write), and only the batches in
-// flight exist uncompressed outside l itself. Every frame of the level is
-// written before AddLevel returns, so the caller may then discard l.
-func (mw *MemberWriter) AddLevel(l *amr.Level) error {
-	if mw.done {
-		return fmt.Errorf("archive: member %q already closed", mw.member.Name)
-	}
-	li := len(mw.member.Levels)
-	opts := sz.Options{ErrorBound: mw.cfg.LevelEB(li, l), QuantBits: mw.cfg.QuantBits}
+// nbatch returns the number of frames of the level.
+func (lv *levelWrite) nbatch() int {
+	return (len(lv.ords) + lv.idx.BatchBlocks - 1) / lv.idx.BatchBlocks
+}
 
+// plan lays out l as level li of the member.
+func (mw *MemberWriter) plan(lv *levelWrite, li int, l *amr.Level) {
 	batchBlocks := mw.w.BatchBlocks
 	if batchBlocks <= 0 {
 		batchBlocks = DefaultBatchBlocks
 	}
-	idx := LevelIndex{
+	lv.l, lv.li = l, li
+	lv.idx = LevelIndex{
 		Dims:        l.Grid.Dim,
 		UnitBlock:   l.UnitBlock,
 		Mask:        l.Mask.Clone(),
 		BatchBlocks: batchBlocks,
 	}
-	ords := l.Mask.OccupiedIndices()
-	idx.occupied = len(ords)
-	nbatch := (len(ords) + batchBlocks - 1) / batchBlocks
-
-	// Campaign mode: capture this level's reconstruction (so the next
-	// member can reference it), and resolve the reference level delta
-	// batches would code against — only legal at bit-identical structure.
-	var capture []*grid.Grid3[amr.Value]
+	lv.ords = l.Mask.OccupiedIndices()
+	lv.idx.occupied = len(lv.ords)
+	lv.opts.QuantBits = mw.cfg.QuantBits
 	if mw.capturing {
-		capture = grid.NewBlocks[amr.Value](idx.unitDims(), len(ords))
+		lv.capture = grid.NewBlocks[amr.Value](lv.idx.unitDims(), len(lv.ords))
 		mw.capture = append(mw.capture, levelRecon{
-			dims:        idx.Dims,
-			unitBlock:   idx.UnitBlock,
+			dims:        lv.idx.Dims,
+			unitBlock:   lv.idx.UnitBlock,
 			batchBlocks: batchBlocks,
-			mask:        idx.Mask,
-			blocks:      capture,
+			mask:        lv.idx.Mask,
+			blocks:      lv.capture,
 		})
 	}
-	var ref *levelRecon
-	var delta []bool // per batch, set by the writing goroutine
 	if mw.ref != nil && li < len(mw.ref.levels) &&
 		mw.ref.levels[li].matches(l.Grid.Dim, l.UnitBlock, batchBlocks, l.Mask) {
-		ref = &mw.ref.levels[li]
-		delta = make([]bool, nbatch)
+		lv.ref = &mw.ref.levels[li]
+		lv.delta = make([]bool, lv.nbatch())
+	}
+}
+
+// encode gathers batch b of lv into the worker's scratch and codes it,
+// reporting whether the delta coding won.
+func (mw *MemberWriter) encode(fe *frameEncoder, lv *levelWrite, b int) ([]byte, bool, error) {
+	lo, hi := lv.idx.BatchSpan(b)
+	cells := int64(hi-lo) * int64(lv.idx.unitDims().Count())
+	cur := mw.w.gatheredCells.Add(cells)
+	for {
+		peak := mw.w.peakGathered.Load()
+		if cur <= peak || mw.w.peakGathered.CompareAndSwap(peak, cur) {
+			break
+		}
+	}
+	defer mw.w.gatheredCells.Add(-cells)
+	blocks := fe.scratch(lv.idx.unitDims(), hi-lo)
+	for k, ord := range lv.ords[lo:hi] {
+		bx, by, bz := lv.l.Mask.Dim.Coords(ord)
+		lv.l.Grid.CopyRegionTo(lv.l.BlockRegion(bx, by, bz), blocks[k].Data)
+	}
+	var blob []byte
+	var isDelta bool
+	var err error
+	switch {
+	case lv.ref != nil:
+		// The retained reconstruction is that of the coding that ships.
+		blob, isDelta, _, err = fe.enc.CompressBlocksEither(blocks, lv.ref.blocks[lo:hi], lv.opts, lv.capture[lo:hi])
+	case lv.capture != nil:
+		blob, _, err = fe.enc.CompressBlocksCapture(blocks, lv.opts, lv.capture[lo:hi])
+	default:
+		blob, _, err = fe.enc.CompressBlocks(blocks, lv.opts)
+	}
+	if err != nil {
+		err = fmt.Errorf("archive: level %d batch %d: %w", lv.li, b, err)
+	}
+	return blob, isDelta, err
+}
+
+// write emits batch b's frame of lv and records its coding in the level
+// index.
+func (mw *MemberWriter) write(lv *levelWrite, b int, blob []byte, isDelta bool) error {
+	if err := mw.w.writeFrame(blob, &lv.idx); err != nil {
+		return err
+	}
+	if isDelta {
+		lv.delta[b] = true
+		lv.idx.Delta = lv.delta
+		mw.usedDelta = true
+	}
+	return nil
+}
+
+// AddLevel compresses one level into block-batch frames and streams them
+// out, through the pool AddDataset runs a whole member's levels through.
+// Every frame of the level is written before AddLevel returns, so the
+// caller may then discard l.
+func (mw *MemberWriter) AddLevel(l *amr.Level) error {
+	return mw.addLevels([]*amr.Level{l})
+}
+
+// addLevels compresses ls, the member's next levels, into block-batch
+// frames and streams them out in level-then-batch order; a level's index
+// entry joins the member once its last frame is written, and a level
+// without frames joins in its place. The frames of every level go through
+// one pool of cfg.Workers goroutines (each batch is an independent sz
+// stream, so the pool pipelines gather → compress → in-order write), with
+// no barrier between levels, and only the batches in flight exist
+// uncompressed outside ls itself. Every frame is written before addLevels
+// returns.
+func (mw *MemberWriter) addLevels(ls []*amr.Level) error {
+	if mw.done {
+		return fmt.Errorf("archive: member %q already closed", mw.member.Name)
+	}
+	lvs := make([]levelWrite, len(ls))
+	nframes := 0
+	for k, l := range ls {
+		lv := &lvs[k]
+		mw.plan(lv, len(mw.member.Levels)+k, l)
+		lv.first = nframes
+		nframes += lv.nbatch()
 	}
 
-	// encode gathers batch b into the worker's scratch and codes it,
-	// reporting whether the delta coding won.
-	encode := func(fe *frameEncoder, b int) ([]byte, bool, error) {
-		lo, hi := idx.BatchSpan(b)
-		cells := int64(hi-lo) * int64(idx.unitDims().Count())
-		cur := mw.w.gatheredCells.Add(cells)
-		for {
-			peak := mw.w.peakGathered.Load()
-			if cur <= peak || mw.w.peakGathered.CompareAndSwap(peak, cur) {
-				break
-			}
-		}
-		defer mw.w.gatheredCells.Add(-cells)
-		blocks := fe.scratch(idx.unitDims(), hi-lo)
-		for k, ord := range ords[lo:hi] {
-			bx, by, bz := l.Mask.Dim.Coords(ord)
-			l.Grid.CopyRegionTo(l.BlockRegion(bx, by, bz), blocks[k].Data)
-		}
-		var blob []byte
-		var isDelta bool
-		var err error
-		switch {
-		case ref != nil:
-			// The retained reconstruction is that of the coding that ships.
-			blob, isDelta, _, err = fe.enc.CompressBlocksEither(blocks, ref.blocks[lo:hi], opts, capture[lo:hi])
-		case capture != nil:
-			blob, _, err = fe.enc.CompressBlocksCapture(blocks, opts, capture[lo:hi])
-		default:
-			blob, _, err = fe.enc.CompressBlocks(blocks, opts)
-		}
-		if err != nil {
-			err = fmt.Errorf("archive: level %d batch %d: %w", li, b, err)
-		}
-		return blob, isDelta, err
-	}
-	// write emits batch b's frame and records its coding in the level index.
-	write := func(b int, blob []byte, isDelta bool) error {
-		if err := mw.w.writeFrame(blob, &idx); err != nil {
-			return err
-		}
-		if isDelta {
-			delta[b] = true
-			idx.Delta = delta
-			mw.usedDelta = true
-		}
-		return nil
-	}
-
-	workers := min(mw.workers(), nbatch)
+	workers := min(codec.ResolveWorkers(mw.cfg.Workers), nframes)
 	if workers <= 1 {
 		// Serial path: gather, compress, and flush one batch at a time.
 		fe := frameEncoders.Get().(*frameEncoder)
 		defer frameEncoders.Put(fe)
-		for b := 0; b < nbatch; b++ {
-			blob, isDelta, err := encode(fe, b)
-			if err == nil {
-				err = write(b, blob, isDelta)
+		for k := range lvs {
+			lv := &lvs[k]
+			lv.opts.ErrorBound = mw.cfg.LevelEB(lv.li, lv.l)
+			for b := range lv.nbatch() {
+				blob, isDelta, err := mw.encode(fe, lv, b)
+				if err == nil {
+					err = mw.write(lv, b, blob, isDelta)
+				}
+				if err != nil {
+					return err
+				}
 			}
-			if err != nil {
-				return err
-			}
+			mw.member.Levels = append(mw.member.Levels, lv.idx)
 		}
-		mw.member.Levels = append(mw.member.Levels, idx)
 		return nil
 	}
 
 	// Parallel path: a bounded pool compresses frames out of order while
-	// this goroutine flushes them in batch order, so the index layout
-	// matches the serial path exactly and each frame streams out as soon
-	// as its predecessors have. Two semaphores bound it: active caps the
-	// frames being gathered and coded at workers, which is the
-	// streaming-memory guarantee, and window caps the frames started but
-	// not yet written at twice that, so that a slow frame at the head of
-	// the queue idles nobody until the pool is a full round ahead of it,
-	// yet a stalled sink cannot let compressed frames pile up. Each frame
-	// is its own short goroutine, not a turn of a long-lived worker: a
-	// worker that never blocks holds its P for the level's whole length,
-	// and in a process that also serves requests (tacd ingest) the
-	// scheduler then notices a request whose bytes have arrived only at
-	// its 10 ms preemption tick, instead of between two frames.
+	// this goroutine flushes them in level-then-batch order, so the index
+	// layout matches the serial path exactly and each frame streams out as
+	// soon as its predecessors have. Two semaphores bound it: active caps
+	// the jobs running at workers, which is the streaming-memory guarantee,
+	// and window caps the frames started but not yet written at twice
+	// that, so that a slow frame at the head of the queue idles nobody
+	// until the pool is a full round ahead of it, yet a stalled sink cannot
+	// let compressed frames pile up. Each frame is its own short goroutine,
+	// not a turn of a long-lived worker: a worker that never blocks holds
+	// its P for the member's whole length, and in a process that also
+	// serves requests (tacd ingest) the scheduler then notices a request
+	// whose bytes have arrived only at its 10 ms preemption tick, instead
+	// of between two frames.
 	type encoded struct {
 		blob    []byte
 		isDelta bool
@@ -497,63 +536,110 @@ func (mw *MemberWriter) AddLevel(l *amr.Level) error {
 	var (
 		mu     sync.Mutex
 		cond   = sync.NewCond(&mu)
-		out    = make([]encoded, nbatch)
+		out    = make([]encoded, nframes)
 		window = make(chan struct{}, 2*workers)
 		active = make(chan struct{}, workers)
 		stop   = make(chan struct{})
 		wg     sync.WaitGroup
 	)
+	// acquire takes a slot of each semaphore in turn, or reports false once
+	// the flusher has stopped.
+	acquire := func(sems ...chan struct{}) bool {
+		for _, sem := range sems {
+			select {
+			case sem <- struct{}{}:
+			case <-stop:
+				return false
+			}
+		}
+		return true
+	}
+	rel := mw.cfg.Mode == sz.Rel
 	// The spawner holds its own WaitGroup slot for its whole life, so the
 	// nested Add calls always run while the counter is positive and
-	// finish's Wait cannot return before every spawned frame is counted.
+	// finish's Wait cannot return before every spawned job is counted.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for b := 0; b < nbatch; b++ {
-			for _, sem := range []chan struct{}{window, active} {
-				select {
-				case sem <- struct{}{}:
-				case <-stop:
-					return
+		scanned := 0 // levels whose range scans are spawned
+		for k := range lvs {
+			lv := &lvs[k]
+			// A Rel level's range is scanned span by span on the pool, a
+			// level ahead: the scans of levels k and k+1 are queued before
+			// level k's frames, so level k+1's range is in before its first
+			// frame is due and the scans fill the cores a level's last
+			// frames leave idle. Scans take an active slot but no window
+			// slot: they gather nothing and write nothing.
+			for ; rel && scanned < min(k+2, len(lvs)); scanned++ {
+				sl := &lvs[scanned]
+				sl.spans = make([]codec.ValueRange, sl.nbatch())
+				for s := range sl.spans {
+					if !acquire(active) {
+						return
+					}
+					sl.ranging.Add(1)
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						lo, hi := sl.idx.BatchSpan(s)
+						sl.spans[s] = codec.BlockRange(sl.l, sl.ords[lo:hi])
+						<-active
+						sl.ranging.Done()
+					}()
 				}
 			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				fe := frameEncoders.Get().(*frameEncoder)
-				blob, isDelta, err := encode(fe, b)
-				frameEncoders.Put(fe)
-				<-active
-				mu.Lock()
-				out[b] = encoded{blob, isDelta, err, true}
-				cond.Broadcast()
-				mu.Unlock()
-			}()
+			lv.ranging.Wait()
+			var r codec.ValueRange
+			for _, s := range lv.spans {
+				r = r.Merge(s)
+			}
+			lv.opts.ErrorBound = mw.cfg.RangeEB(lv.li, r)
+			for b := range lv.nbatch() {
+				if !acquire(window, active) {
+					return
+				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					fe := frameEncoders.Get().(*frameEncoder)
+					blob, isDelta, err := mw.encode(fe, lv, b)
+					frameEncoders.Put(fe)
+					<-active
+					mu.Lock()
+					out[lv.first+b] = encoded{blob, isDelta, err, true}
+					cond.Broadcast()
+					mu.Unlock()
+				}()
+			}
 		}
 	}()
-	// Frames in flight read the level: never return before they are done.
+	// Frames in flight read the levels: never return before they are done.
 	finish := func(err error) error {
 		close(stop)
 		wg.Wait()
 		return err
 	}
-	for b := 0; b < nbatch; b++ {
-		mu.Lock()
-		for !out[b].done {
-			cond.Wait()
+	for k := range lvs {
+		lv := &lvs[k]
+		for b := range lv.nbatch() {
+			j := lv.first + b
+			mu.Lock()
+			for !out[j].done {
+				cond.Wait()
+			}
+			r := out[j]
+			out[j].blob = nil
+			mu.Unlock()
+			if r.err == nil {
+				r.err = mw.write(lv, b, r.blob, r.isDelta)
+			}
+			if r.err != nil {
+				return finish(r.err)
+			}
+			<-window
 		}
-		r := out[b]
-		out[b].blob = nil
-		mu.Unlock()
-		if r.err == nil {
-			r.err = write(b, r.blob, r.isDelta)
-		}
-		if r.err != nil {
-			return finish(r.err)
-		}
-		<-window
+		mw.member.Levels = append(mw.member.Levels, lv.idx)
 	}
-	mw.member.Levels = append(mw.member.Levels, idx)
 	return finish(nil)
 }
 

@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"compress/flate"
 	"fmt"
+	"runtime"
 	"sync"
 
 	"repro/internal/amr"
@@ -88,9 +89,22 @@ type Config struct {
 	GSP preprocess.GSPOptions
 	// Workers > 1 codes that many payload units at once — a dense level is
 	// one unit, a sparse level one per shape group of its sub-blocks — and
-	// the archive writer's batches; -1 uses all CPUs, ≤ 1 is serial.
-	// Payloads are byte-identical at every value.
+	// the archive writer's batches; -1 uses all CPUs, ≤ 1 is serial
+	// (ResolveWorkers). Payloads are byte-identical at every value.
 	Workers int
+}
+
+// ResolveWorkers maps the Workers convention (-1 all CPUs, ≤ 1 serial) to
+// a concrete goroutine count. core.TAC.Workers follows it too.
+func ResolveWorkers(w int) int {
+	switch {
+	case w == -1:
+		return runtime.GOMAXPROCS(0)
+	case w > 1:
+		return w
+	default:
+		return 1
+	}
 }
 
 // WithDefaults fills in zero-valued thresholds.
@@ -115,49 +129,116 @@ func (c Config) LevelScale(li int) float64 {
 // LevelEB resolves the absolute error bound for one level, converting
 // relative bounds against the range of the level's stored values.
 func (c Config) LevelEB(li int, l *amr.Level) float64 {
+	var r ValueRange
+	if c.Mode == sz.Rel {
+		r = BlockRange(l, l.Mask.OccupiedIndices())
+	}
+	return c.RangeEB(li, r)
+}
+
+// RangeEB is LevelEB for a level whose stored values span r; r is not
+// read unless Mode is Rel.
+func (c Config) RangeEB(li int, r ValueRange) float64 {
 	eb := c.ErrorBound * c.LevelScale(li)
 	if c.Mode == sz.Rel {
-		lo, hi := maskedRange(l)
-		if r := hi - lo; r > 0 {
-			eb *= r
+		lo, hi := r.bounds()
+		if d := hi - lo; d > 0 {
+			eb *= d
 		}
 	}
 	return eb
 }
 
-func maskedRange(l *amr.Level) (lo, hi float64) {
-	first := true
-	md := l.Mask.Dim
-	for bx := 0; bx < md.X; bx++ {
-		for by := 0; by < md.Y; by++ {
-			for bz := 0; bz < md.Z; bz++ {
-				if !l.Mask.At(bx, by, bz) {
-					continue
-				}
-				r := l.BlockRegion(bx, by, bz)
-				for x := r.X0; x < r.X1; x++ {
-					for y := r.Y0; y < r.Y1; y++ {
-						base := l.Grid.Dim.Index(x, y, r.Z0)
-						for _, v := range l.Grid.Data[base : base+(r.Z1-r.Z0)] {
-							f := float64(v)
-							if first {
-								lo, hi = f, f
-								first = false
-								continue
-							}
-							if f < lo {
-								lo = f
-							}
-							if f > hi {
-								hi = f
-							}
-						}
-					}
-				}
+// ValueRange is the value range of a run of stored cells as one scan in
+// block order takes it: the first cell seeds lo and hi, and every later
+// cell lowers lo or raises hi by plain comparison, so a NaN after the
+// first cell is never taken and a NaN first cell leaves both NaN. A run
+// scanned in pieces and merged in order gives that scan's bits exactly.
+// The zero value is the empty run.
+type ValueRange struct {
+	first  float64 // the run's first cell
+	lo, hi float64 // over the run's non-NaN cells, the first of equals kept
+	cells  bool    // the run has a cell
+	some   bool    // the run has a non-NaN cell
+}
+
+// BlockRange scans the cells of the occupied unit blocks of l whose
+// ordinals are ords, in order, each block row by row.
+func BlockRange(l *amr.Level, ords []int) ValueRange {
+	var r ValueRange
+	for _, ord := range ords {
+		b := l.BlockRegion(l.Mask.Dim.Coords(ord))
+		for x := b.X0; x < b.X1; x++ {
+			for y := b.Y0; y < b.Y1; y++ {
+				base := l.Grid.Dim.Index(x, y, b.Z0)
+				r.scan(l.Grid.Data[base : base+b.Z1-b.Z0])
 			}
 		}
 	}
-	return lo, hi
+	return r
+}
+
+// scan extends r by one row of cells.
+func (r *ValueRange) scan(row []amr.Value) {
+	if len(row) == 0 {
+		return
+	}
+	if !r.cells {
+		r.first, r.cells = float64(row[0]), true
+	}
+	if !r.some {
+		// Seed on the first non-NaN cell: the loop below then never takes
+		// a NaN, and meets the seed again without moving.
+		i := 0
+		for i < len(row) && row[i] != row[i] {
+			i++
+		}
+		if i == len(row) {
+			return
+		}
+		r.lo, r.hi, r.some = float64(row[i]), float64(row[i]), true
+		row = row[i:]
+	}
+	lo, hi := r.lo, r.hi
+	for _, v := range row {
+		f := float64(v)
+		if f < lo {
+			lo = f
+		}
+		if f > hi {
+			hi = f
+		}
+	}
+	r.lo, r.hi = lo, hi
+}
+
+// Merge returns the range of r's run followed by next's.
+func (r ValueRange) Merge(next ValueRange) ValueRange {
+	switch {
+	case !r.cells:
+		return next
+	case !next.some:
+		return r
+	case !r.some:
+		r.lo, r.hi, r.some = next.lo, next.hi, true
+		return r
+	}
+	if next.lo < r.lo {
+		r.lo = next.lo
+	}
+	if next.hi > r.hi {
+		r.hi = next.hi
+	}
+	return r
+}
+
+// bounds returns the run's lo and hi: NaN and NaN when its first cell is
+// NaN, 0 and 0 when it is empty.
+func (r ValueRange) bounds() (lo, hi float64) {
+	if r.first != r.first {
+		return r.first, r.first
+	}
+	return r.lo, r.hi
 }
 
 // Codec compresses and decompresses whole AMR datasets.

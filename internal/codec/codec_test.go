@@ -3,6 +3,7 @@ package codec
 import (
 	"bytes"
 	"compress/flate"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -193,6 +194,112 @@ func TestConfigLevelEB(t *testing.T) {
 	want := 0.1 * (float64(hi) - float64(lo))
 	if got := rel.LevelEB(0, ds.Levels[0]); got < want*0.999 || got > want*1.001 {
 		t.Fatalf("rel LevelEB = %v, want %v", got, want)
+	}
+}
+
+// maskedRange is the one serial scan LevelEB took a level's range with
+// before the scan could be taken in pieces, kept as the oracle
+// ValueRange is held to.
+func maskedRange(l *amr.Level) (lo, hi float64) {
+	first := true
+	md := l.Mask.Dim
+	for bx := 0; bx < md.X; bx++ {
+		for by := 0; by < md.Y; by++ {
+			for bz := 0; bz < md.Z; bz++ {
+				if !l.Mask.At(bx, by, bz) {
+					continue
+				}
+				r := l.BlockRegion(bx, by, bz)
+				for x := r.X0; x < r.X1; x++ {
+					for y := r.Y0; y < r.Y1; y++ {
+						base := l.Grid.Dim.Index(x, y, r.Z0)
+						for _, v := range l.Grid.Data[base : base+(r.Z1-r.Z0)] {
+							f := float64(v)
+							if first {
+								lo, hi = f, f
+								first = false
+								continue
+							}
+							if f < lo {
+								lo = f
+							}
+							if f > hi {
+								hi = f
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return lo, hi
+}
+
+// TestValueRangeMergesLikeOneScan holds BlockRange over every piece of a
+// random split of a level's blocks, merged in order, and over the whole
+// level, to the oracle bit for bit — and Rel LevelEB with it — on levels
+// sown with NaN (as the level's first cell, as the first cell of a block,
+// anywhere), ±Inf and zeros of both signs, with empty pieces and empty
+// levels among them.
+func TestValueRangeMergesLikeOneScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	special := []amr.Value{amr.Value(math.NaN()), 0, amr.Value(math.Copysign(0, -1)),
+		amr.Value(math.Inf(1)), amr.Value(math.Inf(-1)), 1, -1}
+	bits := func(lo, hi float64) [2]uint64 { return [2]uint64{math.Float64bits(lo), math.Float64bits(hi)} }
+	for i := 0; i < 400; i++ {
+		l := amr.NewLevel(grid.Dims{X: 8, Y: 8, Z: 8}, 2)
+		density := rng.Float64()
+		for j := 0; j < l.Mask.Len(); j++ {
+			l.Mask.SetIndex(j, rng.Float64() < density)
+		}
+		// A third of the levels hold no negative values and a third no
+		// positive ones, and are sown with NaN and zeros only, so that
+		// zeros of either sign tie at an extreme.
+		sprinkle, sign, sown := rng.Float64()/4, rng.Intn(3), special
+		if sign > 0 {
+			sown = special[:3]
+		}
+		for j := range l.Grid.Data {
+			l.Grid.Data[j] = amr.Value(rng.NormFloat64())
+			if sign > 0 {
+				l.Grid.Data[j] = amr.Value(math.Abs(rng.NormFloat64()) * float64(3-2*sign))
+			}
+			if rng.Float64() < sprinkle {
+				l.Grid.Data[j] = sown[rng.Intn(len(sown))]
+			}
+		}
+		ords := l.Mask.OccupiedIndices()
+		// Put a special value first in a level, or first in some blocks.
+		for _, ord := range ords {
+			if rng.Intn(3) == 0 {
+				b := l.BlockRegion(l.Mask.Dim.Coords(ord))
+				l.Grid.Set(b.X0, b.Y0, b.Z0, sown[rng.Intn(len(sown))])
+			}
+		}
+		want := bits(maskedRange(l))
+
+		if got := bits(BlockRange(l, ords).bounds()); got != want {
+			t.Fatalf("level %d: whole-level range %x, one scan %x", i, got, want)
+		}
+		var r ValueRange
+		for lo := 0; lo < len(ords); {
+			hi := min(lo+rng.Intn(4), len(ords))
+			r = r.Merge(BlockRange(l, ords[lo:hi]))
+			lo = hi
+		}
+		if got := bits(r.bounds()); got != want {
+			t.Fatalf("level %d: merged pieces %x, one scan %x", i, got, want)
+		}
+
+		rel := Config{ErrorBound: 0.01, Mode: sz.Rel}
+		lo, hi := maskedRange(l)
+		eb := 0.01
+		if d := hi - lo; d > 0 {
+			eb *= d
+		}
+		if got := rel.LevelEB(0, l); math.Float64bits(got) != math.Float64bits(eb) {
+			t.Fatalf("level %d: Rel LevelEB %v, one scan gives %v", i, got, eb)
+		}
 	}
 }
 

@@ -26,7 +26,6 @@ package core
 import (
 	"cmp"
 	"fmt"
-	"runtime"
 	"slices"
 
 	"repro/internal/amr"
@@ -54,9 +53,9 @@ var (
 // use; compression configuration travels in codec.Config.
 type TAC struct {
 	// Workers bounds how many payload units (see plan) decode at once: -1
-	// uses all CPUs, 0 or 1 decodes serially, n>1 uses n goroutines. The
-	// compress side reads codec.Config.Workers instead, which arrives with
-	// the dataset.
+	// uses all CPUs, 0 or 1 decodes serially, n>1 uses n goroutines
+	// (codec.ResolveWorkers). The compress side reads codec.Config.Workers
+	// instead, which arrives with the dataset.
 	Workers int
 }
 
@@ -76,19 +75,6 @@ func PickStrategy(density float64, cfg codec.Config) codec.Strategy {
 		return codec.AKD
 	default:
 		return codec.GSP
-	}
-}
-
-// resolveWorkers maps the Workers convention (-1 all CPUs, ≤1 serial) to a
-// concrete goroutine count.
-func resolveWorkers(w int) int {
-	switch {
-	case w == -1:
-		return runtime.GOMAXPROCS(0)
-	case w > 1:
-		return w
-	default:
-		return 1
 	}
 }
 
@@ -247,7 +233,7 @@ func (TAC) Compress(ds *amr.Dataset, cfg codec.Config) ([]byte, error) {
 // points, and sections are assembled afterwards in stream order, so the
 // bytes do not depend on cfg.Workers.
 func compress(plans []levelPlan, ebs []float64, cfg codec.Config) error {
-	return run(plans, resolveWorkers(cfg.Workers), func(u *unit) error {
+	return run(plans, codec.ResolveWorkers(cfg.Workers), func(u *unit) error {
 		enc := encoders.Get()
 		defer encoders.Put(enc)
 		opts := sz.Options{ErrorBound: ebs[u.li], QuantBits: cfg.QuantBits}
@@ -288,7 +274,7 @@ func (t TAC) Decompress(blob []byte) (*amr.Dataset, error) {
 			return nil, err
 		}
 	}
-	if err := decompress(plans, resolveWorkers(t.Workers)); err != nil {
+	if err := decompress(plans, codec.ResolveWorkers(t.Workers)); err != nil {
 		return nil, err
 	}
 	return ds, nil

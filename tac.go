@@ -170,8 +170,9 @@ type ArchiveReader = archive.Reader
 type ArchiveMember = archive.Member
 
 // NewArchive starts a TACA archive on w. Append snapshots with
-// AddDataset (or BeginMember/AddLevel for sequences larger than memory)
-// and seal the index with Close.
+// AddDataset, which codes all of a snapshot's levels through one worker
+// pool (or BeginMember/AddLevel, a level at a time, for snapshots larger
+// than memory), and seal the index with Close.
 func NewArchive(w io.Writer) (*ArchiveWriter, error) { return archive.NewWriter(w) }
 
 // OpenArchive opens an archive from any io.ReaderAt covering size bytes.
