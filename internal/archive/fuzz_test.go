@@ -11,16 +11,15 @@ import (
 	"repro/internal/sim"
 )
 
-// FuzzOpen throws mutated archive bytes — seeded with fresh,
-// appended/multi-generation, and torn-tail archives so the
-// generation-stamped trailer and the recovery scan are both in the
+// FuzzOpen throws mutated archive bytes — seeded with every trailer
+// layout, fresh, appended/multi-generation, and torn-tail archives so the
+// generation-stamped trailers and the recovery scan are all in the
 // corpus — at the full open path: trailer parse, recovery scan, footer
 // decode, frame-bounds validation. Open must never panic, and any Reader
 // it does return must hold an index whose every batch decodes or fails
 // cleanly.
 func FuzzOpen(f *testing.F) {
 	dir := f.TempDir()
-	path := filepath.Join(dir, "seed.taca")
 	mkSnap := func(name string, seed int64) *amr.Dataset {
 		ds, err := sim.Generate(sim.Spec{
 			Name: name, FinestN: 16, Levels: 2, UnitBlock: 4,
@@ -32,32 +31,14 @@ func FuzzOpen(f *testing.F) {
 		return ds
 	}
 
-	// Seed 1: a single-generation archive.
-	writeSeedArchive(f, path, mkSnap("s0", 1))
-	gen0, err := os.ReadFile(path)
-	if err != nil {
-		f.Fatal(err)
-	}
+	// Seeds 1-8 are legacy layouts, read from the fixtures their writer
+	// left (legacy_test.go). Seed 1: a single-generation v1 archive.
+	gen0 := fixture(f, "legacy_v1.hex")
 	f.Add(gen0)
 
-	// Seeds 2-3: two appended generations, and a torn tail mid-append.
-	for i := 1; i <= 2; i++ {
-		w, fl, err := OpenAppendFile(path)
-		if err != nil {
-			f.Fatal(err)
-		}
-		if err := w.AddDataset(mkSnap("s"+string(rune('0'+i)), int64(i+1)), codec.Config{ErrorBound: 1e9}); err != nil {
-			f.Fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			f.Fatal(err)
-		}
-		fl.Close()
-	}
-	multi, err := os.ReadFile(path)
-	if err != nil {
-		f.Fatal(err)
-	}
+	// Seeds 2-3: the same with two appended generations, and a torn tail
+	// mid-append.
+	multi := fixture(f, "legacy_v1_appended.hex")
 	f.Add(multi)
 	f.Add(multi[:len(gen0)+(len(multi)-len(gen0))/2]) // torn second append
 	f.Add(multi[:len(multi)-5])                       // torn trailer
@@ -66,32 +47,7 @@ func FuzzOpen(f *testing.F) {
 	// Seeds 4-6: a v2 campaign archive (delta members under TACAEND3),
 	// a torn delta tail, and a bit-flip inside its footer region — the
 	// mutation engine starts from here to attack the dependency links.
-	dpath := filepath.Join(dir, "delta.taca")
-	dfl, err := os.Create(dpath)
-	if err != nil {
-		f.Fatal(err)
-	}
-	dw, err := NewWriter(dfl)
-	if err != nil {
-		f.Fatal(err)
-	}
-	dw.BatchBlocks = 8
-	dw.Keyframe = 3
-	prev := mkSnap("d0", 9)
-	for i := 0; i < 3; i++ {
-		if err := dw.AddDataset(prev, codec.Config{ErrorBound: 1e9}); err != nil {
-			f.Fatal(err)
-		}
-		prev = driftDataset(prev, "d"+string(rune('1'+i)), 1e9, int64(i))
-	}
-	if err := dw.Close(); err != nil {
-		f.Fatal(err)
-	}
-	dfl.Close()
-	dv2, err := os.ReadFile(dpath)
-	if err != nil {
-		f.Fatal(err)
-	}
+	dv2 := fixture(f, "legacy_v2.hex")
 	f.Add(dv2)
 	f.Add(dv2[:len(dv2)-trailer3Len-7]) // torn delta tail: footer cut mid-record
 	flip := append([]byte(nil), dv2...)
@@ -101,33 +57,7 @@ func FuzzOpen(f *testing.F) {
 	// Seeds 7-8: a v3 checksummed campaign archive (digests under
 	// TACAEND4) and a flip in its digest region, so the mutation engine
 	// attacks the sum varints and the checksum-verified read path.
-	spath := filepath.Join(dir, "sums.taca")
-	sfl, err := os.Create(spath)
-	if err != nil {
-		f.Fatal(err)
-	}
-	sw, err := NewWriter(sfl)
-	if err != nil {
-		f.Fatal(err)
-	}
-	sw.BatchBlocks = 8
-	sw.Keyframe = 3
-	sw.Checksums = true
-	prev = mkSnap("c0", 13)
-	for i := 0; i < 3; i++ {
-		if err := sw.AddDataset(prev, codec.Config{ErrorBound: 1e9}); err != nil {
-			f.Fatal(err)
-		}
-		prev = driftDataset(prev, "c"+string(rune('1'+i)), 1e9, int64(10+i))
-	}
-	if err := sw.Close(); err != nil {
-		f.Fatal(err)
-	}
-	sfl.Close()
-	sv3, err := os.ReadFile(spath)
-	if err != nil {
-		f.Fatal(err)
-	}
+	sv3 := fixture(f, "legacy_v3.hex")
 	f.Add(sv3)
 	sflip := append([]byte(nil), sv3...)
 	sflip[len(sflip)-trailer4Len-6] ^= 0x11 // corrupt a footer byte near the digests
@@ -200,25 +130,4 @@ func FuzzOpen(f *testing.F) {
 			}
 		}
 	})
-}
-
-func writeSeedArchive(f *testing.F, path string, snaps ...*amr.Dataset) {
-	fl, err := os.Create(path)
-	if err != nil {
-		f.Fatal(err)
-	}
-	defer fl.Close()
-	w, err := NewWriter(fl)
-	if err != nil {
-		f.Fatal(err)
-	}
-	w.BatchBlocks = 8
-	for _, ds := range snaps {
-		if err := w.AddDataset(ds, codec.Config{ErrorBound: 1e9}); err != nil {
-			f.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		f.Fatal(err)
-	}
 }
