@@ -11,7 +11,7 @@
 //	  tacc verify     [-repair replica.taca] in.taca    (archive scrub; non-zero exit on damage)
 //	  tacc repair     -replica replica.taca in.taca     (splice damaged frames back from a replica)
 //	  tacc errmap     [-codec ...] [-eb ...] [-rel] [-level 0] [-slice -1] in.amr out.png
-//	  tacc archive    [-eb 1e9] [-rel] [-scales 3,1] [-workers -1] [-batch 64] [-append] [-delta] [-keyframe 8] [-sum] [-fsum] out.taca in.amr...
+//	  tacc archive    [-eb 1e9] [-rel] [-scales 3,1] [-workers -1] [-batch 64] [-append] [-delta] [-keyframe 8] out.taca in.amr...
 //	  tacc ls         [-scrub] in.taca
 //	  tacc extract    [-member 0] [-level -1] [-roi x0:x1,y0:y1,z0:z1] in.taca out.amr
 //
@@ -156,7 +156,7 @@ func usage() {
   tacc verify     [-repair replica.taca] in.taca    (archive scrub; non-zero exit on damage)
   tacc repair     -replica replica.taca in.taca     (splice damaged frames back from a replica)
   tacc errmap     [-codec ...] [-eb ...] [-rel] [-level 0] [-slice -1] in.amr out.png
-  tacc archive    [-eb 1e9] [-rel] [-scales 3,1] [-workers -1] [-batch 64] [-append] [-delta] [-keyframe 8] [-sum] [-fsum] out.taca in.amr...
+  tacc archive    [-eb 1e9] [-rel] [-scales 3,1] [-workers -1] [-batch 64] [-append] [-delta] [-keyframe 8] out.taca in.amr...
   tacc ls         [-scrub] in.taca
   tacc extract    [-member 0] [-level -1] [-roi x0:x1,y0:y1,z0:z1] in.taca out.amr`)
 	os.Exit(2)
@@ -353,7 +353,7 @@ func verifyArchive(path string) {
 		}
 		frames += per[mi]
 	}
-	mode := "decode-verified (no stored digests; archive predates -sum)"
+	mode := "decode-verified (no stored digests; legacy v1/v2 archive)"
 	if r.Checksummed() {
 		mode = "digest-verified"
 	}
@@ -463,8 +463,6 @@ func archiveCmd(args []string) {
 	appendTo := fs.Bool("append", false, "append to an existing archive instead of creating it")
 	delta := fs.Bool("delta", false, "campaign mode: delta-code members against their predecessors")
 	keyframe := fs.Int("keyframe", 8, "with -delta, keyframe interval bounding reference chains")
-	sum := fs.Bool("sum", false, "store per-frame digests so reads and 'tacc verify' detect corruption")
-	fsum := fs.Bool("fsum", false, "additionally seal the footer with a self-digest (format v4, implies -sum)")
 	if err := fs.Parse(args); err != nil {
 		os.Exit(2)
 	}
@@ -509,15 +507,6 @@ func archiveCmd(args []string) {
 	w.BatchBlocks = *batch
 	if *delta {
 		w.Keyframe = *keyframe
-	}
-	if *sum {
-		// Appends to an already-checksummed archive inherit the flag;
-		// -sum on a legacy archive upgrades it (existing frames get
-		// digests backfilled at commit). It never downgrades.
-		w.Checksums = true
-	}
-	if *fsum {
-		w.FooterSum = true
 	}
 	t0 := time.Now()
 	var orig int64

@@ -3,6 +3,7 @@ package archive
 import (
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 )
@@ -13,9 +14,16 @@ import (
 // and returns a Writer already holding the committed member index: new
 // members stream through the usual BeginMember/AddDataset pipeline after
 // the old trailer, and Commit/Close seal them under a fresh
-// generation-stamped footer with crash-safe fsync ordering. Committed
+// generation-stamped v4 footer with crash-safe fsync ordering. Committed
 // bytes are never overwritten, so concurrent Readers opened on any
 // earlier generation stay valid throughout.
+//
+// A legacy archive is upgraded on the way: every frame its footer holds
+// no digest for is decoded, as ScrubMember audits a digest-less archive,
+// and then digested, so the first commit certifies only frames that
+// decode. A frame that fails is ErrCorrupt naming its member, level and
+// batch, and the file is left untouched. A flip the codec happens to
+// tolerate still decodes, and is certified with the rest.
 //
 // f must be open for both reading and writing; the Writer does not close
 // it.
@@ -26,20 +34,26 @@ func OpenAppend(f *os.File) (*Writer, error) {
 	}
 	size := st.Size()
 	rd, err := openAt(f, size)
+	end := size
 	if err != nil && errors.Is(err, ErrCorrupt) {
 		// Torn tail from a crashed append: fall back to the newest
-		// committed generation and cut the wreckage off so the next
-		// append starts at a clean boundary.
-		var end int64
+		// committed generation, whose end the next append starts at.
 		if rd2, e, rerr := recoverScan(f, size); rerr == nil {
 			rd, end, err = rd2, e, nil
-			if terr := f.Truncate(end); terr != nil {
-				return nil, fmt.Errorf("archive: truncating torn tail at %d: %w", end, terr)
-			}
 		}
 	}
 	if err != nil {
 		return nil, err
+	}
+	if err := rd.backfillSums(); err != nil {
+		return nil, err
+	}
+	if end < size {
+		// Cut the wreckage off so the next append starts at a clean
+		// boundary.
+		if err := f.Truncate(end); err != nil {
+			return nil, fmt.Errorf("archive: truncating torn tail at %d: %w", end, err)
+		}
 	}
 	if _, err := f.Seek(rd.size, io.SeekStart); err != nil {
 		return nil, fmt.Errorf("archive: seeking to append position: %w", err)
@@ -50,17 +64,40 @@ func OpenAppend(f *os.File) (*Writer, error) {
 		off:       rd.size,
 		members:   rd.members,
 		committed: rd.gen + 1,
-		// A checksummed tail keeps its digests: new frames are digested as
-		// they stream out instead of being read back at Commit. A v4 tail
-		// likewise keeps its footer digest on every later commit.
-		Checksums: rd.Checksummed(),
-		FooterSum: rd.FooterChecksummed(),
-		footerVer: rd.ver,
 		// The committed tail doubles as the delta-reference source: if the
 		// appender enables Keyframe, the first member of each field primes
 		// its reference by decoding the field's newest committed member.
 		tail: rd,
 	}, nil
+}
+
+// backfillSums digests every frame of a legacy index that has none,
+// decoding it first: a frame the codec rejects is reported, not
+// certified. It runs before anything else holds the index, and members are
+// visited in order, so a delta frame's references are verified against
+// their new digests as its chain is decoded.
+func (r *Reader) backfillSums() error {
+	fd := frameDecoders.Get().(*frameDecoder)
+	defer frameDecoders.Put(fd)
+	for mi := range r.members {
+		for li := range r.members[mi].Levels {
+			idx := &r.members[mi].Levels[li]
+			if idx.Sums != nil {
+				continue
+			}
+			sums := make([]uint32, len(idx.Batches))
+			for b := range idx.Batches {
+				blocks := fd.scratch(idx.unitDims(), idx.blockCount(b))
+				if err := r.decodeChain(fd, blocks, mi, li, b); err != nil {
+					return fmt.Errorf("archive: upgrading to v4: %w", err)
+				}
+				// The chain's last frame read is batch b itself.
+				sums[b] = crc32.Checksum(fd.frame, castagnoli)
+			}
+			idx.Sums = sums
+		}
+	}
+	return nil
 }
 
 // OpenAppendFile opens the TACA file at path read-write for appending.

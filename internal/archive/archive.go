@@ -13,83 +13,68 @@
 //     spatial region reads only the index and the covered batches from any
 //     io.ReaderAt, safely from many goroutines at once.
 //
-// File layout:
+// File layout, as the writer always commits it (format v4):
 //
 //	header    "TACA" magic + 1 version byte
 //	frames    raw sz block-batch payloads, back to back, in index order
 //	footer    varint-coded member index (see appendMemberRecord)
-//	trailer   uint64 LE footer length + 8-byte end magic "TACAEND1"
+//	trailer   uint64 LE footer length + uint64 LE generation +
+//	          uint32 LE footer CRC32C + 8-byte end magic "TACAEND5"
 //
 // Each frame is an independently decodable sz.CompressBlocks stream over
 // up to BatchBlocks occupied unit blocks of one level, in row-major mask
 // order. Block coordinates are never stored: like the codec container,
 // the footer's occupancy masks fully determine which blocks the i-th
 // batch of a level covers, so the index costs one bit per unit block plus
-// two varints per batch.
+// a few varints per batch.
+//
+// Integrity: the footer records a CRC32C (Castagnoli) digest of every
+// frame, and readers verify the digest of every frame they read before
+// any bytes reach the codec, so a flipped bit inside a compressed payload
+// surfaces as ErrCorrupt instead of silently wrong field values;
+// Reader.ScrubMember audits every frame of a member the same way without
+// decoding. The trailer in turn digests the footer bytes and its own
+// length and generation words: Open verifies that digest before trusting
+// a single index varint, and when the newest footer fails it — a torn or
+// bit-flipped index — falls back to the previous committed generation's
+// trailer, so index damage degrades the archive to its last good
+// generation instead of making it unreadable.
 //
 // Append and crash safety: an archive grows by appending — new frames go
 // after the previous footer+trailer (which are left intact), and the
 // grown archive is committed by writing a fresh footer over all members
-// followed by a generation-stamped trailer
-//
-//	trailer₂  uint64 LE footer length + uint64 LE generation + "TACAEND2"
-//
-// with fsync ordering (frames durable before the trailer is written, the
-// trailer durable before the commit is acknowledged). Nothing is ever
+// followed by a trailer stamped with the next generation, with fsync
+// ordering (frames durable before the trailer is written, the trailer
+// durable before the commit is acknowledged). Nothing is ever
 // overwritten, so a crash at any byte offset leaves the previous
 // generation's footer valid: Open first parses the trailer at EOF and, if
 // the tail is torn, scans backward for the newest committed generation,
 // ignoring (or, in OpenAppend, truncating) the torn tail.
 //
-// Campaign (delta) mode — format v2: when the writer's keyframe interval
-// is on, a member may be coded temporally against an earlier member of
-// the same field: its frames are sz.CompressBlocksDelta residuals whose
-// reference is the RECONSTRUCTION of the referenced member's matching
-// batch. Such archives commit with a v2 footer — the v1 index plus, per
-// member, a dependency link (reference member index + generation) and,
-// per batch, a coding-mode flag — and the trailer magic
-//
-//	trailer₃  uint64 LE footer length + uint64 LE generation + "TACAEND3"
-//
-// which is what signals the v2 footer layout to readers (same 24-byte
-// shape as trailer₂, but legal at generation 0). Archives containing no
-// delta member commit with the v1 footer and trailers, byte-identical to
-// what this package wrote before delta mode existed. Reference links
-// always point strictly backward in the member index, so chains terminate
-// by construction; the reader resolves them transparently, and keyframes
+// Campaign (delta) mode: when the writer's keyframe interval is on, a
+// member may be coded temporally against an earlier member of the same
+// field: its frames are sz.CompressBlocksDelta residuals whose reference
+// is the RECONSTRUCTION of the referenced member's matching batch. The
+// footer records, per member, a dependency link (reference member index +
+// generation) and, per batch, a coding-mode flag. Reference links always
+// point strictly backward in the member index, so chains terminate by
+// construction; the reader resolves them transparently, and keyframes
 // every K members bound the depth (see Writer.Keyframe).
 //
-// Integrity (checksums) — format v3: a writer with Checksums on records a
-// CRC32C (Castagnoli) digest of every frame in the footer and commits
-// with the v3 footer layout — the v2 index plus, per batch, the digest
-// varint after the coding-mode flags — sealed by the trailer magic
+// Legacy layouts: the writer always commits v4; v1–v3 are read-only legacy
+// layouts, which Open reads and OpenAppend upgrades to v4 at the next
+// commit. Each is named by its trailer magic:
 //
-//	trailer₄  uint64 LE footer length + uint64 LE generation + "TACAEND4"
+//	v1  uint64 LE footer length + "TACAEND1" (generation 0), or
+//	    uint64 LE footer length + uint64 LE generation + "TACAEND2"
+//	v2  uint64 LE footer length + uint64 LE generation + "TACAEND3"
+//	v3  uint64 LE footer length + uint64 LE generation + "TACAEND4"
 //
-// (same 24-byte shape again, legal at generation 0). Readers verify the
-// digest of every frame they read before any bytes reach the codec, so a
-// flipped bit inside a compressed payload surfaces as ErrCorrupt instead
-// of silently wrong field values; Reader.ScrubMember audits every frame of a
-// member the same way without decoding. Checksums are strictly opt-in:
-// with them off the output stays byte-identical to the v1/v2 formats
-// above, and v1–v3 archives (no digests) remain fully readable.
-//
-// Footer self-digest — format v4: per-frame digests leave the index
-// itself unverified, so a writer with FooterSum on additionally records a
-// CRC32C digest of the footer bytes (and of the trailer's length and
-// generation words) in the trailer:
-//
-//	trailer₅  uint64 LE footer length + uint64 LE generation +
-//	          uint32 LE footer CRC32C + "TACAEND5"
-//
-// (28 bytes; the footer layout itself is unchanged from v3). Open
-// verifies the digest before trusting a single index varint, and when the
-// newest footer fails it — a torn or bit-flipped index — falls back to the
-// previous committed generation's trailer, so index damage degrades the
-// archive to its last good generation instead of making it unreadable.
-// Like checksums, the footer digest is opt-in and sticky: with it off the
-// output is byte-identical to v1–v3, and once an archive commits at v4
-// every later append keeps the footer digest.
+// The v1 footer is the index without dependency links, mode flags,
+// generations or digests; v2 adds the links, flags and generations; v3
+// adds the frame digests and is the v4 footer byte for byte, under a
+// trailer without the footer digest. Frames of a v1/v2 archive are
+// verified only structurally, by decoding them.
 package archive
 
 import (
@@ -151,17 +136,9 @@ func trailerByMagic(m [8]byte) *trailerKind {
 	return nil
 }
 
-// trailerFor returns the layout that seals a version-ver footer at
-// generation gen. Only v1 has two: its generation 0 carries no generation
-// word, byte-identical to archives written before append existed.
-func trailerFor(ver int, gen uint64) *trailerKind {
-	for i := range trailerKinds {
-		if k := &trailerKinds[i]; k.ver == ver && (k.gen || gen == 0) {
-			return k
-		}
-	}
-	panic(fmt.Sprintf("archive: no trailer for footer version %d", ver))
-}
+// currentTrailer is the layout every commit writes: the v4 footer sealed
+// under TACAEND5. The other rows are read-only legacy layouts.
+var currentTrailer = &trailerKinds[len(trailerKinds)-1]
 
 // appendTrailer appends the trailer of layout k sealing footer at
 // generation gen.
@@ -296,7 +273,7 @@ type Member struct {
 	// Ref is the member index this member's delta batches reference, or
 	// −1 when the member is fully intra-coded. References always point
 	// strictly backward (Ref < the member's own index), so chains
-	// terminate; only v2 footers can carry Ref ≥ 0.
+	// terminate; a v1 footer cannot carry Ref ≥ 0.
 	Ref int
 	// Gen is the archive generation the member was committed in (0 for
 	// the initial write). v1 footers do not record it.
@@ -330,46 +307,26 @@ func (m *Member) CompressedBytes() int64 {
 	return n
 }
 
-// needV2 reports whether the member set requires the v2 footer layout —
-// any delta-coded member. Intra-only archives stay on v1 so their bytes
-// are unchanged from pre-delta writers.
-func needV2(members []Member) bool {
-	for i := range members {
-		if members[i].Ref >= 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// appendMemberRecord appends the footer record of member mi at the given
-// footer version. A footer is the member count followed by one record per
-// member, and a record's bytes depend on nothing but the member and the
-// version — mi is only what a reference is checked against — so a footer
-// grows by appending records (Writer.footer).
-// The v2 layout interleaves the dependency links: per member a reference
-// index (+1, 0 = none) and generation after QuantBits, and per batch a
-// coding-mode flag varint after the batch records. The v3 layout is v2
-// plus, per batch, the frame's CRC32C digest varint after the mode flags
-// — all-or-nothing: every level of every member must carry digests.
-func appendMemberRecord(out []byte, mi int, m *Member, ver int) ([]byte, error) {
-	v2 := ver >= 2
-	sums := ver >= 3
+// appendMemberRecord appends the v4 footer record of member mi. A footer
+// is the member count followed by one record per member, and a record's
+// bytes depend on nothing but the member — mi is only what a reference is
+// checked against — so a footer grows by appending records
+// (Writer.footer). Besides the v1 fields the record carries, per member, a
+// reference index (+1, 0 = none) and generation after QuantBits, and per
+// batch a coding-mode flag varint and then the frame's CRC32C digest
+// varint after the batch records: every level must carry digests.
+func appendMemberRecord(out []byte, mi int, m *Member) ([]byte, error) {
 	out = bitio.AppendBytes(out, []byte(m.Name))
 	out = bitio.AppendBytes(out, []byte(m.Field))
 	out = bitio.AppendUvarint(out, uint64(m.Ratio))
 	out = bitio.AppendUvarint(out, math.Float64bits(m.ErrorBound))
 	out = bitio.AppendUvarint(out, uint64(m.Mode))
 	out = bitio.AppendUvarint(out, uint64(m.QuantBits))
-	if v2 {
-		if m.Ref >= mi {
-			return nil, fmt.Errorf("archive: member %d references member %d (must point strictly backward)", mi, m.Ref)
-		}
-		out = bitio.AppendUvarint(out, uint64(m.Ref+1)) // −1 (intra) encodes as 0
-		out = bitio.AppendUvarint(out, uint64(m.Gen))
-	} else if m.Ref >= 0 {
-		return nil, fmt.Errorf("archive: member %d is delta-coded but footer is v1", mi)
+	if m.Ref >= mi {
+		return nil, fmt.Errorf("archive: member %d references member %d (must point strictly backward)", mi, m.Ref)
 	}
+	out = bitio.AppendUvarint(out, uint64(m.Ref+1)) // −1 (intra) encodes as 0
+	out = bitio.AppendUvarint(out, uint64(m.Gen))
 	out = bitio.AppendUvarint(out, uint64(len(m.LevelScales)))
 	for _, s := range m.LevelScales {
 		out = bitio.AppendUvarint(out, math.Float64bits(s))
@@ -392,27 +349,21 @@ func appendMemberRecord(out []byte, mi int, m *Member, ver int) ([]byte, error) 
 			out = bitio.AppendUvarint(out, uint64(b.Offset))
 			out = bitio.AppendUvarint(out, uint64(b.Length))
 		}
-		if v2 {
-			if li.Delta != nil && len(li.Delta) != len(li.Batches) {
-				return nil, fmt.Errorf("archive: member %d level %d has %d delta flags for %d batches", mi, i, len(li.Delta), len(li.Batches))
-			}
-			for b := range li.Batches {
-				var flag uint64
-				if li.IsDelta(b) {
-					flag = 1
-				}
-				out = bitio.AppendUvarint(out, flag)
-			}
+		if li.Delta != nil && len(li.Delta) != len(li.Batches) {
+			return nil, fmt.Errorf("archive: member %d level %d has %d delta flags for %d batches", mi, i, len(li.Delta), len(li.Batches))
 		}
-		if sums {
-			if len(li.Sums) != len(li.Batches) {
-				return nil, fmt.Errorf("archive: member %d level %d has %d checksums for %d batches", mi, i, len(li.Sums), len(li.Batches))
+		for b := range li.Batches {
+			var flag uint64
+			if li.IsDelta(b) {
+				flag = 1
 			}
-			for _, s := range li.Sums {
-				out = bitio.AppendUvarint(out, uint64(s))
-			}
-		} else if li.Sums != nil && len(li.Sums) != 0 {
-			return nil, fmt.Errorf("archive: member %d level %d carries checksums but footer is v%d", mi, i, ver)
+			out = bitio.AppendUvarint(out, flag)
+		}
+		if len(li.Sums) != len(li.Batches) {
+			return nil, fmt.Errorf("archive: member %d level %d has %d checksums for %d batches", mi, i, len(li.Sums), len(li.Batches))
+		}
+		for _, s := range li.Sums {
+			out = bitio.AppendUvarint(out, uint64(s))
 		}
 	}
 	return out, nil

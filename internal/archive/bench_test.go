@@ -99,14 +99,14 @@ func BenchmarkExtractRegion(b *testing.B) {
 }
 
 // BenchmarkExtractMember extracts one intra member of the same campaign
-// three ways: from a plain archive, from a digest-carrying one (per-frame
-// CRC32C and footer self-digest, verified on every read), and from that
-// one behind a healthy two-source replica.Multi. The last two against the
-// first are what verification and the failover layer cost a read.
+// three ways: with the frames' digests dropped from the index, as a legacy
+// archive without them is read; verifying every frame read against its
+// CRC32C; and from the archive behind a healthy two-source replica.Multi.
+// The last two against the first are what verification and the failover
+// layer cost a read.
 func BenchmarkExtractMember(b *testing.B) {
 	snaps := campaignOf(b, 64, 8, 4)
-	plain := buildArchive(b, snaps, codec.Config{ErrorBound: testEB}, 64)
-	summed := buildV4(b, snaps, 64) // FooterSum implies Checksums
+	summed := buildArchive(b, snaps, codec.Config{ErrorBound: testEB}, 64)
 	multi, err := replica.New(replica.Config{},
 		replica.Reader(bytes.NewReader(summed), "primary"),
 		replica.Reader(bytes.NewReader(summed), "replica"))
@@ -118,7 +118,7 @@ func BenchmarkExtractMember(b *testing.B) {
 		ra   io.ReaderAt
 		size int
 	}{
-		{"plain", bytes.NewReader(plain), len(plain)},
+		{"plain", bytes.NewReader(summed), len(summed)},
 		{"summed", bytes.NewReader(summed), len(summed)},
 		{"replica", multi, len(summed)},
 	} {
@@ -126,6 +126,13 @@ func BenchmarkExtractMember(b *testing.B) {
 			r, err := Open(src.ra, int64(src.size))
 			if err != nil {
 				b.Fatal(err)
+			}
+			if src.name == "plain" {
+				for mi := range r.members {
+					for li := range r.members[mi].Levels {
+						r.members[mi].Levels[li].Sums = nil
+					}
+				}
 			}
 			b.SetBytes(int64(snaps[1].OriginalBytes()))
 			b.ReportAllocs()
@@ -166,7 +173,7 @@ func BenchmarkExtractDeltaChain(b *testing.B) {
 // coldArchive writes snaps, intra-coded in 64-block frames, to a file.
 func coldArchive(b *testing.B, snaps []*amr.Dataset) string {
 	path := filepath.Join(b.TempDir(), "cold.taca")
-	if err := os.WriteFile(path, buildV4(b, snaps, 64), 0o644); err != nil {
+	if err := os.WriteFile(path, buildArchive(b, snaps, codec.Config{ErrorBound: testEB}, 64), 0o644); err != nil {
 		b.Fatal(err)
 	}
 	return path
@@ -216,7 +223,7 @@ func BenchmarkExtractLevelCold(b *testing.B) {
 }
 
 // BenchmarkArchiveWriteCampaign writes what the repo's benchmark times on
-// its delta archive: a 6-step campaign at Keyframe=4, checksummed, 64³
+// its delta archive: a 6-step campaign at Keyframe=4, 64³
 // finest with 8³ unit blocks in 64-block frames. Run it at -cpu 1,2: the
 // writer's fan-out is cfg.Workers = -1.
 func BenchmarkArchiveWriteCampaign(b *testing.B) {
@@ -237,7 +244,6 @@ func BenchmarkArchiveWriteCampaign(b *testing.B) {
 		}
 		w.BatchBlocks = 64
 		w.Keyframe = 4
-		w.Checksums = true
 		for _, ds := range snaps {
 			if err := w.AddDataset(ds, codec.Config{ErrorBound: testEB, Workers: -1}); err != nil {
 				b.Fatal(err)

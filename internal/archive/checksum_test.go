@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -20,54 +21,23 @@ func (r *Reader) Scrub() []ScrubIssue {
 	return issues
 }
 
-// TestChecksumRoundTrip builds the same snapshots with and without
-// checksums: the checksummed archive must commit the v3 (TACAEND4)
-// format with a digest per frame, keep the data section byte-identical
-// to the plain build (digests live only in the footer), and extract the
-// same values.
+// TestChecksumRoundTrip builds snapshots with a default writer: the
+// archive must commit the v4 (TACAEND5) format with a digest per frame,
+// extract within the bound and scrub clean by digest. A legacy v1 archive,
+// which has no digests, must also scrub clean, through the decode
+// fallback, and report itself unchecksummed.
 func TestChecksumRoundTrip(t *testing.T) {
 	snaps := testSnapshots(t)
-	cfg := codec.Config{ErrorBound: testEB}
-	plain := buildArchive(t, snaps, cfg, 8)
-
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
+	sum := buildArchive(t, snaps, codec.Config{ErrorBound: testEB}, 8)
+	if !bytes.HasSuffix(sum, trailer5Magic[:]) {
+		t.Fatalf("archive does not end with %q", trailer5Magic)
 	}
-	w.BatchBlocks = 8
-	w.Checksums = true
-	for _, ds := range snaps {
-		if err := w.AddDataset(ds, cfg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	sum := buf.Bytes()
-
-	if !bytes.HasSuffix(sum, trailer4Magic[:]) {
-		t.Fatalf("checksummed archive does not end with %q", trailer4Magic)
-	}
-	// The frames themselves must be untouched: digests change only the
-	// footer and trailer. The plain archive's data section is everything
-	// before its footer.
-	var flen uint64
-	for i := 7; i >= 0; i-- {
-		flen = flen<<8 | uint64(plain[len(plain)-trailerLen+i])
-	}
-	dataEnd := len(plain) - trailerLen - int(flen)
-	if !bytes.Equal(plain[:dataEnd], sum[:dataEnd]) {
-		t.Fatal("checksummed archive's data section differs from the plain build")
-	}
-
 	r, err := Open(bytes.NewReader(sum), int64(len(sum)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !r.Checksummed() {
-		t.Fatal("Checksummed() = false on a v3 archive")
+		t.Fatal("Checksummed() = false on a v4 archive")
 	}
 	for mi := range r.Members() {
 		m := &r.Members()[mi]
@@ -91,8 +61,7 @@ func TestChecksumRoundTrip(t *testing.T) {
 		t.Fatalf("clean archive scrubbed %d issues: %v", len(issues), issues[0])
 	}
 
-	// The plain archive must also scrub clean through the decode
-	// fallback, and report itself unchecksummed.
+	plain := fixture(t, "legacy_v1_appended.hex")
 	pr, err := Open(bytes.NewReader(plain), int64(len(plain)))
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +79,7 @@ func TestChecksumRoundTrip(t *testing.T) {
 // caught both by the read path (DecodeBatch → ErrCorrupt) and by Scrub,
 // which must name exactly the damaged frame. sz streams themselves are
 // not checksummed, so without digests some of these flips would decode
-// to silently wrong values (see TestFrameDamageIsErrCorrupt).
+// to silently wrong values (see TestNoSilentWrongData).
 func TestChecksumDetectsEveryFrameFlip(t *testing.T) {
 	snaps := testSnapshots(t)
 	var buf bytes.Buffer
@@ -119,7 +88,6 @@ func TestChecksumDetectsEveryFrameFlip(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.BatchBlocks = 8
-	w.Checksums = true
 	for _, ds := range snaps[:2] {
 		if err := w.AddDataset(ds, codec.Config{ErrorBound: testEB}); err != nil {
 			t.Fatal(err)
@@ -171,100 +139,79 @@ func TestChecksumDetectsEveryFrameFlip(t *testing.T) {
 	}
 }
 
-// TestChecksumAppendUpgrade appends to an UNchecksummed on-disk archive
-// with Checksums enabled: Commit must backfill digests for the committed
-// generation (reading its frames back) and seal the whole archive at v3,
-// so one append upgrades a legacy archive in place.
+// TestChecksumAppendUpgrade appends a member to every legacy fixture with
+// a default writer: the archive must come out at v4 (TACAEND5), with
+// digests on every level of every member, the old members extracting to
+// the values their writer extracted, and Writer.View equal to what Open
+// parses. A second append keeps it at v4.
 func TestChecksumAppendUpgrade(t *testing.T) {
-	snaps := testSnapshots(t)
 	cfg := codec.Config{ErrorBound: testEB}
-	path := filepath.Join(t.TempDir(), "upgrade.taca")
-	if err := os.WriteFile(path, buildArchive(t, snaps[:2], cfg, 8), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	for _, fx := range legacyFixtures[:4] {
+		t.Run(fx.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "upgrade.taca")
+			if err := os.WriteFile(path, fixture(t, fx.name), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			for i := range 2 {
+				w, f, err := OpenAppendFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := w.AddDataset(smallSnapshot(t, "new", int64(11+i)), cfg); err != nil {
+					t.Fatal(err)
+				}
+				if err := w.Close(); err != nil {
+					t.Fatal(err)
+				}
+				view, err := w.View(f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f.Close()
 
-	w, f, err := OpenAppendFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if w.Checksums {
-		t.Fatal("OpenAppend claims a v1 archive is checksummed")
-	}
-	w.Checksums = true
-	if err := w.AddDataset(snaps[2], cfg); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	r, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if !r.Checksummed() {
-		t.Fatal("upgraded archive is not checksummed")
-	}
-	if got := len(r.Members()); got != 3 {
-		t.Fatalf("upgraded archive holds %d members, want 3", got)
-	}
-	if issues := r.Scrub(); len(issues) != 0 {
-		t.Fatalf("upgraded archive scrubbed %d issues: %v", len(issues), issues[0])
-	}
-
-	// And the next append inherits checksums without being asked.
-	w2, f2, err := OpenAppendFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f2.Close()
-	if !w2.Checksums {
-		t.Fatal("OpenAppend did not inherit Checksums from a v3 tail")
-	}
-	if err := w2.AddDataset(snaps[3], cfg); err != nil {
-		t.Fatal(err)
-	}
-	if err := w2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r2, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r2.Close()
-	if !r2.Checksummed() || len(r2.Members()) != 4 {
-		t.Fatalf("second append: checksummed=%v members=%d, want true/4", r2.Checksummed(), len(r2.Members()))
-	}
-	if issues := r2.Scrub(); len(issues) != 0 {
-		t.Fatalf("twice-appended archive scrubbed %d issues: %v", len(issues), issues[0])
+				r, err := OpenFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer r.Close()
+				if _, ver := lastFooter(t, path); ver != 4 || !r.Checksummed() {
+					t.Fatalf("append %d: footer v%d, checksummed %v; want v4", i, ver, r.Checksummed())
+				}
+				if got, want := len(r.Members()), len(fx.hashes)+1+i; got != want || r.Generation() != fx.gen+1+uint64(i) {
+					t.Fatalf("append %d: %d members at generation %d, want %d at %d", i, got, r.Generation(), want, fx.gen+1+uint64(i))
+				}
+				for mi := range r.Members() {
+					for li, idx := range r.Members()[mi].Levels {
+						if len(idx.Sums) != len(idx.Batches) {
+							t.Fatalf("member %d level %d: %d digests for %d frames", mi, li, len(idx.Sums), len(idx.Batches))
+						}
+					}
+				}
+				for mi, want := range fx.hashes {
+					ds, err := r.Extract(mi)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := valuesHash(ds); got != want {
+						t.Fatalf("member %d extracts to %s, its writer extracted %s", mi, got, want)
+					}
+				}
+				if issues := r.Scrub(); len(issues) != 0 {
+					t.Fatalf("upgraded archive scrubbed %d issues: %v", len(issues), issues[0])
+				}
+				ve, vg, vv, vm := indexOf(view)
+				oe, og, ov, om := indexOf(r.Reader)
+				if ve != oe || vg != og || vv != ov || !reflect.DeepEqual(vm, om) {
+					t.Fatalf("append %d: the writer's view differs from what Open parses", i)
+				}
+			}
+		})
 	}
 }
 
-// TestChecksumLateEnableRejected pins the in-memory failure mode: frames
-// already streamed to a plain io.Writer cannot be read back, so enabling
-// Checksums after writing must fail loudly at Commit, not emit a v3
-// footer with missing digests.
-func TestChecksumLateEnableRejected(t *testing.T) {
-	snaps := testSnapshots(t)
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.AddDataset(snaps[0], codec.Config{ErrorBound: testEB}); err != nil {
-		t.Fatal(err)
-	}
-	w.Checksums = true
-	if err := w.Close(); err == nil {
-		t.Fatal("Commit accepted checksums enabled after frames were written to a non-file writer")
-	}
-}
-
-// TestChecksumDeltaCampaign runs campaign (delta) mode with digests on:
-// the archive must carry both delta links and sums (v3 subsumes v2), and
-// every chain member must still reconstruct within the bound.
+// TestChecksumDeltaCampaign runs campaign (delta) mode: the archive must
+// carry both delta links and digests, and every chain member must still
+// reconstruct within the bound.
 func TestChecksumDeltaCampaign(t *testing.T) {
 	const keyframe = 3
 	snaps := testCampaign(t, 5)
@@ -275,7 +222,6 @@ func TestChecksumDeltaCampaign(t *testing.T) {
 	}
 	w.BatchBlocks = 16
 	w.Keyframe = keyframe
-	w.Checksums = true
 	for _, ds := range snaps {
 		if err := w.AddDataset(ds, codec.Config{ErrorBound: testEB}); err != nil {
 			t.Fatal(err)

@@ -16,15 +16,14 @@ import (
 	"repro/internal/codec"
 )
 
-// encodeFooter serializes the member index at the given footer version
-// from scratch — the count, then every member's record — as Commit did
-// before the Writer kept records between commits: the oracle Writer.footer
-// is held to.
-func encodeFooter(members []Member, ver int) ([]byte, error) {
+// encodeFooter serializes the member index from scratch — the count, then
+// every member's record — as Commit did before the Writer kept records
+// between commits: the oracle Writer.footer is held to.
+func encodeFooter(members []Member) ([]byte, error) {
 	out := bitio.AppendUvarint(nil, uint64(len(members)))
 	for mi := range members {
 		var err error
-		if out, err = appendMemberRecord(out, mi, &members[mi], ver); err != nil {
+		if out, err = appendMemberRecord(out, mi, &members[mi]); err != nil {
 			return nil, err
 		}
 	}
@@ -39,27 +38,13 @@ func lastFooter(t testing.TB, path string) ([]byte, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tlen, ver int
-	switch [8]byte(blob[len(blob)-8:]) {
-	case trailerMagic:
-		tlen, ver = trailerLen, 1
-	case trailer2Magic:
-		tlen, ver = trailer2Len, 1
-	case trailer3Magic:
-		tlen, ver = trailer3Len, 2
-	case trailer4Magic:
-		tlen, ver = trailer4Len, 3
-	case trailer5Magic:
-		tlen, ver = trailer5Len, 4
-	default:
+	k := trailerByMagic([8]byte(blob[len(blob)-8:]))
+	if k == nil {
 		t.Fatalf("%s: no trailer magic at the end", path)
 	}
-	trailer := blob[len(blob)-tlen:]
-	var flen int
-	for i := 7; i >= 0; i-- {
-		flen = flen<<8 | int(trailer[i])
-	}
-	return blob[len(blob)-tlen-flen : len(blob)-tlen], ver
+	trailer := blob[len(blob)-int(k.size()):]
+	flen, _, _ := parseTrailer(k, trailer)
+	return blob[len(blob)-len(trailer)-int(flen) : len(blob)-len(trailer)], k.ver
 }
 
 // indexOf is what a Reader knows apart from its source, with the one
@@ -79,14 +64,14 @@ func indexOf(r *Reader) (int64, uint64, int, []Member) {
 }
 
 // TestIncrementalFooterAndView drives file-backed writers through random
-// sequences of AddDataset, Commit, integrity-flag toggles and
-// close-and-reopen-for-append, over two fields with and without delta
-// coding, so that footers step through v1 → v4 in every order the flags
-// allow (a late Checksums backfills digests into members whose records
-// are already held). After every commit the footer in the file must be
-// byte for byte encodeFooter over the whole index — the writer codes only
-// the members sealed since the last commit — and Writer.View must equal,
-// field for field, what Open parses from the file.
+// sequences of AddDataset, Commit and close-and-reopen-for-append, over
+// two fields with and without delta coding, starting from a fresh file or
+// from a legacy fixture, whose members' digests OpenAppend backfills
+// before the writer codes a record of them. After every commit the footer
+// in the file must be byte for byte encodeFooter over the whole index —
+// the writer codes only the members sealed since the last commit — and
+// Writer.View must equal, field for field, what Open parses from the
+// file. A legacy file nothing was committed to since must be as it was.
 func TestIncrementalFooterAndView(t *testing.T) {
 	campaign := campaignOf(t, 16, 4, 6)
 	var pool []*amr.Dataset
@@ -96,11 +81,24 @@ func TestIncrementalFooterAndView(t *testing.T) {
 		pool = append(pool, ds, other)
 	}
 	cfg := codec.Config{ErrorBound: testEB}
-	versions := map[int]bool{}
+	upgraded := map[string]bool{}
 	for seed := int64(1); seed <= 24; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		path := filepath.Join(t.TempDir(), "prop.taca")
-		writeArchiveFile(t, path, pool[:1])
+		start := "fresh"
+		if seed%2 == 0 {
+			// The four legacy layouts in turn.
+			start = legacyFixtures[seed/2%4].name
+			if err := os.WriteFile(path, fixture(t, start), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			writeArchiveFile(t, path, pool[:1])
+		}
+		startBytes, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
 		keyframe := []int{0, 3}[rng.Intn(2)]
 		open := func() (*Writer, *os.File) {
 			w, f, err := OpenAppendFile(path)
@@ -114,13 +112,19 @@ func TestIncrementalFooterAndView(t *testing.T) {
 		next := 1
 		check := func(op int) {
 			footer, ver := lastFooter(t, path)
-			versions[ver] = true
-			want, err := encodeFooter(w.Members(), ver)
+			if ver != currentTrailer.ver {
+				if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, startBytes) {
+					t.Fatalf("seed %d op %d: a v%d tail that is not the %s start (err %v)", seed, op, ver, start, err)
+				}
+				return
+			}
+			upgraded[start] = true
+			want, err := encodeFooter(w.Members())
 			if err != nil {
 				t.Fatalf("seed %d op %d: %v", seed, op, err)
 			}
 			if !bytes.Equal(footer, want) {
-				t.Fatalf("seed %d op %d: v%d footer over %d members differs from encodeFooter from scratch", seed, op, ver, len(w.Members()))
+				t.Fatalf("seed %d op %d: footer over %d members differs from encodeFooter from scratch", seed, op, len(w.Members()))
 			}
 			view, err := w.View(f)
 			if err != nil {
@@ -145,7 +149,7 @@ func TestIncrementalFooterAndView(t *testing.T) {
 		}
 		for op := 0; op < 14; op++ {
 			switch k := rng.Intn(10); {
-			case k < 4:
+			case k < 5:
 				if err := w.AddDataset(pool[next%len(pool)], cfg); err != nil {
 					t.Fatalf("seed %d op %d: %v", seed, op, err)
 				}
@@ -153,15 +157,11 @@ func TestIncrementalFooterAndView(t *testing.T) {
 				if _, err := w.View(f); err == nil {
 					t.Fatalf("seed %d op %d: View of a writer with an uncommitted member", seed, op)
 				}
-			case k < 7:
+			case k < 8:
 				if err := w.Commit(); err != nil {
 					t.Fatalf("seed %d op %d: %v", seed, op, err)
 				}
 				check(op)
-			case k < 8:
-				w.Checksums = true
-			case k < 9:
-				w.FooterSum = true
 			default:
 				if err := w.Close(); err != nil {
 					t.Fatalf("seed %d op %d: %v", seed, op, err)
@@ -177,9 +177,9 @@ func TestIncrementalFooterAndView(t *testing.T) {
 		check(-1)
 		f.Close()
 	}
-	for ver := 1; ver <= 4; ver++ {
-		if !versions[ver] {
-			t.Errorf("no sequence committed a v%d footer", ver)
+	for _, start := range []string{"fresh", "legacy_v1.hex", "legacy_v1_appended.hex", "legacy_v2.hex", "legacy_v3.hex"} {
+		if !upgraded[start] {
+			t.Errorf("no sequence starting from %s committed", start)
 		}
 	}
 }
@@ -244,7 +244,7 @@ func TestRetainedMatchesDecodeBatch(t *testing.T) {
 	if w.Retained() != nil {
 		t.Fatal("a writer that has coded nothing retains something")
 	}
-	w.BatchBlocks, w.Keyframe, w.Checksums = 8, 3, true
+	w.BatchBlocks, w.Keyframe = 8, 3
 	for i, ds := range snaps[1:6] {
 		if err := w.AddDataset(ds, cfg); err != nil {
 			t.Fatal(err)
@@ -311,7 +311,7 @@ func committedWriter(t testing.TB, n int) (*Writer, *amr.Dataset, codec.Config) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.BatchBlocks, w.Checksums = 8, true
+	w.BatchBlocks = 8
 	for i := 0; i < n; i++ {
 		if err := w.AddDataset(ds, cfg); err != nil {
 			t.Fatal(err)

@@ -52,27 +52,26 @@ func assertClean(t *testing.T, err error, what string) {
 }
 
 // TestCorruptIndexCleanErrors bit-flips its way across the footer index
-// and the trailer: every damaged archive must either still extract
-// (metadata-only damage) or fail with a contextful, ErrCorrupt-style
-// error — never a raw io error.
+// and the trailer of legacy archives, whose footers carry no digest, so
+// the flips reach the index decoder: every damaged archive must either
+// still extract (metadata-only damage) or fail with a contextful,
+// ErrCorrupt-style error — never a raw io error.
 func TestCorruptIndexCleanErrors(t *testing.T) {
-	snaps := testSnapshots(t)
-	blob := buildArchive(t, snaps[:2], codec.Config{ErrorBound: testEB}, 8)
+	for _, name := range []string{"legacy_v1_appended.hex", "legacy_v2.hex"} {
+		blob := fixture(t, name)
+		k := trailerByMagic([8]byte(blob[len(blob)-8:]))
+		flen, _, _ := parseTrailer(k, blob[len(blob)-int(k.size()):])
+		footerStart := len(blob) - int(k.size()) - int(flen)
 
-	// Locate the footer: the last 16 bytes are length + magic.
-	var flen uint64
-	for i := 7; i >= 0; i-- {
-		flen = flen<<8 | uint64(blob[len(blob)-trailerLen+i])
-	}
-	footerStart := len(blob) - trailerLen - int(flen)
-
-	// Flip one bit in every footer byte (step 3 keeps the test fast while
-	// still covering every varint field class), plus the whole trailer.
-	for off := footerStart; off < len(blob); off += 3 {
-		damaged := append([]byte(nil), blob...)
-		damaged[off] ^= 0x10
-		err := flipExtract(damaged)
-		assertClean(t, err, "bit flip at offset "+strconv.Itoa(off))
+		// Flip one bit in every footer byte (step 3 keeps the test fast
+		// while still covering every varint field class), plus the whole
+		// trailer.
+		for off := footerStart; off < len(blob); off += 3 {
+			damaged := append([]byte(nil), blob...)
+			damaged[off] ^= 0x10
+			err := flipExtract(damaged)
+			assertClean(t, err, name+": bit flip at offset "+strconv.Itoa(off))
+		}
 	}
 }
 
@@ -95,13 +94,13 @@ func TestTruncatedArchiveCleanErrors(t *testing.T) {
 }
 
 // TestFrameDamageIsErrCorrupt flips bits inside the data section (the
-// frames) and asserts decode failures are tagged ErrCorrupt with
-// member/level/batch context. Frame payload damage may also decode to
-// different values without erroring (sz streams are not checksummed);
-// only actual errors are inspected.
+// frames) of a legacy archive without digests and asserts the decoder's
+// failures are tagged ErrCorrupt with member/level/batch context. There,
+// frame payload damage may also decode to different values without
+// erroring (sz streams are not checksummed); only actual errors are
+// inspected.
 func TestFrameDamageIsErrCorrupt(t *testing.T) {
-	snaps := testSnapshots(t)
-	blob := buildArchive(t, snaps[:1], codec.Config{ErrorBound: testEB}, 8)
+	blob := fixture(t, "legacy_v1.hex")
 	sawErr := false
 	for off := headerLen; off < headerLen+256 && off < len(blob); off += 5 {
 		damaged := append([]byte(nil), blob...)
@@ -139,7 +138,6 @@ func TestDeltaCorruptionBlastRadius(t *testing.T) {
 	}
 	w.BatchBlocks = 16
 	w.Keyframe = keyframe
-	w.Checksums = true
 	for _, ds := range snaps {
 		if err := w.AddDataset(ds, codec.Config{ErrorBound: testEB}); err != nil {
 			t.Fatal(err)

@@ -147,14 +147,13 @@ func TestDeltaArchiveRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDeltaOffByteIdentity pins the format-stability contract: with
-// Keyframe off the writer's output is byte-identical to the pre-delta
-// (v1) writer, and even with Keyframe ON, a campaign whose snapshots
-// never share an AMR structure codes fully intra and still commits the
-// identical v1 bytes.
+// TestDeltaOffByteIdentity pins the format-stability contract of campaign
+// mode: with Keyframe ON, a campaign whose snapshots never share an AMR
+// structure codes fully intra and writes the identical bytes the writer
+// writes with Keyframe off.
 func TestDeltaOffByteIdentity(t *testing.T) {
 	snaps := testSnapshots(t) // structures differ between timesteps
-	v1 := buildArchive(t, snaps, codec.Config{ErrorBound: testEB}, 16)
+	intra := buildArchive(t, snaps, codec.Config{ErrorBound: testEB}, 16)
 
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf)
@@ -171,20 +170,17 @@ func TestDeltaOffByteIdentity(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf.Bytes(), v1) {
-		t.Fatalf("keyframe-on writer emitted %d bytes differing from v1 output (%d bytes) on a structure-mismatched campaign", buf.Len(), len(v1))
-	}
-	if !bytes.HasSuffix(v1, trailerMagic[:]) {
-		t.Fatalf("delta-off archive does not end with the v1 trailer magic")
+	if !bytes.Equal(buf.Bytes(), intra) {
+		t.Fatalf("keyframe-on writer emitted %d bytes differing from the keyframe-off output (%d bytes) on a structure-mismatched campaign", buf.Len(), len(intra))
 	}
 
-	r, err := Open(bytes.NewReader(v1), int64(len(v1)))
+	r, err := Open(bytes.NewReader(intra), int64(len(intra)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range r.Members() {
 		if m := &r.Members()[i]; m.Ref != -1 || m.IsDelta() {
-			t.Fatalf("v1 member %d decoded with Ref=%d", i, m.Ref)
+			t.Fatalf("intra member %d decoded with Ref=%d", i, m.Ref)
 		}
 	}
 }

@@ -11,28 +11,6 @@ import (
 	"repro/internal/codec"
 )
 
-// buildV4 writes the snapshots into an in-memory archive sealed under the
-// v4 (footer-digested) trailer.
-func buildV4(t testing.TB, snaps []*amr.Dataset, batchBlocks int) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.BatchBlocks = batchBlocks
-	w.FooterSum = true
-	for _, ds := range snaps {
-		if err := w.AddDataset(ds, codec.Config{ErrorBound: testEB}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // maskedValues flattens a dataset to its stored values, level by level.
 func maskedValues(ds *amr.Dataset) []amr.Value {
 	var out []amr.Value
@@ -43,28 +21,28 @@ func maskedValues(ds *amr.Dataset) []amr.Value {
 }
 
 // TestFooterSumRoundTrip pins the v4 format's byte relationship to v3:
-// the data section and footer are identical — FooterSum changes only the
-// trailer — and the archive opens, verifies, and extracts like its v3
-// twin.
+// the legacy_v3 campaign written again by the current writer has the
+// fixture's data section and footer byte for byte — the footer digest
+// changes only the trailer — and opens, verifies, and extracts like it.
 func TestFooterSumRoundTrip(t *testing.T) {
-	snaps := testSnapshots(t)[:2]
-	var v3buf bytes.Buffer
-	w, err := NewWriter(&v3buf)
+	v3 := fixture(t, "legacy_v3.hex")
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.BatchBlocks = 8
-	w.Checksums = true
-	for _, ds := range snaps {
-		if err := w.AddDataset(ds, codec.Config{ErrorBound: testEB}); err != nil {
+	w.BatchBlocks, w.Keyframe = 8, 3
+	prev := smallSnapshot(t, "c0", 13)
+	for i := 0; i < 3; i++ {
+		if err := w.AddDataset(prev, codec.Config{ErrorBound: testEB}); err != nil {
 			t.Fatal(err)
 		}
+		prev = driftDataset(prev, "c"+string(rune('1'+i)), testEB, int64(10+i))
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	v3 := v3buf.Bytes()
-	v4 := buildV4(t, snaps, 8)
+	v4 := buf.Bytes()
 
 	if !bytes.HasSuffix(v4, trailer5Magic[:]) {
 		t.Fatalf("v4 archive does not end with TACAEND5: %q", v4[len(v4)-8:])
@@ -73,73 +51,27 @@ func TestFooterSumRoundTrip(t *testing.T) {
 		t.Fatalf("v4 size %d, v3 size %d: want exactly the trailer growth %d", len(v4), len(v3), trailer5Len-trailer4Len)
 	}
 	if !bytes.Equal(v4[:len(v4)-trailer5Len], v3[:len(v3)-trailer4Len]) {
-		t.Fatal("v4 data+footer bytes differ from v3 — FooterSum must only change the trailer")
+		t.Fatal("v4 data+footer bytes differ from v3 — the footer digest must only change the trailer")
 	}
 
 	r, err := Open(bytes.NewReader(v4), int64(len(v4)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Checksummed() || !r.FooterChecksummed() {
-		t.Fatalf("Checksummed=%v FooterChecksummed=%v, want both", r.Checksummed(), r.FooterChecksummed())
-	}
-	v3r, err := Open(bytes.NewReader(v3), int64(len(v3)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v3r.FooterChecksummed() {
-		t.Fatal("v3 archive claims a footer digest")
+	if !r.Checksummed() || r.ver != 4 {
+		t.Fatalf("Checksummed=%v, footer v%d; want a digested v4 footer", r.Checksummed(), r.ver)
 	}
 	if issues := r.Scrub(); len(issues) != 0 {
 		t.Fatalf("clean v4 archive scrubs dirty: %v", issues)
 	}
-	for i := range snaps {
-		a, err := r.Extract(i)
+	for mi, want := range legacyFixtures[3].hashes {
+		ds, err := r.Extract(mi)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := v3r.Extract(i)
-		if err != nil {
-			t.Fatal(err)
+		if got := valuesHash(ds); got != want {
+			t.Fatalf("member %d: v4 extraction differs from v3", mi)
 		}
-		if !reflect.DeepEqual(maskedValues(a), maskedValues(b)) {
-			t.Fatalf("member %d: v4 extraction differs from v3", i)
-		}
-	}
-}
-
-// TestFooterSumAppendInheritance appends to a v4 file without setting any
-// flag: the footer digest must be sticky across generations.
-func TestFooterSumAppendInheritance(t *testing.T) {
-	snaps := testSnapshots(t)
-	path := filepath.Join(t.TempDir(), "v4.taca")
-	if err := os.WriteFile(path, buildV4(t, snaps[:1], 8), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	w, f, err := OpenAppendFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if !w.FooterSum || !w.Checksums {
-		t.Fatalf("OpenAppend of a v4 tail: FooterSum=%v Checksums=%v, want both inherited", w.FooterSum, w.Checksums)
-	}
-	if err := w.AddDataset(snaps[1], codec.Config{ErrorBound: testEB}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if !r.FooterChecksummed() || r.Generation() != 1 || len(r.Members()) != 2 {
-		t.Fatalf("appended v4 archive: fsum=%v gen=%d members=%d", r.FooterChecksummed(), r.Generation(), len(r.Members()))
-	}
-	if issues := r.Scrub(); len(issues) != 0 {
-		t.Fatalf("appended v4 archive scrubs dirty: %v", issues)
 	}
 }
 
@@ -152,7 +84,7 @@ func TestFooterSumAppendInheritance(t *testing.T) {
 func TestFooterSumGenerationFallback(t *testing.T) {
 	snaps := testSnapshots(t)[:3]
 	path := filepath.Join(t.TempDir(), "gens.taca")
-	if err := os.WriteFile(path, buildV4(t, snaps[:1], 8), 0o644); err != nil {
+	if err := os.WriteFile(path, buildArchive(t, snaps[:1], codec.Config{ErrorBound: testEB}, 8), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var ends []int64

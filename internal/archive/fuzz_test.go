@@ -76,7 +76,6 @@ func FuzzOpen(f *testing.F) {
 		f.Fatal(err)
 	}
 	vw.BatchBlocks = 8
-	vw.FooterSum = true
 	if err := vw.AddDataset(mkSnap("v0", 21), codec.Config{ErrorBound: 1e9}); err != nil {
 		f.Fatal(err)
 	}

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -24,10 +26,10 @@ import (
 //   - legacy_v2.hex: d0 (seed 9) and two drifted steps at Keyframe=3,
 //     BatchBlocks 8 (TACAEND3);
 //   - legacy_v3.hex: c0 (seed 13) and two drifted steps at Keyframe=3,
-//     BatchBlocks 8, Checksums on (TACAEND4);
+//     BatchBlocks 8, frame digests on (TACAEND4);
 //   - parent_v4.hex: x (seed 5), t0 (seed 7) and t1 at Keyframe=3,
-//     BatchBlocks 8, Checksums and FooterSum on, then t2 and t3 appended in
-//     a second generation (TACAEND5). See v4Recipe.
+//     BatchBlocks 8, frame and footer digests on, then t2 and t3 appended
+//     in a second generation (TACAEND5). See v4Recipe.
 //
 // The first four are the FuzzOpen seeds of the same names.
 var legacyFixtures = []struct {
@@ -130,7 +132,8 @@ func TestLegacyFixturesRead(t *testing.T) {
 // v4Recipe writes parent_v4.hex's archive to path: the intra member x and
 // the start of a Keyframe=3 campaign in generation 0, the campaign's next
 // two steps appended in generation 1 — t2 a delta against t1, primed from
-// the file, and t3 a keyframe, its chain at depth 3.
+// the file, and t3 a keyframe, since a delta would take its chain to
+// depth 3.
 func v4Recipe(t testing.TB, path string) {
 	t.Helper()
 	t0 := smallSnapshot(t, "t0", 7)
@@ -158,7 +161,6 @@ func v4Recipe(t testing.TB, path string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Checksums, w.FooterSum = true, true
 	add(w, smallSnapshot(t, "x", 5), t0, t1)
 	w, af, err := OpenAppendFile(path)
 	if err != nil {
@@ -181,4 +183,145 @@ func TestWriterMatchesParentV4(t *testing.T) {
 	if want := fixture(t, "parent_v4.hex"); !bytes.Equal(got, want) {
 		t.Fatalf("wrote %d bytes differing from the fixture's %d", len(got), len(want))
 	}
+}
+
+// damageLegacyFrame returns a copy of the legacy archive blob with one bit
+// flipped in frame 0 of level 0 of member 0 — the first byte from the
+// frame's middle on, wrapping round, whose flip the decoder rejects.
+func damageLegacyFrame(t testing.TB, blob []byte) []byte {
+	t.Helper()
+	r, err := Open(bytes.NewReader(blob), int64(len(blob)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := r.Members()[0].Levels[0].Batches[0]
+	for i := range rec.Length {
+		damaged := append([]byte(nil), blob...)
+		damaged[rec.Offset+(rec.Length/2+i)%rec.Length] ^= 0x20
+		dr, err := Open(bytes.NewReader(damaged), int64(len(damaged)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dr.DecodeBatch(0, 0, 0); err != nil {
+			return damaged
+		}
+	}
+	t.Fatal("no flip in the frame is rejected by the decoder")
+	return nil
+}
+
+// TestLegacyUpgradeRefusesDamagedFrames: OpenAppend decodes every legacy
+// frame before digesting it, so a frame whose bytes have rotted is
+// ErrCorrupt naming it, the file is left as it was, and the damage stays
+// where a scrub finds it — the upgrade never certifies it.
+func TestLegacyUpgradeRefusesDamagedFrames(t *testing.T) {
+	for _, name := range []string{"legacy_v1.hex", "legacy_v2.hex"} {
+		t.Run(name, func(t *testing.T) {
+			damaged := damageLegacyFrame(t, fixture(t, name))
+			path := filepath.Join(t.TempDir(), "damaged.taca")
+			if err := os.WriteFile(path, damaged, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, f, err := OpenAppendFile(path)
+			if err == nil {
+				f.Close()
+				t.Fatal("OpenAppend took up, for digesting, a frame the decoder rejects")
+			}
+			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "member 0 level 0 batch 0") {
+				t.Fatalf("OpenAppend = %v, want ErrCorrupt naming member 0 level 0 batch 0", err)
+			}
+			if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, damaged) {
+				t.Fatalf("a refused upgrade changed the file (err %v)", err)
+			}
+			r, err := Open(bytes.NewReader(damaged), int64(len(damaged)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if issues := r.ScrubMember(0); len(issues) == 0 || issues[0].Level != 0 || issues[0].Batch != 0 {
+				t.Fatalf("scrub of the damaged member: %v", issues)
+			}
+		})
+	}
+}
+
+// sameDataset reports whether a and b hold the same levels, masks and
+// values, bit for bit.
+func sameDataset(a, b *amr.Dataset) bool {
+	return slices.EqualFunc(a.Levels, b.Levels, func(x, y *amr.Level) bool {
+		return x.Mask.Equal(y.Mask) && sameBits(x.Grid.Data, y.Grid.Data)
+	})
+}
+
+// flipSweep flips one bit of every byte of blob in turn — bit off%8 — then
+// opens the result and extracts every member. want is what the undamaged
+// archive extracts, and members[g] the member count of generation g. A
+// flip ends in an error, in a fallback to an earlier generation whose
+// members all extract as they should, in the undamaged output — or
+// silently in different values, which it counts.
+func flipSweep(t *testing.T, blob []byte, members map[uint64]int) (errs, fallbacks, same, silent int) {
+	t.Helper()
+	clean, err := Open(bytes.NewReader(blob), int64(len(blob)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]*amr.Dataset, len(clean.Members()))
+	for mi := range want {
+		if want[mi], err = clean.Extract(mi); err != nil {
+			t.Fatal(err)
+		}
+	}
+	damaged := append([]byte(nil), blob...)
+	for off := range damaged {
+		damaged[off] ^= 1 << (off % 8)
+		r, err := Open(bytes.NewReader(damaged), int64(len(damaged)))
+		if err == nil {
+			r.Workers = 1
+			right := len(r.Members()) == members[r.Generation()]
+			for mi := range r.Members() {
+				var ds *amr.Dataset
+				if ds, err = r.Extract(mi); err != nil {
+					break
+				}
+				right = right && sameDataset(ds, want[mi])
+			}
+			switch {
+			case err != nil:
+			case !right:
+				silent++
+			case r.Generation() == clean.Generation():
+				same++
+			default:
+				fallbacks++
+			}
+		}
+		if err != nil {
+			errs++
+		}
+		damaged[off] ^= 1 << (off % 8)
+	}
+	return errs, fallbacks, same, silent
+}
+
+// TestNoSilentWrongData flips every byte of a campaign archive written with
+// default options — two generations, Keyframe=3 — in turn: each flip must
+// end in an error, in a fallback to the first generation, or in the
+// undamaged output, never in different values without an error. The same
+// sweep over a legacy v1 archive counts the flips that do, the hole such
+// archives keep (EXPERIMENTS.md).
+func TestNoSilentWrongData(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "v4.taca")
+	v4Recipe(t, path)
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs, fallbacks, same, silent := flipSweep(t, blob, map[uint64]int{0: 3, 1: 5})
+	t.Logf("v4, %d bytes: %d errors, %d fallbacks, %d unchanged, %d silently wrong", len(blob), errs, fallbacks, same, silent)
+	if silent != 0 || errs == 0 || fallbacks == 0 {
+		t.Fatalf("v4: %d flips extracted different values without an error", silent)
+	}
+
+	v1 := fixture(t, "legacy_v1.hex")
+	errs, fallbacks, same, silent = flipSweep(t, v1, map[uint64]int{0: 1})
+	t.Logf("legacy v1, %d bytes: %d errors, %d fallbacks, %d unchanged, %d silently wrong", len(v1), errs, fallbacks, same, silent)
 }

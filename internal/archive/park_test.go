@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/amr"
+	"repro/internal/codec"
 	"repro/internal/grid"
 )
 
@@ -172,7 +173,7 @@ func (s *signalReaderAt) ReadAt(p []byte, off int64) (int, error) {
 // for the next extraction, of the undamaged member beside it.
 func TestCorruptFrameWhileSiblingsParked(t *testing.T) {
 	snaps := testCampaign(t, 2)
-	blob := buildV4(t, snaps, 8)
+	blob := buildArchive(t, snaps, codec.Config{ErrorBound: testEB}, 8)
 	clean, err := Open(bytes.NewReader(blob), int64(len(blob)))
 	if err != nil {
 		t.Fatal(err)

@@ -58,15 +58,10 @@ type Reader struct {
 }
 
 // Checksummed reports whether the archive's footer carries per-frame
-// CRC32C digests (format v3): every frame read is then verified, and
-// ScrubMember audits without decoding.
+// CRC32C digests (format v3 and up, every archive the writer commits):
+// every frame read is then verified, and ScrubMember audits without
+// decoding. Only legacy v1/v2 archives lack them.
 func (r *Reader) Checksummed() bool { return r.ver >= 3 }
-
-// FooterChecksummed reports whether the archive's newest trailer carries
-// a CRC32C digest of the footer itself (format v4): Open verified the
-// index before trusting it, and falls back to the previous committed
-// generation when the newest footer is damaged.
-func (r *Reader) FooterChecksummed() bool { return r.ver >= 4 }
 
 // Open reads and parses the archive index from r, which must cover size
 // bytes. If the tail of the file is torn — a crash mid-append left a

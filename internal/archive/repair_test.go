@@ -11,28 +11,6 @@ import (
 	"repro/internal/codec"
 )
 
-// buildSummed builds an in-memory checksummed (v3) archive.
-func buildSummed(t testing.TB, n int) []byte {
-	t.Helper()
-	snaps := testSnapshots(t)[:n]
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.BatchBlocks = 8
-	w.Checksums = true
-	for _, ds := range snaps {
-		if err := w.AddDataset(ds, codec.Config{ErrorBound: testEB}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // damageFrame flips one byte in the middle of the given frame and
 // returns the flipped offset.
 func damageFrame(t *testing.T, blob []byte, r *Reader, mi, li, b int) int64 {
@@ -44,7 +22,7 @@ func damageFrame(t *testing.T, blob []byte, r *Reader, mi, li, b int) int64 {
 }
 
 func TestRepairMemberSplices(t *testing.T) {
-	clean := buildSummed(t, 2)
+	clean := buildArchive(t, testSnapshots(t)[:2], codec.Config{ErrorBound: testEB}, 8)
 	path := filepath.Join(t.TempDir(), "dmg.taca")
 	cr, err := Open(bytes.NewReader(clean), int64(len(clean)))
 	if err != nil {
@@ -93,7 +71,7 @@ func TestRepairMemberSplices(t *testing.T) {
 }
 
 func TestRepairMemberCleanIsNoop(t *testing.T) {
-	clean := buildSummed(t, 1)
+	clean := buildArchive(t, testSnapshots(t)[:1], codec.Config{ErrorBound: testEB}, 8)
 	path := filepath.Join(t.TempDir(), "ok.taca")
 	if err := os.WriteFile(path, clean, 0o644); err != nil {
 		t.Fatal(err)
@@ -117,7 +95,7 @@ func TestRepairMemberCleanIsNoop(t *testing.T) {
 }
 
 func TestRepairFromDamagedReplicaFails(t *testing.T) {
-	clean := buildSummed(t, 1)
+	clean := buildArchive(t, testSnapshots(t)[:1], codec.Config{ErrorBound: testEB}, 8)
 	cr, err := Open(bytes.NewReader(clean), int64(len(clean)))
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +135,7 @@ func TestRepairFromDamagedReplicaFails(t *testing.T) {
 }
 
 func TestRepairFetchErrorIsErrIO(t *testing.T) {
-	clean := buildSummed(t, 1)
+	clean := buildArchive(t, testSnapshots(t)[:1], codec.Config{ErrorBound: testEB}, 8)
 	cr, err := Open(bytes.NewReader(clean), int64(len(clean)))
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +163,7 @@ func TestRepairFetchErrorIsErrIO(t *testing.T) {
 }
 
 func TestRepairWholeArchive(t *testing.T) {
-	clean := buildSummed(t, 3)
+	clean := buildArchive(t, testSnapshots(t)[:3], codec.Config{ErrorBound: testEB}, 8)
 	cr, err := Open(bytes.NewReader(clean), int64(len(clean)))
 	if err != nil {
 		t.Fatal(err)
@@ -202,6 +180,32 @@ func TestRepairWholeArchive(t *testing.T) {
 		t.Fatalf("Repair: %v", err)
 	}
 	if rs.FramesRepaired != 2 || !reflect.DeepEqual(rs.Members, []int{0, 2}) {
+		t.Fatalf("stats = %+v", rs)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, clean) {
+		t.Fatal("repaired file differs from the clean original")
+	}
+}
+
+// TestRepairLegacyMember heals a legacy archive without digests: the scrub
+// finds the damaged frame by decoding it, RepairMember splices the
+// replica's bytes back, and the post-repair scrub decodes them again.
+func TestRepairLegacyMember(t *testing.T) {
+	clean := fixture(t, "legacy_v1_appended.hex")
+	damaged := damageLegacyFrame(t, clean)
+	path := filepath.Join(t.TempDir(), "dmg.taca")
+	if err := os.WriteFile(path, damaged, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rs, err := Repair(path, bytes.NewReader(clean))
+	if err != nil {
+		t.Fatalf("Repair: %v", err)
+	}
+	if rs.FramesDamaged != 1 || rs.FramesRepaired != 1 || !reflect.DeepEqual(rs.Members, []int{0}) {
 		t.Fatalf("stats = %+v", rs)
 	}
 	got, err := os.ReadFile(path)

@@ -25,8 +25,9 @@ var (
 )
 
 // TestTrailerKinds pins every trailer layout the format has as literal
-// bytes — what Commit writes for each footer version and generation — and
-// reads each back through the magic lookup and parseTrailer.
+// bytes — what Commit writes (the v4 rows) and what the legacy writers
+// wrote for each footer version and generation — and reads each back
+// through the magic lookup and parseTrailer.
 func TestTrailerKinds(t *testing.T) {
 	footer := []byte{0xde, 0xad, 0xbe}
 	cases := []struct {
@@ -47,7 +48,13 @@ func TestTrailerKinds(t *testing.T) {
 	seen := map[*trailerKind]bool{}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			k := trailerFor(c.ver, c.gen)
+			k := trailerByMagic([8]byte([]byte(c.want[len(c.want)-8:])))
+			if k == nil || k.ver != c.ver {
+				t.Fatalf("magic %q looked up %+v, want footer version %d", c.want[len(c.want)-8:], k, c.ver)
+			}
+			if (k == currentTrailer) != (c.ver == 4) {
+				t.Fatalf("footer version %d: the writer's layout is %+v", c.ver, currentTrailer)
+			}
 			seen[k] = true
 			// Appended after other bytes: the digest covers this trailer's
 			// words only.
@@ -57,9 +64,6 @@ func TestTrailerKinds(t *testing.T) {
 			}
 			if k.size() != c.size || int64(len(got)) != c.size {
 				t.Fatalf("size() %d, wrote %d bytes, want %d", k.size(), len(got), c.size)
-			}
-			if back := trailerByMagic([8]byte(got[len(got)-8:])); back != k || back.ver != c.ver {
-				t.Fatalf("magic %q looked up %+v, want %+v", got[len(got)-8:], back, k)
 			}
 			flen, gen, sum := parseTrailer(k, got)
 			if flen != uint64(len(footer)) || gen != c.gen {

@@ -51,33 +51,17 @@ type Writer struct {
 	// than its intra counterpart. A fresh keyframe (fully intra
 	// member) starts at least every Keyframe members per field, bounding
 	// every reference chain a reader must resolve. 0 or 1 disables delta
-	// coding entirely, and the output is then byte-identical to a
-	// pre-delta writer (v1 footer and trailers).
+	// coding entirely.
 	// Delta mode keeps one reconstructed snapshot per field in memory,
 	// relaxing the streaming-memory guarantee by the field's stored cells.
 	Keyframe int
 
-	// Checksums records a CRC32C digest of every frame in the footer and
-	// commits the v3 (TACAEND4) format, so readers verify each frame
-	// before decoding and ScrubMember audits without decoding. Set it before
-	// the first frame is written; enabling it later is only supported on
-	// file-backed writers (OpenAppend), where Commit backfills digests
-	// for already-written frames by reading them back. Off (the default)
-	// leaves the output byte-identical to the pre-checksum formats. Once
-	// an archive carries digests they are kept on every later commit,
-	// whether or not the appending writer sets this (OpenAppend inherits
-	// it from the tail).
+	// Deprecated: every archive is written at v4, with a digest of every
+	// frame and of the footer; setting this has no effect.
 	Checksums bool
 
-	// FooterSum additionally records a CRC32C digest of the footer bytes
-	// (and of the trailer's length and generation words) in the trailer,
-	// committing the v4 (TACAEND5) format: Open verifies the index itself
-	// before trusting it and falls back to the previous committed
-	// generation when the newest footer is damaged. Implies Checksums —
-	// an index worth digesting indexes digested frames — with the same
-	// set-before-the-first-frame rule, and is equally sticky across
-	// appends (OpenAppend inherits it from a v4 tail). Off (the default)
-	// leaves the output byte-identical to the v1–v3 formats.
+	// Deprecated: every archive is written at v4, with a digest of every
+	// frame and of the footer; setting this has no effect.
 	FooterSum bool
 
 	w       io.Writer
@@ -97,13 +81,11 @@ type Writer struct {
 	committed uint64 // footer generations written so far (== next trailer's generation)
 	dirty     bool   // members sealed since the last Commit
 
-	// footerVer is the version of the newest footer (0 before the first),
-	// and recs the records of members [0, recN) coded at it, after
-	// countRoom bytes kept free for the member count: a commit codes only
-	// the members sealed since the one before (see footer).
-	footerVer int
-	recs      []byte
-	recN      int
+	// recs holds the footer records of members [0, recN), after countRoom
+	// bytes kept free for the member count: a commit codes only the members
+	// sealed since the one before (see footer).
+	recs []byte
+	recN int
 
 	gatheredCells atomic.Int64 // cells currently gathered, pre-compression
 	peakGathered  atomic.Int64
@@ -187,20 +169,14 @@ func (w *Writer) Retained() map[int][][]*grid.Grid3[amr.Value] {
 // the writer holds instead of from the footer it has just written. It
 // needs a committed writer with nothing sealed since — call it after
 // Commit or OpenAppend. The view stays valid while the writer goes on: its
-// member slice is its own, and sealed members are never written again
-// (backfillSums replaces a level slice it has to change).
+// member slice is its own, and sealed members are never written again.
+// On a legacy archive OpenAppend has opened, the view is already the v4
+// index the next commit writes, digests backfilled.
 func (w *Writer) View(src io.ReaderAt) (*Reader, error) {
 	if w.committed == 0 || w.dirty || w.cur != nil {
 		return nil, fmt.Errorf("archive: View needs a committed writer with no member sealed or open since")
 	}
-	members := slices.Clone(w.members)
-	if w.footerVer < 2 {
-		// A v1 footer does not record generations, so Open reports none.
-		for mi := range members {
-			members[mi].Gen = 0
-		}
-	}
-	return &Reader{r: src, size: w.off, gen: w.committed - 1, ver: w.footerVer, members: members}, nil
+	return &Reader{r: src, size: w.off, gen: w.committed - 1, ver: currentTrailer.ver, members: slices.Clone(w.members)}, nil
 }
 
 // Stats returns the writer's progress counters.
@@ -643,69 +619,16 @@ func (mw *MemberWriter) addLevels(ls []*amr.Level) error {
 	return finish(nil)
 }
 
-// writeFrame emits one batch frame and records it in the level index,
-// digesting it on the way out when checksums are on.
+// writeFrame emits one batch frame and records it, with its digest, in the
+// level index.
 func (w *Writer) writeFrame(blob []byte, idx *LevelIndex) error {
 	if _, err := w.w.Write(blob); err != nil {
 		return fmt.Errorf("archive: writing frame: %w", err)
 	}
 	idx.Batches = append(idx.Batches, BatchRecord{Offset: w.off, Length: int64(len(blob))})
-	if w.Checksums || w.FooterSum {
-		idx.Sums = append(idx.Sums, crc32.Checksum(blob, castagnoli))
-	}
+	idx.Sums = append(idx.Sums, crc32.Checksum(blob, castagnoli))
 	w.off += int64(len(blob))
 	return nil
-}
-
-// backfillSums computes digests for frames written before Checksums was
-// enabled — an unchecksummed archive being upgraded on append — by
-// reading them back from the file. Frames of a fresh in-memory writer
-// cannot be read back, so there the flag must be set before writing.
-func (w *Writer) backfillSums() error {
-	for mi := range w.members {
-		m := &w.members[mi]
-		shared := true // m.Levels may be indexed by a View
-		for li := range m.Levels {
-			idx := &m.Levels[li]
-			if len(idx.Sums) == len(idx.Batches) {
-				continue
-			}
-			if shared {
-				m.Levels, shared = slices.Clone(m.Levels), false
-				idx = &m.Levels[li]
-			}
-			if len(idx.Sums) != 0 {
-				return fmt.Errorf("archive: member %d level %d has %d checksums for %d batches (Checksums toggled mid-member)", mi, li, len(idx.Sums), len(idx.Batches))
-			}
-			if w.file == nil {
-				return fmt.Errorf("archive: member %d was written before Checksums was enabled (set it before the first frame, or append to a file)", mi)
-			}
-			sums := make([]uint32, len(idx.Batches))
-			for b, rec := range idx.Batches {
-				blob := make([]byte, rec.Length)
-				if _, err := w.file.ReadAt(blob, rec.Offset); err != nil {
-					return fmt.Errorf("archive: member %d level %d batch %d: reading frame for checksum backfill: %w", mi, li, b, err)
-				}
-				sums[b] = crc32.Checksum(blob, castagnoli)
-			}
-			idx.Sums = sums
-		}
-	}
-	return nil
-}
-
-// anySums reports whether any member already carries frame digests — an
-// archive that was ever committed at v3 keeps its digests on every later
-// commit, so the format never silently downgrades.
-func anySums(members []Member) bool {
-	for mi := range members {
-		for li := range members[mi].Levels {
-			if members[mi].Levels[li].Sums != nil {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // Close seals the member and adds it to the archive index.
@@ -780,17 +703,12 @@ func (w *Writer) Generation() uint64 { return w.committed }
 // commit codes the records of the members sealed since the last one (see
 // footer), so what it costs does not grow with the archive.
 //
-// Generation 0 (a fresh archive's first commit) writes the 16-byte v1
-// trailer, byte-identical to archives written before append existed;
-// later generations write the 24-byte generation-stamped trailer. An
-// archive holding any delta-coded member instead commits the v2 footer
-// under the TACAEND3 trailer (generation-stamped, legal at generation 0);
-// intra-only archives never do, keeping their bytes on the v1 format. A
-// writer with Checksums on — or appending to an archive that already
-// carries frame digests — commits the v3 footer under TACAEND4,
-// backfilling digests for any frames written before the flag was set.
-// FooterSum further seals the same footer bytes under the digest-bearing
-// TACAEND5 trailer (v4).
+// Every commit writes the v4 footer — delta links, and a CRC32C digest of
+// every frame — under the TACAEND5 trailer, which digests the footer
+// itself. Appending to a legacy (v1–v3) archive upgrades it: the first
+// OpenAppend reads and decodes every frame written without a digest once,
+// a tacd -ingest registration included, and the first commit seals the
+// whole index at v4.
 func (w *Writer) Commit() error {
 	if w.closed {
 		return fmt.Errorf("archive: writer is closed")
@@ -798,23 +716,7 @@ func (w *Writer) Commit() error {
 	if w.cur != nil {
 		return fmt.Errorf("archive: member %q still open", w.cur.member.Name)
 	}
-	if w.FooterSum {
-		w.Checksums = true
-	}
-	ver := 1
-	if needV2(w.members) {
-		ver = 2
-	}
-	if w.Checksums || anySums(w.members) {
-		ver = 3
-		if err := w.backfillSums(); err != nil {
-			return err
-		}
-	}
-	if w.FooterSum {
-		ver = 4
-	}
-	footer, err := w.footer(ver)
+	footer, err := w.footer()
 	if err != nil {
 		return err
 	}
@@ -827,7 +729,7 @@ func (w *Writer) Commit() error {
 	if _, err := w.w.Write(footer); err != nil {
 		return fmt.Errorf("archive: writing footer: %w", err)
 	}
-	trailer := appendTrailer(nil, trailerFor(ver, w.committed), footer, w.committed)
+	trailer := appendTrailer(nil, currentTrailer, footer, w.committed)
 	if _, err := w.w.Write(trailer); err != nil {
 		return fmt.Errorf("archive: writing trailer: %w", err)
 	}
@@ -848,21 +750,17 @@ func (w *Writer) Commit() error {
 // member count varint, which changes with every commit.
 const countRoom = binary.MaxVarintLen64
 
-// footer returns the footer over every sealed member at version ver — the
-// member count, then every member's record, byte for byte what coding them
-// all from scratch gives — coding only the members no earlier call has: a
-// record depends on its member alone, and a sealed
-// member changes only by gaining digests (backfillSums), which no record
-// below version 3 carries and none at 3 or above can lack, so the records
-// held stay good until the version steps. The bytes are valid until the
-// next call.
-func (w *Writer) footer(ver int) ([]byte, error) {
-	if ver != w.footerVer || w.recs == nil {
-		w.recs = append(w.recs[:0], make([]byte, countRoom)...)
-		w.recN, w.footerVer = 0, ver
+// footer returns the footer over every sealed member — the member count,
+// then every member's record, byte for byte what coding them all from
+// scratch gives — coding only the members no earlier call has: a record
+// depends on its member alone, and a sealed member never changes. The
+// bytes are valid until the next call.
+func (w *Writer) footer() ([]byte, error) {
+	if w.recs == nil {
+		w.recs = make([]byte, countRoom)
 	}
 	for ; w.recN < len(w.members); w.recN++ {
-		recs, err := appendMemberRecord(w.recs, w.recN, &w.members[w.recN], ver)
+		recs, err := appendMemberRecord(w.recs, w.recN, &w.members[w.recN])
 		if err != nil {
 			return nil, err
 		}

@@ -26,7 +26,6 @@ func chaosArchiveBytes(t testing.TB) []byte {
 		t.Fatal(err)
 	}
 	w.BatchBlocks = 4
-	w.Checksums = true
 	for ti, frac := range [][]float64{{0.25, 0.75}, {0.55, 0.45}} {
 		spec := sim.Spec{
 			Name: fmt.Sprintf("snap%d", ti), FinestN: 32, Levels: 2,

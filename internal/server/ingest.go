@@ -131,8 +131,6 @@ func (s *Server) addAppend(name string, spec ArchiveSpec) (string, error) {
 	// tail. The writer primes each field's reference from the newest
 	// committed member, so chains continue seamlessly across restarts.
 	w.Keyframe = spec.Keyframe
-	w.Checksums = w.Checksums || spec.Checksums
-	w.FooterSum = w.FooterSum || spec.FooterSum
 	r, err := w.View(f)
 	if err != nil {
 		f.Close()

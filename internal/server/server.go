@@ -294,12 +294,13 @@ type ArchiveSpec struct {
 	// Keyframe, when ≥ 2, makes ingested members delta-code against the
 	// archive's committed tail (archive.Writer.Keyframe): every K-th
 	// member per field is a keyframe bounding the reference chain. 0 or 1
-	// keeps ingest in intra mode, byte-identical to previous releases.
+	// keeps ingest in intra mode.
 	Keyframe int
-	// Checksums and FooterSum set the integrity policy for ingested
-	// frames (archive.Writer.Checksums / FooterSum). Appending to an
-	// archive that already carries digests keeps them regardless.
+	// Deprecated: every archive is written at v4, with a digest of every
+	// frame and of the footer; setting this has no effect.
 	Checksums bool
+	// Deprecated: every archive is written at v4, with a digest of every
+	// frame and of the footer; setting this has no effect.
 	FooterSum bool
 	// Remote tunes URL sources. A zero SegmentBytes is auto-sized to the
 	// archive's typical frame span once the footer is parsed.

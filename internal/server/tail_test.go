@@ -58,7 +58,7 @@ func newTailServer(t testing.TB, first *amr.Dataset, keyframe int) (*Server, *se
 	s := New(Config{Workers: 2})
 	t.Cleanup(func() { s.Close() })
 	_, err = s.Add("test", ArchiveSpec{
-		Primary: path, Append: true, Keyframe: keyframe, Checksums: true,
+		Primary: path, Append: true, Keyframe: keyframe,
 		Ingest: codec.Config{ErrorBound: deltaEB, Workers: 2},
 	})
 	if err != nil {
