@@ -7,7 +7,7 @@
 //
 //	go test -bench=. -benchmem
 //
-// The paper-style tables themselves are printed by cmd/benchall; the
+// The paper-style tables themselves are printed by `tacc exhibits`; the
 // storage stack's end-to-end and per-layer numbers come from bench/.
 package tac_test
 
@@ -33,7 +33,7 @@ import (
 )
 
 // benchScale keeps the full exhibit set fast enough for -bench=. runs;
-// cmd/benchall defaults to the larger scale 4.
+// `tacc exhibits` defaults to the larger scale 4.
 const benchScale = 8
 
 var (

@@ -10,7 +10,7 @@ import (
 	"repro/internal/grid"
 )
 
-// File format for .amr snapshots written by cmd/datagen and consumed by
+// File format for .amr snapshots written by `tacc gen` and consumed by
 // cmd/tacc: a small header followed, per level, by the packed occupancy
 // mask and the masked cell values (only occupied unit blocks are stored,
 // which is exactly what an AMR plotfile stores).

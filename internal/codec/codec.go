@@ -372,22 +372,31 @@ func EncodeContainer(codecID byte, sk Skeleton, body []byte) ([]byte, error) {
 	return append(out, body...), nil
 }
 
+// ContainerCodecID reads a payload's container magic and the id of the
+// codec that wrote it, and returns the id and the bytes after it.
+func ContainerCodecID(blob []byte) (byte, []byte, error) {
+	m, n, err := bitio.Uvarint(blob)
+	if err != nil || m != containerMagic {
+		return 0, nil, fmt.Errorf("codec: bad container magic")
+	}
+	blob = blob[n:]
+	if len(blob) == 0 {
+		return 0, nil, fmt.Errorf("codec: truncated container")
+	}
+	return blob[0], blob[1:], nil
+}
+
 // DecodeContainer parses a payload, verifying the codec id, and returns
 // the skeleton and the codec-specific body.
 func DecodeContainer(blob []byte, wantCodecID byte) (Skeleton, []byte, error) {
 	var sk Skeleton
-	m, n, err := bitio.Uvarint(blob)
-	if err != nil || m != containerMagic {
-		return sk, nil, fmt.Errorf("codec: bad container magic")
+	id, blob, err := ContainerCodecID(blob)
+	if err != nil {
+		return sk, nil, err
 	}
-	blob = blob[n:]
-	if len(blob) == 0 {
-		return sk, nil, fmt.Errorf("codec: truncated container")
+	if id != wantCodecID {
+		return sk, nil, fmt.Errorf("codec: payload written by codec %d, not %d", id, wantCodecID)
 	}
-	if blob[0] != wantCodecID {
-		return sk, nil, fmt.Errorf("codec: payload written by codec %d, not %d", blob[0], wantCodecID)
-	}
-	blob = blob[1:]
 	nameB, n, err := bitio.Bytes(blob)
 	if err != nil {
 		return sk, nil, err

@@ -1,6 +1,6 @@
 // Package experiments reproduces every table and figure of the TAC paper's
 // evaluation (Sec. 4) on the synthetic Nyx-like datasets of internal/sim.
-// Each runner prints the rows/series of one exhibit; cmd/benchall drives
+// Each runner prints the rows/series of one exhibit; `tacc exhibits` drives
 // them all, and bench_test.go exposes one testing.B benchmark per exhibit.
 //
 // Absolute numbers differ from the paper (scaled datasets, reimplemented

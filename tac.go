@@ -149,7 +149,7 @@ func Generate(spec Spec, field Field) (*Dataset, error) {
 	return sim.Generate(spec, field)
 }
 
-// Load reads a .amr snapshot written by Save or cmd/datagen.
+// Load reads a .amr snapshot written by Save or `tacc gen`.
 func Load(path string) (*Dataset, error) { return amr.Load(path) }
 
 // Save writes a dataset as a .amr snapshot.
