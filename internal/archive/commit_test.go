@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/amr"
 	"repro/internal/bitio"
 	"repro/internal/codec"
+	"repro/internal/sz"
 )
 
 // encodeFooter serializes the member index from scratch — the count, then
@@ -298,6 +300,74 @@ func TestRetainedMatchesDecodeBatch(t *testing.T) {
 	}
 	if iw.Retained() != nil {
 		t.Fatal("an intra-mode writer retains a reconstruction")
+	}
+}
+
+// TestRetainedSignedZero is TestRetainedMatchesDecodeBatch where a
+// residual rounds to -0 on a -0 reference: snapshot 0 holds a -0 literal
+// (right after a spike that no prediction reaches), and snapshot 1, the
+// same but for a small negative value in its place, is coded against it.
+// The encoder's step there is +0, as the decoder's is, so the retained
+// reconstruction is the decoded +0, not -0 + -0.
+func TestRetainedSignedZero(t *testing.T) {
+	s0 := campaignOf(t, 16, 4, 1)[0]
+	l := s0.Levels[0]
+	r := l.BlockRegion(l.Mask.Dim.Coords(l.Mask.OccupiedIndices()[0]))
+	spike, zero := l.Grid.Dim.Index(r.X0, r.Y0, r.Z0), l.Grid.Dim.Index(r.X0, r.Y0, r.Z0+1)
+	l.Grid.Data[spike], l.Grid.Data[zero] = 1e30, amr.Value(math.Copysign(0, -1))
+	s1 := s0.Clone()
+	s1.Name = "t1"
+	s1.Levels[0].Grid.Data[zero] = -testEB / 4
+
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.BatchBlocks, w.Keyframe = 8, 4
+	for _, ds := range []*amr.Dataset{s0, s1} {
+		if err := w.AddDataset(ds, codec.Config{ErrorBound: testEB}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	rd, err := w.View(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Block 0 of member 0's level 0 is cell 1 the -0 literal; in member 1,
+	// a delta frame, the -0 step on it.
+	frame := rd.Members()[1].Levels[0].Batches[0]
+	info, err := sz.PeekBatch(buf.Bytes()[frame.Offset : frame.Offset+frame.Length])
+	if err != nil || !info.Delta {
+		t.Fatalf("member 1 frame 0: %+v, %v; want a delta frame", info, err)
+	}
+	for mi, want := range map[int]uint32{0: 0x80000000, 1: 0} {
+		got, err := rd.DecodeBatch(mi, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bits := math.Float32bits(got[0].Data[1]); bits != want {
+			t.Fatalf("member %d decodes the cell to %#x, want %#x", mi, bits, want)
+		}
+	}
+	tail := w.Retained()[1]
+	for li := range rd.Members()[1].Levels {
+		idx := &rd.Members()[1].Levels[li]
+		for b := range idx.Batches {
+			want, err := rd.DecodeBatch(1, li, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lo, hi := idx.BatchSpan(b)
+			for k, blk := range tail[li][lo:hi] {
+				if !sameBits(blk.Data, want[k].Data) {
+					t.Fatalf("level %d batch %d block %d: retained reconstruction differs from the decoded frame", li, b, k)
+				}
+			}
+		}
 	}
 }
 

@@ -309,6 +309,12 @@ func (e *Encoder) AppendEncode(dst []byte, syms []uint32) []byte {
 	return e.emitBits(bitio.AppendBytes(dst, e.hdr), syms, dense, nbits)
 }
 
+// CodesZero reports whether the stream of the AppendEncode that has just
+// returned holds symbol 0 — the codebook's first entry if any, as it lists
+// the symbols the stream holds in increasing order. It is the twin of
+// Decoder.CodesZero: true here, and the payload's codebook has a code for 0.
+func (e *Encoder) CodesZero() bool { return len(e.codes) > 0 && e.codes[0].sym == 0 }
+
 // build turns the frequencies in e.sf, of a stream of nsyms symbols, into
 // the codebook, the header and the emit table (dense or sparse), and
 // returns the length of the bit stream.

@@ -1,6 +1,7 @@
 package huffman
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -358,6 +359,48 @@ func TestCodesZero(t *testing.T) {
 			}
 			if !d.CodesZero() && slices.Contains(out, 0) {
 				t.Errorf("round %d, %s: no code for symbol 0, and a 0 in the output", round, c.name)
+			}
+		}
+	}
+}
+
+// TestEncoderCodesZero holds the encoder's CodesZero to the stream of the
+// call before it — whether it holds a 0 — and to the decoder's answer on
+// the blob that call wrote, on one encoder over dense and sparse
+// alphabets, with and without symbol 0, and an empty stream.
+func TestEncoderCodesZero(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	streams := map[string][]uint32{
+		"empty":          nil,
+		"only zeros":     {0, 0, 0},
+		"dense with":     {1 << 15, 0, 1<<15 + 1, 1 << 15},
+		"dense without":  {1 << 15, 1<<15 - 1, 1<<15 + 1},
+		"sparse with":    {0, 1 << 20, 1 << 20, 3},
+		"sparse without": {1 << 20, 1<<20 + 1, 7},
+	}
+	for _, zero := range []bool{false, true} {
+		long := make([]uint32, 5000)
+		for i := range long {
+			long[i] = 1<<15 + uint32(rng.Intn(64)) - 32
+		}
+		if zero {
+			long[rng.Intn(len(long))] = 0
+		}
+		streams[fmt.Sprintf("long, zero %v", zero)] = long
+	}
+	var e Encoder
+	var d Decoder
+	for round := 0; round < 2; round++ {
+		for name, syms := range streams {
+			blob := e.AppendEncode(nil, syms)
+			if got, want := e.CodesZero(), slices.Contains(syms, 0); got != want {
+				t.Errorf("round %d, %s: CodesZero = %v, want %v", round, name, got, want)
+			}
+			if _, err := d.AppendDecode(nil, blob); err != nil {
+				t.Fatal(err)
+			}
+			if e.CodesZero() != d.CodesZero() {
+				t.Errorf("round %d, %s: encoder says %v, the decoder of its blob %v", round, name, e.CodesZero(), d.CodesZero())
 			}
 		}
 	}

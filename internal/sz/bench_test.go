@@ -116,15 +116,42 @@ func eachBatchKernel(b *testing.B, run func(b *testing.B, edge int, scalar bool)
 func BenchmarkEncodeBatch(b *testing.B) {
 	eachBatchKernel(b, func(b *testing.B, edge int, scalar bool) {
 		blocks, _ := benchBatch(b, edge)
-		e := &Encoder[float32]{scalar: scalar}
-		d, per := blocks[0].Dim, blocks[0].Dim.Count()
-		codes, recon := make([]uint32, 64*per), make([]float32, 4*per)
-		rec := func(i int) []float32 { return recon[i%4*per:][:per] }
-		var lits []byte
-		for b.Loop() {
-			lits, _ = e.encodeSpatial(blocks, d, codes, lits[:0], 0.05, 1<<15, rec, false)
-		}
+		benchEncodeSpatial(b, blocks, scalar, false)
 	})
+}
+
+// BenchmarkEncodeBatchSalted is BenchmarkEncodeBatch on saltedBlocks, whose
+// code streams hold literal markers — about one cell in sixty an outlier,
+// and in one block of five NaNs and infinities that make markers of what
+// they predict — timing the kernels and then the one pass over the codes
+// that the seal makes to build the literal pool of such a stream.
+func BenchmarkEncodeBatchSalted(b *testing.B) {
+	eachBatchKernel(b, func(b *testing.B, edge int, scalar bool) {
+		d := grid.Dims{X: edge, Y: edge, Z: edge}
+		blocks, _ := saltedBlocks(d, 64, 0.05, int64(edge))
+		b.SetBytes(int64(4 * 64 * d.Count()))
+		benchEncodeSpatial(b, blocks, scalar, true)
+	})
+}
+
+// benchEncodeSpatial times encodeSpatial on blocks, followed, if pool is
+// set, by appendLiterals over the codes.
+func benchEncodeSpatial(b *testing.B, blocks []*grid.Grid3[float32], scalar, pool bool) {
+	e := &Encoder[float32]{scalar: scalar}
+	d, per := blocks[0].Dim, blocks[0].Dim.Count()
+	codes, recon := make([]uint32, len(blocks)*per), make([]float32, 4*per)
+	rec := func(i int) []float32 { return recon[i%4*per:][:per] }
+	nlit := 0
+	for b.Loop() {
+		e.encodeSpatial(blocks, d, codes, 0.05, 1<<15, rec, false)
+		if pool {
+			e.lits = appendLiterals(e.lits[:0], codes, blocks)
+			nlit = len(e.lits) / 4
+		}
+	}
+	if pool && nlit == 0 {
+		b.Fatal("no literals: not the case this benchmark is for")
+	}
 }
 
 func BenchmarkEncodeTemporalBatch(b *testing.B) {
@@ -134,9 +161,8 @@ func BenchmarkEncodeTemporalBatch(b *testing.B) {
 		per := blocks[0].Dim.Count()
 		codes, recon := make([]uint32, 64*per), make([]float32, per)
 		rec := func(int) []float32 { return recon }
-		var lits []byte
 		for b.Loop() {
-			lits, _ = e.encodeTemporal(blocks, refs, codes, lits[:0], 0.05, 1<<15, rec)
+			e.encodeTemporal(blocks, refs, codes, 0.05, 1<<15, rec)
 		}
 	})
 }
@@ -169,7 +195,9 @@ func BenchmarkDecodeBatch(b *testing.B) {
 // eitherCases' tiled512 batch, which folds to a tenth and goes to flate.
 // ns/op is one seal (Huffman and both sections; allocs/op 1, the payload)
 // or one unseal; section-µs is the code section through deflateAppend
-// alone, section-B what it came to.
+// alone, section-B what it came to. BenchmarkSealSalted is the seal of a
+// stream that holds literal markers, which, unlike the other two, builds
+// its literal pool.
 
 func corpusBatch(tb testing.TB) []*grid.Grid3[float32] {
 	tb.Helper()
@@ -192,7 +220,7 @@ func benchSeal(b *testing.B, blocks []*grid.Grid3[float32], eb float64, wantStor
 	d, total := blocks[0].Dim, len(blocks)*blocks[0].Dim.Count()
 	codes := make([]uint32, total)
 	rec := make([]float32, 4*d.Count())
-	lits, nlit := e.encodeSpatial(blocks, d, codes, nil, eb, 1<<15, func(i int) []float32 { return rec[i%4*d.Count():][:d.Count()] }, false)
+	e.encodeSpatial(blocks, d, codes, eb, 1<<15, func(i int) []float32 { return rec[i%4*d.Count():][:d.Count()] }, false)
 	dims := []grid.Dims{d, {X: len(blocks)}}
 	opts := Options{ErrorBound: eb}.withDefaults()
 
@@ -214,10 +242,11 @@ func benchSeal(b *testing.B, blocks []*grid.Grid3[float32], eb float64, wantStor
 	b.SetBytes(int64(4 * total))
 	b.ReportAllocs()
 	for b.Loop() {
-		if _, _, err := e.sealWithin(0, kindBatch, dims, total, eb, opts, codes, lits, nlit); err != nil {
+		if _, _, err := e.sealWithin(0, kindBatch, dims, total, eb, opts, codes, blocks); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(len(e.lits)/4), "literals")
 	b.ReportMetric(perSection, "section-µs")
 	b.ReportMetric(float64(len(sec)), "section-B")
 }
@@ -225,6 +254,11 @@ func benchSeal(b *testing.B, blocks []*grid.Grid3[float32], eb float64, wantStor
 func BenchmarkSealIncompressible(b *testing.B) { benchSeal(b, corpusBatch(b), corpusEB, true) }
 
 func BenchmarkSealFoldable(b *testing.B) { benchSeal(b, eitherCases()["tiled512"][1], 0.05, false) }
+
+func BenchmarkSealSalted(b *testing.B) {
+	blocks, _ := saltedBlocks(grid.Dims{X: 8, Y: 8, Z: 8}, 64, 0.05, 8)
+	benchSeal(b, blocks, 0.05, true)
+}
 
 // BenchmarkInflate times the reader's DEFLATE stage where it has work: the
 // code sections of delta frames, here of four steps of a campaign drifting

@@ -215,6 +215,13 @@ func storeAppend(dst, data []byte, limit int) ([]byte, error) {
 // staging buffers, reusing them across calls so that steady-state
 // compression allocates only the returned payload.
 //
+// Its kernels write codes (0 for a literal) and reconstructions only. The
+// literal pool is built by the seal, in one pass over the codes and the
+// source values, after the Huffman encoder has counted the stream and only
+// if the count found a literal marker: on most batches there is none, and
+// a candidate CompressBlocksEither abandons at its code section never gets
+// that far.
+//
 // The zero value is ready to use. An Encoder is not safe for concurrent
 // use; use one per goroutine (they are cheap once warm) or guard with a
 // sync.Pool.
@@ -225,9 +232,8 @@ type Encoder[T grid.Float] struct {
 	huff  huffman.Encoder
 
 	// The temporal candidate CompressBlocksEither codes beside the spatial
-	// one: a code stream and literal pool of its own.
-	alt     []uint32
-	altLits []byte
+	// one: a code stream of its own.
+	alt []uint32
 
 	lanes  lanes // the vector kernels' scratch (simd.go)
 	scalar bool  // tests: hold the vector kernels off
@@ -279,8 +285,8 @@ func (e *Encoder[T]) Compress1D(values []T, opts Options) ([]byte, Stats, error)
 	}
 	eb := effectiveEB(values, opts)
 	codes := e.codesBuf(len(values))
-	lits, nlit := encodeStream1(values, codes, e.lits[:0], eb, quantRadius(opts.QuantBits))
-	return e.seal(kindRaw1D, nil, len(values), eb, opts, codes, lits, nlit)
+	encodeStream1(values, codes, eb, quantRadius(opts.QuantBits))
+	return e.sealWithin(0, kindRaw1D, nil, len(values), eb, opts, codes, []*grid.Grid3[T]{{Data: values}})
 }
 
 // Compress3D is Compress3D reusing the encoder's scratch.
@@ -292,8 +298,8 @@ func (e *Encoder[T]) Compress3D(g *grid.Grid3[T], opts Options) ([]byte, Stats, 
 	eb := effectiveEB(g.Data, opts)
 	codes := e.codesBuf(len(g.Data))
 	recon := e.reconBuf(len(g.Data))
-	lits, nlit := encodeBlock3(g.Data, recon, g.Dim, codes, e.lits[:0], eb, quantRadius(opts.QuantBits))
-	return e.seal(kindGrid3D, []grid.Dims{g.Dim}, len(g.Data), eb, opts, codes, lits, nlit)
+	encodeBlock3(g.Data, recon, g.Dim, codes, eb, quantRadius(opts.QuantBits))
+	return e.sealWithin(0, kindGrid3D, []grid.Dims{g.Dim}, len(g.Data), eb, opts, codes, []*grid.Grid3[T]{g})
 }
 
 // CompressBlocks is CompressBlocks reusing the encoder's scratch.
@@ -346,7 +352,7 @@ func (e *Encoder[T]) CompressBlocksDelta(blocks, refs []*grid.Grid3[T], opts Opt
 // abandoned once it overflows — on a campaign whose snapshots follow one
 // another, before a byte of its code section is copied where that is one
 // deflateAppend stores, and a fifth to a half of the way through flate's
-// writing it out where it is not, with the literal section not begun.
+// writing it out where it is not, with its literal pool not yet built.
 func (e *Encoder[T]) CompressBlocksEither(blocks, refs []*grid.Grid3[T], opts Options, recons []*grid.Grid3[T]) (payload []byte, delta bool, st Stats, err error) {
 	payload, kind, st, err := e.compressBlocks(blocks, refs, opts, recons, codeEither)
 	return payload, kind == kindBatchDelta, st, err
@@ -409,8 +415,8 @@ func (e *Encoder[T]) compressBlocks(blocks, refs []*grid.Grid3[T], opts Options,
 			rec = func(i int) []T { return quad[i%4*per:][:per] }
 		}
 		codes := e.codesBuf(total)
-		lits, nlit := e.encodeSpatial(blocks, d, codes, e.lits[:0], eb, radius, rec, recons != nil)
-		out, st, err := e.seal(kindBatch, dims, total, eb, opts, codes, lits, nlit)
+		e.encodeSpatial(blocks, d, codes, eb, radius, rec, recons != nil)
+		out, st, err := e.sealWithin(0, kindBatch, dims, total, eb, opts, codes, blocks)
 		return out, kindBatch, st, err
 	case codeTemporal:
 		if recons == nil {
@@ -419,8 +425,8 @@ func (e *Encoder[T]) compressBlocks(blocks, refs []*grid.Grid3[T], opts Options,
 			rec = func(int) []T { return one }
 		}
 		codes := e.codesBuf(total)
-		lits, nlit := e.encodeTemporal(blocks, refs, codes, e.lits[:0], eb, radius, rec)
-		out, st, err := e.seal(kindBatchDelta, dims, total, eb, opts, codes, lits, nlit)
+		e.encodeTemporal(blocks, refs, codes, eb, radius, rec)
+		out, st, err := e.sealWithin(0, kindBatchDelta, dims, total, eb, opts, codes, blocks)
 		return out, kindBatchDelta, st, err
 	}
 
@@ -433,19 +439,17 @@ func (e *Encoder[T]) compressBlocks(blocks, refs []*grid.Grid3[T], opts Options,
 		rec = func(int) []T { return slab[len(blocks)*per:] }
 	}
 	e.alt = sized(e.alt, total)
-	tlits, tnlit := e.encodeTemporal(blocks, refs, e.alt, e.altLits[:0], eb, radius, rec)
-	e.altLits = tlits[:0]
+	e.encodeTemporal(blocks, refs, e.alt, eb, radius, rec)
 	codes := e.codesBuf(total)
-	lits, nlit := e.encodeSpatial(blocks, d, codes, e.lits[:0], eb, radius, func(i int) []T { return slab[i*per:][:per] }, recons != nil)
-	e.lits = lits[:0]
+	e.encodeSpatial(blocks, d, codes, eb, radius, func(i int) []T { return slab[i*per:][:per] }, recons != nil)
 
-	temporal, tst, err := e.sealWithin(0, kindBatchDelta, dims, total, eb, opts, e.alt, tlits, tnlit)
+	temporal, tst, err := e.sealWithin(0, kindBatchDelta, dims, total, eb, opts, e.alt, blocks)
 	if err != nil {
 		return fail(err)
 	}
 	// The spatial payload ships unless it is the larger one, which its seal
 	// finds out for itself.
-	spatial, sst, err := e.sealWithin(len(temporal), kindBatch, dims, total, eb, opts, codes, lits, nlit)
+	spatial, sst, err := e.sealWithin(len(temporal), kindBatch, dims, total, eb, opts, codes, blocks)
 	if err != nil {
 		return fail(err)
 	}
@@ -458,11 +462,11 @@ func (e *Encoder[T]) compressBlocks(blocks, refs []*grid.Grid3[T], opts Options,
 	return spatial, kindBatch, sst, nil
 }
 
-// encodeSpatial Lorenzo-codes blocks into codes, one block after another,
-// appending their literals to lits. rec(i) is where block i reconstructs;
-// unless keep is set it is working memory that nobody reads afterwards, and
-// the vector kernels, which have their own, leave it alone.
-func (e *Encoder[T]) encodeSpatial(blocks []*grid.Grid3[T], d grid.Dims, codes []uint32, lits []byte, eb float64, radius int64, rec func(i int) []T, keep bool) ([]byte, int) {
+// encodeSpatial Lorenzo-codes blocks into codes, one block after another.
+// rec(i) is where block i reconstructs; unless keep is set it is working
+// memory that nobody reads afterwards, and the vector kernels, which have
+// their own, leave it alone.
+func (e *Encoder[T]) encodeSpatial(blocks []*grid.Grid3[T], d grid.Dims, codes []uint32, eb float64, radius int64, rec func(i int) []T, keep bool) {
 	per := d.Count()
 	zeroed := func(i int) []T {
 		r := rec(i)
@@ -473,38 +477,26 @@ func (e *Encoder[T]) encodeSpatial(blocks []*grid.Grid3[T], d grid.Dims, codes [
 	// groups of simdLanes through the vector kernel where there is one
 	// (simd.go), then groups of four through the quad kernel — four
 	// overlapping dependency chains instead of one (see kernel_quad.go).
-	// Literals post-pass per block, in block order, preserving the pool
-	// layout exactly.
-	i, lits, nlit := e.encodeGroups(blocks, d, codes, lits, eb, radius, rec, keep)
+	i := e.encodeGroups(blocks, d, codes, eb, radius, rec, keep)
 	for ; i+4 <= len(blocks); i += 4 {
 		encodeBlockQuad(
 			blocks[i].Data, blocks[i+1].Data, blocks[i+2].Data, blocks[i+3].Data,
 			zeroed(i), zeroed(i+1), zeroed(i+2), zeroed(i+3), d,
 			codes[i*per:(i+1)*per], codes[(i+1)*per:(i+2)*per], codes[(i+2)*per:(i+3)*per], codes[(i+3)*per:(i+4)*per],
 			eb, radius)
-		for k := 0; k < 4; k++ {
-			lits, nlit = collectLits(codes[(i+k)*per:(i+k+1)*per], blocks[i+k].Data, lits, nlit)
-		}
 	}
 	for ; i < len(blocks); i++ {
-		var k int
-		lits, k = encodeBlock3(blocks[i].Data, zeroed(i), d, codes[i*per:(i+1)*per], lits, eb, radius)
-		nlit += k
+		encodeBlock3(blocks[i].Data, zeroed(i), d, codes[i*per:(i+1)*per], eb, radius)
 	}
-	return lits, nlit
 }
 
-// encodeTemporal codes blocks against refs into codes, appending their
-// literals to lits. rec(i) is where block i reconstructs.
-func (e *Encoder[T]) encodeTemporal(blocks, refs []*grid.Grid3[T], codes []uint32, lits []byte, eb float64, radius int64, rec func(i int) []T) ([]byte, int) {
+// encodeTemporal codes blocks against refs into codes. rec(i) is where
+// block i reconstructs.
+func (e *Encoder[T]) encodeTemporal(blocks, refs []*grid.Grid3[T], codes []uint32, eb float64, radius int64, rec func(i int) []T) {
 	per := len(codes) / len(blocks)
-	nlit := 0
 	for i := range blocks {
-		var k int
-		lits, k = e.temporalEncode(blocks[i].Data, refs[i].Data, rec(i), codes[i*per:(i+1)*per], lits, eb, radius)
-		nlit += k
+		e.temporalEncode(blocks[i].Data, refs[i].Data, rec(i), codes[i*per:(i+1)*per], eb, radius)
 	}
-	return lits, nlit
 }
 
 // batchGeometry validates a block batch and resolves its shared shape,
@@ -551,20 +543,12 @@ func rangeOfBlocks[T grid.Float](blocks []*grid.Grid3[T]) (lo, hi float64) {
 	return lo, hi
 }
 
-// seal assembles the final payload from the code stream and literal pool,
-// stashing the grown scratch buffers back on the encoder for the next
-// call.
-func (e *Encoder[T]) seal(kind int, dims []grid.Dims, n int, eb float64, opts Options, codes []uint32, lits []byte, nlit int) ([]byte, Stats, error) {
-	e.codes = codes[:0]
-	e.lits = lits[:0]
-	return e.sealWithin(0, kind, dims, n, eb, opts, codes, lits, nlit)
-}
-
-// sealWithin is seal for a payload that is only wanted if it comes to at
-// most limit bytes (0: wanted whatever it comes to). For a larger one it
-// returns a nil payload and no error, having stopped working on it as soon
-// as its size was certain to pass the limit.
-func (e *Encoder[T]) sealWithin(limit int, kind int, dims []grid.Dims, n int, eb float64, opts Options, codes []uint32, lits []byte, nlit int) ([]byte, Stats, error) {
+// sealWithin assembles the payload of the code stream codes, which code
+// the values of src (block after block, as appendLiterals takes them), if
+// it comes to at most limit bytes (0: whatever it comes to). For a larger
+// one it returns a nil payload and no error, having stopped working on it
+// as soon as its size was certain to pass the limit.
+func (e *Encoder[T]) sealWithin(limit int, kind int, dims []grid.Dims, n int, eb float64, opts Options, codes []uint32, src []*grid.Grid3[T]) ([]byte, Stats, error) {
 	var hdr [64]byte
 	h := hdr[:0]
 	h = bitio.AppendUvarint(h, magic)
@@ -587,14 +571,18 @@ func (e *Encoder[T]) sealWithin(limit int, kind int, dims []grid.Dims, n int, eb
 
 	huff := e.huff.AppendEncode(e.huffBuf[:0], codes)
 	e.huffBuf = huff[:0]
-	if !opts.DisableLossless {
+	var lits []byte
+	if opts.DisableLossless {
+		lits = e.literals(codes, src)
+	} else {
 		// The sections alone passing the limit settles it: the sink's cap
 		// leaves the header and the length prefixes out, so it never gives
-		// up on a payload that would have fitted.
+		// up on a payload that would have fitted. A payload given up on at
+		// its code section never builds its literal pool.
 		defl, err := deflateAppend(e.deflBuf[:0], huff, limit)
 		huffLen := len(defl)
 		if err == nil {
-			defl, err = deflateAppend(defl, lits, limit)
+			defl, err = deflateAppend(defl, e.literals(codes, src), limit)
 		}
 		if errors.Is(err, errOverLimit) {
 			return nil, Stats{}, nil
@@ -612,8 +600,21 @@ func (e *Encoder[T]) sealWithin(limit int, kind int, dims []grid.Dims, n int, eb
 	if limit > 0 && len(out) > limit {
 		return nil, Stats{}, nil
 	}
+	// The pool holds one literal per marker: the Huffman count of symbol 0.
+	nlit := len(e.lits) / literalSize[T]()
 	st := Stats{N: n, EffectiveEB: eb, Literals: nlit, CompressedLen: len(out), ElemBytes: literalSize[T]()}
 	return out, st, nil
+}
+
+// literals builds the literal pool of codes, which code the values of src,
+// in the encoder's scratch: one appendLiterals pass if the stream the
+// Huffman encoder has just counted holds a marker, none if it does not.
+func (e *Encoder[T]) literals(codes []uint32, src []*grid.Grid3[T]) []byte {
+	e.lits = e.lits[:0]
+	if e.huff.CodesZero() {
+		e.lits = appendLiterals(e.lits, codes, src)
+	}
+	return e.lits
 }
 
 // EncoderPool is a typed sync.Pool of Encoders for callers whose hot path

@@ -91,11 +91,20 @@ func fastRound(x float64) float64 {
 //	qv := fastRound(diff / twoEB)
 //	c, r := uint32(0), v                  // literal marker unless...
 //	if math.Abs(qv) < radiusF {           // (range-check before the
-//		if rr := T(float64(pred)+float64(twoEB*qv)); // int conv.: out-of-
+//		if rr := T(float64(pred)+0+float64(twoEB*qv)); // int conv.: out-of-
 //			math.Abs(float64(v)-float64(rr)) <= eb { // range conversions
 //			c, r = uint32(int64(qv)+radius), rr      // are undefined)
 //		}
 //	}
+//
+// The + 0 reconstructs as the decoder does. A residual that rounds to −0
+// steps by twoEB·(−0) = −0 here, while the decoder, dequantizing from a code
+// that has no sign, steps by +0; on a −0 prediction the two would give −0
+// and +0. (pred + 0) is +0 for a −0 prediction and exact for every other,
+// so the sums agree bit for bit and no code, literal or payload byte
+// depends on it. It is added to the prediction, not to the step, because
+// the prediction is ready long before the step: the add stays off the
+// dependency chain through the divide and the round.
 //
 // dqstep is the dequantizer twin; it is small enough to inline even as a
 // shape instantiation.
@@ -143,17 +152,16 @@ func checkLiterals[T grid.Float](codes []uint32, lits []byte) error {
 }
 
 // encodeBlock3 runs the boundary-peeled 3D Lorenzo encode over src,
-// writing the reconstruction into recon and one code per cell into codes.
-// recon must be zeroed and codes presized: both of length d.Count().
-// Literals append to lits; the grown slice and the literal count return.
-func encodeBlock3[T grid.Float](src, recon []T, d grid.Dims, codes []uint32, lits []byte, eb float64, radius int64) ([]byte, int) {
+// writing the reconstruction into recon and one code per cell into codes,
+// 0 for a literal. recon must be zeroed and codes presized: both of length
+// d.Count(). The literal pool is the seal's to build (appendLiterals).
+func encodeBlock3[T grid.Float](src, recon []T, d grid.Dims, codes []uint32, eb float64, radius int64) {
 	nx, ny, nz := d.X, d.Y, d.Z
 	if nx == 0 || ny == 0 || nz == 0 {
-		return lits, 0
+		return
 	}
 	twoEB := 2 * eb
 	radiusF := float64(radius)
-	nlit := 0
 	var zero T
 	sy := nz
 	sx := ny * nz
@@ -161,10 +169,9 @@ func encodeBlock3[T grid.Float](src, recon []T, d grid.Dims, codes []uint32, lit
 	// Every row below follows the same shape: the quantizer body is
 	// hand-inlined per element (see the package comment above on gcshape
 	// calls), the previous reconstruction rolls through a local so the
-	// store queue stays out of the dependency chain, and literals are
-	// collected by a per-row post-pass over the code row (collectLits),
-	// which keeps the compute loops call-free while preserving the
-	// literal pool's scan order exactly.
+	// store queue stays out of the dependency chain, and a literal is only
+	// its marker code and its exact value in recon: the loops make no
+	// calls and append nothing.
 
 	// x = 0 face: a 2D Lorenzo in (y,z) with the x-side terms absent.
 	{
@@ -177,7 +184,7 @@ func encodeBlock3[T grid.Float](src, recon []T, d grid.Dims, codes []uint32, lit
 			qv := fastRound(diff / twoEB)
 			c, r := uint32(0), v
 			if math.Abs(qv) < radiusF {
-				if rr := T(float64(p) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
+				if rr := T(float64(p) + 0 + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 					c, r = uint32(int64(qv)+radius), rr
 				}
 			}
@@ -190,13 +197,12 @@ func encodeBlock3[T grid.Float](src, recon []T, d grid.Dims, codes []uint32, lit
 			qv := fastRound(diff / twoEB)
 			c, r := uint32(0), v
 			if math.Abs(qv) < radiusF {
-				if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
+				if rr := T(float64(pred) + 0 + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 					c, r = uint32(int64(qv)+radius), rr
 				}
 			}
 			codeRow[z], row[z], p = c, r, r
 		}
-		lits, nlit = collectLits(codeRow, srcRow, lits, nlit)
 	}
 	for y := 1; y < ny; y++ {
 		base := y * sy
@@ -212,7 +218,7 @@ func encodeBlock3[T grid.Float](src, recon []T, d grid.Dims, codes []uint32, lit
 			qv := fastRound(diff / twoEB)
 			c, r := uint32(0), v
 			if math.Abs(qv) < radiusF {
-				if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
+				if rr := T(float64(pred) + 0 + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 					c, r = uint32(int64(qv)+radius), rr
 				}
 			}
@@ -225,13 +231,12 @@ func encodeBlock3[T grid.Float](src, recon []T, d grid.Dims, codes []uint32, lit
 			qv := fastRound(diff / twoEB)
 			c, r := uint32(0), v
 			if math.Abs(qv) < radiusF {
-				if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
+				if rr := T(float64(pred) + 0 + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 					c, r = uint32(int64(qv)+radius), rr
 				}
 			}
 			codeRow[z], row[z], p = c, r, r
 		}
-		lits, nlit = collectLits(codeRow, srcRow, lits, nlit)
 	}
 
 	for x := 1; x < nx; x++ {
@@ -250,7 +255,7 @@ func encodeBlock3[T grid.Float](src, recon []T, d grid.Dims, codes []uint32, lit
 				qv := fastRound(diff / twoEB)
 				c, r := uint32(0), v
 				if math.Abs(qv) < radiusF {
-					if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
+					if rr := T(float64(pred) + 0 + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 						c, r = uint32(int64(qv)+radius), rr
 					}
 				}
@@ -263,13 +268,12 @@ func encodeBlock3[T grid.Float](src, recon []T, d grid.Dims, codes []uint32, lit
 				qv := fastRound(diff / twoEB)
 				c, r := uint32(0), v
 				if math.Abs(qv) < radiusF {
-					if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
+					if rr := T(float64(pred) + 0 + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 						c, r = uint32(int64(qv)+radius), rr
 					}
 				}
 				codeRow[z], row[z], p = c, r, r
 			}
-			lits, nlit = collectLits(codeRow, srcRow, lits, nlit)
 		}
 		// Interior rows. The per-element work is latency-bound on the
 		// reconstruction chain (row[z-1] feeds the next prediction through
@@ -277,12 +281,8 @@ func encodeBlock3[T grid.Float](src, recon []T, d grid.Dims, codes []uint32, lit
 		// wavefront pairs: row y at z and row y+1 at z-2 are independent —
 		// row y+1 only reads row y values finished two steps earlier — and
 		// the two chains overlap in the pipeline for ~2× the throughput of
-		// one. Codes and reconstructions land by index, so only the
-		// literal pool is order-sensitive; the pair loop therefore defers
-		// literals to a per-row post-pass over the code rows, which also
-		// keeps the hot loop free of calls. Scan order of the pool is
-		// preserved: row y's literals append before row y+1's, and pairs
-		// complete in order.
+		// one. Codes and reconstructions land by index, so the order the
+		// pair computes them in is invisible in the output.
 		y := 1
 		for ; y+1 < ny && nz >= 3; y += 2 {
 			baseA := pbase + y*sy
@@ -308,7 +308,7 @@ func encodeBlock3[T grid.Float](src, recon []T, d grid.Dims, codes []uint32, lit
 				qv := fastRound(diff / twoEB)
 				c, r := uint32(0), v
 				if math.Abs(qv) < radiusF {
-					if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
+					if rr := T(float64(pred) + 0 + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 						c, r = uint32(int64(qv)+radius), rr
 					}
 				}
@@ -321,7 +321,7 @@ func encodeBlock3[T grid.Float](src, recon []T, d grid.Dims, codes []uint32, lit
 				qv := fastRound(diff / twoEB)
 				c, r := uint32(0), v
 				if math.Abs(qv) < radiusF {
-					if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
+					if rr := T(float64(pred) + 0 + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 						c, r = uint32(int64(qv)+radius), rr
 					}
 				}
@@ -334,7 +334,7 @@ func encodeBlock3[T grid.Float](src, recon []T, d grid.Dims, codes []uint32, lit
 				qv := fastRound(diff / twoEB)
 				c, r := uint32(0), v
 				if math.Abs(qv) < radiusF {
-					if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
+					if rr := T(float64(pred) + 0 + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 						c, r = uint32(int64(qv)+radius), rr
 					}
 				}
@@ -355,7 +355,7 @@ func encodeBlock3[T grid.Float](src, recon []T, d grid.Dims, codes []uint32, lit
 				qvA := fastRound(diffA / twoEB)
 				okA := false
 				if math.Abs(qvA) < radiusF {
-					r := T(float64(predA) + float64(twoEB*qvA))
+					r := T(float64(predA) + 0 + float64(twoEB*qvA))
 					if math.Abs(float64(vA)-float64(r)) <= eb {
 						codeA[t] = uint32(int64(qvA) + radius)
 						pA = r
@@ -377,7 +377,7 @@ func encodeBlock3[T grid.Float](src, recon []T, d grid.Dims, codes []uint32, lit
 				qvB := fastRound(diffB / twoEB)
 				okB := false
 				if math.Abs(qvB) < radiusF {
-					r := T(float64(predB) + float64(twoEB*qvB))
+					r := T(float64(predB) + 0 + float64(twoEB*qvB))
 					if math.Abs(float64(vB)-float64(r)) <= eb {
 						codeB[zb] = uint32(int64(qvB) + radius)
 						pB = r
@@ -401,15 +401,12 @@ func encodeBlock3[T grid.Float](src, recon []T, d grid.Dims, codes []uint32, lit
 				qv := fastRound(diff / twoEB)
 				c, r := uint32(0), v
 				if math.Abs(qv) < radiusF {
-					if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
+					if rr := T(float64(pred) + 0 + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 						c, r = uint32(int64(qv)+radius), rr
 					}
 				}
 				codeB[zb], rowB[zb] = c, r
 			}
-			// Literal post-pass, in scan order: all of row A, then row B.
-			lits, nlit = collectLits(codeA, srcA, lits, nlit)
-			lits, nlit = collectLits(codeB, srcB, lits, nlit)
 		}
 		for ; y < ny; y++ {
 			base := pbase + y*sy
@@ -428,7 +425,7 @@ func encodeBlock3[T grid.Float](src, recon []T, d grid.Dims, codes []uint32, lit
 				qv := fastRound(diff / twoEB)
 				c, r := uint32(0), v
 				if math.Abs(qv) < radiusF {
-					if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
+					if rr := T(float64(pred) + 0 + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 						c, r = uint32(int64(qv)+radius), rr
 					}
 				}
@@ -442,30 +439,42 @@ func encodeBlock3[T grid.Float](src, recon []T, d grid.Dims, codes []uint32, lit
 				qv := fastRound(diff / twoEB)
 				c, r := uint32(0), v
 				if math.Abs(qv) < radiusF {
-					if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
+					if rr := T(float64(pred) + 0 + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 						c, r = uint32(int64(qv)+radius), rr
 					}
 				}
 				codeRow[z], row[z], p = c, r, r
 			}
-			lits, nlit = collectLits(codeRow, srcRow, lits, nlit)
 		}
 	}
-	return lits, nlit
 }
 
-// collectLits appends the exact source values of a row's literal markers
-// (code 0) to lits, in element order — the per-row post-pass that keeps
-// the compute loops call-free while preserving the literal pool's global
-// scan order.
-func collectLits[T grid.Float](codeRow []uint32, srcRow []T, lits []byte, nlit int) ([]byte, int) {
-	for z, c := range codeRow {
-		if c == 0 {
-			lits = appendLiteral(lits, srcRow[z])
-			nlit++
+// appendLiterals appends to lits the exact value of every literal marker
+// (code 0) in codes, in code order: the literal pool a decoder of codes
+// reads. src holds the values coded, block after block, each
+// len(codes)/len(src) of them. The kernels write codes only; this one pass,
+// run by the seal once the Huffman count has found a marker in the stream,
+// builds every pool.
+func appendLiterals[T grid.Float](lits []byte, codes []uint32, src []*grid.Grid3[T]) []byte {
+	per := len(codes) / len(src)
+	for b, g := range src {
+		codes := codes[b*per : (b+1)*per]
+		switch data := any(g.Data[:per]).(type) {
+		case []float32:
+			for i, c := range codes {
+				if c == 0 {
+					lits = binary.LittleEndian.AppendUint32(lits, math.Float32bits(data[i]))
+				}
+			}
+		case []float64:
+			for i, c := range codes {
+				if c == 0 {
+					lits = binary.LittleEndian.AppendUint64(lits, math.Float64bits(data[i]))
+				}
+			}
 		}
 	}
-	return lits, nlit
+	return lits
 }
 
 // decodeBlock3 is the decode twin of encodeBlock3: it reconstructs out
@@ -667,17 +676,16 @@ func decodeBlock3[T grid.Float](out []T, d grid.Dims, codes []uint32, lits []byt
 }
 
 // encodeStream1 is the 1D kernel: order-1 prediction from the previous
-// reconstruction, codes written by index.
-func encodeStream1[T grid.Float](values []T, codes []uint32, lits []byte, eb float64, radius int64) ([]byte, int) {
+// reconstruction, codes written by index, 0 for a literal.
+func encodeStream1[T grid.Float](values []T, codes []uint32, eb float64, radius int64) {
 	twoEB := 2 * eb
 	radiusF := float64(radius)
-	nlit := 0
 	var prev T
 	for i, v := range values {
 		diff := float64(v) - float64(prev)
 		qv := fastRound(diff / twoEB)
 		if math.Abs(qv) < radiusF {
-			r := T(float64(prev) + float64(twoEB*qv))
+			r := T(float64(prev) + 0 + float64(twoEB*qv))
 			if math.Abs(float64(v)-float64(r)) <= eb {
 				codes[i] = uint32(int64(qv) + radius)
 				prev = r
@@ -685,11 +693,8 @@ func encodeStream1[T grid.Float](values []T, codes []uint32, lits []byte, eb flo
 			}
 		}
 		codes[i] = 0
-		lits = appendLiteral(lits, v)
-		nlit++
 		prev = v
 	}
-	return lits, nlit
 }
 
 // decodeStream1 is the decode twin of encodeStream1 (pre-validated).
@@ -727,9 +732,10 @@ func (e *Encoder[T]) Predict3D(g *grid.Grid3[T], opts Options) ([]uint32, []byte
 	eb := effectiveEB(g.Data, opts)
 	codes := e.codesBuf(len(g.Data))
 	recon := e.reconBuf(len(g.Data))
-	lits, nlit := encodeBlock3(g.Data, recon, g.Dim, codes, e.lits[:0], eb, quantRadius(opts.QuantBits))
+	encodeBlock3(g.Data, recon, g.Dim, codes, eb, quantRadius(opts.QuantBits))
+	lits := appendLiterals(e.lits[:0], codes, []*grid.Grid3[T]{g})
 	e.lits = lits[:0]
-	return codes, lits, nlit, nil
+	return codes, lits, len(lits) / literalSize[T](), nil
 }
 
 // Reconstruct3D inverts Predict3D into out, which supplies the geometry.

@@ -19,15 +19,13 @@ import (
 // payloads and reconstructions stay bit-identical; the golden tests and
 // the batch-equivalence suite pin that.
 //
-// Literal-pool ordering: the pool is laid out block after block, so the
-// encode side emits no literals during the walk (the caller post-passes
-// each block's code array, in block order, via collectLits) and the
-// decode side reads through four absolute cursors precomputed from the
-// per-block literal counts (the litOff scan).
+// Literal-pool ordering: the pool is laid out block after block. The
+// encode side writes codes only (the seal builds the pool, appendLiterals),
+// and the decode side reads through four absolute cursors precomputed from
+// the per-block literal counts (the litOff scan).
 
 // encodeBlockQuad encodes four same-shaped blocks in lock step. The
 // recon slices must be zeroed, the code slices presized to d.Count().
-// Literals are NOT appended here — callers post-pass the code arrays.
 func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Dims, c0, c1, c2, c3 []uint32, eb float64, radius int64) {
 	nx, ny, nz := d.X, d.Y, d.Z
 	if nx == 0 || ny == 0 || nz == 0 {
@@ -49,7 +47,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 			qv := fastRound(diff / twoEB)
 			c, r := uint32(0), v
 			if math.Abs(qv) < radiusF {
-				if rr := T(float64(zero) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
+				if rr := T(float64(zero) + 0 + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 					c, r = uint32(int64(qv)+radius), rr
 				}
 			}
@@ -61,7 +59,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 			qv := fastRound(diff / twoEB)
 			c, r := uint32(0), v
 			if math.Abs(qv) < radiusF {
-				if rr := T(float64(zero) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
+				if rr := T(float64(zero) + 0 + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 					c, r = uint32(int64(qv)+radius), rr
 				}
 			}
@@ -73,7 +71,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 			qv := fastRound(diff / twoEB)
 			c, r := uint32(0), v
 			if math.Abs(qv) < radiusF {
-				if rr := T(float64(zero) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
+				if rr := T(float64(zero) + 0 + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 					c, r = uint32(int64(qv)+radius), rr
 				}
 			}
@@ -85,7 +83,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 			qv := fastRound(diff / twoEB)
 			c, r := uint32(0), v
 			if math.Abs(qv) < radiusF {
-				if rr := T(float64(zero) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
+				if rr := T(float64(zero) + 0 + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 					c, r = uint32(int64(qv)+radius), rr
 				}
 			}
@@ -99,7 +97,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 				qv := fastRound(diff / twoEB)
 				c, r := uint32(0), v
 				if math.Abs(qv) < radiusF {
-					if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
+					if rr := T(float64(pred) + 0 + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 						c, r = uint32(int64(qv)+radius), rr
 					}
 				}
@@ -112,7 +110,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 				qv := fastRound(diff / twoEB)
 				c, r := uint32(0), v
 				if math.Abs(qv) < radiusF {
-					if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
+					if rr := T(float64(pred) + 0 + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 						c, r = uint32(int64(qv)+radius), rr
 					}
 				}
@@ -125,7 +123,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 				qv := fastRound(diff / twoEB)
 				c, r := uint32(0), v
 				if math.Abs(qv) < radiusF {
-					if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
+					if rr := T(float64(pred) + 0 + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 						c, r = uint32(int64(qv)+radius), rr
 					}
 				}
@@ -138,7 +136,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 				qv := fastRound(diff / twoEB)
 				c, r := uint32(0), v
 				if math.Abs(qv) < radiusF {
-					if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
+					if rr := T(float64(pred) + 0 + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 						c, r = uint32(int64(qv)+radius), rr
 					}
 				}
@@ -157,7 +155,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 			qv := fastRound(diff / twoEB)
 			c, r := uint32(0), v
 			if math.Abs(qv) < radiusF {
-				if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
+				if rr := T(float64(pred) + 0 + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 					c, r = uint32(int64(qv)+radius), rr
 				}
 			}
@@ -170,7 +168,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 			qv := fastRound(diff / twoEB)
 			c, r := uint32(0), v
 			if math.Abs(qv) < radiusF {
-				if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
+				if rr := T(float64(pred) + 0 + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 					c, r = uint32(int64(qv)+radius), rr
 				}
 			}
@@ -183,7 +181,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 			qv := fastRound(diff / twoEB)
 			c, r := uint32(0), v
 			if math.Abs(qv) < radiusF {
-				if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
+				if rr := T(float64(pred) + 0 + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 					c, r = uint32(int64(qv)+radius), rr
 				}
 			}
@@ -196,7 +194,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 			qv := fastRound(diff / twoEB)
 			c, r := uint32(0), v
 			if math.Abs(qv) < radiusF {
-				if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
+				if rr := T(float64(pred) + 0 + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 					c, r = uint32(int64(qv)+radius), rr
 				}
 			}
@@ -211,7 +209,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 				qv := fastRound(diff / twoEB)
 				c, r := uint32(0), v
 				if math.Abs(qv) < radiusF {
-					if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
+					if rr := T(float64(pred) + 0 + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 						c, r = uint32(int64(qv)+radius), rr
 					}
 				}
@@ -224,7 +222,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 				qv := fastRound(diff / twoEB)
 				c, r := uint32(0), v
 				if math.Abs(qv) < radiusF {
-					if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
+					if rr := T(float64(pred) + 0 + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 						c, r = uint32(int64(qv)+radius), rr
 					}
 				}
@@ -237,7 +235,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 				qv := fastRound(diff / twoEB)
 				c, r := uint32(0), v
 				if math.Abs(qv) < radiusF {
-					if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
+					if rr := T(float64(pred) + 0 + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 						c, r = uint32(int64(qv)+radius), rr
 					}
 				}
@@ -250,7 +248,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 				qv := fastRound(diff / twoEB)
 				c, r := uint32(0), v
 				if math.Abs(qv) < radiusF {
-					if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
+					if rr := T(float64(pred) + 0 + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 						c, r = uint32(int64(qv)+radius), rr
 					}
 				}
@@ -270,7 +268,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 				qv := fastRound(diff / twoEB)
 				c, r := uint32(0), v
 				if math.Abs(qv) < radiusF {
-					if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
+					if rr := T(float64(pred) + 0 + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 						c, r = uint32(int64(qv)+radius), rr
 					}
 				}
@@ -283,7 +281,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 				qv := fastRound(diff / twoEB)
 				c, r := uint32(0), v
 				if math.Abs(qv) < radiusF {
-					if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
+					if rr := T(float64(pred) + 0 + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 						c, r = uint32(int64(qv)+radius), rr
 					}
 				}
@@ -296,7 +294,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 				qv := fastRound(diff / twoEB)
 				c, r := uint32(0), v
 				if math.Abs(qv) < radiusF {
-					if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
+					if rr := T(float64(pred) + 0 + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 						c, r = uint32(int64(qv)+radius), rr
 					}
 				}
@@ -309,7 +307,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 				qv := fastRound(diff / twoEB)
 				c, r := uint32(0), v
 				if math.Abs(qv) < radiusF {
-					if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
+					if rr := T(float64(pred) + 0 + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 						c, r = uint32(int64(qv)+radius), rr
 					}
 				}
@@ -324,7 +322,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 					qv := fastRound(diff / twoEB)
 					c, r := uint32(0), v
 					if math.Abs(qv) < radiusF {
-						if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
+						if rr := T(float64(pred) + 0 + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 							c, r = uint32(int64(qv)+radius), rr
 						}
 					}
@@ -337,7 +335,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 					qv := fastRound(diff / twoEB)
 					c, r := uint32(0), v
 					if math.Abs(qv) < radiusF {
-						if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
+						if rr := T(float64(pred) + 0 + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 							c, r = uint32(int64(qv)+radius), rr
 						}
 					}
@@ -350,7 +348,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 					qv := fastRound(diff / twoEB)
 					c, r := uint32(0), v
 					if math.Abs(qv) < radiusF {
-						if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
+						if rr := T(float64(pred) + 0 + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 							c, r = uint32(int64(qv)+radius), rr
 						}
 					}
@@ -363,7 +361,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 					qv := fastRound(diff / twoEB)
 					c, r := uint32(0), v
 					if math.Abs(qv) < radiusF {
-						if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
+						if rr := T(float64(pred) + 0 + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 							c, r = uint32(int64(qv)+radius), rr
 						}
 					}
@@ -381,7 +379,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 				qv := fastRound(diff / twoEB)
 				c, r := uint32(0), v
 				if math.Abs(qv) < radiusF {
-					if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
+					if rr := T(float64(pred) + 0 + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 						c, r = uint32(int64(qv)+radius), rr
 					}
 				}
@@ -394,7 +392,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 				qv := fastRound(diff / twoEB)
 				c, r := uint32(0), v
 				if math.Abs(qv) < radiusF {
-					if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
+					if rr := T(float64(pred) + 0 + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 						c, r = uint32(int64(qv)+radius), rr
 					}
 				}
@@ -407,7 +405,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 				qv := fastRound(diff / twoEB)
 				c, r := uint32(0), v
 				if math.Abs(qv) < radiusF {
-					if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
+					if rr := T(float64(pred) + 0 + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 						c, r = uint32(int64(qv)+radius), rr
 					}
 				}
@@ -420,7 +418,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 				qv := fastRound(diff / twoEB)
 				c, r := uint32(0), v
 				if math.Abs(qv) < radiusF {
-					if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
+					if rr := T(float64(pred) + 0 + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 						c, r = uint32(int64(qv)+radius), rr
 					}
 				}
@@ -435,7 +433,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 					qv := fastRound(diff / twoEB)
 					c, r := uint32(0), v
 					if math.Abs(qv) < radiusF {
-						if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
+						if rr := T(float64(pred) + 0 + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 							c, r = uint32(int64(qv)+radius), rr
 						}
 					}
@@ -448,7 +446,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 					qv := fastRound(diff / twoEB)
 					c, r := uint32(0), v
 					if math.Abs(qv) < radiusF {
-						if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
+						if rr := T(float64(pred) + 0 + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 							c, r = uint32(int64(qv)+radius), rr
 						}
 					}
@@ -461,7 +459,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 					qv := fastRound(diff / twoEB)
 					c, r := uint32(0), v
 					if math.Abs(qv) < radiusF {
-						if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
+						if rr := T(float64(pred) + 0 + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 							c, r = uint32(int64(qv)+radius), rr
 						}
 					}
@@ -474,7 +472,7 @@ func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Di
 					qv := fastRound(diff / twoEB)
 					c, r := uint32(0), v
 					if math.Abs(qv) < radiusF {
-						if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
+						if rr := T(float64(pred) + 0 + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 							c, r = uint32(int64(qv)+radius), rr
 						}
 					}

@@ -26,17 +26,11 @@ import (
 // suite compares the two element-for-element.
 
 // encodeTemporalBlock encodes one block against its reference, writing
-// the quantization codes and reconstruction. codes and recon must be
-// presized to len(src); ref must be the reference block's reconstructed
-// values at the same shape. Literals are appended via the standard
-// collectLits post-pass and (lits, nlit) returned grown.
-func encodeTemporalBlock[T grid.Float](src, ref, recon []T, codes []uint32, lits []byte, eb float64, radius int64) ([]byte, int) {
-	quantizeTemporal(src, ref, recon, codes, eb, radius)
-	return collectLits(codes, src, lits, 0)
-}
-
-// quantizeTemporal is encodeTemporalBlock without the literal post-pass.
-func quantizeTemporal[T grid.Float](src, ref, recon []T, codes []uint32, eb float64, radius int64) {
+// the quantization codes, 0 for a literal, and reconstruction. codes and
+// recon must be presized to len(src); ref must be the reference block's
+// reconstructed values at the same shape. The literal pool is the seal's
+// to build (appendLiterals).
+func encodeTemporalBlock[T grid.Float](src, ref, recon []T, codes []uint32, eb float64, radius int64) {
 	twoEB := 2 * eb
 	radiusF := float64(radius)
 	for i, v := range src {
@@ -45,7 +39,7 @@ func quantizeTemporal[T grid.Float](src, ref, recon []T, codes []uint32, eb floa
 		qv := fastRound(diff / twoEB)
 		c, r := uint32(0), v
 		if math.Abs(qv) < radiusF {
-			if rr := T(float64(pred) + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
+			if rr := T(float64(pred) + 0 + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 				c, r = uint32(int64(qv)+radius), rr
 			}
 		}

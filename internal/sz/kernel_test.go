@@ -89,7 +89,9 @@ func checkKernel3[T grid.Float](t *testing.T, d grid.Dims, seed int64, litFrac, 
 
 	codes := make([]uint32, d.Count())
 	recon := make([]T, d.Count())
-	lits, nlit := encodeBlock3(g.Data, recon, d, codes, nil, eb, quantRadius(quantBits))
+	encodeBlock3(g.Data, recon, d, codes, eb, quantRadius(quantBits))
+	lits := appendLiterals(nil, codes, []*grid.Grid3[T]{g})
+	nlit := len(lits) / literalSize[T]()
 
 	if len(codes) != len(q.codes) {
 		t.Fatalf("%v: kernel emitted %d codes, reference %d", d, len(codes), len(q.codes))
@@ -130,6 +132,10 @@ func checkKernel3[T grid.Float](t *testing.T, d grid.Dims, seed int64, litFrac, 
 			x, y, z := d.Coords(i)
 			t.Fatalf("%v: decode[%d] (%d,%d,%d) = %x, reference %x", d, i, x, y, z, bitsOf(out[i]), bitsOf(refOut.Data[i]))
 		}
+		if bitsOf(out[i]) != bitsOf(recon[i]) {
+			x, y, z := d.Coords(i)
+			t.Fatalf("%v: decode[%d] (%d,%d,%d) = %x, the encoder reconstructed %x", d, i, x, y, z, bitsOf(out[i]), bitsOf(recon[i]))
+		}
 	}
 }
 
@@ -169,6 +175,7 @@ func TestKernel1Equivalence(t *testing.T) {
 			fillKernelData(src, int64(n)+int64(litFrac*10), litFrac)
 
 			q := newQuantizer[float32](eb, quantBits)
+			encRecon := make([]float32, n)
 			var prev float32
 			for i, v := range src {
 				pred := prev
@@ -176,10 +183,13 @@ func TestKernel1Equivalence(t *testing.T) {
 					pred = 0
 				}
 				prev = q.encode(v, pred)
+				encRecon[i] = prev
 			}
 
 			codes := make([]uint32, n)
-			lits, nlit := encodeStream1(src, codes, nil, eb, quantRadius(quantBits))
+			encodeStream1(src, codes, eb, quantRadius(quantBits))
+			lits := appendLiterals(nil, codes, []*grid.Grid3[float32]{{Data: src}})
+			nlit := len(lits) / 4
 			for i := range codes {
 				if codes[i] != q.codes[i] {
 					t.Fatalf("n=%d: code[%d] = %d, reference %d", n, i, codes[i], q.codes[i])
@@ -207,8 +217,8 @@ func TestKernel1Equivalence(t *testing.T) {
 			out := make([]float32, n)
 			decodeStream1(out, codes, lits, 2*eb, quantRadius(quantBits))
 			for i := range out {
-				if bitsOf(out[i]) != bitsOf(refOut[i]) {
-					t.Fatalf("n=%d: decode[%d] differs from reference", n, i)
+				if bitsOf(out[i]) != bitsOf(refOut[i]) || bitsOf(out[i]) != bitsOf(encRecon[i]) {
+					t.Fatalf("n=%d: decode[%d] differs from the reference or from the encoder's reconstruction", n, i)
 				}
 			}
 		}
@@ -239,10 +249,7 @@ func TestQuadBatchEquivalence(t *testing.T) {
 					encodeLorenzo3Ref(b, recon, q)
 				}
 				opts := Options{ErrorBound: eb, DisableLossless: true}.withDefaults()
-				want, _, err := seal[float32](kindBatch, []grid.Dims{d, {X: nblocks}}, d.Count()*nblocks, eb, opts, q.codes, q.lits, q.nlit)
-				if err != nil {
-					t.Fatal(err)
-				}
+				want := seal[float32](t, kindBatch, []grid.Dims{d, {X: nblocks}}, d.Count()*nblocks, eb, opts, q.codes, q.lits)
 				got, _, err := CompressBlocks(blocks, opts)
 				if err != nil {
 					t.Fatal(err)

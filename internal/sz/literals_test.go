@@ -35,9 +35,9 @@ func litField[T grid.Float](data []T, phase float64) {
 	}
 }
 
-// litSpikes sets about one cell of data in every every to a value no
-// prediction comes near: a literal, and under the Lorenzo predictor literals at the
-// cells predicted from it.
+// litSpikes sets each cell of data, with probability 1/every, to a value
+// no prediction comes near: a literal, and under the Lorenzo predictor
+// literals at the cells predicted from it.
 func litSpikes[T grid.Float](rng *rand.Rand, data []T, every int) {
 	for i := range data {
 		if rng.Intn(every) == 0 {
@@ -84,8 +84,8 @@ type litCase struct {
 	litsInWinner bool
 }
 
-// twice runs compress twice on enc and returns the second result, which
-// must equal the first.
+// twice runs compress, which codes on one encoder, twice and returns the
+// second result, whose payload must equal the first's.
 func twice(tb testing.TB, compress func() ([]byte, bool, Stats, error)) ([]byte, bool, Stats) {
 	tb.Helper()
 	first, _, _, err := compress()

@@ -127,10 +127,7 @@ func TestLitOffsetsHostile(t *testing.T) {
 	// No symbol 0, and a literal pool nothing owns: accepted, offsets zero,
 	// without a scan.
 	pool := make([]byte, 12)
-	blob, _, err := seal[float32](kindBatch, dims, len(codes), 0.5, opts, codes, pool, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob := seal[float32](t, kindBatch, dims, len(codes), 0.5, opts, codes, pool)
 	if !shortcutEqualsScan[float32](t, "unowned pool", blob) {
 		t.Fatal("unowned pool: a codebook without symbol 0 did not answer")
 	}

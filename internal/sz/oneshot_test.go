@@ -1,6 +1,11 @@
 package sz
 
-import "repro/internal/grid"
+import (
+	"testing"
+
+	"repro/internal/bitio"
+	"repro/internal/grid"
+)
 
 // Entry points only the tests call: the one-shot forms of the pooled
 // Decoder's batch decoders, of CompressBlocksDelta and of the payload
@@ -27,11 +32,31 @@ func DecompressBlocks[T grid.Float](blob []byte) ([]*grid.Grid3[T], error) {
 	return d.DecompressBlocks(blob)
 }
 
-// seal assembles the final payload from a code stream and literal pool
-// (one-shot entry point; the Encoder method is the implementation).
-func seal[T grid.Float](kind int, dims []grid.Dims, n int, eb float64, opts Options, codes []uint32, lits []byte, nlit int) ([]byte, Stats, error) {
+// seal assembles a payload, lossless stage off, from a code stream and a
+// literal pool taken as they are. The Encoder's seal builds the pool from
+// the values coded; this one seals the codes over zeros and puts lits in
+// place of the pool, so that a test can seal the oracles' pools and pools
+// no encoder writes (short ones, unowned ones).
+func seal[T grid.Float](tb testing.TB, kind int, dims []grid.Dims, n int, eb float64, opts Options, codes []uint32, lits []byte) []byte {
+	tb.Helper()
+	if !opts.DisableLossless {
+		tb.Fatal("seal: sections are put in place raw; disable the lossless stage")
+	}
 	var e Encoder[T]
-	return e.seal(kind, dims, n, eb, opts, codes, lits, nlit)
+	blob, _, err := e.sealWithin(0, kind, dims, n, eb, opts, codes, []*grid.Grid3[T]{{Data: make([]T, len(codes))}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	_, rest, err := parseHeader(blob)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	code, _, err := bitio.Bytes(rest)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	head := len(blob) - len(rest)
+	return bitio.AppendBytes(bitio.AppendBytes(blob[:head:head], code), lits)
 }
 
 // unseal parses a payload and returns the header, code stream and literal

@@ -114,7 +114,7 @@ func (q *quantizer[T]) encode(v, pred T) T {
 	// floats to int64 are implementation-dependent in Go.
 	if math.Abs(qv) < float64(q.radius) {
 		iq := int64(qv)
-		recon := T(float64(pred) + float64(q.twoEB*qv))
+		recon := T(float64(pred) + 0 + float64(q.twoEB*qv)) // + 0: kernel.go, dqstep
 		if math.Abs(float64(v)-float64(recon)) <= q.eb {
 			q.codes = append(q.codes, uint32(iq+q.radius))
 			return recon
@@ -125,6 +125,23 @@ func (q *quantizer[T]) encode(v, pred T) T {
 	q.lits = appendLiteral(q.lits, v)
 	q.nlit++
 	return v
+}
+
+// appendLiteral stores the exact bit pattern of v, one literal at a time,
+// as the reference quantizer meets them (production builds a pool in one
+// pass, appendLiterals).
+func appendLiteral[T grid.Float](dst []byte, v T) []byte {
+	switch x := any(v).(type) {
+	case float32:
+		b := math.Float32bits(x)
+		return append(dst, byte(b), byte(b>>8), byte(b>>16), byte(b>>24))
+	case float64:
+		b := math.Float64bits(x)
+		return append(dst, byte(b), byte(b>>8), byte(b>>16), byte(b>>24),
+			byte(b>>32), byte(b>>40), byte(b>>48), byte(b>>56))
+	default:
+		panic("sz: unsupported float type")
+	}
 }
 
 // dequantizer replays a code stream plus literal pool (reference

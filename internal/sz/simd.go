@@ -7,9 +7,10 @@ package sz
 // blocks are walked in lock step with one block per vector lane. Every lane
 // then executes the scalar kernel's own sequence of IEEE operations — the
 // float32 seven-term sum in the reference's order, the float64 subtract,
-// divide, round, multiply, add (never fused), the conversions and the two
-// ordered compares — so codes, reconstructions and literal pools come out
-// bit for bit as kernel.go and kernel_quad.go produce them. Those stay: they
+// divide, round, multiply, + 0 and add (never fused), the conversions and
+// the two ordered compares — so codes and reconstructions come out bit for
+// bit as kernel.go and kernel_quad.go produce them, and the literal pool
+// the seal builds from those codes with them. Those stay: they
 // are the only path for float64 grids, for other architectures, for CPUs
 // without AVX2 and for the blocks a batch has left over under a full group,
 // and they are what simd_test.go compares this file against.

@@ -98,17 +98,16 @@ func (l *lanes) origin() *float32 {
 
 // encodeGroups is the head of encodeSpatial: it Lorenzo-codes the leading
 // full groups of simdLanes blocks on the vector kernel and returns how many
-// blocks that was, with their literals appended to lits and counted. Their
-// reconstructions go to rec(i) if keep is set.
-func (e *Encoder[T]) encodeGroups(blocks []*grid.Grid3[T], d grid.Dims, codes []uint32, lits []byte, eb float64, radius int64, rec func(i int) []T, keep bool) (int, []byte, int) {
+// blocks that was. Their reconstructions go to rec(i) if keep is set.
+func (e *Encoder[T]) encodeGroups(blocks []*grid.Grid3[T], d grid.Dims, codes []uint32, eb float64, radius int64, rec func(i int) []T, keep bool) int {
 	if !vectorPath[T](e.scalar) || len(blocks) < simdLanes {
-		return 0, lits, 0
+		return 0
 	}
 	l, per := &e.lanes, d.Count()
 	l.shape(d)
 	var src, out [simdLanes][]float32
 	var cod [simdLanes][]uint32
-	i, nlit := 0, 0
+	i := 0
 	for ; i+simdLanes <= len(blocks); i += simdLanes {
 		for k := range src {
 			src[k], _ = asFloat32(blocks[i+k].Data)
@@ -123,11 +122,8 @@ func (e *Encoder[T]) encodeGroups(blocks []*grid.Grid3[T], d grid.Dims, codes []
 			}
 			deinterleave(&out, l.recon, per)
 		}
-		for k, s := range src {
-			lits, nlit = collectLits(cod[k], s, lits, nlit)
-		}
 	}
-	return i, lits, nlit
+	return i
 }
 
 // decodeGroups is the head of reconstruct's spatial half: it decodes the
@@ -206,9 +202,10 @@ func dequantBias(radius int64) float64 { return float64(1<<31 - radius) }
 
 // temporalEncode is encodeTemporalBlock, on the vector kernel where T is
 // float32: whole units of eight cells there, the rest in Go.
-func (e *Encoder[T]) temporalEncode(src, ref, recon []T, codes []uint32, lits []byte, eb float64, radius int64) ([]byte, int) {
+func (e *Encoder[T]) temporalEncode(src, ref, recon []T, codes []uint32, eb float64, radius int64) {
 	if !vectorPath[T](e.scalar) {
-		return encodeTemporalBlock(src, ref, recon, codes, lits, eb, radius)
+		encodeTemporalBlock(src, ref, recon, codes, eb, radius)
+		return
 	}
 	s, _ := asFloat32(src)
 	r, _ := asFloat32(ref)
@@ -218,8 +215,7 @@ func (e *Encoder[T]) temporalEncode(src, ref, recon []T, codes []uint32, lits []
 		_, _, _ = r[n-1], out[n-1], codes[n-1]
 		temporalEncodeAVX2(&s[0], &r[0], &out[0], &codes[0], n/8, 2*eb, eb, uint32(radius))
 	}
-	quantizeTemporal(s[n:], r[n:], out[n:], codes[n:], eb, radius)
-	return collectLits(codes, src, lits, 0)
+	encodeTemporalBlock(s[n:], r[n:], out[n:], codes[n:], eb, radius)
 }
 
 // temporalDecode is decodeTemporalBlock, on the vector kernel where T is

@@ -42,12 +42,17 @@ GLOBL signbit32<>(SB), RODATA|NOPTR, $4
 
 // QHALF quantizes four lanes. In: v and pred as float64. Out:
 // r = round-half-away((v-pred)/twoEB) as float64, rr (an xmm) =
-// float32(pred + twoEB*r), ok = all-ones in the lanes where |r| < radius
-// and |v - rr| <= eb (ordered compares: a NaN fails). t is scratch.
-// Rounding half away from zero is trunc(q + copysign(underhalf, q)),
-// exact for every float64 (TestRoundHalfAwayByTrunc).
-#define QHALF(v, pred, r, rr, ok, t) \
+// float32(pred + 0 + twoEB*r), ok = all-ones in the lanes where
+// |r| < radius and |v - rr| <= eb (ordered compares: a NaN fails). t is
+// scratch; pred is left as pred + 0; z is rr's ymm, zeroed for the + 0
+// before rr is written. Rounding half away from zero is
+// trunc(q + copysign(underhalf, q)), exact for every float64
+// (TestRoundHalfAwayByTrunc). The + 0 makes a -0 prediction +0, so that a
+// -0 step reconstructs as the decoder's +0 step does (kernel.go, dqstep).
+#define QHALF(v, pred, r, rr, ok, t, z) \
 	VSUBPD pred, v, r; \
+	VXORPD z, z, z; \
+	VADDPD z, pred, pred; \
 	VDIVPD Y15, r, r; \
 	VANDNPD r, Y12, t; \
 	VORPD Y10, t, t; \
@@ -71,13 +76,13 @@ GLOBL signbit32<>(SB), RODATA|NOPTR, $4
 #define QUANT8 \
 	VCVTPS2PD X0, Y2; \
 	VCVTPS2PD X1, Y4; \
-	QHALF(Y2, Y4, Y6, X7, Y8, Y3); \
+	QHALF(Y2, Y4, Y6, X7, Y8, Y3, Y7); \
 	VCVTTPD2DQY Y6, X6; \
 	VEXTRACTF128 $1, Y0, X2; \
 	VCVTPS2PD X2, Y2; \
 	VEXTRACTF128 $1, Y1, X3; \
 	VCVTPS2PD X3, Y3; \
-	QHALF(Y2, Y3, Y4, X1, Y5, Y11); \
+	QHALF(Y2, Y3, Y4, X1, Y5, Y11, Y1); \
 	VCVTTPD2DQY Y4, X4; \
 	VINSERTF128 $1, X1, Y7, Y7; \
 	VINSERTI128 $1, X4, Y6, Y6; \

@@ -9,12 +9,12 @@ const haveAVX2 = false
 
 type lanes struct{}
 
-func (e *Encoder[T]) encodeGroups(blocks []*grid.Grid3[T], d grid.Dims, codes []uint32, lits []byte, eb float64, radius int64, rec func(i int) []T, keep bool) (int, []byte, int) {
-	return 0, lits, 0
+func (e *Encoder[T]) encodeGroups(blocks []*grid.Grid3[T], d grid.Dims, codes []uint32, eb float64, radius int64, rec func(i int) []T, keep bool) int {
+	return 0
 }
 
-func (e *Encoder[T]) temporalEncode(src, ref, recon []T, codes []uint32, lits []byte, eb float64, radius int64) ([]byte, int) {
-	return encodeTemporalBlock(src, ref, recon, codes, lits, eb, radius)
+func (e *Encoder[T]) temporalEncode(src, ref, recon []T, codes []uint32, eb float64, radius int64) {
+	encodeTemporalBlock(src, ref, recon, codes, eb, radius)
 }
 
 func (d *Decoder[T]) decodeGroups(b batch[T], want []int, dst []*grid.Grid3[T]) []int {

@@ -170,21 +170,6 @@ func relToAbs(rel, lo, hi float64) float64 {
 	return rel * r
 }
 
-// appendLiteral stores the exact bit pattern of v.
-func appendLiteral[T grid.Float](dst []byte, v T) []byte {
-	switch x := any(v).(type) {
-	case float32:
-		b := math.Float32bits(x)
-		return append(dst, byte(b), byte(b>>8), byte(b>>16), byte(b>>24))
-	case float64:
-		b := math.Float64bits(x)
-		return append(dst, byte(b), byte(b>>8), byte(b>>16), byte(b>>24),
-			byte(b>>32), byte(b>>40), byte(b>>48), byte(b>>56))
-	default:
-		panic("sz: unsupported float type")
-	}
-}
-
 // header is the decoded payload header.
 type header struct {
 	kind      int

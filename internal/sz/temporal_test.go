@@ -73,7 +73,9 @@ func TestTemporalKernelMatchesRef(t *testing.T) {
 
 	codes := make([]uint32, n)
 	recon := make([]float32, n)
-	lits, nlit := encodeTemporalBlock(src.Data, ref.Data, recon, codes, nil, eb, radius)
+	encodeTemporalBlock(src.Data, ref.Data, recon, codes, eb, radius)
+	lits := appendLiterals(nil, codes, []*grid.Grid3[float32]{src})
+	nlit := len(lits) / 4
 
 	q := newQuantizer[float32](eb, 16)
 	refRecon := make([]float32, n)
@@ -85,7 +87,7 @@ func TestTemporalKernelMatchesRef(t *testing.T) {
 		if codes[i] != q.codes[i] {
 			t.Fatalf("code %d: kernel %d, oracle %d", i, codes[i], q.codes[i])
 		}
-		if recon[i] != refRecon[i] {
+		if bitsOf(recon[i]) != bitsOf(refRecon[i]) {
 			t.Fatalf("recon %d: kernel %v, oracle %v", i, recon[i], refRecon[i])
 		}
 	}
@@ -103,8 +105,8 @@ func TestTemporalKernelMatchesRef(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range out {
-		if out[i] != refOut[i] {
-			t.Fatalf("decode %d: kernel %v, oracle %v", i, out[i], refOut[i])
+		if bitsOf(out[i]) != bitsOf(refOut[i]) || bitsOf(out[i]) != bitsOf(recon[i]) {
+			t.Fatalf("decode %d: kernel %v, oracle %v, encoder %v", i, out[i], refOut[i], recon[i])
 		}
 		if d := math.Abs(float64(src.Data[i]) - float64(out[i])); d > eb {
 			t.Fatalf("element %d error %g exceeds bound %g", i, d, eb)
