@@ -87,6 +87,33 @@ func frameStream(n int) []uint32 {
 	return syms
 }
 
+// encodeFrameStream synthesizes one archive frame's code stream as the
+// encoder meets it in the benchmark's campaign_write workload, whose frames
+// are 32,768 symbols (64 blocks of 8³) with a median of 114 distinct
+// symbols, 2.70 bit/symbol of entropy and a Huffman code of 2.785
+// bit/symbol: frameStream's shape, a little wider. At 32,768 symbols it
+// gives 114 distinct symbols, 2.71 bit/symbol of entropy and 2.78 coded.
+func encodeFrameStream(n int) []uint32 {
+	rng := rand.New(rand.NewSource(31))
+	syms := make([]uint32, n)
+	const center = 1 << 15
+	for i := range syms {
+		switch r := rng.Float64(); {
+		case r < 0.003:
+			syms[i] = 0 // literal marker
+		case r < 0.023:
+			syms[i] = uint32(center - 56 + rng.Intn(113))
+		default:
+			d := 0
+			for rng.Float64() < 0.5 && d < 40 {
+				d++
+			}
+			syms[i] = uint32(center + d*(1-2*rng.Intn(2)))
+		}
+	}
+	return syms
+}
+
 func BenchmarkHuffmanEncode(b *testing.B) {
 	syms := quantStream(1 << 18)
 	var e Encoder
@@ -190,5 +217,35 @@ func BenchmarkHuffmanEncodeWide(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		dst = e.AppendEncode(dst[:0], syms)
 	}
+	b.ReportMetric(float64(8*len(dst))/float64(len(syms)), "bit/sym")
+}
+
+// BenchmarkHuffmanEncodeFrame encodes one frame-sized stream shaped like
+// the writer's (encodeFrameStream), so the per-frame count and codebook
+// build weigh in ns/op as they do in the writer, and reports them alone:
+// count-ns (the histogram and its collection in symbol order) and
+// build-ns (code lengths, canonical codes, header and emit table).
+func BenchmarkHuffmanEncodeFrame(b *testing.B) {
+	syms := encodeFrameStream(32 << 10)
+	var e Encoder
+	dst := e.AppendEncode(nil, syms)
+	b.SetBytes(int64(4 * len(syms)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = e.AppendEncode(dst[:0], syms)
+	}
+	b.StopTimer()
+	const rounds = 1000
+	start := time.Now()
+	for i := 0; i < rounds; i++ {
+		e.count(syms)
+	}
+	b.ReportMetric(float64(time.Since(start).Nanoseconds())/rounds, "count-ns")
+	start = time.Now()
+	for i := 0; i < rounds; i++ {
+		e.build(len(syms), true)
+	}
+	b.ReportMetric(float64(time.Since(start).Nanoseconds())/rounds, "build-ns")
 	b.ReportMetric(float64(8*len(dst))/float64(len(syms)), "bit/sym")
 }

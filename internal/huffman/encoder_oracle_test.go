@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -117,6 +118,92 @@ func (tb *oracleTree) codeLengths(sf []symFreq) []symCode {
 		out = append(out, symCode{sym: p.sym, len: uint8(min(nodes[i].depth, 255))})
 	}
 	return out
+}
+
+// TestCodeLengthsMatchOracle holds the sorted-leaves, two-queue build to
+// the heap build it replaced, tie-breaks included: on the smallest inputs,
+// on all-equal frequencies (the most ties), on a merged subtree tying a
+// leaf's frequency from either side of its symbol, on Fibonacci
+// frequencies past 2^32 and on symbols past 2^16 (the comparison-sort
+// path), on 2^16 distinct symbols (the most the packed keys hold) and one
+// more, on shuffled inputs, and on 200 frames' counts of frameStream.
+func TestCodeLengthsMatchOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	cases := map[string][]symFreq{}
+	for n := 0; n <= 3; n++ {
+		sf := make([]symFreq, n)
+		for i := range sf {
+			sf[i] = symFreq{sym: uint32(5 * i), freq: uint64(1 + i%2)}
+		}
+		cases[fmt.Sprintf("n%d", n)] = sf
+	}
+	equal := make([]symFreq, 1000)
+	for i := range equal {
+		equal[i] = symFreq{sym: uint32(1<<15 - 500 + i), freq: 7}
+	}
+	cases["all-equal"] = equal
+	// A merged subtree as heavy as two leaves: the merge of 5 and 6 goes
+	// after the leaves 0 and 1, the merge of 0 and 1 before 5 and 6.
+	cases["merged-ties-leaf-above"] = []symFreq{{0, 2}, {1, 2}, {5, 1}, {6, 1}, {8, 100}}
+	cases["merged-ties-leaf-below"] = []symFreq{{0, 1}, {1, 1}, {5, 2}, {6, 2}, {7, 100}}
+	fib := make([]symFreq, 90)
+	a, b := uint64(1), uint64(1)
+	for i := range fib {
+		fib[i] = symFreq{sym: uint32(3 * i), freq: a}
+		a, b = b, a+b
+	}
+	cases["fibonacci"] = fib
+	wide := make([]symFreq, 300)
+	for i := range wide {
+		wide[i] = symFreq{sym: uint32(i)<<12 + uint32(rng.Intn(1<<12)), freq: uint64(1 + rng.Intn(40))}
+	}
+	cases["wide-symbols"] = wide
+	for _, n := range []int{1 << 16, 1<<16 + 1} {
+		sf := make([]symFreq, n)
+		for i := range sf {
+			sf[i] = symFreq{sym: uint32(i), freq: uint64(1 + rng.Intn(1+i%300))}
+		}
+		cases[fmt.Sprintf("distinct%d", n)] = sf
+	}
+	for _, name := range slices.Sorted(maps.Keys(cases)) {
+		if sf := cases[name]; len(sf) > 3 && len(sf) < 1<<16 {
+			shuffled := slices.Clone(sf)
+			rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+			cases[name+"/shuffled"] = shuffled
+		}
+	}
+	const frame = 32 << 10
+	frames := frameStream(200 * frame)
+	for f := 0; f < 200; f++ {
+		n := frame/2 + rng.Intn(frame/2)
+		freq := map[uint32]uint64{}
+		for _, s := range frames[f*frame : f*frame+n] {
+			freq[s]++
+		}
+		var sf []symFreq
+		for s, c := range freq {
+			sf = append(sf, symFreq{sym: s, freq: c})
+		}
+		cases[fmt.Sprintf("frame%03d", f)] = sf
+	}
+
+	var tb treeBuilder // reused, as an Encoder reuses it
+	for _, name := range slices.Sorted(maps.Keys(cases)) {
+		sf := cases[name]
+		var oracle oracleTree
+		want := oracle.codeLengths(sf)
+		got := tb.codeLengths(nil, sf)
+		if len(got) != len(want) {
+			t.Errorf("%s: %d codes, the oracle %d", name, len(got), len(want))
+			continue
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Errorf("%s: code %d is %+v, the oracle's %+v", name, i, got[i], want[i])
+				break
+			}
+		}
+	}
 }
 
 // canonicalize assigns canonical codes in place: symbols sorted by
@@ -235,8 +322,8 @@ func encodeStreams() map[string][]uint32 {
 		streams[fmt.Sprintf("quantbits16-span/n%d", n)] = full
 		streams[fmt.Sprintf("sparse/n%d", n)] = sparse
 	}
-	// Every length around the eight-symbol emit step and the four-lane
-	// count step, over an alphabet with short and long codes.
+	// Every length around the eight-symbol emit step, over an alphabet
+	// with short and long codes.
 	wide := wideQuantStream(4200)
 	for n := 0; n <= 4200; n = n + 1 + n/16 {
 		streams[fmt.Sprintf("wide/n%d", n)] = wide[:n]

@@ -2,8 +2,10 @@ package huffman
 
 import (
 	"bytes"
+	"maps"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/bitio"
@@ -133,5 +135,85 @@ func FuzzAppendDecode(f *testing.F) {
 			}
 		}
 		_ = bytes.Equal(re, data) // blobs need not match (non-canonical headers decode too)
+	})
+}
+
+// fuzzSymbols reads a symbol stream from fuzz input: the first byte picks
+// the width of a symbol — 1, 2 or 4 bytes, little-endian — and the rest
+// is the stream, a ragged tail dropped. Narrow symbols give small dense
+// alphabets, 2-byte ones the whole dense range, 4-byte ones the map path.
+func fuzzSymbols(data []byte) []uint32 {
+	if len(data) == 0 {
+		return nil
+	}
+	width := [3]int{1, 2, 4}[data[0]%3]
+	body := data[1:]
+	syms := make([]uint32, len(body)/width)
+	for i := range syms {
+		var v uint32
+		for k := width - 1; k >= 0; k-- {
+			v = v<<8 | uint32(body[i*width+k])
+		}
+		syms[i] = v
+	}
+	return syms
+}
+
+// fuzzInput is fuzzSymbols' inverse, at the narrowest width that holds
+// every symbol of syms.
+func fuzzInput(syms []uint32) []byte {
+	top := uint32(0)
+	for _, s := range syms {
+		top = max(top, s)
+	}
+	mode, width := byte(0), 1
+	switch {
+	case top >= 1<<16:
+		mode, width = 2, 4
+	case top >= 1<<8:
+		mode, width = 1, 2
+	}
+	data := []byte{mode}
+	for _, s := range syms {
+		for k := 0; k < width; k++ {
+			data = append(data, byte(s>>(8*k)))
+		}
+	}
+	return data
+}
+
+// encodeFuzzSeeds are the shapes of encodeStreams as fuzz inputs: of each
+// family of lengths ("wide/n…"), its longest of at most 1100 symbols. The
+// same seeds are checked in under testdata/fuzz.
+func encodeFuzzSeeds() [][]byte {
+	longest := map[string][]uint32{}
+	for name, syms := range encodeStreams() {
+		family, _, _ := strings.Cut(name, "/")
+		if len(syms) <= 1100 && len(syms) >= len(longest[family]) {
+			longest[family] = syms
+		}
+	}
+	var seeds [][]byte
+	for _, family := range slices.Sorted(maps.Keys(longest)) {
+		seeds = append(seeds, fuzzInput(longest[family]))
+	}
+	return seeds
+}
+
+// FuzzEncodeMatchesOracle holds the encoder to the oracle's bytes on a
+// symbol stream of the fuzzer's choosing, through one Encoder reused
+// across inputs, as the writer reuses one across frames.
+func FuzzEncodeMatchesOracle(f *testing.F) {
+	for _, s := range encodeFuzzSeeds() {
+		f.Add(s)
+	}
+	var e Encoder
+	var dst []byte
+	f.Fuzz(func(t *testing.T, data []byte) {
+		syms := fuzzSymbols(data)
+		dst = e.AppendEncode(dst[:0], syms)
+		if want := oracleEncode(syms); !bytes.Equal(dst, want) {
+			t.Fatalf("%d symbols: %d bytes differ from the oracle's %d", len(syms), len(dst), len(want))
+		}
 	})
 }

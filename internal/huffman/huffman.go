@@ -8,11 +8,12 @@
 // overhead stays small even for large quantization-bin alphabets.
 //
 // Both directions are table-driven. The encoder counts frequencies into a
-// dense, multi-lane histogram and emits through one packed table — an
-// entry per symbol holding its code and length — eight symbols to a step,
-// whenever the alphabet is small (the common case: quantization codes are
-// bounded by 2^QuantBits); nothing it does per frame is a comparison sort.
-// Sparse 32-bit alphabets fall back to maps. The decoder resolves codes
+// dense histogram, one counter per symbol, builds the code lengths from
+// one sort of the codebook's symbols and a two-queue merge, and emits
+// through one packed table — an entry per symbol holding its code and
+// length — eight symbols to a step, whenever the alphabet is small (the
+// common case: quantization codes are bounded by 2^QuantBits). Sparse
+// 32-bit alphabets fall back to maps. The decoder resolves codes
 // through one lookup table indexed by the next TableBits bits of the
 // stream: each 8-byte entry carries up to four complete codes, as
 // canonical ranks into a rank→symbol array, and the bits they consume, so
@@ -77,86 +78,106 @@ type node struct {
 	left, right int32
 }
 
-// heapEnt is one live subtree in the tree build's priority queue, keyed in
-// place — a sift compares entries, never the arena behind them.
-type heapEnt struct {
+// subtree is one live subtree of the tree build — a leaf, or the merge of
+// two — carrying its key, so a comparison never reaches the arena.
+type subtree struct {
 	freq uint64
 	sym  uint32 // min symbol in subtree: deterministic tie-break
 	node int32
 }
 
 // less orders subtrees by (freq, sym). The tie-break keeps encodings
-// reproducible across runs: subtrees alive in the heap are disjoint, so
-// the order is strict and total, and the pop sequence — hence every code
-// length — is independent of input order and of how the heap is laid out.
-func (a heapEnt) less(b heapEnt) bool {
+// reproducible across runs: live subtrees are disjoint, so the order is
+// strict and total, and the merge sequence — hence every code length — is
+// independent of input order.
+func (a subtree) less(b subtree) bool {
 	return a.freq < b.freq || a.freq == b.freq && a.sym < b.sym
 }
 
-// treeBuilder owns the node arena and heap scratch for Huffman tree
-// construction, so repeated builds stop allocating.
+// treeBuilder owns the node arena and the sort and queue scratch for
+// Huffman tree construction, so repeated builds stop allocating.
 type treeBuilder struct {
-	nodes []node
-	heap  []heapEnt
-}
-
-// siftDown restores the heap below i.
-func siftDown(h []heapEnt, i int) {
-	e := h[i]
-	for {
-		c := 2*i + 1
-		if c >= len(h) {
-			break
-		}
-		if c+1 < len(h) && h[c+1].less(h[c]) {
-			c++
-		}
-		if !h[c].less(e) {
-			break
-		}
-		h[i] = h[c]
-		i = c
-	}
-	h[i] = e
+	nodes  []node
+	keys   []uint64  // packed leaf sort keys
+	leaves []subtree // the leaves, in (freq, sym) order
+	merged []subtree // the merged subtrees, in creation order
 }
 
 // codeLengths appends per-symbol (symbol, length) pairs, in sf's order,
-// computed with the classic Huffman construction. Lengths are raw tree
-// depths (capped at 255 for storage); callers must run limitLengths before
-// assigning codes.
+// computed with the classic Huffman construction: merge the two lightest
+// subtrees, by (freq, sym), until one is left. Frequencies must be
+// positive, as counted ones are. Lengths are raw tree depths (capped at
+// 255 for storage); callers must run limitLengths before assigning codes.
+//
+// The leaves are sorted once, and the lightest subtrees come from the
+// heads of two queues — the sorted leaves, and the merged subtrees in the
+// order they were made — instead of from a heap. The merges are the
+// heap's, one for one. Every frequency is positive, so a merged subtree
+// weighs strictly more than either child: the keys a heap pops rise, each
+// merge's key rises above the one before it (it sums two keys popped
+// later), so the merged queue is made already in (freq, sym) order and
+// the lightest live subtree is always at one of the two heads. The sort
+// packs freq<<32 | sym<<16 | index into one uint64 key wherever they fit
+// 32, 16 and 16 bits — every dense stream — and falls back to a
+// comparison sort otherwise; one merge loop serves both.
 func (tb *treeBuilder) codeLengths(dst []symCode, sf []symFreq) []symCode {
-	switch len(sf) {
+	n := len(sf)
+	switch n {
 	case 0:
 		return dst
 	case 1:
 		return append(dst, symCode{sym: sf[0].sym, len: 1})
 	}
-	nodes, h := tb.nodes[:0], tb.heap[:0]
+	leaves, keys := tb.leaves[:0], tb.keys[:0]
+	packed := n <= 1<<16
 	for i, p := range sf {
+		if !packed || p.freq >= 1<<32 || p.sym >= 1<<16 {
+			packed = false
+			break
+		}
+		keys = append(keys, p.freq<<32|uint64(p.sym)<<16|uint64(i))
+	}
+	if packed {
+		slices.Sort(keys)
+		for _, k := range keys {
+			leaves = append(leaves, subtree{freq: k >> 32, sym: uint32(k>>16) & 0xffff, node: int32(k & 0xffff)})
+		}
+	} else {
+		for i, p := range sf {
+			leaves = append(leaves, subtree{freq: p.freq, sym: p.sym, node: int32(i)})
+		}
+		slices.SortFunc(leaves, func(a, b subtree) int {
+			return cmp.Or(cmp.Compare(a.freq, b.freq), cmp.Compare(a.sym, b.sym))
+		})
+	}
+	nodes, merged := tb.nodes[:0], tb.merged[:0]
+	for range sf {
 		nodes = append(nodes, node{left: -1, right: -1})
-		h = append(h, heapEnt{freq: p.freq, sym: p.sym, node: int32(i)})
 	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(h, i)
-	}
-	// Merge the two lightest subtrees until one is left: pop the lightest,
-	// then replace the new top — the second lightest — by their parent.
-	for len(h) > 1 {
-		a := h[0]
-		h[0] = h[len(h)-1]
-		h = h[:len(h)-1]
-		siftDown(h, 0)
-		b := h[0]
-		h[0] = heapEnt{freq: a.freq + b.freq, sym: min(a.sym, b.sym), node: int32(len(nodes))}
+	// Each merge takes two of the live subtrees and leaves one, so while
+	// the merged queue is drained a leaf is left to take.
+	i, j := 0, 0 // the heads of leaves and merged
+	for len(nodes) < 2*n-1 {
+		var a, b subtree
+		if j == len(merged) || i < n && leaves[i].less(merged[j]) {
+			a, i = leaves[i], i+1
+		} else {
+			a, j = merged[j], j+1
+		}
+		if j == len(merged) || i < n && leaves[i].less(merged[j]) {
+			b, i = leaves[i], i+1
+		} else {
+			b, j = merged[j], j+1
+		}
+		merged = append(merged, subtree{freq: a.freq + b.freq, sym: min(a.sym, b.sym), node: int32(len(nodes))})
 		nodes = append(nodes, node{left: a.node, right: b.node})
-		siftDown(h, 0)
 	}
-	tb.nodes, tb.heap = nodes, h
+	tb.nodes, tb.keys, tb.leaves, tb.merged = nodes, keys, leaves, merged
 	// Children precede parents in the arena, so one reverse sweep from the
 	// root (always the last merge) assigns every depth without recursion —
 	// no stack growth even for pathologically deep trees.
 	nodes[len(nodes)-1].depth = 0
-	for i := len(nodes) - 1; i >= len(sf); i-- {
+	for i := len(nodes) - 1; i >= n; i-- {
 		d := nodes[i].depth + 1
 		nodes[nodes[i].left].depth = d
 		nodes[nodes[i].right].depth = d
@@ -260,13 +281,6 @@ func assignCanonical(codes []symCode) {
 }
 
 const (
-	// histLanes is the number of interleaved counters the dense histogram
-	// keeps per symbol. Quantization streams are runs of the centre bin;
-	// with one counter every increment waits for the store of the one
-	// before (a store-to-load forward, ~5 cycles), with four, neighbouring
-	// symbols count into different words.
-	histLanes = 4
-
 	// markShift sets the granularity at which the histogram records where
 	// it was counted into: blocks of 64 symbols.
 	markShift = 6
@@ -287,10 +301,10 @@ const (
 // to the package-level Encode.
 //
 // The dense tables are sized by denseAlphabet, not by the alphabet in use:
-// an Encoder that has coded a non-empty dense stream holds 1 MiB of
+// an Encoder that has coded a non-empty dense stream holds 256 KiB of
 // histogram and 512 KiB of emit table from then on.
 type Encoder struct {
-	hist  []uint32                          // histLanes counters per dense symbol, all-zero between calls
+	hist  []uint32                          // a counter per dense symbol, all-zero between calls
 	mark  [denseAlphabet >> markShift]uint8 // blocks of hist counted into, all-zero between calls
 	freq  map[uint32]uint64                 // sparse-alphabet frequency fallback
 	sf    []symFreq                         // (symbol, frequency) worklist, in symbol order
@@ -366,16 +380,23 @@ func (e *Encoder) build(nsyms int, dense bool) (nbits uint64) {
 // order, and reports whether the alphabet is dense (all below
 // denseAlphabet).
 //
-// The dense histogram holds an all-zero invariant between calls, restored
-// as the counts are collected, so counting never pays a clear of the full
-// symbol range. The one pass over the stream also marks the markSpan-wide
-// blocks of the symbol range it touches, and collection walks those blocks
-// alone: in symbol order with no sort, and at a cost set by the bins in
-// use — the literal marker at 0 and the quantization bins a radius away
-// are two blocks or so, not the 2^15 symbols between them.
+// The dense histogram keeps one counter per symbol and holds an all-zero
+// invariant between calls, restored as the counts are collected, so
+// counting never pays a clear of the full symbol range. The one pass over
+// the stream also marks the 64-symbol blocks of the symbol range it
+// touches — a block when one of its counters goes from zero, so the store
+// is paid once per distinct symbol, on a branch that is almost never taken
+// — and collection walks those blocks alone: in symbol order with no sort,
+// and at a cost set by the bins in use — the literal marker at 0 and the
+// quantization bins a radius away are two blocks or so, not the 2^15
+// symbols between them. Interleaved lanes — two or four counters a
+// symbol, so that the centre bin's increments stop waiting on each
+// other's stores — counted frames captured from the benchmark's
+// campaign_write at most a tenth faster, inside the spread of the 2-core
+// Xeon they were timed on, for two to four times the memory.
 func (e *Encoder) count(syms []uint32) (dense bool) {
 	sf := e.sf[:0]
-	dense = uint64(len(syms)) < 1<<32 // a lane counts in 32 bits
+	dense = uint64(len(syms)) < 1<<32 // a counter holds 32 bits
 	// A wide alphabet's bins lie past the dense range almost to a symbol
 	// (all but the literal marker), so three samples spare nearly every
 	// sparse stream the dense pass and its undoing; any they miss, the
@@ -385,28 +406,19 @@ func (e *Encoder) count(syms []uint32) (dense bool) {
 	}
 	if dense && len(syms) > 0 {
 		if e.hist == nil {
-			e.hist = make([]uint32, histLanes*denseAlphabet)
+			e.hist = make([]uint32, denseAlphabet)
 		}
-		h := (*[histLanes * denseAlphabet]uint32)(e.hist)
+		h := (*[denseAlphabet]uint32)(e.hist)
 		mark := &e.mark
 		const m = denseAlphabet - 1
 		var any uint32 // reaches denseAlphabet iff some symbol does
-		i := 0
-		for ; i+histLanes <= len(syms); i += histLanes {
-			s0, s1, s2, s3 := syms[i], syms[i+1], syms[i+2], syms[i+3]
-			h[(s0&m)<<2]++
-			h[(s1&m)<<2|1]++
-			h[(s2&m)<<2|2]++
-			h[(s3&m)<<2|3]++
-			mark[(s0&m)>>markShift] = 1
-			mark[(s1&m)>>markShift] = 1
-			mark[(s2&m)>>markShift] = 1
-			mark[(s3&m)>>markShift] = 1
-			any |= s0 | s1 | s2 | s3
-		}
-		for _, s := range syms[i:] {
-			h[(s&m)<<2]++
-			mark[(s&m)>>markShift] = 1
+		for _, s := range syms {
+			x := s & m
+			v := h[x]
+			h[x] = v + 1
+			if v == 0 {
+				mark[x>>markShift] = 1
+			}
 			any |= s
 		}
 		dense = any < denseAlphabet
@@ -415,17 +427,16 @@ func (e *Encoder) count(syms []uint32) (dense bool) {
 				continue
 			}
 			mark[b] = 0
-			for s := uint32(b) << markShift; s < uint32(b+1)<<markShift; s++ {
-				p := (*[histLanes]uint32)(h[s<<2:])
-				f := uint64(p[0]) + uint64(p[1]) + uint64(p[2]) + uint64(p[3])
+			blk := (*[1 << markShift]uint32)(h[b<<markShift:])
+			for j, f := range blk {
 				if f == 0 {
 					continue
 				}
-				*p = [histLanes]uint32{}
+				blk[j] = 0
 				// Symbols past the dense range wrapped into it: their
 				// counts are taken back out, not collected.
 				if dense {
-					sf = append(sf, symFreq{sym: s, freq: f})
+					sf = append(sf, symFreq{sym: uint32(b<<markShift + j), freq: uint64(f)})
 				}
 			}
 		}
