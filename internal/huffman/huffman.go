@@ -389,11 +389,11 @@ func (e *Encoder) build(nsyms int, dense bool) (nbits uint64) {
 // — and collection walks those blocks alone: in symbol order with no sort,
 // and at a cost set by the bins in use — the literal marker at 0 and the
 // quantization bins a radius away are two blocks or so, not the 2^15
-// symbols between them. Interleaved lanes — two or four counters a
-// symbol, so that the centre bin's increments stop waiting on each
-// other's stores — counted frames captured from the benchmark's
-// campaign_write at most a tenth faster, inside the spread of the 2-core
-// Xeon they were timed on, for two to four times the memory.
+// symbols between them. On frames captured from the benchmark's
+// campaign_write, timed on a 2-core Xeon, one counter a symbol counts as
+// fast as the four interleaved lanes it replaced, in a quarter of their
+// memory; two lanes with the same first-touch marks counted faster still
+// (EXPERIMENTS.md).
 func (e *Encoder) count(syms []uint32) (dense bool) {
 	sf := e.sf[:0]
 	dense = uint64(len(syms)) < 1<<32 // a counter holds 32 bits
