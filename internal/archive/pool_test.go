@@ -2,12 +2,18 @@ package archive
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math"
+	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/amr"
 	"repro/internal/codec"
 	"repro/internal/sim"
+	"repro/internal/sz"
 )
 
 // writeMembers archives snaps through AddDataset, or, with perLevel, through
@@ -134,6 +140,79 @@ func TestZeroFrameLevelKeepsItsPlace(t *testing.T) {
 						t.Fatalf("keyframe %d workers %d: member %d level %d max err %.4g > bound %.4g", keyframe, workers, mi, li, worst, testEB)
 					}
 				}
+			}
+		}
+	}
+}
+
+// parentWriterCase is one archive testdata/parent_writer.txt pins.
+type parentWriterCase struct {
+	name        string
+	snaps       []*amr.Dataset
+	keyframe    int
+	batchBlocks int
+	cfg         codec.Config
+}
+
+// parentWriterCases are rangeEdgeCampaign at 2 blocks a frame and
+// testSnapshots at 16, each Abs and Rel, intra and Keyframe=4.
+func parentWriterCases(t testing.TB) []parentWriterCase {
+	var cases []parentWriterCase
+	for _, src := range []struct {
+		name        string
+		snaps       []*amr.Dataset
+		batchBlocks int
+	}{
+		{"edges", rangeEdgeCampaign(t, 2), 2},
+		{"snapshots", testSnapshots(t), 16},
+	} {
+		for _, mode := range []struct {
+			name string
+			cfg  codec.Config
+		}{
+			{"abs", codec.Config{ErrorBound: testEB}},
+			{"rel", codec.Config{ErrorBound: 1e-3, Mode: sz.Rel}},
+		} {
+			for _, keyframe := range []int{0, 4} {
+				cases = append(cases, parentWriterCase{
+					name:  fmt.Sprintf("%s/%s/keyframe%d", src.name, mode.name, keyframe),
+					snaps: src.snaps, keyframe: keyframe, batchBlocks: src.batchBlocks, cfg: mode.cfg,
+				})
+			}
+		}
+	}
+	return cases
+}
+
+// TestWriterMatchesParentHashes rewrites every archive of
+// parentWriterCases at Workers 1, 2 and -1: each must hash to what
+// testdata/parent_writer.txt says, the SHA-256 of the archive the writer's
+// serial per-level path wrote (Workers 1, one level at a time) before that
+// path was removed. Never rewrite the file with the current writer.
+func TestWriterMatchesParentHashes(t *testing.T) {
+	text, err := os.ReadFile("testdata/parent_writer.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(text)), "\n") {
+		f := strings.Fields(line)
+		if len(f) != 2 {
+			t.Fatalf("fixture line %q: want name, sha256", line)
+		}
+		want[f[0]] = f[1]
+	}
+	cases := parentWriterCases(t)
+	if len(want) != len(cases) {
+		t.Fatalf("%d fixtures for %d cases", len(want), len(cases))
+	}
+	for _, c := range cases {
+		for _, workers := range []int{1, 2, -1} {
+			cfg := c.cfg
+			cfg.Workers = workers
+			sum := sha256.Sum256(writeMembers(t, c.snaps, c.keyframe, c.batchBlocks, cfg, false))
+			if got := hex.EncodeToString(sum[:]); got != want[c.name] {
+				t.Errorf("%s workers %d: sha256 %s, the parent wrote %s", c.name, workers, got, want[c.name])
 			}
 		}
 	}
