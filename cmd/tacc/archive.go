@@ -30,7 +30,7 @@ func archiveCmd(args []string, stdout io.Writer) error {
 	fs := newFlags("archive")
 	var cfg codec.Config
 	boundFlags(fs, &cfg)
-	fs.IntVar(&cfg.Workers, "workers", -1, "compression workers per level (-1 = all CPUs)")
+	fs.IntVar(&cfg.Workers, "workers", -1, "compression workers per member (-1 = all CPUs)")
 	batch := fs.Int("batch", archive.DefaultBatchBlocks, "unit blocks per seekable frame")
 	appendTo := fs.Bool("append", false, "append to an existing archive instead of creating it")
 	keyframe := fs.Int("keyframe", 0, "delta-code members against their predecessors with this keyframe interval (0 = intra only)")

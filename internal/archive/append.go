@@ -12,11 +12,11 @@ import (
 // newest committed footer (recovering — and truncating — a torn tail left
 // by a crashed append first), positions f at the end of that generation,
 // and returns a Writer already holding the committed member index: new
-// members stream through the usual BeginMember/AddDataset pipeline after
-// the old trailer, and Commit/Close seal them under a fresh
-// generation-stamped v4 footer with crash-safe fsync ordering. Committed
-// bytes are never overwritten, so concurrent Readers opened on any
-// earlier generation stay valid throughout.
+// members stream through the usual AddDataset pipeline after the old
+// trailer, and Commit/Close seal them under a fresh generation-stamped v4
+// footer with crash-safe fsync ordering. Committed bytes are never
+// overwritten, so concurrent Readers opened on any earlier generation stay
+// valid throughout.
 //
 // A legacy archive is upgraded on the way: every frame its footer holds
 // no digest for is decoded, as ScrubMember audits a digest-less archive,

@@ -152,23 +152,21 @@ func TestParallelWriterMatchesSerial(t *testing.T) {
 		t.Fatalf("parallel archive differs from serial (%d vs %d bytes)", len(parallel), len(serial))
 	}
 
-	// AddDataset's one pool over a member's levels, and AddLevel's over one
-	// level, against one serial AddLevel per level: Abs and Rel (whose
-	// ranges the pool scans span by span), intra and Keyframe=4, on members
-	// whose extreme and non-finite cells sit where a batch span starts.
+	// The pool over a member's levels at Workers 2 and -1 against one
+	// worker: Abs and Rel (whose ranges the pool scans span by span), intra
+	// and Keyframe=4, on members whose extreme and non-finite cells sit
+	// where a batch span starts.
 	const batchBlocks = 2
 	edges := rangeEdgeCampaign(t, batchBlocks)
 	for _, cfg := range []codec.Config{{ErrorBound: testEB}, {ErrorBound: 1e-3, Mode: sz.Rel}} {
 		for _, keyframe := range []int{0, 4} {
 			cfg.Workers = 1
-			want := writeMembers(t, edges, keyframe, batchBlocks, cfg, true)
-			for _, workers := range []int{1, 2, -1} {
+			want := writeMembers(t, edges, keyframe, batchBlocks, cfg)
+			for _, workers := range []int{2, -1} {
 				cfg.Workers = workers
-				for _, perLevel := range []bool{false, true} {
-					if got := writeMembers(t, edges, keyframe, batchBlocks, cfg, perLevel); !bytes.Equal(got, want) {
-						t.Errorf("mode %d keyframe %d workers %d per-level %v: %d bytes, serial AddLevel writes %d",
-							cfg.Mode, keyframe, workers, perLevel, len(got), len(want))
-					}
+				if got := writeMembers(t, edges, keyframe, batchBlocks, cfg); !bytes.Equal(got, want) {
+					t.Errorf("mode %d keyframe %d workers %d: %d bytes, one worker writes %d",
+						cfg.Mode, keyframe, workers, len(got), len(want))
 				}
 			}
 		}
@@ -265,7 +263,7 @@ func TestRandomAccessRegion(t *testing.T) {
 	}
 }
 
-// TestStreamingWriter checks that frames flow out incrementally (not
+// TestStreamingWriter checks that frames flow out member by member (not
 // buffered until Close) and that the pipeline never gathers more than one
 // batch per worker uncompressed.
 func TestStreamingWriter(t *testing.T) {
@@ -281,22 +279,13 @@ func TestStreamingWriter(t *testing.T) {
 
 	prev := buf.Len()
 	for _, ds := range snaps {
-		mw, err := w.BeginMember(ds.Name, ds.Field, ds.Ratio, cfg)
-		if err != nil {
+		if err := w.AddDataset(ds, cfg); err != nil {
 			t.Fatal(err)
 		}
-		for li, l := range ds.Levels {
-			if err := mw.AddLevel(l); err != nil {
-				t.Fatal(err)
-			}
-			if buf.Len() <= prev {
-				t.Fatalf("%s level %d: no bytes streamed out", ds.Name, li)
-			}
-			prev = buf.Len()
+		if buf.Len() <= prev {
+			t.Fatalf("%s: no bytes streamed out", ds.Name)
 		}
-		if err := mw.Close(); err != nil {
-			t.Fatal(err)
-		}
+		prev = buf.Len()
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -416,31 +405,25 @@ func TestWriterMisuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mw, err := w.BeginMember("a", "f", 2, codec.Config{ErrorBound: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.BeginMember("b", "f", 2, codec.Config{ErrorBound: 1}); err == nil {
-		t.Error("nested BeginMember accepted")
-	}
-	w2, err := NewWriter(&bytes.Buffer{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w2.BeginMember("r0", "f", 0, codec.Config{ErrorBound: 1}); err == nil {
+	ds := testSnapshots(t)[0]
+	r0 := *ds
+	r0.Ratio = 0
+	if err := w.AddDataset(&r0, codec.Config{ErrorBound: 1}); err == nil {
 		t.Error("refinement ratio 0 accepted (would divide by zero in ExtractRegion)")
 	}
-	if err := w.Close(); err == nil {
-		t.Error("Close with open member accepted")
-	}
-	if err := mw.Close(); err == nil {
+	empty := *ds
+	empty.Levels = nil
+	if err := w.AddDataset(&empty, codec.Config{ErrorBound: 1}); err == nil {
 		t.Error("empty member accepted")
+	}
+	if n := len(w.Members()); n != 0 {
+		t.Fatalf("%d members indexed after two refused ones", n)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatalf("closing empty archive: %v", err)
 	}
-	if _, err := w.BeginMember("c", "f", 2, codec.Config{ErrorBound: 1}); err == nil {
-		t.Error("BeginMember after Close accepted")
+	if err := w.AddDataset(ds, codec.Config{ErrorBound: 1}); err == nil {
+		t.Error("AddDataset after Close accepted")
 	}
 	// An empty archive still round-trips.
 	if _, err := Open(bytes.NewReader(buf.Bytes()), int64(buf.Len())); err != nil {

@@ -271,9 +271,9 @@ func TestRetainedMatchesDecodeBatch(t *testing.T) {
 	}
 	f.Close()
 
-	// Reopened: beginning a member primes its field's reference from the
-	// file — member 4 here — and that reconstruction is retained like one
-	// the writer made itself.
+	// Reopened: priming a field's reference, as adding a member of it does,
+	// decodes it from the file — member 4 here — and that reconstruction is
+	// retained like one the writer made itself.
 	w, f, err = OpenAppendFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -284,12 +284,10 @@ func TestRetainedMatchesDecodeBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mw, err := w.BeginMember(snaps[6].Name, snaps[6].Field, snaps[6].Ratio, cfg)
-	if err != nil {
+	if _, err := w.primed(snaps[6].Field); err != nil {
 		t.Fatal(err)
 	}
 	check(w, r, []int{4})
-	mw.Abort()
 
 	iw, err := NewWriter(io.Discard)
 	if err != nil {

@@ -316,7 +316,7 @@ func TestWritePoolBounds(t *testing.T) {
 }
 
 // TestAddDatasetFailureReleasesWriter checks that a member that fails
-// mid-way is unhooked, leaving the writer usable.
+// mid-way is not indexed and leaves the writer usable.
 func TestAddDatasetFailureReleasesWriter(t *testing.T) {
 	snaps := testCampaign(t, 2)
 	var buf bytes.Buffer

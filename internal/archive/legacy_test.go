@@ -133,8 +133,8 @@ func TestLegacyFixturesRead(t *testing.T) {
 // the start of a Keyframe=3 campaign in generation 0, the campaign's next
 // two steps appended in generation 1 — t2 a delta against t1, primed from
 // the file, and t3 a keyframe, since a delta would take its chain to
-// depth 3.
-func v4Recipe(t testing.TB, path string) {
+// depth 3 — every member coded at the given Workers.
+func v4Recipe(t testing.TB, path string, workers int) {
 	t.Helper()
 	t0 := smallSnapshot(t, "t0", 7)
 	t1 := driftDataset(t0, "t1", testEB, 1)
@@ -144,7 +144,7 @@ func v4Recipe(t testing.TB, path string) {
 		t.Helper()
 		w.BatchBlocks, w.Keyframe = 8, 3
 		for _, ds := range snaps {
-			if err := w.AddDataset(ds, codec.Config{ErrorBound: testEB}); err != nil {
+			if err := w.AddDataset(ds, codec.Config{ErrorBound: testEB, Workers: workers}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -170,18 +170,21 @@ func v4Recipe(t testing.TB, path string) {
 	add(w, t2, t3)
 }
 
-// TestWriterMatchesParentV4 writes parent_v4.hex's recipe again: intra
-// members, a Keyframe=3 campaign and one OpenAppend generation come out
-// byte for byte as the fixture.
+// TestWriterMatchesParentV4 writes parent_v4.hex's recipe again at Workers
+// 0, 1, 2 and -1: intra members, a Keyframe=3 campaign and one OpenAppend
+// generation come out byte for byte as the fixture.
 func TestWriterMatchesParentV4(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "v4.taca")
-	v4Recipe(t, path)
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := fixture(t, "parent_v4.hex"); !bytes.Equal(got, want) {
-		t.Fatalf("wrote %d bytes differing from the fixture's %d", len(got), len(want))
+	want := fixture(t, "parent_v4.hex")
+	for _, workers := range []int{0, 1, 2, -1} {
+		path := filepath.Join(t.TempDir(), "v4.taca")
+		v4Recipe(t, path, workers)
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("workers %d: wrote %d bytes differing from the fixture's %d", workers, len(got), len(want))
+		}
 	}
 }
 
@@ -310,7 +313,7 @@ func flipSweep(t *testing.T, blob []byte, members map[uint64]int) (errs, fallbac
 // archives keep (EXPERIMENTS.md).
 func TestNoSilentWrongData(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "v4.taca")
-	v4Recipe(t, path)
+	v4Recipe(t, path, 0)
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

@@ -16,9 +16,8 @@ import (
 	"repro/internal/sz"
 )
 
-// writeMembers archives snaps through AddDataset, or, with perLevel, through
-// BeginMember and one AddLevel per level.
-func writeMembers(t testing.TB, snaps []*amr.Dataset, keyframe, batchBlocks int, cfg codec.Config, perLevel bool) []byte {
+// writeMembers archives snaps through AddDataset.
+func writeMembers(t testing.TB, snaps []*amr.Dataset, keyframe, batchBlocks int, cfg codec.Config) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf)
@@ -28,22 +27,7 @@ func writeMembers(t testing.TB, snaps []*amr.Dataset, keyframe, batchBlocks int,
 	w.BatchBlocks = batchBlocks
 	w.Keyframe = keyframe
 	for _, ds := range snaps {
-		if !perLevel {
-			if err := w.AddDataset(ds, cfg); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		mw, err := w.BeginMember(ds.Name, ds.Field, ds.Ratio, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, l := range ds.Levels {
-			if err := mw.AddLevel(l); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := mw.Close(); err != nil {
+		if err := w.AddDataset(ds, cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -83,9 +67,9 @@ func rangeEdgeCampaign(t testing.TB, batchBlocks int) []*amr.Dataset {
 
 // TestZeroFrameLevelKeepsItsPlace writes members whose middle level has an
 // empty mask between two occupied ones: the member keeps its three levels
-// in order, the middle one an index entry without frames, and AddDataset's
-// pool and one AddLevel per level write and extract the same, intra and
-// Keyframe=4, at Workers 1, 2 and -1.
+// in order, the middle one an index entry without frames, the archive is
+// the same at Workers 1, 2 and -1, and every level extracts within the
+// bound, intra and Keyframe=4.
 func TestZeroFrameLevelKeepsItsPlace(t *testing.T) {
 	base, err := sim.Generate(sim.Spec{
 		Name: "z0", FinestN: 32, Levels: 3, UnitBlock: 4,
@@ -98,47 +82,37 @@ func TestZeroFrameLevelKeepsItsPlace(t *testing.T) {
 	snaps := []*amr.Dataset{base, driftDataset(base, "z1", testEB, 1)}
 	const batchBlocks = 4
 	for _, keyframe := range []int{0, 4} {
-		for _, workers := range []int{1, 2, -1} {
-			cfg := codec.Config{ErrorBound: testEB, Workers: workers}
-			pooled := writeMembers(t, snaps, keyframe, batchBlocks, cfg, false)
-			perLevel := writeMembers(t, snaps, keyframe, batchBlocks, cfg, true)
-			if !bytes.Equal(pooled, perLevel) {
-				t.Fatalf("keyframe %d workers %d: AddDataset wrote %d bytes, AddLevel %d", keyframe, workers, len(pooled), len(perLevel))
+		blob := writeMembers(t, snaps, keyframe, batchBlocks, codec.Config{ErrorBound: testEB, Workers: 1})
+		for _, workers := range []int{2, -1} {
+			if got := writeMembers(t, snaps, keyframe, batchBlocks, codec.Config{ErrorBound: testEB, Workers: workers}); !bytes.Equal(got, blob) {
+				t.Fatalf("keyframe %d workers %d: wrote %d bytes, %d at Workers 1", keyframe, workers, len(got), len(blob))
 			}
-			var readers [2]*Reader
-			for i, blob := range [][]byte{pooled, perLevel} {
-				if readers[i], err = Open(bytes.NewReader(blob), int64(len(blob))); err != nil {
-					t.Fatal(err)
+		}
+		r, err := Open(bytes.NewReader(blob), int64(len(blob)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for mi, m := range r.Members() {
+			ds := snaps[mi]
+			if len(m.Levels) != len(ds.Levels) {
+				t.Fatalf("keyframe %d: member %d indexes %d levels, want %d", keyframe, mi, len(m.Levels), len(ds.Levels))
+			}
+			for li := range m.Levels {
+				idx, l := &m.Levels[li], ds.Levels[li]
+				if idx.Dims != l.Grid.Dim || !idx.Mask.Equal(l.Mask) {
+					t.Fatalf("keyframe %d: member %d level %d is %v, want %v", keyframe, mi, li, idx.Dims, l.Grid.Dim)
+				}
+				if empty := len(idx.Batches) == 0; empty != (li == 1) {
+					t.Fatalf("keyframe %d: member %d level %d has %d frames", keyframe, mi, li, len(idx.Batches))
 				}
 			}
-			for mi, m := range readers[0].Members() {
-				ds := snaps[mi]
-				if len(m.Levels) != len(ds.Levels) {
-					t.Fatalf("keyframe %d workers %d: member %d indexes %d levels, want %d", keyframe, workers, mi, len(m.Levels), len(ds.Levels))
-				}
-				for li := range m.Levels {
-					idx, l := &m.Levels[li], ds.Levels[li]
-					if idx.Dims != l.Grid.Dim || !idx.Mask.Equal(l.Mask) {
-						t.Fatalf("keyframe %d workers %d: member %d level %d is %v, want %v", keyframe, workers, mi, li, idx.Dims, l.Grid.Dim)
-					}
-					if empty := len(idx.Batches) == 0; empty != (li == 1) {
-						t.Fatalf("keyframe %d workers %d: member %d level %d has %d frames", keyframe, workers, mi, li, len(idx.Batches))
-					}
-				}
-				var got [2]*amr.Dataset
-				for i, r := range readers {
-					if got[i], err = r.Extract(mi); err != nil {
-						t.Fatal(err)
-					}
-				}
-				for li, l := range ds.Levels {
-					a, b := got[0].Levels[li], got[1].Levels[li]
-					if !a.Mask.Equal(b.Mask) || !sameBits(a.Grid.Data, b.Grid.Data) {
-						t.Fatalf("keyframe %d workers %d: member %d level %d extracts differently", keyframe, workers, mi, li)
-					}
-					if worst := maskedMaxErr(l, a, l.Mask); worst > testEB {
-						t.Fatalf("keyframe %d workers %d: member %d level %d max err %.4g > bound %.4g", keyframe, workers, mi, li, worst, testEB)
-					}
+			got, err := r.Extract(mi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for li, l := range ds.Levels {
+				if worst := maskedMaxErr(l, got.Levels[li], l.Mask); worst > testEB {
+					t.Fatalf("keyframe %d: member %d level %d max err %.4g > bound %.4g", keyframe, mi, li, worst, testEB)
 				}
 			}
 		}
@@ -210,7 +184,7 @@ func TestWriterMatchesParentHashes(t *testing.T) {
 		for _, workers := range []int{1, 2, -1} {
 			cfg := c.cfg
 			cfg.Workers = workers
-			sum := sha256.Sum256(writeMembers(t, c.snaps, c.keyframe, c.batchBlocks, cfg, false))
+			sum := sha256.Sum256(writeMembers(t, c.snaps, c.keyframe, c.batchBlocks, cfg))
 			if got := hex.EncodeToString(sum[:]); got != want[c.name] {
 				t.Errorf("%s workers %d: sha256 %s, the parent wrote %s", c.name, workers, got, want[c.name])
 			}

@@ -35,13 +35,13 @@ var frameEncoders = sync.Pool{New: func() any { return new(frameEncoder) }}
 // through without full materialization.
 //
 // A Writer is not safe for concurrent use; the parallelism lives inside
-// the worker pool a member's frames run through (AddDataset, AddLevel).
+// the worker pool AddDataset runs a member's frames through.
 type Writer struct {
 	// BatchBlocks is the number of unit blocks per frame for subsequently
-	// begun members; 0 means DefaultBatchBlocks.
+	// added members; 0 means DefaultBatchBlocks.
 	BatchBlocks int
 
-	// Keyframe enables campaign (delta) coding for subsequently begun
+	// Keyframe enables campaign (delta) coding for subsequently added
 	// members: when a member's field was already written at identical AMR
 	// structure, each batch is predicted both spatially and as residuals
 	// against the previous member's reconstruction, and the coding that
@@ -68,7 +68,6 @@ type Writer struct {
 	file    *os.File // non-nil for append-mode writers: enables Commit's fsync ordering
 	off     int64    // bytes emitted so far == next frame's offset
 	members []Member
-	cur     *MemberWriter
 	closed  bool
 
 	// prev holds, per field, the reconstruction of the newest sealed
@@ -173,8 +172,8 @@ func (w *Writer) Retained() map[int][][]*grid.Grid3[amr.Value] {
 // On a legacy archive OpenAppend has opened, the view is already the v4
 // index the next commit writes, digests backfilled.
 func (w *Writer) View(src io.ReaderAt) (*Reader, error) {
-	if w.committed == 0 || w.dirty || w.cur != nil {
-		return nil, fmt.Errorf("archive: View needs a committed writer with no member sealed or open since")
+	if w.committed == 0 || w.dirty {
+		return nil, fmt.Errorf("archive: View needs a committed writer with no member sealed since")
 	}
 	return &Reader{r: src, size: w.off, gen: w.committed - 1, ver: currentTrailer.ver, members: slices.Clone(w.members)}, nil
 }
@@ -188,47 +187,31 @@ func (w *Writer) Stats() Stats {
 	}
 }
 
-// AddDataset compresses a whole snapshot as one member. The member name is
-// ds.Name and the field ds.Field. The frames of all its levels go through
-// one worker pool, in the order and to the bytes BeginMember plus one
-// AddLevel per level would write, but with no barrier between levels.
+// AddDataset compresses a whole snapshot as one member and seals it. The
+// member name is ds.Name and the field ds.Field; its levels are written
+// fine to coarse, as ds lists them, through one worker pool (addLevels). A
+// member that fails is not indexed and the writer stays usable for the
+// next one: the frames it already streamed out stay in the file as dead
+// bytes, never referenced by a footer, so they cost space, not
+// correctness.
 func (w *Writer) AddDataset(ds *amr.Dataset, cfg codec.Config) error {
-	mw, err := w.BeginMember(ds.Name, ds.Field, ds.Ratio, cfg)
-	if err != nil {
-		return err
-	}
-	if err := mw.addLevels(ds.Levels); err != nil {
-		// Unhook the half-built member so the writer survives for the
-		// next one; its flushed frames become dead bytes.
-		mw.Abort()
-		return err
-	}
-	return mw.Close()
-}
-
-// BeginMember starts a new member. Levels are appended fine to coarse with
-// AddLevel — each runs through the member's worker pool alone and is
-// flushed before the call returns, so the caller may generate or load
-// levels one at a time and discard them after the call — and the member is
-// sealed with Close before the next BeginMember.
-func (w *Writer) BeginMember(name, field string, ratio int, cfg codec.Config) (*MemberWriter, error) {
 	if w.closed {
-		return nil, fmt.Errorf("archive: writer is closed")
+		return fmt.Errorf("archive: writer is closed")
 	}
-	if w.cur != nil {
-		return nil, fmt.Errorf("archive: member %q still open", w.cur.member.Name)
+	if ds.Ratio < 2 {
+		return fmt.Errorf("archive: member %q has refinement ratio %d < 2", ds.Name, ds.Ratio)
 	}
-	if ratio < 2 {
-		return nil, fmt.Errorf("archive: member %q has refinement ratio %d < 2", name, ratio)
+	if len(ds.Levels) == 0 {
+		return fmt.Errorf("archive: member %q has no levels", ds.Name)
 	}
 	cfg = cfg.WithDefaults()
-	w.cur = &MemberWriter{
+	mw := &memberWriter{
 		w:   w,
 		cfg: cfg,
 		member: Member{
-			Name:        name,
-			Field:       field,
-			Ratio:       ratio,
+			Name:        ds.Name,
+			Field:       ds.Field,
+			Ratio:       ds.Ratio,
 			ErrorBound:  cfg.ErrorBound,
 			Mode:        cfg.Mode,
 			QuantBits:   cfg.QuantBits,
@@ -237,19 +220,22 @@ func (w *Writer) BeginMember(name, field string, ratio int, cfg codec.Config) (*
 		},
 	}
 	if w.Keyframe > 1 {
-		w.cur.capturing = true
-		fr, err := w.primed(field)
+		mw.capturing = true
+		fr, err := w.primed(ds.Field)
 		if err != nil {
-			w.cur = nil
-			return nil, err
+			return err
 		}
 		// Chains are cut BEFORE they would reach Keyframe members: a
 		// reference at depth Keyframe−1 forces this member intra.
 		if fr != nil && fr.chain+1 < w.Keyframe {
-			w.cur.ref = fr
+			mw.ref = fr
 		}
 	}
-	return w.cur, nil
+	if err := mw.addLevels(ds.Levels); err != nil {
+		return err
+	}
+	mw.seal()
+	return nil
 }
 
 // primed returns the reference candidate for field: the reconstruction
@@ -305,12 +291,11 @@ func (w *Writer) primed(field string) (*fieldRecon, error) {
 	return fr, nil
 }
 
-// MemberWriter appends the levels of one member.
-type MemberWriter struct {
+// memberWriter writes the levels of one member for AddDataset.
+type memberWriter struct {
 	w      *Writer
 	cfg    codec.Config
 	member Member
-	done   bool
 
 	// Campaign-mode state: ref is the reference reconstruction delta
 	// batches code against (nil → all intra); capturing records this
@@ -355,7 +340,7 @@ func (lv *levelWrite) nbatch() int {
 }
 
 // plan lays out l as level li of the member.
-func (mw *MemberWriter) plan(lv *levelWrite, li int, l *amr.Level) {
+func (mw *memberWriter) plan(lv *levelWrite, li int, l *amr.Level) {
 	batchBlocks := mw.w.BatchBlocks
 	if batchBlocks <= 0 {
 		batchBlocks = DefaultBatchBlocks
@@ -389,7 +374,7 @@ func (mw *MemberWriter) plan(lv *levelWrite, li int, l *amr.Level) {
 
 // encode gathers batch b of lv into the worker's scratch and codes it,
 // reporting whether the delta coding won.
-func (mw *MemberWriter) encode(fe *frameEncoder, lv *levelWrite, b int) ([]byte, bool, error) {
+func (mw *memberWriter) encode(fe *frameEncoder, lv *levelWrite, b int) ([]byte, bool, error) {
 	lo, hi := lv.idx.BatchSpan(b)
 	cells := int64(hi-lo) * int64(lv.idx.unitDims().Count())
 	cur := mw.w.gatheredCells.Add(cells)
@@ -425,7 +410,7 @@ func (mw *MemberWriter) encode(fe *frameEncoder, lv *levelWrite, b int) ([]byte,
 
 // write emits batch b's frame of lv and records its coding in the level
 // index.
-func (mw *MemberWriter) write(lv *levelWrite, b int, blob []byte, isDelta bool) error {
+func (mw *memberWriter) write(lv *levelWrite, b int, blob []byte, isDelta bool) error {
 	if err := mw.w.writeFrame(blob, &lv.idx); err != nil {
 		return err
 	}
@@ -437,72 +422,40 @@ func (mw *MemberWriter) write(lv *levelWrite, b int, blob []byte, isDelta bool) 
 	return nil
 }
 
-// AddLevel compresses one level into block-batch frames and streams them
-// out, through the pool AddDataset runs a whole member's levels through.
-// Every frame of the level is written before AddLevel returns, so the
-// caller may then discard l.
-func (mw *MemberWriter) AddLevel(l *amr.Level) error {
-	return mw.addLevels([]*amr.Level{l})
-}
-
-// addLevels compresses ls, the member's next levels, into block-batch
-// frames and streams them out in level-then-batch order; a level's index
-// entry joins the member once its last frame is written, and a level
-// without frames joins in its place. The frames of every level go through
-// one pool of cfg.Workers goroutines (each batch is an independent sz
-// stream, so the pool pipelines gather → compress → in-order write), with
-// no barrier between levels, and only the batches in flight exist
-// uncompressed outside ls itself. Every frame is written before addLevels
-// returns.
-func (mw *MemberWriter) addLevels(ls []*amr.Level) error {
-	if mw.done {
-		return fmt.Errorf("archive: member %q already closed", mw.member.Name)
-	}
+// addLevels compresses ls, the member's levels, into block-batch frames
+// and streams them out in level-then-batch order; a level's index entry
+// joins the member once its last frame is written, and a level without
+// frames joins in its place. The frames of every level go through one pool
+// of cfg.Workers goroutines (each batch is an independent sz stream, so the
+// pool pipelines gather → compress → in-order write), with no barrier
+// between levels, and only the batches in flight exist uncompressed
+// outside ls itself. Every frame is written before addLevels returns.
+func (mw *memberWriter) addLevels(ls []*amr.Level) error {
 	lvs := make([]levelWrite, len(ls))
 	nframes := 0
 	for k, l := range ls {
 		lv := &lvs[k]
-		mw.plan(lv, len(mw.member.Levels)+k, l)
+		mw.plan(lv, k, l)
 		lv.first = nframes
 		nframes += lv.nbatch()
 	}
+	workers := max(1, min(codec.ResolveWorkers(mw.cfg.Workers), nframes))
 
-	workers := min(codec.ResolveWorkers(mw.cfg.Workers), nframes)
-	if workers <= 1 {
-		// Serial path: gather, compress, and flush one batch at a time.
-		fe := frameEncoders.Get().(*frameEncoder)
-		defer frameEncoders.Put(fe)
-		for k := range lvs {
-			lv := &lvs[k]
-			lv.opts.ErrorBound = mw.cfg.LevelEB(lv.li, lv.l)
-			for b := range lv.nbatch() {
-				blob, isDelta, err := mw.encode(fe, lv, b)
-				if err == nil {
-					err = mw.write(lv, b, blob, isDelta)
-				}
-				if err != nil {
-					return err
-				}
-			}
-			mw.member.Levels = append(mw.member.Levels, lv.idx)
-		}
-		return nil
-	}
-
-	// Parallel path: a bounded pool compresses frames out of order while
-	// this goroutine flushes them in level-then-batch order, so the index
-	// layout matches the serial path exactly and each frame streams out as
+	// A bounded pool compresses frames out of order while this goroutine
+	// flushes them in level-then-batch order, so each frame streams out as
 	// soon as its predecessors have. Two semaphores bound it: active caps
-	// the jobs running at workers, which is the streaming-memory guarantee,
-	// and window caps the frames started but not yet written at twice
-	// that, so that a slow frame at the head of the queue idles nobody
-	// until the pool is a full round ahead of it, yet a stalled sink cannot
-	// let compressed frames pile up. Each frame is its own short goroutine,
-	// not a turn of a long-lived worker: a worker that never blocks holds
-	// its P for the member's whole length, and in a process that also
-	// serves requests (tacd ingest) the scheduler then notices a request
-	// whose bytes have arrived only at its 10 ms preemption tick, instead
-	// of between two frames.
+	// the jobs running at workers (one at Workers 1), which is the
+	// streaming-memory guarantee, and window caps the frames started but
+	// not yet written at twice that, so that a slow frame at the head of
+	// the queue idles nobody until the pool is a full round ahead of it,
+	// yet a stalled sink cannot let compressed frames pile up. The tokens
+	// of active are the member's frame encoders, drawn from frameEncoders
+	// once per worker, not once per frame. Each frame is its own short
+	// goroutine, not a turn of a long-lived worker: a worker that never
+	// blocks holds its P for the member's whole length, and in a process
+	// that also serves requests (tacd ingest) the scheduler then notices a
+	// request whose bytes have arrived only at its 10 ms preemption tick,
+	// instead of between two frames.
 	type encoded struct {
 		blob    []byte
 		isDelta bool
@@ -514,21 +467,29 @@ func (mw *MemberWriter) addLevels(ls []*amr.Level) error {
 		cond   = sync.NewCond(&mu)
 		out    = make([]encoded, nframes)
 		window = make(chan struct{}, 2*workers)
-		active = make(chan struct{}, workers)
+		active = make(chan *frameEncoder, workers)
 		stop   = make(chan struct{})
 		wg     sync.WaitGroup
 	)
-	// acquire takes a slot of each semaphore in turn, or reports false once
-	// the flusher has stopped.
-	acquire := func(sems ...chan struct{}) bool {
-		for _, sem := range sems {
+	for range workers {
+		active <- frameEncoders.Get().(*frameEncoder)
+	}
+	// acquire takes a window slot, for a frame, and then an active one, or
+	// returns nil once the flusher has stopped.
+	acquire := func(frame bool) *frameEncoder {
+		if frame {
 			select {
-			case sem <- struct{}{}:
+			case window <- struct{}{}:
 			case <-stop:
-				return false
+				return nil
 			}
 		}
-		return true
+		select {
+		case fe := <-active:
+			return fe
+		case <-stop:
+			return nil
+		}
 	}
 	rel := mw.cfg.Mode == sz.Rel
 	// The spawner holds its own WaitGroup slot for its whole life, so the
@@ -550,7 +511,8 @@ func (mw *MemberWriter) addLevels(ls []*amr.Level) error {
 				sl := &lvs[scanned]
 				sl.spans = make([]codec.ValueRange, sl.nbatch())
 				for s := range sl.spans {
-					if !acquire(active) {
+					fe := acquire(false)
+					if fe == nil {
 						return
 					}
 					sl.ranging.Add(1)
@@ -559,7 +521,7 @@ func (mw *MemberWriter) addLevels(ls []*amr.Level) error {
 						defer wg.Done()
 						lo, hi := sl.idx.BatchSpan(s)
 						sl.spans[s] = codec.BlockRange(sl.l, sl.ords[lo:hi])
-						<-active
+						active <- fe
 						sl.ranging.Done()
 					}()
 				}
@@ -571,16 +533,15 @@ func (mw *MemberWriter) addLevels(ls []*amr.Level) error {
 			}
 			lv.opts.ErrorBound = mw.cfg.RangeEB(lv.li, r)
 			for b := range lv.nbatch() {
-				if !acquire(window, active) {
+				fe := acquire(true)
+				if fe == nil {
 					return
 				}
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					fe := frameEncoders.Get().(*frameEncoder)
 					blob, isDelta, err := mw.encode(fe, lv, b)
-					frameEncoders.Put(fe)
-					<-active
+					active <- fe
 					mu.Lock()
 					out[lv.first+b] = encoded{blob, isDelta, err, true}
 					cond.Broadcast()
@@ -590,9 +551,13 @@ func (mw *MemberWriter) addLevels(ls []*amr.Level) error {
 		}
 	}()
 	// Frames in flight read the levels: never return before they are done.
+	// Then every encoder is back in active.
 	finish := func(err error) error {
 		close(stop)
 		wg.Wait()
+		for range workers {
+			frameEncoders.Put(<-active)
+		}
 		return err
 	}
 	for k := range lvs {
@@ -631,16 +596,9 @@ func (w *Writer) writeFrame(blob []byte, idx *LevelIndex) error {
 	return nil
 }
 
-// Close seals the member and adds it to the archive index.
-func (mw *MemberWriter) Close() error {
-	if mw.done {
-		return nil
-	}
-	mw.done = true
-	if len(mw.member.Levels) == 0 {
-		mw.w.cur = nil
-		return fmt.Errorf("archive: member %q has no levels", mw.member.Name)
-	}
+// seal adds the member, all of whose levels are written, to the archive
+// index.
+func (mw *memberWriter) seal() {
 	mw.member.Gen = int(mw.w.committed)
 	if mw.usedDelta {
 		mw.member.Ref = mw.ref.index
@@ -664,23 +622,6 @@ func (mw *MemberWriter) Close() error {
 		}
 	}
 	mw.w.dirty = true
-	mw.w.cur = nil
-	return nil
-}
-
-// Abort discards the member without adding it to the index, releasing the
-// Writer for the next BeginMember. Frames the member already streamed out
-// stay in the file as dead bytes — they are never referenced by a footer,
-// so they cost space, not correctness — which is what makes Abort safe to
-// call after a mid-member compression failure in a long-lived appender.
-func (mw *MemberWriter) Abort() {
-	if mw.done {
-		return
-	}
-	mw.done = true
-	if mw.w.cur == mw {
-		mw.w.cur = nil
-	}
 }
 
 // Members returns the index as committed-plus-sealed so far (shared, not
@@ -712,9 +653,6 @@ func (w *Writer) Generation() uint64 { return w.committed }
 func (w *Writer) Commit() error {
 	if w.closed {
 		return fmt.Errorf("archive: writer is closed")
-	}
-	if w.cur != nil {
-		return fmt.Errorf("archive: member %q still open", w.cur.member.Name)
 	}
 	footer, err := w.footer()
 	if err != nil {
@@ -778,9 +716,6 @@ func (w *Writer) footer() ([]byte, error) {
 func (w *Writer) Close() error {
 	if w.closed {
 		return nil
-	}
-	if w.cur != nil {
-		return fmt.Errorf("archive: member %q still open", w.cur.member.Name)
 	}
 	if w.dirty || w.committed == 0 {
 		if err := w.Commit(); err != nil {

@@ -87,9 +87,10 @@ type ZMesh struct{}
 // Name implements codec.Codec.
 func (ZMesh) Name() string { return "zMesh" }
 
-// walk visits every stored cell in zMesh order, calling fn with the owning
-// level and the cell's linear index in that level's grid.
-func walk(sk codec.Skeleton, fn func(level, cellIdx int)) {
+// Walk visits every stored cell in zMesh order — the coarsest level's
+// layout, descending into refined regions in place — calling fn with the
+// owning level and the cell's linear index in that level's grid.
+func Walk(sk codec.Skeleton, fn func(level, cellIdx int)) {
 	L := len(sk.Levels)
 	ratio := sk.Ratio
 	var descend func(li, x, y, z int)
@@ -128,7 +129,7 @@ func (ZMesh) Compress(ds *amr.Dataset, cfg codec.Config) ([]byte, error) {
 	cfg = cfg.WithDefaults()
 	sk := codec.SkeletonOf(ds)
 	stream := make([]amr.Value, 0, ds.StoredCells())
-	walk(sk, func(li, idx int) {
+	Walk(sk, func(li, idx int) {
 		stream = append(stream, ds.Levels[li].Grid.Data[idx])
 	})
 	blob, _, err := sz.Compress1D(stream, sz.Options{
@@ -152,14 +153,14 @@ func (ZMesh) Decompress(blob []byte) (*amr.Dataset, error) {
 	}
 	ds := sk.NewDataset()
 	pos := 0
-	walk(sk, func(li, idx int) {
+	Walk(sk, func(li, idx int) {
 		if pos < len(stream) {
 			ds.Levels[li].Grid.Data[idx] = stream[pos]
 		}
 		pos++
 	})
 	if pos != len(stream) {
-		return nil, fmt.Errorf("baseline: zMesh stream holds %d values, walk visited %d", len(stream), pos)
+		return nil, fmt.Errorf("baseline: zMesh stream holds %d values, Walk visited %d", len(stream), pos)
 	}
 	return ds, nil
 }

@@ -27,12 +27,12 @@ func TestZMeshWalkVisitsEveryStoredCellOnce(t *testing.T) {
 	sk := codec.SkeletonOf(ds)
 	seen := make(map[[2]int]int)
 	total := 0
-	walk(sk, func(li, idx int) {
+	Walk(sk, func(li, idx int) {
 		seen[[2]int{li, idx}]++
 		total++
 	})
 	if total != ds.StoredCells() {
-		t.Fatalf("walk visited %d cells, dataset stores %d", total, ds.StoredCells())
+		t.Fatalf("Walk visited %d cells, dataset stores %d", total, ds.StoredCells())
 	}
 	for k, c := range seen {
 		if c != 1 {
@@ -49,7 +49,7 @@ func TestZMeshOrderIsSpatiallyLocal(t *testing.T) {
 	sk := codec.SkeletonOf(ds)
 	type pt struct{ x, y, z float64 }
 	var pts []pt
-	walk(sk, func(li, idx int) {
+	Walk(sk, func(li, idx int) {
 		d := sk.Levels[li].Dims
 		x, y, z := d.Coords(idx)
 		s := float64(int(1) << uint(li))
@@ -102,7 +102,7 @@ func TestZMeshTreeVsBlock(t *testing.T) {
 	}
 
 	var zstream []float32
-	walk(sk, func(li, idx int) {
+	Walk(sk, func(li, idx int) {
 		zstream = append(zstream, ds.Levels[li].Grid.Data[idx])
 	})
 	var lstream []float32

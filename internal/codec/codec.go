@@ -88,13 +88,13 @@ type Config struct {
 	// GSP tunes ghost-shell padding.
 	GSP preprocess.GSPOptions
 	// Workers > 1 codes that many payload units at once — a dense level is
-	// one unit, a sparse level one per shape group of its sub-blocks — and
-	// the archive writer's batches; -1 uses all CPUs, ≤ 1 is serial
-	// (ResolveWorkers). Payloads are byte-identical at every value.
+	// one unit, a sparse level one per shape group of its sub-blocks — or
+	// that many of an archive member's frames; -1 uses all CPUs, ≤ 1 one at
+	// a time (ResolveWorkers). Payloads are byte-identical at every value.
 	Workers int
 }
 
-// ResolveWorkers maps the Workers convention (-1 all CPUs, ≤ 1 serial) to
+// ResolveWorkers maps the Workers convention (-1 all CPUs, ≤ 1 one) to
 // a concrete goroutine count. core.TAC.Workers follows it too.
 func ResolveWorkers(w int) int {
 	switch {

@@ -4,6 +4,7 @@ import (
 	"io"
 
 	"repro/internal/amr"
+	"repro/internal/baseline"
 	"repro/internal/codec"
 	"repro/internal/sim"
 	"repro/internal/sz"
@@ -25,7 +26,7 @@ func Fig16(w io.Writer, env *Env) error {
 
 	// Tree-structured streams (the repository's native representation).
 	var treeZ []amr.Value
-	walkZMesh(sk, func(li, idx int) {
+	baseline.Walk(sk, func(li, idx int) {
 		treeZ = append(treeZ, ds.Levels[li].Grid.Data[idx])
 	})
 	var treeL []amr.Value
@@ -93,38 +94,4 @@ func Fig16(w io.Writer, env *Env) error {
 	fprintf(w, " block-structured AMR; on tree-structured data its advantage shrinks toward —\n")
 	fprintf(w, " and on the paper's high-contrast Nyx fields falls below — the 1D baseline.)\n")
 	return nil
-}
-
-// walkZMesh re-exposes the zMesh traversal for this exhibit: coarse-level
-// layout order, descending into refined regions in place.
-func walkZMesh(sk codec.Skeleton, fn func(level, cellIdx int)) {
-	L := len(sk.Levels)
-	ratio := sk.Ratio
-	var descend func(li, x, y, z int)
-	descend = func(li, x, y, z int) {
-		info := sk.Levels[li]
-		ubl := info.UnitBlock
-		if info.Mask.At(x/ubl, y/ubl, z/ubl) {
-			fn(li, info.Dims.Index(x, y, z))
-			return
-		}
-		if li == 0 {
-			return
-		}
-		for dx := 0; dx < ratio; dx++ {
-			for dy := 0; dy < ratio; dy++ {
-				for dz := 0; dz < ratio; dz++ {
-					descend(li-1, x*ratio+dx, y*ratio+dy, z*ratio+dz)
-				}
-			}
-		}
-	}
-	cd := sk.Levels[L-1].Dims
-	for x := 0; x < cd.X; x++ {
-		for y := 0; y < cd.Y; y++ {
-			for z := 0; z < cd.Z; z++ {
-				descend(L-1, x, y, z)
-			}
-		}
-	}
 }

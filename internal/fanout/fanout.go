@@ -10,21 +10,14 @@ import (
 
 // Run calls fn(i) for every i in [0, n) on at most workers goroutines,
 // the caller's included, and returns the error of the lowest index that
-// failed. With workers ≤ 1 the jobs run inline, in order, up to the first
-// failure. Otherwise the goroutines claim indices in order and none is
-// claimed after a failure; every index below a failed one was claimed
-// before it and runs to completion, so the error returned does not depend
-// on the schedule. fn must be safe to call from several goroutines at once.
+// failed. The goroutines claim indices in order and none is claimed after
+// a failure; every index below a failed one was claimed before it and
+// runs to completion, so the error returned does not depend on the
+// schedule. With workers ≤ 1 that is the caller alone running the jobs in
+// order up to the first failure. fn must be safe to call from several
+// goroutines at once.
 func Run(n, workers int, fn func(i int) error) error {
 	workers = min(workers, n)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	errs := make([]error, n)
 	var next atomic.Int64
 	var failed atomic.Bool

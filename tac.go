@@ -171,8 +171,7 @@ type ArchiveMember = archive.Member
 
 // NewArchive starts a TACA archive on w. Append snapshots with
 // AddDataset, which codes all of a snapshot's levels through one worker
-// pool (or BeginMember/AddLevel, a level at a time, for snapshots larger
-// than memory), and seal the index with Close.
+// pool, and seal the index with Close.
 func NewArchive(w io.Writer) (*ArchiveWriter, error) { return archive.NewWriter(w) }
 
 // OpenArchive opens an archive from any io.ReaderAt covering size bytes.
