@@ -243,7 +243,7 @@ func BenchmarkHaloFinder(b *testing.B) {
 	uni := ds.FlattenToUniform()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		analysis.FindHalos(uni, analysis.HaloFinderOptions{MinCells: 4})
+		analysis.FindHalos(uni)
 	}
 }
 

@@ -113,7 +113,8 @@ func main() {
 			if flag.NArg() != 1 {
 				log.Fatalf("-replica %q: name=spec form is required when serving more than one archive", rs)
 			}
-			name, path = server.SpecName(flag.Arg(0)), rs
+			name, _ = server.SplitSpec(flag.Arg(0))
+			path = rs
 		}
 		replicas[name] = append(replicas[name], path)
 	}
@@ -140,8 +141,7 @@ func main() {
 		rcfg.CacheBytes = -1
 	}
 	for _, arg := range flag.Args() {
-		name := server.SpecName(arg)
-		_, primary := server.SplitSpec(arg)
+		name, primary := server.SplitSpec(arg)
 		reps := replicas[name]
 		delete(replicas, name)
 		spec := server.ArchiveSpec{

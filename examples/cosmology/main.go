@@ -28,7 +28,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	halosOrig := analysis.FindHalos(orig, analysis.HaloFinderOptions{MinCells: 4})
+	halosOrig := analysis.FindHalos(orig)
 	fmt.Printf("dataset %s: %d stored cells, %d halos in the original field\n\n",
 		ds.Name, ds.StoredCells(), len(halosOrig))
 
@@ -69,7 +69,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		hd, err := analysis.CompareHalos(orig, flat, analysis.HaloFinderOptions{MinCells: 4})
+		hd, err := analysis.CompareHalos(orig, flat)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -133,7 +133,7 @@ func blobField(n int, cx, cy, cz, r int, amp float64) *grid.Grid3[float32] {
 
 func TestHaloFinderFindsBlob(t *testing.T) {
 	g := blobField(32, 16, 16, 16, 4, 1e5)
-	halos := FindHalos(g, HaloFinderOptions{})
+	halos := FindHalos(g)
 	if len(halos) != 1 {
 		t.Fatalf("found %d halos, want 1", len(halos))
 	}
@@ -156,7 +156,7 @@ func TestHaloFinderSeparatesTwoBlobs(t *testing.T) {
 			}
 		}
 	}
-	halos := FindHalos(g, HaloFinderOptions{})
+	halos := FindHalos(g)
 	if len(halos) != 2 {
 		t.Fatalf("found %d halos, want 2", len(halos))
 	}
@@ -169,18 +169,27 @@ func TestHaloFinderSeparatesTwoBlobs(t *testing.T) {
 }
 
 func TestHaloFinderMinCells(t *testing.T) {
-	g := blobField(16, 8, 8, 8, 1, 1e6) // tiny blob, 7 cells at r=1
-	if halos := FindHalos(g, HaloFinderOptions{MinCells: 100}); len(halos) != 0 {
-		t.Fatalf("MinCells=100 still found %d halos", len(halos))
-	}
-	if halos := FindHalos(g, HaloFinderOptions{MinCells: 1}); len(halos) != 1 {
-		t.Fatalf("MinCells=1 found %d halos, want 1", len(halos))
+	// A rod of c over-dense cells in a flat background is one component
+	// of c cells: a halo from minCells cells up, none below.
+	for _, c := range []int{minCells - 1, minCells} {
+		g := grid.NewCube[float32](16)
+		g.Fill(1)
+		for x := 0; x < c; x++ {
+			g.Set(4+x, 8, 8, 1e6)
+		}
+		halos := FindHalos(g)
+		switch {
+		case c < minCells && len(halos) != 0:
+			t.Fatalf("%d cells found %d halos, want 0", c, len(halos))
+		case c >= minCells && (len(halos) != 1 || halos[0].Cells != c):
+			t.Fatalf("%d cells found %+v, want one halo of %d cells", c, halos, c)
+		}
 	}
 }
 
 func TestCompareHalosIdentical(t *testing.T) {
 	g := blobField(32, 16, 16, 16, 4, 1e5)
-	d, err := CompareHalos(g, g, HaloFinderOptions{})
+	d, err := CompareHalos(g, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +213,7 @@ func TestCompareHalosDetectsDistortion(t *testing.T) {
 			}
 		}
 	}
-	d, err := CompareHalos(g, pert, HaloFinderOptions{})
+	d, err := CompareHalos(g, pert)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +225,7 @@ func TestCompareHalosDetectsDistortion(t *testing.T) {
 func TestCompareHalosNoOriginal(t *testing.T) {
 	g := grid.NewCube[float32](8)
 	g.Fill(1)
-	if _, err := CompareHalos(g, g, HaloFinderOptions{}); err == nil {
+	if _, err := CompareHalos(g, g); err == nil {
 		t.Fatal("flat field has no halos; CompareHalos should error")
 	}
 }
@@ -231,7 +240,7 @@ func TestHaloFinderOnSimulatedField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	halos := FindHalos(ds.FlattenToUniform(), HaloFinderOptions{MinCells: 4})
+	halos := FindHalos(ds.FlattenToUniform())
 	if len(halos) == 0 {
 		t.Fatal("no halos in simulated baryon density field")
 	}

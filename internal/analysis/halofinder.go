@@ -15,33 +15,19 @@ type Halo struct {
 	X, Y, Z float64 // center of mass in cell coordinates
 }
 
-// HaloFinderOptions mirrors the two criteria of Sec. 4.2 metric 6: a cell
-// is a halo candidate when its value exceeds ThresholdFactor × mean, and a
-// connected component of candidates is a halo when it has at least
-// MinCells cells.
-type HaloFinderOptions struct {
-	// ThresholdFactor defaults to 81.66, the paper's value.
-	ThresholdFactor float64
-	// MinCells defaults to 8.
-	MinCells int
-}
-
-func (o HaloFinderOptions) withDefaults() HaloFinderOptions {
-	if o.ThresholdFactor == 0 {
-		o.ThresholdFactor = 81.66
-	}
-	if o.MinCells == 0 {
-		o.MinCells = 8
-	}
-	return o
-}
+// The two criteria of Sec. 4.2 metric 6: a cell is a halo candidate when
+// its value exceeds thresholdFactor × mean (the paper's factor), and a
+// connected component of candidates is a halo when it has at least minCells
+// cells, low enough that halos exist at every catalog scale.
+const (
+	thresholdFactor = 81.66
+	minCells        = 4
+)
 
 // FindHalos labels 6-connected components of cells above the threshold and
 // returns the halos sorted by descending mass.
-func FindHalos[T grid.Float](rho *grid.Grid3[T], opts HaloFinderOptions) []Halo {
-	opts = opts.withDefaults()
-	mean := rho.Mean()
-	thr := opts.ThresholdFactor * mean
+func FindHalos[T grid.Float](rho *grid.Grid3[T]) []Halo {
+	thr := thresholdFactor * rho.Mean()
 	d := rho.Dim
 
 	// Flood fill with an explicit stack (fields can have large halos).
@@ -77,7 +63,7 @@ func FindHalos[T grid.Float](rho *grid.Grid3[T], opts HaloFinderOptions) []Halo 
 				}
 			}
 		}
-		if h.Cells >= opts.MinCells {
+		if h.Cells >= minCells {
 			if h.Mass > 0 {
 				h.X /= h.Mass
 				h.Y /= h.Mass
@@ -104,9 +90,9 @@ type HaloDiff struct {
 }
 
 // CompareHalos runs the finder on both fields and diffs the biggest halo.
-func CompareHalos[T grid.Float](orig, recon *grid.Grid3[T], opts HaloFinderOptions) (HaloDiff, error) {
-	ho := FindHalos(orig, opts)
-	hr := FindHalos(recon, opts)
+func CompareHalos[T grid.Float](orig, recon *grid.Grid3[T]) (HaloDiff, error) {
+	ho := FindHalos(orig)
+	hr := FindHalos(recon)
 	if len(ho) == 0 {
 		return HaloDiff{}, fmt.Errorf("analysis: no halos in original field")
 	}

@@ -107,7 +107,7 @@ func BenchmarkExtractRegion(b *testing.B) {
 func BenchmarkExtractMember(b *testing.B) {
 	snaps := campaignOf(b, 64, 8, 4)
 	summed := buildArchive(b, snaps, codec.Config{ErrorBound: testEB}, 64)
-	multi, err := replica.New(replica.Config{},
+	multi, err := replica.New(
 		replica.Reader(bytes.NewReader(summed), "primary"),
 		replica.Reader(bytes.NewReader(summed), "replica"))
 	if err != nil {

@@ -90,10 +90,7 @@ func Table3(w io.Writer, env *Env) error {
 		return err
 	}
 	orig := ds.FlattenToUniform()
-	// The scaled synthetic field has fewer cells per halo than 512³ Nyx;
-	// lower MinCells so halos exist at every scale.
-	hOpts := analysis.HaloFinderOptions{ThresholdFactor: 81.66, MinCells: 4}
-	if len(analysis.FindHalos(orig, hOpts)) == 0 {
+	if len(analysis.FindHalos(orig)) == 0 {
 		fprintf(w, "Table 3: skipped — no halos above 81.66× mean at this scale (rerun at scale ≤ 8)\n")
 		return nil
 	}
@@ -132,7 +129,7 @@ func Table3(w io.Writer, env *Env) error {
 		if err != nil {
 			return err
 		}
-		diff, err := analysis.CompareHalos(orig, recon.FlattenToUniform(), hOpts)
+		diff, err := analysis.CompareHalos(orig, recon.FlattenToUniform())
 		if err != nil {
 			return err
 		}

@@ -55,9 +55,6 @@ const (
 
 // Config tunes a Reader. The zero value is usable.
 type Config struct {
-	// Client issues the requests. nil builds a pooled transport owned by
-	// the Reader (closed by Close).
-	Client *http.Client
 	// Timeout bounds each range request, connect to last body byte.
 	// 0 means DefaultTimeout; negative means no limit.
 	Timeout time.Duration
@@ -90,13 +87,12 @@ func (s Stats) HitRatio() float64 {
 // Reader is an io.ReaderAt over one HTTP resource. It is safe for
 // concurrent use; the archive decode fan-out reads through one Reader.
 type Reader struct {
-	url      string
-	client   *http.Client
-	ownsConn bool
-	timeout  time.Duration
-	size     int64
-	etag     string // pinned validator, "" if the server sent none
-	strong   bool   // etag is strong: eligible for If-Range
+	url     string
+	client  *http.Client // a pooled transport of its own, closed by Close
+	timeout time.Duration
+	size    int64
+	etag    string // pinned validator, "" if the server sent none
+	strong  bool   // etag is strong: eligible for If-Range
 
 	segBytes atomic.Int64 // the aligned fetch/cache unit
 	// cache holds fetched segments. Its budget is one reader's, in one
@@ -115,7 +111,11 @@ type segKey struct{ unit, start int64 }
 // size and pin its ETag, and returns a Reader over it. The server must
 // either honor Range (206) or expose Content-Length on a 200.
 func Open(url string, cfg Config) (*Reader, error) {
-	r := &Reader{url: url, client: cfg.Client, timeout: cfg.Timeout}
+	r := &Reader{url: url, timeout: cfg.Timeout, client: &http.Client{Transport: &http.Transport{
+		MaxIdleConns:        32,
+		MaxIdleConnsPerHost: 16,
+		IdleConnTimeout:     90 * time.Second,
+	}}}
 	if r.timeout == 0 {
 		r.timeout = DefaultTimeout
 	}
@@ -127,14 +127,6 @@ func Open(url string, cfg Config) (*Reader, error) {
 		cfg.SegmentBytes = DefaultSegmentBytes
 	}
 	r.segBytes.Store(clampSegment(int64(cfg.SegmentBytes)))
-	if r.client == nil {
-		r.ownsConn = true
-		r.client = &http.Client{Transport: &http.Transport{
-			MaxIdleConns:        32,
-			MaxIdleConnsPerHost: 16,
-			IdleConnTimeout:     90 * time.Second,
-		}}
-	}
 	if err := r.probe(); err != nil {
 		r.Close()
 		return nil, err
@@ -204,13 +196,11 @@ func (r *Reader) Stats() Stats {
 	}
 }
 
-// Close drops the cache and, when the Reader owns its client, the
-// pooled connections. The Reader must not be used afterwards.
+// Close drops the cache and the pooled connections. The Reader must not
+// be used afterwards.
 func (r *Reader) Close() error {
 	r.cache.Purge()
-	if r.ownsConn {
-		r.client.CloseIdleConnections()
-	}
+	r.client.CloseIdleConnections()
 	return nil
 }
 

@@ -3,7 +3,7 @@
 // secondary replicas) read through per-request failover. Every read tries
 // the highest-priority healthy source and walks down the list on failure,
 // so one bad replica never stalls a request; a source that fails
-// DemoteAfter consecutive reads is demoted by a circuit breaker and only
+// demoteAfter consecutive reads is demoted by a circuit breaker and only
 // probed again after a bounded exponential backoff, so a dead source
 // costs one probe per backoff window instead of one failed syscall per
 // read. The serving layer mounts an archive.Reader directly on a Multi,
@@ -71,34 +71,14 @@ func OpenFile(path string) (*FileSource, error) {
 	return &FileSource{f: f, size: st.Size()}, nil
 }
 
-// Config tunes the failover machinery. The zero value is ready to use.
-type Config struct {
-	// DemoteAfter is the consecutive-failure count that trips a source's
-	// circuit breaker. Default 3.
-	DemoteAfter int
-	// Probe is the initial backoff before a demoted source is tried
-	// again; each failed probe doubles it up to MaxProbe. Defaults
-	// 250ms and 30s.
-	Probe    time.Duration
-	MaxProbe time.Duration
-	// Now is the clock, a seam for deterministic tests. Default time.Now.
-	Now func() time.Time
-}
-
-func (c *Config) fill() {
-	if c.DemoteAfter <= 0 {
-		c.DemoteAfter = 3
-	}
-	if c.Probe <= 0 {
-		c.Probe = 250 * time.Millisecond
-	}
-	if c.MaxProbe <= 0 {
-		c.MaxProbe = 30 * time.Second
-	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
-}
+// The circuit breaker: demoteAfter consecutive failures trip a source's
+// breaker, and a demoted source is probed again after probeBackoff, which
+// each failed probe doubles up to maxProbe.
+const (
+	demoteAfter  = 3
+	probeBackoff = 250 * time.Millisecond
+	maxProbe     = 30 * time.Second
+)
 
 // sourceState is one source plus its health ledger.
 type sourceState struct {
@@ -131,23 +111,20 @@ func (ss *sourceState) succeed() {
 	ss.backoff = 0
 }
 
-func (ss *sourceState) fail(now time.Time, cfg Config) {
+func (ss *sourceState) fail(now time.Time) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	ss.failures++
 	ss.streak++
-	if !ss.demoted && ss.streak < cfg.DemoteAfter {
+	if !ss.demoted && ss.streak < demoteAfter {
 		return
 	}
 	// Trip (or re-arm, for a failed probe) the breaker with doubled,
 	// capped backoff.
 	if ss.backoff == 0 {
-		ss.backoff = cfg.Probe
-	} else if ss.backoff < cfg.MaxProbe {
-		ss.backoff *= 2
-		if ss.backoff > cfg.MaxProbe {
-			ss.backoff = cfg.MaxProbe
-		}
+		ss.backoff = probeBackoff
+	} else if ss.backoff < maxProbe {
+		ss.backoff = min(2*ss.backoff, maxProbe)
 	}
 	ss.demoted = true
 	ss.demotions++
@@ -157,18 +134,17 @@ func (ss *sourceState) fail(now time.Time, cfg Config) {
 // Multi is the failover ReaderAt over an ordered set of sources. It is
 // safe for concurrent use.
 type Multi struct {
-	cfg  Config
 	srcs []*sourceState
+	now  func() time.Time // the breaker's clock; tests step their own
 }
 
 // New builds a Multi over sources, tried in the given order. At least one
 // source is required.
-func New(cfg Config, sources ...Source) (*Multi, error) {
+func New(sources ...Source) (*Multi, error) {
 	if len(sources) == 0 {
 		return nil, errors.New("replica: no sources")
 	}
-	cfg.fill()
-	m := &Multi{cfg: cfg, srcs: make([]*sourceState, len(sources))}
+	m := &Multi{srcs: make([]*sourceState, len(sources)), now: time.Now}
 	for i, s := range sources {
 		m.srcs[i] = &sourceState{src: s}
 	}
@@ -184,7 +160,7 @@ func New(cfg Config, sources ...Source) (*Multi, error) {
 // that source failing. The returned error is the last source's, wrapped
 // with its label.
 func (m *Multi) ReadAt(p []byte, off int64) (int, error) {
-	now := m.cfg.Now()
+	now := m.now()
 	var lastErr error
 	tried := make([]bool, len(m.srcs))
 	for pass := 0; pass < 2; pass++ {
@@ -203,15 +179,12 @@ func (m *Multi) ReadAt(p []byte, off int64) (int, error) {
 			if err == nil {
 				err = io.ErrUnexpectedEOF
 			}
-			ss.fail(now, m.cfg)
+			ss.fail(now)
 			lastErr = fmt.Errorf("replica: source %s: %w", ss.src.Label(), err)
 		}
 	}
 	return 0, lastErr
 }
-
-// Len returns the number of sources.
-func (m *Multi) Len() int { return len(m.srcs) }
 
 // Close closes every source that implements io.Closer, returning the
 // first error.

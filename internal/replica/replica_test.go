@@ -51,27 +51,26 @@ func blob(n int) []byte {
 // rig is a Multi over nf faultio-wrapped copies of the same bytes, with a
 // manual clock.
 type rig struct {
-	m     *Multi
-	fr    []*faultio.ReaderAt
-	now   time.Time
-	clock func() time.Time
+	m   *Multi
+	fr  []*faultio.ReaderAt
+	now time.Time
 }
 
-func newRig(t *testing.T, nf int, cfg Config) *rig {
+func newRig(t *testing.T, nf int) *rig {
 	t.Helper()
 	data := blob(4096)
 	rg := &rig{now: time.Unix(1000, 0)}
-	cfg.Now = func() time.Time { return rg.now }
 	srcs := make([]Source, nf)
 	for i := range srcs {
 		fr := faultio.New(bytes.NewReader(data))
 		rg.fr = append(rg.fr, fr)
 		srcs[i] = Reader(fr, string(rune('a'+i)))
 	}
-	m, err := New(cfg, srcs...)
+	m, err := New(srcs...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.now = func() time.Time { return rg.now }
 	rg.m = m
 	return rg
 }
@@ -86,13 +85,13 @@ func (rg *rig) read(t *testing.T, off int64, n int) []byte {
 }
 
 func TestNoSources(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
+	if _, err := New(); err == nil {
 		t.Fatal("New with no sources succeeded")
 	}
 }
 
 func TestPrimaryServesWhenHealthy(t *testing.T) {
-	rg := newRig(t, 3, Config{})
+	rg := newRig(t, 3)
 	got := rg.read(t, 32, 16)
 	want := blob(4096)[32:48]
 	if !bytes.Equal(got, want) {
@@ -104,7 +103,7 @@ func TestPrimaryServesWhenHealthy(t *testing.T) {
 }
 
 func TestFailoverPerRead(t *testing.T) {
-	rg := newRig(t, 2, Config{DemoteAfter: 100})
+	rg := newRig(t, 2)
 	// Primary has a bad sector at [100, 200); replica is clean.
 	rg.fr[0].SetPlan(faultio.FailTouching(100, 200, errInjected))
 	got := rg.read(t, 96, 32)
@@ -120,7 +119,7 @@ func TestFailoverPerRead(t *testing.T) {
 }
 
 func TestShortReadFailsOver(t *testing.T) {
-	rg := newRig(t, 2, Config{})
+	rg := newRig(t, 2)
 	// A replica lagging generations is a strict prefix: model it with a
 	// short read on every call to the primary.
 	rg.fr[0].SetPlan(func(int64, int64, int) *faultio.Fault { return &faultio.Fault{Short: 4} })
@@ -133,7 +132,7 @@ func TestShortReadFailsOver(t *testing.T) {
 func TestFlippedBytesAreNotReplicasProblem(t *testing.T) {
 	// A silent in-flight flip on the primary is NOT detected here — that
 	// is the archive layer's digest check. Multi must pass it through.
-	rg := newRig(t, 2, Config{})
+	rg := newRig(t, 2)
 	rg.fr[0].SetPlan(faultio.FlipByte(10, 0x40))
 	got := rg.read(t, 0, 16)
 	want := blob(4096)[:16]
@@ -143,14 +142,14 @@ func TestFlippedBytesAreNotReplicasProblem(t *testing.T) {
 }
 
 func TestDemoteAndProbeBackoff(t *testing.T) {
-	rg := newRig(t, 2, Config{DemoteAfter: 3, Probe: time.Second, MaxProbe: 4 * time.Second})
+	rg := newRig(t, 2)
 	rg.fr[0].SetPlan(faultio.FailTouching(0, 4096, errInjected))
-	for i := 0; i < 3; i++ {
+	for i := 0; i < demoteAfter; i++ {
 		rg.read(t, 0, 8)
 	}
 	st := rg.m.Stats()
-	if !st[0].Demoted || st[0].Demotions != 1 || st[0].Failures != 3 {
-		t.Fatalf("after 3 failures: %+v", st[0])
+	if !st[0].Demoted || st[0].Demotions != 1 || st[0].Failures != demoteAfter {
+		t.Fatalf("after %d failures: %+v", demoteAfter, st[0])
 	}
 	// While demoted and inside the backoff window the primary is skipped.
 	calls := rg.fr[0].Calls()
@@ -159,7 +158,7 @@ func TestDemoteAndProbeBackoff(t *testing.T) {
 		t.Fatal("demoted source was tried inside its backoff window")
 	}
 	// At probe time it is tried once, fails, and the backoff doubles.
-	rg.now = rg.now.Add(time.Second)
+	rg.now = rg.now.Add(probeBackoff)
 	rg.read(t, 0, 8)
 	if rg.fr[0].Calls() != calls+1 {
 		t.Fatalf("probe-due source saw %d calls, want %d", rg.fr[0].Calls(), calls+1)
@@ -167,7 +166,7 @@ func TestDemoteAndProbeBackoff(t *testing.T) {
 	if st := rg.m.Stats(); st[0].Demotions != 2 {
 		t.Fatalf("failed probe should re-arm the breaker: %+v", st[0])
 	}
-	rg.now = rg.now.Add(time.Second) // 1s into the doubled 2s window: still skipped
+	rg.now = rg.now.Add(probeBackoff) // halfway through the doubled window: still skipped
 	calls = rg.fr[0].Calls()
 	rg.read(t, 0, 8)
 	if rg.fr[0].Calls() != calls {
@@ -175,7 +174,7 @@ func TestDemoteAndProbeBackoff(t *testing.T) {
 	}
 	// Heal the source; the next due probe succeeds and re-promotes it.
 	rg.fr[0].SetPlan(nil)
-	rg.now = rg.now.Add(2 * time.Second)
+	rg.now = rg.now.Add(2 * probeBackoff)
 	rg.read(t, 0, 8)
 	st = rg.m.Stats()
 	if st[0].Demoted || st[0].FailStreak != 0 {
@@ -192,12 +191,17 @@ func TestDemoteAndProbeBackoff(t *testing.T) {
 func TestAllDemotedStillServes(t *testing.T) {
 	// Every source demoted and mid-backoff: reads must still try them
 	// all as a last resort rather than failing outright.
-	rg := newRig(t, 2, Config{DemoteAfter: 1, Probe: time.Hour})
+	rg := newRig(t, 2)
 	rg.fr[0].SetPlan(faultio.FailTouching(0, 4096, errInjected))
 	rg.fr[1].SetPlan(faultio.FailTouching(0, 4096, errInjected))
 	p := make([]byte, 8)
-	if _, err := rg.m.ReadAt(p, 0); err == nil {
-		t.Fatal("read with every source failing succeeded")
+	for i := 0; i < demoteAfter; i++ {
+		if _, err := rg.m.ReadAt(p, 0); err == nil {
+			t.Fatal("read with every source failing succeeded")
+		}
+	}
+	if st := rg.m.Stats(); !st[0].Demoted || !st[1].Demoted {
+		t.Fatalf("every source should be demoted: %+v", st)
 	}
 	rg.fr[1].SetPlan(nil) // one copy survives, still demoted
 	got := rg.read(t, 0, 8)
@@ -207,7 +211,7 @@ func TestAllDemotedStillServes(t *testing.T) {
 }
 
 func TestAllSourcesFailReturnsLastError(t *testing.T) {
-	rg := newRig(t, 3, Config{})
+	rg := newRig(t, 3)
 	for _, fr := range rg.fr {
 		fr.SetPlan(faultio.FailTouching(0, 4096, errInjected))
 	}
@@ -222,7 +226,7 @@ func TestFullReadAtEOFIsSuccess(t *testing.T) {
 	// bytes.Reader returns (n, io.EOF) for a span ending exactly at the
 	// last byte on some paths; a full read must count as success.
 	data := blob(64)
-	m, err := New(Config{}, Reader(bytes.NewReader(data), "only"))
+	m, err := New(Reader(bytes.NewReader(data), "only"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +242,7 @@ func TestFullReadAtEOFIsSuccess(t *testing.T) {
 
 func TestReadPastEOFFails(t *testing.T) {
 	data := blob(64)
-	m, err := New(Config{}, Reader(bytes.NewReader(data), "only"))
+	m, err := New(Reader(bytes.NewReader(data), "only"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"fmt"
 	"hash/maphash"
 
 	"repro/internal/amr"
@@ -113,9 +112,4 @@ func batchCost(v blocks) int64 {
 	const hdr = 64 // Grid3 header + pointer, amortized
 	info := sz.BatchInfo{BlockDims: v[0].Dim, Blocks: len(v)}
 	return info.DecodedBytes(amr.ValueBytes) + int64(len(v))*hdr
-}
-
-// String implements fmt.Stringer for log lines.
-func (k Key) String() string {
-	return fmt.Sprintf("%s/m%d/l%d/b%d", k.Archive, k.Member, k.Level, k.Batch)
 }

@@ -201,15 +201,23 @@ func (s *Server) noteError(sa *servedArchive, mi int, err error) {
 	}
 }
 
-// decodeRetry decodes one frame, retrying transient I/O failures
-// (archive.ErrIO) up to cfg.RetryAttempts times with exponential,
-// jittered backoff. Deterministic corruption is never retried — the same
-// bytes would fail the same way — and neither are usage errors.
+// Transient frame-read failures (archive.ErrIO) are retried retryAttempts
+// times before the request fails. The first retry sleeps retryBackoff,
+// each later one doubles it, and every sleep is jittered over
+// [0.5d, 1.5d).
+const (
+	retryAttempts = 3
+	retryBackoff  = 5 * time.Millisecond
+)
+
+// decodeRetry decodes one frame, retrying transient I/O failures with
+// exponential, jittered backoff. Deterministic corruption is never retried
+// — the same bytes would fail the same way — and neither are usage errors.
 func (s *Server) decodeRetry(st *archiveState, mi, li, b int, refs blocks) (blocks, error) {
-	backoff := s.cfg.RetryBackoff
+	backoff := retryBackoff
 	for attempt := 0; ; attempt++ {
 		v, err := st.r.DecodeBatchOn(mi, li, b, refs)
-		if err == nil || attempt >= s.cfg.RetryAttempts || !errors.Is(err, archive.ErrIO) {
+		if err == nil || attempt >= retryAttempts || !errors.Is(err, archive.ErrIO) {
 			return v, err
 		}
 		s.health.retries.Add(1)

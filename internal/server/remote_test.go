@@ -507,8 +507,8 @@ func TestSpecNameDerivation(t *testing.T) {
 		{"http://h/v1/a/origin/raw?x=1", "origin"},
 	}
 	for _, c := range cases {
-		if got := SpecName(c.spec); got != c.want {
-			t.Errorf("SpecName(%q) = %q, want %q", c.spec, got, c.want)
+		if got, _ := SplitSpec(c.spec); got != c.want {
+			t.Errorf("SplitSpec(%q) name = %q, want %q", c.spec, got, c.want)
 		}
 	}
 }

@@ -76,7 +76,7 @@ func cleanLevelBody(t testing.TB, blob []byte, mi, li int) []byte {
 // not corruption.
 func TestRetryFlakyThenHeal(t *testing.T) {
 	blob := testArchiveBytes(t, 4)
-	s, fr, sr := flakyServer(t, blob, Config{Workers: 1, RetryBackoff: 4 * time.Millisecond})
+	s, fr, sr := flakyServer(t, blob, Config{Workers: 1})
 	fr.SetPlan(faultio.FailFirst(2, errFlaky))
 	rec := get(t, s.Handler(), "/v1/a/test/snap/0/level/0")
 	if rec.Code != http.StatusOK {
@@ -85,7 +85,7 @@ func TestRetryFlakyThenHeal(t *testing.T) {
 	if want := cleanLevelBody(t, blob, 0, 0); !bytes.Equal(rec.Body.Bytes(), want) {
 		t.Fatal("payload served through retries differs from a clean extraction")
 	}
-	if got, want := sr.all(), []time.Duration{4 * time.Millisecond, 8 * time.Millisecond}; len(got) != len(want) ||
+	if got, want := sr.all(), []time.Duration{retryBackoff, 2 * retryBackoff}; len(got) != len(want) ||
 		got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("backoff sleeps %v, want %v", got, want)
 	}
@@ -117,19 +117,19 @@ func TestRetryJitterSpreadsBackoff(t *testing.T) {
 }
 
 // TestRetryExhaustionStaysTransient never lets the storage heal: the
-// request must fail after exactly RetryAttempts sleeps with the I/O error
+// request must fail after exactly retryAttempts sleeps with the I/O error
 // in the chain — and because the failure is transient, not corruption,
 // the member must stay in service and recover as soon as the storage does.
 func TestRetryExhaustionStaysTransient(t *testing.T) {
 	blob := testArchiveBytes(t, 4)
-	s, fr, sr := flakyServer(t, blob, Config{Workers: 1, RetryBackoff: time.Millisecond})
+	s, fr, sr := flakyServer(t, blob, Config{Workers: 1})
 	fr.SetPlan(faultio.FailFirst(1<<30, errFlaky))
 	rec := get(t, s.Handler(), "/v1/a/test/snap/0/level/0")
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("unhealed storage: status %d, want 500: %s", rec.Code, rec.Body.String())
 	}
-	if got := sr.all(); len(got) != DefaultRetryAttempts {
-		t.Fatalf("slept %d times, want %d (bounded attempts)", len(got), DefaultRetryAttempts)
+	if got := sr.all(); len(got) != retryAttempts {
+		t.Fatalf("slept %d times, want %d (bounded attempts)", len(got), retryAttempts)
 	}
 	if hs := s.HealthStats(); hs.QuarantinedMembers != 0 || hs.CorruptEvents != 0 {
 		t.Fatalf("transient exhaustion must not quarantine: %+v", hs)
@@ -144,23 +144,6 @@ func TestRetryExhaustionStaysTransient(t *testing.T) {
 	}
 }
 
-// TestRetryDisabled pins the opt-out: RetryAttempts < 0 fails on the
-// first fault with no sleeps.
-func TestRetryDisabled(t *testing.T) {
-	blob := testArchiveBytes(t, 4)
-	s, fr, sr := flakyServer(t, blob, Config{Workers: 1, RetryAttempts: -1})
-	fr.SetPlan(faultio.FailFirst(1, errFlaky))
-	if rec := get(t, s.Handler(), "/v1/a/test/snap/0/level/0"); rec.Code != http.StatusInternalServerError {
-		t.Fatalf("status %d, want 500", rec.Code)
-	}
-	if got := sr.all(); len(got) != 0 {
-		t.Fatalf("retries disabled but slept %v", got)
-	}
-	if rec := get(t, s.Handler(), "/v1/a/test/snap/0/level/0"); rec.Code != http.StatusOK {
-		t.Fatalf("after the single fault: status %d", rec.Code)
-	}
-}
-
 // TestRetryDecodesNeverExceedMisses hammers flaky storage from many
 // goroutines (run under -race in CI) and asserts the cache's decodes ≤
 // misses invariant survives retries: retrying happens inside one fill, so
@@ -168,7 +151,7 @@ func TestRetryDisabled(t *testing.T) {
 // fills.
 func TestRetryDecodesNeverExceedMisses(t *testing.T) {
 	blob := testArchiveBytes(t, 4)
-	s, fr, _ := flakyServer(t, blob, Config{RetryBackoff: time.Microsecond})
+	s, fr, _ := flakyServer(t, blob, Config{})
 	fr.SetPlan(faultio.FailFirst(8, errFlaky))
 	h := s.Handler()
 	var wg sync.WaitGroup

@@ -51,12 +51,6 @@ const (
 	DefaultCacheBytes  = 256 << 20 // 256 MiB of decoded batches
 	DefaultCacheShards = 16
 	DefaultIngestQueue = 4
-	// DefaultRetryAttempts is how many times a transient frame-read
-	// failure is retried before the request fails.
-	DefaultRetryAttempts = 3
-	// DefaultRetryBackoff is the first retry's backoff; each subsequent
-	// retry doubles it, and every sleep is jittered over [0.5d, 1.5d).
-	DefaultRetryBackoff = 5 * time.Millisecond
 	// DefaultQuarantineAfter is how many deterministic corruption
 	// detections against one member take it out of service.
 	DefaultQuarantineAfter = 2
@@ -93,14 +87,6 @@ type Config struct {
 	// behind the one being compressed; an arriving ingest finding the
 	// queue full is rejected with ErrBusy. 0 means DefaultIngestQueue.
 	IngestQueue int
-	// RetryAttempts bounds retries of transient frame-read failures
-	// (archive.ErrIO) before a request fails; 0 means
-	// DefaultRetryAttempts, negative disables retrying. Deterministic
-	// corruption (checksum mismatches) is never retried.
-	RetryAttempts int
-	// RetryBackoff is the first retry's backoff, doubled per attempt and
-	// jittered; 0 means DefaultRetryBackoff.
-	RetryBackoff time.Duration
 	// QuarantineAfter is how many deterministic corruption detections
 	// against one member quarantine it (requests for it answer
 	// ErrQuarantined while every other member keeps serving); 0 means
@@ -229,14 +215,6 @@ func New(cfg Config) *Server {
 	if cfg.IngestQueue <= 0 {
 		cfg.IngestQueue = DefaultIngestQueue
 	}
-	if cfg.RetryAttempts == 0 {
-		cfg.RetryAttempts = DefaultRetryAttempts
-	} else if cfg.RetryAttempts < 0 {
-		cfg.RetryAttempts = 0
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = DefaultRetryBackoff
-	}
 	if cfg.QuarantineAfter == 0 {
 		cfg.QuarantineAfter = DefaultQuarantineAfter
 	}
@@ -308,7 +286,7 @@ type ArchiveSpec struct {
 }
 
 // Add opens every source named by spec and registers the archive under
-// name (empty name derives one from the primary, mirroring SpecName).
+// name (empty name derives one from the primary, as SplitSpec does).
 // It returns the registered name. This is the one registration entry
 // point; every layer — local files, URL primaries, replicated sets,
 // append mode — is a field on the spec, not a separate method.
@@ -344,7 +322,7 @@ func (s *Server) Add(name string, spec ArchiveSpec) (string, error) {
 		io.Closer
 	} = primary
 	if len(spec.Replicas) > 0 {
-		multi, err := replica.New(replica.Config{}, srcs...)
+		multi, err := replica.New(srcs...)
 		if err != nil {
 			closeAll(srcs)
 			return "", err
@@ -354,7 +332,7 @@ func (s *Server) Add(name string, spec ArchiveSpec) (string, error) {
 		// damaged frame from the file being repaired would splice the damage
 		// back. Sources are shared with the serve Multi; only serve owns
 		// closing them.
-		if sa.replicas, err = replica.New(replica.Config{}, srcs[1:]...); err != nil {
+		if sa.replicas, err = replica.New(srcs[1:]...); err != nil {
 			serve.Close()
 			return "", err
 		}
@@ -461,15 +439,6 @@ func deriveName(primary string) string {
 		return strings.TrimSuffix(base, path.Ext(base))
 	}
 	return strings.TrimSuffix(filepath.Base(primary), filepath.Ext(primary))
-}
-
-// SpecName resolves the serving name of a CLI archive spec: the
-// explicit name of name=path-or-URL, else the derived name (see
-// deriveName). cmd/tacd uses it to bind -replica flags by name before
-// anything is opened.
-func SpecName(spec string) string {
-	name, _ := SplitSpec(spec)
-	return name
 }
 
 // SplitSpec splits a CLI archive spec into its serving name and primary

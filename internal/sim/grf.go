@@ -15,35 +15,26 @@ import (
 	"repro/internal/grid"
 )
 
-// GRFOptions parameterizes a Gaussian random field.
-type GRFOptions struct {
-	// N is the cube edge (power of two).
-	N int
-	// SpectralIndex is the exponent of the power spectrum P(k) ∝ k^Index ·
-	// exp(−(k/Cutoff)²). Cosmological matter at these scales has a falling
-	// spectrum; −2.5 gives convincingly clumpy fields.
-	SpectralIndex float64
-	// Cutoff is the Gaussian damping scale in frequency units; 0 means
-	// N/4.
-	Cutoff float64
-	// Seed makes generation deterministic.
-	Seed int64
-}
+// The spectrum every generated field shares: P(k) ∝ k^spectralIndex ·
+// exp(−(k/cutoff)²) with cutoff = N/cutoffDiv. Cosmological matter at these
+// scales has a falling spectrum; the damping scale keeps features several
+// cells wide.
+const (
+	spectralIndex = -3.2
+	cutoffDiv     = 12
+)
 
-// GaussianRandomField returns a zero-mean, unit-variance real field with
-// the requested spectrum: white noise is generated in real space,
-// transformed, shaped by √P(k), and transformed back. Filtering white
-// noise guarantees the result is real without Hermitian bookkeeping.
-func GaussianRandomField(opts GRFOptions) *grid.Grid3[float64] {
-	n := opts.N
+// GaussianRandomField returns a zero-mean, unit-variance real n³ field (n a
+// power of two) with the generator's spectrum, deterministic in seed: white
+// noise is generated in real space, transformed, shaped by √P(k), and
+// transformed back. Filtering white noise guarantees the result is real
+// without Hermitian bookkeeping.
+func GaussianRandomField(n int, seed int64) *grid.Grid3[float64] {
 	if !fft.IsPow2(n) {
 		panic("sim: GRF size must be a power of two")
 	}
-	cutoff := opts.Cutoff
-	if cutoff == 0 {
-		cutoff = float64(n) / 12
-	}
-	rng := rand.New(rand.NewSource(opts.Seed))
+	cutoff := float64(n) / cutoffDiv
+	rng := rand.New(rand.NewSource(seed))
 	c := fft.NewGrid3C(n)
 	for i := range c.Data {
 		c.Data[i] = complex(rng.NormFloat64(), 0)
@@ -62,7 +53,7 @@ func GaussianRandomField(opts GRFOptions) *grid.Grid3[float64] {
 					continue
 				}
 				k := math.Sqrt(k2)
-				amp := math.Pow(k, opts.SpectralIndex/2) * math.Exp(-k2/(2*cutoff*cutoff))
+				amp := math.Pow(k, spectralIndex/2) * math.Exp(-k2/(2*cutoff*cutoff))
 				c.Data[base+z] *= complex(amp, 0)
 			}
 		}

@@ -17,8 +17,6 @@ type Spec struct {
 	FinestN int
 	// Levels is the number of refinement levels (≥ 1).
 	Levels int
-	// Ratio is the refinement ratio between adjacent levels.
-	Ratio int
 	// UnitBlock is the refinement granularity in cells per level.
 	UnitBlock int
 	// LeafFractions is the target volume fraction of the domain stored at
@@ -29,29 +27,19 @@ type Spec struct {
 	// LeafFractions models successive timesteps of one run (refinement
 	// deepens as structure grows, Sec. 4.1).
 	Seed int64
-	// SpectralIndex of the underlying GRF; 0 means −3.2.
-	SpectralIndex float64
-	// CutoffDiv sets the GRF damping scale to FinestN/CutoffDiv; 0 means
-	// 12. Larger values give smoother fields (larger features).
-	CutoffDiv float64
-	// DriverCorr is the correlation between the refinement-driver field
-	// and the baryon-density field, in [0,1]; 0 means 0.8. Real AMR
-	// refinement tracks the density imperfectly (lagged criteria,
-	// block-granular decisions), which keeps part of the value range on
-	// the coarse levels — the regime GSP targets.
-	DriverCorr float64
 }
 
+// ratio is the refinement ratio between adjacent levels, as in every
+// dataset of the paper's Table 1.
+const ratio = 2
+
+// driverCorr is the correlation between the refinement-driver field and the
+// baryon-density field. Real AMR refinement tracks the density imperfectly
+// (lagged criteria, block-granular decisions), which keeps part of the value
+// range on the coarse levels — the regime GSP targets.
+const driverCorr = 0.8
+
 func (s Spec) withDefaults() Spec {
-	if s.SpectralIndex == 0 {
-		s.SpectralIndex = -3.2
-	}
-	if s.DriverCorr == 0 {
-		s.DriverCorr = 0.8
-	}
-	if s.Ratio == 0 {
-		s.Ratio = 2
-	}
 	if s.UnitBlock == 0 {
 		s.UnitBlock = 8
 	}
@@ -70,7 +58,7 @@ func (s Spec) validate() error {
 	}
 	coarsestCells := s.FinestN
 	for i := 1; i < s.Levels; i++ {
-		coarsestCells /= s.Ratio
+		coarsestCells /= ratio
 	}
 	if coarsestCells%s.UnitBlock != 0 {
 		return fmt.Errorf("sim: coarsest level (%d cells) not divisible by unit block %d", coarsestCells, s.UnitBlock)
@@ -98,43 +86,32 @@ func Generate(spec Spec, field Field) (*amr.Dataset, error) {
 		return nil, err
 	}
 	// Refinement driver: the baryon-density structure field.
-	cutoff := 0.0
-	if spec.CutoffDiv > 0 {
-		cutoff = float64(spec.FinestN) / spec.CutoffDiv
-	}
-	driver := GaussianRandomField(GRFOptions{
-		N: spec.FinestN, SpectralIndex: spec.SpectralIndex, Cutoff: cutoff, Seed: spec.Seed,
-	})
+	driver := GaussianRandomField(spec.FinestN, spec.Seed)
 	var raw *grid.Grid3[float64]
 	if off := fieldSeedOffset(field); off == 0 {
 		// The density field correlates with, but does not equal, the
 		// refinement driver: mix in an independent component so some
-		// high-value structure remains on coarse levels.
-		rho := spec.DriverCorr
-		if rho > 1 {
-			rho = 1
-		}
-		indep := GaussianRandomField(GRFOptions{
-			N: spec.FinestN, SpectralIndex: spec.SpectralIndex, Cutoff: cutoff, Seed: spec.Seed + 101,
-		})
+		// high-value structure remains on coarse levels. The weight is
+		// a float64 product at run time, as a constant expression would
+		// fold it exactly and land one ulp away.
+		rho := driverCorr
+		indep := GaussianRandomField(spec.FinestN, spec.Seed+101)
 		raw = grid.New[float64](driver.Dim)
 		w := math.Sqrt(1 - rho*rho)
 		for i := range raw.Data {
 			raw.Data[i] = rho*driver.Data[i] + w*indep.Data[i]
 		}
 	} else {
-		raw = GaussianRandomField(GRFOptions{
-			N: spec.FinestN, SpectralIndex: spec.SpectralIndex, Cutoff: cutoff, Seed: spec.Seed + off,
-		})
+		raw = GaussianRandomField(spec.FinestN, spec.Seed+off)
 	}
 	phys := synthesize(field, raw)
 
 	masks := buildMasks(spec, driver)
-	ds := &amr.Dataset{Name: spec.Name, Field: string(field), Ratio: spec.Ratio}
+	ds := &amr.Dataset{Name: spec.Name, Field: string(field), Ratio: ratio}
 	fine64 := phys
 	for li := 0; li < spec.Levels; li++ {
 		if li > 0 {
-			fine64 = fine64.Downsample(spec.Ratio)
+			fine64 = fine64.Downsample(ratio)
 		}
 		l := amr.NewLevel(fine64.Dim, spec.UnitBlock)
 		l.Mask.CopyFrom(masks[li])
@@ -172,7 +149,7 @@ func Generate(spec Spec, field Field) (*amr.Dataset, error) {
 // passed to finer levels matches the target leaf fractions.
 func buildMasks(spec Spec, driver *grid.Grid3[float64]) []*grid.Mask {
 	L := spec.Levels
-	r := spec.Ratio
+	r := ratio
 	ub := spec.UnitBlock
 
 	// blockMax[li] holds, at level li's block granularity, the maximum of

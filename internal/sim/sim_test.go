@@ -8,7 +8,7 @@ import (
 )
 
 func TestGRFStatistics(t *testing.T) {
-	g := GaussianRandomField(GRFOptions{N: 32, SpectralIndex: -2.5, Seed: 1})
+	g := GaussianRandomField(32, 1)
 	var sum, sum2 float64
 	for _, v := range g.Data {
 		sum += v
@@ -26,12 +26,12 @@ func TestGRFStatistics(t *testing.T) {
 }
 
 func TestGRFDeterministic(t *testing.T) {
-	a := GaussianRandomField(GRFOptions{N: 16, SpectralIndex: -2.5, Seed: 9})
-	b := GaussianRandomField(GRFOptions{N: 16, SpectralIndex: -2.5, Seed: 9})
+	a := GaussianRandomField(16, 9)
+	b := GaussianRandomField(16, 9)
 	if grid.MaxAbsDiff(a, b) != 0 {
 		t.Fatal("same seed produced different fields")
 	}
-	c := GaussianRandomField(GRFOptions{N: 16, SpectralIndex: -2.5, Seed: 10})
+	c := GaussianRandomField(16, 10)
 	if grid.MaxAbsDiff(a, c) == 0 {
 		t.Fatal("different seeds produced identical fields")
 	}
@@ -40,7 +40,7 @@ func TestGRFDeterministic(t *testing.T) {
 func TestGRFSmoothness(t *testing.T) {
 	// A falling spectrum must be smoother than white noise: neighboring
 	// cells should correlate strongly.
-	g := GaussianRandomField(GRFOptions{N: 32, SpectralIndex: -3, Seed: 2})
+	g := GaussianRandomField(32, 2)
 	var corr float64
 	n := 0
 	for x := 0; x < 31; x++ {
