@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -394,25 +395,33 @@ func committedWriter(t testing.TB, n int) (*Writer, *amr.Dataset, codec.Config) 
 // TestCommitCostDoesNotGrow: committing one more member allocates the same
 // whether 8 or 128 are committed already — the footer is extended, not
 // coded again (at the parent every commit deflated every mask of every
-// member: 16 more allocations per member already there).
+// member: 16 more allocations per member already there). Only Commit's own
+// allocations are counted: AddDataset's encode path draws on sync.Pools,
+// which the race detector drops Puts from at random.
 func TestCommitCostDoesNotGrow(t *testing.T) {
+	const rounds = 8
 	allocs := func(n int) float64 {
 		w, ds, cfg := committedWriter(t, n)
-		return testing.AllocsPerRun(8, func() {
+		var before, after runtime.MemStats
+		var total uint64
+		for range rounds {
 			if err := w.AddDataset(ds, cfg); err != nil {
 				t.Fatal(err)
 			}
+			runtime.ReadMemStats(&before)
 			if err := w.Commit(); err != nil {
 				t.Fatal(err)
 			}
-		})
+			runtime.ReadMemStats(&after)
+			total += after.Mallocs - before.Mallocs
+		}
+		return float64(total) / rounds
 	}
 	at8, at128 := allocs(8), allocs(128)
-	t.Logf("AddDataset + Commit: %.0f allocations on top of 8 members, %.0f on top of 128", at8, at128)
-	// Slack for the amortized growth of the member and record slices, and
-	// for a collection emptying a pool mid-run.
+	t.Logf("Commit: %.1f allocations on top of 8 members, %.1f on top of 128", at8, at128)
+	// Slack for the amortized growth of the member and record slices.
 	if at128 > at8+32 {
-		t.Fatalf("one member and a commit allocate %.0f times on top of 8 members, %.0f on top of 128", at8, at128)
+		t.Fatalf("a commit allocates %.1f times on top of 8 members, %.1f on top of 128", at8, at128)
 	}
 }
 
