@@ -132,9 +132,7 @@ func (ZMesh) Compress(ds *amr.Dataset, cfg codec.Config) ([]byte, error) {
 	Walk(sk, func(li, idx int) {
 		stream = append(stream, ds.Levels[li].Grid.Data[idx])
 	})
-	blob, _, err := sz.Compress1D(stream, sz.Options{
-		ErrorBound: cfg.ErrorBound, Mode: cfg.Mode, QuantBits: cfg.QuantBits,
-	})
+	blob, _, err := sz.Compress1D(stream, sz.Options{ErrorBound: cfg.ValuesEB(stream), QuantBits: cfg.QuantBits})
 	if err != nil {
 		return nil, fmt.Errorf("baseline: zMesh: %w", err)
 	}
@@ -179,9 +177,7 @@ func (Uniform3D) Name() string { return "3D" }
 func (Uniform3D) Compress(ds *amr.Dataset, cfg codec.Config) ([]byte, error) {
 	cfg = cfg.WithDefaults()
 	uni := ds.FlattenToUniform()
-	blob, _, err := sz.Compress3D(uni, sz.Options{
-		ErrorBound: cfg.ErrorBound, Mode: cfg.Mode, QuantBits: cfg.QuantBits,
-	})
+	blob, _, err := sz.Compress3D(uni, sz.Options{ErrorBound: cfg.ValuesEB(uni.Data), QuantBits: cfg.QuantBits})
 	if err != nil {
 		return nil, fmt.Errorf("baseline: 3D: %w", err)
 	}

@@ -67,7 +67,9 @@ func (s Strategy) String() string {
 type Config struct {
 	// ErrorBound with Mode selects the base error bound.
 	ErrorBound float64
-	// Mode is absolute or value-range-relative (per level).
+	// Mode is absolute or value-range-relative. Config is where a relative
+	// bound becomes the absolute one sz codes to: per level (LevelEB,
+	// RangeEB) or over one stream (ValuesEB).
 	Mode sz.Mode
 	// QuantBits forwards to sz.Options (0 = default 16).
 	QuantBits int
@@ -147,6 +149,19 @@ func (c Config) RangeEB(li int, r ValueRange) float64 {
 		}
 	}
 	return eb
+}
+
+// ValuesEB resolves the absolute error bound for one stream of values
+// outside the level structure, such as a baseline's whole dataset: under
+// Rel it is RangeEB over the stream's own range, and LevelScales do not
+// apply.
+func (c Config) ValuesEB(vals []amr.Value) float64 {
+	var r ValueRange
+	if c.Mode == sz.Rel {
+		r.scan(vals)
+	}
+	c.LevelScales = nil
+	return c.RangeEB(0, r)
 }
 
 // ValueRange is the value range of a run of stored cells as one scan in

@@ -195,6 +195,18 @@ func TestConfigLevelEB(t *testing.T) {
 	if got := rel.LevelEB(0, ds.Levels[0]); got < want*0.999 || got > want*1.001 {
 		t.Fatalf("rel LevelEB = %v, want %v", got, want)
 	}
+	// A constant level has no range to scale by: the bound stays unscaled.
+	if got := rel.LevelEB(1, ds.Levels[1]); got != 0.1 {
+		t.Fatalf("rel LevelEB on a constant level = %v, want 0.1", got)
+	}
+	// One stream's bound is RangeEB over its own values, level scales not
+	// applied.
+	var r ValueRange
+	r.scan(vals)
+	relScaled := Config{ErrorBound: 0.1, Mode: sz.Rel, LevelScales: []float64{3, 1}}
+	if got, want := relScaled.ValuesEB(vals), rel.RangeEB(0, r); got != want {
+		t.Fatalf("rel ValuesEB = %v, want %v", got, want)
+	}
 }
 
 // maskedRange is the one serial scan LevelEB took a level's range with

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/sim"
+	"repro/internal/sz"
 )
 
 // testEnv uses scale 8 (Run1: 64³/32³) so the full exhibit set stays fast.
@@ -31,7 +32,7 @@ func TestFig7OpSTBeatsNaST(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eb := relEBOfLevel(l, 4.8e-5) // discriminative regime for the synthetic field
+	eb := codec.Config{ErrorBound: 4.8e-5, Mode: sz.Rel}.LevelEB(0, l) // discriminative regime for the synthetic field
 	nast, err := RunLevel(l, codec.NaST, eb)
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +63,7 @@ func TestFig12GSPBeatsZFAtHighDensity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eb := relEBOfLevel(l, 6.7e-3)
+	eb := codec.Config{ErrorBound: 6.7e-3, Mode: sz.Rel}.LevelEB(0, l)
 	zf, err := RunLevel(l, codec.ZF, eb)
 	if err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/kdtree"
 	"repro/internal/preprocess"
 	"repro/internal/sim"
+	"repro/internal/sz"
 )
 
 // Table1 prints the dataset inventory: per-level grid sizes and densities,
@@ -86,7 +87,7 @@ func Fig7(w io.Writer, env *Env) error {
 	// range/compressibility profile, so we sweep around it; the claim
 	// under test is OpST ≥ NaST on both axes in the discriminative regime.
 	for _, rel := range []float64{1.2e-5, 4.8e-5, 1.2e-4, 4.8e-4} {
-		eb := relEBOfLevel(l, rel)
+		eb := codec.Config{ErrorBound: rel, Mode: sz.Rel}.LevelEB(0, l)
 		na, err := RunLevel(l, codec.NaST, eb)
 		if err != nil {
 			return err
@@ -151,7 +152,7 @@ func Fig12(w io.Writer, env *Env) error {
 		if err != nil {
 			return err
 		}
-		eb := relEBOfLevel(l, 6.7e-3)
+		eb := codec.Config{ErrorBound: 6.7e-3, Mode: sz.Rel}.LevelEB(0, l)
 		for _, st := range []codec.Strategy{codec.ZF, codec.GSP} {
 			res, err := RunLevel(l, st, eb)
 			if err != nil {
@@ -189,28 +190,4 @@ func Fig13(w io.Writer, env *Env) error {
 			ref.Label, l.Density(), opT.Round(time.Microsecond), akT.Round(time.Microsecond), ckT.Round(time.Microsecond), len(ob), len(ab))
 	}
 	return nil
-}
-
-// relEBOfLevel converts a value-range-relative bound to absolute using the
-// range of the level's stored values.
-func relEBOfLevel(l interface {
-	MaskedValues([]float32) []float32
-}, rel float64) float64 {
-	vals := l.MaskedValues(nil)
-	if len(vals) == 0 {
-		return rel
-	}
-	lo, hi := vals[0], vals[0]
-	for _, v := range vals[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	if r := float64(hi) - float64(lo); r > 0 {
-		return rel * r
-	}
-	return rel
 }

@@ -283,7 +283,7 @@ func (e *Encoder[T]) Compress1D(values []T, opts Options) ([]byte, Stats, error)
 	if err := opts.validate(); err != nil {
 		return nil, Stats{}, err
 	}
-	eb := effectiveEB(values, opts)
+	eb := opts.ErrorBound
 	codes := e.codesBuf(len(values))
 	encodeStream1(values, codes, eb, quantRadius(opts.QuantBits))
 	return e.sealWithin(0, kindRaw1D, nil, len(values), eb, opts, codes, []*grid.Grid3[T]{{Data: values}})
@@ -295,7 +295,7 @@ func (e *Encoder[T]) Compress3D(g *grid.Grid3[T], opts Options) ([]byte, Stats, 
 	if err := opts.validate(); err != nil {
 		return nil, Stats{}, err
 	}
-	eb := effectiveEB(g.Data, opts)
+	eb := opts.ErrorBound
 	codes := e.codesBuf(len(g.Data))
 	recon := e.reconBuf(len(g.Data))
 	encodeBlock3(g.Data, recon, g.Dim, codes, eb, quantRadius(opts.QuantBits))
@@ -376,10 +376,11 @@ func (e *Encoder[T]) compressBlocks(blocks, refs []*grid.Grid3[T], opts Options,
 	if err := opts.validate(); err != nil {
 		return fail(err)
 	}
-	d, total, eb, err := batchGeometry(blocks, opts)
+	d, total, err := batchGeometry(blocks)
 	if err != nil {
 		return fail(err)
 	}
+	eb := opts.ErrorBound
 	if how != codeSpatial {
 		if len(refs) != len(blocks) {
 			return fail(fmt.Errorf("sz: %d reference blocks for %d blocks", len(refs), len(blocks)))
@@ -499,48 +500,21 @@ func (e *Encoder[T]) encodeTemporal(blocks, refs []*grid.Grid3[T], codes []uint3
 	}
 }
 
-// batchGeometry validates a block batch and resolves its shared shape,
-// total cell count, and effective absolute bound.
-func batchGeometry[T grid.Float](blocks []*grid.Grid3[T], opts Options) (grid.Dims, int, float64, error) {
+// batchGeometry validates a block batch and resolves its shared shape
+// and total cell count.
+func batchGeometry[T grid.Float](blocks []*grid.Grid3[T]) (grid.Dims, int, error) {
 	if len(blocks) == 0 {
-		return grid.Dims{}, 0, 0, fmt.Errorf("sz: empty block batch")
+		return grid.Dims{}, 0, fmt.Errorf("sz: empty block batch")
 	}
 	d := blocks[0].Dim
 	total := 0
 	for i, b := range blocks {
 		if b.Dim != d {
-			return grid.Dims{}, 0, 0, fmt.Errorf("sz: block %d dims %v differ from %v", i, b.Dim, d)
+			return grid.Dims{}, 0, fmt.Errorf("sz: block %d dims %v differ from %v", i, b.Dim, d)
 		}
 		total += len(b.Data)
 	}
-	// The relative bound is computed over the union of all blocks so that
-	// every block sees the same effective absolute bound.
-	eb := opts.ErrorBound
-	if opts.Mode == Rel {
-		lo, hi := rangeOfBlocks(blocks)
-		eb = relToAbs(opts.ErrorBound, lo, hi)
-	}
-	return d, total, eb, nil
-}
-
-// rangeOfBlocks returns the min and max over the union of all blocks.
-func rangeOfBlocks[T grid.Float](blocks []*grid.Grid3[T]) (lo, hi float64) {
-	first := true
-	for _, b := range blocks {
-		bl, bh := b.MinMax()
-		if first {
-			lo, hi = float64(bl), float64(bh)
-			first = false
-			continue
-		}
-		if float64(bl) < lo {
-			lo = float64(bl)
-		}
-		if float64(bh) > hi {
-			hi = float64(bh)
-		}
-	}
-	return lo, hi
+	return d, total, nil
 }
 
 // sealWithin assembles the payload of the code stream codes, which code
@@ -602,7 +576,7 @@ func (e *Encoder[T]) sealWithin(limit int, kind int, dims []grid.Dims, n int, eb
 	}
 	// The pool holds one literal per marker: the Huffman count of symbol 0.
 	nlit := len(e.lits) / literalSize[T]()
-	st := Stats{N: n, EffectiveEB: eb, Literals: nlit, CompressedLen: len(out), ElemBytes: literalSize[T]()}
+	st := Stats{N: n, Literals: nlit, CompressedLen: len(out), ElemBytes: literalSize[T]()}
 	return out, st, nil
 }
 

@@ -729,10 +729,9 @@ func (e *Encoder[T]) Predict3D(g *grid.Grid3[T], opts Options) ([]uint32, []byte
 	if err := opts.validate(); err != nil {
 		return nil, nil, 0, err
 	}
-	eb := effectiveEB(g.Data, opts)
 	codes := e.codesBuf(len(g.Data))
 	recon := e.reconBuf(len(g.Data))
-	encodeBlock3(g.Data, recon, g.Dim, codes, eb, quantRadius(opts.QuantBits))
+	encodeBlock3(g.Data, recon, g.Dim, codes, opts.ErrorBound, quantRadius(opts.QuantBits))
 	lits := appendLiterals(e.lits[:0], codes, []*grid.Grid3[T]{g})
 	e.lits = lits[:0]
 	return codes, lits, len(lits) / literalSize[T](), nil

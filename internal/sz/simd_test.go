@@ -280,13 +280,14 @@ func TestSIMDDecodesAnyCodes(t *testing.T) {
 }
 
 // TestSIMDPayloads is the same comparison at the entry points: payload
-// bytes and captured reconstructions of every coding, Abs and Rel, and the
-// payloads decoded back whole and with every other block skipped.
+// bytes and captured reconstructions of every coding, at a narrow bound and
+// at one wider than all but the outliers, and the payloads decoded back
+// whole and with every other block skipped.
 func TestSIMDPayloads(t *testing.T) {
 	d := grid.Dims{X: 4, Y: 4, Z: 4}
 	for _, n := range []int{5, 16, 37, 64} {
 		blocks, refs := saltedBlocks(d, n, 0.01, int64(n))
-		for _, opts := range []Options{{ErrorBound: 0.01}, {ErrorBound: 1e-3, Mode: Rel}, {ErrorBound: 0.01, QuantBits: 2}} {
+		for _, opts := range []Options{{ErrorBound: 0.01}, {ErrorBound: 1e7}, {ErrorBound: 0.01, QuantBits: 2}} {
 			for _, how := range []coding{codeSpatial, codeTemporal, codeEither} {
 				what := fmt.Sprintf("%d blocks, %+v, coding %d", n, opts, how)
 				var r []*grid.Grid3[float32]

@@ -27,14 +27,15 @@ import (
 	"repro/internal/grid"
 )
 
-// Mode selects how Options.ErrorBound is interpreted.
+// Mode selects how codec.Config.ErrorBound is interpreted; sz itself
+// codes to an absolute bound.
 type Mode uint8
 
 const (
 	// Abs interprets ErrorBound as a point-wise absolute error bound.
 	Abs Mode = iota
 	// Rel interprets ErrorBound as a point-wise value-range-relative error
-	// bound: the effective absolute bound is ErrorBound × (max−min).
+	// bound: the absolute bound is ErrorBound × (max−min).
 	Rel
 )
 
@@ -52,11 +53,9 @@ func (m Mode) String() string {
 
 // Options configures a compression run.
 type Options struct {
-	// ErrorBound is the user error bound; interpretation depends on Mode.
-	// Must be > 0.
+	// ErrorBound is the point-wise absolute error bound; must be > 0. A
+	// value-range-relative bound is resolved to one by codec.Config.
 	ErrorBound float64
-	// Mode selects absolute or value-range-relative bounding. Default Abs.
-	Mode Mode
 	// QuantBits sets the quantization code width; the bin radius is
 	// 2^(QuantBits-1). Default 16, matching SZ's default 65536 bins.
 	QuantBits int
@@ -84,11 +83,10 @@ func (o Options) validate() error {
 
 // Stats reports per-stream compression details.
 type Stats struct {
-	N             int     // number of values
-	EffectiveEB   float64 // absolute bound actually applied
-	Literals      int     // values stored exactly (unpredictable)
-	CompressedLen int     // total payload bytes
-	ElemBytes     int     // uncompressed width of one element (4 or 8)
+	N             int // number of values
+	Literals      int // values stored exactly (unpredictable)
+	CompressedLen int // total payload bytes
+	ElemBytes     int // uncompressed width of one element (4 or 8)
 }
 
 const (
@@ -140,34 +138,6 @@ func Decompress3D[T grid.Float](blob []byte) (*grid.Grid3[T], error) {
 func CompressBlocks[T grid.Float](blocks []*grid.Grid3[T], opts Options) ([]byte, Stats, error) {
 	var e Encoder[T]
 	return e.CompressBlocks(blocks, opts)
-}
-
-// effectiveEB resolves the options to an absolute error bound for values.
-func effectiveEB[T grid.Float](values []T, opts Options) float64 {
-	if opts.Mode != Rel {
-		return opts.ErrorBound
-	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, v := range values {
-		f := float64(v)
-		if f < lo {
-			lo = f
-		}
-		if f > hi {
-			hi = f
-		}
-	}
-	return relToAbs(opts.ErrorBound, lo, hi)
-}
-
-func relToAbs(rel, lo, hi float64) float64 {
-	r := hi - lo
-	if !(r > 0) {
-		// Constant (or empty) data: any positive bound preserves it; pick
-		// the raw value so the header still records something meaningful.
-		return rel
-	}
-	return rel * r
 }
 
 // header is the decoded payload header.

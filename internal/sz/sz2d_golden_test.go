@@ -28,11 +28,19 @@ func saltedGrid(d grid.Dims, seed int64) *grid.Grid3[float32] {
 	return g
 }
 
+// relBound is rel of g's value range as an absolute bound, as
+// codec.Config resolves a relative one.
+func relBound(g *grid.Grid3[float32], rel float64) float64 {
+	lo, hi := g.MinMax()
+	return rel * (float64(hi) - float64(lo))
+}
+
 // TestCompressSlicesGolden pins the bytes of CompressSlices payloads over
 // slice counts that reach every batch kernel — groups of sixteen (the
 // vector path where there is one), fours, and single slices — on smooth,
-// salted and one-slice fields, in both modes, at a narrow QuantBits, with
-// and without the lossless stage, and at both element widths.
+// salted and one-slice fields, at fixed bounds and at bounds taken from
+// the field's range, at a narrow QuantBits, with and without the lossless
+// stage, and at both element widths.
 func TestCompressSlicesGolden(t *testing.T) {
 	field2D := grid.New[float32](grid.Dims{X: 40, Y: 28, Z: 1})
 	copy(field2D.Data, smooth2D(40, 28))
@@ -50,7 +58,8 @@ func TestCompressSlicesGolden(t *testing.T) {
 			return CompressSlices(smoothGrid(grid.Dims{X: 16, Y: 12, Z: 10}), Options{ErrorBound: 0.05})
 		}, "3718c6009c5fe7a2b391ac00ac7092a97459aa1541f9745a1bde26c4849e35bf"},
 		{"smooth-rel-8", func() ([]byte, Stats, error) {
-			return CompressSlices(smoothGrid(grid.Dims{X: 8, Y: 8, Z: 8}), Options{ErrorBound: 1e-3, Mode: Rel})
+			g := smoothGrid(grid.Dims{X: 8, Y: 8, Z: 8})
+			return CompressSlices(g, Options{ErrorBound: relBound(g, 1e-3)})
 		}, "b2d49b7f6160283dbc279fa72d8f068eefadbc81895421b0714821bbfaa702ba"},
 		{"smooth-32", func() ([]byte, Stats, error) {
 			return CompressSlices(smoothGrid(grid.Dims{X: 32, Y: 32, Z: 32}), Options{ErrorBound: 0.01})
@@ -65,7 +74,7 @@ func TestCompressSlicesGolden(t *testing.T) {
 			return CompressSlices(salted, Options{ErrorBound: 0.05, DisableLossless: true})
 		}, "d8c5edd9f619749048254856fb1a2e980100cee9b5dd81daf58afb0619e7cd87"},
 		{"salted-rel-q4-21", func() ([]byte, Stats, error) {
-			return CompressSlices(salted, Options{ErrorBound: 1e-3, Mode: Rel, QuantBits: 4})
+			return CompressSlices(salted, Options{ErrorBound: relBound(salted, 1e-3), QuantBits: 4})
 		}, "3cd8862a65f041df2ea7b82e5c306c5c987c96e8cee4bc8385a1be7af19ef62c"},
 		{"salted-3", func() ([]byte, Stats, error) {
 			return CompressSlices(saltedGrid(grid.Dims{X: 5, Y: 6, Z: 3}, 2), Options{ErrorBound: 0.05, DisableLossless: true})

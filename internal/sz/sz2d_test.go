@@ -94,18 +94,6 @@ func TestSlicesRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSlicesRelativeMode(t *testing.T) {
-	g := smoothGrid(grid.Dims{X: 8, Y: 8, Z: 8})
-	rel := 1e-3
-	blob, st, err := CompressSlices(g, Options{ErrorBound: rel, Mode: Rel})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mad := grid.MaxAbsDiff(g, decompressSlices(t, blob)); mad > st.EffectiveEB*(1+1e-6) {
-		t.Fatalf("max abs diff %v exceeds effective bound %v", mad, st.EffectiveEB)
-	}
-}
-
 func TestDimensionalityOrdering(t *testing.T) {
 	// The Sec. 2.3 premise: on a smooth 3D field at the same bound,
 	// higher-dimensional prediction compresses smaller.

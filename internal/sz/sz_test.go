@@ -80,27 +80,6 @@ func TestRoundTrip3DWithinBound(t *testing.T) {
 	}
 }
 
-func TestRelativeModeBound(t *testing.T) {
-	g := smoothGrid(grid.Dims{X: 16, Y: 16, Z: 16})
-	rel := 1e-3
-	blob, st, err := Compress3D(g, Options{ErrorBound: rel, Mode: Rel})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lo, hi := g.MinMax()
-	wantAbs := rel * (float64(hi) - float64(lo))
-	if math.Abs(st.EffectiveEB-wantAbs) > 1e-12*wantAbs {
-		t.Fatalf("effective eb %v, want %v", st.EffectiveEB, wantAbs)
-	}
-	got, err := Decompress3D[float32](blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mad := grid.MaxAbsDiff(g, got); mad > wantAbs*(1+1e-6) {
-		t.Fatalf("max abs diff %v exceeds relative bound %v", mad, wantAbs)
-	}
-}
-
 func TestFloat64RoundTrip(t *testing.T) {
 	d := grid.Dims{X: 12, Y: 12, Z: 12}
 	g := grid.New[float64](d)
@@ -294,23 +273,6 @@ func TestConstantField(t *testing.T) {
 	}
 	if st.Ratio() < 50 {
 		t.Fatalf("constant field ratio only %.1f", st.Ratio())
-	}
-}
-
-func TestConstantFieldRelMode(t *testing.T) {
-	// Zero value range: rel mode must still terminate and round-trip.
-	g := grid.New[float32](grid.Dims{X: 4, Y: 4, Z: 4})
-	g.Fill(7)
-	blob, _, err := Compress3D(g, Options{ErrorBound: 1e-3, Mode: Rel})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decompress3D[float32](blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mad := grid.MaxAbsDiff(g, got); mad > 1e-3 {
-		t.Fatalf("error %v", mad)
 	}
 }
 
