@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -247,5 +248,44 @@ func TestChaosLatencyDeadline(t *testing.T) {
 	}
 	if hs := s.HealthStats(); hs.QuarantinedMembers != 0 {
 		t.Fatalf("deadline overrun quarantined a member: %+v", hs)
+	}
+}
+
+// TestChaosHeadFollowsChain strikes out member 0 of a campaign whose
+// members 1 and 2 reference it in a chain: every member a GET refuses,
+// a HEAD refuses too, with the same structured 502, and /stats lists
+// them all — the same set a scrub of the same damage leaves.
+func TestChaosHeadFollowsChain(t *testing.T) {
+	blob, _ := campaignArchiveBytes(t, 3, 3, 8)
+	s, fr, _ := flakyServer(t, blob, Config{Workers: 1, QuarantineAfter: 2})
+	h := s.Handler()
+	sa, err := s.lookup("test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr.SetPlan(faultio.FlipByte(frameMidpoint(t, sa.reader(), 0, 0, 0), 0x20))
+	for strike := 1; strike <= 2; strike++ {
+		if rec := get(t, h, "/v1/a/test/snap/0/level/0"); rec.Code != http.StatusInternalServerError {
+			t.Fatalf("strike %d: status %d: %s", strike, rec.Code, rec.Body.String())
+		}
+	}
+	for mi := 0; mi < 3; mi++ {
+		for _, p := range []string{"level/0", "level/1", "amr", "level/0?roi=0:4,0:4,0:4"} {
+			url := fmt.Sprintf("/v1/a/test/snap/%d/%s", mi, p)
+			for _, method := range []string{"GET", "HEAD"} {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(method, url, nil))
+				if rec.Code != http.StatusBadGateway {
+					t.Fatalf("%s %s: status %d, want 502", method, url, rec.Code)
+				}
+			}
+		}
+	}
+	if qs := healthOf(t, h).Quarantined["test"]; fmt.Sprint(qs) != "[0 1 2]" {
+		t.Fatalf("/stats quarantined %v, want [0 1 2]", qs)
+	}
+	s.ScrubOnce()
+	if qs := healthOf(t, h).Quarantined["test"]; fmt.Sprint(qs) != "[0 1 2]" {
+		t.Fatalf("/stats quarantined after a scrub %v, want [0 1 2]", qs)
 	}
 }

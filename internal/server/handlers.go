@@ -449,7 +449,7 @@ func (s *Server) handleSnapAMR(w http.ResponseWriter, r *http.Request) {
 		n += amr.LevelPrologueLen(idx.Mask) + amr.LevelPayloadLen(idx.Mask, idx.UnitBlock)
 	}
 	if r.Method == http.MethodHead {
-		if err := sa.quarantineErr(mi); err != nil {
+		if err := sa.quarantineErr(st, mi); err != nil {
 			s.httpError(w, err)
 			return
 		}
@@ -520,7 +520,7 @@ func (s *Server) handleLevel(w http.ResponseWriter, r *http.Request) {
 		bodyHeaders(h, gz, amr.ValueBytes*d.Count())
 	}
 	if r.Method == http.MethodHead {
-		if err := sa.quarantineErr(mi); err != nil {
+		if err := sa.quarantineErr(st, mi); err != nil {
 			s.httpError(w, err)
 			return
 		}

@@ -24,7 +24,7 @@ var ErrQuarantined = errors.New("member quarantined")
 type healthCounters struct {
 	retries          atomic.Int64 // frame reads retried after transient I/O errors
 	corruptEvents    atomic.Int64 // deterministic ErrCorrupt detections on the request path
-	quarantines      atomic.Int64 // members quarantined since start (never decremented)
+	quarantines      atomic.Int64 // members recorded damaged since start (never decremented)
 	scrubPasses      atomic.Int64 // completed background scrub sweeps
 	scrubIssues      atomic.Int64 // damaged frames found by scrubs
 	repairsAttempted atomic.Int64 // member repair attempts (manual + automatic)
@@ -51,97 +51,98 @@ type HealthStats struct {
 }
 
 // archiveHealth is the per-archive member health state machine. A member
-// is healthy until ErrCorrupt detections against it reach the quarantine
-// threshold (or a scrub finds damage), after which it is quarantined:
-// requests for it — and for members whose reference chain passes through
-// it — answer ErrQuarantined until a repair heals the damaged member
+// is damaged once ErrCorrupt detections against it reach the quarantine
+// threshold (or a scrub finds damage in it). A member is quarantined
+// while it, or a member its reference chain reaches, is damaged: requests
+// for it answer ErrQuarantined until a repair heals the damaged member
 // (replica-backed archives attempt one automatically the moment the
-// quarantine trips) or the process restarts with a repaired archive.
-// Transient I/O errors (archive.ErrIO) never count: they are retried,
-// not held against the member.
+// damage is recorded) or the process restarts with a repaired archive.
+// Only the damaged members are stored; every quarantine is derived from
+// them and the chains, so repairing a damaged member returns every member
+// it held out. Transient I/O errors (archive.ErrIO) never count: they are
+// retried, not held against the member.
 type archiveHealth struct {
-	mu          sync.Mutex
-	strikes     map[int]int
-	quarantined map[int]quarRecord
+	mu      sync.Mutex
+	strikes map[int]int
+	damaged map[int]string // damaged member -> why
 }
 
-// quarRecord is one quarantined member: why, and which damaged member's
-// quarantine caused it — itself for direct damage, the root of its
-// reference chain for a chain-closure quarantine. Repairing the root
-// lifts every record tied to it.
-type quarRecord struct {
-	reason string
-	via    int
+// heldBy returns the damaged member that holds member mi out of service
+// — mi itself, or the first damaged member its reference chain reaches —
+// and whether there is one. Keyframes bound the walk. The caller holds
+// sa.health.mu.
+func (sa *servedArchive) heldBy(members []archive.Member, mi int) (int, bool) {
+	for r := mi; r >= 0; r = members[r].Ref {
+		if _, ok := sa.health.damaged[r]; ok {
+			return r, true
+		}
+	}
+	return 0, false
 }
 
-// quarantinedMember reports whether member mi is out of service, and why.
-func (sa *servedArchive) quarantinedMember(mi int) (string, bool) {
+// quarantineErr is the error a request for member mi of generation st
+// answers while the member is quarantined, nil otherwise.
+func (sa *servedArchive) quarantineErr(st *archiveState, mi int) error {
 	sa.health.mu.Lock()
-	defer sa.health.mu.Unlock()
-	rec, ok := sa.health.quarantined[mi]
-	return rec.reason, ok
-}
-
-// quarantineErr is the error a request for member mi answers while the
-// member is out of service, nil otherwise.
-func (sa *servedArchive) quarantineErr(mi int) error {
-	reason, q := sa.quarantinedMember(mi)
-	if !q {
+	r, held := sa.heldBy(st.r.Members(), mi)
+	reason := sa.health.damaged[r]
+	sa.health.mu.Unlock()
+	if !held {
 		return nil
+	}
+	if r != mi {
+		reason = fmt.Sprintf("reference member %d quarantined (%s)", r, reason)
 	}
 	return &memberError{mi: mi, err: fmt.Errorf("server: %w: archive %q snapshot %d: %s", ErrQuarantined, sa.name, mi, reason)}
 }
 
-// quarantine takes member mi out of service (via names the damaged
-// member responsible — mi itself for direct damage), reporting whether
-// this call was the one that did it.
-func (sa *servedArchive) quarantine(mi, via int, reason string) bool {
+// quarantine records member mi as damaged, reporting whether this call
+// was the one that did it.
+func (sa *servedArchive) quarantine(mi int, reason string) bool {
 	sa.health.mu.Lock()
 	defer sa.health.mu.Unlock()
-	if _, done := sa.health.quarantined[mi]; done {
+	if _, done := sa.health.damaged[mi]; done {
 		return false
 	}
-	if sa.health.quarantined == nil {
-		sa.health.quarantined = make(map[int]quarRecord)
+	if sa.health.damaged == nil {
+		sa.health.damaged = make(map[int]string)
 	}
-	sa.health.quarantined[mi] = quarRecord{reason: reason, via: via}
+	sa.health.damaged[mi] = reason
 	return true
 }
 
-// liftQuarantine returns member root — just repaired — and every member
-// quarantined via it to service, clearing their strikes, and returns the
-// lifted member indices sorted.
-func (sa *servedArchive) liftQuarantine(root int) []int {
+// liftQuarantine clears member root — just repaired — of damage and
+// strikes, and returns the members of generation st this returned to
+// service, sorted.
+func (sa *servedArchive) liftQuarantine(st *archiveState, root int) []int {
 	sa.health.mu.Lock()
 	defer sa.health.mu.Unlock()
+	delete(sa.health.strikes, root)
+	if _, ok := sa.health.damaged[root]; !ok {
+		return nil
+	}
+	held := sa.quarantinedLocked(st)
+	delete(sa.health.damaged, root)
+	members := st.r.Members()
 	var lifted []int
-	for mi, rec := range sa.health.quarantined {
-		if mi == root || rec.via == root {
-			delete(sa.health.quarantined, mi)
-			delete(sa.health.strikes, mi)
+	for _, mi := range held {
+		if _, still := sa.heldBy(members, mi); !still {
 			lifted = append(lifted, mi)
 		}
 	}
-	delete(sa.health.strikes, root)
-	sort.Ints(lifted)
 	return lifted
 }
 
-// quarantineRoots returns the distinct damaged members responsible for
-// the current quarantines, sorted — the repair worklist.
-func (sa *servedArchive) quarantineRoots() []int {
+// damagedList returns the damaged members, sorted: the repair worklist.
+func (sa *servedArchive) damagedList() []int {
 	sa.health.mu.Lock()
 	defer sa.health.mu.Unlock()
-	seen := make(map[int]bool)
-	var roots []int
-	for _, rec := range sa.health.quarantined {
-		if !seen[rec.via] {
-			seen[rec.via] = true
-			roots = append(roots, rec.via)
-		}
+	out := make([]int, 0, len(sa.health.damaged))
+	for mi := range sa.health.damaged {
+		out = append(out, mi)
 	}
-	sort.Ints(roots)
-	return roots
+	sort.Ints(out)
+	return out
 }
 
 // recordCorrupt counts one deterministic corruption detection against
@@ -160,23 +161,31 @@ func (sa *servedArchive) recordCorrupt(mi, threshold int, reason string) bool {
 	hit := sa.health.strikes[mi] >= threshold
 	sa.health.mu.Unlock()
 	if hit {
-		return sa.quarantine(mi, mi, reason)
+		return sa.quarantine(mi, reason)
 	}
 	return false
 }
 
-// quarantinedList returns the quarantined member indices, sorted.
-func (sa *servedArchive) quarantinedList() []int {
+// quarantinedList returns the members of generation st a request would
+// find quarantined, sorted.
+func (sa *servedArchive) quarantinedList(st *archiveState) []int {
 	sa.health.mu.Lock()
 	defer sa.health.mu.Unlock()
-	if len(sa.health.quarantined) == 0 {
+	return sa.quarantinedLocked(st)
+}
+
+// quarantinedLocked is quarantinedList with sa.health.mu held.
+func (sa *servedArchive) quarantinedLocked(st *archiveState) []int {
+	if len(sa.health.damaged) == 0 {
 		return nil
 	}
-	out := make([]int, 0, len(sa.health.quarantined))
-	for mi := range sa.health.quarantined {
-		out = append(out, mi)
+	members := st.r.Members()
+	var out []int
+	for mi := range members {
+		if _, held := sa.heldBy(members, mi); held {
+			out = append(out, mi)
+		}
 	}
-	sort.Ints(out)
 	return out
 }
 
@@ -257,7 +266,7 @@ func (s *Server) HealthStats() HealthStats {
 	}
 	s.mu.RUnlock()
 	for _, sa := range archives {
-		if qs := sa.quarantinedList(); len(qs) > 0 {
+		if qs := sa.quarantinedList(sa.view()); len(qs) > 0 {
 			if hs.Quarantined == nil {
 				hs.Quarantined = make(map[string][]int)
 			}
@@ -269,7 +278,7 @@ func (s *Server) HealthStats() HealthStats {
 	return hs
 }
 
-// Degraded reports whether any registered member is quarantined: the
+// Degraded reports whether any registered member is damaged: the
 // server still answers everything it can, but /healthz says "degraded"
 // so operators notice the archive needs repair.
 func (s *Server) Degraded() bool {
@@ -277,7 +286,7 @@ func (s *Server) Degraded() bool {
 	defer s.mu.RUnlock()
 	for _, sa := range s.archives {
 		sa.health.mu.Lock()
-		n := len(sa.health.quarantined)
+		n := len(sa.health.damaged)
 		sa.health.mu.Unlock()
 		if n > 0 {
 			return true
@@ -293,9 +302,9 @@ const scrubMemberPause = 2 * time.Millisecond
 
 // ScrubOnce sweeps every registered archive member by member, verifying
 // every frame (archive.Reader.ScrubMember: digest checks on checksummed
-// archives, full decodes otherwise) and quarantining damaged members
-// proactively — plus every member whose reference chain passes through
-// one, since those can only reconstruct from poisoned data. It returns
+// archives, full decodes otherwise) and recording damaged members
+// proactively, which quarantines them and every member whose reference
+// chain reaches one. Members already quarantined are skipped. It returns
 // the number of damaged frames found. The background scrubber calls this
 // on a timer; tests and operators can call it directly.
 func (s *Server) ScrubOnce() int {
@@ -306,39 +315,20 @@ func (s *Server) ScrubOnce() int {
 			continue // racing Close
 		}
 		st := sa.view()
-		members := st.r.Members()
-		for mi := range members {
-			if _, q := sa.quarantinedMember(mi); q {
+		for mi := range st.r.Members() {
+			if sa.quarantineErr(st, mi) != nil {
 				continue
 			}
 			probs := st.r.ScrubMember(mi)
 			if len(probs) > 0 {
 				issues += len(probs)
 				s.health.scrubIssues.Add(int64(len(probs)))
-				if sa.quarantine(mi, mi, fmt.Sprintf("scrub: %v", probs[0].Err)) {
+				if sa.quarantine(mi, fmt.Sprintf("scrub: %v", probs[0].Err)) {
 					s.health.quarantines.Add(1)
 					s.tryAutoRepair(sa, mi)
 				}
 			}
 			s.sleep(scrubMemberPause)
-		}
-		// Chain closure: references point strictly backward, so one
-		// forward pass after the sweep settles every dependent.
-		for mi := range members {
-			if _, q := sa.quarantinedMember(mi); q {
-				continue
-			}
-			for r := mi; members[r].Ref >= 0; {
-				r = members[r].Ref
-				reason, q := sa.quarantinedMember(r)
-				if !q {
-					continue
-				}
-				if sa.quarantine(mi, r, fmt.Sprintf("reference member %d quarantined (%s)", r, reason)) {
-					s.health.quarantines.Add(1)
-				}
-				break
-			}
 		}
 	}
 	s.health.scrubPasses.Add(1)

@@ -19,8 +19,8 @@ var ErrNoReplica = errors.New("no replica configured")
 // replicas: the damaged frames are re-fetched through the replica
 // failover reader, digest-verified, and spliced into the local file in
 // place (archive.Reader.RepairMember), and on success the member — plus
-// every member quarantined via it — returns to service with its strikes
-// cleared, no restart needed. Returns the splice stats and the member
+// every member whose reference chain reached it — returns to service with
+// its strikes cleared, no restart needed. Returns the splice stats and the member
 // indices un-quarantined. Repairing a clean member is a cheap no-op.
 func (s *Server) RepairMember(name string, mi int) (archive.RepairStats, []int, error) {
 	sa, err := s.lookup(name)
@@ -63,7 +63,7 @@ func (s *Server) repairMember(sa *servedArchive, st *archiveState, mi int) (arch
 	if rs.FramesRepaired > 0 {
 		s.cache.PurgeMember(sa.name, mi)
 	}
-	lifted := sa.liftQuarantine(mi)
+	lifted := sa.liftQuarantine(st, mi)
 	if len(lifted) > 0 {
 		s.health.unquarantines.Add(int64(len(lifted)))
 	}
@@ -83,8 +83,8 @@ func (s *Server) tryAutoRepair(sa *servedArchive, mi int) {
 }
 
 // handleRepair is POST /v1/a/{name}/repair: with ?member=i it repairs that
-// member; without, it repairs every currently quarantined member (via
-// the damaged roots of their reference chains). The response reports the
+// member; without, it repairs every damaged member, which returns every
+// quarantined one to service. The response reports the
 // splice stats and which members returned to service; a repair that
 // could not heal the archive answers 502 (the damage is upstream of this
 // server — its replicas are bad too), and archives without replicas
@@ -138,10 +138,9 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, res)
 }
 
-// RepairArchive repairs every currently quarantined member of archive
-// name by healing the damaged roots of their reference chains, in index
+// RepairArchive repairs every damaged member of archive name, in index
 // order. Returns combined stats and every member un-quarantined. An
-// archive with nothing quarantined returns zero stats and no error.
+// archive with nothing damaged returns zero stats and no error.
 func (s *Server) RepairArchive(name string) (archive.RepairStats, []int, error) {
 	sa, err := s.lookup(name)
 	if err != nil {
@@ -153,8 +152,8 @@ func (s *Server) RepairArchive(name string) (archive.RepairStats, []int, error) 
 	st := sa.view()
 	var total archive.RepairStats
 	var lifted []int
-	for _, root := range sa.quarantineRoots() {
-		rs, up, err := s.repairMember(sa, st, root)
+	for _, mi := range sa.damagedList() {
+		rs, up, err := s.repairMember(sa, st, mi)
 		total.FramesScanned += rs.FramesScanned
 		total.FramesDamaged += rs.FramesDamaged
 		total.FramesRepaired += rs.FramesRepaired

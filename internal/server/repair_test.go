@@ -274,3 +274,58 @@ func TestRepairEndpointErrors(t *testing.T) {
 		t.Fatalf("clean repair body: %+v", rb)
 	}
 }
+
+// TestRepairLiftsChainQuarantine damages member 0 of a campaign whose
+// members 1 and 2 reference it in a chain, on the primary and the
+// replica alike, so the scrub's auto-repair fails and all three stay out
+// of service. Once the replica is restored, repairing member 0 returns
+// every member to service: the quarantine of 1 and 2 was only ever their
+// chain reaching 0.
+func TestRepairLiftsChainQuarantine(t *testing.T) {
+	blob, _ := campaignArchiveBytes(t, 3, 3, 8)
+	off := damageOffset(t, blob, 0, 0, 0)
+	s, primary, rep := replicaServer(t, blob, Config{Workers: 1})
+	flipAt(t, primary, off, 0x20)
+	flipAt(t, rep, off, 0x08)
+	h := s.Handler()
+
+	if issues := s.ScrubOnce(); issues == 0 {
+		t.Fatal("scrub found no issues")
+	}
+	if qs := healthOf(t, h).Quarantined["test"]; fmt.Sprint(qs) != "[0 1 2]" {
+		t.Fatalf("quarantined %v after the scrub, want [0 1 2]", qs)
+	}
+	if rec := get(t, h, "/v1/a/test/snap/2/level/0"); rec.Code != http.StatusBadGateway {
+		t.Fatalf("member 2 over a damaged chain: status %d, want 502", rec.Code)
+	}
+
+	flipAt(t, rep, off, 0x08)
+	rec := post(t, h, "/v1/a/test/repair?member=0", nil)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("repair: status %d: %s", rec.Code, rec.Body.String())
+	}
+	var rb repairBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &rb); err != nil {
+		t.Fatalf("repair body decode: %v (%s)", err, rec.Body.String())
+	}
+	if fmt.Sprint(rb.Unquarantined) != "[0 1 2]" {
+		t.Fatalf("unquarantined %v, want [0 1 2]", rb.Unquarantined)
+	}
+	for mi := 0; mi < 3; mi++ {
+		for li := 0; li < 2; li++ {
+			rec := get(t, h, fmt.Sprintf("/v1/a/test/snap/%d/level/%d", mi, li))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("member %d level %d after repair: status %d: %s", mi, li, rec.Code, rec.Body.String())
+			}
+			if want := cleanLevelBody(t, blob, mi, li); !bytes.Equal(rec.Body.Bytes(), want) {
+				t.Fatalf("member %d level %d differs from a clean extraction", mi, li)
+			}
+		}
+	}
+	if rec := get(t, h, "/healthz"); rec.Body.String() != "ok\n" {
+		t.Fatalf("healthz after repair: %q, want \"ok\"", rec.Body.String())
+	}
+	if hs := healthOf(t, h); hs.QuarantinedMembers != 0 || hs.Degraded {
+		t.Fatalf("quarantine not lifted: %+v", hs)
+	}
+}

@@ -545,8 +545,8 @@ func (sa *servedArchive) member(st *archiveState, mi int) (*archive.Member, erro
 // the cache runs fills with no locks held, and chain references are
 // strictly backward, so the keys strictly decrease and never collide
 // with a fill already in flight on this goroutine.
-// Quarantined members — and, transitively, members whose reference chain
-// passes through one — answer ErrQuarantined up front, before the cache:
+// Quarantined members — damaged ones and members whose reference chain
+// reaches one — answer ErrQuarantined up front, before the cache:
 // blocks decoded from a member later found damaged must not keep serving.
 // A member in the generation's tail view is answered from it next, ahead
 // of the cache and counted by neither of its counters.
@@ -556,7 +556,7 @@ func (sa *servedArchive) member(st *archiveState, mi int) (*archive.Member, erro
 // deterministic corruption counts a strike toward quarantine against the
 // member it was detected in.
 func (s *Server) batch(sa *servedArchive, st *archiveState, mi, li, b int) (blocks, error) {
-	if err := sa.quarantineErr(mi); err != nil {
+	if err := sa.quarantineErr(st, mi); err != nil {
 		return nil, err
 	}
 	if levels, ok := st.tail[mi]; ok {
@@ -583,7 +583,12 @@ func (s *Server) batch(sa *servedArchive, st *archiveState, mi, li, b int) (bloc
 		return v, batchCost(v), nil
 	})
 	if err != nil {
-		s.noteError(sa, mi, err)
+		// A failure that came up the reference chain was noted against
+		// the member it was detected in.
+		var up *memberError
+		if !errors.As(err, &up) {
+			s.noteError(sa, mi, err)
+		}
 		// Tag the failure with its member so the HTTP envelope can carry
 		// machine-readable coordinates (nested tags from a reference
 		// chain are fine: errors.As finds the outermost, which is the

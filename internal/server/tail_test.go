@@ -318,7 +318,7 @@ func TestTailQuarantined(t *testing.T) {
 	if _, ok := sa.view().tail[mi]; !ok {
 		t.Fatalf("member %d is not in the tail", mi)
 	}
-	sa.quarantine(mi, mi, "test")
+	sa.quarantine(mi, "test")
 	served := sa.tailServed.Load()
 	if _, _, err := s.LevelContext(context.Background(), "test", mi, 0); !errors.Is(err, ErrQuarantined) {
 		t.Fatalf("quarantined tail member: %v, want ErrQuarantined", err)
@@ -329,7 +329,7 @@ func TestTailQuarantined(t *testing.T) {
 	if sa.tailServed.Load() != served {
 		t.Fatal("a quarantined member was answered from the tail")
 	}
-	sa.liftQuarantine(mi)
+	sa.liftQuarantine(sa.view(), mi)
 	if _, _, err := s.LevelContext(context.Background(), "test", mi, 0); err != nil {
 		t.Fatal(err)
 	}

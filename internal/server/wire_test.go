@@ -520,7 +520,7 @@ func TestWireHead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sa.quarantine(0, 0, "test")
+	sa.quarantine(0, "test")
 	for _, p := range paths {
 		if resp, _, _ := fetch(t, c, "HEAD", ts.URL+p, false); resp.StatusCode != http.StatusBadGateway {
 			t.Fatalf("HEAD %s of a quarantined member: status %d, want 502", p, resp.StatusCode)
