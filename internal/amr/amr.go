@@ -61,11 +61,7 @@ func (l *Level) StoredCells() int {
 
 // BlockRegion returns the cell-space region of unit block (bx,by,bz).
 func (l *Level) BlockRegion(bx, by, bz int) grid.Region {
-	ub := l.UnitBlock
-	return grid.Region{
-		X0: bx * ub, Y0: by * ub, Z0: bz * ub,
-		X1: (bx + 1) * ub, Y1: (by + 1) * ub, Z1: (bz + 1) * ub,
-	}
+	return grid.BlockRegion(bx, by, bz, l.UnitBlock)
 }
 
 // Clone returns a deep copy of the level.

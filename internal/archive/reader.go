@@ -602,11 +602,7 @@ func (r *Reader) ExtractRegion(i int, roi grid.Region) (*amr.Dataset, error) {
 		// Scale the finest-cell ROI down to this level's cells (outer
 		// bounds round outward), then to unit-block granularity, and
 		// intersect with the stored occupancy.
-		ub := idx.UnitBlock
-		br := grid.Region{
-			X0: roi.X0 / (scale * ub), Y0: roi.Y0 / (scale * ub), Z0: roi.Z0 / (scale * ub),
-			X1: ceilDiv(roi.X1, scale*ub), Y1: ceilDiv(roi.Y1, scale*ub), Z1: ceilDiv(roi.Z1, scale*ub),
-		}
+		br := roi.Blocks(scale * idx.UnitBlock)
 		want := grid.NewMask(idx.Mask.Dim)
 		want.FillRegion(br.Intersect(want.Dim), true)
 		want.And(idx.Mask)
@@ -615,8 +611,6 @@ func (r *Reader) ExtractRegion(i int, roi grid.Region) (*amr.Dataset, error) {
 	}
 	return r.extractDataset(m, i, wants)
 }
-
-func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 // extractDataset extracts every level of member mi (see extract).
 func (r *Reader) extractDataset(m *Member, mi int, wants []*grid.Mask) (*amr.Dataset, error) {

@@ -124,6 +124,24 @@ type Region struct {
 // RegionOf returns the region covering the whole of dims d.
 func RegionOf(d Dims) Region { return Region{0, 0, 0, d.X, d.Y, d.Z} }
 
+// BlockRegion returns the cell region of unit block (bx,by,bz), whose
+// edge is ub cells.
+func BlockRegion(bx, by, bz, ub int) Region {
+	return Region{
+		X0: bx * ub, Y0: by * ub, Z0: bz * ub,
+		X1: (bx + 1) * ub, Y1: (by + 1) * ub, Z1: (bz + 1) * ub,
+	}
+}
+
+// Blocks returns the window of n-cell blocks that covers r: lower bounds
+// round down and upper bounds round outward.
+func (r Region) Blocks(n int) Region {
+	return Region{
+		X0: r.X0 / n, Y0: r.Y0 / n, Z0: r.Z0 / n,
+		X1: (r.X1 + n - 1) / n, Y1: (r.Y1 + n - 1) / n, Z1: (r.Z1 + n - 1) / n,
+	}
+}
+
 // Dims returns the extents of the region.
 func (r Region) Dims() Dims { return Dims{r.X1 - r.X0, r.Y1 - r.Y0, r.Z1 - r.Z0} }
 

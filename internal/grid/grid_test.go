@@ -280,3 +280,26 @@ func TestCopyRegionOverlap(t *testing.T) {
 		}
 	}
 }
+
+// TestBlocksCoversRegion holds Blocks to its definition: the window holds
+// exactly the n-cell blocks whose BlockRegion meets r.
+func TestBlocksCoversRegion(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(5)
+		var r Region
+		r.X0, r.Y0, r.Z0 = rng.Intn(20), rng.Intn(20), rng.Intn(20)
+		r.X1, r.Y1, r.Z1 = r.X0+1+rng.Intn(12), r.Y0+1+rng.Intn(12), r.Z0+1+rng.Intn(12)
+		w := r.Blocks(n)
+		for bx := 0; bx < 40/n+1; bx++ {
+			for by := 0; by < 40/n+1; by++ {
+				for bz := 0; bz < 40/n+1; bz++ {
+					in := bx >= w.X0 && bx < w.X1 && by >= w.Y0 && by < w.Y1 && bz >= w.Z0 && bz < w.Z1
+					if meets := !BlockRegion(bx, by, bz, n).Clip(r).Empty(); in != meets {
+						t.Fatalf("%v.Blocks(%d) = %v: block (%d,%d,%d) in window %v, meets region %v", r, n, w, bx, by, bz, in, meets)
+					}
+				}
+			}
+		}
+	}
+}

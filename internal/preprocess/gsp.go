@@ -60,13 +60,6 @@ func GSP[T grid.Float](g *grid.Grid3[T], mask *grid.Mask, unitBlock int, opts GS
 	md := mask.Dim
 	ub := unitBlock
 
-	blockRegion := func(bx, by, bz int) grid.Region {
-		return grid.Region{
-			X0: bx * ub, Y0: by * ub, Z0: bz * ub,
-			X1: (bx + 1) * ub, Y1: (by + 1) * ub, Z1: (bz + 1) * ub,
-		}
-	}
-
 	// Accumulate contributions then divide, so overlap handling is exact.
 	sum := make([]float64, ub*ub*ub)
 	cnt := make([]uint8, ub*ub*ub)
@@ -77,7 +70,7 @@ func GSP[T grid.Float](g *grid.Grid3[T], mask *grid.Mask, unitBlock int, opts GS
 				if mask.At(bx, by, bz) {
 					continue
 				}
-				eb := blockRegion(bx, by, bz)
+				eb := grid.BlockRegion(bx, by, bz, ub)
 				touched := false
 				for _, f := range faces {
 					nx, ny, nz := bx+f[0], by+f[1], bz+f[2]
@@ -89,7 +82,7 @@ func GSP[T grid.Float](g *grid.Grid3[T], mask *grid.Mask, unitBlock int, opts GS
 						clear(cnt)
 						touched = true
 					}
-					padFromNeighbor(g, eb, blockRegion(nx, ny, nz), f, opts, sum, cnt)
+					padFromNeighbor(g, eb, grid.BlockRegion(nx, ny, nz, ub), f, opts, sum, cnt)
 				}
 				if !touched {
 					continue

@@ -645,14 +645,6 @@ func (lv levelView) clip(roi grid.Region) (grid.Region, error) {
 	return clipped, nil
 }
 
-// blockWindow is the block-space window covering cell region roi.
-func blockWindow(roi grid.Region, ub int) grid.Region {
-	return grid.Region{
-		X0: roi.X0 / ub, Y0: roi.Y0 / ub, Z0: roi.Z0 / ub,
-		X1: (roi.X1 + ub - 1) / ub, Y1: (roi.Y1 + ub - 1) / ub, Z1: (roi.Z1 + ub - 1) / ub,
-	}
-}
-
 // assemble fills dst — dense over roi, a non-empty window inside the
 // level's extent — with every stored cell of the level that falls in roi,
 // from cached batches. It is the one block→window routine of the serving
@@ -664,7 +656,7 @@ func blockWindow(roi grid.Region, ub int) grid.Region {
 // which the HTTP layer maps to 504).
 func (s *Server) assemble(ctx context.Context, lv levelView, roi grid.Region, dst []amr.Value) error {
 	idx, ub := lv.idx, lv.idx.UnitBlock
-	br := blockWindow(roi, ub)
+	br := roi.Blocks(ub)
 	inWindow := func(bx, by, bz int) bool {
 		return bx >= br.X0 && bx < br.X1 && by >= br.Y0 && by < br.Y1 && bz >= br.Z0 && bz < br.Z1
 	}
@@ -686,7 +678,7 @@ func (s *Server) assemble(ctx context.Context, lv levelView, roi grid.Region, ds
 		lo, hi := idx.BatchSpan(b)
 		for k, ord := range lv.ords[lo:hi] {
 			if bx, by, bz := idx.Mask.Dim.Coords(ord); inWindow(bx, by, bz) {
-				grid.CopyRegionOverlap(dst, roi, bl[k].Data, blockRegion(bx, by, bz, ub))
+				grid.CopyRegionOverlap(dst, roi, bl[k].Data, grid.BlockRegion(bx, by, bz, ub))
 			}
 		}
 		return nil
@@ -696,7 +688,7 @@ func (s *Server) assemble(ctx context.Context, lv levelView, roi grid.Region, ds
 // covers reports whether every unit block that roi touches is stored, so
 // that assemble writes every cell of the window.
 func (lv levelView) covers(roi grid.Region) bool {
-	br := blockWindow(roi, lv.idx.UnitBlock)
+	br := roi.Blocks(lv.idx.UnitBlock)
 	return lv.idx.Mask.CountRegion(br) == br.Count()
 }
 
@@ -806,12 +798,4 @@ func (s *Server) DatasetContext(ctx context.Context, name string, mi int) (*amr.
 		ds.Levels = append(ds.Levels, &amr.Level{Grid: g, UnitBlock: lv.idx.UnitBlock, Mask: lv.idx.Mask})
 	}
 	return ds, nil
-}
-
-// blockRegion is the cell-space region of unit block (bx,by,bz).
-func blockRegion(bx, by, bz, ub int) grid.Region {
-	return grid.Region{
-		X0: bx * ub, Y0: by * ub, Z0: bz * ub,
-		X1: (bx + 1) * ub, Y1: (by + 1) * ub, Z1: (bz + 1) * ub,
-	}
 }

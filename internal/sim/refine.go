@@ -161,11 +161,7 @@ func buildMasks(spec Spec, driver *grid.Grid3[float64]) []*grid.Mask {
 	for bx := 0; bx < fineBlocks.X; bx++ {
 		for by := 0; by < fineBlocks.Y; by++ {
 			for bz := 0; bz < fineBlocks.Z; bz++ {
-				reg := grid.Region{
-					X0: bx * ub, Y0: by * ub, Z0: bz * ub,
-					X1: (bx + 1) * ub, Y1: (by + 1) * ub, Z1: (bz + 1) * ub,
-				}
-				bm.Set(bx, by, bz, regionMax(driver, reg))
+				bm.Set(bx, by, bz, regionMax(driver, grid.BlockRegion(bx, by, bz, ub)))
 			}
 		}
 	}
