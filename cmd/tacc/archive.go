@@ -14,6 +14,7 @@ import (
 	"repro/internal/codec"
 	"repro/internal/grid"
 	"repro/internal/remote"
+	"repro/internal/replica"
 	"repro/internal/sz"
 )
 
@@ -253,27 +254,27 @@ func verifyArchive(path string, stdout io.Writer) error {
 // with the archive's clean frames untouched.
 func repair(args []string, stdout io.Writer) error {
 	fs := newFlags("repair")
-	replica := fs.String("replica", "", "healthy copy of the archive to re-fetch damaged frames from")
+	from := fs.String("replica", "", "healthy copy of the archive to re-fetch damaged frames from")
 	rest, err := parseArgs(fs, args, 1, 1)
 	if err != nil {
 		return err
 	}
-	if *replica == "" {
+	if *from == "" {
 		return usageError{fmt.Errorf("-replica is required"), fs}
 	}
 	path := rest[0]
 	if remote.IsURL(path) {
 		return fmt.Errorf("%s: cannot repair a remote archive in place (repair the file on its host)", path)
 	}
-	src, _, closer, err := openSource(*replica)
+	src, _, err := replica.Open(*from, remote.Config{})
 	if err != nil {
 		return err
 	}
-	defer closer.Close()
+	defer src.Close()
 	t0 := time.Now()
 	rs, err := archive.Repair(path, src)
 	if err != nil {
-		return fmt.Errorf("repairing %s from %s: %w", path, *replica, err)
+		return fmt.Errorf("repairing %s from %s: %w", path, *from, err)
 	}
 	if rs.FramesRepaired == 0 {
 		fmt.Fprintf(stdout, "%s: %d frames scanned, nothing to repair\n", path, rs.FramesScanned)
@@ -281,6 +282,6 @@ func repair(args []string, stdout io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "%s: repaired %d of %d frames (%d bytes respliced, members %v) from %s in %v\n",
 		path, rs.FramesRepaired, rs.FramesScanned, rs.BytesRespliced, rs.Members,
-		*replica, time.Since(t0).Round(time.Millisecond))
+		*from, time.Since(t0).Round(time.Millisecond))
 	return nil
 }

@@ -27,6 +27,7 @@ import (
 	"repro/internal/archive"
 	"repro/internal/codec"
 	"repro/internal/remote"
+	"repro/internal/replica"
 	"repro/internal/sz"
 )
 
@@ -188,42 +189,19 @@ func boundFlags(fs *flag.FlagSet, cfg *codec.Config) {
 	})
 }
 
-// openSource opens the bytes of an archive named by a local path or an
-// http(s):// URL of any range-capable server (a tacd /v1/a/{name}/raw
-// endpoint, nginx, an S3-style store). Over a URL only the ranges read
-// cross the wire.
-func openSource(spec string) (io.ReaderAt, int64, io.Closer, error) {
-	if remote.IsURL(spec) {
-		rr, err := remote.Open(spec, remote.Config{})
-		if err != nil {
-			return nil, 0, nil, err
-		}
-		return rr, rr.Size(), rr, nil
-	}
-	f, err := os.Open(spec)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, 0, nil, err
-	}
-	return f, st.Size(), f, nil
-}
-
-// openArchive opens a .taca archive from openSource. ls, extract and
+// openArchive opens a .taca archive named by a local path or an http(s)://
+// URL (replica.Open). ls, extract and
 // verify work identically on a file or a URL; over a URL only the footer
 // and the frames a command touches are fetched.
 func openArchive(spec string) (*archive.Reader, io.Closer, error) {
-	src, size, c, err := openSource(spec)
+	src, size, err := replica.Open(spec, remote.Config{})
 	if err != nil {
 		return nil, nil, err
 	}
 	r, err := archive.Open(src, size)
 	if err != nil {
-		c.Close()
+		src.Close()
 		return nil, nil, fmt.Errorf("%s: %w", spec, err)
 	}
-	return r, c, nil
+	return r, src, nil
 }

@@ -21,6 +21,8 @@ import (
 	"os"
 	"sync"
 	"time"
+
+	"repro/internal/remote"
 )
 
 // Source is one copy of the archive: any io.ReaderAt plus a label for
@@ -43,32 +45,39 @@ func (s readerSource) Label() string                           { return s.label 
 // Reader wraps any io.ReaderAt as a Source.
 func Reader(r io.ReaderAt, label string) Source { return readerSource{r: r, label: label} }
 
-// FileSource is a Source over a local file. Multi.Close closes it.
-type FileSource struct {
-	f    *os.File
-	size int64
+// ClosableSource is a Source that releases its resources on Close.
+type ClosableSource interface {
+	Source
+	io.Closer
 }
 
-func (s *FileSource) ReadAt(p []byte, off int64) (int, error) { return s.f.ReadAt(p, off) }
-func (s *FileSource) Label() string                           { return s.f.Name() }
-func (s *FileSource) Close() error                            { return s.f.Close() }
+// fileSource is a Source over a local file.
+type fileSource struct{ *os.File }
 
-// Size returns the file's size at open time — the archive size the
-// serving layer passes to archive.Open.
-func (s *FileSource) Size() int64 { return s.size }
+func (s fileSource) Label() string { return s.Name() }
 
-// OpenFile opens the file at path as a Source.
-func OpenFile(path string) (*FileSource, error) {
-	f, err := os.Open(path)
+// Open opens one copy of an archive named by a local path or an http(s)://
+// URL of any range-capable server (a tacd /v1/a/{name}/raw endpoint,
+// nginx, an S3-style store), with its size. Over a URL only the ranges
+// read cross the wire.
+func Open(spec string, rcfg remote.Config) (ClosableSource, int64, error) {
+	if remote.IsURL(spec) {
+		rr, err := remote.Open(spec, rcfg)
+		if err != nil {
+			return nil, 0, err
+		}
+		return rr, rr.Size(), nil
+	}
+	f, err := os.Open(spec)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	st, err := f.Stat()
 	if err != nil {
 		f.Close()
-		return nil, err
+		return nil, 0, err
 	}
-	return &FileSource{f: f, size: st.Size()}, nil
+	return fileSource{f}, st.Size(), nil
 }
 
 // The circuit breaker: demoteAfter consecutive failures trip a source's

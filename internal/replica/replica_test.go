@@ -4,10 +4,15 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/internal/faultio"
+	"repro/internal/remote"
 )
 
 // SourceStats is one source's health snapshot.
@@ -249,5 +254,37 @@ func TestReadPastEOFFails(t *testing.T) {
 	p := make([]byte, 16)
 	if _, err := m.ReadAt(p, 60); !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("past-EOF read = %v", err)
+	}
+}
+
+// TestOpenPathAndURL opens the same bytes as a local file and over a
+// range-capable URL: both report the file's size, read the same bytes
+// and close; a missing path is an error.
+func TestOpenPathAndURL(t *testing.T) {
+	want := bytes.Repeat([]byte("replica "), 100)
+	path := filepath.Join(t.TempDir(), "a.taca")
+	if err := os.WriteFile(path, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(http.FileServer(http.Dir(filepath.Dir(path))))
+	defer srv.Close()
+	for _, spec := range []string{path, srv.URL + "/a.taca"} {
+		src, size, err := Open(spec, remote.Config{})
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		got := make([]byte, size)
+		if _, err := src.ReadAt(got, 0); err != nil && err != io.EOF {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		if size != int64(len(want)) || !bytes.Equal(got, want) || src.Label() == "" {
+			t.Fatalf("%s: size %d, label %q, bytes equal %v", spec, size, src.Label(), bytes.Equal(got, want))
+		}
+		if err := src.Close(); err != nil {
+			t.Fatalf("%s: close: %v", spec, err)
+		}
+	}
+	if _, _, err := Open(filepath.Join(t.TempDir(), "missing.taca"), remote.Config{}); err == nil {
+		t.Fatal("opened a missing path")
 	}
 }

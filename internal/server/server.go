@@ -300,13 +300,13 @@ func (s *Server) Add(name string, spec ArchiveSpec) (string, error) {
 	if spec.Append {
 		return s.addAppend(name, spec)
 	}
-	primary, size, err := s.openSource(spec.Primary, spec.Remote)
+	primary, size, err := replica.Open(spec.Primary, spec.Remote)
 	if err != nil {
 		return "", err
 	}
 	srcs := []replica.Source{primary}
 	for _, rp := range spec.Replicas {
-		src, _, err := s.openSource(rp, spec.Remote)
+		src, _, err := replica.Open(rp, spec.Remote)
 		if err != nil {
 			closeAll(srcs)
 			return "", err
@@ -363,28 +363,6 @@ func closeAll(srcs []replica.Source) {
 			c.Close()
 		}
 	}
-}
-
-// sourceCloser is a replica.Source that can release its resources.
-type sourceCloser interface {
-	replica.Source
-	io.Closer
-}
-
-// openSource opens one byte source named by a path or URL.
-func (s *Server) openSource(spec string, rcfg remote.Config) (sourceCloser, int64, error) {
-	if remote.IsURL(spec) {
-		rr, err := remote.Open(spec, rcfg)
-		if err != nil {
-			return nil, 0, err
-		}
-		return rr, rr.Size(), nil
-	}
-	fs, err := replica.OpenFile(spec)
-	if err != nil {
-		return nil, 0, err
-	}
-	return fs, fs.Size(), nil
 }
 
 // mountsOf picks the URL sources out of an archive's sources, in order.
