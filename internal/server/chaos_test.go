@@ -289,3 +289,27 @@ func TestChaosHeadFollowsChain(t *testing.T) {
 		t.Fatalf("/stats quarantined after a scrub %v, want [0 1 2]", qs)
 	}
 }
+
+// TestChaosStrikesLandOnTheDamage requests the tip of a chain whose root
+// frame rots: each failure is a strike against the member the damage was
+// found in, not against the members whose chains reached it, so member 0
+// alone is recorded damaged and 1 and 2 are quarantined through it.
+func TestChaosStrikesLandOnTheDamage(t *testing.T) {
+	blob, _ := campaignArchiveBytes(t, 3, 3, 8)
+	s, fr, _ := flakyServer(t, blob, Config{Workers: 1, QuarantineAfter: 2})
+	h := s.Handler()
+	sa, err := s.lookup("test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr.SetPlan(faultio.FlipByte(frameMidpoint(t, sa.reader(), 0, 0, 0), 0x20))
+	for strike := 1; strike <= 2; strike++ {
+		if rec := get(t, h, "/v1/a/test/snap/2/level/0"); rec.Code != http.StatusInternalServerError {
+			t.Fatalf("strike %d: status %d: %s", strike, rec.Code, rec.Body.String())
+		}
+	}
+	hs := healthOf(t, h)
+	if hs.Quarantines != 1 || fmt.Sprint(hs.Quarantined["test"]) != "[0 1 2]" {
+		t.Fatalf("quarantines %d, quarantined %v: want 1 recorded, [0 1 2] out", hs.Quarantines, hs.Quarantined["test"])
+	}
+}
