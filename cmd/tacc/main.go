@@ -190,9 +190,9 @@ func boundFlags(fs *flag.FlagSet, cfg *codec.Config) {
 }
 
 // openArchive opens a .taca archive named by a local path or an http(s)://
-// URL (replica.Open). ls, extract and
-// verify work identically on a file or a URL; over a URL only the footer
-// and the frames a command touches are fetched.
+// URL (replica.Open). ls, extract and verify work identically on a file or
+// a URL; over a URL only the footer and the frames a command touches are
+// fetched.
 func openArchive(spec string) (*archive.Reader, io.Closer, error) {
 	src, size, err := replica.Open(spec, remote.Config{})
 	if err != nil {

@@ -72,6 +72,9 @@ type archiveHealth struct {
 // and whether there is one. Keyframes bound the walk. The caller holds
 // sa.health.mu.
 func (sa *servedArchive) heldBy(members []archive.Member, mi int) (int, bool) {
+	if len(sa.health.damaged) == 0 {
+		return 0, false
+	}
 	for r := mi; r >= 0; r = members[r].Ref {
 		if _, ok := sa.health.damaged[r]; ok {
 			return r, true
@@ -176,9 +179,6 @@ func (sa *servedArchive) quarantinedList(st *archiveState) []int {
 
 // quarantinedLocked is quarantinedList with sa.health.mu held.
 func (sa *servedArchive) quarantinedLocked(st *archiveState) []int {
-	if len(sa.health.damaged) == 0 {
-		return nil
-	}
 	members := st.r.Members()
 	var out []int
 	for mi := range members {
