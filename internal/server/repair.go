@@ -20,8 +20,9 @@ var ErrNoReplica = errors.New("no replica configured")
 // failover reader, digest-verified, and spliced into the local file in
 // place (archive.Reader.RepairMember), and on success the member — plus
 // every member whose reference chain reached it — returns to service with
-// its strikes cleared, no restart needed. Returns the splice stats and the member
-// indices un-quarantined. Repairing a clean member is a cheap no-op.
+// its strikes cleared, no restart needed. Returns the splice stats and
+// the member indices un-quarantined. Repairing a clean member is a cheap
+// no-op.
 func (s *Server) RepairMember(name string, mi int) (archive.RepairStats, []int, error) {
 	sa, err := s.lookup(name)
 	if err != nil {
@@ -84,11 +85,10 @@ func (s *Server) tryAutoRepair(sa *servedArchive, mi int) {
 
 // handleRepair is POST /v1/a/{name}/repair: with ?member=i it repairs that
 // member; without, it repairs every damaged member, which returns every
-// quarantined one to service. The response reports the
-// splice stats and which members returned to service; a repair that
-// could not heal the archive answers 502 (the damage is upstream of this
-// server — its replicas are bad too), and archives without replicas
-// answer 409.
+// quarantined one to service. The response reports the splice stats and
+// which members returned to service; a repair that could not heal the
+// archive answers 502 (the damage is upstream of this server — its
+// replicas are bad too), and archives without replicas answer 409.
 func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var (
