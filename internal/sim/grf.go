@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/fft"
 	"repro/internal/grid"
+	"repro/internal/lru"
 )
 
 // The spectrum every generated field shares: P(k) ∝ k^spectralIndex ·
@@ -40,21 +41,28 @@ func GaussianRandomField(n int, seed int64) *grid.Grid3[float64] {
 		c.Data[i] = complex(rng.NormFloat64(), 0)
 	}
 	fft.Forward3(c)
+	// The amplitude depends on a bin only through the integer |k|² =
+	// fx²+fy²+fz² ≤ 3·(n/2)², so it is evaluated once per value of it.
+	f2 := make([]int, n) // squared signed frequency of each bin index
+	for i := range f2 {
+		f := fft.FreqIndex(i, n)
+		f2[i] = f * f
+	}
+	amps := make([]float64, 3*(n/2)*(n/2)+1)
+	for k2 := 1; k2 < len(amps); k2++ {
+		k2f := float64(k2)
+		amps[k2] = math.Pow(math.Sqrt(k2f), spectralIndex/2) * math.Exp(-k2f/(2*cutoff*cutoff))
+	}
 	for x := 0; x < n; x++ {
-		fx := float64(fft.FreqIndex(x, n))
 		for y := 0; y < n; y++ {
-			fy := float64(fft.FreqIndex(y, n))
-			base := (x*n + y) * n
-			for z := 0; z < n; z++ {
-				fz := float64(fft.FreqIndex(z, n))
-				k2 := fx*fx + fy*fy + fz*fz
+			row := c.Data[(x*n+y)*n:][:n]
+			for z := range row {
+				k2 := f2[x] + f2[y] + f2[z]
 				if k2 == 0 {
-					c.Data[base+z] = 0 // remove the mean mode
+					row[z] = 0 // remove the mean mode
 					continue
 				}
-				k := math.Sqrt(k2)
-				amp := math.Pow(k, spectralIndex/2) * math.Exp(-k2/(2*cutoff*cutoff))
-				c.Data[base+z] *= complex(amp, 0)
+				row[z] *= complex(amps[k2], 0)
 			}
 		}
 	}
@@ -86,4 +94,44 @@ func normalize(g *grid.Grid3[float64]) {
 	for i, v := range g.Data {
 		g.Data[i] = (v - mean) * inv
 	}
+}
+
+// sharedBudget bounds the bytes of fields the shared cache keeps: four
+// 128³ fields, which at catalog scale 4 is a Run1 snapshot's driver,
+// independent density component and temperature, plus one more field.
+const sharedBudget = 64 << 20
+
+// fieldKey names one GRF: its edge and its seed.
+type fieldKey struct {
+	n    int
+	seed int64
+}
+
+// fieldCache computes each GRF once per (n, seed) for every Generate that
+// needs it: catalog specs that model timesteps of one run share their
+// seed, and a spec's fields share its refinement driver.
+type fieldCache struct {
+	budget int64
+	lru    *lru.Cache[fieldKey, *grid.Grid3[float64]]
+}
+
+func newFieldCache(budget int64) *fieldCache {
+	return &fieldCache{budget: budget, lru: lru.New[fieldKey, *grid.Grid3[float64]](budget, 1, nil)}
+}
+
+// shared is the cache Generate draws its fields from.
+var shared = newFieldCache(sharedBudget)
+
+// get returns GaussianRandomField(n, seed), shared with every other caller
+// of the same key: it must not be modified. A field larger than the whole
+// budget is computed for this caller alone, since the cache would admit
+// it and evict everything else.
+func (fc *fieldCache) get(n int, seed int64) (*grid.Grid3[float64], error) {
+	cost := 8 * int64(n) * int64(n) * int64(n)
+	if cost > fc.budget {
+		return GaussianRandomField(n, seed), nil
+	}
+	return fc.lru.GetOrFill(fieldKey{n, seed}, func() (*grid.Grid3[float64], int64, error) {
+		return GaussianRandomField(n, seed), cost, nil
+	})
 }

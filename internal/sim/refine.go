@@ -56,12 +56,15 @@ func (s Spec) validate() error {
 	if len(s.LeafFractions) != s.Levels {
 		return fmt.Errorf("sim: %d leaf fractions for %d levels", len(s.LeafFractions), s.Levels)
 	}
+	if s.UnitBlock < 1 {
+		return fmt.Errorf("sim: UnitBlock must be positive, got %d", s.UnitBlock)
+	}
 	coarsestCells := s.FinestN
 	for i := 1; i < s.Levels; i++ {
 		coarsestCells /= ratio
 	}
-	if coarsestCells%s.UnitBlock != 0 {
-		return fmt.Errorf("sim: coarsest level (%d cells) not divisible by unit block %d", coarsestCells, s.UnitBlock)
+	if coarsestCells < s.UnitBlock || coarsestCells%s.UnitBlock != 0 {
+		return fmt.Errorf("sim: coarsest level (%d cells) is not a whole number of unit blocks of %d", coarsestCells, s.UnitBlock)
 	}
 	var sum float64
 	for _, f := range s.LeafFractions {
@@ -85,8 +88,15 @@ func Generate(spec Spec, field Field) (*amr.Dataset, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
+	// Every GRF comes from the shared cache, and the grids it hands out
+	// are other callers' too: Generate only reads driver, indep and raw
+	// (synthesize and buildMasks write fresh grids), never writes them.
+	//
 	// Refinement driver: the baryon-density structure field.
-	driver := GaussianRandomField(spec.FinestN, spec.Seed)
+	driver, err := shared.get(spec.FinestN, spec.Seed)
+	if err != nil {
+		return nil, err
+	}
 	var raw *grid.Grid3[float64]
 	if off := fieldSeedOffset(field); off == 0 {
 		// The density field correlates with, but does not equal, the
@@ -95,14 +105,17 @@ func Generate(spec Spec, field Field) (*amr.Dataset, error) {
 		// a float64 product at run time, as a constant expression would
 		// fold it exactly and land one ulp away.
 		rho := driverCorr
-		indep := GaussianRandomField(spec.FinestN, spec.Seed+101)
+		indep, err := shared.get(spec.FinestN, spec.Seed+101)
+		if err != nil {
+			return nil, err
+		}
 		raw = grid.New[float64](driver.Dim)
 		w := math.Sqrt(1 - rho*rho)
 		for i := range raw.Data {
 			raw.Data[i] = rho*driver.Data[i] + w*indep.Data[i]
 		}
-	} else {
-		raw = GaussianRandomField(spec.FinestN, spec.Seed+off)
+	} else if raw, err = shared.get(spec.FinestN, spec.Seed+off); err != nil {
+		return nil, err
 	}
 	phys := synthesize(field, raw)
 

@@ -118,10 +118,12 @@ func TestGenerateSingleLevel(t *testing.T) {
 
 func TestGenerateRejectsBadSpecs(t *testing.T) {
 	bad := []Spec{
-		{Name: "x", FinestN: 30, Levels: 1, UnitBlock: 2, LeafFractions: []float64{1}},          // not pow2
-		{Name: "x", FinestN: 32, Levels: 2, UnitBlock: 2, LeafFractions: []float64{1}},          // wrong frac count
-		{Name: "x", FinestN: 32, Levels: 1, UnitBlock: 2, LeafFractions: []float64{0.2}},        // sums to 0.2
-		{Name: "x", FinestN: 32, Levels: 4, UnitBlock: 8, LeafFractions: []float64{0, 0, 0, 1}}, // coarsest 4 cells < ub
+		{Name: "x", FinestN: 30, Levels: 1, UnitBlock: 2, LeafFractions: []float64{1}},            // not pow2
+		{Name: "x", FinestN: 32, Levels: 2, UnitBlock: 2, LeafFractions: []float64{1}},            // wrong frac count
+		{Name: "x", FinestN: 32, Levels: 1, UnitBlock: 2, LeafFractions: []float64{0.2}},          // sums to 0.2
+		{Name: "x", FinestN: 32, Levels: 4, UnitBlock: 8, LeafFractions: []float64{0, 0, 0, 1}},   // coarsest 4 cells < ub
+		{Name: "x", FinestN: 8, Levels: 5, UnitBlock: 2, LeafFractions: []float64{0, 0, 0, 0, 1}}, // coarsest 0 cells
+		{Name: "x", FinestN: 32, Levels: 1, UnitBlock: -4, LeafFractions: []float64{1}},           // negative unit block
 	}
 	for i, s := range bad {
 		if _, err := Generate(s, BaryonDensity); err == nil {
