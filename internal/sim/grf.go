@@ -29,7 +29,8 @@ const (
 // power of two) with the generator's spectrum, deterministic in seed: white
 // noise is generated in real space, transformed, shaped by √P(k), and
 // transformed back. Filtering white noise guarantees the result is real
-// without Hermitian bookkeeping.
+// without Hermitian bookkeeping. Every call computes the field afresh and
+// returns a grid the caller owns; Generate's shared fields are separate.
 func GaussianRandomField(n int, seed int64) *grid.Grid3[float64] {
 	if !fft.IsPow2(n) {
 		panic("sim: GRF size must be a power of two")
