@@ -18,7 +18,8 @@ type RepairStats struct {
 	Members        []int // member indices that had frames respliced, ascending
 }
 
-func (rs *RepairStats) add(o RepairStats) {
+// Add accumulates o into rs: the counts add up and o's members follow rs's.
+func (rs *RepairStats) Add(o RepairStats) {
 	rs.FramesScanned += o.FramesScanned
 	rs.FramesDamaged += o.FramesDamaged
 	rs.FramesRepaired += o.FramesRepaired
@@ -118,7 +119,7 @@ func Repair(path string, src io.ReaderAt) (RepairStats, error) {
 	}
 	for mi := range r.Members() {
 		rs, err := r.RepairMember(mi, src, f)
-		total.add(rs)
+		total.Add(rs)
 		if err != nil {
 			return total, err
 		}

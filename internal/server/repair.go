@@ -154,11 +154,7 @@ func (s *Server) RepairArchive(name string) (archive.RepairStats, []int, error) 
 	var lifted []int
 	for _, mi := range sa.damagedList() {
 		rs, up, err := s.repairMember(sa, st, mi)
-		total.FramesScanned += rs.FramesScanned
-		total.FramesDamaged += rs.FramesDamaged
-		total.FramesRepaired += rs.FramesRepaired
-		total.BytesRespliced += rs.BytesRespliced
-		total.Members = append(total.Members, rs.Members...)
+		total.Add(rs)
 		lifted = append(lifted, up...)
 		if err != nil {
 			return total, lifted, err

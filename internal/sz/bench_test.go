@@ -56,6 +56,38 @@ func BenchmarkLorenzo3Decode(b *testing.B) {
 	}
 }
 
+// BenchmarkLorenzo1DEncode / Decode time a whole 1D payload, 64³ values of
+// benchGrid(64) as one stream, through a pooled Encoder and Decoder: the
+// path the 1D baseline and zMesh take, one 1×1×n block of the 3D kernels.
+func BenchmarkLorenzo1DEncode(b *testing.B) {
+	vals := benchGrid(64).Data
+	enc := NewEncoder[float32]()
+	opts := Options{ErrorBound: 0.05}
+	b.SetBytes(int64(4 * len(vals)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := enc.Compress1D(vals, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkLorenzo1DDecode(b *testing.B) {
+	vals := benchGrid(64).Data
+	blob, _, err := Compress1D(vals, Options{ErrorBound: 0.05})
+	if err != nil {
+		b.Fatal(err)
+	}
+	dec := NewDecoder[float32]()
+	b.SetBytes(int64(4 * len(vals)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := dec.Decompress1D(blob); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkLorenzo3EncodeRef / DecodeRef measure the retained scalar
 // reference kernels for the before/after comparison in EXPERIMENTS.md.
 func BenchmarkLorenzo3EncodeRef(b *testing.B) {

@@ -279,32 +279,20 @@ func sized(buf []uint32, n int) []uint32 {
 
 // Compress1D is Compress1D reusing the encoder's scratch.
 func (e *Encoder[T]) Compress1D(values []T, opts Options) ([]byte, Stats, error) {
-	opts = opts.withDefaults()
-	if err := opts.validate(); err != nil {
-		return nil, Stats{}, err
-	}
-	eb := opts.ErrorBound
-	codes := e.codesBuf(len(values))
-	encodeStream1(values, codes, eb, quantRadius(opts.QuantBits))
-	return e.sealWithin(0, kindRaw1D, nil, len(values), eb, opts, codes, []*grid.Grid3[T]{{Data: values}})
+	g := &grid.Grid3[T]{Dim: grid.Dims{X: 1, Y: 1, Z: len(values)}, Data: values}
+	out, _, st, err := e.compressBlocks(kindRaw1D, []*grid.Grid3[T]{g}, nil, opts, nil, codeSpatial)
+	return out, st, err
 }
 
 // Compress3D is Compress3D reusing the encoder's scratch.
 func (e *Encoder[T]) Compress3D(g *grid.Grid3[T], opts Options) ([]byte, Stats, error) {
-	opts = opts.withDefaults()
-	if err := opts.validate(); err != nil {
-		return nil, Stats{}, err
-	}
-	eb := opts.ErrorBound
-	codes := e.codesBuf(len(g.Data))
-	recon := e.reconBuf(len(g.Data))
-	encodeBlock3(g.Data, recon, g.Dim, codes, eb, quantRadius(opts.QuantBits))
-	return e.sealWithin(0, kindGrid3D, []grid.Dims{g.Dim}, len(g.Data), eb, opts, codes, []*grid.Grid3[T]{g})
+	out, _, st, err := e.compressBlocks(kindGrid3D, []*grid.Grid3[T]{g}, nil, opts, nil, codeSpatial)
+	return out, st, err
 }
 
 // CompressBlocks is CompressBlocks reusing the encoder's scratch.
 func (e *Encoder[T]) CompressBlocks(blocks []*grid.Grid3[T], opts Options) ([]byte, Stats, error) {
-	out, _, st, err := e.compressBlocks(blocks, nil, opts, nil, codeSpatial)
+	out, _, st, err := e.compressBlocks(kindBatch, blocks, nil, opts, nil, codeSpatial)
 	return out, st, err
 }
 
@@ -319,7 +307,7 @@ func (e *Encoder[T]) CompressBlocksCapture(blocks []*grid.Grid3[T], opts Options
 	if len(recons) != len(blocks) {
 		return nil, Stats{}, fmt.Errorf("sz: %d recon grids for %d blocks", len(recons), len(blocks))
 	}
-	out, _, st, err := e.compressBlocks(blocks, nil, opts, recons, codeSpatial)
+	out, _, st, err := e.compressBlocks(kindBatch, blocks, nil, opts, recons, codeSpatial)
 	return out, st, err
 }
 
@@ -334,7 +322,7 @@ func (e *Encoder[T]) CompressBlocksCapture(blocks []*grid.Grid3[T], opts Options
 // reference. The payload kind is kindBatchDelta; it only decodes through
 // DecompressBlocksDelta with the same refs.
 func (e *Encoder[T]) CompressBlocksDelta(blocks, refs []*grid.Grid3[T], opts Options, recons []*grid.Grid3[T]) ([]byte, Stats, error) {
-	out, _, st, err := e.compressBlocks(blocks, refs, opts, recons, codeTemporal)
+	out, _, st, err := e.compressBlocks(kindBatch, blocks, refs, opts, recons, codeTemporal)
 	return out, st, err
 }
 
@@ -354,7 +342,7 @@ func (e *Encoder[T]) CompressBlocksDelta(blocks, refs []*grid.Grid3[T], opts Opt
 // deflateAppend stores, and a fifth to a half of the way through flate's
 // writing it out where it is not, with its literal pool not yet built.
 func (e *Encoder[T]) CompressBlocksEither(blocks, refs []*grid.Grid3[T], opts Options, recons []*grid.Grid3[T]) (payload []byte, delta bool, st Stats, err error) {
-	payload, kind, st, err := e.compressBlocks(blocks, refs, opts, recons, codeEither)
+	payload, kind, st, err := e.compressBlocks(kindBatch, blocks, refs, opts, recons, codeEither)
 	return payload, kind == kindBatchDelta, st, err
 }
 
@@ -367,10 +355,11 @@ const (
 	codeEither                 // whichever seals smaller
 )
 
-// compressBlocks is the batch encoder behind the CompressBlocks* methods.
-// It returns the payload and its kind; recons, if non-nil, captures the
-// reconstruction of that payload.
-func (e *Encoder[T]) compressBlocks(blocks, refs []*grid.Grid3[T], opts Options, recons []*grid.Grid3[T], how coding) ([]byte, int, Stats, error) {
+// compressBlocks is the batch encoder behind every Compress* method. A
+// spatial coding seals as kind, the payload kind of its caller; a temporal
+// one as kindBatchDelta. It returns the payload and its kind; recons, if
+// non-nil, captures the reconstruction of that payload.
+func (e *Encoder[T]) compressBlocks(kind int, blocks, refs []*grid.Grid3[T], opts Options, recons []*grid.Grid3[T], how coding) ([]byte, int, Stats, error) {
 	fail := func(err error) ([]byte, int, Stats, error) { return nil, 0, Stats{}, err }
 	opts = opts.withDefaults()
 	if err := opts.validate(); err != nil {
@@ -403,7 +392,7 @@ func (e *Encoder[T]) compressBlocks(blocks, refs []*grid.Grid3[T], opts Options,
 	}
 	per := d.Count()
 	radius := quantRadius(opts.QuantBits)
-	dims := []grid.Dims{d, {X: len(blocks)}} // block count rides in a dims record
+	dims := headerDims(kind, d, len(blocks))
 
 	// rec is where block i reconstructs: the caller's capture grid, or —
 	// reconstructions nobody keeps being working memory only — scratch of
@@ -417,8 +406,8 @@ func (e *Encoder[T]) compressBlocks(blocks, refs []*grid.Grid3[T], opts Options,
 		}
 		codes := e.codesBuf(total)
 		e.encodeSpatial(blocks, d, codes, eb, radius, rec, recons != nil)
-		out, st, err := e.sealWithin(0, kindBatch, dims, total, eb, opts, codes, blocks)
-		return out, kindBatch, st, err
+		out, st, err := e.sealWithin(0, kind, dims, total, eb, opts, codes, blocks)
+		return out, kind, st, err
 	case codeTemporal:
 		if recons == nil {
 			// The temporal kernel never reads its reconstruction.
@@ -715,27 +704,22 @@ func ExtractCodes(blob []byte) ([]uint32, error) {
 
 // Decompress1D is Decompress1D reusing the decoder's scratch.
 func (d *Decoder[T]) Decompress1D(blob []byte) ([]T, error) {
-	hdr, codes, lits, err := d.unseal(blob, kindRaw1D)
+	b, err := d.openBatch(blob, kindRaw1D)
 	if err != nil {
 		return nil, err
 	}
-	if err := checkLiterals[T](codes, lits); err != nil {
-		return nil, err
-	}
-	out := make([]T, hdr.n)
-	decodeStream1(out, codes, lits, 2*hdr.eb, quantRadius(hdr.quantBits))
-	return out, nil
+	out := make([]T, b.dims.Z)
+	return out, d.reconstruct(b, []*grid.Grid3[T]{{Dim: b.dims, Data: out}}, nil)
 }
 
 // Decompress3D is Decompress3D reusing the decoder's scratch.
 func (d *Decoder[T]) Decompress3D(blob []byte) (*grid.Grid3[T], error) {
-	hdr, codes, lits, err := d.unseal3D(blob)
+	b, err := d.openBatch(blob, kindGrid3D)
 	if err != nil {
 		return nil, err
 	}
-	out := grid.New[T](hdr.dims[0])
-	decodeBlock3(out.Data, out.Dim, codes, lits, 2*hdr.eb, quantRadius(hdr.quantBits))
-	return out, nil
+	out := grid.New[T](b.dims)
+	return out, d.reconstruct(b, []*grid.Grid3[T]{out}, nil)
 }
 
 // Decompress3DInto is Decompress3D decoding straight into out, whose dims
@@ -744,33 +728,11 @@ func (d *Decoder[T]) Decompress3D(blob []byte) (*grid.Grid3[T], error) {
 // dataset skeleton's level, a pooled buffer) use it to skip a full
 // allocate-zero-copy cycle per grid.
 func (d *Decoder[T]) Decompress3DInto(out *grid.Grid3[T], blob []byte) error {
-	hdr, codes, lits, err := d.unseal3D(blob)
+	b, err := d.openBatch(blob, kindGrid3D)
 	if err != nil {
 		return err
 	}
-	if out.Dim != hdr.dims[0] {
-		return fmt.Errorf("sz: destination dims %v, payload %v", out.Dim, hdr.dims[0])
-	}
-	decodeBlock3(out.Data, out.Dim, codes, lits, 2*hdr.eb, quantRadius(hdr.quantBits))
-	return nil
-}
-
-// unseal3D unseals and validates a kindGrid3D payload.
-func (d *Decoder[T]) unseal3D(blob []byte) (header, []uint32, []byte, error) {
-	hdr, codes, lits, err := d.unseal(blob, kindGrid3D)
-	if err != nil {
-		return hdr, nil, nil, err
-	}
-	if len(hdr.dims) != 1 {
-		return hdr, nil, nil, fmt.Errorf("sz: 3D payload with %d dim records", len(hdr.dims))
-	}
-	if n, ok := checkedCount(hdr.dims[0]); !ok || n != hdr.n {
-		return hdr, nil, nil, fmt.Errorf("sz: 3D dims %v do not cover %d values", hdr.dims[0], hdr.n)
-	}
-	if err := checkLiterals[T](codes, lits); err != nil {
-		return hdr, nil, nil, err
-	}
-	return hdr, codes, lits, nil
+	return d.reconstruct(b, []*grid.Grid3[T]{out}, nil)
 }
 
 // DecompressBlocks inverts CompressBlocks, reusing the decoder's scratch;
@@ -807,8 +769,9 @@ func (d *Decoder[T]) DecompressBlocksInto(dst []*grid.Grid3[T], blob []byte) err
 	return d.reconstruct(b, dst, nil)
 }
 
-// batch is an unsealed block-batch payload ready for reconstruction. Its
-// slices alias the decoder's scratch: valid until the decoder's next call.
+// batch is an unsealed payload ready for reconstruction: of any kind, a
+// 1D stream or a 3D grid being a batch of one block. Its slices alias the
+// decoder's scratch: valid until the decoder's next call.
 type batch[T grid.Float] struct {
 	delta  bool
 	dims   grid.Dims
@@ -820,15 +783,15 @@ type batch[T grid.Float] struct {
 	radius int64
 }
 
-// openBatch runs a batch payload's entropy stage and validates everything
-// the kernels rely on — geometry, code count, literal pool size — so that
+// openBatch runs a payload's entropy stage and validates everything the
+// kernels rely on — geometry, code count, literal pool size — so that
 // reconstruct has no per-element error paths.
 func (d *Decoder[T]) openBatch(blob []byte, kind int) (batch[T], error) {
 	hdr, codes, lits, err := d.unseal(blob, kind)
 	if err != nil {
 		return batch[T]{}, err
 	}
-	bd, count, err := hdr.batchGeometry()
+	bd, count, err := hdr.geometry()
 	if err != nil {
 		return batch[T]{}, err
 	}

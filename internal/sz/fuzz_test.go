@@ -153,6 +153,13 @@ func FuzzDecompress(f *testing.F) {
 		_, _ = Decompress1D[float32](data)
 		_, _ = Decompress1D[float64](data)
 		_, _ = Decompress3D[float32](data)
+		// Decode into a grid of the dims a 3D payload claims (bounded like
+		// the delta refs below), so corrupt bodies reach the kernel.
+		if h, _, err := parseHeader(data); err == nil && h.kind == kindGrid3D && len(h.dims) == 1 {
+			if n, ok := checkedCount(h.dims[0]); ok && n <= 64*4096 {
+				_ = NewDecoder[float32]().Decompress3DInto(grid.New[float32](h.dims[0]), data)
+			}
+		}
 		_, _ = DecompressBlocks[float32](data)
 		_, _ = DecompressBlocks[float64](data)
 		// Delta decode with a reference batch matching whatever geometry the

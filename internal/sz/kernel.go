@@ -24,8 +24,14 @@ import (
 //     index into a buffer presized to the block's cell count, and the
 //     constants (eb, 2·eb, radius) live in locals;
 //   - the decode side validates the code count and literal pool once up
-//     front (checkLiterals), then consumes codes by index with no
-//     per-element error return; literals stream from a cursor.
+//     front (openBatch, the literal pool through litOffsets), then consumes
+//     codes by index with no per-element error return; literals stream
+//     from a cursor. checkLiterals does the same for Reconstruct3D and is
+//     the tests' oracle for litOffsets.
+//
+// There is one Lorenzo kernel pair for every payload kind: a 1D stream is a
+// 1×1×n block, whose z-edge row is the order-1 predictor, and a 3D grid is
+// a batch of one block.
 //
 // Byte-identity is load-bearing: the golden payload hash from PR 1 must
 // not move. The float64 arithmetic of the reference quantizer is kept
@@ -40,7 +46,11 @@ import (
 //     two terms (fx+fy with both −0) or when the sum starts at +0 and
 //     the first present term is −0 — so exactly the zero terms that
 //     matter are kept (the `zero +` / `+ zero` below), and the rest are
-//     provably identity and dropped.
+//     provably identity and dropped;
+//   - the z edge's prediction is the previous reconstruction alone. Its
+//     zero term could only turn a −0 prediction into +0, which the
+//     reconstruction's (pred + 0) does anyway (see dqstep): no code,
+//     literal or output bit depends on it, so it is dropped too.
 //
 // kernel_test.go checks every case element-for-element against the
 // reference kernels, on top of the payload-level golden tests.
@@ -175,29 +185,15 @@ func encodeBlock3[T grid.Float](src, recon []T, d grid.Dims, codes []uint32, eb 
 
 	// x = 0 face: a 2D Lorenzo in (y,z) with the x-side terms absent.
 	{
-		// Row (0,0,*): the z edge.
+		// Row (0,0,*): the z edge, and the whole of a 1×1×n block.
 		row, srcRow, codeRow := recon[:nz], src[:nz], codes[:nz]
-		p := zero
-		{
-			v := srcRow[0]
+		var p T
+		for z, v := range srcRow {
 			diff := float64(v) - float64(p)
 			qv := fastRound(diff / twoEB)
 			c, r := uint32(0), v
 			if math.Abs(qv) < radiusF {
 				if rr := T(float64(p) + 0 + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
-					c, r = uint32(int64(qv)+radius), rr
-				}
-			}
-			codeRow[0], row[0], p = c, r, r
-		}
-		for z := 1; z < nz; z++ {
-			pred := zero + p
-			v := srcRow[z]
-			diff := float64(v) - float64(pred)
-			qv := fastRound(diff / twoEB)
-			c, r := uint32(0), v
-			if math.Abs(qv) < radiusF {
-				if rr := T(float64(pred) + 0 + float64(twoEB*qv)); math.Abs(float64(v)-float64(rr)) <= eb {
 					c, r = uint32(int64(qv)+radius), rr
 				}
 			}
@@ -480,7 +476,7 @@ func appendLiterals[T grid.Float](lits []byte, codes []uint32, src []*grid.Grid3
 // decodeBlock3 is the decode twin of encodeBlock3: it reconstructs out
 // (length d.Count()) from one code per cell, consuming literals from the
 // front of lits. The caller has pre-validated the code count and literal
-// pool (checkLiterals or the litOff machinery), so there are no
+// pool (litOffsets, or checkLiterals for Reconstruct3D), so there are no
 // per-element error paths. It returns the literal bytes consumed.
 func decodeBlock3[T grid.Float](out []T, d grid.Dims, codes []uint32, lits []byte, twoEB float64, radius int64) int {
 	nx, ny, nz := d.X, d.Y, d.Z
@@ -495,19 +491,15 @@ func decodeBlock3[T grid.Float](out []T, d grid.Dims, codes []uint32, lits []byt
 
 	{
 		row, codeRow := out[:nz], codes[:nz]
-		if c := codeRow[0]; c != 0 {
-			row[0] = dqstep(c, zero, twoEB, radius)
-		} else {
-			row[0] = loadLiteral[T](lits[lp:])
-			lp += litSize
-		}
-		for z := 1; z < nz; z++ {
-			if c := codeRow[z]; c != 0 {
-				row[z] = dqstep(c, zero+row[z-1], twoEB, radius)
+		var p T
+		for z, c := range codeRow {
+			if c != 0 {
+				p = dqstep(c, p, twoEB, radius)
 			} else {
-				row[z] = loadLiteral[T](lits[lp:])
+				p = loadLiteral[T](lits[lp:])
 				lp += litSize
 			}
+			row[z] = p
 		}
 	}
 	for y := 1; y < ny; y++ {
@@ -675,48 +667,7 @@ func decodeBlock3[T grid.Float](out []T, d grid.Dims, codes []uint32, lits []byt
 	return lp
 }
 
-// encodeStream1 is the 1D kernel: order-1 prediction from the previous
-// reconstruction, codes written by index, 0 for a literal.
-func encodeStream1[T grid.Float](values []T, codes []uint32, eb float64, radius int64) {
-	twoEB := 2 * eb
-	radiusF := float64(radius)
-	var prev T
-	for i, v := range values {
-		diff := float64(v) - float64(prev)
-		qv := fastRound(diff / twoEB)
-		if math.Abs(qv) < radiusF {
-			r := T(float64(prev) + 0 + float64(twoEB*qv))
-			if math.Abs(float64(v)-float64(r)) <= eb {
-				codes[i] = uint32(int64(qv) + radius)
-				prev = r
-				continue
-			}
-		}
-		codes[i] = 0
-		prev = v
-	}
-}
-
-// decodeStream1 is the decode twin of encodeStream1 (pre-validated).
-func decodeStream1[T grid.Float](out []T, codes []uint32, lits []byte, twoEB float64, radius int64) int {
-	litSize := literalSize[T]()
-	lp := 0
-	var prev T
-	for i, c := range codes {
-		var v T
-		if c != 0 {
-			v = dqstep(c, prev, twoEB, radius)
-		} else {
-			v = loadLiteral[T](lits[lp:])
-			lp += litSize
-		}
-		out[i] = v
-		prev = v
-	}
-	return lp
-}
-
-// quantRadius maps QuantBits to the code-space radius both kernels use.
+// quantRadius maps QuantBits to the code-space radius the kernels use.
 func quantRadius(quantBits int) int64 { return int64(1) << (quantBits - 1) }
 
 // Predict3D runs only the Lorenzo prediction/quantization stage over g —

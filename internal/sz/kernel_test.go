@@ -2,8 +2,10 @@ package sz
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/grid"
@@ -165,61 +167,73 @@ func TestKernel2Equivalence(t *testing.T) {
 	}
 }
 
-// TestKernel1Equivalence checks the 1D stream kernels against the
-// reference quantizer/dequantizer pair.
+// TestKernel1Equivalence holds the 3D kernels on 1×1×n blocks, the 1D
+// stream's shape, to the order-1 reference: the reference quantizer and
+// dequantizer with each value predicted by its predecessor's
+// reconstruction alone, which is what the deleted 1D kernel pair computed.
+// The signed-zero row pins the z edge's prediction without a zero term to
+// that pair bit for bit: ±0 values after ±0 reconstructions, ±0 literals
+// after values far from zero, and residuals that round to −0 after them.
 func TestKernel1Equivalence(t *testing.T) {
 	const quantBits, eb = 16, 0.01
+	negZero := float32(math.Copysign(0, -1))
+	nan := float32(math.NaN())
+	signedZeros := []float32{
+		negZero, negZero, 0, negZero, 1e30, negZero, negZero, 0, 1e30, 0, negZero,
+		nan, negZero, 0, 5, negZero, -1e30, 0, 0, negZero, 3e-3, negZero,
+		1e30, negZero, -1e-3, 1e30, 0, -1e-3, -1e30, negZero, 1e-3,
+	}
+	inputs := map[string][]float32{"signed zeros": signedZeros}
 	for _, n := range []int{0, 1, 2, 257, 4096} {
 		for _, litFrac := range []float64{0, 0.1} {
 			src := make([]float32, n)
 			fillKernelData(src, int64(n)+int64(litFrac*10), litFrac)
+			inputs[fmt.Sprintf("n=%d lits=%v", n, litFrac)] = src
+		}
+	}
+	for name, src := range inputs {
+		n := len(src)
+		d := grid.Dims{X: 1, Y: 1, Z: n}
+		q := newQuantizer[float32](eb, quantBits)
+		encRecon := make([]float32, n)
+		var prev float32
+		for i, v := range src {
+			prev = q.encode(v, prev)
+			encRecon[i] = prev
+		}
 
-			q := newQuantizer[float32](eb, quantBits)
-			encRecon := make([]float32, n)
-			var prev float32
-			for i, v := range src {
-				pred := prev
-				if i == 0 {
-					pred = 0
-				}
-				prev = q.encode(v, pred)
-				encRecon[i] = prev
-			}
+		codes := make([]uint32, n)
+		recon := make([]float32, n)
+		encodeBlock3(src, recon, d, codes, eb, quantRadius(quantBits))
+		lits := appendLiterals(nil, codes, []*grid.Grid3[float32]{{Dim: d, Data: src}})
+		if !slices.Equal(codes, q.codes) {
+			t.Fatalf("%s: codes differ from the order-1 reference", name)
+		}
+		if !bytes.Equal(lits, q.lits) || len(lits)/4 != q.nlit {
+			t.Fatalf("%s: literal pool differs from the order-1 reference", name)
+		}
+		if name == "signed zeros" && q.nlit < 4 {
+			t.Fatalf("%s: %d literals, want the ±0, NaN and far ones", name, q.nlit)
+		}
 
-			codes := make([]uint32, n)
-			encodeStream1(src, codes, eb, quantRadius(quantBits))
-			lits := appendLiterals(nil, codes, []*grid.Grid3[float32]{{Data: src}})
-			nlit := len(lits) / 4
-			for i := range codes {
-				if codes[i] != q.codes[i] {
-					t.Fatalf("n=%d: code[%d] = %d, reference %d", n, i, codes[i], q.codes[i])
-				}
+		dq := &dequantizer[float32]{twoEB: 2 * eb, radius: quantRadius(quantBits), codes: codes, lits: lits}
+		out := make([]float32, n)
+		var dprev float32
+		for i := range out {
+			v, err := dq.decode(dprev)
+			if err != nil {
+				t.Fatalf("%s: reference decode: %v", name, err)
 			}
-			if !bytes.Equal(lits, q.lits) || nlit != q.nlit {
-				t.Fatalf("n=%d: literal pool differs from reference", n)
-			}
-
-			dq := &dequantizer[float32]{twoEB: 2 * eb, radius: quantRadius(quantBits), codes: codes, lits: lits}
-			refOut := make([]float32, n)
-			var dprev float32
-			for i := range refOut {
-				pred := dprev
-				if i == 0 {
-					pred = 0
-				}
-				v, err := dq.decode(pred)
-				if err != nil {
-					t.Fatalf("n=%d: reference decode: %v", n, err)
-				}
-				refOut[i] = v
-				dprev = v
-			}
-			out := make([]float32, n)
-			decodeStream1(out, codes, lits, 2*eb, quantRadius(quantBits))
-			for i := range out {
-				if bitsOf(out[i]) != bitsOf(refOut[i]) || bitsOf(out[i]) != bitsOf(encRecon[i]) {
-					t.Fatalf("n=%d: decode[%d] differs from the reference or from the encoder's reconstruction", n, i)
-				}
+			out[i], dprev = v, v
+		}
+		got := make([]float32, n)
+		if lp := decodeBlock3(got, d, codes, lits, 2*eb, quantRadius(quantBits)); lp != len(lits) {
+			t.Fatalf("%s: decode consumed %d of %d literal bytes", name, lp, len(lits))
+		}
+		for i := range got {
+			if bitsOf(got[i]) != bitsOf(out[i]) || bitsOf(got[i]) != bitsOf(encRecon[i]) || bitsOf(recon[i]) != bitsOf(encRecon[i]) {
+				t.Fatalf("%s: value %d: kernel encode %x, decode %x; reference encode %x, decode %x",
+					name, i, bitsOf(recon[i]), bitsOf(got[i]), bitsOf(encRecon[i]), bitsOf(out[i]))
 			}
 		}
 	}

@@ -36,7 +36,7 @@ func shortcutEqualsScan[T grid.Float](tb testing.TB, what string, blob []byte) (
 		}
 		return false
 	}
-	bd, count, err := hdr.batchGeometry()
+	bd, count, err := hdr.geometry()
 	if err != nil {
 		return false
 	}

@@ -296,7 +296,7 @@ func TestSIMDPayloads(t *testing.T) {
 				}
 				run := func(scalar bool) ([]byte, int, []*grid.Grid3[float32]) {
 					recon := grid.NewBlocks[float32](d, n)
-					blob, kind, _, err := (&Encoder[float32]{scalar: scalar}).compressBlocks(blocks, r, opts, recon, how)
+					blob, kind, _, err := (&Encoder[float32]{scalar: scalar}).compressBlocks(kindBatch, blocks, r, opts, recon, how)
 					if err != nil {
 						t.Fatal(err)
 					}

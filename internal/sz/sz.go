@@ -89,6 +89,11 @@ type Stats struct {
 	ElemBytes     int // uncompressed width of one element (4 or 8)
 }
 
+// Payload kinds. All four are coded by the same Lorenzo kernels as block
+// batches and differ only in the dim records their header carries
+// (headerDims) and in the decoders that accept them: a 1D stream is one
+// 1×1×n block with no record, a 3D grid one block with its dims as the one
+// record, a batch its block shape and a record holding the block count.
 const (
 	magic      = 0x535a4752 // "SZGR"
 	version    = 1
@@ -104,8 +109,9 @@ const (
 )
 
 // Compress1D compresses values as a 1D stream with an order-1 predictor
-// (each value predicted by its reconstructed predecessor). This is the
-// compressor the 1D baseline and zMesh use.
+// (each value predicted by its reconstructed predecessor): the 3D Lorenzo
+// predictor on one 1×1×n block. This is the compressor the 1D baseline and
+// zMesh use.
 func Compress1D[T grid.Float](values []T, opts Options) ([]byte, Stats, error) {
 	var e Encoder[T]
 	return e.Compress1D(values, opts)
@@ -117,7 +123,8 @@ func Decompress1D[T grid.Float](blob []byte) ([]T, error) {
 	return d.Decompress1D(blob)
 }
 
-// Compress3D compresses a dense 3D grid with the 3D Lorenzo predictor.
+// Compress3D compresses a dense 3D grid with the 3D Lorenzo predictor, as
+// a batch of one block.
 func Compress3D[T grid.Float](g *grid.Grid3[T], opts Options) ([]byte, Stats, error) {
 	var e Encoder[T]
 	return e.Compress3D(g, opts)
@@ -228,19 +235,42 @@ func parseHeader(blob []byte) (header, []byte, error) {
 	return h, blob, nil
 }
 
-// batchGeometry validates a kindBatch header's dim records against its
-// value count and returns the block shape and block count.
-func (h header) batchGeometry() (grid.Dims, int, error) {
-	if len(h.dims) != 2 {
-		return grid.Dims{}, 0, fmt.Errorf("sz: batch payload with %d dim records", len(h.dims))
+// headerDims returns the dim records a payload of kind writes for count
+// blocks of shape d: none for a 1D stream (one 1×1×n block), the grid's
+// dims for a 3D grid (one block), and for a batch the block shape and a
+// record whose X is the block count.
+func headerDims(kind int, d grid.Dims, count int) []grid.Dims {
+	switch kind {
+	case kindRaw1D:
+		return nil
+	case kindGrid3D:
+		return []grid.Dims{d}
 	}
-	d, count := h.dims[0], h.dims[1].X
-	per, ok := checkedCount(d)
-	// Divide instead of multiplying so corrupt counts cannot overflow.
-	if !ok || count <= 0 || per <= 0 || h.n%per != 0 || h.n/per != count {
-		return grid.Dims{}, 0, fmt.Errorf("sz: batch geometry %v × %d does not cover %d values", d, count, h.n)
+	return []grid.Dims{d, {X: count}}
+}
+
+// geometry validates the header's dim records against its kind and value
+// count — headerDims' rule, read back — and returns the block shape and
+// block count.
+func (h header) geometry() (grid.Dims, int, error) {
+	switch {
+	case h.kind == kindRaw1D && len(h.dims) == 0:
+		return grid.Dims{X: 1, Y: 1, Z: h.n}, 1, nil
+	case h.kind == kindGrid3D && len(h.dims) == 1:
+		if n, ok := checkedCount(h.dims[0]); ok && n == h.n {
+			return h.dims[0], 1, nil
+		}
+	case (h.kind == kindBatch || h.kind == kindBatchDelta) && len(h.dims) == 2:
+		d, count := h.dims[0], h.dims[1].X
+		per, ok := checkedCount(d)
+		// Divide instead of multiplying so corrupt counts cannot overflow.
+		if ok && count > 0 && per > 0 && h.n%per == 0 && h.n/per == count {
+			return d, count, nil
+		}
+	default:
+		return grid.Dims{}, 0, fmt.Errorf("sz: payload kind %d with %d dim records", h.kind, len(h.dims))
 	}
-	return d, count, nil
+	return grid.Dims{}, 0, fmt.Errorf("sz: dim records %v do not cover %d values", h.dims, h.n)
 }
 
 // checkedCount is Dims.Count with overflow protection for header-supplied
@@ -297,7 +327,7 @@ func PeekBatch(blob []byte) (BatchInfo, error) {
 	if h.kind != kindBatch && h.kind != kindBatchDelta {
 		return BatchInfo{}, fmt.Errorf("sz: payload kind %d, want %d or %d", h.kind, kindBatch, kindBatchDelta)
 	}
-	d, count, err := h.batchGeometry()
+	d, count, err := h.geometry()
 	if err != nil {
 		return BatchInfo{}, err
 	}

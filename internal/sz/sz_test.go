@@ -238,6 +238,69 @@ func TestPayloadKindsRefuseEachOther(t *testing.T) {
 	}
 }
 
+// TestHeaderGeometryRefused seals headers whose dim records break the rule
+// of their kind — none for a 1D stream, one covering n for a 3D grid, a
+// shape and a count covering n for a batch — and holds every decoder and
+// PeekBatch to an error, never a panic. The valid header of each kind, on
+// the same code stream, decodes through its own decoder.
+func TestHeaderGeometryRefused(t *testing.T) {
+	const n = 24
+	shape := grid.Dims{X: 2, Y: 3, Z: 4}
+	codes := make([]uint32, n)
+	for i := range codes {
+		codes[i] = uint32(quantRadius(16))
+	}
+	opts := Options{QuantBits: 16, DisableLossless: true}
+	rows := []struct {
+		name string
+		kind int
+		dims []grid.Dims
+		ok   bool // a valid header: its own decoder must accept it
+	}{
+		{"1D", kindRaw1D, nil, true},
+		{"1D with a dim record", kindRaw1D, []grid.Dims{{X: 1, Y: 1, Z: n}}, false},
+		{"3D", kindGrid3D, []grid.Dims{shape}, true},
+		{"3D without a record", kindGrid3D, nil, false},
+		{"3D with two records", kindGrid3D, []grid.Dims{shape, {X: 1}}, false},
+		{"3D dims short of n", kindGrid3D, []grid.Dims{{X: 2, Y: 3, Z: 3}}, false},
+		{"3D dims past n", kindGrid3D, []grid.Dims{{X: 2, Y: 3, Z: 5}}, false},
+		{"3D dims overflowing", kindGrid3D, []grid.Dims{{X: 1 << 40, Y: 1 << 40, Z: 1 << 40}}, false},
+		{"batch", kindBatch, []grid.Dims{shape, {X: 1}}, true},
+		{"batch with one record", kindBatch, []grid.Dims{shape}, false},
+		{"batch count × shape ≠ n", kindBatch, []grid.Dims{shape, {X: 2}}, false},
+		{"batch of no blocks", kindBatch, []grid.Dims{shape, {X: 0}}, false},
+		{"batch of empty blocks", kindBatch, []grid.Dims{{X: 0, Y: 3, Z: 4}, {X: n}}, false},
+		{"delta with one record", kindBatchDelta, []grid.Dims{shape}, false},
+		{"delta count × shape ≠ n", kindBatchDelta, []grid.Dims{{X: 1, Y: 3, Z: 4}, {X: 3}}, false},
+	}
+	for _, r := range rows {
+		blob := seal[float32](t, r.kind, r.dims, n, 0.5, opts, codes, nil)
+		into := grid.New[float32](grid.Dims{X: 1, Y: 1, Z: n})
+		if len(r.dims) > 0 && r.dims[0].X < 1<<20 {
+			into = grid.New[float32](r.dims[0])
+		}
+		decoders := []struct {
+			name string
+			kind int
+			err  error
+		}{
+			{"Decompress1D", kindRaw1D, second(Decompress1D[float32](blob))},
+			{"Decompress3D", kindGrid3D, second(Decompress3D[float32](blob))},
+			{"Decompress3DInto", kindGrid3D, NewDecoder[float32]().Decompress3DInto(into, blob)},
+			{"DecompressBlocks", kindBatch, second(DecompressBlocks[float32](blob))},
+			{"PeekBatch", kindBatch, second(PeekBatch(blob))},
+		}
+		for _, d := range decoders {
+			if want := r.ok && d.kind == r.kind; want != (d.err == nil) {
+				t.Errorf("%s: %s: %v", r.name, d.name, d.err)
+			}
+		}
+	}
+}
+
+// second returns the error of a (value, error) pair.
+func second[V any](_ V, err error) error { return err }
+
 func TestCorruptPayload(t *testing.T) {
 	g := smoothGrid(grid.Dims{X: 8, Y: 8, Z: 8})
 	blob, _, err := Compress3D(g, Options{ErrorBound: 0.1})
