@@ -48,9 +48,10 @@ import (
 //     matter are kept (the `zero +` / `+ zero` below), and the rest are
 //     provably identity and dropped;
 //   - the z edge's prediction is the previous reconstruction alone. Its
-//     zero term could only turn a −0 prediction into +0, which the
-//     reconstruction's (pred + 0) does anyway (see dqstep): no code,
-//     literal or output bit depends on it, so it is dropped too.
+//     zero term could only turn a −0 prediction into +0, and the
+//     reconstruction does that anyway — the encoder adds + 0, the decoder
+//     a step that is +0 for a zero residual (see dqstep) — so no code,
+//     literal or output bit depends on it, and it is dropped too.
 //
 // kernel_test.go checks every case element-for-element against the
 // reference kernels, on top of the payload-level golden tests.

@@ -89,11 +89,9 @@ type Stats struct {
 	ElemBytes     int // uncompressed width of one element (4 or 8)
 }
 
-// Payload kinds. All four are coded by the same Lorenzo kernels as block
-// batches and differ only in the dim records their header carries
-// (headerDims) and in the decoders that accept them: a 1D stream is one
-// 1×1×n block with no record, a 3D grid one block with its dims as the one
-// record, a batch its block shape and a record holding the block count.
+// Payload kinds. All four are block batches coded by the same Lorenzo
+// kernels; they differ in the dim records their header carries
+// (headerDims) and in the decoders that accept them.
 const (
 	magic      = 0x535a4752 // "SZGR"
 	version    = 1
