@@ -168,23 +168,12 @@ func (ds *Dataset) Clone() *Dataset {
 	return out
 }
 
-// Validate checks the structural invariants: level dims shrink by Ratio,
-// unit blocks divide dims, and the levels' masks tile the domain exactly
-// (every finest-resolution cell covered exactly once).
+// Validate checks the structural invariants: level dims shrink by Ratio
+// (ValidateDims), unit blocks divide dims, and the levels' masks tile the
+// domain exactly (every finest-resolution cell covered exactly once).
 func (ds *Dataset) Validate() error {
-	if len(ds.Levels) == 0 {
-		return fmt.Errorf("amr: dataset %q has no levels", ds.Name)
-	}
-	if ds.Ratio < 2 {
-		return fmt.Errorf("amr: dataset %q has refinement ratio %d < 2", ds.Name, ds.Ratio)
-	}
-	fd := ds.FinestDims()
-	for li, l := range ds.Levels {
-		s := ds.LevelScale(li)
-		want := grid.Dims{X: fd.X / s, Y: fd.Y / s, Z: fd.Z / s}
-		if fd.X%s != 0 || l.Grid.Dim != want {
-			return fmt.Errorf("amr: level %d dims %v, want %v (finest %v / %d)", li, l.Grid.Dim, want, fd, s)
-		}
+	if err := ds.ValidateDims(); err != nil {
+		return err
 	}
 	// Coverage check at finest-level unit-block granularity.
 	fbd := ds.Levels[0].Mask.Dim
@@ -213,6 +202,35 @@ func (ds *Dataset) Validate() error {
 		if c != 1 {
 			x, y, z := fbd.Coords(i)
 			return fmt.Errorf("amr: finest block (%d,%d,%d) covered %d times, want exactly 1", x, y, z, c)
+		}
+	}
+	return nil
+}
+
+// ValidateDims checks the level-dims rule alone: Ratio ≥ 2, and level li's
+// dims are the finest's divided by Ratio^li. Once it holds, no LevelScale
+// exceeds the finest extent, and a level's cells times its scale index
+// inside the finest grid.
+func (ds *Dataset) ValidateDims() error {
+	if len(ds.Levels) == 0 {
+		return fmt.Errorf("amr: dataset %q has no levels", ds.Name)
+	}
+	if ds.Ratio < 2 {
+		return fmt.Errorf("amr: dataset %q has refinement ratio %d < 2", ds.Name, ds.Ratio)
+	}
+	fd := ds.FinestDims()
+	s := 1
+	for li, l := range ds.Levels {
+		want := grid.Dims{X: fd.X / s, Y: fd.Y / s, Z: fd.Z / s}
+		if fd.X%s != 0 || l.Grid.Dim != want {
+			return fmt.Errorf("amr: level %d dims %v, want %v (finest %v / %d)", li, l.Grid.Dim, want, fd, s)
+		}
+		// Past the finest extent no level can match: stop there rather
+		// than let a hostile Ratio's powers wrap.
+		if s > fd.X/ds.Ratio {
+			s = fd.X + 1
+		} else {
+			s *= ds.Ratio
 		}
 	}
 	return nil

@@ -170,7 +170,7 @@ func ReadFrom(r io.Reader) (*Dataset, error) {
 		if ub, err = readU32(); err != nil {
 			return nil, err
 		}
-		if d.Count() <= 0 || d.Count() > 1<<31 {
+		if n, ok := d.CheckedCount(1 << 31); !ok || n == 0 {
 			return nil, fmt.Errorf("amr: implausible level dims %v", d)
 		}
 		// Validate before NewLevel, which panics on bad geometry.

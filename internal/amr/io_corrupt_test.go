@@ -165,3 +165,22 @@ func TestReadFromRoundTripStillWorks(t *testing.T) {
 		t.Fatalf("field %q lost", ds.Field)
 	}
 }
+
+// TestReadFromRefusesWrappingDims: uint32 dims of 1710501719 × 1321312202 ×
+// 238597711 multiply to a product that wraps int to 771,130 cells, which a
+// plain Count() bound admits. The stream carries what those wrapped dims
+// would need — unit block 1, a 96,392-byte zero mask, no values — so only
+// an overflow-checked count refuses it.
+func TestReadFromRefusesWrappingDims(t *testing.T) {
+	d := grid.Dims{X: 1710501719, Y: 1321312202, Z: 238597711}
+	if d.Count() != 771130 {
+		t.Fatalf("dims %v wrap to %d cells, want 771130", d, d.Count())
+	}
+	blob := AppendStreamHeader(nil, "wrap", "f", 2, 1)
+	for _, v := range []uint32{uint32(d.X), uint32(d.Y), uint32(d.Z), 1} {
+		blob = binary.LittleEndian.AppendUint32(blob, v)
+	}
+	blob = append(blob, make([]byte, (d.Count()+7)/8)...)
+	blob = binary.LittleEndian.AppendUint32(blob, 0)
+	mustErr(t, "wrapping dims", blob)
+}

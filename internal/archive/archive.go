@@ -375,230 +375,143 @@ func appendMemberRecord(out []byte, mi int, m *Member) ([]byte, error) {
 // links the v2+ layouts carry are validated here so no hostile footer can
 // smuggle a cycle, a forward or self reference, or a delta batch whose
 // reference has a different AMR structure — every such link is rejected
-// before any frame is read.
+// before any frame is read. So is geometry whose cell counts or
+// refinement powers would wrap the readers' int arithmetic.
 func decodeFooter(buf []byte, ver int) ([]Member, error) {
-	v2 := ver >= 2
-	sums := ver >= 3
-	u := func() (uint64, error) {
-		v, n, err := bitio.Uvarint(buf)
-		if err != nil {
-			return 0, err
-		}
-		buf = buf[n:]
-		return v, nil
-	}
-	bs := func() ([]byte, error) {
-		b, n, err := bitio.Bytes(buf)
-		if err != nil {
-			return nil, err
-		}
-		buf = buf[n:]
-		return b, nil
-	}
-	nm, err := u()
-	if err != nil {
+	r := bitio.NewReader(buf)
+	nm := r.Uvarint(1 << 20)
+	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("archive: footer member count: %w", err)
 	}
-	if nm > 1<<20 {
-		return nil, fmt.Errorf("archive: implausible member count %d", nm)
-	}
-	members := make([]Member, 0, nm)
-	for mi := uint64(0); mi < nm; mi++ {
-		var m Member
-		nameB, err := bs()
-		if err != nil {
-			return nil, fmt.Errorf("archive: member %d name: %w", mi, err)
-		}
-		m.Name = string(nameB)
-		fieldB, err := bs()
-		if err != nil {
-			return nil, fmt.Errorf("archive: member %d field: %w", mi, err)
-		}
-		m.Field = string(fieldB)
-		ratio, err := u()
-		if err != nil {
-			return nil, err
-		}
-		m.Ratio = int(ratio)
-		ebBits, err := u()
-		if err != nil {
-			return nil, err
-		}
-		m.ErrorBound = math.Float64frombits(ebBits)
-		mode, err := u()
-		if err != nil {
-			return nil, err
-		}
-		m.Mode = sz.Mode(mode)
-		qb, err := u()
-		if err != nil {
-			return nil, err
-		}
-		m.QuantBits = int(qb)
-		m.Ref = -1
-		if v2 {
-			refPlus1, err := u()
-			if err != nil {
-				return nil, err
-			}
+	// Every record takes more than a byte: a short footer claiming many
+	// members allocates no more than its length.
+	members := make([]Member, 0, min(nm, uint64(len(buf))))
+	for mi := range int(nm) {
+		m := Member{Ref: -1}
+		m.Name = string(r.Bytes())
+		m.Field = string(r.Bytes())
+		m.Ratio = int(r.Uvarint(math.MaxInt))
+		m.ErrorBound = math.Float64frombits(r.Uvarint(math.MaxUint64))
+		m.Mode = sz.Mode(r.Uvarint(math.MaxUint8))
+		m.QuantBits = int(r.Uvarint(math.MaxInt))
+		if ver >= 2 {
 			// Strictly-backward references are the whole termination
 			// argument: no self links, no forward links, and therefore no
 			// cycles, regardless of what the footer claims.
-			if refPlus1 > mi {
-				return nil, fmt.Errorf("archive: member %d references member %d (must point strictly backward)", mi, int64(refPlus1)-1)
-			}
-			m.Ref = int(refPlus1) - 1
-			gen, err := u()
-			if err != nil {
-				return nil, err
-			}
-			if gen > 1<<32 {
-				return nil, fmt.Errorf("archive: member %d has implausible generation %d", mi, gen)
-			}
-			m.Gen = int(gen)
+			m.Ref = int(r.Uvarint(uint64(mi))) - 1
+			m.Gen = int(r.Uvarint(1 << 32))
 		}
-		ns, err := u()
-		if err != nil {
-			return nil, err
+		for range r.Uvarint(64) {
+			m.LevelScales = append(m.LevelScales, math.Float64frombits(r.Uvarint(math.MaxUint64)))
 		}
-		if ns > 64 {
-			return nil, fmt.Errorf("archive: member %d has %d level scales", mi, ns)
+		nlev := int(r.Uvarint(64))
+		if err := r.Err(); err != nil {
+			return nil, fmt.Errorf("archive: member %d: %w", mi, err)
 		}
-		for i := uint64(0); i < ns; i++ {
-			bits, err := u()
-			if err != nil {
-				return nil, err
-			}
-			m.LevelScales = append(m.LevelScales, math.Float64frombits(bits))
+		if nlev == 0 {
+			return nil, fmt.Errorf("archive: member %d has no levels", mi)
 		}
-		nlev, err := u()
-		if err != nil {
-			return nil, err
-		}
-		if nlev == 0 || nlev > 64 {
-			return nil, fmt.Errorf("archive: member %d has implausible level count %d", mi, nlev)
-		}
-		// Ratio scales ROI coordinates across levels (used as a divisor);
-		// reject corrupt values before they can reach that arithmetic.
+		// Ratio scales ROI coordinates across levels, as a divisor and, in
+		// its powers, as the finest-cell edge of a unit block: reject
+		// values that could reach that arithmetic as zero or wrap it.
 		if m.Ratio < 2 {
 			return nil, fmt.Errorf("archive: member %d has refinement ratio %d < 2", mi, m.Ratio)
 		}
-		for liIdx := uint64(0); liIdx < nlev; liIdx++ {
-			var li LevelIndex
-			for _, p := range []*int{&li.Dims.X, &li.Dims.Y, &li.Dims.Z, &li.UnitBlock} {
-				v, err := u()
-				if err != nil {
-					return nil, err
-				}
-				*p = int(v)
+		scale := 1
+		for range nlev - 1 {
+			if scale > (1<<31)/m.Ratio {
+				return nil, fmt.Errorf("archive: member %d has refinement ratio %d over %d levels, past 2^31", mi, m.Ratio, nlev)
+			}
+			scale *= m.Ratio
+		}
+		for li := range nlev {
+			var idx LevelIndex
+			idx.Dims = grid.Dims{X: int(r.Uvarint(math.MaxInt)), Y: int(r.Uvarint(math.MaxInt)), Z: int(r.Uvarint(math.MaxInt))}
+			idx.UnitBlock = int(r.Uvarint(math.MaxInt))
+			comp := r.Bytes()
+			if err := r.Err(); err != nil {
+				return nil, fmt.Errorf("archive: member %d level %d: %w", mi, li, err)
 			}
 			// Same plausibility cap as amr.ReadFrom: reject before the
 			// mask/grid allocations a hostile footer could inflate.
-			if li.UnitBlock <= 0 || li.Dims.Count() <= 0 || li.Dims.Count() > 1<<31 ||
-				li.Dims.X%li.UnitBlock != 0 || li.Dims.Y%li.UnitBlock != 0 || li.Dims.Z%li.UnitBlock != 0 {
-				return nil, fmt.Errorf("archive: member %d level %d has corrupt geometry %v/%d", mi, liIdx, li.Dims, li.UnitBlock)
+			cells, ok := idx.Dims.CheckedCount(1 << 31)
+			if !ok || cells == 0 || idx.UnitBlock == 0 ||
+				idx.Dims.X%idx.UnitBlock != 0 || idx.Dims.Y%idx.UnitBlock != 0 || idx.Dims.Z%idx.UnitBlock != 0 {
+				return nil, fmt.Errorf("archive: member %d level %d has corrupt geometry %v/%d", mi, li, idx.Dims, idx.UnitBlock)
 			}
 			// Bound the unit-block count separately: a hostile footer
 			// claiming 2^31 cells at unit block 1 would otherwise make
 			// DecodeMask allocate a 256 MiB mask before any cross-check.
-			ub3 := li.UnitBlock * li.UnitBlock * li.UnitBlock
-			if li.Dims.Count()/ub3 > 1<<26 {
-				return nil, fmt.Errorf("archive: member %d level %d has implausible %d unit blocks", mi, liIdx, li.Dims.Count()/ub3)
+			if blocks := cells / (idx.UnitBlock * idx.UnitBlock * idx.UnitBlock); blocks > 1<<26 {
+				return nil, fmt.Errorf("archive: member %d level %d has implausible %d unit blocks", mi, li, blocks)
 			}
-			comp, err := bs()
-			if err != nil {
-				return nil, fmt.Errorf("archive: member %d level %d mask: %w", mi, liIdx, err)
+			var err error
+			if idx.Mask, err = codec.DecodeMask(idx.Dims.Div(idx.UnitBlock), comp); err != nil {
+				return nil, fmt.Errorf("archive: member %d level %d: %w", mi, li, err)
 			}
-			li.Mask, err = codec.DecodeMask(li.Dims.Div(li.UnitBlock), comp)
-			if err != nil {
-				return nil, fmt.Errorf("archive: member %d level %d: %w", mi, liIdx, err)
+			idx.BatchBlocks = int(r.Uvarint(math.MaxInt))
+			nb := int(r.Uvarint(math.MaxInt))
+			if err := r.Err(); err != nil {
+				return nil, fmt.Errorf("archive: member %d level %d: %w", mi, li, err)
 			}
-			bb, err := u()
-			if err != nil {
-				return nil, err
-			}
-			li.BatchBlocks = int(bb)
-			nb, err := u()
-			if err != nil {
-				return nil, err
-			}
-			occupied := li.Mask.Count()
-			li.occupied = occupied
-			wantBatches := 0
-			if occupied > 0 {
-				if li.BatchBlocks <= 0 {
-					return nil, fmt.Errorf("archive: member %d level %d has batch size %d", mi, liIdx, li.BatchBlocks)
+			idx.occupied = idx.Mask.Count()
+			want := 0
+			if idx.occupied > 0 {
+				if idx.BatchBlocks == 0 {
+					return nil, fmt.Errorf("archive: member %d level %d has batch size 0", mi, li)
 				}
-				wantBatches = (occupied + li.BatchBlocks - 1) / li.BatchBlocks
+				want = (idx.occupied + idx.BatchBlocks - 1) / idx.BatchBlocks
 			}
-			if int(nb) != wantBatches {
-				return nil, fmt.Errorf("archive: member %d level %d has %d batches, mask implies %d", mi, liIdx, nb, wantBatches)
+			if nb != want {
+				return nil, fmt.Errorf("archive: member %d level %d has %d batches, mask implies %d", mi, li, nb, want)
 			}
-			for i := uint64(0); i < nb; i++ {
-				off, err := u()
-				if err != nil {
-					return nil, err
+			for b := range nb {
+				rec := BatchRecord{Offset: int64(r.Uvarint(math.MaxInt64)), Length: int64(r.Uvarint(math.MaxInt64))}
+				if rec.Length == 0 && r.Err() == nil {
+					return nil, fmt.Errorf("archive: member %d level %d batch %d is empty", mi, li, b)
 				}
-				length, err := u()
-				if err != nil {
-					return nil, err
-				}
-				if length == 0 {
-					return nil, fmt.Errorf("archive: member %d level %d batch %d is empty", mi, liIdx, i)
-				}
-				li.Batches = append(li.Batches, BatchRecord{Offset: int64(off), Length: int64(length)})
+				idx.Batches = append(idx.Batches, rec)
 			}
-			if v2 {
-				for b := uint64(0); b < nb; b++ {
-					flag, err := u()
-					if err != nil {
-						return nil, err
-					}
-					if flag > 1 {
-						return nil, fmt.Errorf("archive: member %d level %d batch %d has unknown mode flags %#x", mi, liIdx, b, flag)
-					}
-					if flag == 1 {
-						if li.Delta == nil {
-							li.Delta = make([]bool, nb)
+			if ver >= 2 {
+				for b := range nb {
+					if r.Uvarint(1) == 1 {
+						if idx.Delta == nil {
+							idx.Delta = make([]bool, nb)
 						}
-						li.Delta[b] = true
-					}
-				}
-				if sums {
-					li.Sums = make([]uint32, nb)
-					for b := uint64(0); b < nb; b++ {
-						s, err := u()
-						if err != nil {
-							return nil, fmt.Errorf("archive: member %d level %d batch %d checksum: %w", mi, liIdx, b, err)
-						}
-						if s > math.MaxUint32 {
-							return nil, fmt.Errorf("archive: member %d level %d batch %d has implausible checksum %#x", mi, liIdx, b, s)
-						}
-						li.Sums[b] = uint32(s)
-					}
-				}
-				if li.Delta != nil {
-					// A delta batch only decodes against a reference batch
-					// covering the same blocks, so the referenced member
-					// must carry this level at a bit-identical structure.
-					if m.Ref < 0 {
-						return nil, fmt.Errorf("archive: member %d level %d has delta batches but no reference member", mi, liIdx)
-					}
-					ref := &members[m.Ref]
-					if ref.Field != m.Field {
-						return nil, fmt.Errorf("archive: member %d (field %q) references member %d (field %q)", mi, m.Field, m.Ref, ref.Field)
-					}
-					if int(liIdx) >= len(ref.Levels) {
-						return nil, fmt.Errorf("archive: member %d level %d missing from reference member %d", mi, liIdx, m.Ref)
-					}
-					rl := &ref.Levels[liIdx]
-					if rl.Dims != li.Dims || rl.UnitBlock != li.UnitBlock ||
-						rl.BatchBlocks != li.BatchBlocks || !rl.Mask.Equal(li.Mask) {
-						return nil, fmt.Errorf("archive: member %d level %d structure differs from reference member %d", mi, liIdx, m.Ref)
+						idx.Delta[b] = true
 					}
 				}
 			}
-			m.Levels = append(m.Levels, li)
+			if ver >= 3 {
+				idx.Sums = make([]uint32, nb)
+				for b := range nb {
+					idx.Sums[b] = uint32(r.Uvarint(math.MaxUint32))
+				}
+			}
+			if err := r.Err(); err != nil {
+				return nil, fmt.Errorf("archive: member %d level %d batches: %w", mi, li, err)
+			}
+			if idx.Delta != nil {
+				// A delta batch only decodes against a reference batch
+				// covering the same blocks, so the referenced member must
+				// carry this level at a bit-identical structure.
+				if m.Ref < 0 {
+					return nil, fmt.Errorf("archive: member %d level %d has delta batches but no reference member", mi, li)
+				}
+				ref := &members[m.Ref]
+				if ref.Field != m.Field {
+					return nil, fmt.Errorf("archive: member %d (field %q) references member %d (field %q)", mi, m.Field, m.Ref, ref.Field)
+				}
+				if li >= len(ref.Levels) {
+					return nil, fmt.Errorf("archive: member %d level %d missing from reference member %d", mi, li, m.Ref)
+				}
+				rl := &ref.Levels[li]
+				if rl.Dims != idx.Dims || rl.UnitBlock != idx.UnitBlock ||
+					rl.BatchBlocks != idx.BatchBlocks || !rl.Mask.Equal(idx.Mask) {
+					return nil, fmt.Errorf("archive: member %d level %d structure differs from reference member %d", mi, li, m.Ref)
+				}
+			}
+			m.Levels = append(m.Levels, idx)
 		}
 		members = append(members, m)
 	}

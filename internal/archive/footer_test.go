@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/bitio"
 	"repro/internal/grid"
 )
 
@@ -21,6 +22,54 @@ func footerOf(tb testing.TB, blob []byte) (footer []byte, ver int, start int) {
 	flen, _, _ := parseTrailer(k, trailer)
 	start = len(blob) - len(trailer) - int(flen)
 	return blob[start : len(blob)-len(trailer)], k.ver, start
+}
+
+// wrappingFooters returns two one-member v4 footers whose every field is
+// inside its per-read bound but whose geometry wraps int arithmetic: dims
+// of 2^44+1 × 2^20 × 1, whose product wraps to 2^20 cells, and a Ratio of
+// 2^32 over three levels, whose powers wrap to zero.
+func wrappingFooters(tb testing.TB) map[string][]byte {
+	tb.Helper()
+	level := func(d grid.Dims, ub int) LevelIndex {
+		return LevelIndex{Dims: d, UnitBlock: ub, Mask: grid.NewMask(d.Div(ub)), BatchBlocks: DefaultBatchBlocks}
+	}
+	wide := grid.Dims{X: 1<<44 + 1, Y: 1 << 20, Z: 1}
+	cube := grid.Dims{X: 4, Y: 4, Z: 4}
+	members := map[string]Member{
+		"dims": {Name: "dims", Field: "f", Ratio: 2, ErrorBound: 1, QuantBits: 16, Ref: -1,
+			Levels: []LevelIndex{level(wide, 1)}},
+		"ratio": {Name: "ratio", Field: "f", Ratio: 1 << 32, ErrorBound: 1, QuantBits: 16, Ref: -1,
+			Levels: []LevelIndex{level(cube, 4), level(cube, 4), level(cube, 4)}},
+	}
+	out := make(map[string][]byte)
+	for name, m := range members {
+		footer, err := appendMemberRecord(bitio.AppendUvarint(nil, 1), 0, &m)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out[name] = footer
+	}
+	return out
+}
+
+// TestOpenRefusesWrappingFooter: a footer whose level dims or refinement
+// powers overflow int must be refused by Open, not handed to
+// ExtractRegion, whose mask and scale arithmetic it would wrap.
+func TestOpenRefusesWrappingFooter(t *testing.T) {
+	for name, footer := range wrappingFooters(t) {
+		t.Run(name, func(t *testing.T) {
+			blob := append(append(headerMagic[:], Version), footer...)
+			blob = appendTrailer(blob, currentTrailer, footer, 0)
+			r, err := Open(bytes.NewReader(blob), int64(len(blob)))
+			if err == nil {
+				_, err = r.ExtractRegion(0, grid.Region{X1: 4, Y1: 4, Z1: 1})
+				t.Fatalf("Open accepted the footer; ExtractRegion then returned %v", err)
+			}
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Open = %v, want ErrCorrupt", err)
+			}
+		})
+	}
 }
 
 // TestLyingModeFlags rewrites a v4 campaign footer — its digest sealed
@@ -80,4 +129,49 @@ func TestLyingModeFlags(t *testing.T) {
 			t.Errorf("DecodeBatchOn(%d, %d, 0) = %v, want ErrCorrupt", mi, li, err)
 		}
 	}
+}
+
+// FuzzDecodeFooter throws raw bytes at decodeFooter under every footer
+// layout, seeded with the footers of the legacy and parent fixtures and
+// with the two wrapping footers. FuzzOpen reaches the footer only through
+// whole archives and, from v4 on, through the footer digest; this target
+// reaches it on every input. Whatever decodeFooter accepts must be an
+// index the readers can trust without another check.
+func FuzzDecodeFooter(f *testing.F) {
+	for _, name := range []string{"legacy_v1.hex", "legacy_v1_appended.hex", "legacy_v2.hex", "legacy_v3.hex", "parent_v4.hex"} {
+		footer, ver, _ := footerOf(f, fixture(f, name))
+		f.Add(footer, uint8(ver))
+	}
+	for _, footer := range wrappingFooters(f) {
+		f.Add(footer, uint8(currentTrailer.ver))
+	}
+	f.Fuzz(func(t *testing.T, footer []byte, v uint8) {
+		ver := 1 + int(v%4)
+		members, err := decodeFooter(footer, ver)
+		if err != nil {
+			return
+		}
+		for mi := range members {
+			m := &members[mi]
+			if m.Ref >= mi {
+				t.Fatalf("member %d references member %d", mi, m.Ref)
+			}
+			for li := range m.Levels {
+				idx := &m.Levels[li]
+				if _, ok := idx.Dims.CheckedCount(1 << 31); !ok {
+					t.Fatalf("member %d level %d: dims %v accepted", mi, li, idx.Dims)
+				}
+				if idx.Mask.Dim != idx.Dims.Div(idx.UnitBlock) {
+					t.Fatalf("member %d level %d: mask dims %v for level dims %v / %d", mi, li, idx.Mask.Dim, idx.Dims, idx.UnitBlock)
+				}
+				want := 0
+				if n := idx.Mask.Count(); n > 0 {
+					want = (n + idx.BatchBlocks - 1) / idx.BatchBlocks
+				}
+				if len(idx.Batches) != want {
+					t.Fatalf("member %d level %d: %d batches for a mask implying %d", mi, li, len(idx.Batches), want)
+				}
+			}
+		}
+	})
 }

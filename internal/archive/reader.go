@@ -145,7 +145,7 @@ func openAt(r io.ReaderAt, end int64) (*Reader, error) {
 	for mi := range members {
 		for li := range members[mi].Levels {
 			for _, b := range members[mi].Levels[li].Batches {
-				if b.Offset < headerLen || b.Offset+b.Length > dataEnd {
+				if b.Offset < headerLen || b.Length > dataEnd-b.Offset {
 					return nil, fmt.Errorf("archive: %w: member %d level %d frame [%d,%d) outside data section", ErrCorrupt, mi, li, b.Offset, b.Offset+b.Length)
 				}
 			}
@@ -403,10 +403,13 @@ func (r *Reader) decodeChain(fd *frameDecoder, dst []*grid.Grid3[amr.Value], mi,
 }
 
 // decodeFrame reads frame b of level li of member mi and decodes it into
-// the non-nil entries of dst given its already-decoded reference blocks
-// (nil for an intra frame; dst itself is allowed). The frame's geometry
-// and coding mode must match the footer's — a delta payload in an intra
-// slot (or the reverse) is corruption, caught before any reconstruction.
+// the non-nil entries of dst — one per block the index gives the frame,
+// each of the level's unit-block dims — given its already-decoded
+// reference blocks (nil for an intra frame; dst itself is allowed). The
+// frame is decoded as the coding mode the index names, and the decoder
+// refuses a payload of the other mode, or of another block count or shape
+// than dst: a frame that disagrees with the index is corruption, caught
+// before any reconstruction.
 func (r *Reader) decodeFrame(fd *frameDecoder, dst []*grid.Grid3[amr.Value], mi, li, b int, refs []*grid.Grid3[amr.Value]) error {
 	idx := &r.members[mi].Levels[li]
 	blob, err := r.readFrame(fd.frame[:0], idx, mi, li, b)
@@ -414,19 +417,7 @@ func (r *Reader) decodeFrame(fd *frameDecoder, dst []*grid.Grid3[amr.Value], mi,
 		return err
 	}
 	fd.frame = blob
-	info, err := sz.PeekBatch(blob)
-	if err != nil {
-		return fmt.Errorf("archive: member %d level %d batch %d: %w: %w", mi, li, b, ErrCorrupt, err)
-	}
-	if want := idx.blockCount(b); info.BlockDims != idx.unitDims() || info.Blocks != want {
-		return fmt.Errorf("archive: member %d level %d batch %d: %w: frame holds %d×%v blocks, index implies %d×%v",
-			mi, li, b, ErrCorrupt, info.Blocks, info.BlockDims, want, idx.unitDims())
-	}
-	if info.Delta != idx.IsDelta(b) {
-		return fmt.Errorf("archive: member %d level %d batch %d: %w: frame delta=%v, index says %v",
-			mi, li, b, ErrCorrupt, info.Delta, idx.IsDelta(b))
-	}
-	if info.Delta {
+	if idx.IsDelta(b) {
 		err = fd.dec.DecompressBlocksDeltaInto(dst, blob, refs)
 	} else {
 		err = fd.dec.DecompressBlocksInto(dst, blob)

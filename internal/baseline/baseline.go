@@ -56,12 +56,12 @@ func (Naive1D) Decompress(blob []byte) (*amr.Dataset, error) {
 		return nil, err
 	}
 	ds := sk.NewDataset()
+	r := bitio.NewReader(body)
 	for li, l := range ds.Levels {
-		sec, n, err := bitio.Bytes(body)
-		if err != nil {
+		sec := r.Bytes()
+		if err := r.Err(); err != nil {
 			return nil, fmt.Errorf("baseline: 1D level %d section: %w", li, err)
 		}
-		body = body[n:]
 		if len(sec) == 0 {
 			continue
 		}
@@ -145,11 +145,16 @@ func (ZMesh) Decompress(blob []byte) (*amr.Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
+	ds := sk.NewDataset()
+	// Walk descends until a level owns the cell, which only a hierarchy
+	// guarantees.
+	if err := ds.Validate(); err != nil {
+		return nil, fmt.Errorf("baseline: zMesh: %w", err)
+	}
 	stream, err := sz.Decompress1D[amr.Value](body)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: zMesh: %w", err)
 	}
-	ds := sk.NewDataset()
 	pos := 0
 	Walk(sk, func(li, idx int) {
 		if pos < len(stream) {
@@ -190,11 +195,16 @@ func (Uniform3D) Decompress(blob []byte) (*amr.Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
+	ds := sk.NewDataset()
+	// The restriction below reads the uniform grid at every level's cells
+	// times its scale: the dims rule keeps that inside the finest grid.
+	if err := ds.ValidateDims(); err != nil {
+		return nil, fmt.Errorf("baseline: 3D: %w", err)
+	}
 	uni, err := sz.Decompress3D[amr.Value](body)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: 3D: %w", err)
 	}
-	ds := sk.NewDataset()
 	want := ds.FinestDims()
 	if uni.Dim != want {
 		return nil, fmt.Errorf("baseline: 3D grid %v, want %v", uni.Dim, want)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/grid"
 	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/sz"
 )
 
 func testDataset(t *testing.T) *amr.Dataset {
@@ -197,5 +198,26 @@ func TestNaive1DEmptyLevel(t *testing.T) {
 func TestCodecNames(t *testing.T) {
 	if (Naive1D{}).Name() != "1D" || (ZMesh{}).Name() != "zMesh" || (Uniform3D{}).Name() != "3D" {
 		t.Fatal("codec names changed; experiment tables depend on them")
+	}
+}
+
+// TestZMeshRefusesUnownedSkeleton: a two-level 4³ / 2³ container whose
+// masks own no cell is no AMR hierarchy, and Walk, which descends until a
+// level owns the cell, must never see it.
+func TestZMeshRefusesUnownedSkeleton(t *testing.T) {
+	sk := codec.Skeleton{Name: "z", Field: "f", Ratio: 2, Levels: []codec.LevelInfo{
+		{Dims: grid.Dims{X: 4, Y: 4, Z: 4}, UnitBlock: 2, Mask: grid.NewMask(grid.Dims{X: 2, Y: 2, Z: 2})},
+		{Dims: grid.Dims{X: 2, Y: 2, Z: 2}, UnitBlock: 2, Mask: grid.NewMask(grid.Dims{X: 1, Y: 1, Z: 1})},
+	}}
+	body, _, err := sz.Compress1D([]amr.Value{}, sz.Options{ErrorBound: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := codec.EncodeContainer(IDZMesh, sk, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (ZMesh{}).Decompress(blob); err == nil {
+		t.Fatal("zMesh decoded a skeleton that owns no cell")
 	}
 }

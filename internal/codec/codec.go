@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"compress/flate"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 
@@ -390,15 +391,15 @@ func EncodeContainer(codecID byte, sk Skeleton, body []byte) ([]byte, error) {
 // ContainerCodecID reads a payload's container magic and the id of the
 // codec that wrote it, and returns the id and the bytes after it.
 func ContainerCodecID(blob []byte) (byte, []byte, error) {
-	m, n, err := bitio.Uvarint(blob)
-	if err != nil || m != containerMagic {
+	r := bitio.NewReader(blob)
+	if r.Uvarint(math.MaxUint64) != containerMagic || r.Err() != nil {
 		return 0, nil, fmt.Errorf("codec: bad container magic")
 	}
-	blob = blob[n:]
-	if len(blob) == 0 {
+	rest := r.Rest()
+	if len(rest) == 0 {
 		return 0, nil, fmt.Errorf("codec: truncated container")
 	}
-	return blob[0], blob[1:], nil
+	return rest[0], rest[1:], nil
 }
 
 // DecodeContainer parses a payload, verifying the codec id, and returns
@@ -412,52 +413,30 @@ func DecodeContainer(blob []byte, wantCodecID byte) (Skeleton, []byte, error) {
 	if id != wantCodecID {
 		return sk, nil, fmt.Errorf("codec: payload written by codec %d, not %d", id, wantCodecID)
 	}
-	nameB, n, err := bitio.Bytes(blob)
-	if err != nil {
-		return sk, nil, err
+	r := bitio.NewReader(blob)
+	sk.Name = string(r.Bytes())
+	sk.Field = string(r.Bytes())
+	sk.Ratio = int(r.Uvarint(math.MaxInt))
+	nlev := r.Uvarint(64)
+	if err := r.Err(); err != nil {
+		return sk, nil, fmt.Errorf("codec: skeleton: %w", err)
 	}
-	sk.Name = string(nameB)
-	blob = blob[n:]
-	fieldB, n, err := bitio.Bytes(blob)
-	if err != nil {
-		return sk, nil, err
-	}
-	sk.Field = string(fieldB)
-	blob = blob[n:]
-	ratio, n, err := bitio.Uvarint(blob)
-	if err != nil {
-		return sk, nil, err
-	}
-	sk.Ratio = int(ratio)
-	blob = blob[n:]
-	nlev, n, err := bitio.Uvarint(blob)
-	if err != nil {
-		return sk, nil, err
-	}
-	blob = blob[n:]
-	if nlev == 0 || nlev > 64 {
+	if nlev == 0 {
 		return sk, nil, fmt.Errorf("codec: implausible level count %d", nlev)
 	}
-	for i := uint64(0); i < nlev; i++ {
-		var li LevelInfo
-		for _, p := range []*int{&li.Dims.X, &li.Dims.Y, &li.Dims.Z, &li.UnitBlock} {
-			v, n, err := bitio.Uvarint(blob)
-			if err != nil {
-				return sk, nil, err
-			}
-			*p = int(v)
-			blob = blob[n:]
+	for i := range int(nlev) {
+		// Bound the extents before allocating the mask, so corrupt
+		// containers error instead of over-allocating.
+		li := LevelInfo{
+			Dims:      grid.Dims{X: int(r.Uvarint(1 << 20)), Y: int(r.Uvarint(1 << 20)), Z: int(r.Uvarint(1 << 20))},
+			UnitBlock: int(r.Uvarint(math.MaxInt)),
 		}
-		// Bound the extents and their product before allocating the mask,
-		// so corrupt containers error instead of over-allocating.
-		if li.Dims.X > 1<<20 || li.Dims.Y > 1<<20 || li.Dims.Z > 1<<20 {
-			return sk, nil, fmt.Errorf("codec: implausible level %d dims %v", i, li.Dims)
+		comp := r.Bytes()
+		if err := r.Err(); err != nil {
+			return sk, nil, fmt.Errorf("codec: level %d: %w", i, err)
 		}
-		if cells := uint64(li.Dims.X) * uint64(li.Dims.Y) * uint64(li.Dims.Z); cells > 1<<40 {
-			return sk, nil, fmt.Errorf("codec: implausible level %d cell count %d", i, cells)
-		}
-		if li.UnitBlock <= 0 || li.Dims.Count() <= 0 {
-			return sk, nil, fmt.Errorf("codec: corrupt level %d geometry", i)
+		if n, ok := li.Dims.CheckedCount(1 << 40); !ok || n == 0 || li.UnitBlock == 0 {
+			return sk, nil, fmt.Errorf("codec: implausible level %d geometry %v/%d", i, li.Dims, li.UnitBlock)
 		}
 		// NewDataset materializes levels with amr.NewLevel, which panics on
 		// a unit block that does not divide the extents; reject here so
@@ -465,17 +444,12 @@ func DecodeContainer(blob []byte, wantCodecID byte) (Skeleton, []byte, error) {
 		if li.Dims.X%li.UnitBlock != 0 || li.Dims.Y%li.UnitBlock != 0 || li.Dims.Z%li.UnitBlock != 0 {
 			return sk, nil, fmt.Errorf("codec: level %d unit block %d does not divide dims %v", i, li.UnitBlock, li.Dims)
 		}
-		comp, n, err := bitio.Bytes(blob)
-		if err != nil {
-			return sk, nil, err
-		}
-		blob = blob[n:]
-		li.Mask, err = DecodeMask(li.Dims.Div(li.UnitBlock), comp)
-		if err != nil {
+		if li.Mask, err = DecodeMask(li.Dims.Div(li.UnitBlock), comp); err != nil {
 			return sk, nil, fmt.Errorf("codec: level %d mask: %w", i, err)
 		}
 		sk.Levels = append(sk.Levels, li)
 	}
+	blob = r.Rest()
 	// Every codec spends at least one bit on each cell it stores before
 	// DEFLATE (huffman.parseCodebook leans on the same fact), so a body
 	// that cannot hold a level's stored cells is corrupt, and is refused

@@ -26,6 +26,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/amr"
@@ -158,24 +159,17 @@ func split(li int, l *amr.Level, sec []byte) (levelPlan, error) {
 	if err != nil {
 		return p, err
 	}
-	sec = sec[1:]
+	r := bitio.NewReader(sec[1:])
 	if !dense(p.st) {
-		ngroups, n, err := bitio.Uvarint(sec)
-		if err != nil {
-			return p, fmt.Errorf("core: level %d (%s): %w", li, p.st, err)
-		}
-		sec = sec[n:]
-		if ngroups != uint64(len(p.units)) {
+		if ngroups := r.Uvarint(math.MaxUint64); r.Err() == nil && ngroups != uint64(len(p.units)) {
 			return p, fmt.Errorf("core: level %d (%s): payload has %d groups, mask implies %d", li, p.st, ngroups, len(p.units))
 		}
 	}
 	for i := range p.units {
-		u := &p.units[i]
-		var n int
-		if u.blob, n, err = bitio.Bytes(sec); err != nil {
-			return p, u.tag(err)
-		}
-		sec = sec[n:]
+		p.units[i].blob = r.Bytes()
+	}
+	if err := r.Err(); err != nil {
+		return p, fmt.Errorf("core: level %d (%s): %w", li, p.st, err)
 	}
 	return p, nil
 }
@@ -264,12 +258,12 @@ func (t TAC) Decompress(blob []byte) (*amr.Dataset, error) {
 	}
 	ds := sk.NewDataset()
 	plans := make([]levelPlan, len(ds.Levels))
+	r := bitio.NewReader(body)
 	for li, l := range ds.Levels {
-		sec, n, err := bitio.Bytes(body)
-		if err != nil {
+		sec := r.Bytes()
+		if err := r.Err(); err != nil {
 			return nil, fmt.Errorf("core: level %d section: %w", li, err)
 		}
-		body = body[n:]
 		if plans[li], err = split(li, l, sec); err != nil {
 			return nil, err
 		}

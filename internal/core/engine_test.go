@@ -96,13 +96,9 @@ func TestCorruptUnitSameErrorAtEveryWorkerCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	var units []*unit
+	r := bitio.NewReader(body)
 	for li, l := range sk.NewDataset().Levels {
-		sec, n, err := bitio.Bytes(body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body = body[n:]
-		p, err := split(li, l, sec)
+		p, err := split(li, l, r.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}

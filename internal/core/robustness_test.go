@@ -13,6 +13,7 @@ import (
 	"repro/internal/grid"
 	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/sz"
 )
 
 // TestHostileSkeletonIsRefused: 29 bytes that claim one stored 8192³ block
@@ -210,6 +211,42 @@ func TestDeterministicPayload(t *testing.T) {
 			if a[i] != b[i] {
 				t.Fatalf("cfg %+v: payloads differ at byte %d", cfg, i)
 			}
+		}
+	}
+}
+
+// coarseAsFine is a 3D-baseline container whose coarse level is as large
+// as its finest: the restriction would read the uniform grid at twice the
+// finest extent.
+func coarseAsFine(t testing.TB) []byte {
+	t.Helper()
+	cube := grid.Dims{X: 4, Y: 4, Z: 4}
+	full := grid.NewMask(grid.Dims{X: 1, Y: 1, Z: 1})
+	full.Fill(true)
+	sk := codec.Skeleton{Name: "u", Field: "f", Ratio: 2, Levels: []codec.LevelInfo{
+		{Dims: cube, UnitBlock: 4, Mask: grid.NewMask(grid.Dims{X: 1, Y: 1, Z: 1})},
+		{Dims: cube, UnitBlock: 4, Mask: full},
+	}}
+	body, _, err := sz.Compress3D(grid.New[amr.Value](cube), sz.Options{ErrorBound: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := codec.EncodeContainer(baseline.IDUniform3D, sk, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// TestUniform3DRefusesNonHierarchy: the 3D baseline's restriction indexes
+// the uniform grid by every level's dims times its scale, so level dims
+// that are not the finest's divided by Ratio^li must be refused first — on
+// its own and through TAC, which routes 3D-baseline payloads there.
+func TestUniform3DRefusesNonHierarchy(t *testing.T) {
+	blob := coarseAsFine(t)
+	for _, c := range []codec.Codec{baseline.Uniform3D{}, TAC{}} {
+		if _, err := c.Decompress(blob); err == nil {
+			t.Fatalf("%s decoded a 3D-baseline container whose coarse level is as large as its finest", c.Name())
 		}
 	}
 }

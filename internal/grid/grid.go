@@ -11,6 +11,7 @@ package grid
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 )
@@ -28,6 +29,24 @@ type Dims struct {
 
 // Count returns the total number of cells, X*Y*Z.
 func (d Dims) Count() int { return d.X * d.Y * d.Z }
+
+// CheckedCount is Count for dims read from untrusted input: it reports
+// false for a negative extent or a product above limit, where Count could
+// wrap to any value at all.
+func (d Dims) CheckedCount(limit int) (int, bool) {
+	if d.X < 0 || d.Y < 0 || d.Z < 0 || limit < 0 {
+		return 0, false
+	}
+	hi, p := bits.Mul64(uint64(d.X), uint64(d.Y))
+	if hi != 0 || p > uint64(limit) {
+		return 0, false
+	}
+	hi, p = bits.Mul64(p, uint64(d.Z))
+	if hi != 0 || p > uint64(limit) {
+		return 0, false
+	}
+	return int(p), true
+}
 
 // String implements fmt.Stringer.
 func (d Dims) String() string { return fmt.Sprintf("%dx%dx%d", d.X, d.Y, d.Z) }

@@ -303,3 +303,27 @@ func TestBlocksCoversRegion(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckedCount pins the overflow guard on header-supplied geometry,
+// at the sz header's 2^40 cap.
+func TestCheckedCount(t *testing.T) {
+	cases := []struct {
+		d  Dims
+		n  int
+		ok bool
+	}{
+		{Dims{X: 4, Y: 5, Z: 6}, 120, true},
+		{Dims{X: 1 << 20, Y: 1, Z: 1}, 1 << 20, true},
+		{Dims{X: 1 << 21, Y: 1, Z: 1}, 1 << 21, true}, // block counts beyond the old 2^20 cap stay decodable
+		{Dims{X: 1 << 40, Y: 1, Z: 1}, 1 << 40, true},
+		{Dims{X: 1 << 40, Y: 2, Z: 1}, 0, false},
+		{Dims{X: 1 << 40, Y: 1 << 40, Z: 1 << 40}, 0, false}, // would overflow naive multiplication
+		{Dims{X: -1, Y: 1, Z: 1}, 0, false},
+	}
+	for _, c := range cases {
+		n, ok := c.d.CheckedCount(1 << 40)
+		if ok != c.ok || (ok && n != c.n) {
+			t.Fatalf("CheckedCount(%v, 2^40) = (%d,%v), want (%d,%v)", c.d, n, ok, c.n, c.ok)
+		}
+	}
+}

@@ -650,14 +650,10 @@ func (d *Decoder[T]) unseal(blob []byte, wantKind int) (header, []uint32, []byte
 		return h, nil, nil, fmt.Errorf("sz: payload kind %d, want %d", h.kind, wantKind)
 	}
 
-	huff, k, err := bitio.Bytes(blob)
-	if err != nil {
-		return h, nil, nil, fmt.Errorf("sz: reading code section: %w", err)
-	}
-	blob = blob[k:]
-	lits, _, err := bitio.Bytes(blob)
-	if err != nil {
-		return h, nil, nil, fmt.Errorf("sz: reading literal section: %w", err)
+	r := bitio.NewReader(blob)
+	huff, lits := r.Bytes(), r.Bytes()
+	if err := r.Err(); err != nil {
+		return h, nil, nil, fmt.Errorf("sz: reading sections: %w", err)
 	}
 	if h.lossless {
 		// A section may inflate to no more than the header's value count

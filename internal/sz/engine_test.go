@@ -204,29 +204,6 @@ func TestExtractCodes(t *testing.T) {
 	}
 }
 
-// TestCheckedCount pins the overflow guard on header-supplied geometry.
-func TestCheckedCount(t *testing.T) {
-	cases := []struct {
-		d  grid.Dims
-		n  int
-		ok bool
-	}{
-		{grid.Dims{X: 4, Y: 5, Z: 6}, 120, true},
-		{grid.Dims{X: 1 << 20, Y: 1, Z: 1}, 1 << 20, true},
-		{grid.Dims{X: 1 << 21, Y: 1, Z: 1}, 1 << 21, true}, // block counts beyond the old 2^20 cap stay decodable
-		{grid.Dims{X: 1 << 40, Y: 1, Z: 1}, 1 << 40, true},
-		{grid.Dims{X: 1 << 40, Y: 2, Z: 1}, 0, false},
-		{grid.Dims{X: 1 << 40, Y: 1 << 40, Z: 1 << 40}, 0, false}, // would overflow naive multiplication
-		{grid.Dims{X: -1, Y: 1, Z: 1}, 0, false},
-	}
-	for _, c := range cases {
-		n, ok := checkedCount(c.d)
-		if ok != c.ok || (ok && n != c.n) {
-			t.Fatalf("checkedCount(%v) = (%d,%v), want (%d,%v)", c.d, n, ok, c.n, c.ok)
-		}
-	}
-}
-
 // TestStatsElemBytes checks that Ratio accounts for the true element width:
 // a float64 stream of the same values must report (about) twice the ratio
 // of its float32 twin, not the same number.

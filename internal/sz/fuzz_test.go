@@ -156,7 +156,7 @@ func FuzzDecompress(f *testing.F) {
 		// Decode into a grid of the dims a 3D payload claims (bounded like
 		// the delta refs below), so corrupt bodies reach the kernel.
 		if h, _, err := parseHeader(data); err == nil && h.kind == kindGrid3D && len(h.dims) == 1 {
-			if n, ok := checkedCount(h.dims[0]); ok && n <= 64*4096 {
+			if n, ok := h.dims[0].CheckedCount(1 << 40); ok && n <= 64*4096 {
 				_ = NewDecoder[float32]().Decompress3DInto(grid.New[float32](h.dims[0]), data)
 			}
 		}

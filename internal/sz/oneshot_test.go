@@ -51,8 +51,9 @@ func seal[T grid.Float](tb testing.TB, kind int, dims []grid.Dims, n int, eb flo
 	if err != nil {
 		tb.Fatal(err)
 	}
-	code, _, err := bitio.Bytes(rest)
-	if err != nil {
+	r := bitio.NewReader(rest)
+	code := r.Bytes()
+	if err := r.Err(); err != nil {
 		tb.Fatal(err)
 	}
 	head := len(blob) - len(rest)

@@ -66,12 +66,9 @@ func sections(tb testing.TB, blob []byte) (h header, code, lits []byte) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	code, k, err := bitio.Bytes(rest)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	lits, _, err = bitio.Bytes(rest[k:])
-	if err != nil {
+	r := bitio.NewReader(rest)
+	code, lits = r.Bytes(), r.Bytes()
+	if err := r.Err(); err != nil {
 		tb.Fatal(err)
 	}
 	return h, code, lits

@@ -21,7 +21,6 @@ package sz
 import (
 	"fmt"
 	"math"
-	"math/bits"
 
 	"repro/internal/bitio"
 	"repro/internal/grid"
@@ -159,78 +158,31 @@ type header struct {
 // bytes (the code and literal sections).
 func parseHeader(blob []byte) (header, []byte, error) {
 	var h header
-	u := func() (uint64, error) {
-		v, k, err := bitio.Uvarint(blob)
-		if err != nil {
-			return 0, err
-		}
-		blob = blob[k:]
-		return v, nil
-	}
-	m, err := u()
-	if err != nil || m != magic {
+	r := bitio.NewReader(blob)
+	if r.Uvarint(math.MaxUint64) != magic || r.Err() != nil {
 		return h, nil, fmt.Errorf("sz: bad magic")
 	}
-	ver, err := u()
-	if err != nil || ver != version {
+	if r.Uvarint(math.MaxUint64) != version || r.Err() != nil {
 		return h, nil, fmt.Errorf("sz: unsupported version")
 	}
-	kind, err := u()
-	if err != nil {
-		return h, nil, err
+	h.kind = int(r.Uvarint(math.MaxInt))
+	h.n = int(r.Uvarint(1 << 40))
+	h.eb = math.Float64frombits(r.Uvarint(math.MaxUint64))
+	h.quantBits = int(r.Uvarint(30))
+	h.lossless = r.Uvarint(math.MaxUint64) == 1
+	for range r.Uvarint(8) {
+		// Dim records also carry the batch block count, so an extent's
+		// bound is the value count's; geometry's CheckedCount guards the
+		// products.
+		h.dims = append(h.dims, grid.Dims{X: int(r.Uvarint(1 << 40)), Y: int(r.Uvarint(1 << 40)), Z: int(r.Uvarint(1 << 40))})
 	}
-	h.kind = int(kind)
-	n, err := u()
-	if err != nil {
-		return h, nil, err
+	if err := r.Err(); err != nil {
+		return h, nil, fmt.Errorf("sz: header: %w", err)
 	}
-	h.n = int(n)
-	if n > 1<<40 {
-		return h, nil, fmt.Errorf("sz: implausible value count %d", n)
-	}
-	ebBits, err := u()
-	if err != nil {
-		return h, nil, err
-	}
-	h.eb = math.Float64frombits(ebBits)
-	qb, err := u()
-	if err != nil {
-		return h, nil, err
-	}
-	h.quantBits = int(qb)
-	if h.quantBits < 2 || h.quantBits > 30 {
+	if h.quantBits < 2 {
 		return h, nil, fmt.Errorf("sz: corrupt quantBits %d", h.quantBits)
 	}
-	ll, err := u()
-	if err != nil {
-		return h, nil, err
-	}
-	h.lossless = ll == 1
-	nd, err := u()
-	if err != nil {
-		return h, nil, err
-	}
-	if nd > 8 {
-		return h, nil, fmt.Errorf("sz: implausible dim-record count %d", nd)
-	}
-	for i := uint64(0); i < nd; i++ {
-		var d grid.Dims
-		for _, p := range []*int{&d.X, &d.Y, &d.Z} {
-			v, err := u()
-			if err != nil {
-				return h, nil, err
-			}
-			// Dim records also carry the batch block count, so the bound
-			// must admit anything up to the value-count cap; overflow
-			// safety comes from checkedCount at the use sites.
-			if v > 1<<40 {
-				return h, nil, fmt.Errorf("sz: implausible dim extent %d", v)
-			}
-			*p = int(v)
-		}
-		h.dims = append(h.dims, d)
-	}
-	return h, blob, nil
+	return h, r.Rest(), nil
 }
 
 // headerDims returns the dim records a payload of kind writes for count
@@ -255,12 +207,12 @@ func (h header) geometry() (grid.Dims, int, error) {
 	case h.kind == kindRaw1D && len(h.dims) == 0:
 		return grid.Dims{X: 1, Y: 1, Z: h.n}, 1, nil
 	case h.kind == kindGrid3D && len(h.dims) == 1:
-		if n, ok := checkedCount(h.dims[0]); ok && n == h.n {
+		if n, ok := h.dims[0].CheckedCount(1 << 40); ok && n == h.n {
 			return h.dims[0], 1, nil
 		}
 	case (h.kind == kindBatch || h.kind == kindBatchDelta) && len(h.dims) == 2:
 		d, count := h.dims[0], h.dims[1].X
-		per, ok := checkedCount(d)
+		per, ok := d.CheckedCount(1 << 40)
 		// Divide instead of multiplying so corrupt counts cannot overflow.
 		if ok && count > 0 && per > 0 && h.n%per == 0 && h.n/per == count {
 			return d, count, nil
@@ -269,24 +221,6 @@ func (h header) geometry() (grid.Dims, int, error) {
 		return grid.Dims{}, 0, fmt.Errorf("sz: payload kind %d with %d dim records", h.kind, len(h.dims))
 	}
 	return grid.Dims{}, 0, fmt.Errorf("sz: dim records %v do not cover %d values", h.dims, h.n)
-}
-
-// checkedCount is Dims.Count with overflow protection for header-supplied
-// dims: it reports false when the product exceeds the value-count cap (so
-// it could never match a valid header anyway).
-func checkedCount(d grid.Dims) (int, bool) {
-	if d.X < 0 || d.Y < 0 || d.Z < 0 {
-		return 0, false
-	}
-	hi, p := bits.Mul64(uint64(d.X), uint64(d.Y))
-	if hi != 0 || p > 1<<40 {
-		return 0, false
-	}
-	hi, p = bits.Mul64(p, uint64(d.Z))
-	if hi != 0 || p > 1<<40 {
-		return 0, false
-	}
-	return int(p), true
 }
 
 // BatchInfo describes a block-batch payload without decoding its streams.
@@ -314,7 +248,7 @@ func (bi BatchInfo) DecodedBytes(elemBytes int) int64 {
 }
 
 // PeekBatch parses only the header of a CompressBlocks or
-// CompressBlocksDelta payload, letting callers (the archive reader,
+// CompressBlocksDelta payload, letting callers (the archive's scrub,
 // listings) validate geometry, learn the coding mode, or report the
 // applied bound without paying for entropy decoding.
 func PeekBatch(blob []byte) (BatchInfo, error) {
