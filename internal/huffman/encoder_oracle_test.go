@@ -123,10 +123,10 @@ func (tb *oracleTree) codeLengths(sf []symFreq) []symCode {
 // TestCodeLengthsMatchOracle holds the sorted-leaves, two-queue build to
 // the heap build it replaced, tie-breaks included: on the smallest inputs,
 // on all-equal frequencies (the most ties), on a merged subtree tying a
-// leaf's frequency from either side of its symbol, on Fibonacci
-// frequencies past 2^32 and on symbols past 2^16 (the comparison-sort
-// path), on 2^16 distinct symbols (the most the packed keys hold) and one
-// more, on shuffled inputs, and on 200 frames' counts of frameStream.
+// leaf's frequency from either side of its symbol, on the Fibonacci
+// frequencies below 2^32 (the deepest tree a counted stream can make), on
+// 2^16 distinct symbols (the whole alphabet), on shuffled inputs, and on
+// 200 frames' counts of frameStream.
 func TestCodeLengthsMatchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	cases := map[string][]symFreq{}
@@ -146,25 +146,16 @@ func TestCodeLengthsMatchOracle(t *testing.T) {
 	// after the leaves 0 and 1, the merge of 0 and 1 before 5 and 6.
 	cases["merged-ties-leaf-above"] = []symFreq{{0, 2}, {1, 2}, {5, 1}, {6, 1}, {8, 100}}
 	cases["merged-ties-leaf-below"] = []symFreq{{0, 1}, {1, 1}, {5, 2}, {6, 2}, {7, 100}}
-	fib := make([]symFreq, 90)
-	a, b := uint64(1), uint64(1)
-	for i := range fib {
-		fib[i] = symFreq{sym: uint32(3 * i), freq: a}
-		a, b = b, a+b
+	var fib []symFreq
+	for a, b := uint64(1), uint64(1); a < 1<<32; a, b = b, a+b {
+		fib = append(fib, symFreq{sym: uint32(3 * len(fib)), freq: a})
 	}
 	cases["fibonacci"] = fib
-	wide := make([]symFreq, 300)
-	for i := range wide {
-		wide[i] = symFreq{sym: uint32(i)<<12 + uint32(rng.Intn(1<<12)), freq: uint64(1 + rng.Intn(40))}
+	distinct := make([]symFreq, 1<<16)
+	for i := range distinct {
+		distinct[i] = symFreq{sym: uint32(i), freq: uint64(1 + rng.Intn(1+i%300))}
 	}
-	cases["wide-symbols"] = wide
-	for _, n := range []int{1 << 16, 1<<16 + 1} {
-		sf := make([]symFreq, n)
-		for i := range sf {
-			sf[i] = symFreq{sym: uint32(i), freq: uint64(1 + rng.Intn(1+i%300))}
-		}
-		cases[fmt.Sprintf("distinct%d", n)] = sf
-	}
+	cases["distinct65536"] = distinct
 	for _, name := range slices.Sorted(maps.Keys(cases)) {
 		if sf := cases[name]; len(sf) > 3 && len(sf) < 1<<16 {
 			shuffled := slices.Clone(sf)
@@ -293,34 +284,28 @@ func (e *Encoder) maxCodeLen() uint8 {
 	return m
 }
 
-// encodeStreams are diffStreams plus the shapes the encoder's own paths
-// split on: nothing, one symbol, the literal marker alone and beside
-// distant bins, spans narrower and wider than the stream over the whole
-// QuantBits=16 range, and alphabets past denseAlphabet (the map path).
+// encodeStreams are the diffStreams within the encoder's 16-bit alphabet
+// plus the shapes the encoder's own paths split on: nothing, one symbol,
+// the literal marker alone and beside distant bins, the alphabet's last
+// symbol, and spans narrower and wider than the stream over the whole
+// QuantBits=16 range.
 func encodeStreams() map[string][]uint32 {
 	rng := rand.New(rand.NewSource(43))
 	streams := diffStreams()
+	maps.DeleteFunc(streams, func(_ string, syms []uint32) bool {
+		return slices.ContainsFunc(syms, func(s uint32) bool { return s >= denseAlphabet })
+	})
 	streams["empty"] = nil
 	streams["one"] = []uint32{1 << 15}
 	streams["zeros"] = make([]uint32, 11)
 	streams["marker-and-centre"] = []uint32{0, 1 << 15, 1<<15 + 1, 0, 1 << 15, 1 << 15, 1<<15 - 1}
 	streams["max-dense-symbol"] = []uint32{denseAlphabet - 1, 0, denseAlphabet - 1, 1}
-	streams["first-sparse-symbol"] = []uint32{denseAlphabet, 0, denseAlphabet - 1, 1}
-	// Wide symbols where count's three samples do not look: the dense pass
-	// runs, finds them, and is undone.
-	streams["hidden-sparse-symbol"] = []uint32{7, denseAlphabet + 7, 7, 8, 3 << 16, 8, 7}
 	for _, n := range []int{5, 300, 70000, 200000} {
-		full := make([]uint32, n)   // the whole 16-bit range: span ≥ n until n > 2^16
-		sparse := make([]uint32, n) // the map path, wrapped counts to take back
+		full := make([]uint32, n) // the whole 16-bit range: span ≥ n until n > 2^16
 		for i := range full {
 			full[i] = uint32(rng.Intn(denseAlphabet))
-			sparse[i] = uint32(rng.Intn(4)) << 16 * uint32(rng.Intn(2))
-			if i%3 == 0 {
-				sparse[i] += uint32(rng.Intn(50))
-			}
 		}
 		streams[fmt.Sprintf("quantbits16-span/n%d", n)] = full
-		streams[fmt.Sprintf("sparse/n%d", n)] = sparse
 	}
 	// Every length around the eight-symbol emit step, over an alphabet
 	// with short and long codes.
