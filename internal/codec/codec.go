@@ -72,7 +72,7 @@ type Config struct {
 	// bound becomes the absolute one sz codes to: per level (LevelEB,
 	// RangeEB) or over one stream (ValuesEB).
 	Mode sz.Mode
-	// QuantBits forwards to sz.Options (0 = default 16).
+	// QuantBits forwards to sz.Options: in [2,16], 0 = default 16.
 	QuantBits int
 	// LevelScales optionally multiplies the error bound per level, fine to
 	// coarse — the adaptive error bound of Sec. 4.5 (e.g. {3,1} for the

@@ -244,7 +244,7 @@ func BenchmarkHuffmanEncodeFrame(b *testing.B) {
 	b.ReportMetric(float64(time.Since(start).Nanoseconds())/rounds, "count-ns")
 	start = time.Now()
 	for i := 0; i < rounds; i++ {
-		e.build(len(syms), true)
+		e.build(len(syms))
 	}
 	b.ReportMetric(float64(time.Since(start).Nanoseconds())/rounds, "build-ns")
 	b.ReportMetric(float64(8*len(dst))/float64(len(syms)), "bit/sym")

@@ -7,6 +7,7 @@ import (
 	"maps"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/bitio"
@@ -293,17 +294,17 @@ func encodeStreams() map[string][]uint32 {
 	rng := rand.New(rand.NewSource(43))
 	streams := diffStreams()
 	maps.DeleteFunc(streams, func(_ string, syms []uint32) bool {
-		return slices.ContainsFunc(syms, func(s uint32) bool { return s >= denseAlphabet })
+		return slices.ContainsFunc(syms, func(s uint32) bool { return s >= alphabet })
 	})
 	streams["empty"] = nil
 	streams["one"] = []uint32{1 << 15}
 	streams["zeros"] = make([]uint32, 11)
 	streams["marker-and-centre"] = []uint32{0, 1 << 15, 1<<15 + 1, 0, 1 << 15, 1 << 15, 1<<15 - 1}
-	streams["max-dense-symbol"] = []uint32{denseAlphabet - 1, 0, denseAlphabet - 1, 1}
+	streams["max-dense-symbol"] = []uint32{alphabet - 1, 0, alphabet - 1, 1}
 	for _, n := range []int{5, 300, 70000, 200000} {
 		full := make([]uint32, n) // the whole 16-bit range: span ≥ n until n > 2^16
 		for i := range full {
-			full[i] = uint32(rng.Intn(denseAlphabet))
+			full[i] = uint32(rng.Intn(alphabet))
 		}
 		streams[fmt.Sprintf("quantbits16-span/n%d", n)] = full
 	}
@@ -341,14 +342,41 @@ func TestEncodeMatchesOracle(t *testing.T) {
 }
 
 // TestEncodeEmptyAllocatesNoTables: an Encoder that has only seen empty
-// streams holds none of the dense tables.
+// streams holds neither of its tables.
 func TestEncodeEmptyAllocatesNoTables(t *testing.T) {
 	var e Encoder
 	if got, want := e.AppendEncode(nil, nil), oracleEncode(nil); !bytes.Equal(got, want) {
 		t.Fatalf("empty stream: % x, oracle % x", got, want)
 	}
-	if e.hist != nil || e.emit != nil || e.table != nil {
-		t.Errorf("empty stream allocated tables: hist %d, emit %d, table %v", len(e.hist), len(e.emit), e.table != nil)
+	if e.hist != nil || e.emit != nil {
+		t.Errorf("empty stream allocated tables: hist %d, emit %d", len(e.hist), len(e.emit))
+	}
+}
+
+// TestEncodePastAlphabetPanics codes streams holding a symbol past the
+// alphabet — alone, inside a short stream, at the end of a long one — and
+// requires a panic naming it, the histogram and its marks all-zero after
+// it, and the same Encoder then coding a stream as the oracle does.
+func TestEncodePastAlphabetPanics(t *testing.T) {
+	next := wideQuantStream(1000)
+	var e Encoder
+	e.AppendEncode(nil, next)
+	for _, syms := range [][]uint32{{alphabet}, {7, 7, 1 << 20, 8}, append(slices.Clone(next), 1<<31)} {
+		want := fmt.Sprintf("symbol %d past the 16-bit alphabet", slices.Max(syms))
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, want) {
+					t.Errorf("%d symbols: panic %q, want one containing %q", len(syms), msg, want)
+				}
+			}()
+			e.AppendEncode(nil, syms)
+		}()
+		if slices.ContainsFunc(e.hist, func(c uint32) bool { return c != 0 }) || e.mark != [alphabet >> markShift]uint8{} {
+			t.Fatalf("%d symbols: the histogram is not all-zero after the panic", len(syms))
+		}
+		if got, want := e.AppendEncode(nil, next), oracleEncode(next); !bytes.Equal(got, want) {
+			t.Fatalf("%d symbols: the next stream differs from the oracle's", len(syms))
+		}
 	}
 }
 
@@ -371,14 +399,29 @@ func TestEncoderReuseShrinkingSpan(t *testing.T) {
 
 // TestEncodeLongestCodes drives codes of maxCodeLen bits through the emit
 // loop — alone they fill the accumulator to the bit, four together
-// overflow a step — by building the codebook from a Fibonacci ladder of
-// frequencies instead of the stream's own.
+// overflow a step — through the emit table of a codebook built from a
+// Fibonacci ladder of frequencies instead of the stream's own. Frequencies
+// past 2^32, which no stream the encoder counts reaches, are what make
+// codes that long, so the oracle's tree build makes the codebook.
 func TestEncodeLongestCodes(t *testing.T) {
 	sf := make([]symFreq, 90)
 	a, b := uint64(1), uint64(1)
 	for i := range sf {
 		sf[i] = symFreq{sym: uint32(3 * i), freq: a}
 		a, b = b, a+b
+	}
+	var tb oracleTree
+	codes := tb.codeLengths(sf)
+	limitLengths(codes)
+	var e Encoder
+	e.emit = make([]uint64, alphabet)
+	lens := map[uint32]uint64{}
+	for _, c := range canonicalize(codes) {
+		e.emit[c.sym] = c.code<<lenBits | uint64(c.len)
+		lens[c.sym] = uint64(c.len)
+	}
+	if deepest := slices.Max(slices.Collect(maps.Values(lens))); deepest != maxCodeLen {
+		t.Fatalf("deepest code %d bits, want %d", deepest, maxCodeLen)
 	}
 	rng := rand.New(rand.NewSource(53))
 	for _, n := range []int{1, 3, 4, 5, 8, 64, 1000} {
@@ -392,22 +435,17 @@ func TestEncodeLongestCodes(t *testing.T) {
 				syms[i] = uint32(3 * k)
 			}
 		}
-		var e Encoder
-		e.sf = append(e.sf, sf...)
-		e.build(n, true)
-		if e.maxCodeLen() != maxCodeLen {
-			t.Fatalf("deepest code %d bits, want %d", e.maxCodeLen(), maxCodeLen)
-		}
-		lens := map[uint32]uint64{}
-		for _, c := range e.codes {
-			lens[c.sym] = uint64(c.len)
-		}
 		nbits := uint64(0)
 		for _, s := range syms {
 			nbits += lens[s]
 		}
-		if got, want := e.emitBits(bitio.AppendBytes(nil, e.hdr), syms, true, nbits), oracleEncodeFreq(sf, syms); !bytes.Equal(got, want) {
-			t.Fatalf("n=%d: blob differs from the oracle's", n)
+		want := oracleEncodeFreq(sf, syms)
+		_, hdr, err := bitio.Bytes(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := e.emitBits(slices.Clone(want[:hdr]), syms, nbits); !bytes.Equal(got, want) {
+			t.Fatalf("n=%d: bit stream differs from the oracle's", n)
 		}
 	}
 }

@@ -158,7 +158,7 @@ func fuzzSymbols(data []byte) []uint32 {
 		for k := width - 1; k >= 0; k-- {
 			v = v<<8 | uint32(body[i*width+k])
 		}
-		syms[i] = v & (denseAlphabet - 1)
+		syms[i] = v & (alphabet - 1)
 	}
 	return syms
 }

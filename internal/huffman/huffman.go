@@ -7,13 +7,16 @@
 // serialized, and both sides reconstruct identical codebooks, so the header
 // overhead stays small even for large quantization-bin alphabets.
 //
+// The encoder codes symbols below 2^AlphabetBits: quantization codes are
+// bounded by 2^QuantBits, and sz's QuantBits range, [2,16], ends there.
+// The decoder reads any uint32 symbol, so payloads coded with wider
+// alphabets still decode.
+//
 // Both directions are table-driven. The encoder counts frequencies into a
-// dense histogram, one counter per symbol, builds the code lengths from
-// one sort of the codebook's symbols and a two-queue merge, and emits
-// through one packed table — an entry per symbol holding its code and
-// length — eight symbols to a step, whenever the alphabet is small (the
-// common case: quantization codes are bounded by 2^QuantBits). Sparse
-// 32-bit alphabets fall back to maps. The decoder resolves codes
+// histogram, one counter per symbol, builds the code lengths from one
+// sort of the codebook's symbols and a two-queue merge, and emits through
+// one packed table — an entry per symbol holding its code and length —
+// eight symbols to a step. The decoder resolves codes
 // through one lookup table indexed by the next TableBits bits of the
 // stream: each 8-byte entry carries up to four complete codes, as
 // canonical ranks into a rank→symbol array, and the bits they consume, so
@@ -27,7 +30,6 @@
 package huffman
 
 import (
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -57,11 +59,15 @@ const (
 	// canonical first-code overflow path.
 	TableBits = 12
 
-	// denseAlphabet bounds the symbol range for the dense encode-side
-	// arrays (frequency counts and per-symbol code tables). 2^16 covers
-	// the default QuantBits=16 code space exactly; streams with larger
-	// symbols use the map fallback.
-	denseAlphabet = 1 << 16
+	// AlphabetBits bounds the encoder's symbols to [0, 2^AlphabetBits), the
+	// range of its histogram and emit table: the code space of sz's widest
+	// QuantBits, which takes its bound from here.
+	AlphabetBits = 16
+	alphabet     = 1 << AlphabetBits
+
+	// MaxSymbols is the longest stream the encoder codes: its histogram
+	// counts in 32 bits.
+	MaxSymbols = 1<<32 - 1
 )
 
 // symFreq is one (symbol, frequency) input pair for the tree build.
@@ -117,9 +123,8 @@ type treeBuilder struct {
 // merge's key rises above the one before it (it sums two keys popped
 // later), so the merged queue is made already in (freq, sym) order and
 // the lightest live subtree is always at one of the two heads. The sort
-// packs freq<<32 | sym<<16 | index into one uint64 key wherever they fit
-// 32, 16 and 16 bits — every dense stream — and falls back to a
-// comparison sort otherwise; one merge loop serves both.
+// packs freq<<32 | sym<<16 | index into one uint64 key: a counted stream
+// has fewer than 2^32 symbols, all below 2^AlphabetBits, so each part fits.
 func (tb *treeBuilder) codeLengths(dst []symCode, sf []symFreq) []symCode {
 	n := len(sf)
 	switch n {
@@ -128,27 +133,14 @@ func (tb *treeBuilder) codeLengths(dst []symCode, sf []symFreq) []symCode {
 	case 1:
 		return append(dst, symCode{sym: sf[0].sym, len: 1})
 	}
-	leaves, keys := tb.leaves[:0], tb.keys[:0]
-	packed := n <= 1<<16
+	keys := tb.keys[:0]
 	for i, p := range sf {
-		if !packed || p.freq >= 1<<32 || p.sym >= 1<<16 {
-			packed = false
-			break
-		}
 		keys = append(keys, p.freq<<32|uint64(p.sym)<<16|uint64(i))
 	}
-	if packed {
-		slices.Sort(keys)
-		for _, k := range keys {
-			leaves = append(leaves, subtree{freq: k >> 32, sym: uint32(k>>16) & 0xffff, node: int32(k & 0xffff)})
-		}
-	} else {
-		for i, p := range sf {
-			leaves = append(leaves, subtree{freq: p.freq, sym: p.sym, node: int32(i)})
-		}
-		slices.SortFunc(leaves, func(a, b subtree) int {
-			return cmp.Or(cmp.Compare(a.freq, b.freq), cmp.Compare(a.sym, b.sym))
-		})
+	slices.Sort(keys)
+	leaves := tb.leaves[:0]
+	for _, k := range keys {
+		leaves = append(leaves, subtree{freq: k >> 32, sym: uint32(k>>16) & 0xffff, node: int32(k & 0xffff)})
 	}
 	nodes, merged := tb.nodes[:0], tb.merged[:0]
 	for range sf {
@@ -300,27 +292,27 @@ const (
 // use; an Encoder is not safe for concurrent use. Output is byte-identical
 // to the package-level Encode.
 //
-// The dense tables are sized by denseAlphabet, not by the alphabet in use:
-// an Encoder that has coded a non-empty dense stream holds 256 KiB of
-// histogram and 512 KiB of emit table from then on.
+// The tables are sized by the whole alphabet, not by the part in use: an
+// Encoder that has coded a non-empty stream holds 256 KiB of histogram and
+// 512 KiB of emit table from then on.
 type Encoder struct {
-	hist  []uint32                          // a counter per dense symbol, all-zero between calls
-	mark  [denseAlphabet >> markShift]uint8 // blocks of hist counted into, all-zero between calls
-	freq  map[uint32]uint64                 // sparse-alphabet frequency fallback
-	sf    []symFreq                         // (symbol, frequency) worklist, in symbol order
+	hist  []uint32                     // a counter per symbol, all-zero between calls
+	mark  [alphabet >> markShift]uint8 // blocks of hist counted into, all-zero between calls
+	sf    []symFreq                    // (symbol, frequency) worklist, in symbol order
 	tb    treeBuilder
-	codes []symCode         // the codebook, in symbol order like sf
-	emit  []uint64          // dense emit table, indexed by symbol; stale outside the codebook
-	table map[uint32]uint64 // sparse emit fallback, same entries
+	codes []symCode // the codebook, in symbol order like sf
+	emit  []uint64  // emit table, indexed by symbol; stale outside the codebook
 	hdr   []byte
 }
 
 // AppendEncode Huffman-codes syms and appends the self-contained blob
-// (codebook header + bit stream) to dst, returning the extended slice.
+// (codebook header + bit stream) to dst, returning the extended slice. It
+// panics if a symbol is 2^AlphabetBits or more, or if syms holds more than
+// MaxSymbols.
 func (e *Encoder) AppendEncode(dst []byte, syms []uint32) []byte {
-	dense := e.count(syms)
-	nbits := e.build(len(syms), dense)
-	return e.emitBits(bitio.AppendBytes(dst, e.hdr), syms, dense, nbits)
+	e.count(syms)
+	nbits := e.build(len(syms))
+	return e.emitBits(bitio.AppendBytes(dst, e.hdr), syms, nbits)
 }
 
 // CodesZero reports whether the stream of the AppendEncode that has just
@@ -330,9 +322,9 @@ func (e *Encoder) AppendEncode(dst []byte, syms []uint32) []byte {
 func (e *Encoder) CodesZero() bool { return len(e.codes) > 0 && e.codes[0].sym == 0 }
 
 // build turns the frequencies in e.sf, of a stream of nsyms symbols, into
-// the codebook, the header and the emit table (dense or sparse), and
-// returns the length of the bit stream.
-func (e *Encoder) build(nsyms int, dense bool) (nbits uint64) {
+// the codebook, the header and the emit table, and returns the length of
+// the bit stream.
+func (e *Encoder) build(nsyms int) (nbits uint64) {
 	codes := e.tb.codeLengths(e.codes[:0], e.sf)
 	limitLengths(codes)
 	assignCanonical(codes)
@@ -353,34 +345,23 @@ func (e *Encoder) build(nsyms int, dense bool) (nbits uint64) {
 	}
 	e.hdr = hdr
 
-	switch {
-	case len(codes) == 0:
-		// Nothing to emit: no table, dense or sparse, is touched.
-	case dense:
-		if e.emit == nil {
-			e.emit = make([]uint64, denseAlphabet)
-		}
-		for _, c := range codes {
-			e.emit[c.sym] = c.code<<lenBits | uint64(c.len)
-		}
-	default:
-		if e.table == nil {
-			e.table = make(map[uint32]uint64, len(codes))
-		} else {
-			clear(e.table)
-		}
-		for _, c := range codes {
-			e.table[c.sym] = c.code<<lenBits | uint64(c.len)
-		}
+	if len(codes) == 0 {
+		return 0 // nothing to emit: the table is not touched
+	}
+	if e.emit == nil {
+		e.emit = make([]uint64, alphabet)
+	}
+	for _, c := range codes {
+		e.emit[c.sym] = c.code<<lenBits | uint64(c.len)
 	}
 	return nbits
 }
 
 // count fills e.sf with the frequency of every distinct symbol, in symbol
-// order, and reports whether the alphabet is dense (all below
-// denseAlphabet).
+// order. It panics on a symbol past the alphabet, or on a stream longer
+// than MaxSymbols, with the histogram all-zero again.
 //
-// The dense histogram keeps one counter per symbol and holds an all-zero
+// The histogram keeps one counter per symbol and holds an all-zero
 // invariant between calls, restored as the counts are collected, so
 // counting never pays a clear of the full symbol range. The one pass over
 // the stream also marks the 64-symbol blocks of the symbol range it
@@ -394,24 +375,19 @@ func (e *Encoder) build(nsyms int, dense bool) (nbits uint64) {
 // fast as the four interleaved lanes it replaced, in a quarter of their
 // memory; two lanes with the same first-touch marks counted faster still
 // (EXPERIMENTS.md).
-func (e *Encoder) count(syms []uint32) (dense bool) {
-	sf := e.sf[:0]
-	dense = uint64(len(syms)) < 1<<32 // a counter holds 32 bits
-	// A wide alphabet's bins lie past the dense range almost to a symbol
-	// (all but the literal marker), so three samples spare nearly every
-	// sparse stream the dense pass and its undoing; any they miss, the
-	// pass finds.
-	if n := len(syms); n > 0 && syms[0]|syms[n/2]|syms[n-1] >= denseAlphabet {
-		dense = false
+func (e *Encoder) count(syms []uint32) {
+	if uint64(len(syms)) > MaxSymbols {
+		panic(fmt.Sprintf("huffman: %d symbols, past MaxSymbols", len(syms)))
 	}
-	if dense && len(syms) > 0 {
+	sf := e.sf[:0]
+	if len(syms) > 0 {
 		if e.hist == nil {
-			e.hist = make([]uint32, denseAlphabet)
+			e.hist = make([]uint32, alphabet)
 		}
-		h := (*[denseAlphabet]uint32)(e.hist)
+		h := (*[alphabet]uint32)(e.hist)
 		mark := &e.mark
-		const m = denseAlphabet - 1
-		var any uint32 // reaches denseAlphabet iff some symbol does
+		const m = alphabet - 1
+		var any uint32 // reaches alphabet iff some symbol does
 		for _, s := range syms {
 			x := s & m
 			v := h[x]
@@ -421,7 +397,6 @@ func (e *Encoder) count(syms []uint32) (dense bool) {
 			}
 			any |= s
 		}
-		dense = any < denseAlphabet
 		for b, set := range mark {
 			if set == 0 {
 				continue
@@ -433,34 +408,21 @@ func (e *Encoder) count(syms []uint32) (dense bool) {
 					continue
 				}
 				blk[j] = 0
-				// Symbols past the dense range wrapped into it: their
-				// counts are taken back out, not collected.
-				if dense {
-					sf = append(sf, symFreq{sym: uint32(b<<markShift + j), freq: uint64(f)})
-				}
+				sf = append(sf, symFreq{sym: uint32(b<<markShift + j), freq: uint64(f)})
 			}
 		}
-	}
-	if !dense {
-		if e.freq == nil {
-			e.freq = make(map[uint32]uint64)
-		} else {
-			clear(e.freq)
+		if any >= alphabet {
+			// A symbol past the alphabet was counted wrapped into it; the
+			// walk above has taken every count back out.
+			i := slices.IndexFunc(syms, func(s uint32) bool { return s >= alphabet })
+			panic(fmt.Sprintf("huffman: symbol %d past the %d-bit alphabet", syms[i], AlphabetBits))
 		}
-		for _, s := range syms {
-			e.freq[s]++
-		}
-		for s, f := range e.freq {
-			sf = append(sf, symFreq{sym: s, freq: f})
-		}
-		slices.SortFunc(sf, func(a, b symFreq) int { return cmp.Compare(a.sym, b.sym) })
 	}
 	e.sf = sf
-	return dense
 }
 
 // emitBits appends the nbits-long bit stream of syms to dst, through the
-// emit table build left (dense or sparse).
+// emit table build left.
 //
 // Codes are packed most significant bit first into a 64-bit accumulator,
 // eight symbols to a step — at the three bits or so a quantization code
@@ -471,7 +433,7 @@ func (e *Encoder) count(syms []uint32) (dense bool) {
 // one code at a time. The bit sequence is the one per-symbol writes
 // produce. (The &63 on shift counts the step has already bounded only
 // spares the compiler's over-shift guards.)
-func (e *Encoder) emitBits(dst []byte, syms []uint32, dense bool, nbits uint64) []byte {
+func (e *Encoder) emitBits(dst []byte, syms []uint32, nbits uint64) []byte {
 	if len(syms) == 0 {
 		return dst
 	}
@@ -480,34 +442,27 @@ func (e *Encoder) emitBits(dst []byte, syms []uint32, dense bool, nbits uint64) 
 	dst = slices.Grow(dst, body+8)
 	buf := dst[start : start+body+8]
 	var w bitPacker
-	if dense {
-		tab := (*[denseAlphabet]uint64)(e.emit)
-		const m = denseAlphabet - 1
-		i := 0
-		for ; i+8 <= len(syms); i += 8 {
-			e0, e1, e2, e3 := tab[syms[i]&m], tab[syms[i+1]&m], tab[syms[i+2]&m], tab[syms[i+3]&m]
-			e4, e5, e6, e7 := tab[syms[i+4]&m], tab[syms[i+5]&m], tab[syms[i+6]&m], tab[syms[i+7]&m]
-			l1, l3, l5, l7 := uint(e1&lenMask), uint(e3&lenMask), uint(e5&lenMask), uint(e7&lenMask)
-			l23, l45, l67 := uint(e2&lenMask)+l3, uint(e4&lenMask)+l5, uint(e6&lenMask)+l7
-			if l := uint(e0&lenMask) + l1 + l23 + l45 + l67; l <= groupBits {
-				c01, c23 := e0>>lenBits<<l1|e1>>lenBits, e2>>lenBits<<l3|e3>>lenBits
-				c45, c67 := e4>>lenBits<<l5|e5>>lenBits, e6>>lenBits<<l7|e7>>lenBits
-				w = w.put(buf, (c01<<(l23&63)|c23)<<((l45+l67)&63)|(c45<<(l67&63)|c67), l)
-				continue
-			}
-			for _, ent := range [8]uint64{e0, e1, e2, e3, e4, e5, e6, e7} {
-				w = w.put(buf, ent>>lenBits, uint(ent&lenMask))
-			}
+	tab := (*[alphabet]uint64)(e.emit)
+	const m = alphabet - 1
+	i := 0
+	for ; i+8 <= len(syms); i += 8 {
+		e0, e1, e2, e3 := tab[syms[i]&m], tab[syms[i+1]&m], tab[syms[i+2]&m], tab[syms[i+3]&m]
+		e4, e5, e6, e7 := tab[syms[i+4]&m], tab[syms[i+5]&m], tab[syms[i+6]&m], tab[syms[i+7]&m]
+		l1, l3, l5, l7 := uint(e1&lenMask), uint(e3&lenMask), uint(e5&lenMask), uint(e7&lenMask)
+		l23, l45, l67 := uint(e2&lenMask)+l3, uint(e4&lenMask)+l5, uint(e6&lenMask)+l7
+		if l := uint(e0&lenMask) + l1 + l23 + l45 + l67; l <= groupBits {
+			c01, c23 := e0>>lenBits<<l1|e1>>lenBits, e2>>lenBits<<l3|e3>>lenBits
+			c45, c67 := e4>>lenBits<<l5|e5>>lenBits, e6>>lenBits<<l7|e7>>lenBits
+			w = w.put(buf, (c01<<(l23&63)|c23)<<((l45+l67)&63)|(c45<<(l67&63)|c67), l)
+			continue
 		}
-		for _, s := range syms[i:] {
-			ent := tab[s&m]
+		for _, ent := range [8]uint64{e0, e1, e2, e3, e4, e5, e6, e7} {
 			w = w.put(buf, ent>>lenBits, uint(ent&lenMask))
 		}
-	} else {
-		for _, s := range syms {
-			ent := e.table[s]
-			w = w.put(buf, ent>>lenBits, uint(ent&lenMask))
-		}
+	}
+	for _, s := range syms[i:] {
+		ent := tab[s&m]
+		w = w.put(buf, ent>>lenBits, uint(ent&lenMask))
 	}
 	return dst[:start+body]
 }

@@ -503,6 +503,9 @@ func batchGeometry[T grid.Float](blocks []*grid.Grid3[T]) (grid.Dims, int, error
 		}
 		total += len(b.Data)
 	}
+	if uint64(total) > huffman.MaxSymbols {
+		return grid.Dims{}, 0, fmt.Errorf("sz: %d values in one batch, past the Huffman stage's %d", total, uint64(huffman.MaxSymbols))
+	}
 	return d, total, nil
 }
 

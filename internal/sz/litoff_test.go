@@ -80,6 +80,9 @@ func TestLitOffsetsShortcutEqualsScan(t *testing.T) {
 	for i, s := range fuzzSeeds(t) {
 		payloads["fuzz seed "+string(rune('0'+i))] = s
 	}
+	for name, blob := range parentWide(t) {
+		payloads["parent wide fixture "+name] = blob
+	}
 	// The golden payloads, both ways: one block in a hundred cells is a
 	// literal. And a smooth batch, which has none.
 	for name, opts := range map[string]Options{"golden raw": {ErrorBound: 0.1, DisableLossless: true}, "golden": {ErrorBound: 0.1}} {

@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/grid"
+	"repro/internal/huffman"
 )
 
 // The vector kernels against the Go kernels, element for element: codes,
@@ -183,9 +185,15 @@ func checkKernelEquivalence(t testing.TB, what string, blocks, refs []*grid.Grid
 }
 
 // sealedShortcutEqualsScan seals a batch's stages and holds litOffsets'
-// answer from the payload's codebook to its scan (litoff_test.go).
+// answer from the payload's codebook to its scan (litoff_test.go). Stages
+// coded at a radius past the Huffman encoder's alphabet are not sealed:
+// the encoder refuses them, and the parent-written payloads of
+// wide_test.go carry such codebooks through litOffsets instead.
 func sealedShortcutEqualsScan(t testing.TB, what string, kind int, d grid.Dims, n int, s stages) {
 	t.Helper()
+	if slices.ContainsFunc(s.codes, func(c uint32) bool { return c >= 1<<huffman.AlphabetBits }) {
+		return
+	}
 	blob := seal[float32](t, kind, []grid.Dims{d, {X: n}}, len(s.codes), 0.5, Options{QuantBits: 16, DisableLossless: true}, s.codes, s.lits)
 	if shortcutEqualsScan[float32](t, what, blob) != (s.nlit == 0) {
 		t.Fatalf("%s: %d literals, and the codebook says otherwise", what, s.nlit)
@@ -264,10 +272,17 @@ func TestSIMDDecodesAnyCodes(t *testing.T) {
 			}
 
 			// A pool one literal short is refused before any kernel runs,
-			// in checkLiterals' words.
+			// in checkLiterals' words. The sealed codes are folded into the
+			// Huffman encoder's alphabet, markers kept where they were.
 			if zeros > 0 {
-				blob := seal[float32](t, kindBatch, []grid.Dims{d, {X: n}}, len(codes), 0.5, Options{QuantBits: 16, DisableLossless: true}, codes, lits[:len(lits)-4])
-				want := checkLiterals[float32](codes, lits[:len(lits)-4])
+				narrow := make([]uint32, len(codes))
+				for i, c := range codes {
+					if c != 0 {
+						narrow[i] = 1 + c%(1<<huffman.AlphabetBits-1)
+					}
+				}
+				blob := seal[float32](t, kindBatch, []grid.Dims{d, {X: n}}, len(narrow), 0.5, Options{QuantBits: 16, DisableLossless: true}, narrow, lits[:len(lits)-4])
+				want := checkLiterals[float32](narrow, lits[:len(lits)-4])
 				for _, scalar := range []bool{false, true} {
 					dec := &Decoder[float32]{scalar: scalar}
 					if err := dec.DecompressBlocksInto(grid.NewBlocks[float32](d, n), blob); err == nil || err.Error() != want.Error() {

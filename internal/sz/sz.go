@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/bitio"
 	"repro/internal/grid"
+	"repro/internal/huffman"
 )
 
 // Mode selects how codec.Config.ErrorBound is interpreted; sz itself
@@ -55,8 +56,10 @@ type Options struct {
 	// ErrorBound is the point-wise absolute error bound; must be > 0. A
 	// value-range-relative bound is resolved to one by codec.Config.
 	ErrorBound float64
-	// QuantBits sets the quantization code width; the bin radius is
-	// 2^(QuantBits-1). Default 16, matching SZ's default 65536 bins.
+	// QuantBits sets the quantization code width, in [2,16]; the bin
+	// radius is 2^(QuantBits-1). Default 16, matching SZ's default 65536
+	// bins, and the most the Huffman encoder's alphabet holds. Payloads
+	// coded at up to 30 bits still decode.
 	QuantBits int
 	// DisableLossless skips the DEFLATE stage (useful for isolating the
 	// prediction/quantization behaviour in tests and ablations).
@@ -74,8 +77,8 @@ func (o Options) validate() error {
 	if !(o.ErrorBound > 0) {
 		return fmt.Errorf("sz: error bound must be positive, got %v", o.ErrorBound)
 	}
-	if o.QuantBits < 2 || o.QuantBits > 30 {
-		return fmt.Errorf("sz: QuantBits must be in [2,30], got %d", o.QuantBits)
+	if o.QuantBits < 2 || o.QuantBits > huffman.AlphabetBits {
+		return fmt.Errorf("sz: QuantBits must be in [2,%d], got %d", huffman.AlphabetBits, o.QuantBits)
 	}
 	return nil
 }

@@ -162,6 +162,28 @@ func TestInvalidOptions(t *testing.T) {
 	if _, _, err := Compress3D(g, Options{ErrorBound: 1, QuantBits: 1}); err == nil {
 		t.Fatal("QuantBits=1 should be rejected")
 	}
+	// The Huffman encoder's alphabet ends at 16 bits: wider codes are an
+	// error, not its panic.
+	if _, _, err := Compress3D(g, Options{ErrorBound: 1, QuantBits: 17}); err == nil || !strings.Contains(err.Error(), "[2,16]") {
+		t.Fatalf("QuantBits=17: err %v, want the [2,16] range", err)
+	}
+	if _, _, err := Compress3D(g, Options{ErrorBound: 1, QuantBits: 16}); err != nil {
+		t.Fatalf("QuantBits=16: %v", err)
+	}
+}
+
+// TestBatchPastMaxSymbolsRefused: a batch of more values than the Huffman
+// encoder counts is an error before any is coded. The batch is one 2^20-cell
+// block listed 2^12 times, so it costs 4 MiB, not 16 GiB.
+func TestBatchPastMaxSymbolsRefused(t *testing.T) {
+	g := grid.New[float32](grid.Dims{X: 1 << 10, Y: 1 << 10, Z: 1})
+	blocks := make([]*grid.Grid3[float32], 1<<12)
+	for i := range blocks {
+		blocks[i] = g
+	}
+	if _, _, err := CompressBlocks(blocks, Options{ErrorBound: 1}); err == nil || !strings.Contains(err.Error(), "past the Huffman stage") {
+		t.Fatalf("2^32 values: err %v, want a refusal", err)
+	}
 }
 
 func TestKindMismatch(t *testing.T) {
