@@ -231,7 +231,7 @@ func verifyArchive(path string, stdout io.Writer) error {
 				deflated[mi]++
 			}
 		}) {
-			damaged = append(damaged, "DAMAGED "+is.String())
+			damaged = append(damaged, "DAMAGED "+is.Err.Error())
 		}
 	}
 	if len(damaged) > 0 {

@@ -262,6 +262,9 @@ func testInfo(t *testing.T) {
 // sectionsLine is verify's per-member line on an archive.
 var sectionsLine = regexp.MustCompile(`(?m)^  (\S+): (\d+) frames, (\d+) stored \+ (\d+) deflated code sections$`)
 
+// frameName is a frame's coordinates as the archive's errors give them.
+var frameName = regexp.MustCompile(`member \d+ level \d+ batch \d+`)
+
 func testVerify(t *testing.T) {
 	if out := mustTacc(t, "verify", "-rel", "-eb", "1e-3", snap("Run1_Z10")); !strings.Contains(out, "PSNR") {
 		t.Errorf("round-trip verify printed %q", out)
@@ -283,8 +286,8 @@ func testVerify(t *testing.T) {
 	}
 
 	errOut := wantExit(t, 1, "verify", damagedCopy(t))
-	if !strings.Contains(errOut, "DAMAGED member") || strings.Count(errOut, "\n") != 1 {
-		t.Errorf("stderr %q, want one line naming the damaged frame", errOut)
+	if !strings.Contains(errOut, "DAMAGED archive: member") || len(frameName.FindAllString(errOut, -1)) != 1 || strings.Count(errOut, "\n") != 1 {
+		t.Errorf("stderr %q, want one line naming the damaged frame once", errOut)
 	}
 }
 

@@ -1,7 +1,6 @@
 package archive
 
 import (
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -32,27 +31,20 @@ func OpenAppend(f *os.File) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	size := st.Size()
-	rd, err := openAt(f, size)
-	end := size
-	if err != nil && errors.Is(err, ErrCorrupt) {
-		// Torn tail from a crashed append: fall back to the newest
-		// committed generation, whose end the next append starts at.
-		if rd2, e, rerr := recoverScan(f, size); rerr == nil {
-			rd, end, err = rd2, e, nil
-		}
-	}
+	// Open serves the newest committed generation, which ends before size
+	// when a crashed append left a torn tail.
+	rd, err := Open(f, st.Size())
 	if err != nil {
 		return nil, err
 	}
 	if err := rd.backfillSums(); err != nil {
 		return nil, err
 	}
-	if end < size {
+	if rd.size < st.Size() {
 		// Cut the wreckage off so the next append starts at a clean
 		// boundary.
-		if err := f.Truncate(end); err != nil {
-			return nil, fmt.Errorf("archive: truncating torn tail at %d: %w", end, err)
+		if err := f.Truncate(rd.size); err != nil {
+			return nil, fmt.Errorf("archive: truncating torn tail at %d: %w", rd.size, err)
 		}
 	}
 	if _, err := f.Seek(rd.size, io.SeekStart); err != nil {

@@ -214,6 +214,14 @@ type LevelIndex struct {
 	occupied int
 }
 
+// sameLayout reports whether levels a and b cover the same blocks batch
+// for batch — the same dims, unit block, batch size and mask — which is
+// what lets the frames of one be delta-coded against the other's.
+func sameLayout(a, b *LevelIndex) bool {
+	return a.Dims == b.Dims && a.UnitBlock == b.UnitBlock &&
+		a.BatchBlocks == b.BatchBlocks && a.Mask.Equal(b.Mask)
+}
+
 // IsDelta reports whether batch b of the level is temporally coded.
 func (li *LevelIndex) IsDelta(b int) bool {
 	return li.Delta != nil && b < len(li.Delta) && li.Delta[b]
@@ -505,9 +513,7 @@ func decodeFooter(buf []byte, ver int) ([]Member, error) {
 				if li >= len(ref.Levels) {
 					return nil, fmt.Errorf("archive: member %d level %d missing from reference member %d", mi, li, m.Ref)
 				}
-				rl := &ref.Levels[li]
-				if rl.Dims != idx.Dims || rl.UnitBlock != idx.UnitBlock ||
-					rl.BatchBlocks != idx.BatchBlocks || !rl.Mask.Equal(idx.Mask) {
+				if !sameLayout(&ref.Levels[li], &idx) {
 					return nil, fmt.Errorf("archive: member %d level %d structure differs from reference member %d", mi, li, m.Ref)
 				}
 			}

@@ -128,7 +128,7 @@ func TestChecksumDetectsEveryFrameFlip(t *testing.T) {
 				if is.Member != mi || is.Level != li || is.Batch != b {
 					t.Fatalf("scrub blamed member %d level %d batch %d, damage was %d/%d/%d", is.Member, is.Level, is.Batch, mi, li, b)
 				}
-				if !strings.Contains(is.String(), "checksum") {
+				if !strings.Contains(is.Err.Error(), "checksum") {
 					t.Fatalf("scrub issue does not mention the checksum: %v", is)
 				}
 			}

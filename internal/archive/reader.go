@@ -77,7 +77,7 @@ func Open(r io.ReaderAt, size int64) (*Reader, error) {
 	}
 	// The exact tail is damaged. Every committed generation ends with a
 	// trailer; the newest valid one wins.
-	if rd, _, rerr := recoverScan(r, size); rerr == nil {
+	if rd, rerr := recoverScan(r, size); rerr == nil {
 		return rd, nil
 	}
 	return nil, err
@@ -155,12 +155,12 @@ func openAt(r io.ReaderAt, end int64) (*Reader, error) {
 }
 
 // recoverScan searches backward from size for the newest end-of-trailer
-// position whose generation parses completely, returning its Reader and
-// end offset. The scan is the crash-recovery slow path: it only runs when
+// position whose generation parses completely, returning its Reader, whose
+// size is that position. The scan is the crash-recovery slow path: it only runs when
 // the trailer at EOF is torn, and the previous generation's trailer — left
 // intact because append never overwrites committed bytes — is normally
 // found within the first chunk.
-func recoverScan(r io.ReaderAt, size int64) (*Reader, int64, error) {
+func recoverScan(r io.ReaderAt, size int64) (*Reader, error) {
 	const chunk = 64 << 10
 	// Candidate ends strictly before size: size itself was already tried.
 	for hi := size - 1; hi > headerLen; hi -= chunk {
@@ -176,7 +176,7 @@ func recoverScan(r io.ReaderAt, size int64) (*Reader, int64, error) {
 		}
 		win := make([]byte, winEnd-lo)
 		if n, err := r.ReadAt(win, lo); err != nil && err != io.EOF {
-			return nil, 0, fmt.Errorf("archive: %w: recovery scan read: %w", ErrCorrupt, err)
+			return nil, fmt.Errorf("archive: %w: recovery scan read: %w", ErrCorrupt, err)
 		} else if int64(n) < winEnd-lo {
 			win = win[:n]
 		}
@@ -194,11 +194,11 @@ func recoverScan(r io.ReaderAt, size int64) (*Reader, int64, error) {
 				continue
 			}
 			if rd, err := openAt(r, end); err == nil {
-				return rd, end, nil
+				return rd, nil
 			}
 		}
 	}
-	return nil, 0, fmt.Errorf("archive: %w: no committed generation found", ErrCorrupt)
+	return nil, fmt.Errorf("archive: %w: no committed generation found", ErrCorrupt)
 }
 
 // FileReader is a Reader backed by an opened file.
@@ -449,16 +449,13 @@ func (r *Reader) readFrame(buf []byte, idx *LevelIndex, mi, li, b int) ([]byte, 
 }
 
 // ScrubIssue is one damaged frame found by ScrubMember: the member, level, and
-// batch it lives in, plus the ErrCorrupt-tagged error describing it.
+// batch it lives in, plus the ErrCorrupt-tagged error describing it, which
+// names the frame too.
 type ScrubIssue struct {
 	Member int
 	Level  int
 	Batch  int
 	Err    error
-}
-
-func (si ScrubIssue) String() string {
-	return fmt.Sprintf("member %d level %d batch %d: %v", si.Member, si.Level, si.Batch, si.Err)
 }
 
 // ScrubMember audits every frame of one member, returning one issue per

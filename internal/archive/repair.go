@@ -89,7 +89,7 @@ func (r *Reader) RepairMember(mi int, src io.ReaderAt, dst io.WriterAt) (RepairS
 		}
 	}
 	if left := r.ScrubMember(mi); len(left) > 0 {
-		return rs, fmt.Errorf("archive: member %d still damaged after repair (%s): %w", mi, left[0], ErrCorrupt)
+		return rs, fmt.Errorf("archive: member %d still damaged after repair (%v): %w", mi, left[0].Err, ErrCorrupt)
 	}
 	rs.Members = []int{mi}
 	return rs, nil

@@ -98,23 +98,12 @@ type fieldRecon struct {
 	levels []levelRecon
 }
 
-// levelRecon is one level of a fieldRecon: the structure the next member
-// must match for delta coding, plus the reconstructed occupied blocks in
-// row-major mask order.
+// levelRecon is one level of a fieldRecon: its layout, which the next
+// member's level must share (sameLayout) to be delta-coded against it,
+// plus the reconstructed occupied blocks in row-major mask order.
 type levelRecon struct {
-	dims        grid.Dims
-	unitBlock   int
-	batchBlocks int
-	mask        *grid.Mask
-	blocks      []*grid.Grid3[amr.Value]
-}
-
-// matches reports whether a level with the given structure can be
-// delta-coded against lr: delta frames only decode when batch b of both
-// members covers exactly the same blocks.
-func (lr *levelRecon) matches(d grid.Dims, unitBlock, batchBlocks int, mask *grid.Mask) bool {
-	return lr.dims == d && lr.unitBlock == unitBlock &&
-		lr.batchBlocks == batchBlocks && lr.mask.Equal(mask)
+	layout LevelIndex // Dims, UnitBlock, Mask and BatchBlocks only
+	blocks []*grid.Grid3[amr.Value]
 }
 
 // Stats reports what a Writer has done so far.
@@ -272,11 +261,8 @@ func (w *Writer) primed(field string) (*fieldRecon, error) {
 	for li := range m.Levels {
 		idx := &m.Levels[li]
 		lr := levelRecon{
-			dims:        idx.Dims,
-			unitBlock:   idx.UnitBlock,
-			batchBlocks: idx.BatchBlocks,
-			mask:        idx.Mask.Clone(),
-			blocks:      make([]*grid.Grid3[amr.Value], 0, idx.occupiedCount()),
+			layout: LevelIndex{Dims: idx.Dims, UnitBlock: idx.UnitBlock, Mask: idx.Mask.Clone(), BatchBlocks: idx.BatchBlocks},
+			blocks: make([]*grid.Grid3[amr.Value], 0, idx.occupiedCount()),
 		}
 		for b := range idx.Batches {
 			blocks, err := w.tail.DecodeBatch(mi, li, b)
@@ -358,15 +344,11 @@ func (mw *memberWriter) plan(lv *levelWrite, li int, l *amr.Level) {
 	if mw.capturing {
 		lv.capture = grid.NewBlocks[amr.Value](lv.idx.unitDims(), len(lv.ords))
 		mw.capture = append(mw.capture, levelRecon{
-			dims:        lv.idx.Dims,
-			unitBlock:   lv.idx.UnitBlock,
-			batchBlocks: batchBlocks,
-			mask:        lv.idx.Mask,
-			blocks:      lv.capture,
+			layout: LevelIndex{Dims: lv.idx.Dims, UnitBlock: lv.idx.UnitBlock, Mask: lv.idx.Mask, BatchBlocks: batchBlocks},
+			blocks: lv.capture,
 		})
 	}
-	if mw.ref != nil && li < len(mw.ref.levels) &&
-		mw.ref.levels[li].matches(l.Grid.Dim, l.UnitBlock, batchBlocks, l.Mask) {
+	if mw.ref != nil && li < len(mw.ref.levels) && sameLayout(&mw.ref.levels[li].layout, &lv.idx) {
 		lv.ref = &mw.ref.levels[li]
 		lv.delta = make([]bool, lv.nbatch())
 	}
