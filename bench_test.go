@@ -296,40 +296,6 @@ func BenchmarkTACDecompressZ10Parallel(b *testing.B) {
 	benchDecompress(b, core.TAC{Workers: -1}, "Run1_Z10")
 }
 
-// BenchmarkEncoderReuseZ10 measures the facade's reusable Encoder on a
-// repeated-snapshot campaign: the same codec work, on the same pooled
-// scratch, as BenchmarkTACCompressZ10.
-func BenchmarkEncoderReuseZ10(b *testing.B) {
-	ds := dataset(b, "Run1_Z10")
-	enc := tac.NewEncoder()
-	cfg := codec.Config{ErrorBound: 1e9}
-	b.SetBytes(int64(ds.OriginalBytes()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := enc.Compress(ds, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDecoderReuseZ10 is the decompress twin of
-// BenchmarkEncoderReuseZ10.
-func BenchmarkDecoderReuseZ10(b *testing.B) {
-	ds := dataset(b, "Run1_Z10")
-	blob, err := tac.Compress(ds, tac.Config{ErrorBound: 1e9})
-	if err != nil {
-		b.Fatal(err)
-	}
-	dec := tac.NewDecoder(0)
-	b.SetBytes(int64(ds.OriginalBytes()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := dec.Decompress(blob); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // Archive (TACA container) benchmarks: streaming write throughput and the
 // random-access read paths a serving layer exercises.
 

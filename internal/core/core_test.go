@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/amr"
@@ -124,6 +125,21 @@ func TestTACForcedStrategiesRoundTrip(t *testing.T) {
 	}
 }
 
+// levelMaxErr is the largest absolute error over the stored cells of a
+// reconstructed level.
+func levelMaxErr(t *testing.T, orig, recon *amr.Level) float64 {
+	t.Helper()
+	ov, rv := orig.MaskedValues(nil), recon.MaskedValues(nil)
+	if len(rv) != len(ov) {
+		t.Fatalf("%d stored cells reconstructed, want %d", len(rv), len(ov))
+	}
+	var m float64
+	for i := range ov {
+		m = max(m, math.Abs(float64(ov[i])-float64(rv[i])))
+	}
+	return m
+}
+
 func TestTACRelativeMode(t *testing.T) {
 	ds := testDataset(t, 0.3, 4)
 	rel := 1e-3
@@ -138,13 +154,9 @@ func TestTACRelativeMode(t *testing.T) {
 	// Per level, the bound is rel × that level's stored-value range.
 	for li := range ds.Levels {
 		ov := ds.Levels[li].MaskedValues(nil)
-		rv := got.Levels[li].MaskedValues(nil)
-		d, err := metrics.SliceDistortion(ov, rv)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d.MaxErr > rel*d.Range*(1+1e-6) {
-			t.Fatalf("level %d: max err %v exceeds rel bound %v", li, d.MaxErr, rel*d.Range)
+		bound := rel * (float64(slices.Max(ov)) - float64(slices.Min(ov)))
+		if e := levelMaxErr(t, ds.Levels[li], got.Levels[li]); e > bound*(1+1e-6) {
+			t.Fatalf("level %d: max err %v exceeds rel bound %v", li, e, bound)
 		}
 	}
 }
@@ -161,13 +173,11 @@ func TestTACPerLevelErrorBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fine, _ := metrics.SliceDistortion(ds.Levels[0].MaskedValues(nil), got.Levels[0].MaskedValues(nil))
-	coarse, _ := metrics.SliceDistortion(ds.Levels[1].MaskedValues(nil), got.Levels[1].MaskedValues(nil))
-	if fine.MaxErr > 4*eb*(1+1e-6) {
-		t.Fatalf("fine level err %v exceeds scaled bound", fine.MaxErr)
+	if e := levelMaxErr(t, ds.Levels[0], got.Levels[0]); e > 4*eb*(1+1e-6) {
+		t.Fatalf("fine level err %v exceeds scaled bound", e)
 	}
-	if coarse.MaxErr > eb*(1+1e-6) {
-		t.Fatalf("coarse level err %v exceeds base bound", coarse.MaxErr)
+	if e := levelMaxErr(t, ds.Levels[1], got.Levels[1]); e > eb*(1+1e-6) {
+		t.Fatalf("coarse level err %v exceeds base bound", e)
 	}
 	// The scaled payload should be smaller than the uniform one.
 	uniform, err := TAC{}.Compress(ds, codec.Config{ErrorBound: eb})

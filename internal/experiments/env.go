@@ -142,7 +142,6 @@ type LevelResult struct {
 	BitRate  float64
 	PSNR     float64
 	Ratio    float64
-	PreTime  time.Duration // extraction/padding time, excluding SZ
 	Total    time.Duration
 }
 

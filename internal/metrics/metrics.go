@@ -94,18 +94,6 @@ func GridDistortion[T grid.Float](orig, recon *grid.Grid3[T]) (Distortion, error
 	return a.distortion(), nil
 }
 
-// SliceDistortion compares two value slices.
-func SliceDistortion[T grid.Float](orig, recon []T) (Distortion, error) {
-	if len(orig) != len(recon) {
-		return Distortion{}, fmt.Errorf("metrics: lengths %d vs %d", len(orig), len(recon))
-	}
-	var a accumulator
-	for i := range orig {
-		a.add(float64(orig[i]), float64(recon[i]))
-	}
-	return a.distortion(), nil
-}
-
 // DatasetDistortion compares two AMR datasets over their stored cells
 // (level-wise, aggregated), the distortion the rate-distortion figures
 // plot. The value range is taken over all stored cells of the original.

@@ -61,16 +61,6 @@ func TestGridDistortion(t *testing.T) {
 	}
 }
 
-func TestSliceDistortion(t *testing.T) {
-	d, err := SliceDistortion([]float64{1, 2, 3}, []float64{1, 2, 3})
-	if err != nil || d.MSE != 0 || d.MaxErr != 0 {
-		t.Fatalf("identical slices: %+v, %v", d, err)
-	}
-	if _, err := SliceDistortion([]float64{1}, []float64{1, 2}); err == nil {
-		t.Fatal("length mismatch should error")
-	}
-}
-
 func TestRatePointString(t *testing.T) {
 	p := RatePoint{ErrorBound: 1e9, BitRate: 2.5, PSNR: 60.1, Ratio: 12.8}
 	if s := p.String(); s == "" {

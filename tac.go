@@ -100,34 +100,6 @@ func DecompressParallel(blob []byte, workers int) (*Dataset, error) {
 // NewTAC returns the TAC codec as a Codec.
 func NewTAC() Codec { return core.TAC{} }
 
-// Encoder is a handle on the TAC compressor for repeated-snapshot
-// campaigns (archive writing, services compressing a stream of members).
-// It codes on the same process-wide pool of quantization, Huffman and
-// DEFLATE scratch as Compress, so neither pays per-call allocation once
-// warm, and payloads are byte-identical.
-type Encoder struct{ eng *core.Engine }
-
-// NewEncoder returns a compression engine.
-func NewEncoder() *Encoder { return &Encoder{eng: core.NewEngine(0)} }
-
-// Compress compresses ds exactly like the package-level Compress.
-func (e *Encoder) Compress(ds *Dataset, cfg Config) ([]byte, error) {
-	return e.eng.Compress(ds, cfg)
-}
-
-// Decoder is the matching decompression engine: DecompressParallel with
-// the worker count fixed at construction (-1 means all CPUs, ≤ 1 is
-// serial).
-type Decoder struct{ eng *core.Engine }
-
-// NewDecoder returns a decompression engine.
-func NewDecoder(workers int) *Decoder { return &Decoder{eng: core.NewEngine(workers)} }
-
-// Decompress reconstructs a dataset exactly like DecompressParallel.
-func (d *Decoder) Decompress(blob []byte) (*Dataset, error) {
-	return d.eng.Decompress(blob)
-}
-
 // NewBaseline returns one of the paper's comparison codecs by name: "1D",
 // "zMesh", or "3D".
 func NewBaseline(name string) (Codec, error) {
