@@ -156,10 +156,10 @@ func openAt(r io.ReaderAt, end int64) (*Reader, error) {
 
 // recoverScan searches backward from size for the newest end-of-trailer
 // position whose generation parses completely, returning its Reader, whose
-// size is that position. The scan is the crash-recovery slow path: it only runs when
-// the trailer at EOF is torn, and the previous generation's trailer — left
-// intact because append never overwrites committed bytes — is normally
-// found within the first chunk.
+// size is that position. The scan is the crash-recovery slow path: it only
+// runs when the trailer at EOF is torn, and the previous generation's
+// trailer — left intact because append never overwrites committed bytes —
+// is normally found within the first chunk.
 func recoverScan(r io.ReaderAt, size int64) (*Reader, error) {
 	const chunk = 64 << 10
 	// Candidate ends strictly before size: size itself was already tried.
