@@ -306,7 +306,7 @@ func decompress(plans []levelPlan, workers int) error {
 
 // Engine is TAC, under the name bench/ holds it by, its only holder: a
 // private sz Encoder/Decoder pair measured no faster than the pools
-// (EXPERIMENTS.md, PR 18), so there is nothing for it to add.
+// (EXPERIMENTS.md), so there is nothing for it to add.
 type Engine = TAC
 
 // NewEngine returns an Engine; workers bounds the decompress-side fan-out
