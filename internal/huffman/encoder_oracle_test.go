@@ -285,28 +285,35 @@ func (e *Encoder) maxCodeLen() uint8 {
 	return m
 }
 
-// encodeStreams are the diffStreams within the encoder's 16-bit alphabet
-// plus the shapes the encoder's own paths split on: nothing, one symbol,
-// the literal marker alone and beside distant bins, the alphabet's last
-// symbol, and spans narrower and wider than the stream over the whole
-// QuantBits=16 range.
-func encodeStreams() map[string][]uint32 {
+// encodeShapes are the diffStreams plus the shapes the encoder's own paths
+// split on: nothing, one symbol, the literal marker alone and beside
+// distant bins, the alphabet's last symbol and the first past it, symbols
+// past it among narrow ones, and spans narrower and wider than the stream
+// over the whole QuantBits=16 range. Shapes holding a symbol past the
+// alphabet seed FuzzEncodeMatchesOracle, which drops a symbol's high half;
+// encodeStreams leaves them out.
+func encodeShapes() map[string][]uint32 {
 	rng := rand.New(rand.NewSource(43))
 	streams := diffStreams()
-	maps.DeleteFunc(streams, func(_ string, syms []uint32) bool {
-		return slices.ContainsFunc(syms, func(s uint32) bool { return s >= alphabet })
-	})
 	streams["empty"] = nil
 	streams["one"] = []uint32{1 << 15}
 	streams["zeros"] = make([]uint32, 11)
 	streams["marker-and-centre"] = []uint32{0, 1 << 15, 1<<15 + 1, 0, 1 << 15, 1 << 15, 1<<15 - 1}
 	streams["max-dense-symbol"] = []uint32{alphabet - 1, 0, alphabet - 1, 1}
+	streams["first-sparse-symbol"] = []uint32{alphabet, 0, alphabet - 1, 1}
+	streams["hidden-sparse-symbol"] = []uint32{7, alphabet + 7, 7, 8, 3 << 16, 8, 7}
 	for _, n := range []int{5, 300, 70000, 200000} {
-		full := make([]uint32, n) // the whole 16-bit range: span ≥ n until n > 2^16
+		full := make([]uint32, n)   // the whole 16-bit range: span ≥ n until n > 2^16
+		sparse := make([]uint32, n) // multiples of 2^16, some plus a small bin
 		for i := range full {
 			full[i] = uint32(rng.Intn(alphabet))
+			sparse[i] = uint32(rng.Intn(4)) << 16 * uint32(rng.Intn(2))
+			if i%3 == 0 {
+				sparse[i] += uint32(rng.Intn(50))
+			}
 		}
 		streams[fmt.Sprintf("quantbits16-span/n%d", n)] = full
+		streams[fmt.Sprintf("sparse/n%d", n)] = sparse
 	}
 	// Every length around the eight-symbol emit step, over an alphabet
 	// with short and long codes.
@@ -314,6 +321,15 @@ func encodeStreams() map[string][]uint32 {
 	for n := 0; n <= 4200; n = n + 1 + n/16 {
 		streams[fmt.Sprintf("wide/n%d", n)] = wide[:n]
 	}
+	return streams
+}
+
+// encodeStreams are the encodeShapes within the encoder's 16-bit alphabet.
+func encodeStreams() map[string][]uint32 {
+	streams := encodeShapes()
+	maps.DeleteFunc(streams, func(_ string, syms []uint32) bool {
+		return slices.ContainsFunc(syms, func(s uint32) bool { return s >= alphabet })
+	})
 	return streams
 }
 

@@ -144,8 +144,9 @@ func FuzzAppendDecode(f *testing.F) {
 // the width of a symbol — 1, 2 or 4 bytes, little-endian — and the rest
 // is the stream, a ragged tail dropped. Narrow symbols give small
 // alphabets, 2-byte ones the encoder's whole 16-bit range; 4-byte ones are
-// clamped to it, their high half dropped, so the corpus entries written
-// when the encoder took 32-bit symbols still run.
+// clamped to it, their high half dropped, so the seeds with symbols past
+// the alphabet, and the corpus entries written when the encoder took
+// 32-bit symbols, still run.
 func fuzzSymbols(data []byte) []uint32 {
 	if len(data) == 0 {
 		return nil
@@ -164,14 +165,18 @@ func fuzzSymbols(data []byte) []uint32 {
 }
 
 // fuzzInput is fuzzSymbols' inverse, at the narrowest width that holds
-// every symbol of syms.
+// every symbol of syms; past the 16-bit alphabet, at 4 bytes, whose high
+// half fuzzSymbols drops.
 func fuzzInput(syms []uint32) []byte {
 	top := uint32(0)
 	for _, s := range syms {
 		top = max(top, s)
 	}
 	mode, width := byte(0), 1
-	if top >= 1<<8 {
+	switch {
+	case top >= 1<<16:
+		mode, width = 2, 4
+	case top >= 1<<8:
 		mode, width = 1, 2
 	}
 	data := []byte{mode}
@@ -183,12 +188,12 @@ func fuzzInput(syms []uint32) []byte {
 	return data
 }
 
-// encodeFuzzSeeds are the shapes of encodeStreams as fuzz inputs: of each
+// encodeFuzzSeeds are the encodeShapes as fuzz inputs: of each
 // family of lengths ("wide/n…"), its longest of at most 1100 symbols. The
 // same seeds are checked in under testdata/fuzz.
 func encodeFuzzSeeds() [][]byte {
 	longest := map[string][]uint32{}
-	for name, syms := range encodeStreams() {
+	for name, syms := range encodeShapes() {
 		family, _, _ := strings.Cut(name, "/")
 		if len(syms) <= 1100 && len(syms) >= len(longest[family]) {
 			longest[family] = syms
