@@ -11,6 +11,7 @@ package amr
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/grid"
 )
@@ -73,18 +74,12 @@ func (l *Level) Clone() *Level {
 // block, row-major over blocks) to dst and returns it. This is the "stored
 // data" of the level — what the original AMR file holds.
 func (l *Level) MaskedValues(dst []Value) []Value {
-	md := l.Mask.Dim
-	buf := make([]Value, l.UnitBlock*l.UnitBlock*l.UnitBlock)
-	for bx := 0; bx < md.X; bx++ {
-		for by := 0; by < md.Y; by++ {
-			for bz := 0; bz < md.Z; bz++ {
-				if !l.Mask.At(bx, by, bz) {
-					continue
-				}
-				l.Grid.CopyRegionTo(l.BlockRegion(bx, by, bz), buf)
-				dst = append(dst, buf...)
-			}
-		}
+	per := l.UnitBlock * l.UnitBlock * l.UnitBlock
+	dst = slices.Grow(dst, l.StoredCells())
+	for _, ord := range l.Mask.OccupiedIndices() {
+		n := len(dst)
+		dst = dst[:n+per]
+		l.Grid.CopyRegionTo(l.BlockRegion(l.Mask.Dim.Coords(ord)), dst[n:])
 	}
 	return dst
 }
@@ -93,18 +88,10 @@ func (l *Level) MaskedValues(dst []Value) []Value {
 // the occupied unit blocks in the same order and returns the remaining
 // slice of src.
 func (l *Level) SetMaskedValues(src []Value) []Value {
-	md := l.Mask.Dim
-	n := l.UnitBlock * l.UnitBlock * l.UnitBlock
-	for bx := 0; bx < md.X; bx++ {
-		for by := 0; by < md.Y; by++ {
-			for bz := 0; bz < md.Z; bz++ {
-				if !l.Mask.At(bx, by, bz) {
-					continue
-				}
-				l.Grid.SetRegion(l.BlockRegion(bx, by, bz), src[:n])
-				src = src[n:]
-			}
-		}
+	per := l.UnitBlock * l.UnitBlock * l.UnitBlock
+	for _, ord := range l.Mask.OccupiedIndices() {
+		l.Grid.SetRegion(l.BlockRegion(l.Mask.Dim.Coords(ord)), src[:per])
+		src = src[per:]
 	}
 	return src
 }

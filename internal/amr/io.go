@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"repro/internal/grid"
@@ -170,7 +171,7 @@ func ReadFrom(r io.Reader) (*Dataset, error) {
 		if ub, err = readU32(); err != nil {
 			return nil, err
 		}
-		if n, ok := d.CheckedCount(1 << 31); !ok || n == 0 {
+		if n, ok := d.CheckedCount(min(1<<31, math.MaxInt)); !ok || n == 0 {
 			return nil, fmt.Errorf("amr: implausible level dims %v", d)
 		}
 		// Validate before NewLevel, which panics on bad geometry.

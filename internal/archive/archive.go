@@ -427,7 +427,7 @@ func decodeFooter(buf []byte, ver int) ([]Member, error) {
 		}
 		scale := 1
 		for range nlev - 1 {
-			if scale > (1<<31)/m.Ratio {
+			if scale > min(1<<31, math.MaxInt)/m.Ratio {
 				return nil, fmt.Errorf("archive: member %d has refinement ratio %d over %d levels, past 2^31", mi, m.Ratio, nlev)
 			}
 			scale *= m.Ratio
@@ -442,7 +442,7 @@ func decodeFooter(buf []byte, ver int) ([]Member, error) {
 			}
 			// Same plausibility cap as amr.ReadFrom: reject before the
 			// mask/grid allocations a hostile footer could inflate.
-			cells, ok := idx.Dims.CheckedCount(1 << 31)
+			cells, ok := idx.Dims.CheckedCount(min(1<<31, math.MaxInt))
 			if !ok || cells == 0 || idx.UnitBlock == 0 ||
 				idx.Dims.X%idx.UnitBlock != 0 || idx.Dims.Y%idx.UnitBlock != 0 || idx.Dims.Z%idx.UnitBlock != 0 {
 				return nil, fmt.Errorf("archive: member %d level %d has corrupt geometry %v/%d", mi, li, idx.Dims, idx.UnitBlock)

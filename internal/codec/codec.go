@@ -435,7 +435,7 @@ func DecodeContainer(blob []byte, wantCodecID byte) (Skeleton, []byte, error) {
 		if err := r.Err(); err != nil {
 			return sk, nil, fmt.Errorf("codec: level %d: %w", i, err)
 		}
-		if n, ok := li.Dims.CheckedCount(1 << 40); !ok || n == 0 || li.UnitBlock == 0 {
+		if n, ok := li.Dims.CheckedCount(min(1<<40, math.MaxInt)); !ok || n == 0 || li.UnitBlock == 0 {
 			return sk, nil, fmt.Errorf("codec: implausible level %d geometry %v/%d", i, li.Dims, li.UnitBlock)
 		}
 		// NewDataset materializes levels with amr.NewLevel, which panics on

@@ -49,8 +49,8 @@ import (
 // headers and Content-Length from the index without reading a frame or
 // touching the cache (a quarantined member still answers its 502).
 // Ingest bodies are .amr streams (amr.Dataset.Write), optionally
-// gzip-compressed with Content-Encoding: gzip; a full ingest queue
-// answers 429 with a Retry-After hint.
+// gzip-compressed with Content-Encoding: gzip; an ingest finding every
+// slot taken (Config.IngestQueue) answers 429 with a Retry-After hint.
 //
 // Non-2xx responses (except /healthz, which stays plain text for
 // probes) carry the JSON error envelope {code, message, member?,

@@ -20,55 +20,43 @@ import (
 // snapshots are far smaller, so anything bigger is hostile or a bug.
 const maxIngestBody = 1 << 30
 
-// ingester owns the write path of one archive: a single goroutine drains
-// a bounded queue of parsed snapshots, compresses each through the
+// ingester owns the write path of one archive. Each ingest appends on
+// its own request's goroutine: it compresses the snapshot through the
 // archive's worker-pool pipeline, commits (crash-safe fsync ordering in
 // archive.Writer.Commit), and swaps a fresh generation view into the
 // servedArchive so concurrent readers see the new member immediately —
 // without restart and without invalidating any batch they already hold.
 //
-// One goroutine per archive serializes appends (archive.Writer is not
-// concurrency-safe) while the bounded queue is the backpressure surface:
-// submit never blocks, it either enqueues or reports ErrBusy.
+// mu serializes appends (archive.Writer is not concurrency-safe), and
+// slots is the backpressure surface: one token for the snapshot being
+// appended and one for each snapshot waiting behind it on mu. An ingest
+// that finds no free slot is refused with ErrBusy instead of waiting.
+// Waiting snapshots commit in whatever order mu grants, not arrival order.
 type ingester struct {
-	sa  *servedArchive // set at registration, before run starts
-	f   *os.File       // shared handle: writer appends, readers pread
+	sa  *servedArchive
+	f   *os.File // shared handle: writer appends, readers pread
 	w   *archive.Writer
 	cfg codec.Config
-	q   chan ingestJob
 
-	mu     sync.RWMutex // guards closed vs. submit (race-free close(q))
-	closed bool
-
-	done     chan struct{} // closed when run has sealed and closed the file
-	finalErr error         // written before done closes, read after
+	slots  chan struct{} // capacity Config.IngestQueue+1
+	mu     sync.Mutex    // held for one append, and by stop to seal
+	closed atomic.Bool   // set by stop; later ingests answer ErrDraining
 
 	accepted atomic.Int64 // members committed
-	rejected atomic.Int64 // submissions refused by a full queue
+	rejected atomic.Int64 // ingests refused for want of a slot
 	bytesIn  atomic.Int64 // uncompressed bytes of committed members
 
-	// beforeHandle, when non-nil, runs at the start of each handle; tests
-	// use it to hold the loop mid-job so the queue fills deterministically.
-	// Synchronized by the job channel: set it before the first submit.
+	// beforeHandle, when non-nil, runs under mu at the start of each
+	// append; tests use it to hold one append so the slots fill
+	// deterministically. Set it before the first ingest.
 	beforeHandle func()
-}
-
-type ingestJob struct {
-	ds    *amr.Dataset
-	reply chan ingestResult
-}
-
-type ingestResult struct {
-	member int    // index of the appended member
-	gen    uint64 // generation whose footer now indexes it
-	err    error
 }
 
 // IngestStats aggregates the write-path counters across archives.
 type IngestStats struct {
 	// Accepted counts snapshots committed and made visible.
 	Accepted int64 `json:"accepted"`
-	// Rejected counts submissions bounced by a full queue (429s).
+	// Rejected counts ingests refused because every slot was taken (429s).
 	Rejected int64 `json:"rejected"`
 	// Bytes is the uncompressed size of everything accepted.
 	Bytes int64 `json:"bytes"`
@@ -113,7 +101,8 @@ func (s *Server) IngestStats() IngestStats {
 // sets the compression parameters for ingested members; a zero
 // ErrorBound inherits them from the archive's newest member, so a
 // growing campaign keeps its established fidelity without restating it.
-// The file is sealed and closed by Server.Close after the queue drains.
+// The file is sealed and closed by Server.Close once every accepted
+// ingest has committed.
 func (s *Server) addAppend(name string, spec ArchiveSpec) (string, error) {
 	if remote.IsURL(spec.Primary) {
 		return "", fmt.Errorf("server: %s: append requires a local file, not a URL", spec.Primary)
@@ -146,83 +135,47 @@ func (s *Server) addAppend(name string, spec ArchiveSpec) (string, error) {
 			cfg.LevelScales = append([]float64(nil), last.LevelScales...)
 		}
 	}
-	ing := &ingester{
-		f:    f,
-		w:    w,
-		cfg:  cfg,
-		q:    make(chan ingestJob, s.cfg.IngestQueue),
-		done: make(chan struct{}),
-	}
-	if err := s.addArchive(&servedArchive{name: name, ing: ing}, r); err != nil {
+	sa := &servedArchive{name: name}
+	sa.ing = &ingester{sa: sa, f: f, w: w, cfg: cfg, slots: make(chan struct{}, s.cfg.IngestQueue+1)}
+	if err := s.addArchive(sa, r); err != nil {
 		f.Close()
 		return "", err
 	}
 	return name, nil
 }
 
-// submit hands ds to the ingester without blocking: the reply channel
-// resolves once the snapshot is committed (or failed). ErrBusy means the
-// queue is full — the client should back off and retry; ErrDraining
-// means the ingester is shutting down.
-func (ing *ingester) submit(ds *amr.Dataset) (<-chan ingestResult, error) {
-	ing.mu.RLock()
-	defer ing.mu.RUnlock()
-	if ing.closed {
-		return nil, fmt.Errorf("server: %w", ErrDraining)
-	}
-	job := ingestJob{ds: ds, reply: make(chan ingestResult, 1)}
+// append commits ds as the archive's next member and republishes the
+// view, returning the member's index and the generation that indexes it.
+// It never queues beyond the slots: ErrBusy means every slot is taken —
+// the client should back off and retry; ErrDraining means stop has begun.
+func (ing *ingester) append(ds *amr.Dataset) (member int, gen uint64, err error) {
 	select {
-	case ing.q <- job:
-		return job.reply, nil
+	case ing.slots <- struct{}{}:
 	default:
+		// stop sets closed before taking slots: those it holds mean draining.
+		if ing.closed.Load() {
+			return 0, 0, fmt.Errorf("server: %w", ErrDraining)
+		}
 		ing.rejected.Add(1)
-		return nil, fmt.Errorf("server: %w (%d queued)", ErrBusy, cap(ing.q))
+		return 0, 0, fmt.Errorf("server: %w (%d queued)", ErrBusy, cap(ing.slots)-1)
 	}
-}
-
-// stop drains the queue (every accepted snapshot still commits), seals
-// the archive, closes the file, and waits for all of it.
-func (ing *ingester) stop() error {
+	defer func() { <-ing.slots }()
+	if ing.closed.Load() {
+		return 0, 0, fmt.Errorf("server: %w", ErrDraining)
+	}
 	ing.mu.Lock()
-	if !ing.closed {
-		ing.closed = true
-		close(ing.q)
-	}
-	ing.mu.Unlock()
-	<-ing.done
-	return ing.finalErr
-}
-
-// run is the per-archive append loop.
-func (ing *ingester) run() {
-	defer close(ing.done)
-	for job := range ing.q {
-		job.reply <- ing.handle(job.ds)
-	}
-	// Seal: commits nothing new when the last handle already committed,
-	// but guarantees a clean footer if a mid-append failure left members
-	// sealed-but-uncommitted.
-	if err := ing.w.Close(); err != nil && ing.finalErr == nil {
-		ing.finalErr = err
-	}
-	if err := ing.f.Close(); err != nil && ing.finalErr == nil {
-		ing.finalErr = err
-	}
-}
-
-// handle appends one snapshot: compress, commit, republish the view.
-func (ing *ingester) handle(ds *amr.Dataset) ingestResult {
+	defer ing.mu.Unlock()
 	if ing.beforeHandle != nil {
 		ing.beforeHandle()
 	}
 	// A member that fails half-built is unhooked by AddDataset, so the
-	// writer survives for the next job; its flushed frames become dead
+	// writer survives for the next append; its flushed frames become dead
 	// bytes.
 	if err := ing.w.AddDataset(ds, ing.cfg); err != nil {
-		return ingestResult{err: err}
+		return 0, 0, fmt.Errorf("server: appending snapshot: %w", err)
 	}
 	if err := ing.w.Commit(); err != nil {
-		return ingestResult{err: err}
+		return 0, 0, fmt.Errorf("server: appending snapshot: %w", err)
 	}
 	// Publish the new generation — the writer's own index over the file,
 	// not a parse of the footer it has just written — and, in the same
@@ -230,16 +183,35 @@ func (ing *ingester) handle(ds *amr.Dataset) ingestResult {
 	// view keep working: the bytes they index were never touched.
 	r, err := ing.w.View(ing.f)
 	if err != nil {
-		return ingestResult{err: fmt.Errorf("server: viewing the committed generation: %w", err)}
+		return 0, 0, fmt.Errorf("server: appending snapshot: viewing the committed generation: %w", err)
 	}
 	old := ing.sa.state.Load()
 	ing.sa.state.Store(newArchiveState(r, old, ing.w.Retained()))
 	ing.accepted.Add(1)
 	ing.bytesIn.Add(int64(ds.OriginalBytes()))
-	return ingestResult{member: len(r.Members()) - 1, gen: r.Generation()}
+	return len(r.Members()) - 1, r.Generation(), nil
 }
 
-// handleIngest is POST /v1/a/{name}/ingest: parse an .amr body, queue it,
+// stop refuses new ingests, waits for every accepted one to commit by
+// taking all the slots (which it never gives back), then seals the
+// archive and closes the file. Sealing commits nothing new when the last
+// append already committed, but guarantees a clean footer if a
+// mid-append failure left members sealed-but-uncommitted.
+func (ing *ingester) stop() error {
+	ing.closed.Store(true)
+	for range cap(ing.slots) {
+		ing.slots <- struct{}{}
+	}
+	ing.mu.Lock()
+	defer ing.mu.Unlock()
+	err := ing.w.Close()
+	if cerr := ing.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// handleIngest is POST /v1/a/{name}/ingest: parse an .amr body, append it,
 // and answer with the committed member's coordinates.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	sa, err := s.lookup(r.PathValue("name"))
@@ -281,14 +253,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, fmt.Errorf("server: %w: invalid snapshot: %v", ErrBadRequest, err))
 		return
 	}
-	reply, err := sa.ing.submit(ds)
+	member, gen, err := sa.ing.append(ds)
 	if err != nil {
 		s.httpError(w, err)
-		return
-	}
-	res := <-reply
-	if res.err != nil {
-		s.httpError(w, fmt.Errorf("server: appending snapshot: %w", res.err))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -300,5 +267,5 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		Field       string `json:"field"`
 		Generation  uint64 `json:"generation"`
 		StoredCells int    `json:"stored_cells"`
-	}{sa.name, res.member, ds.Name, ds.Field, res.gen, ds.StoredCells()})
+	}{sa.name, member, ds.Name, ds.Field, gen, ds.StoredCells()})
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -206,7 +207,7 @@ func TestIngestBackpressure(t *testing.T) {
 	launch()
 	waitFor(t, func() bool { return entered.Load() })
 	launch()
-	waitFor(t, func() bool { return len(sa.ing.q) == 1 })
+	waitFor(t, func() bool { return len(sa.ing.slots) == 2 })
 	// Queue full: this one must bounce immediately, before hold releases.
 	rec := post(t, h, "/v1/a/live/ingest", wire)
 	if rec.Code != http.StatusTooManyRequests {
@@ -225,6 +226,66 @@ func TestIngestBackpressure(t *testing.T) {
 	}
 	if got := s.IngestStats(); got.Accepted != 2 || got.Rejected != 1 {
 		t.Fatalf("ingest stats %+v, want 2 accepted / 1 rejected", got)
+	}
+}
+
+// TestIngestCloseCommitsWaiting calls Close while one ingest is held
+// mid-append and a second waits behind it: both must still answer 201,
+// an ingest arriving after Close began is refused as draining, and the
+// sealed file holds both new members.
+func TestIngestCloseCommitsWaiting(t *testing.T) {
+	s, path := newAppendServer(t, Config{IngestQueue: 1})
+	h := s.Handler()
+	sa, err := s.lookup("live")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hold := make(chan struct{})
+	var entered atomic.Bool
+	sa.ing.beforeHandle = func() {
+		if entered.CompareAndSwap(false, true) {
+			<-hold
+		}
+	}
+
+	ds, wire := ingestSnap(t, "close", 6)
+	codes := make(chan int, 2)
+	var wg sync.WaitGroup
+	launch := func() {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			codes <- post(t, h, "/v1/a/live/ingest", wire).Code
+		}()
+	}
+	launch()
+	waitFor(t, func() bool { return entered.Load() })
+	launch()
+	waitFor(t, func() bool { return len(sa.ing.slots) == 2 })
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	waitFor(t, func() bool { return sa.ing.closed.Load() })
+	if _, _, err := sa.ing.append(ds); !errors.Is(err, ErrDraining) {
+		t.Fatalf("append after Close began: %v, want ErrDraining", err)
+	}
+	close(hold)
+	wg.Wait()
+	close(codes)
+	for code := range codes {
+		if code != http.StatusCreated {
+			t.Fatalf("accepted ingest finished with status %d, want 201", code)
+		}
+	}
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	fr, err := archive.OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fr.Close()
+	if n := len(fr.Members()); n != 4 {
+		t.Fatalf("after Close: %d members on disk, want 4", n)
 	}
 }
 

@@ -66,8 +66,8 @@ var (
 	ErrBadRequest = errors.New("bad request")
 	// ErrReadOnly tags ingest attempts on archives not opened for append.
 	ErrReadOnly = errors.New("archive is read-only")
-	// ErrBusy tags ingest attempts rejected by a full queue (backpressure;
-	// the HTTP layer answers 429 with Retry-After).
+	// ErrBusy tags ingest attempts rejected because IngestQueue snapshots
+	// already wait (backpressure; the HTTP layer answers 429 with Retry-After).
 	ErrBusy = errors.New("ingest queue full")
 	// ErrDraining tags requests refused because the server is shutting
 	// down.
@@ -83,9 +83,9 @@ type Config struct {
 	// Workers bounds the per-request batch fan-out during level and
 	// region assembly; 0 means GOMAXPROCS, 1 assembles serially.
 	Workers int
-	// IngestQueue bounds the snapshots queued (per writable archive)
-	// behind the one being compressed; an arriving ingest finding the
-	// queue full is rejected with ErrBusy. 0 means DefaultIngestQueue.
+	// IngestQueue bounds the snapshots waiting (per writable archive)
+	// behind the one being compressed; an arriving ingest finding that
+	// many waiting is rejected with ErrBusy. 0 means DefaultIngestQueue.
 	IngestQueue int
 	// QuarantineAfter is how many deterministic corruption detections
 	// against one member quarantine it (requests for it answer
@@ -432,7 +432,7 @@ func SplitSpec(spec string) (name, primary string) {
 }
 
 func (s *Server) addArchive(sa *servedArchive, r *archive.Reader) error {
-	name, ing := sa.name, sa.ing
+	name := sa.name
 	if name == "" {
 		return fmt.Errorf("server: empty archive name")
 	}
@@ -445,16 +445,12 @@ func (s *Server) addArchive(sa *servedArchive, r *archive.Reader) error {
 	s.archives[name] = sa
 	s.names = append(s.names, name)
 	sort.Strings(s.names)
-	if ing != nil {
-		ing.sa = sa
-		go ing.run()
-	}
 	return nil
 }
 
-// Close drains every ingester (queued snapshots finish compressing and
-// commit before the archive file is sealed and closed) and then closes
-// every registered archive that was added with a closer.
+// Close drains every ingester (each accepted snapshot, appending or
+// waiting, commits before the archive file is sealed and closed) and
+// then closes every registered archive that was added with a closer.
 func (s *Server) Close() error {
 	s.stopScrubber()
 	s.mu.Lock()

@@ -254,13 +254,6 @@ func (e *Encoder[T]) reconSlab(n int) []T {
 	return e.recon[:n]
 }
 
-// reconBuf is reconSlab, zeroed.
-func (e *Encoder[T]) reconBuf(n int) []T {
-	r := e.reconSlab(n)
-	clear(r)
-	return r
-}
-
 // codesBuf returns the pooled code buffer presized to exactly n entries,
 // so the kernels write codes by index with no append growth.
 func (e *Encoder[T]) codesBuf(n int) []uint32 {
@@ -458,11 +451,6 @@ func (e *Encoder[T]) compressBlocks(kind int, blocks, refs []*grid.Grid3[T], opt
 // their own, leave it alone.
 func (e *Encoder[T]) encodeSpatial(blocks []*grid.Grid3[T], d grid.Dims, codes []uint32, eb float64, radius int64, rec func(i int) []T, keep bool) {
 	per := d.Count()
-	zeroed := func(i int) []T {
-		r := rec(i)
-		clear(r)
-		return r
-	}
 	// Blocks are mutually independent, so they encode in lock step: full
 	// groups of simdLanes through the vector kernel where there is one
 	// (simd.go), then groups of four through the quad kernel — four
@@ -471,12 +459,12 @@ func (e *Encoder[T]) encodeSpatial(blocks []*grid.Grid3[T], d grid.Dims, codes [
 	for ; i+4 <= len(blocks); i += 4 {
 		encodeBlockQuad(
 			blocks[i].Data, blocks[i+1].Data, blocks[i+2].Data, blocks[i+3].Data,
-			zeroed(i), zeroed(i+1), zeroed(i+2), zeroed(i+3), d,
+			rec(i), rec(i+1), rec(i+2), rec(i+3), d,
 			codes[i*per:(i+1)*per], codes[(i+1)*per:(i+2)*per], codes[(i+2)*per:(i+3)*per], codes[(i+3)*per:(i+4)*per],
 			eb, radius)
 	}
 	for ; i < len(blocks); i++ {
-		encodeBlock3(blocks[i].Data, zeroed(i), d, codes[i*per:(i+1)*per], eb, radius)
+		encodeBlock3(blocks[i].Data, rec(i), d, codes[i*per:(i+1)*per], eb, radius)
 	}
 }
 

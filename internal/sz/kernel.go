@@ -164,8 +164,8 @@ func checkLiterals[T grid.Float](codes []uint32, lits []byte) error {
 
 // encodeBlock3 runs the boundary-peeled 3D Lorenzo encode over src,
 // writing the reconstruction into recon and one code per cell into codes,
-// 0 for a literal. recon must be zeroed and codes presized: both of length
-// d.Count(). The literal pool is the seal's to build (appendLiterals).
+// 0 for a literal; both have length d.Count(), and recon's old values are
+// never read. The literal pool is the seal's to build (appendLiterals).
 func encodeBlock3[T grid.Float](src, recon []T, d grid.Dims, codes []uint32, eb float64, radius int64) {
 	nx, ny, nz := d.X, d.Y, d.Z
 	if nx == 0 || ny == 0 || nz == 0 {
@@ -682,7 +682,7 @@ func (e *Encoder[T]) Predict3D(g *grid.Grid3[T], opts Options) ([]uint32, []byte
 		return nil, nil, 0, err
 	}
 	codes := e.codesBuf(len(g.Data))
-	recon := e.reconBuf(len(g.Data))
+	recon := e.reconSlab(len(g.Data))
 	encodeBlock3(g.Data, recon, g.Dim, codes, opts.ErrorBound, quantRadius(opts.QuantBits))
 	lits := appendLiterals(e.lits[:0], codes, []*grid.Grid3[T]{g})
 	e.lits = lits[:0]

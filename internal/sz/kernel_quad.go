@@ -24,8 +24,8 @@ import (
 // and the decode side reads through four absolute cursors precomputed from
 // the per-block literal counts (the litOff scan).
 
-// encodeBlockQuad encodes four same-shaped blocks in lock step. The
-// recon slices must be zeroed, the code slices presized to d.Count().
+// encodeBlockQuad encodes four same-shaped blocks in lock step. The recon
+// and code slices must all have length d.Count().
 func encodeBlockQuad[T grid.Float](s0, s1, s2, s3, r0, r1, r2, r3 []T, d grid.Dims, c0, c1, c2, c3 []uint32, eb float64, radius int64) {
 	nx, ny, nz := d.X, d.Y, d.Z
 	if nx == 0 || ny == 0 || nz == 0 {

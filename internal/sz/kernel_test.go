@@ -81,7 +81,10 @@ func refDecode3[T grid.Float](d grid.Dims, codes []uint32, lits []byte, eb float
 	return out, err
 }
 
-func checkKernel3[T grid.Float](t *testing.T, d grid.Dims, seed int64, litFrac, eb float64) {
+// With stale set, every reconstruction buffer the encode kernels get
+// starts NaN-filled rather than zeroed: they must write each cell before
+// they read it.
+func checkKernel3[T grid.Float](t *testing.T, d grid.Dims, seed int64, litFrac, eb float64, stale bool) {
 	t.Helper()
 	const quantBits = 16
 	g := grid.New[T](d)
@@ -89,8 +92,17 @@ func checkKernel3[T grid.Float](t *testing.T, d grid.Dims, seed int64, litFrac, 
 
 	q, refRecon := refEncode3(g, eb, quantBits)
 
+	newRecon := func() []T {
+		r := make([]T, d.Count())
+		if stale {
+			for i := range r {
+				r[i] = T(math.NaN())
+			}
+		}
+		return r
+	}
 	codes := make([]uint32, d.Count())
-	recon := make([]T, d.Count())
+	recon := newRecon()
 	encodeBlock3(g.Data, recon, d, codes, eb, quantRadius(quantBits))
 	lits := appendLiterals(nil, codes, []*grid.Grid3[T]{g})
 	nlit := len(lits) / literalSize[T]()
@@ -114,6 +126,24 @@ func checkKernel3[T grid.Float](t *testing.T, d grid.Dims, seed int64, litFrac, 
 		if bitsOf(recon[i]) != bitsOf(refRecon.Data[i]) {
 			x, y, z := d.Coords(i)
 			t.Fatalf("%v: encode recon[%d] (%d,%d,%d) = %x, reference %x", d, i, x, y, z, bitsOf(recon[i]), bitsOf(refRecon.Data[i]))
+		}
+	}
+	// The quad kernel, the same block in all four lanes, must agree.
+	var quadRecon [4][]T
+	var quadCodes [4][]uint32
+	for l := range quadRecon {
+		quadRecon[l], quadCodes[l] = newRecon(), make([]uint32, d.Count())
+	}
+	encodeBlockQuad(g.Data, g.Data, g.Data, g.Data, quadRecon[0], quadRecon[1], quadRecon[2], quadRecon[3], d,
+		quadCodes[0], quadCodes[1], quadCodes[2], quadCodes[3], eb, quantRadius(quantBits))
+	for l := range quadRecon {
+		if !slices.Equal(quadCodes[l], codes) {
+			t.Fatalf("%v: quad lane %d codes differ from encodeBlock3's", d, l)
+		}
+		for i := range recon {
+			if bitsOf(quadRecon[l][i]) != bitsOf(recon[i]) {
+				t.Fatalf("%v: quad lane %d recon[%d] = %x, encodeBlock3 %x", d, l, i, bitsOf(quadRecon[l][i]), bitsOf(recon[i]))
+			}
 		}
 	}
 
@@ -144,12 +174,14 @@ func checkKernel3[T grid.Float](t *testing.T, d grid.Dims, seed int64, litFrac, 
 // TestKernel3Equivalence is the 3D property test: byte-identical codes
 // and literals, bit-identical reconstructions, across the geometry
 // gauntlet, both element widths, and literal densities from none to
-// literal-heavy.
+// literal-heavy, into zeroed and into NaN-filled reconstruction buffers.
 func TestKernel3Equivalence(t *testing.T) {
 	for _, d := range kernelDims {
 		for _, litFrac := range []float64{0, 0.02, 0.5} {
-			checkKernel3[float32](t, d, int64(d.Count())*7+int64(litFrac*100), litFrac, 0.05)
-			checkKernel3[float64](t, d, int64(d.Count())*13+int64(litFrac*100), litFrac, 0.05)
+			for _, stale := range []bool{false, true} {
+				checkKernel3[float32](t, d, int64(d.Count())*7+int64(litFrac*100), litFrac, 0.05, stale)
+				checkKernel3[float64](t, d, int64(d.Count())*13+int64(litFrac*100), litFrac, 0.05, stale)
+			}
 		}
 	}
 }
@@ -161,8 +193,8 @@ func TestKernel2Equivalence(t *testing.T) {
 	for _, g := range [][2]int{{1, 1}, {1, 9}, {9, 1}, {5, 7}, {16, 2}, {12, 12}} {
 		d := grid.Dims{X: g[0], Y: g[1], Z: 1}
 		for _, litFrac := range []float64{0, 0.03, 0.5} {
-			checkKernel3[float32](t, d, int64(g[0]*31+g[1]), litFrac, 0.05)
-			checkKernel3[float64](t, d, int64(g[0]*37+g[1]), litFrac, 0.05)
+			checkKernel3[float32](t, d, int64(g[0]*31+g[1]), litFrac, 0.05, false)
+			checkKernel3[float64](t, d, int64(g[0]*37+g[1]), litFrac, 0.05, false)
 		}
 	}
 }

@@ -210,12 +210,12 @@ func (h header) geometry() (grid.Dims, int, error) {
 	case h.kind == kindRaw1D && len(h.dims) == 0:
 		return grid.Dims{X: 1, Y: 1, Z: h.n}, 1, nil
 	case h.kind == kindGrid3D && len(h.dims) == 1:
-		if n, ok := h.dims[0].CheckedCount(1 << 40); ok && n == h.n {
+		if n, ok := h.dims[0].CheckedCount(min(1<<40, math.MaxInt)); ok && n == h.n {
 			return h.dims[0], 1, nil
 		}
 	case (h.kind == kindBatch || h.kind == kindBatchDelta) && len(h.dims) == 2:
 		d, count := h.dims[0], h.dims[1].X
-		per, ok := d.CheckedCount(1 << 40)
+		per, ok := d.CheckedCount(min(1<<40, math.MaxInt))
 		// Divide instead of multiplying so corrupt counts cannot overflow.
 		if ok && count > 0 && per > 0 && h.n%per == 0 && h.n/per == count {
 			return d, count, nil
