@@ -3,6 +3,8 @@ package archive
 import (
 	"bytes"
 	"errors"
+	"math"
+	"math/bits"
 	"testing"
 
 	"repro/internal/bitio"
@@ -25,20 +27,21 @@ func footerOf(tb testing.TB, blob []byte) (footer []byte, ver int, start int) {
 }
 
 // wrappingFooters returns two one-member v4 footers whose every field is
-// inside its per-read bound but whose geometry wraps int arithmetic: dims
-// of 2^44+1 × 2^20 × 1, whose product wraps to 2^20 cells, and a Ratio of
-// 2^32 over three levels, whose powers wrap to zero.
+// inside its per-read bound but whose geometry wraps int arithmetic: with
+// w the bits of an int (64, or 32), dims of 2^(w−20)+1 × 2^20 × 1, whose
+// product wraps to 2^20 cells, and a Ratio of 2^(w/2) over three levels,
+// whose powers wrap to zero.
 func wrappingFooters(tb testing.TB) map[string][]byte {
 	tb.Helper()
 	level := func(d grid.Dims, ub int) LevelIndex {
 		return LevelIndex{Dims: d, UnitBlock: ub, Mask: grid.NewMask(d.Div(ub)), BatchBlocks: DefaultBatchBlocks}
 	}
-	wide := grid.Dims{X: 1<<44 + 1, Y: 1 << 20, Z: 1}
+	wide := grid.Dims{X: 1<<(bits.UintSize-20) + 1, Y: 1 << 20, Z: 1}
 	cube := grid.Dims{X: 4, Y: 4, Z: 4}
 	members := map[string]Member{
 		"dims": {Name: "dims", Field: "f", Ratio: 2, ErrorBound: 1, QuantBits: 16, Ref: -1,
 			Levels: []LevelIndex{level(wide, 1)}},
-		"ratio": {Name: "ratio", Field: "f", Ratio: 1 << 32, ErrorBound: 1, QuantBits: 16, Ref: -1,
+		"ratio": {Name: "ratio", Field: "f", Ratio: 1 << (bits.UintSize / 2), ErrorBound: 1, QuantBits: 16, Ref: -1,
 			Levels: []LevelIndex{level(cube, 4), level(cube, 4), level(cube, 4)}},
 	}
 	out := make(map[string][]byte)
@@ -158,7 +161,7 @@ func FuzzDecodeFooter(f *testing.F) {
 			}
 			for li := range m.Levels {
 				idx := &m.Levels[li]
-				if _, ok := idx.Dims.CheckedCount(1 << 31); !ok {
+				if _, ok := idx.Dims.CheckedCount(min(1<<31, math.MaxInt)); !ok {
 					t.Fatalf("member %d level %d: dims %v accepted", mi, li, idx.Dims)
 				}
 				if idx.Mask.Dim != idx.Dims.Div(idx.UnitBlock) {

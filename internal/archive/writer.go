@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/amr"
 	"repro/internal/codec"
+	"repro/internal/fanout"
 	"repro/internal/grid"
 	"repro/internal/sz"
 )
@@ -303,7 +304,7 @@ type levelWrite struct {
 	idx   LevelIndex
 	ords  []int      // the occupied block ordinals, row-major
 	opts  sz.Options // ErrorBound is resolved before the first frame is coded
-	first int        // the member-wide job number of batch 0
+	first int        // the member-wide frame number of batch 0
 
 	// Campaign mode: capture receives the level's reconstruction (so the
 	// next member can reference it); ref is the reference level delta
@@ -313,11 +314,6 @@ type levelWrite struct {
 	capture []*grid.Grid3[amr.Value]
 	ref     *levelRecon
 	delta   []bool
-
-	// Rel mode on the pool: the value range of each batch span, scanned by
-	// the pool's workers and merged in order once all are in.
-	spans   []codec.ValueRange
-	ranging sync.WaitGroup
 }
 
 // nbatch returns the number of frames of the level.
@@ -407,175 +403,143 @@ func (mw *memberWriter) write(lv *levelWrite, b int, blob []byte, isDelta bool) 
 // addLevels compresses ls, the member's levels, into block-batch frames
 // and streams them out in level-then-batch order; a level's index entry
 // joins the member once its last frame is written, and a level without
-// frames joins in its place. The frames of every level go through one pool
-// of cfg.Workers goroutines (each batch is an independent sz stream, so the
-// pool pipelines gather → compress → in-order write), with no barrier
-// between levels, and only the batches in flight exist uncompressed
-// outside ls itself. Every frame is written before addLevels returns.
+// frames joins in its place. The frames of every level share one pool of
+// cfg.Workers frame encoders (each batch is an independent sz stream, so
+// frames gather and compress out of order while this goroutine writes
+// them in order), with no barrier between levels, and only the frames in
+// flight exist uncompressed outside ls itself. No frame reads ls once
+// addLevels has returned, on success or on error.
 func (mw *memberWriter) addLevels(ls []*amr.Level) error {
+	type frame struct {
+		lv *levelWrite
+		b  int
+	}
 	lvs := make([]levelWrite, len(ls))
-	nframes := 0
+	var frames []frame
 	for k, l := range ls {
 		lv := &lvs[k]
 		mw.plan(lv, k, l)
-		lv.first = nframes
-		nframes += lv.nbatch()
+		lv.first = len(frames)
+		for b := range lv.nbatch() {
+			frames = append(frames, frame{lv, b})
+		}
 	}
-	workers := max(1, min(codec.ResolveWorkers(mw.cfg.Workers), nframes))
+	workers := max(1, min(codec.ResolveWorkers(mw.cfg.Workers), len(frames)))
 
-	// A bounded pool compresses frames out of order while this goroutine
-	// flushes them in level-then-batch order, so each frame streams out as
-	// soon as its predecessors have. Two semaphores bound it: active caps
-	// the jobs running at workers (one at Workers 1), which is the
-	// streaming-memory guarantee, and window caps the frames started but
-	// not yet written at twice that, so that a slow frame at the head of
-	// the queue idles nobody until the pool is a full round ahead of it,
-	// yet a stalled sink cannot let compressed frames pile up. The tokens
-	// of active are the member's frame encoders, drawn from frameEncoders
-	// once per worker, not once per frame. Each frame is its own short
-	// goroutine, not a turn of a long-lived worker: a worker that never
-	// blocks holds its P for the member's whole length, and in a process
-	// that also serves requests (tacd ingest) the scheduler then notices a
-	// request whose bytes have arrived only at its 10 ms preemption tick,
-	// instead of between two frames.
+	// A Rel level's bound needs the range of all its blocks before its
+	// first frame is coded: every frame's span is scanned up front, the
+	// levels balanced together, and each level merges its spans in order.
+	spans := make([]codec.ValueRange, len(frames))
+	if mw.cfg.Mode == sz.Rel {
+		fanout.Run(len(frames), workers, func(j int) error {
+			f := frames[j]
+			lo, hi := f.lv.idx.BatchSpan(f.b)
+			spans[j] = codec.BlockRange(f.lv.l, f.lv.ords[lo:hi])
+			return nil
+		})
+	}
+	for k := range lvs {
+		lv := &lvs[k]
+		var r codec.ValueRange
+		for _, s := range spans[lv.first : lv.first+lv.nbatch()] {
+			r = r.Merge(s)
+		}
+		lv.opts.ErrorBound = mw.cfg.RangeEB(lv.li, r)
+	}
+
+	// This goroutine starts frames as encoders come free and writes them
+	// in order as they land. The tokens of active are the member's frame
+	// encoders, drawn from frameEncoders once per worker, not once per
+	// frame: a frame gathers its batch only while it holds one, so at most
+	// workers batches are gathered at once (the streaming-memory
+	// guarantee). A frame starts at most window frames past the next one
+	// due, so a slow frame at the head of the queue idles nobody until the
+	// pool is a full round ahead of it, yet a stalled sink cannot let
+	// compressed frames pile up; done has room for all of them, so no
+	// frame ever blocks on it. Each frame is its own short goroutine, not
+	// a turn of a long-lived worker (which measured +20 % serve_churn
+	// p95): a worker that never blocks holds its P for the member's whole
+	// length, and in a process that also serves requests (tacd ingest)
+	// the scheduler then notices a request whose bytes have arrived only
+	// at its 10 ms preemption tick, instead of between two frames.
 	type encoded struct {
 		blob    []byte
 		isDelta bool
 		err     error
-		done    bool
 	}
-	var (
-		mu     sync.Mutex
-		cond   = sync.NewCond(&mu)
-		out    = make([]encoded, nframes)
-		window = make(chan struct{}, 2*workers)
-		active = make(chan *frameEncoder, workers)
-		stop   = make(chan struct{})
-		wg     sync.WaitGroup
-	)
+	window := 2 * workers
+	out := make([]encoded, len(frames))
+	landed := make([]bool, len(frames)) // out[j] is in; this goroutine's alone
+	done := make(chan int, window)
+	active := make(chan *frameEncoder, workers)
 	for range workers {
 		active <- frameEncoders.Get().(*frameEncoder)
 	}
-	// acquire takes a window slot, for a frame, and then an active one, or
-	// returns nil once the flusher has stopped.
-	acquire := func(frame bool) *frameEncoder {
-		if frame {
-			select {
-			case window <- struct{}{}:
-			case <-stop:
-				return nil
-			}
-		}
-		select {
-		case fe := <-active:
-			return fe
-		case <-stop:
-			return nil
-		}
-	}
-	rel := mw.cfg.Mode == sz.Rel
-	// The spawner holds its own WaitGroup slot for its whole life, so the
-	// nested Add calls always run while the counter is positive and
-	// finish's Wait cannot return before every spawned job is counted.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		scanned := 0 // levels whose range scans are spawned
-		for k := range lvs {
-			lv := &lvs[k]
-			// A Rel level's range is scanned span by span on the pool, a
-			// level ahead: the scans of levels k and k+1 are queued before
-			// level k's frames, so level k+1's range is in before its first
-			// frame is due and the scans fill the cores a level's last
-			// frames leave idle. Scans take an active slot but no window
-			// slot: they gather nothing and write nothing.
-			for ; rel && scanned < min(k+2, len(lvs)); scanned++ {
-				sl := &lvs[scanned]
-				sl.spans = make([]codec.ValueRange, sl.nbatch())
-				for s := range sl.spans {
-					fe := acquire(false)
-					if fe == nil {
-						return
-					}
-					sl.ranging.Add(1)
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						lo, hi := sl.idx.BatchSpan(s)
-						sl.spans[s] = codec.BlockRange(sl.l, sl.ords[lo:hi])
-						active <- fe
-						sl.ranging.Done()
-					}()
-				}
-			}
-			lv.ranging.Wait()
-			var r codec.ValueRange
-			for _, s := range lv.spans {
-				r = r.Merge(s)
-			}
-			lv.opts.ErrorBound = mw.cfg.RangeEB(lv.li, r)
-			for b := range lv.nbatch() {
-				fe := acquire(true)
-				if fe == nil {
-					return
-				}
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					blob, isDelta, err := mw.encode(fe, lv, b)
-					active <- fe
-					mu.Lock()
-					out[lv.first+b] = encoded{blob, isDelta, err, true}
-					cond.Broadcast()
-					mu.Unlock()
-				}()
-			}
-		}
-	}()
-	// Frames in flight read the levels: never return before they are done.
-	// Then every encoder is back in active.
-	finish := func(err error) error {
-		close(stop)
-		wg.Wait()
+	// The only barrier: a frame hands its encoder back last, so taking all
+	// of them back waits out every frame still reading ls.
+	defer func() {
 		for range workers {
 			frameEncoders.Put(<-active)
 		}
-		return err
-	}
-	for k := range lvs {
-		lv := &lvs[k]
-		for b := range lv.nbatch() {
-			j := lv.first + b
-			mu.Lock()
-			for !out[j].done {
-				cond.Wait()
-			}
-			r := out[j]
-			out[j].blob = nil
-			mu.Unlock()
+	}()
+	joined, next := 0, 0
+	for written := 0; ; {
+		for ; joined < len(lvs) && lvs[joined].first+lvs[joined].nbatch() <= written; joined++ {
+			mw.member.Levels = append(mw.member.Levels, lvs[joined].idx)
+		}
+		if written == len(frames) {
+			return nil
+		}
+		if landed[written] {
+			f, r := frames[written], out[written]
+			out[written] = encoded{}
 			if r.err == nil {
-				r.err = mw.write(lv, b, r.blob, r.isDelta)
+				r.err = mw.write(f.lv, f.b, r.blob, r.isDelta)
 			}
 			if r.err != nil {
-				return finish(r.err)
+				return r.err
 			}
-			<-window
+			written++
+			continue
 		}
-		mw.member.Levels = append(mw.member.Levels, lv.idx)
+		var take chan *frameEncoder // nil, so never ready, while no frame may start
+		if next < len(frames) && next-written < window {
+			take = active
+		}
+		select {
+		case j := <-done:
+			landed[j] = true
+		case fe := <-take:
+			j := next
+			next++
+			go func() {
+				f := frames[j]
+				out[j].blob, out[j].isDelta, out[j].err = mw.encode(fe, f.lv, f.b)
+				done <- j
+				active <- fe
+			}()
+		}
 	}
-	return finish(nil)
 }
 
 // writeFrame emits one batch frame and records it, with its digest, in the
 // level index.
 func (w *Writer) writeFrame(blob []byte, idx *LevelIndex) error {
-	if _, err := w.w.Write(blob); err != nil {
+	off := w.off
+	if err := w.emit(blob); err != nil {
 		return fmt.Errorf("archive: writing frame: %w", err)
 	}
-	idx.Batches = append(idx.Batches, BatchRecord{Offset: w.off, Length: int64(len(blob))})
+	idx.Batches = append(idx.Batches, BatchRecord{Offset: off, Length: int64(len(blob))})
 	idx.Sums = append(idx.Sums, crc32.Checksum(blob, castagnoli))
-	w.off += int64(len(blob))
 	return nil
+}
+
+// emit writes p to the sink and counts the bytes that landed, those of a
+// failed write too, so that what comes next is indexed where it lands.
+func (w *Writer) emit(p []byte) error {
+	n, err := w.w.Write(p)
+	w.off += int64(n)
+	return err
 }
 
 // seal adds the member, all of whose levels are written, to the archive
@@ -646,11 +610,11 @@ func (w *Writer) Commit() error {
 			return fmt.Errorf("archive: syncing frames: %w", err)
 		}
 	}
-	if _, err := w.w.Write(footer); err != nil {
+	if err := w.emit(footer); err != nil {
 		return fmt.Errorf("archive: writing footer: %w", err)
 	}
 	trailer := appendTrailer(nil, currentTrailer, footer, w.committed)
-	if _, err := w.w.Write(trailer); err != nil {
+	if err := w.emit(trailer); err != nil {
 		return fmt.Errorf("archive: writing trailer: %w", err)
 	}
 	if w.file != nil {
@@ -660,7 +624,6 @@ func (w *Writer) Commit() error {
 			return fmt.Errorf("archive: syncing trailer: %w", err)
 		}
 	}
-	w.off += int64(len(footer)) + int64(len(trailer))
 	w.committed++
 	w.dirty = false
 	return nil

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/amr"
@@ -48,7 +49,7 @@ func FuzzDecodeContainer(f *testing.F) {
 			if stored := uint64(l.Mask.Count()) * ub * ub * ub; stored > 8*1032*uint64(len(body)) {
 				t.Fatalf("DecodeContainer accepted level %d storing %d cells over a %d-byte body", li, stored, len(body))
 			}
-			if l.UnitBlock <= 0 || l.Dims.Count() <= 0 || l.Dims.Count() > 1<<40 ||
+			if l.UnitBlock <= 0 || l.Dims.Count() <= 0 || l.Dims.Count() > min(1<<40, math.MaxInt) ||
 				l.Dims.X > 1<<20 || l.Dims.Y > 1<<20 || l.Dims.Z > 1<<20 ||
 				l.Dims.X%l.UnitBlock != 0 || l.Dims.Y%l.UnitBlock != 0 || l.Dims.Z%l.UnitBlock != 0 {
 				t.Fatalf("DecodeContainer accepted implausible level %d geometry %+v", li, l)

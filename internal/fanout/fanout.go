@@ -1,6 +1,13 @@
 // Package fanout holds the one loop every parallel path of the repository
 // hands its independent jobs to: core's payload units in both directions,
-// archive.Reader's frames and tacd's batches.
+// archive.Reader's frames, tacd's batches and archive.Writer's Rel range
+// scans, every frame span of a member at once.
+//
+// archive.Writer's frames are not its jobs. They must leave in order as
+// soon as their predecessors have, a bounded window ahead of the sink,
+// while Run hands back nothing until every job is done; and its workers
+// are long-lived loops, which in a process that also serves requests hold
+// their Ps where a goroutine per frame yields between frames.
 package fanout
 
 import (

@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -305,8 +306,9 @@ func TestBlocksCoversRegion(t *testing.T) {
 }
 
 // TestCheckedCount pins the overflow guard on header-supplied geometry,
-// at the sz header's 2^40 cap.
+// at the sz header's 2^40 cap (2^30 where an int has 32 bits).
 func TestCheckedCount(t *testing.T) {
+	const limit = 1 << min(40, bits.UintSize-2)
 	cases := []struct {
 		d  Dims
 		n  int
@@ -315,15 +317,15 @@ func TestCheckedCount(t *testing.T) {
 		{Dims{X: 4, Y: 5, Z: 6}, 120, true},
 		{Dims{X: 1 << 20, Y: 1, Z: 1}, 1 << 20, true},
 		{Dims{X: 1 << 21, Y: 1, Z: 1}, 1 << 21, true}, // block counts beyond the old 2^20 cap stay decodable
-		{Dims{X: 1 << 40, Y: 1, Z: 1}, 1 << 40, true},
-		{Dims{X: 1 << 40, Y: 2, Z: 1}, 0, false},
-		{Dims{X: 1 << 40, Y: 1 << 40, Z: 1 << 40}, 0, false}, // would overflow naive multiplication
+		{Dims{X: limit, Y: 1, Z: 1}, limit, true},
+		{Dims{X: limit, Y: 2, Z: 1}, 0, false},
+		{Dims{X: limit, Y: limit, Z: limit}, 0, false}, // would overflow naive multiplication
 		{Dims{X: -1, Y: 1, Z: 1}, 0, false},
 	}
 	for _, c := range cases {
-		n, ok := c.d.CheckedCount(1 << 40)
+		n, ok := c.d.CheckedCount(limit)
 		if ok != c.ok || (ok && n != c.n) {
-			t.Fatalf("CheckedCount(%v, 2^40) = (%d,%v), want (%d,%v)", c.d, n, ok, c.n, c.ok)
+			t.Fatalf("CheckedCount(%v, %d) = (%d,%v), want (%d,%v)", c.d, limit, n, ok, c.n, c.ok)
 		}
 	}
 }

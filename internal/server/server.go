@@ -16,8 +16,10 @@
 //     herd on one frame decodes it once while everyone else waits for
 //     the shared result.
 //
-// Decoding borrows pooled sz engines (archive.Reader.DecodeBatch) and HTTP
-// response bodies are assembled in pooled buffers, so steady-state serving
+// Decoding borrows pooled sz engines through archive.Reader.DecodeBatchOn,
+// the cache resolving each delta frame's reference batch itself (not
+// DecodeBatch, which would decode the chain again), and HTTP response
+// bodies are assembled in pooled buffers, so steady-state serving
 // allocates next to nothing.
 package server
 

@@ -477,24 +477,27 @@ func (e *Encoder[T]) encodeTemporal(blocks, refs []*grid.Grid3[T], codes []uint3
 	}
 }
 
+// maxBatchValues is the most values one batch may hold: as many as the
+// Huffman stage counts, and an int indexes (2^31−1 on 32-bit platforms).
+const maxBatchValues = min(huffman.MaxSymbols, math.MaxInt)
+
 // batchGeometry validates a block batch and resolves its shared shape
-// and total cell count.
+// and total cell count, summed where no platform's int can wrap.
 func batchGeometry[T grid.Float](blocks []*grid.Grid3[T]) (grid.Dims, int, error) {
 	if len(blocks) == 0 {
 		return grid.Dims{}, 0, fmt.Errorf("sz: empty block batch")
 	}
 	d := blocks[0].Dim
-	total := 0
+	var total uint64
 	for i, b := range blocks {
 		if b.Dim != d {
 			return grid.Dims{}, 0, fmt.Errorf("sz: block %d dims %v differ from %v", i, b.Dim, d)
 		}
-		total += len(b.Data)
+		if total += uint64(len(b.Data)); total > maxBatchValues {
+			return grid.Dims{}, 0, fmt.Errorf("sz: over %d values in one batch, past the Huffman stage's limit", uint64(maxBatchValues))
+		}
 	}
-	if uint64(total) > huffman.MaxSymbols {
-		return grid.Dims{}, 0, fmt.Errorf("sz: %d values in one batch, past the Huffman stage's %d", total, uint64(huffman.MaxSymbols))
-	}
-	return d, total, nil
+	return d, int(total), nil
 }
 
 // sealWithin assembles the payload of the code stream codes, which code

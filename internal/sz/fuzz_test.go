@@ -119,11 +119,11 @@ func FuzzParseHeader(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, _, err := parseHeader(data)
 		if err == nil {
-			if h.n < 0 || h.n > 1<<40 {
+			if h.n < 0 || h.n > min(1<<40, math.MaxInt) {
 				t.Fatalf("parseHeader accepted implausible n=%d", h.n)
 			}
 			for _, d := range h.dims {
-				if d.X < 0 || d.Y < 0 || d.Z < 0 || d.X > 1<<40 || d.Y > 1<<40 || d.Z > 1<<40 {
+				if d.X < 0 || d.Y < 0 || d.Z < 0 || d.X > min(1<<40, math.MaxInt) || d.Y > min(1<<40, math.MaxInt) || d.Z > min(1<<40, math.MaxInt) {
 					t.Fatalf("parseHeader accepted implausible dims %v", d)
 				}
 			}
@@ -156,7 +156,7 @@ func FuzzDecompress(f *testing.F) {
 		// Decode into a grid of the dims a 3D payload claims (bounded like
 		// the delta refs below), so corrupt bodies reach the kernel.
 		if h, _, err := parseHeader(data); err == nil && h.kind == kindGrid3D && len(h.dims) == 1 {
-			if n, ok := h.dims[0].CheckedCount(1 << 40); ok && n <= 64*4096 {
+			if n, ok := h.dims[0].CheckedCount(min(1<<40, math.MaxInt)); ok && n <= 64*4096 {
 				_ = NewDecoder[float32]().Decompress3DInto(grid.New[float32](h.dims[0]), data)
 			}
 		}

@@ -380,7 +380,7 @@ func TestRoundHalfAwayByTrunc(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	for i := 0; i < 1<<17; i++ {
 		check(math.Float64frombits(rng.Uint64()))
-		check(float64(rng.Intn(1<<31))/4 - 1<<28)
+		check(float64(rng.Int63n(1<<31))/4 - 1<<28)
 	}
 }
 

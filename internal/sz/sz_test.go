@@ -2,6 +2,7 @@ package sz
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"strings"
 	"testing"
@@ -267,6 +268,7 @@ func TestPayloadKindsRefuseEachOther(t *testing.T) {
 // the same code stream, decodes through its own decoder.
 func TestHeaderGeometryRefused(t *testing.T) {
 	const n = 24
+	const huge = 1 << min(40, bits.UintSize-2) // cubed, past any int
 	shape := grid.Dims{X: 2, Y: 3, Z: 4}
 	codes := make([]uint32, n)
 	for i := range codes {
@@ -286,7 +288,7 @@ func TestHeaderGeometryRefused(t *testing.T) {
 		{"3D with two records", kindGrid3D, []grid.Dims{shape, {X: 1}}, false},
 		{"3D dims short of n", kindGrid3D, []grid.Dims{{X: 2, Y: 3, Z: 3}}, false},
 		{"3D dims past n", kindGrid3D, []grid.Dims{{X: 2, Y: 3, Z: 5}}, false},
-		{"3D dims overflowing", kindGrid3D, []grid.Dims{{X: 1 << 40, Y: 1 << 40, Z: 1 << 40}}, false},
+		{"3D dims overflowing", kindGrid3D, []grid.Dims{{X: huge, Y: huge, Z: huge}}, false},
 		{"batch", kindBatch, []grid.Dims{shape, {X: 1}}, true},
 		{"batch with one record", kindBatch, []grid.Dims{shape}, false},
 		{"batch count × shape ≠ n", kindBatch, []grid.Dims{shape, {X: 2}}, false},
