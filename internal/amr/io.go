@@ -2,6 +2,7 @@ package amr
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -174,16 +175,21 @@ func ReadFrom(r io.Reader) (*Dataset, error) {
 		if n, ok := d.CheckedCount(min(1<<31, math.MaxInt)); !ok || n == 0 {
 			return nil, fmt.Errorf("amr: implausible level dims %v", d)
 		}
-		// Validate before NewLevel, which panics on bad geometry.
+		// Validate before the block arithmetic below, which needs ub to
+		// divide the dims.
 		if ub == 0 || d.X%int(ub) != 0 || d.Y%int(ub) != 0 || d.Z%int(ub) != 0 {
 			return nil, fmt.Errorf("amr: level %d unit block %d does not divide dims %v", li, ub, d)
 		}
-		l := NewLevel(d, int(ub))
-		packed := make([]byte, l.Mask.PackedLen())
-		if _, err := io.ReadFull(br, packed); err != nil {
+		// Nothing is sized from the dims until the bytes they imply have
+		// arrived: the mask grows as its bytes do, the values come in
+		// bounded chunks, and the dense grid is allocated last.
+		md := d.Div(int(ub))
+		var packed bytes.Buffer
+		if _, err := io.CopyN(&packed, br, int64((&grid.Mask{Dim: md}).PackedLen())); err != nil {
 			return nil, fmt.Errorf("amr: reading level %d mask: %w", li, err)
 		}
-		if err := l.Mask.SetPacked(packed); err != nil {
+		l := &Level{UnitBlock: int(ub), Mask: grid.NewMask(md)}
+		if err := l.Mask.SetPacked(packed.Bytes()); err != nil {
 			return nil, fmt.Errorf("amr: level %d mask: %w", li, err)
 		}
 		nv, err := readU32()
@@ -194,14 +200,56 @@ func ReadFrom(r io.Reader) (*Dataset, error) {
 		if int(nv) != want {
 			return nil, fmt.Errorf("amr: level %d holds %d values, mask implies %d", li, nv, want)
 		}
-		vals := make([]Value, nv)
-		if err := readValues(br, vals); err != nil {
+		chunks, err := readRows(br, want, l.UnitBlock)
+		if err != nil {
 			return nil, fmt.Errorf("amr: reading level %d values: %w", li, err)
 		}
-		l.SetMaskedValues(vals)
+		l.Grid = grid.New[Value](d)
+		l.setRows(chunks)
 		ds.Levels = append(ds.Levels, l)
 	}
 	return ds, nil
+}
+
+// readChunkCells bounds each value buffer ReadFrom allocates ahead of the
+// bytes that fill it, so a stream that claims a large level and then ends
+// costs at most one chunk past what it sent.
+const readChunkCells = 1 << 16
+
+// readRows reads n values off r into chunks of whole rows of row cells,
+// each at most readChunkCells values unless a single row is longer.
+func readRows(r io.Reader, n, row int) ([][]Value, error) {
+	step := max(1, readChunkCells/row) * row
+	var chunks [][]Value
+	for n > 0 {
+		c := make([]Value, min(step, n))
+		if err := readValues(r, c); err != nil {
+			return nil, err
+		}
+		chunks = append(chunks, c)
+		n -= len(c)
+	}
+	return chunks, nil
+}
+
+// setRows is SetMaskedValues over a payload that readRows cut into whole
+// rows of UnitBlock cells: it scatters the rows into the occupied unit
+// blocks in mask order, each block row-major with z fastest.
+func (l *Level) setRows(chunks [][]Value) {
+	ub := l.UnitBlock
+	var src []Value
+	for _, ord := range l.Mask.OccupiedIndices() {
+		r := l.BlockRegion(l.Mask.Dim.Coords(ord))
+		for x := r.X0; x < r.X1; x++ {
+			for y := r.Y0; y < r.Y1; y++ {
+				if len(src) == 0 {
+					src, chunks = chunks[0], chunks[1:]
+				}
+				i := l.Grid.Dim.Index(x, y, r.Z0)
+				src = src[copy(l.Grid.Data[i:i+ub], src):]
+			}
+		}
+	}
 }
 
 // Save writes the dataset to path.

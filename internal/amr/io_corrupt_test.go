@@ -3,6 +3,8 @@ package amr
 import (
 	"bytes"
 	"encoding/binary"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -183,4 +185,33 @@ func TestReadFromRefusesWrappingDims(t *testing.T) {
 	blob = append(blob, make([]byte, (d.Count()+7)/8)...)
 	blob = binary.LittleEndian.AppendUint32(blob, 0)
 	mustErr(t, "wrapping dims", blob)
+}
+
+// TestReadFromAllocatesAsBytesArrive: a 42-byte body — a stream header and
+// one level claiming 512×512×256 cells at unit block 256, a 256 MiB grid —
+// then EOF, and the same body carried on through the mask and the value
+// count. Both must fail having allocated under 1 MiB: nothing is sized
+// from the dims before the bytes they imply have arrived.
+func TestReadFromAllocatesAsBytesArrive(t *testing.T) {
+	head := AppendStreamHeader(nil, "a", "b", 2, 1)
+	for _, v := range []uint32{512, 512, 256, 256} {
+		head = binary.LittleEndian.AppendUint32(head, v)
+	}
+	if len(head) != 42 {
+		t.Fatalf("body is %d bytes, want 42", len(head))
+	}
+	withMask := append(slices.Clone(head), 0x0f)                       // all four unit blocks occupied
+	withMask = binary.LittleEndian.AppendUint32(withMask, 512*512*256) // and none of their values
+	for name, body := range map[string][]byte{"before the mask": head, "before the values": withMask} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadFrom(bytes.NewReader(body))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: truncated body accepted", name)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+			t.Errorf("%s: failed with %q after allocating %d bytes, want < 1 MiB", name, err, n)
+		}
+	}
 }

@@ -207,10 +207,10 @@ type LevelIndex struct {
 	// verified structurally only.
 	Sums []uint32
 
-	// occupied caches Mask.Count(), set by the reader and writer index
-	// builders so the serving hot paths do not popcount the mask per
-	// batch per request; occupiedCount falls back to the popcount for
-	// hand-built indices.
+	// occupied caches Mask.Count(), set by decodeFooter and the writer's
+	// plan, the only builders of indices that frames are read through, so
+	// the serving hot paths do not popcount the mask per batch per
+	// request.
 	occupied int
 }
 
@@ -227,14 +227,6 @@ func (li *LevelIndex) IsDelta(b int) bool {
 	return li.Delta != nil && b < len(li.Delta) && li.Delta[b]
 }
 
-// occupiedCount returns the number of occupied unit blocks.
-func (li *LevelIndex) occupiedCount() int {
-	if li.occupied > 0 || li.Mask == nil {
-		return li.occupied
-	}
-	return li.Mask.Count()
-}
-
 // BatchSpan returns the half-open range [lo, hi) of occupied-block
 // ordinals — positions in the row-major order of Mask.OccupiedIndices —
 // that frame b of the level covers. It is the frame-granularity hook the
@@ -242,11 +234,7 @@ func (li *LevelIndex) occupiedCount() int {
 // exactly the blocks with ordinals in this span, in order.
 func (li *LevelIndex) BatchSpan(b int) (lo, hi int) {
 	lo = b * li.BatchBlocks
-	hi = lo + li.BatchBlocks
-	if n := li.occupiedCount(); hi > n {
-		hi = n
-	}
-	return lo, hi
+	return lo, min(lo+li.BatchBlocks, li.occupied)
 }
 
 // blockCount returns the number of occupied blocks batch b covers.

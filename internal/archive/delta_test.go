@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/amr"
@@ -245,6 +246,72 @@ func TestDeltaAppendContinuesChain(t *testing.T) {
 		if m.Gen != wantGen[i] {
 			t.Fatalf("member %d generation %d, want %d", i, m.Gen, wantGen[i])
 		}
+	}
+	for i, ds := range snaps {
+		recon, err := r.Extract(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for li, l := range ds.Levels {
+			if worst := maskedMaxErr(l, recon.Levels[li], l.Mask); worst > testEB {
+				t.Fatalf("member %d level %d max err %.4g > bound %.4g", i, li, worst, testEB)
+			}
+		}
+	}
+}
+
+// TestDeltaChainCutAcrossAppends writes a Keyframe-3 campaign in three
+// generations and checks that chains are cut at Keyframe across them: the
+// appender reads a primed reference's depth from the committed links, so a
+// member whose reference sits at depth Keyframe−1 is a keyframe, whether
+// that reference was committed by an earlier generation or sealed by the
+// same one.
+func TestDeltaChainCutAcrossAppends(t *testing.T) {
+	snaps := testCampaign(t, 7)
+	path := filepath.Join(t.TempDir(), "campaign.taca")
+	fl, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := NewWriter(fl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	for gen, n := range []int{2, 2, 3} {
+		if gen > 0 {
+			if w, fl, err = OpenAppendFile(path); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w.BatchBlocks = 16
+		w.Keyframe = 3
+		for _, ds := range snaps[next : next+n] {
+			if err := w.AddDataset(ds, codec.Config{ErrorBound: testEB}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		next += n
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		fl.Close()
+	}
+
+	r, err := OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var refs, gens []int
+	for _, m := range r.Members() {
+		refs, gens = append(refs, m.Ref), append(gens, m.Gen)
+	}
+	if want := []int{-1, 0, 1, -1, 3, 4, -1}; !slices.Equal(refs, want) {
+		t.Fatalf("Ref = %v, want %v", refs, want)
+	}
+	if want := []int{0, 0, 1, 1, 2, 2, 2}; !slices.Equal(gens, want) {
+		t.Fatalf("Gen = %v, want %v", gens, want)
 	}
 	for i, ds := range snaps {
 		recon, err := r.Extract(i)

@@ -51,8 +51,10 @@ type Writer struct {
 	// outgrows the temporal frame) — so a delta archive is never larger
 	// than its intra counterpart. A fresh keyframe (fully intra
 	// member) starts at least every Keyframe members per field, bounding
-	// every reference chain a reader must resolve. 0 or 1 disables delta
-	// coding entirely.
+	// every reference chain a reader must resolve; a chain's depth is
+	// counted along the index's Ref links. A level codes against its
+	// reference only where the reference member's index entry has its
+	// layout (sameLayout). 0 or 1 disables delta coding entirely.
 	// Delta mode keeps one reconstructed snapshot per field in memory,
 	// relaxing the streaming-memory guarantee by the field's stored cells.
 	Keyframe int
@@ -92,19 +94,13 @@ type Writer struct {
 }
 
 // fieldRecon is the retained reconstruction of one member, the temporal
-// reference for the next member of the same field.
+// reference for the next member of the same field: per level, the
+// reconstructed occupied blocks in row-major mask order. Everything else
+// about the member — each level's layout, its delta links, its chain
+// depth — is read from its entry in Writer.members.
 type fieldRecon struct {
 	index  int // member index the reconstruction belongs to
-	chain  int // delta-chain depth of that member (0 = keyframe)
-	levels []levelRecon
-}
-
-// levelRecon is one level of a fieldRecon: its layout, which the next
-// member's level must share (sameLayout) to be delta-coded against it,
-// plus the reconstructed occupied blocks in row-major mask order.
-type levelRecon struct {
-	layout LevelIndex // Dims, UnitBlock, Mask and BatchBlocks only
-	blocks []*grid.Grid3[amr.Value]
+	levels [][]*grid.Grid3[amr.Value]
 }
 
 // Stats reports what a Writer has done so far.
@@ -130,9 +126,11 @@ func NewWriter(w io.Writer) (*Writer, error) {
 // newest sealed member of each field, by member index and then level, the
 // reconstructed occupied unit blocks in row-major mask order — blocks
 // [BatchSpan(b)) of a level are, value for value, what a Reader's
-// DecodeBatch(mi, li, b) decodes from the frames. The map is the caller's;
-// the blocks are shared with the writer, which only reads them once the
-// member is sealed, and so must the caller. Nil when nothing is retained
+// DecodeBatch(mi, li, b) decodes from the frames; the layout they follow
+// is the member's index entry. The map is the caller's; the per-level
+// slices and the blocks are shared with the writer, which never writes
+// them once the member is sealed, and the caller must not write them
+// either. Nil when nothing is retained
 // (Keyframe < 2 and no delta member written).
 func (w *Writer) Retained() map[int][][]*grid.Grid3[amr.Value] {
 	var out map[int][][]*grid.Grid3[amr.Value]
@@ -140,14 +138,10 @@ func (w *Writer) Retained() map[int][][]*grid.Grid3[amr.Value] {
 		if fr == nil {
 			continue
 		}
-		levels := make([][]*grid.Grid3[amr.Value], len(fr.levels))
-		for li := range fr.levels {
-			levels[li] = fr.levels[li].blocks
-		}
 		if out == nil {
 			out = make(map[int][][]*grid.Grid3[amr.Value], len(w.prev))
 		}
-		out[fr.index] = levels
+		out[fr.index] = fr.levels
 	}
 	return out
 }
@@ -217,7 +211,7 @@ func (w *Writer) AddDataset(ds *amr.Dataset, cfg codec.Config) error {
 		}
 		// Chains are cut BEFORE they would reach Keyframe members: a
 		// reference at depth Keyframe−1 forces this member intra.
-		if fr != nil && fr.chain+1 < w.Keyframe {
+		if fr != nil && w.chain(fr.index)+1 < w.Keyframe {
 			mw.ref = fr
 		}
 	}
@@ -226,6 +220,16 @@ func (w *Writer) AddDataset(ds *amr.Dataset, cfg codec.Config) error {
 	}
 	mw.seal()
 	return nil
+}
+
+// chain returns the delta-chain depth of member mi, the number of Ref
+// links from it to a keyframe (0 for a keyframe). Chains this writer
+// builds are cut before Keyframe links, so it takes at most Keyframe steps.
+func (w *Writer) chain(mi int) (n int) {
+	for ; w.members[mi].Ref >= 0; n++ {
+		mi = w.members[mi].Ref
+	}
+	return n
 }
 
 // primed returns the reference candidate for field: the reconstruction
@@ -254,25 +258,17 @@ func (w *Writer) primed(field string) (*fieldRecon, error) {
 		w.prev[field] = nil
 		return nil, nil
 	}
-	m := &tm[mi]
-	fr := &fieldRecon{index: mi}
-	for r := mi; tm[r].Ref >= 0; r = tm[r].Ref {
-		fr.chain++
-	}
-	for li := range m.Levels {
-		idx := &m.Levels[li]
-		lr := levelRecon{
-			layout: LevelIndex{Dims: idx.Dims, UnitBlock: idx.UnitBlock, Mask: idx.Mask.Clone(), BatchBlocks: idx.BatchBlocks},
-			blocks: make([]*grid.Grid3[amr.Value], 0, idx.occupiedCount()),
-		}
+	fr := &fieldRecon{index: mi, levels: make([][]*grid.Grid3[amr.Value], len(tm[mi].Levels))}
+	for li := range fr.levels {
+		idx := &tm[mi].Levels[li]
+		fr.levels[li] = make([]*grid.Grid3[amr.Value], 0, idx.occupied)
 		for b := range idx.Batches {
 			blocks, err := w.tail.DecodeBatch(mi, li, b)
 			if err != nil {
 				return nil, fmt.Errorf("archive: priming delta reference for field %q: %w", field, err)
 			}
-			lr.blocks = append(lr.blocks, blocks...)
+			fr.levels[li] = append(fr.levels[li], blocks...)
 		}
-		fr.levels = append(fr.levels, lr)
 	}
 	w.prev[field] = fr
 	return fr, nil
@@ -287,12 +283,10 @@ type memberWriter struct {
 	// Campaign-mode state: ref is the reference reconstruction delta
 	// batches code against (nil → all intra); capturing records this
 	// member's own reconstruction level by level into capture, making it
-	// the next member's reference candidate; usedDelta notes whether any
-	// batch actually won as a delta.
+	// the next member's reference candidate.
 	ref       *fieldRecon
 	capturing bool
-	capture   []levelRecon
-	usedDelta bool
+	capture   [][]*grid.Grid3[amr.Value]
 }
 
 // levelWrite is one level of a member on its way out: the index entry its
@@ -307,13 +301,11 @@ type levelWrite struct {
 	first int        // the member-wide frame number of batch 0
 
 	// Campaign mode: capture receives the level's reconstruction (so the
-	// next member can reference it); ref is the reference level delta
-	// batches code against, only set at bit-identical structure; delta
-	// records per batch whether the delta coding won, set by the writing
-	// goroutine.
+	// next member can reference it); ref is the reconstruction of the
+	// reference level delta batches code against, only set at
+	// bit-identical structure.
 	capture []*grid.Grid3[amr.Value]
-	ref     *levelRecon
-	delta   []bool
+	ref     []*grid.Grid3[amr.Value]
 }
 
 // nbatch returns the number of frames of the level.
@@ -339,14 +331,12 @@ func (mw *memberWriter) plan(lv *levelWrite, li int, l *amr.Level) {
 	lv.opts.QuantBits = mw.cfg.QuantBits
 	if mw.capturing {
 		lv.capture = grid.NewBlocks[amr.Value](lv.idx.unitDims(), len(lv.ords))
-		mw.capture = append(mw.capture, levelRecon{
-			layout: LevelIndex{Dims: lv.idx.Dims, UnitBlock: lv.idx.UnitBlock, Mask: lv.idx.Mask, BatchBlocks: batchBlocks},
-			blocks: lv.capture,
-		})
+		mw.capture = append(mw.capture, lv.capture)
 	}
-	if mw.ref != nil && li < len(mw.ref.levels) && sameLayout(&mw.ref.levels[li].layout, &lv.idx) {
-		lv.ref = &mw.ref.levels[li]
-		lv.delta = make([]bool, lv.nbatch())
+	if mw.ref != nil {
+		if ref := mw.w.members[mw.ref.index].Levels; li < len(ref) && sameLayout(&ref[li], &lv.idx) {
+			lv.ref = mw.ref.levels[li]
+		}
 	}
 }
 
@@ -374,7 +364,7 @@ func (mw *memberWriter) encode(fe *frameEncoder, lv *levelWrite, b int) ([]byte,
 	switch {
 	case lv.ref != nil:
 		// The retained reconstruction is that of the coding that ships.
-		blob, isDelta, _, err = fe.enc.CompressBlocksEither(blocks, lv.ref.blocks[lo:hi], lv.opts, lv.capture[lo:hi])
+		blob, isDelta, _, err = fe.enc.CompressBlocksEither(blocks, lv.ref[lo:hi], lv.opts, lv.capture[lo:hi])
 	case lv.capture != nil:
 		blob, _, err = fe.enc.CompressBlocksCapture(blocks, lv.opts, lv.capture[lo:hi])
 	default:
@@ -386,16 +376,19 @@ func (mw *memberWriter) encode(fe *frameEncoder, lv *levelWrite, b int) ([]byte,
 	return blob, isDelta, err
 }
 
-// write emits batch b's frame of lv and records its coding in the level
-// index.
+// write emits batch b's frame of lv and records its coding in the index:
+// a delta frame sets its flag in the level's Delta and links the member to
+// its reference. Only addLevels' loop calls it.
 func (mw *memberWriter) write(lv *levelWrite, b int, blob []byte, isDelta bool) error {
 	if err := mw.w.writeFrame(blob, &lv.idx); err != nil {
 		return err
 	}
 	if isDelta {
-		lv.delta[b] = true
-		lv.idx.Delta = lv.delta
-		mw.usedDelta = true
+		if lv.idx.Delta == nil {
+			lv.idx.Delta = make([]bool, lv.nbatch())
+		}
+		lv.idx.Delta[b] = true
+		mw.member.Ref = mw.ref.index
 	}
 	return nil
 }
@@ -546,26 +539,15 @@ func (w *Writer) emit(p []byte) error {
 // index.
 func (mw *memberWriter) seal() {
 	mw.member.Gen = int(mw.w.committed)
-	if mw.usedDelta {
-		mw.member.Ref = mw.ref.index
-	}
 	mw.w.members = append(mw.w.members, mw.member)
 	if mw.capturing {
 		// This member is now the field's reference candidate. A member
-		// that shipped no delta batch is a keyframe: it resets the chain,
-		// so the next member may reference it at full depth budget.
-		chain := 0
-		if mw.usedDelta {
-			chain = mw.ref.chain + 1
-		}
+		// that shipped no delta batch (Ref −1) is a keyframe: it resets
+		// the chain, so the next member may reference it at full depth.
 		if mw.w.prev == nil {
 			mw.w.prev = make(map[string]*fieldRecon)
 		}
-		mw.w.prev[mw.member.Field] = &fieldRecon{
-			index:  len(mw.w.members) - 1,
-			chain:  chain,
-			levels: mw.capture,
-		}
+		mw.w.prev[mw.member.Field] = &fieldRecon{index: len(mw.w.members) - 1, levels: mw.capture}
 	}
 	mw.w.dirty = true
 }

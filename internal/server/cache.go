@@ -61,15 +61,11 @@ type Cache struct {
 }
 
 // NewCache returns a cache budgeted at budgetBytes of decoded data split
-// evenly across shards (shards ≤ 0 means DefaultCacheShards; a single
-// shard makes eviction order fully deterministic, which the tests use).
-// A key's shard comes from a hash of every field.
-func NewCache(budgetBytes int64, shards int) *Cache {
-	if shards <= 0 {
-		shards = DefaultCacheShards
-	}
+// evenly across DefaultCacheShards shards. A key's shard comes from a hash
+// of every field.
+func NewCache(budgetBytes int64) *Cache {
 	seed := maphash.MakeSeed()
-	return &Cache{lru.New[Key, blocks](budgetBytes, shards, func(k Key) uint64 {
+	return &Cache{lru.New[Key, blocks](budgetBytes, DefaultCacheShards, func(k Key) uint64 {
 		return maphash.Comparable(seed, k)
 	})}
 }

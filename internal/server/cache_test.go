@@ -26,7 +26,7 @@ func fakeBlocks(tag amr.Value, n, dim int) blocks {
 // entries, whichever shards they hash to; the same key hits; a fill that
 // ran is a decode in CacheStats; PurgeMember drops one member's keys only.
 func TestCacheKeyFields(t *testing.T) {
-	c := NewCache(1<<20, 0)
+	c := NewCache(1 << 20)
 	base := Key{Archive: "a", Member: 1, Level: 2, Batch: 3}
 	keys := []Key{
 		base,

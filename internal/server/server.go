@@ -225,7 +225,7 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		cfg:      cfg,
-		cache:    NewCache(cfg.CacheBytes, DefaultCacheShards),
+		cache:    NewCache(cfg.CacheBytes),
 		sleep:    time.Sleep,
 		jitter:   defaultJitter,
 		archives: make(map[string]*servedArchive),
