@@ -11,6 +11,7 @@ package amr
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/grid"
@@ -48,6 +49,45 @@ func NewLevel(d grid.Dims, unitBlock int) *Level {
 		UnitBlock: unitBlock,
 		Mask:      grid.NewMask(d.Div(unitBlock)),
 	}
+}
+
+// maxLevelCells caps the cells of a level, and the finest-cell edge of a
+// coarsest-level cell, at 2^31, or math.MaxInt where int is 32 bits.
+const maxLevelCells = min(1<<31, math.MaxInt)
+
+// CheckLevel is the level rule, the geometry — cell dims d and unit block
+// — every reader of a skeleton (.amr stream, codec container, TACA footer)
+// accepts and every writer keeps to: 1 to maxLevelCells cells, no extent
+// past 2^20, a unit block of at least 1 that divides every extent, and at
+// most 2^26 unit blocks. Readers call it before they size anything by d.
+func CheckLevel(d grid.Dims, unitBlock int) error {
+	if n, ok := d.CheckedCount(maxLevelCells); !ok || n == 0 || max(d.X, d.Y, d.Z) > 1<<20 {
+		return fmt.Errorf("amr: implausible level dims %v", d)
+	}
+	if unitBlock < 1 || d.X%unitBlock != 0 || d.Y%unitBlock != 0 || d.Z%unitBlock != 0 {
+		return fmt.Errorf("amr: unit block %d does not divide dims %v", unitBlock, d)
+	}
+	if _, ok := d.Div(unitBlock).CheckedCount(1 << 26); !ok {
+		return fmt.Errorf("amr: implausible %d unit blocks in dims %v", d.Div(unitBlock).Count(), d)
+	}
+	return nil
+}
+
+// CheckHierarchy is the rule for a dataset's levels together: at least
+// one, a refinement ratio of at least 2, and ratio^(levels−1), by which
+// region reads scale coordinates, at most maxLevelCells.
+func CheckHierarchy(ratio, levels int) error {
+	if levels < 1 || ratio < 2 {
+		return fmt.Errorf("amr: %d levels at refinement ratio %d", levels, ratio)
+	}
+	scale := 1
+	for range levels - 1 {
+		if scale > maxLevelCells/ratio {
+			return fmt.Errorf("amr: refinement ratio %d over %d levels, past 2^31", ratio, levels)
+		}
+		scale *= ratio
+	}
+	return nil
 }
 
 // Density returns the fraction of the level's unit blocks that hold data,
@@ -194,16 +234,13 @@ func (ds *Dataset) Validate() error {
 	return nil
 }
 
-// ValidateDims checks the level-dims rule alone: Ratio ≥ 2, and level li's
-// dims are the finest's divided by Ratio^li. Once it holds, no LevelScale
-// exceeds the finest extent, and a level's cells times its scale index
-// inside the finest grid.
+// ValidateDims checks the level-dims rule alone: the hierarchy rule
+// (CheckHierarchy), and level li's dims are the finest's divided by
+// Ratio^li. Once it holds, no LevelScale exceeds the finest extent, and a
+// level's cells times its scale index inside the finest grid.
 func (ds *Dataset) ValidateDims() error {
-	if len(ds.Levels) == 0 {
-		return fmt.Errorf("amr: dataset %q has no levels", ds.Name)
-	}
-	if ds.Ratio < 2 {
-		return fmt.Errorf("amr: dataset %q has refinement ratio %d < 2", ds.Name, ds.Ratio)
+	if err := CheckHierarchy(ds.Ratio, len(ds.Levels)); err != nil {
+		return fmt.Errorf("amr: dataset %q: %w", ds.Name, err)
 	}
 	fd := ds.FinestDims()
 	s := 1

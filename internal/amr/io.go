@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"os"
 
 	"repro/internal/grid"
@@ -71,8 +70,14 @@ func AppendLevelPrologue(dst []byte, d grid.Dims, unitBlock int, mask *grid.Mask
 // calls to the underlying writer (rounded to whole unit blocks).
 const writeChunkCells = 1 << 18
 
-// Write serializes the dataset.
+// Write serializes the dataset, refusing before it writes a byte a level
+// ReadFrom would refuse (CheckLevel).
 func (ds *Dataset) Write(w io.Writer) error {
+	for li, l := range ds.Levels {
+		if err := CheckLevel(l.Grid.Dim, l.UnitBlock); err != nil {
+			return fmt.Errorf("amr: level %d: %w", li, err)
+		}
+	}
 	buf := AppendStreamHeader(nil, ds.Name, ds.Field, ds.Ratio, len(ds.Levels))
 	if _, err := w.Write(buf); err != nil {
 		return err
@@ -104,7 +109,8 @@ func (ds *Dataset) Write(w io.Writer) error {
 	return nil
 }
 
-// ReadFrom deserializes a dataset written by Write.
+// ReadFrom deserializes a dataset written by Write. A level's geometry
+// passes CheckLevel before anything is sized by it.
 func ReadFrom(r io.Reader) (*Dataset, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, 4)
@@ -172,13 +178,8 @@ func ReadFrom(r io.Reader) (*Dataset, error) {
 		if ub, err = readU32(); err != nil {
 			return nil, err
 		}
-		if n, ok := d.CheckedCount(min(1<<31, math.MaxInt)); !ok || n == 0 {
-			return nil, fmt.Errorf("amr: implausible level dims %v", d)
-		}
-		// Validate before the block arithmetic below, which needs ub to
-		// divide the dims.
-		if ub == 0 || d.X%int(ub) != 0 || d.Y%int(ub) != 0 || d.Z%int(ub) != 0 {
-			return nil, fmt.Errorf("amr: level %d unit block %d does not divide dims %v", li, ub, d)
+		if err := CheckLevel(d, int(ub)); err != nil {
+			return nil, fmt.Errorf("amr: level %d: %w", li, err)
 		}
 		// Nothing is sized from the dims until the bytes they imply have
 		// arrived: the mask grows as its bytes do, the values come in

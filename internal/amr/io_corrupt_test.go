@@ -12,7 +12,7 @@ import (
 )
 
 // validSnapshot serializes a small two-level dataset.
-func validSnapshot(t *testing.T) []byte {
+func validSnapshot(t testing.TB) []byte {
 	t.Helper()
 	ds := &Dataset{Name: "corrupt-test", Field: "baryon_density", Ratio: 2}
 	// Fine 16³/ub 2 (mask 8³), coarse 8³/ub 2 (mask 4³): each coarse block

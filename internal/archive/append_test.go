@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/amr"
 	"repro/internal/codec"
+	"repro/internal/grid"
 	"repro/internal/sim"
 )
 
@@ -48,6 +49,61 @@ func writeArchiveFile(t testing.TB, path string, snaps []*amr.Dataset) {
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAddDatasetRefusesUnreadableLevel: a level of 1024×1024×65 cells at
+// unit block 1 holds 68,157,440 unit blocks, past the 2^26 Open accepts.
+// Appended and committed, it used to make Open fall back to the previous
+// generation, and the next append truncated the committed one away.
+// AddDataset refuses it before writing a byte, the writer stays usable,
+// and the reopened file serves every member committed.
+func TestAddDatasetRefusesUnreadableLevel(t *testing.T) {
+	snaps := []*amr.Dataset{smallSnapshot(t, "s0", 1), smallSnapshot(t, "s1", 2)}
+	path := filepath.Join(t.TempDir(), "a.taca")
+	writeArchiveFile(t, path, snaps[:1])
+	w, f, err := OpenAppendFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	// An empty mask and a grid without data: only the mask is allocated.
+	d := grid.Dims{X: 1024, Y: 1024, Z: 65}
+	huge := &amr.Dataset{Name: "huge", Field: "f", Ratio: 2, Levels: []*amr.Level{
+		{Grid: &grid.Grid3[amr.Value]{Dim: d}, UnitBlock: 1, Mask: grid.NewMask(d)}}}
+	cfg := codec.Config{ErrorBound: testEB}
+	before := w.Stats().BytesWritten
+	if err := w.AddDataset(huge, cfg); err == nil {
+		t.Fatal("a level of 68,157,440 unit blocks was accepted")
+	}
+	if n := w.Stats().BytesWritten; n != before {
+		t.Fatalf("the refused member wrote %d bytes", n-before)
+	}
+	if err := w.AddDataset(snaps[1], cfg); err != nil {
+		t.Fatalf("writer unusable after a refused member: %v", err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if n := len(r.Members()); n != len(snaps) {
+		t.Fatalf("reopened archive serves %d members, want %d", n, len(snaps))
+	}
+	for i, ds := range snaps {
+		recon, err := r.Extract(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for li, l := range ds.Levels {
+			if worst := maskedMaxErr(l, recon.Levels[li], l.Mask); worst > testEB {
+				t.Fatalf("member %d level %d max err %.4g > bound %.4g", i, li, worst, testEB)
+			}
+		}
 	}
 }
 

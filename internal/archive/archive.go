@@ -26,7 +26,9 @@
 // order. Block coordinates are never stored: like the codec container,
 // the footer's occupancy masks fully determine which blocks the i-th
 // batch of a level covers, so the index costs one bit per unit block plus
-// a few varints per batch.
+// a few varints per batch. A level's dims, unit block and mask are the
+// container's level record (codec.ReadLevel), and AddDataset and Open
+// hold members to one rule (amr.CheckLevel, amr.CheckHierarchy).
 //
 // Integrity: the footer records a CRC32C (Castagnoli) digest of every
 // frame, and readers verify the digest of every frame they read before
@@ -83,6 +85,7 @@ import (
 	"hash/crc32"
 	"math"
 
+	"repro/internal/amr"
 	"repro/internal/bitio"
 	"repro/internal/codec"
 	"repro/internal/grid"
@@ -330,15 +333,10 @@ func appendMemberRecord(out []byte, mi int, m *Member) ([]byte, error) {
 	out = bitio.AppendUvarint(out, uint64(len(m.Levels)))
 	for i := range m.Levels {
 		li := &m.Levels[i]
-		out = bitio.AppendUvarint(out, uint64(li.Dims.X))
-		out = bitio.AppendUvarint(out, uint64(li.Dims.Y))
-		out = bitio.AppendUvarint(out, uint64(li.Dims.Z))
-		out = bitio.AppendUvarint(out, uint64(li.UnitBlock))
-		comp, err := codec.EncodeMask(li.Mask)
-		if err != nil {
+		var err error
+		if out, err = codec.AppendLevel(out, li.Dims, li.UnitBlock, li.Mask); err != nil {
 			return nil, err
 		}
-		out = bitio.AppendBytes(out, comp)
 		out = bitio.AppendUvarint(out, uint64(li.BatchBlocks))
 		out = bitio.AppendUvarint(out, uint64(len(li.Batches)))
 		for _, b := range li.Batches {
@@ -371,8 +369,9 @@ func appendMemberRecord(out []byte, mi int, m *Member) ([]byte, error) {
 // links the v2+ layouts carry are validated here so no hostile footer can
 // smuggle a cycle, a forward or self reference, or a delta batch whose
 // reference has a different AMR structure — every such link is rejected
-// before any frame is read. So is geometry whose cell counts or
-// refinement powers would wrap the readers' int arithmetic.
+// before any frame is read. So is a member that breaks the hierarchy or
+// the level rule (amr.CheckHierarchy, amr.CheckLevel), whose cell counts
+// or refinement powers would wrap the readers' int arithmetic.
 func decodeFooter(buf []byte, ver int) ([]Member, error) {
 	r := bitio.NewReader(buf)
 	nm := r.Uvarint(1 << 20)
@@ -404,48 +403,15 @@ func decodeFooter(buf []byte, ver int) ([]Member, error) {
 		if err := r.Err(); err != nil {
 			return nil, fmt.Errorf("archive: member %d: %w", mi, err)
 		}
-		if nlev == 0 {
-			return nil, fmt.Errorf("archive: member %d has no levels", mi)
-		}
-		// Ratio scales ROI coordinates across levels, as a divisor and, in
-		// its powers, as the finest-cell edge of a unit block: reject
-		// values that could reach that arithmetic as zero or wrap it.
-		if m.Ratio < 2 {
-			return nil, fmt.Errorf("archive: member %d has refinement ratio %d < 2", mi, m.Ratio)
-		}
-		scale := 1
-		for range nlev - 1 {
-			if scale > min(1<<31, math.MaxInt)/m.Ratio {
-				return nil, fmt.Errorf("archive: member %d has refinement ratio %d over %d levels, past 2^31", mi, m.Ratio, nlev)
-			}
-			scale *= m.Ratio
+		if err := amr.CheckHierarchy(m.Ratio, nlev); err != nil {
+			return nil, fmt.Errorf("archive: member %d: %w", mi, err)
 		}
 		for li := range nlev {
-			var idx LevelIndex
-			idx.Dims = grid.Dims{X: int(r.Uvarint(math.MaxInt)), Y: int(r.Uvarint(math.MaxInt)), Z: int(r.Uvarint(math.MaxInt))}
-			idx.UnitBlock = int(r.Uvarint(math.MaxInt))
-			comp := r.Bytes()
-			if err := r.Err(); err != nil {
+			l, err := codec.ReadLevel(r)
+			if err != nil {
 				return nil, fmt.Errorf("archive: member %d level %d: %w", mi, li, err)
 			}
-			// Same plausibility cap as amr.ReadFrom: reject before the
-			// mask/grid allocations a hostile footer could inflate.
-			cells, ok := idx.Dims.CheckedCount(min(1<<31, math.MaxInt))
-			if !ok || cells == 0 || idx.UnitBlock == 0 ||
-				idx.Dims.X%idx.UnitBlock != 0 || idx.Dims.Y%idx.UnitBlock != 0 || idx.Dims.Z%idx.UnitBlock != 0 {
-				return nil, fmt.Errorf("archive: member %d level %d has corrupt geometry %v/%d", mi, li, idx.Dims, idx.UnitBlock)
-			}
-			// Bound the unit-block count separately: a hostile footer
-			// claiming 2^31 cells at unit block 1 would otherwise make
-			// DecodeMask allocate a 256 MiB mask before any cross-check.
-			if blocks := cells / (idx.UnitBlock * idx.UnitBlock * idx.UnitBlock); blocks > 1<<26 {
-				return nil, fmt.Errorf("archive: member %d level %d has implausible %d unit blocks", mi, li, blocks)
-			}
-			var err error
-			if idx.Mask, err = codec.DecodeMask(idx.Dims.Div(idx.UnitBlock), comp); err != nil {
-				return nil, fmt.Errorf("archive: member %d level %d: %w", mi, li, err)
-			}
-			idx.BatchBlocks = int(r.Uvarint(math.MaxInt))
+			idx := LevelIndex{Dims: l.Dims, UnitBlock: l.UnitBlock, Mask: l.Mask, BatchBlocks: int(r.Uvarint(math.MaxInt))}
 			nb := int(r.Uvarint(math.MaxInt))
 			if err := r.Err(); err != nil {
 				return nil, fmt.Errorf("archive: member %d level %d: %w", mi, li, err)

@@ -431,6 +431,27 @@ func TestWriterMisuse(t *testing.T) {
 	}
 }
 
+// TestAddDatasetRefusesRatioPowers: ratio 65536 over three levels makes
+// the coarsest level's scale 2^32, which Open refuses; AddDataset refuses
+// it before writing a byte.
+func TestAddDatasetRefusesRatioPowers(t *testing.T) {
+	ds := &amr.Dataset{Name: "ratio", Field: "f", Ratio: 65536}
+	for range 3 {
+		ds.Levels = append(ds.Levels, amr.NewLevel(grid.Dims{X: 8, Y: 8, Z: 8}, 4))
+	}
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AddDataset(ds, codec.Config{ErrorBound: 1}); err == nil {
+		t.Fatal("ratio 65536 over three levels accepted")
+	}
+	if buf.Len() != headerLen || len(w.Members()) != 0 {
+		t.Fatalf("the refused member left %d bytes and %d members", buf.Len(), len(w.Members()))
+	}
+}
+
 func TestExtractRegionOutside(t *testing.T) {
 	snaps := testSnapshots(t)[:1]
 	blob := buildArchive(t, snaps, codec.Config{ErrorBound: testEB}, 16)

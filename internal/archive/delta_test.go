@@ -2,6 +2,7 @@ package archive
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -323,6 +324,65 @@ func TestDeltaChainCutAcrossAppends(t *testing.T) {
 				t.Fatalf("member %d level %d max err %.4g > bound %.4g", i, li, worst, testEB)
 			}
 		}
+	}
+}
+
+// TestCutChainIsNotPrimed: the newest member of a Keyframe-3 campaign is
+// two links deep, so the next member appended is a keyframe, and the
+// writer decodes nothing of that member to prime it — a damaged frame in
+// it neither blocks the append nor stops reading as ErrCorrupt.
+func TestCutChainIsNotPrimed(t *testing.T) {
+	snaps := testCampaign(t, 4)
+	blob := buildDeltaArchive(t, snaps[:3], 3)
+	r, err := Open(bytes.NewReader(blob), int64(len(blob)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := r.Members()
+	if m[0].Ref != -1 || m[1].Ref != 0 || m[2].Ref != 1 {
+		t.Fatalf("Ref = %d %d %d, want -1 0 1", m[0].Ref, m[1].Ref, m[2].Ref)
+	}
+	b := m[2].Levels[0].Batches[0]
+	blob[b.Offset+b.Length/2] ^= 0xff
+	path := filepath.Join(t.TempDir(), "campaign.taca")
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	w, f, err := OpenAppendFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.BatchBlocks, w.Keyframe = 16, 3
+	if err := w.AddDataset(snaps[3], codec.Config{ErrorBound: testEB}); err != nil {
+		t.Fatalf("appending after a chain at full depth: %v", err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	fr, err := OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fr.Close()
+	if ref := fr.Members()[3].Ref; ref != -1 {
+		t.Fatalf("appended member has Ref %d, want -1", ref)
+	}
+	for _, i := range []int{0, 1, 3} {
+		recon, err := fr.Extract(i)
+		if err != nil {
+			t.Fatalf("member %d: %v", i, err)
+		}
+		for li, l := range snaps[i].Levels {
+			if worst := maskedMaxErr(l, recon.Levels[li], l.Mask); worst > testEB {
+				t.Fatalf("member %d level %d max err %.4g > bound %.4g", i, li, worst, testEB)
+			}
+		}
+	}
+	if _, err := fr.Extract(2); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("damaged member 2: Extract = %v, want ErrCorrupt", err)
 	}
 }
 

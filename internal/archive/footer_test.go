@@ -7,6 +7,7 @@ import (
 	"math/bits"
 	"testing"
 
+	"repro/internal/amr"
 	"repro/internal/bitio"
 	"repro/internal/grid"
 )
@@ -159,10 +160,16 @@ func FuzzDecodeFooter(f *testing.F) {
 			if m.Ref >= mi {
 				t.Fatalf("member %d references member %d", mi, m.Ref)
 			}
+			if err := amr.CheckHierarchy(m.Ratio, len(m.Levels)); err != nil {
+				t.Fatalf("member %d accepted: %v", mi, err)
+			}
 			for li := range m.Levels {
 				idx := &m.Levels[li]
 				if _, ok := idx.Dims.CheckedCount(min(1<<31, math.MaxInt)); !ok {
 					t.Fatalf("member %d level %d: dims %v accepted", mi, li, idx.Dims)
+				}
+				if err := amr.CheckLevel(idx.Dims, idx.UnitBlock); err != nil {
+					t.Fatalf("member %d level %d accepted: %v", mi, li, err)
 				}
 				if idx.Mask.Dim != idx.Dims.Div(idx.UnitBlock) {
 					t.Fatalf("member %d level %d: mask dims %v for level dims %v / %d", mi, li, idx.Mask.Dim, idx.Dims, idx.UnitBlock)

@@ -135,9 +135,6 @@ func NewWriter(w io.Writer) (*Writer, error) {
 func (w *Writer) Retained() map[int][][]*grid.Grid3[amr.Value] {
 	var out map[int][][]*grid.Grid3[amr.Value]
 	for _, fr := range w.prev {
-		if fr == nil {
-			continue
-		}
 		if out == nil {
 			out = make(map[int][][]*grid.Grid3[amr.Value], len(w.prev))
 		}
@@ -177,16 +174,19 @@ func (w *Writer) Stats() Stats {
 // member that fails is not indexed and the writer stays usable for the
 // next one: the frames it already streamed out stay in the file as dead
 // bytes, never referenced by a footer, so they cost space, not
-// correctness.
+// correctness. A member Open would refuse (amr.CheckHierarchy,
+// amr.CheckLevel) fails before a frame is written.
 func (w *Writer) AddDataset(ds *amr.Dataset, cfg codec.Config) error {
 	if w.closed {
 		return fmt.Errorf("archive: writer is closed")
 	}
-	if ds.Ratio < 2 {
-		return fmt.Errorf("archive: member %q has refinement ratio %d < 2", ds.Name, ds.Ratio)
+	if err := amr.CheckHierarchy(ds.Ratio, len(ds.Levels)); err != nil {
+		return fmt.Errorf("archive: member %q: %w", ds.Name, err)
 	}
-	if len(ds.Levels) == 0 {
-		return fmt.Errorf("archive: member %q has no levels", ds.Name)
+	for li, l := range ds.Levels {
+		if err := amr.CheckLevel(l.Grid.Dim, l.UnitBlock); err != nil {
+			return fmt.Errorf("archive: member %q level %d: %w", ds.Name, li, err)
+		}
 	}
 	cfg = cfg.WithDefaults()
 	mw := &memberWriter{
@@ -205,14 +205,9 @@ func (w *Writer) AddDataset(ds *amr.Dataset, cfg codec.Config) error {
 	}
 	if w.Keyframe > 1 {
 		mw.capturing = true
-		fr, err := w.primed(ds.Field)
-		if err != nil {
+		var err error
+		if mw.ref, err = w.primed(ds.Field); err != nil {
 			return err
-		}
-		// Chains are cut BEFORE they would reach Keyframe members: a
-		// reference at depth Keyframe−1 forces this member intra.
-		if fr != nil && w.chain(fr.index)+1 < w.Keyframe {
-			mw.ref = fr
 		}
 	}
 	if err := mw.addLevels(ds.Levels); err != nil {
@@ -232,43 +227,42 @@ func (w *Writer) chain(mi int) (n int) {
 	return n
 }
 
-// primed returns the reference candidate for field: the reconstruction
-// of the newest sealed member of that field, decoding it from the
-// appended-to archive (through any delta chain) on first use. It returns
-// nil when the field has never been written.
+// primed returns the reference for the next member of field: the
+// reconstruction of the newest sealed member of that field, decoding it
+// from the appended-to archive (through any delta chain) on first use.
+// It is nil when the field has never been written, or when chains are cut
+// there: a member at depth Keyframe−1 is never decoded to prime another.
 func (w *Writer) primed(field string) (*fieldRecon, error) {
-	if fr, ok := w.prev[field]; ok {
-		return fr, nil
-	}
-	if w.prev == nil {
-		w.prev = make(map[string]*fieldRecon)
-	}
-	if w.tail == nil {
-		return nil, nil
-	}
-	tm := w.tail.Members()
-	mi := -1
-	for i := len(tm) - 1; i >= 0; i-- {
-		if tm[i].Field == field {
-			mi = i
-			break
+	fr, ok := w.prev[field]
+	if !ok && w.tail != nil {
+		tm := w.tail.Members()
+		for mi := len(tm) - 1; mi >= 0 && fr == nil; mi-- {
+			if tm[mi].Field == field {
+				fr = &fieldRecon{index: mi}
+			}
 		}
 	}
-	if mi < 0 {
-		w.prev[field] = nil
+	if fr == nil || w.chain(fr.index)+1 >= w.Keyframe {
 		return nil, nil
 	}
-	fr := &fieldRecon{index: mi, levels: make([][]*grid.Grid3[amr.Value], len(tm[mi].Levels))}
+	if ok {
+		return fr, nil
+	}
+	m := &w.tail.Members()[fr.index]
+	fr.levels = make([][]*grid.Grid3[amr.Value], len(m.Levels))
 	for li := range fr.levels {
-		idx := &tm[mi].Levels[li]
+		idx := &m.Levels[li]
 		fr.levels[li] = make([]*grid.Grid3[amr.Value], 0, idx.occupied)
 		for b := range idx.Batches {
-			blocks, err := w.tail.DecodeBatch(mi, li, b)
+			blocks, err := w.tail.DecodeBatch(fr.index, li, b)
 			if err != nil {
 				return nil, fmt.Errorf("archive: priming delta reference for field %q: %w", field, err)
 			}
 			fr.levels[li] = append(fr.levels[li], blocks...)
 		}
+	}
+	if w.prev == nil {
+		w.prev = make(map[string]*fieldRecon)
 	}
 	w.prev[field] = fr
 	return fr, nil

@@ -7,7 +7,8 @@
 // mask, storing the (deflated, bit-packed) masks in the container is all
 // the metadata any codec needs; coordinates of sub-blocks are never
 // serialized. The mask costs one bit per unit block, the "negligible
-// (e.g., 0.1%) metadata overhead" of Sec. 3.1.
+// (e.g., 0.1%) metadata overhead" of Sec. 3.1. A skeleton's level record
+// (AppendLevel / ReadLevel) is the TACA footer's, held to amr.CheckLevel.
 package codec
 
 import (
@@ -364,8 +365,41 @@ func (sk Skeleton) NewDataset() *amr.Dataset {
 	return ds
 }
 
+// AppendLevel appends a level record — uvarint X, Y, Z and unit block,
+// then the EncodeMask stream as a length-prefixed block — the record both
+// the container's skeleton and the TACA footer carry per level. It checks
+// nothing: writers run amr.CheckLevel first.
+func AppendLevel(dst []byte, d grid.Dims, unitBlock int, m *grid.Mask) ([]byte, error) {
+	for _, v := range [...]int{d.X, d.Y, d.Z, unitBlock} {
+		dst = bitio.AppendUvarint(dst, uint64(v))
+	}
+	comp, err := EncodeMask(m)
+	if err != nil {
+		return nil, err
+	}
+	return bitio.AppendBytes(dst, comp), nil
+}
+
+// ReadLevel reads a level record off r. Its geometry passes amr.CheckLevel
+// before the mask is inflated, so a corrupt record errors instead of
+// sizing an allocation or reaching amr.NewLevel's panic (NewDataset).
+func ReadLevel(r *bitio.Reader) (li LevelInfo, err error) {
+	li.Dims = grid.Dims{X: int(r.Uvarint(math.MaxInt)), Y: int(r.Uvarint(math.MaxInt)), Z: int(r.Uvarint(math.MaxInt))}
+	li.UnitBlock = int(r.Uvarint(math.MaxInt))
+	comp := r.Bytes()
+	if err = r.Err(); err != nil {
+		return li, err
+	}
+	if err = amr.CheckLevel(li.Dims, li.UnitBlock); err != nil {
+		return li, err
+	}
+	li.Mask, err = DecodeMask(li.Dims.Div(li.UnitBlock), comp)
+	return li, err
+}
+
 // EncodeContainer assembles a payload: codec id, skeleton, then the
-// codec-specific body.
+// codec-specific body. A level that breaks amr.CheckLevel, which
+// DecodeContainer would refuse, fails it.
 func EncodeContainer(codecID byte, sk Skeleton, body []byte) ([]byte, error) {
 	var out []byte
 	out = bitio.AppendUvarint(out, containerMagic)
@@ -374,16 +408,14 @@ func EncodeContainer(codecID byte, sk Skeleton, body []byte) ([]byte, error) {
 	out = bitio.AppendBytes(out, []byte(sk.Field))
 	out = bitio.AppendUvarint(out, uint64(sk.Ratio))
 	out = bitio.AppendUvarint(out, uint64(len(sk.Levels)))
-	for _, li := range sk.Levels {
-		out = bitio.AppendUvarint(out, uint64(li.Dims.X))
-		out = bitio.AppendUvarint(out, uint64(li.Dims.Y))
-		out = bitio.AppendUvarint(out, uint64(li.Dims.Z))
-		out = bitio.AppendUvarint(out, uint64(li.UnitBlock))
-		comp, err := EncodeMask(li.Mask)
-		if err != nil {
-			return nil, err
+	for i, li := range sk.Levels {
+		err := amr.CheckLevel(li.Dims, li.UnitBlock)
+		if err == nil {
+			out, err = AppendLevel(out, li.Dims, li.UnitBlock, li.Mask)
 		}
-		out = bitio.AppendBytes(out, comp)
+		if err != nil {
+			return nil, fmt.Errorf("codec: level %d: %w", i, err)
+		}
 	}
 	return append(out, body...), nil
 }
@@ -425,27 +457,9 @@ func DecodeContainer(blob []byte, wantCodecID byte) (Skeleton, []byte, error) {
 		return sk, nil, fmt.Errorf("codec: implausible level count %d", nlev)
 	}
 	for i := range int(nlev) {
-		// Bound the extents before allocating the mask, so corrupt
-		// containers error instead of over-allocating.
-		li := LevelInfo{
-			Dims:      grid.Dims{X: int(r.Uvarint(1 << 20)), Y: int(r.Uvarint(1 << 20)), Z: int(r.Uvarint(1 << 20))},
-			UnitBlock: int(r.Uvarint(math.MaxInt)),
-		}
-		comp := r.Bytes()
-		if err := r.Err(); err != nil {
+		li, err := ReadLevel(r)
+		if err != nil {
 			return sk, nil, fmt.Errorf("codec: level %d: %w", i, err)
-		}
-		if n, ok := li.Dims.CheckedCount(min(1<<40, math.MaxInt)); !ok || n == 0 || li.UnitBlock == 0 {
-			return sk, nil, fmt.Errorf("codec: implausible level %d geometry %v/%d", i, li.Dims, li.UnitBlock)
-		}
-		// NewDataset materializes levels with amr.NewLevel, which panics on
-		// a unit block that does not divide the extents; reject here so
-		// corrupt containers error instead.
-		if li.Dims.X%li.UnitBlock != 0 || li.Dims.Y%li.UnitBlock != 0 || li.Dims.Z%li.UnitBlock != 0 {
-			return sk, nil, fmt.Errorf("codec: level %d unit block %d does not divide dims %v", i, li.UnitBlock, li.Dims)
-		}
-		if li.Mask, err = DecodeMask(li.Dims.Div(li.UnitBlock), comp); err != nil {
-			return sk, nil, fmt.Errorf("codec: level %d mask: %w", i, err)
 		}
 		sk.Levels = append(sk.Levels, li)
 	}

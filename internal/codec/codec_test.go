@@ -61,17 +61,21 @@ func TestContainerRoundTrip(t *testing.T) {
 
 // hostileContainer is a 29-byte container whose one level claims 8192³
 // cells in a single, stored, unit block, over a one-byte body.
+// EncodeContainer refuses the level, so it writes the head alone and the
+// level record is appended after it.
 func hostileContainer(tb testing.TB, codecID byte) []byte {
 	tb.Helper()
 	m := grid.NewMask(grid.Dims{X: 1, Y: 1, Z: 1})
 	m.Fill(true)
-	sk := Skeleton{Name: "h", Field: "f", Ratio: 2, Levels: []LevelInfo{
-		{Dims: grid.Dims{X: 8192, Y: 8192, Z: 8192}, UnitBlock: 8192, Mask: m}}}
-	blob, err := EncodeContainer(codecID, sk, []byte{0})
+	out, err := EncodeContainer(codecID, Skeleton{Name: "h", Field: "f", Ratio: 2}, nil)
+	if err == nil {
+		out[len(out)-1] = 1 // the level count
+		out, err = AppendLevel(out, grid.Dims{X: 8192, Y: 8192, Z: 8192}, 8192, m)
+	}
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return blob
+	return append(out, 0)
 }
 
 // maskBombContainer claims the same 8192³ cells at unit block 1, so that

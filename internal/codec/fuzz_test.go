@@ -57,6 +57,9 @@ func FuzzDecodeContainer(f *testing.F) {
 			if l.Mask.Dim != l.Dims.Div(l.UnitBlock) {
 				t.Fatalf("level %d mask dims %v for level dims %v / %d", li, l.Mask.Dim, l.Dims, l.UnitBlock)
 			}
+			if err := amr.CheckLevel(l.Dims, l.UnitBlock); err != nil {
+				t.Fatalf("DecodeContainer accepted level %d: %v", li, err)
+			}
 		}
 	})
 }

@@ -24,14 +24,19 @@ import (
 func TestHostileSkeletonIsRefused(t *testing.T) {
 	m := grid.NewMask(grid.Dims{X: 1, Y: 1, Z: 1})
 	m.Fill(true)
-	sk := codec.Skeleton{Name: "h", Field: "f", Ratio: 2, Levels: []codec.LevelInfo{
-		{Dims: grid.Dims{X: 8192, Y: 8192, Z: 8192}, UnitBlock: 8192, Mask: m}}}
 	ids := []byte{ID, baseline.IDNaive1D, baseline.IDZMesh, baseline.IDUniform3D}
 	for i, c := range allCodecs() {
-		blob, err := codec.EncodeContainer(ids[i], sk, []byte{0})
+		// EncodeContainer refuses the level: it writes the skeleton's head
+		// with no level, and the level record is appended after it.
+		blob, err := codec.EncodeContainer(ids[i], codec.Skeleton{Name: "h", Field: "f", Ratio: 2}, nil)
+		if err == nil {
+			blob[len(blob)-1] = 1 // the level count
+			blob, err = codec.AppendLevel(blob, grid.Dims{X: 8192, Y: 8192, Z: 8192}, 8192, m)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
+		blob = append(blob, 0)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		start := time.Now()

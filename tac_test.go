@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	tac "repro"
+	"repro/internal/amr"
+	"repro/internal/grid"
 )
 
 func quickDataset(t *testing.T) *tac.Dataset {
@@ -38,6 +40,32 @@ func TestFacadeRoundTrip(t *testing.T) {
 			if e := math.Abs(float64(ov[i]) - float64(rv[i])); e > eb*(1+1e-6) {
 				t.Fatalf("level %d cell %d error %v exceeds bound", li, i, e)
 			}
+		}
+	}
+}
+
+// TestCompressRefusesWhatDecompressRefuses: a valid one-level dataset of
+// 2^21×1×1 cells, whose extent no payload reader accepts, is refused by
+// every one-shot codec instead of coded into a payload that Decompress
+// refuses.
+func TestCompressRefusesWhatDecompressRefuses(t *testing.T) {
+	l := amr.NewLevel(grid.Dims{X: 1 << 21, Y: 1, Z: 1}, 1)
+	l.Mask.Fill(true)
+	ds := &tac.Dataset{Name: "wide", Field: "f", Ratio: 2, Levels: []*tac.Level{l}}
+	if err := ds.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	codecs := []tac.Codec{tac.NewTAC()}
+	for _, name := range []string{"1D", "zMesh", "3D"} {
+		c, err := tac.NewBaseline(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		codecs = append(codecs, c)
+	}
+	for _, c := range codecs {
+		if blob, err := c.Compress(ds, tac.Config{ErrorBound: 1}); err == nil {
+			t.Errorf("%s: wrote a %d-byte payload of a 2^21-cell extent", c.Name(), len(blob))
 		}
 	}
 }
