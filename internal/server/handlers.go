@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/bits"
 	"net/http"
 	"strconv"
@@ -42,9 +43,10 @@ import (
 // X-Tac-* headers and are gzip-compressed when the client advertises
 // Accept-Encoding: gzip; both encodings say Vary: Accept-Encoding. The
 // identity encoding carries Content-Length — a body's length is known from
-// the index — and leaves in one write; gzip bodies are chunked. A body is
-// complete before its status line is sent, so a frame that fails to decode
-// answers the error envelope, never a 200 cut short. The GET patterns also
+// the index; gzip bodies are chunked. Level and ROI windows leave in slabs
+// of bounded size. Every frame a body reads is fetched or decoded before
+// its status line is sent, so a frame that fails to decode answers the
+// error envelope, never a 200 cut short. The GET patterns also
 // match HEAD, which on the binary routes answers the GET's status, X-Tac-*
 // headers and Content-Length from the index without reading a frame or
 // touching the cache (a quarantined member still answers its 502).
@@ -381,11 +383,14 @@ func (s *Server) handleSnap(w http.ResponseWriter, r *http.Request) {
 	}{sa.name, mi, m.Name, m.Field, m.Ratio, levels})
 }
 
-// Binary bodies (level, ROI, .amr) are built whole in a pooled wire buffer
-// before the status line goes out: their length is known from the index,
-// so the identity encoding carries Content-Length and leaves in a single
-// Write, a failing frame still answers the JSON envelope, and a HEAD
-// answers from the index alone.
+// Binary bodies (level, ROI, .amr) are resolved before the status line
+// goes out: every frame they read is fetched or decoded first, so a
+// failing frame still answers the JSON envelope, and their length is known
+// from the index, so the identity encoding carries Content-Length and a
+// HEAD answers from the index alone. The .amr body, bounded by stored
+// bytes, is built whole in one pooled wire buffer; a level or ROI window,
+// bounded only by its dense extent, is written as slabs of at most
+// slabBytes from one pooled buffer (writeWindow).
 
 // wireBufs pools response buffers by size class: class c holds slices of
 // 1<<c values, so whatever Get returns fits every request of the class.
@@ -420,20 +425,22 @@ func bodyHeaders(h http.Header, gz bool, n int) {
 	}
 }
 
-// writeBody sends body after bodyHeaders. Best effort: the status line is
-// gone by the first byte, so a write failure can only surface to the client
-// as a short body. body may be reused as soon as writeBody returns.
-func writeBody(w http.ResponseWriter, gz bool, body []byte) {
+// bodyWriter returns where a binary body goes after bodyHeaders — w
+// itself, or a pooled gzip stream over it — and the func that finishes the
+// body. Writes are best effort: the status line is gone by the first byte,
+// so a write failure can only surface to the client as a short body. A
+// buffer passed to Write may be reused as soon as Write returns.
+func bodyWriter(w http.ResponseWriter, gz bool) (io.Writer, func()) {
 	if !gz {
-		w.Write(body) //nolint:errcheck // client went away; nothing to do
-		return
+		return w, func() {}
 	}
 	zw := gzipWriters.Get().(*gzip.Writer)
 	zw.Reset(w)
-	zw.Write(body) //nolint:errcheck // as above; Close reports it again
-	zw.Close()     //nolint:errcheck
-	zw.Reset(nil)
-	gzipWriters.Put(zw)
+	return zw, func() {
+		zw.Close() //nolint:errcheck // client went away; nothing to do
+		zw.Reset(nil)
+		gzipWriters.Put(zw)
+	}
 }
 
 func (s *Server) handleSnapAMR(w http.ResponseWriter, r *http.Request) {
@@ -478,7 +485,9 @@ func (s *Server) handleSnapAMR(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	bodyHeaders(w.Header(), gz, n)
-	writeBody(w, gz, body)
+	out, done := bodyWriter(w, gz)
+	out.Write(body) //nolint:errcheck // client went away; nothing to do
+	done()
 }
 
 func (s *Server) handleLevel(w http.ResponseWriter, r *http.Request) {
@@ -529,20 +538,46 @@ func (s *Server) handleLevel(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	buf := getWire(d.Count())
-	defer putWire(buf)
-	vals := (*buf)[:d.Count()]
-	if !lv.covers(reg) {
-		// One clear of the whole window, stored cells included: clearing
-		// only the gaps between blocks, run by run, measured no faster.
-		clear(vals)
-	}
-	if err := s.assemble(ctx, lv, reg, vals); err != nil {
+	win, err := s.pin(ctx, lv, reg)
+	if err != nil {
 		s.httpError(w, err)
 		return
 	}
 	headers()
-	writeBody(w, gz, amr.WireBytes(vals))
+	writeWindow(w, gz, win)
+}
+
+// slabBytes bounds the dense buffer a level or ROI body is written from,
+// whatever the window's extent. It is a constant, not an option;
+// EXPERIMENTS.md records the sizes tried against it.
+const slabBytes = 1 << 20
+
+// writeWindow sends a pinned window, after its headers, as slabs of whole
+// unit-block x-planes — as many as fit in slabBytes, and at least one. x is
+// the body's slowest axis, so each slab is one contiguous run of the body,
+// filled and written in turn from one pooled buffer.
+func writeWindow(w http.ResponseWriter, gz bool, win *window) {
+	roi, ub := win.roi, win.lv.idx.UnitBlock
+	d := roi.Dims()
+	planes := max(1, slabBytes/(amr.ValueBytes*ub*d.Y*d.Z))
+	buf := getWire(min(planes*ub, d.X) * d.Y * d.Z)
+	defer putWire(buf)
+	out, done := bodyWriter(w, gz)
+	defer done()
+	for bx := roi.X0 / ub; bx*ub < roi.X1; bx += planes {
+		sub := roi
+		sub.X0, sub.X1 = max(roi.X0, bx*ub), min(roi.X1, (bx+planes)*ub)
+		vals := (*buf)[:sub.Count()]
+		if !win.lv.covers(sub) {
+			// One clear of the whole slab, stored cells included: clearing
+			// only the gaps between blocks, run by run, measured no faster.
+			clear(vals)
+		}
+		win.place(sub, vals)
+		if _, err := out.Write(amr.WireBytes(vals)); err != nil {
+			return // the client went away; the rest would go nowhere
+		}
+	}
 }
 
 // gzipWriters pools the serving-side gzip state (BestSpeed; level grids
@@ -554,26 +589,41 @@ var gzipWriters = sync.Pool{
 	},
 }
 
-// acceptsGzip reports whether the request's Accept-Encoding lists gzip
-// with a nonzero quality: "gzip", "x-gzip" or "gzip;q=0.5" accept it,
-// "gzip;q=0" and absence refuse it (the content-negotiation cases a
-// strict client relies on; full q-value ranking across codings is not
-// attempted since gzip is the only coding offered).
+// acceptsGzip reports whether the request's Accept-Encoding accepts gzip,
+// by RFC 9110 §12.5.3: an entry naming gzip or x-gzip decides by its
+// quality, and only without one does "*" decide by its own. Codings
+// compare case-insensitively. "gzip", "X-Gzip", "gzip;q=0.5" and
+// "*;q=0, gzip" accept gzip; "gzip;q=0", "*, gzip;q=0" and absence refuse
+// it. Full q-value ranking across codings is not attempted, since gzip is
+// the only coding offered.
 func acceptsGzip(header string) bool {
+	named, star := -1.0, -1.0
 	for _, part := range strings.Split(header, ",") {
-		coding, params, _ := strings.Cut(strings.TrimSpace(part), ";")
-		coding = strings.TrimSpace(coding)
-		if coding != "gzip" && coding != "x-gzip" && coding != "*" {
-			continue
+		coding, params, _ := strings.Cut(part, ";")
+		switch coding = strings.TrimSpace(coding); {
+		case strings.EqualFold(coding, "gzip"), strings.EqualFold(coding, "x-gzip"):
+			named = max(named, quality(params))
+		case coding == "*":
+			star = max(star, quality(params))
 		}
-		for _, p := range strings.Split(params, ";") {
-			k, v, _ := strings.Cut(strings.TrimSpace(p), "=")
-			if strings.TrimSpace(k) == "q" {
-				q, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
-				return err != nil || q > 0
-			}
-		}
-		return true
 	}
-	return false
+	if named >= 0 {
+		return named > 0
+	}
+	return star > 0
+}
+
+// quality is the weight an Accept-Encoding entry's parameters give it: its
+// q parameter, or 1 when it has none or q does not parse.
+func quality(params string) float64 {
+	for _, p := range strings.Split(params, ";") {
+		k, v, _ := strings.Cut(p, "=")
+		if strings.EqualFold(strings.TrimSpace(k), "q") {
+			if q, err := strconv.ParseFloat(strings.TrimSpace(v), 64); err == nil {
+				return q
+			}
+			return 1
+		}
+	}
+	return 1
 }

@@ -621,48 +621,103 @@ func (lv levelView) clip(roi grid.Region) (grid.Region, error) {
 	return clipped, nil
 }
 
-// assemble fills dst — dense over roi, a non-empty window inside the
-// level's extent — with every stored cell of the level that falls in roi,
-// from cached batches. It is the one block→window routine of the serving
-// layer: a whole level is the window RegionOf(idx.Dims). Cells no stored
-// block covers are not written, so unless lv.covers(roi) dst must hold
-// zeros there already, as a fresh slice does. Only frames with a block
-// inside roi are fetched or decoded. Assembly stops between batches once
-// ctx is done (deadline overruns surface as context.DeadlineExceeded,
-// which the HTTP layer maps to 504).
-func (s *Server) assemble(ctx context.Context, lv levelView, roi grid.Region, dst []amr.Value) error {
-	idx, ub := lv.idx, lv.idx.UnitBlock
-	br := roi.Blocks(ub)
-	inWindow := func(bx, by, bz int) bool {
-		return bx >= br.X0 && bx < br.X1 && by >= br.Y0 && by < br.Y1 && bz >= br.Z0 && bz < br.Z1
+// window is one level's window with its stored blocks resolved and pinned:
+// every frame holding a block inside roi has been fetched or decoded, so
+// nothing that can fail is left. A window holds references, not copies:
+// the cache may evict a pinned batch, but its blocks stay readable
+// (entries are never mutated) until the window is dropped.
+//
+// Blocks are bucketed by unit-block x-plane for free: ordinals run in
+// row-major mask order, x slowest, so the stored blocks of one x-plane are
+// one run of ordinals, and a slab of planes reads its own blocks without
+// scanning the rest.
+type window struct {
+	lv    levelView
+	roi   grid.Region // the window, in level cells
+	br    grid.Region // the unit blocks roi touches
+	first []int       // x-plane br.X0+p holds ordinals first[p] up to first[p+1]
+	b0    int         // the batch holding ordinal first[0]
+	got   []blocks    // got[b-b0]: batch b, for every batch with a block in roi
+}
+
+// pin resolves the stored blocks of the level that fall in roi — a
+// non-empty window inside the level's extent — into a window. Only frames
+// with a block inside roi are fetched or decoded, through batch (cache,
+// tail view, quarantine, retry), fanned out across the worker budget.
+// Pinning stops between batches once ctx is done (deadline overruns
+// surface as context.DeadlineExceeded, which the HTTP layer maps to 504).
+func (s *Server) pin(ctx context.Context, lv levelView, roi grid.Region) (*window, error) {
+	idx := lv.idx
+	md := idx.Mask.Dim
+	w := &window{lv: lv, roi: roi, br: roi.Blocks(idx.UnitBlock)}
+	w.first = make([]int, w.br.X1-w.br.X0+1)
+	for p := range w.first {
+		w.first[p] = sort.SearchInts(lv.ords, (w.br.X0+p)*md.Y*md.Z)
 	}
+	lo, hi := w.first[0], w.first[len(w.first)-1]
+	if lo == hi {
+		return w, nil // no stored block in the window's planes
+	}
+	// Batch b holds ordinals b·BatchBlocks onward (LevelIndex.BatchSpan).
+	// got spans the batches of the window's planes, not the level's.
+	w.b0 = lo / idx.BatchBlocks
+	w.got = make([]blocks, (hi-1)/idx.BatchBlocks-w.b0+1)
 	var jobs []int
-	for b := range idx.Batches {
-		lo, hi := idx.BatchSpan(b)
-		for _, ord := range lv.ords[lo:hi] {
-			if inWindow(idx.Mask.Dim.Coords(ord)) {
-				jobs = append(jobs, b)
-				break
+	for k := lo; k < hi; k++ {
+		if _, by, bz := md.Coords(lv.ords[k]); w.inYZ(by, bz) {
+			b := k / idx.BatchBlocks
+			jobs = append(jobs, b)
+			k = (b+1)*idx.BatchBlocks - 1 // on to the next batch
+		}
+	}
+	err := s.forEachBatch(ctx, jobs, func(b int) (err error) {
+		w.got[b-w.b0], err = s.batch(lv.sa, lv.st, lv.mi, lv.li, b)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return w, nil
+}
+
+// inYZ reports whether unit blocks (·, by, bz) lie in the window.
+func (w *window) inYZ(by, bz int) bool {
+	return by >= w.br.Y0 && by < w.br.Y1 && bz >= w.br.Z0 && bz < w.br.Z1
+}
+
+// place fills dst — dense over sub, a window inside the pinned one — with
+// every pinned cell that falls in sub. It is the one block→window routine
+// of the serving layer. Cells no stored block covers are not written, so
+// unless the level covers sub, dst must hold zeros there already, as a
+// fresh slice does.
+func (w *window) place(sub grid.Region, dst []amr.Value) {
+	idx, ub := w.lv.idx, w.lv.idx.UnitBlock
+	for bx := sub.X0 / ub; bx*ub < sub.X1; bx++ {
+		p := bx - w.br.X0
+		for k := w.first[p]; k < w.first[p+1]; k++ {
+			if _, by, bz := idx.Mask.Dim.Coords(w.lv.ords[k]); w.inYZ(by, bz) {
+				b := k / idx.BatchBlocks
+				blk := w.got[b-w.b0][k-b*idx.BatchBlocks]
+				grid.CopyRegionOverlap(dst, sub, blk.Data, grid.BlockRegion(bx, by, bz, ub))
 			}
 		}
 	}
-	return s.forEachBatch(ctx, jobs, func(b int) error {
-		bl, err := s.batch(lv.sa, lv.st, lv.mi, lv.li, b)
-		if err != nil {
-			return err
-		}
-		lo, hi := idx.BatchSpan(b)
-		for k, ord := range lv.ords[lo:hi] {
-			if bx, by, bz := idx.Mask.Dim.Coords(ord); inWindow(bx, by, bz) {
-				grid.CopyRegionOverlap(dst, roi, bl[k].Data, grid.BlockRegion(bx, by, bz, ub))
-			}
-		}
-		return nil
-	})
+}
+
+// assemble pins roi's blocks and places them into a grid of its own over
+// roi, zero where no stored block covers it: the in-process fronts' window.
+func (s *Server) assemble(ctx context.Context, lv levelView, roi grid.Region) (*grid.Grid3[amr.Value], error) {
+	w, err := s.pin(ctx, lv, roi)
+	if err != nil {
+		return nil, err
+	}
+	g := grid.New[amr.Value](roi.Dims())
+	w.place(roi, g.Data)
+	return g, nil
 }
 
 // covers reports whether every unit block that roi touches is stored, so
-// that assemble writes every cell of the window.
+// that place writes every cell of the window.
 func (lv levelView) covers(roi grid.Region) bool {
 	br := roi.Blocks(lv.idx.UnitBlock)
 	return lv.idx.Mask.CountRegion(br) == br.Count()
@@ -705,16 +760,12 @@ func (s *Server) resolve(name string, mi, li int) (levelView, error) {
 
 // levelGrid assembles the whole of one level into a grid of its own.
 func (s *Server) levelGrid(ctx context.Context, lv levelView) (*grid.Grid3[amr.Value], error) {
-	g := grid.New[amr.Value](lv.idx.Dims)
-	if err := s.assemble(ctx, lv, grid.RegionOf(lv.idx.Dims), g.Data); err != nil {
-		return nil, err
-	}
-	return g, nil
+	return s.assemble(ctx, lv, grid.RegionOf(lv.idx.Dims))
 }
 
 // LevelContext assembles the full grid of one refinement level from cached
 // batches into a grid the caller owns: byte-identical to
-// archive.Reader.ExtractLevel(mi, li).Grid. See assemble for ctx.
+// archive.Reader.ExtractLevel(mi, li).Grid. See pin for ctx.
 func (s *Server) LevelContext(ctx context.Context, name string, mi, li int) (*grid.Grid3[amr.Value], *archive.LevelIndex, error) {
 	lv, err := s.resolve(name, mi, li)
 	if err != nil {
@@ -731,7 +782,7 @@ func (s *Server) LevelContext(ctx context.Context, name string, mi, li int) (*gr
 // that level's cell coordinates, clipped to its extent) into a grid the
 // caller owns: it has the clipped roi's dims, with cells outside the
 // level's stored blocks zero — byte-identical to the same window of the
-// fully extracted level. See assemble for what is fetched and for ctx.
+// fully extracted level. See pin for what is fetched and for ctx.
 func (s *Server) RegionContext(ctx context.Context, name string, mi, li int, roi grid.Region) (*grid.Grid3[amr.Value], grid.Region, error) {
 	lv, err := s.resolve(name, mi, li)
 	if err != nil {
@@ -740,8 +791,8 @@ func (s *Server) RegionContext(ctx context.Context, name string, mi, li int, roi
 	if roi, err = lv.clip(roi); err != nil {
 		return nil, grid.Region{}, err
 	}
-	out := grid.New[amr.Value](roi.Dims())
-	if err := s.assemble(ctx, lv, roi, out.Data); err != nil {
+	out, err := s.assemble(ctx, lv, roi)
+	if err != nil {
 		return nil, grid.Region{}, err
 	}
 	return out, roi, nil
@@ -750,7 +801,7 @@ func (s *Server) RegionContext(ctx context.Context, name string, mi, li int, roi
 // DatasetContext assembles a whole member from cached batches:
 // structurally equal to archive.Reader.Extract(mi), with every level grid
 // byte-identical. The levels share the reader's occupancy masks, which
-// must not be mutated. See assemble for ctx.
+// must not be mutated. See pin for ctx.
 func (s *Server) DatasetContext(ctx context.Context, name string, mi int) (*amr.Dataset, error) {
 	sa, err := s.lookup(name)
 	if err != nil {

@@ -353,12 +353,15 @@ func TestGzipEncoding(t *testing.T) {
 	// say so on both outcomes, or a shared cache may hand the gzip body to
 	// a client that refused it.
 	for _, path := range []string{"/v1/a/test/snap/0/level/1", "/v1/a/test/snap/0/level/0?roi=0:8,0:8,0:8", "/v1/a/test/snap/0/amr"} {
-		for _, accept := range []string{"", "gzip", "gzip;q=0, identity"} {
+		// An explicit gzip entry outranks "*" either way, and codings are
+		// case-insensitive (RFC 9110 §12.5.3, §8.4.1).
+		for accept, want := range map[string]bool{"": false, "gzip": true, "gzip;q=0, identity": false,
+			"*;q=0, gzip": true, "*, gzip;q=0": false, "GZIP": true} {
 			rec := get(t, h, path, "Accept-Encoding", accept)
 			if v := rec.Header().Get("Vary"); rec.Code != http.StatusOK || v != "Accept-Encoding" {
 				t.Fatalf("GET %s (Accept-Encoding %q): status %d, Vary %q", path, accept, rec.Code, v)
 			}
-			if gz := rec.Header().Get("Content-Encoding") == "gzip"; gz != (accept == "gzip") {
+			if gz := rec.Header().Get("Content-Encoding") == "gzip"; gz != want {
 				t.Fatalf("GET %s (Accept-Encoding %q): Content-Encoding %q", path, accept, rec.Header().Get("Content-Encoding"))
 			}
 		}

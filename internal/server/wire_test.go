@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -176,6 +177,131 @@ func TestWireIdentity(t *testing.T) {
 	}
 }
 
+// TestWireSlabs holds level and ROI bodies that span several slabs — the
+// whole level, a window that starts and ends mid-block on every face, one
+// clipped at the edges, and a thin one that fits in a single slab — to the
+// windows archive.Reader extracts, in both encodings.
+func TestWireSlabs(t *testing.T) {
+	blob := slabArchiveBytes(t)
+	r, err := archive.Open(bytes.NewReader(blob), int64(len(blob)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole, err := r.ExtractLevel(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := whole.Grid.Dim
+	type shot struct {
+		path  string
+		want  []byte
+		slabs bool // spans at least three slabs
+	}
+	shots := []shot{{"/v1/a/test/snap/0/level/0", leBytes(whole.Grid.Data), true}}
+	for _, w := range []struct {
+		roi   grid.Region
+		slabs bool
+	}{
+		{grid.Region{X0: 13, X1: 61, Y0: 3, Y1: 125, Z0: 7, Z1: 121}, true},   // mid-block on every face
+		{grid.Region{X0: -5, X1: 300, Y0: 60, Y1: 200, Z0: -3, Z1: 64}, true}, // clipped at the edges
+		{grid.Region{X0: 70, X1: 127, Y0: 9, Y1: 10, Z0: 0, Z1: 128}, false},  // thin: one slab
+	} {
+		shots = append(shots, shot{
+			fmt.Sprintf("/v1/a/test/snap/0/level/0?roi=%d:%d,%d:%d,%d:%d", w.roi.X0, w.roi.X1, w.roi.Y0, w.roi.Y1, w.roi.Z0, w.roi.Z1),
+			leBytes(whole.Grid.Extract(w.roi.Intersect(d)).Data), w.slabs,
+		})
+	}
+	s, _ := newTestServer(t, blob, Config{Workers: 2})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	c := rawClient()
+	for _, sh := range shots {
+		// No plane of this level exceeds half a slab, so a body over two
+		// slabs' worth of bytes leaves in three slabs or more.
+		if sh.slabs != (len(sh.want) > 2*slabBytes) {
+			t.Fatalf("%s: %d bytes, but the shot says slabs=%v", sh.path, len(sh.want), sh.slabs)
+		}
+		for _, gz := range []bool{false, true} {
+			resp, body, err := fetch(t, c, "GET", ts.URL+sh.path, gz)
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s (gzip=%v): status %d, body error %v", sh.path, gz, resp.StatusCode, err)
+			}
+			if gz {
+				body = gunzip(t, body)
+			} else if resp.ContentLength != int64(len(sh.want)) {
+				t.Fatalf("%s: Content-Length %d, want %d", sh.path, resp.ContentLength, len(sh.want))
+			}
+			if !bytes.Equal(body, sh.want) {
+				t.Fatalf("%s (gzip=%v): body differs from archive.Reader's window (%d vs %d bytes)", sh.path, gz, len(body), len(sh.want))
+			}
+		}
+	}
+}
+
+// sinkWriter is an http.ResponseWriter that keeps a response's status and
+// body length and drops its bytes, so that what a handler allocates can be
+// counted without the body's own copy.
+type sinkWriter struct {
+	h    http.Header
+	code int
+	n    int
+}
+
+func (w *sinkWriter) Header() http.Header { return w.h }
+
+func (w *sinkWriter) WriteHeader(code int) {
+	if w.code == 0 {
+		w.code = code
+	}
+}
+
+func (w *sinkWriter) Write(p []byte) (int, error) {
+	w.WriteHeader(http.StatusOK)
+	w.n += len(p)
+	return len(p), nil
+}
+
+// TestSparseLevelAllocatesOneSlab: a cold GET of a 256³ level that stores
+// six unit blocks — a 64 MiB dense body — allocates at most one slab
+// beyond the blocks it decodes, plus slack for the rest of a cold request
+// (the frames read, the decoder's tables). A unit-block x-plane here is
+// 2 MiB, more than slabBytes, so the slab is one plane. The count holds
+// under the race detector too.
+func TestSparseLevelAllocatesOneSlab(t *testing.T) {
+	stored := map[[3]int]bool{{0, 0, 0}: true, {31, 31, 31}: true, {5, 17, 9}: true, {12, 0, 30}: true, {20, 20, 0}: true, {31, 0, 15}: true}
+	l := blockLevel(rand.New(rand.NewSource(9)), 256, 8, func(bx, by, bz int) bool { return stored[[3]int{bx, by, bz}] })
+	blob := archiveOf(t, 4, 1e8, &amr.Dataset{Name: "sparse", Field: "f", Ratio: 2, Levels: []*amr.Level{l}})
+	s, _ := newTestServer(t, blob, Config{Workers: 1})
+	defer s.Close()
+	h := s.Handler()
+	const (
+		body  = amr.ValueBytes * 256 * 256 * 256
+		slab  = amr.ValueBytes * 8 * 256 * 256
+		cells = amr.ValueBytes * 8 * 8 * 8
+		slack = 1 << 20
+	)
+	req := httptest.NewRequest("GET", "/v1/a/test/snap/0/level/0", nil)
+	w := &sinkWriter{h: http.Header{}}
+	// Two collections empty the sync.Pools, so a buffer an earlier request
+	// left behind cannot hide this one's.
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h.ServeHTTP(w, req)
+	runtime.ReadMemStats(&after)
+	if w.code != http.StatusOK || w.n != body {
+		t.Fatalf("status %d, %d body bytes, want 200 and %d", w.code, w.n, body)
+	}
+	limit := uint64(slab + len(stored)*cells + slack)
+	n := after.TotalAlloc - before.TotalAlloc
+	if n > limit {
+		t.Fatalf("the GET allocated %d bytes, want at most %d: one %d-byte slab, %d stored blocks of %d bytes and %d of slack", n, limit, slab, len(stored), cells, slack)
+	}
+	t.Logf("the GET of a %d-byte body allocated %d bytes", body, n)
+}
+
 // TestWireFrontsOwnTheirGrids: the in-process fronts hand out fresh grids,
 // not pooled ones — two results stay intact and distinct while more
 // requests run through the pool.
@@ -206,6 +332,49 @@ func TestWireFrontsOwnTheirGrids(t *testing.T) {
 	}
 }
 
+// blockLevel is a level of n³ cells at unit block ub: random values in the
+// blocks occupied names, zero everywhere else.
+func blockLevel(rng *rand.Rand, n, ub int, occupied func(bx, by, bz int) bool) *amr.Level {
+	l := amr.NewLevel(grid.Dims{X: n, Y: n, Z: n}, ub)
+	for i := range l.Grid.Data {
+		l.Grid.Data[i] = 1e10 * (1 + rng.Float32())
+	}
+	md := l.Mask.Dim
+	for bx := 0; bx < md.X; bx++ {
+		for by := 0; by < md.Y; by++ {
+			for bz := 0; bz < md.Z; bz++ {
+				if occupied(bx, by, bz) {
+					l.Mask.Set(bx, by, bz, true)
+				} else {
+					l.Grid.FillRegion(l.BlockRegion(bx, by, bz), 0)
+				}
+			}
+		}
+	}
+	return l
+}
+
+// archiveOf writes dss into an in-memory archive of batchBlocks blocks per
+// frame, at error bound eb.
+func archiveOf(t testing.TB, batchBlocks int, eb float64, dss ...*amr.Dataset) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := archive.NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.BatchBlocks = batchBlocks
+	for _, ds := range dss {
+		if err := w.AddDataset(ds, codec.Config{ErrorBound: eb}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // sparseArchiveBytes is one member of three levels built to hold every
 // shape of coverage: a finest level stored only in one corner octant, a
 // middle level with an empty mask (everything it could own is refined),
@@ -215,51 +384,34 @@ func TestWireFrontsOwnTheirGrids(t *testing.T) {
 func sparseArchiveBytes(t testing.TB) []byte {
 	t.Helper()
 	rng := rand.New(rand.NewSource(3))
-	level := func(n, ub int, occupied func(bx, by, bz int) bool) *amr.Level {
-		l := amr.NewLevel(grid.Dims{X: n, Y: n, Z: n}, ub)
-		for i := range l.Grid.Data {
-			l.Grid.Data[i] = 1e10 * (1 + rng.Float32())
-		}
-		md := l.Mask.Dim
-		for bx := 0; bx < md.X; bx++ {
-			for by := 0; by < md.Y; by++ {
-				for bz := 0; bz < md.Z; bz++ {
-					if occupied(bx, by, bz) {
-						l.Mask.Set(bx, by, bz, true)
-					} else {
-						l.Grid.FillRegion(l.BlockRegion(bx, by, bz), 0)
-					}
-				}
-			}
-		}
-		return l
-	}
 	sparse := &amr.Dataset{Name: "sparse", Field: "f", Ratio: 2, Levels: []*amr.Level{
-		level(32, 4, func(bx, by, bz int) bool { return bx < 4 && by < 4 && bz < 4 }),
-		level(16, 4, func(bx, by, bz int) bool { return false }),
-		level(8, 4, func(bx, by, bz int) bool { return bx+by+bz > 0 }),
+		blockLevel(rng, 32, 4, func(bx, by, bz int) bool { return bx < 4 && by < 4 && bz < 4 }),
+		blockLevel(rng, 16, 4, func(bx, by, bz int) bool { return false }),
+		blockLevel(rng, 8, 4, func(bx, by, bz int) bool { return bx+by+bz > 0 }),
 	}}
 	dense := &amr.Dataset{Name: "dense", Field: "f", Ratio: 2, Levels: []*amr.Level{
-		level(32, 4, func(bx, by, bz int) bool { return true }),
+		blockLevel(rng, 32, 4, func(bx, by, bz int) bool { return true }),
 	}}
-	var buf bytes.Buffer
-	w, err := archive.NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.BatchBlocks = 4
 	for _, ds := range []*amr.Dataset{sparse, dense} {
 		if err := ds.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		if err := w.AddDataset(ds, codec.Config{ErrorBound: 1e6}); err != nil {
-			t.Fatal(err)
-		}
 	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return archiveOf(t, 4, 1e6, sparse, dense)
+}
+
+// slabArchiveBytes is one member of one 128³ level at unit block 8, whose
+// responses span several slabs: a whole-level body is 8 MiB, a unit-block
+// x-plane of it 512 KiB. Its low half in x is stored throughout, so those
+// slabs are not cleared; its high half stores two blocks in three, so every
+// slab there is.
+func slabArchiveBytes(t testing.TB) []byte {
+	t.Helper()
+	l := blockLevel(rand.New(rand.NewSource(5)), 128, 8, func(bx, by, bz int) bool { return bx < 8 || (bx+by+bz)%3 != 0 })
+	// A bound of 1 % of the value range: at 1e6, as sparseArchiveBytes
+	// codes, most random values here are unpredictable, and the encoder
+	// takes seconds over this level under the race detector.
+	return archiveOf(t, 64, 1e8, &amr.Dataset{Name: "slabs", Field: "f", Ratio: 2, Levels: []*amr.Level{l}})
 }
 
 // poisonWire leaves a buffer full of NaNs in the pool for every size class
@@ -429,7 +581,8 @@ func TestWireCorruptFrameAMR(t *testing.T) {
 	m := &sa.reader().Members()[0]
 	li := len(m.Levels) - 1
 	fr.SetPlan(faultio.FlipByte(frameMidpoint(t, sa.reader(), 0, li, len(m.Levels[li].Batches)-1), 0x20))
-	for _, path := range []string{"/v1/a/test/snap/0/amr", fmt.Sprintf("/v1/a/test/snap/0/level/%d", li)} {
+	wantCorrupt := func(h http.Handler, path string) {
+		t.Helper()
 		for _, enc := range []string{"identity", "gzip"} {
 			rec := get(t, h, path, "Accept-Encoding", enc)
 			var env errorBody
@@ -445,6 +598,28 @@ func TestWireCorruptFrameAMR(t *testing.T) {
 			}
 		}
 	}
+	for _, path := range []string{"/v1/a/test/snap/0/amr", fmt.Sprintf("/v1/a/test/snap/0/level/%d", li)} {
+		wantCorrupt(h, path)
+	}
+
+	// A level that leaves in eight slabs of two x-planes each, damaged in
+	// its last frame, which holds blocks of the last slab's planes only:
+	// the frame is read before the status line all the same.
+	slabs := slabArchiveBytes(t)
+	ss, sfr, _ := flakyServer(t, slabs, Config{Workers: 2, QuarantineAfter: -1})
+	ssa, err := ss.lookup("test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := &ssa.reader().Members()[0].Levels[0]
+	last := len(idx.Batches) - 1
+	lo, _ := idx.BatchSpan(last)
+	if bx, _, _ := idx.Mask.Dim.Coords(idx.Mask.OccupiedIndices()[lo]); bx < 14 {
+		t.Fatalf("the last frame starts in x-plane %d, before the last slab (planes 14 and 15)", bx)
+	}
+	sfr.SetPlan(faultio.FlipByte(frameMidpoint(t, ssa.reader(), 0, 0, last), 0x20))
+	wantCorrupt(ss.Handler(), "/v1/a/test/snap/0/level/0")
+
 	clean, err := archive.Open(bytes.NewReader(blob), int64(len(blob)))
 	if err != nil {
 		t.Fatal(err)
