@@ -227,7 +227,7 @@ func TestDecodeBatchOwnership(t *testing.T) {
 		t.Fatal(err)
 	}
 	refKeep := slices.Clone(refs[0].Data)
-	on, err := r.DecodeBatchOn(mi, li, b, refs)
+	on, err := r.DecodeBatchOn(r.Section(), mi, li, b, refs)
 	if err != nil {
 		t.Fatal(err)
 	}

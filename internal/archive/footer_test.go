@@ -129,7 +129,7 @@ func TestLyingModeFlags(t *testing.T) {
 		if _, err := r.DecodeBatch(mi, li, 0); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("DecodeBatch(%d, %d, 0) = %v, want ErrCorrupt", mi, li, err)
 		}
-		if _, err := r.DecodeBatchOn(mi, li, 0, refs); !errors.Is(err, ErrCorrupt) {
+		if _, err := r.DecodeBatchOn(r.Section(), mi, li, 0, refs); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("DecodeBatchOn(%d, %d, 0) = %v, want ErrCorrupt", mi, li, err)
 		}
 	}

@@ -394,15 +394,16 @@ func (r *Reader) DecodeBatch(mi, li, b int) ([]*grid.Grid3[amr.Value], error) {
 // is bounded by the keyframe interval the writer used.
 func (r *Reader) decodeChain(fd *frameDecoder, dst []*grid.Grid3[amr.Value], mi, li, b int) error {
 	if !r.members[mi].Levels[li].IsDelta(b) {
-		return r.decodeFrame(fd, dst, mi, li, b, nil)
+		return r.decodeFrame(fd, r.r, dst, mi, li, b, nil)
 	}
 	if err := r.decodeChain(fd, dst, r.members[mi].Ref, li, b); err != nil {
 		return err
 	}
-	return r.decodeFrame(fd, dst, mi, li, b, dst)
+	return r.decodeFrame(fd, r.r, dst, mi, li, b, dst)
 }
 
-// decodeFrame reads frame b of level li of member mi and decodes it into
+// decodeFrame reads frame b of level li of member mi from src, which holds
+// the archive's bytes at their archive offsets, and decodes it into
 // the non-nil entries of dst — one per block the index gives the frame,
 // each of the level's unit-block dims — given its already-decoded
 // reference blocks (nil for an intra frame; dst itself is allowed). The
@@ -410,9 +411,9 @@ func (r *Reader) decodeChain(fd *frameDecoder, dst []*grid.Grid3[amr.Value], mi,
 // refuses a payload of the other mode, or of another block count or shape
 // than dst: a frame that disagrees with the index is corruption, caught
 // before any reconstruction.
-func (r *Reader) decodeFrame(fd *frameDecoder, dst []*grid.Grid3[amr.Value], mi, li, b int, refs []*grid.Grid3[amr.Value]) error {
+func (r *Reader) decodeFrame(fd *frameDecoder, src io.ReaderAt, dst []*grid.Grid3[amr.Value], mi, li, b int, refs []*grid.Grid3[amr.Value]) error {
 	idx := &r.members[mi].Levels[li]
-	blob, err := r.readFrame(fd.frame[:0], idx, mi, li, b)
+	blob, err := readFrame(src, fd.frame[:0], idx, mi, li, b)
 	if err != nil {
 		return err
 	}
@@ -428,16 +429,16 @@ func (r *Reader) decodeFrame(fd *frameDecoder, dst []*grid.Grid3[amr.Value], mi,
 	return nil
 }
 
-// readFrame reads frame b of idx into buf's capacity (growing it as
-// needed) and, when the footer carries digests, verifies its CRC32C
+// readFrame reads frame b of idx from src into buf's capacity (growing it
+// as needed) and, when the footer carries digests, verifies its CRC32C
 // before any byte reaches the codec. Read failures are tagged ErrIO (the
 // transient class) in addition to ErrCorrupt; digest mismatches are
 // ErrCorrupt alone — the bytes arrived, they are simply wrong. mi and li
 // only provide error context.
-func (r *Reader) readFrame(buf []byte, idx *LevelIndex, mi, li, b int) ([]byte, error) {
+func readFrame(src io.ReaderAt, buf []byte, idx *LevelIndex, mi, li, b int) ([]byte, error) {
 	rec := idx.Batches[b]
 	blob := slices.Grow(buf[:0], int(rec.Length))[:rec.Length]
-	if _, err := r.r.ReadAt(blob, rec.Offset); err != nil {
+	if _, err := src.ReadAt(blob, rec.Offset); err != nil {
 		return nil, fmt.Errorf("archive: member %d level %d batch %d: %w: %w: reading frame: %w", mi, li, b, ErrCorrupt, ErrIO, err)
 	}
 	if idx.Sums != nil {
@@ -485,7 +486,7 @@ func (r *Reader) ScrubMemberFrames(mi int, seen func(li, b int, info sz.BatchInf
 			var blob []byte
 			var err error
 			if idx.Sums != nil || seen != nil {
-				if blob, err = r.readFrame(buf, idx, mi, li, b); err == nil {
+				if blob, err = readFrame(r.r, buf, idx, mi, li, b); err == nil {
 					buf = blob
 				}
 			}
@@ -525,10 +526,12 @@ func (r *Reader) BatchDep(mi, li, b int) (ref int, delta bool, err error) {
 }
 
 // DecodeBatchOn is DecodeBatch for callers that resolve reference chains
-// themselves: refs must be the decoded blocks of the reference batch
-// reported by BatchDep (nil for an intra frame). The returned grids are
-// freshly allocated; refs is read only.
-func (r *Reader) DecodeBatchOn(mi, li, b int, refs []*grid.Grid3[amr.Value]) ([]*grid.Grid3[amr.Value], error) {
+// and frame reads themselves: refs must be the decoded blocks of the
+// reference batch reported by BatchDep (nil for an intra frame), and the
+// frame is read from src, which must hold this Reader's bytes at their
+// archive offsets — its Section(), or a view of it that already holds the
+// frame. The returned grids are freshly allocated; refs is read only.
+func (r *Reader) DecodeBatchOn(src io.ReaderAt, mi, li, b int, refs []*grid.Grid3[amr.Value]) ([]*grid.Grid3[amr.Value], error) {
 	idx, err := r.batchIndex(mi, li, b)
 	if err != nil {
 		return nil, err
@@ -536,7 +539,7 @@ func (r *Reader) DecodeBatchOn(mi, li, b int, refs []*grid.Grid3[amr.Value]) ([]
 	fd := frameDecoders.Get().(*frameDecoder)
 	defer frameDecoders.Put(fd)
 	out := grid.NewBlocks[amr.Value](idx.unitDims(), idx.blockCount(b))
-	if err := r.decodeFrame(fd, out, mi, li, b, refs); err != nil {
+	if err := r.decodeFrame(fd, src, out, mi, li, b, refs); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -6,12 +6,16 @@
 // A lookup, its miss and the registration of the fill that answers it are
 // one hold of the key's shard lock; the fill itself runs with no lock
 // held, so a slow fill delays only callers that want its key, and a fill
-// may call GetOrFill on another key, of the same shard or not. Errors
-// reach every waiter and are never cached.
+// may call GetOrFill on another key, of the same shard or not. A run of
+// keys that are cheaper to fill together (a remote mount's adjacent
+// segments, fetched in one range request) is registered as one fill that
+// every caller of any of its keys shares. Errors reach every waiter and
+// are never cached.
 package lru
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 )
 
@@ -95,38 +99,102 @@ func (c *Cache[K, V]) shard(k K) *shard[K, V] {
 // returned to the callers already waiting for it and not cached.
 func (c *Cache[K, V]) GetOrFill(k K, fill func() (V, int64, error)) (V, error) {
 	sh := c.shard(k)
-	sh.mu.Lock()
-	if e, ok := sh.m[k]; ok {
-		sh.hits++
-		sh.moveToFront(e)
-		sh.mu.Unlock()
+	e, f, own := sh.lookup(k)
+	if e != nil {
 		return e.val, nil
 	}
-	sh.misses++
-	if f, ok := sh.flights[k]; ok {
-		sh.mu.Unlock()
+	if !own {
 		<-f.done
 		return f.val, f.err
 	}
-	f := &flight[V]{done: make(chan struct{}), err: ErrFillPanicked}
-	sh.flights[k] = f
-	sh.fills++
-	sh.mu.Unlock()
-
 	var cost int64
-	defer func() {
-		sh.mu.Lock()
-		if sh.flights[k] == f {
-			delete(sh.flights, k)
-			if f.err == nil && sh.budget > 0 {
-				sh.insert(k, f.val, cost)
-			}
-		}
-		sh.mu.Unlock()
-		close(f.done)
-	}()
+	defer func() { sh.land(k, f, cost) }()
 	f.val, cost, f.err = fill()
 	return f.val, f.err
+}
+
+// GetOrFillRun is GetOrFill over a sequence of keys that are cheaper to fill
+// together than one by one. It returns the values of keys, in order. Each
+// maximal run of consecutive keys that are neither resident nor being
+// filled is registered as one fill, shared by every concurrent caller of
+// any of its keys: fill(lo, hi) runs once for keys[lo:hi] and returns one
+// value and one cost per key. A key another caller is filling is waited
+// for, and a resident key is a hit; each key counts as one lookup and each
+// key a run fills as one fill. A run that fails hands its error to the
+// waiters of every one of its keys and caches none of them, and the call
+// returns that error at once. Every fill of a call has landed before it
+// waits on another caller's, so callers whose runs overlap cannot wait on
+// each other in a cycle.
+func (c *Cache[K, V]) GetOrFillRun(keys []K, fill func(lo, hi int) ([]V, []int64, error)) ([]V, error) {
+	vals := make([]V, len(keys))
+	for i := 0; i < len(keys); {
+		e, f, own := c.shard(keys[i]).lookup(keys[i])
+		switch {
+		case e != nil:
+			vals[i] = e.val
+			i++
+		case !own:
+			<-f.done
+			if f.err != nil {
+				return nil, f.err
+			}
+			vals[i] = f.val
+			i++
+		default:
+			run := []*flight[V]{f}
+			for j := i + 1; j < len(keys); j++ {
+				f := c.shard(keys[j]).claim(keys[j])
+				if f == nil {
+					break
+				}
+				run = append(run, f)
+			}
+			lo, hi := i, i+len(run)
+			if err := c.fillRun(keys[lo:hi], run, func() ([]V, []int64, error) { return fill(lo, hi) }); err != nil {
+				return nil, err
+			}
+			for k, f := range run {
+				vals[lo+k] = f.val
+			}
+			i = hi
+		}
+	}
+	return vals, nil
+}
+
+// fillRun runs fill for the flights of keys, which the caller registered,
+// and lands each one, with its value or with the run's error.
+func (c *Cache[K, V]) fillRun(keys []K, run []*flight[V], fill func() ([]V, []int64, error)) error {
+	var costs []int64
+	defer func() {
+		for k, f := range run {
+			var cost int64
+			if f.err == nil {
+				cost = costs[k]
+			}
+			c.shard(keys[k]).land(keys[k], f, cost)
+		}
+	}()
+	vals, costs, err := fill()
+	if err == nil && (len(vals) != len(run) || len(costs) != len(run)) {
+		err = fmt.Errorf("lru: run fill returned %d values and %d costs for %d keys", len(vals), len(costs), len(run))
+	}
+	for k, f := range run {
+		if f.err = err; err == nil {
+			f.val = vals[k]
+		}
+	}
+	return err
+}
+
+// Has reports whether k is resident or being filled, without counting a
+// lookup or touching its recency: a caller planning work that a miss on k
+// would cause asks it first.
+func (c *Cache[K, V]) Has(k K) bool {
+	sh := c.shard(k)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.has(k)
 }
 
 // Purge drops every resident entry and disowns every fill in flight
@@ -186,6 +254,69 @@ func (sh *shard[K, V]) reset() {
 	sh.flights = make(map[K]*flight[V])
 	sh.root.prev, sh.root.next = &sh.root, &sh.root
 	sh.bytes = 0
+}
+
+// lookup is a lookup of k and, on a miss, the registration of the fill
+// that answers it, in one hold of the lock. It returns the resident entry
+// (a hit), or the fill in flight to wait for, or a fill registered for the
+// caller to run and land (own).
+func (sh *shard[K, V]) lookup(k K) (e *entry[K, V], f *flight[V], own bool) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if e, ok := sh.m[k]; ok {
+		sh.hits++
+		sh.moveToFront(e)
+		return e, nil, false
+	}
+	sh.misses++
+	if f, ok := sh.flights[k]; ok {
+		return nil, f, false
+	}
+	return nil, sh.register(k), true
+}
+
+// claim registers a fill of k for the caller to run and land, counted as a
+// miss, if k is neither resident nor being filled; otherwise it returns
+// nil and counts nothing.
+func (sh *shard[K, V]) claim(k K) *flight[V] {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.has(k) {
+		return nil
+	}
+	sh.misses++
+	return sh.register(k)
+}
+
+// has reports whether k is resident or being filled. Caller holds sh.mu.
+func (sh *shard[K, V]) has(k K) bool {
+	_, resident := sh.m[k]
+	_, filling := sh.flights[k]
+	return resident || filling
+}
+
+// register records a fill of k in flight. Until it lands, its waiters see
+// ErrFillPanicked. Caller holds sh.mu.
+func (sh *shard[K, V]) register(k K) *flight[V] {
+	f := &flight[V]{done: make(chan struct{}), err: ErrFillPanicked}
+	sh.flights[k] = f
+	sh.fills++
+	return f
+}
+
+// land ends fill f of k: unless a purge disowned it, k leaves the flights
+// and, filled without error, enters at cost. Its waiters are released
+// last.
+func (sh *shard[K, V]) land(k K, f *flight[V], cost int64) {
+	sh.mu.Lock()
+	if sh.flights[k] == f {
+		delete(sh.flights, k)
+		if f.err == nil && sh.budget > 0 {
+			sh.insert(k, f.val, cost)
+		}
+	}
+	sh.mu.Unlock()
+	close(f.done)
 }
 
 // insert adds the entry at the front and evicts from the tail until the

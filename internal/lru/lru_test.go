@@ -3,6 +3,7 @@ package lru
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -362,5 +363,211 @@ func TestConcurrentDistinctKeys(t *testing.T) {
 	}
 	if st.Entries != keys || st.Bytes != keys*64 || st.Budget != 1<<20 {
 		t.Fatalf("resident %+v, want %d entries of 64 bytes under the whole budget", st, keys)
+	}
+}
+
+// runFill is a GetOrFillRun fill that records the runs it was asked for
+// and returns each key as its value, at cost 10.
+func runFill(keys []int, runs *[][2]int) func(lo, hi int) ([]int, []int64, error) {
+	return func(lo, hi int) ([]int, []int64, error) {
+		*runs = append(*runs, [2]int{lo, hi})
+		vals, costs := make([]int, hi-lo), make([]int64, hi-lo)
+		for i := range vals {
+			vals[i], costs[i] = keys[lo+i], 10
+		}
+		return vals, costs, nil
+	}
+}
+
+// TestFillRun drives GetOrFillRun sequentially: each maximal run of keys
+// that are neither resident nor being filled is one fill; resident keys
+// are hits that split runs; a failed or malformed run caches nothing.
+func TestFillRun(t *testing.T) {
+	keys := []int{0, 1, 2, 3}
+	cases := []struct {
+		name     string
+		resident []int
+		want     [][2]int
+		stats    Stats
+	}{
+		{"cold", nil, [][2]int{{0, 4}}, Stats{Misses: 4, Fills: 4, Entries: 4, Bytes: 40, Budget: 1000}},
+		{"middle resident", []int{1}, [][2]int{{0, 1}, {2, 4}}, Stats{Hits: 1, Misses: 4, Fills: 4, Entries: 4, Bytes: 40, Budget: 1000}},
+		{"ends resident", []int{0, 3}, [][2]int{{1, 3}}, Stats{Hits: 2, Misses: 4, Fills: 4, Entries: 4, Bytes: 40, Budget: 1000}},
+		{"all resident", keys, nil, Stats{Hits: 4, Misses: 4, Fills: 4, Entries: 4, Bytes: 40, Budget: 1000}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cache := New[int, int](1000, 1, nil)
+			var calls atomic.Int64
+			for _, k := range c.resident {
+				if _, err := cache.GetOrFill(k, constFill(k, 10, &calls)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var runs [][2]int
+			vals, err := cache.GetOrFillRun(keys, runFill(keys, &runs))
+			if err != nil || !slices.Equal(vals, keys) {
+				t.Fatalf("GetOrFillRun = %v, %v; want %v", vals, err, keys)
+			}
+			if !slices.Equal(runs, c.want) {
+				t.Fatalf("filled runs %v, want %v", runs, c.want)
+			}
+			for _, k := range keys {
+				if !cache.Has(k) {
+					t.Fatalf("key %d not resident after its run", k)
+				}
+			}
+			if st := cache.Stats(); st != c.stats {
+				t.Fatalf("stats %+v, want %+v", st, c.stats)
+			}
+		})
+	}
+
+	t.Run("failed run", func(t *testing.T) {
+		cache := New[int, int](1000, 1, nil)
+		for _, fill := range []func(lo, hi int) ([]int, []int64, error){
+			func(lo, hi int) ([]int, []int64, error) { return nil, nil, errBoom },
+			func(lo, hi int) ([]int, []int64, error) { return make([]int, hi-lo-1), make([]int64, hi-lo), nil },
+		} {
+			if _, err := cache.GetOrFillRun(keys, fill); err == nil {
+				t.Fatal("a failed run returned no error")
+			}
+			if st := cache.Stats(); st.Entries != 0 {
+				t.Fatalf("a failed run cached %d entries", st.Entries)
+			}
+		}
+		var runs [][2]int
+		if _, err := cache.GetOrFillRun(keys, runFill(keys, &runs)); err != nil || len(runs) != 1 {
+			t.Fatalf("after failed runs: %v, runs %v; want one fresh run", err, runs)
+		}
+	})
+}
+
+// TestFillRunSharedFlight parks one run fill over keys 0–3 and asks for
+// each key alone, and for keys 2–5 as a run, while it is out. Every key of
+// the run is one shared flight: nobody fills it again, a success reaches
+// every waiter and caches the run, and a failure or a panic reaches every
+// waiter of every key and caches none of them.
+func TestFillRunSharedFlight(t *testing.T) {
+	outcomes := []struct {
+		name    string
+		err     error // the run's error
+		panicv  any
+		wantErr error
+	}{
+		{"success", nil, nil, nil},
+		{"failure", errBoom, nil, errBoom},
+		{"panic", nil, "kaboom", ErrFillPanicked},
+	}
+	for _, o := range outcomes {
+		t.Run(o.name, func(t *testing.T) {
+			c := New[int, int](1000, 1, nil)
+			release, started, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(done)
+				defer func() { recover() }()
+				c.GetOrFillRun([]int{0, 1, 2, 3}, func(lo, hi int) ([]int, []int64, error) {
+					close(started)
+					<-release
+					if o.panicv != nil {
+						panic(o.panicv)
+					}
+					return []int{0, 1, 2, 3}, []int64{10, 10, 10, 10}, o.err
+				})
+			}()
+			<-started
+			var waits []func() ([]int, []error)
+			for k := 0; k < 4; k++ {
+				waits = append(waits, follow(t, c, k, 2))
+			}
+			var ran [][2]int
+			runVals, runErr := make(chan []int, 1), make(chan error, 1)
+			go func() {
+				vals, err := c.GetOrFillRun([]int{2, 3, 4, 5}, func(lo, hi int) ([]int, []int64, error) {
+					ran = append(ran, [2]int{lo, hi})
+					return []int{4, 5}[lo-2 : hi-2], []int64{10, 10}[lo-2 : hi-2], nil
+				})
+				runVals <- vals
+				runErr <- err
+			}()
+			deadline := time.Now().Add(10 * time.Second)
+			for c.Stats().Misses < 4+8+1 {
+				if time.Now().After(deadline) {
+					t.Fatal("the overlapping run never reached the flight of key 2")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			close(release)
+			<-done
+			for k, wait := range waits {
+				vals, errs := wait()
+				for i := range vals {
+					if errs[i] != o.wantErr || (o.wantErr == nil && vals[i] != k) {
+						t.Fatalf("waiter %d of key %d got (%d, %v), want (%d, %v)", i, k, vals[i], errs[i], k, o.wantErr)
+					}
+				}
+			}
+			vals, err := <-runVals, <-runErr
+			switch {
+			case !errors.Is(err, o.wantErr):
+				t.Fatalf("overlapping run err = %v, want %v", err, o.wantErr)
+			case o.wantErr == nil && (!slices.Equal(vals, []int{2, 3, 4, 5}) || !slices.Equal(ran, [][2]int{{2, 4}})):
+				t.Fatalf("overlapping run = %v after filling %v; want [2 3 4 5] after filling only [2 4]", vals, ran)
+			case o.wantErr != nil && len(ran) != 0:
+				t.Fatalf("overlapping run filled %v after the run it waited on failed", ran)
+			}
+			want := int64(6)
+			if o.wantErr != nil {
+				want = 0
+			}
+			if st := c.Stats(); st.Entries != want || st.Fills > st.Misses {
+				t.Fatalf("stats %+v, want %d entries and fills <= misses", st, want)
+			}
+		})
+	}
+}
+
+// TestFillRunConcurrentOverlap reads overlapping spans of 64 keys from
+// eight goroutines: every key is filled exactly once, and each reader gets
+// its keys' values in order.
+func TestFillRunConcurrentOverlap(t *testing.T) {
+	c := New[int, int](1<<20, 1, nil)
+	const keys, workers = 64, 8
+	var fills [keys]atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for lo := w; lo < keys; lo += 5 {
+				span := make([]int, 0, 16)
+				for k := lo; k < min(lo+16, keys); k++ {
+					span = append(span, k)
+				}
+				vals, err := c.GetOrFillRun(span, func(a, b int) ([]int, []int64, error) {
+					costs := make([]int64, b-a)
+					for _, k := range span[a:b] {
+						fills[k].Add(1)
+					}
+					for i := range costs {
+						costs[i] = 8
+					}
+					return slices.Clone(span[a:b]), costs, nil
+				})
+				if err != nil || !slices.Equal(vals, span) {
+					t.Errorf("span from %d = %v, %v", lo, vals, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for k := range fills {
+		if n := fills[k].Load(); n != 1 {
+			t.Fatalf("key %d filled %d times, want once", k, n)
+		}
+	}
+	if st := c.Stats(); st.Fills != keys || st.Fills > st.Misses || st.Entries != keys {
+		t.Fatalf("stats %+v, want %d fills and entries, fills <= misses", st, keys)
 	}
 }

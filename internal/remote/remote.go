@@ -6,11 +6,15 @@
 // The reader is built for the archive's access pattern: level and ROI
 // extraction touch only a few percent of archive bytes (2.7–3.1% of a
 // local file; server.TestRemoteFetchFraction holds both paths under 10%),
-// in frame-sized spans clustered by batch index. Reads therefore go
-// through a byte-budgeted read-ahead cache of aligned segments (an
-// internal/lru instance); concurrent batch decodes that miss on the same
-// segment share one fetch, so a fleet of workers pulls each segment over
-// the wire at most once.
+// in frame-sized spans clustered by batch index, and a request that knows
+// its frames reads each contiguous run of them in one call. Segments are
+// the cache unit and runs the fetch unit: reads go through a
+// byte-budgeted cache of aligned segments (an internal/lru instance), and
+// each maximal run of a read's segments that are not resident is fetched
+// with one range request. Every segment of that run is one shared fill in
+// flight, so concurrent reads that miss on any of them wait for it, and a
+// fleet of workers pulls each segment over the wire at most once while it
+// is resident or in flight.
 //
 // Generation pinning: Open records the resource's ETag, every request
 // carries If-Range (strong validators only), and every response's ETag is
@@ -42,7 +46,7 @@ var ErrChanged = errors.New("remote: resource changed upstream")
 
 const (
 	// DefaultSegmentBytes covers a handful of typical batch frames, so one
-	// fill read-aheads the neighbours a level sweep touches next.
+	// segment read-aheads the neighbours a level sweep touches next.
 	DefaultSegmentBytes = 128 << 10
 	// DefaultCacheBytes bounds resident segments per reader.
 	DefaultCacheBytes = 32 << 20
@@ -58,8 +62,8 @@ type Config struct {
 	// Timeout bounds each range request, connect to last body byte.
 	// 0 means DefaultTimeout; negative means no limit.
 	Timeout time.Duration
-	// SegmentBytes is the aligned fetch/cache unit. 0 means
-	// DefaultSegmentBytes; values are clamped to [4 KiB, 4 MiB].
+	// SegmentBytes is the aligned cache unit; a fetch is a run of them.
+	// 0 means DefaultSegmentBytes; values are clamped to [4 KiB, 4 MiB].
 	SegmentBytes int
 	// CacheBytes budgets resident segments. 0 means DefaultCacheBytes;
 	// negative disables caching (every read fetches).
@@ -94,7 +98,7 @@ type Reader struct {
 	etag    string // pinned validator, "" if the server sent none
 	strong  bool   // etag is strong: eligible for If-Range
 
-	segBytes atomic.Int64 // the aligned fetch/cache unit
+	segBytes atomic.Int64 // the aligned cache unit; fetches are runs of it
 	// cache holds fetched segments. Its budget is one reader's, in one
 	// shard: split further, a small budget would be less than a segment
 	// per shard.
@@ -216,7 +220,7 @@ func (r *Reader) Retune(segmentBytes int64) {
 	}
 }
 
-// SegmentBytes is the current aligned fetch unit.
+// SegmentBytes is the current aligned cache unit.
 func (r *Reader) SegmentBytes() int64 { return r.segBytes.Load() }
 
 func clampSegment(n int64) int64 { return min(max(n, minSegmentBytes), maxSegmentBytes) }
@@ -224,6 +228,16 @@ func clampSegment(n int64) int64 { return min(max(n, minSegmentBytes), maxSegmen
 // ReadAt implements io.ReaderAt. Reads past the pinned size return
 // io.EOF; every fetched byte is validated against the pinned ETag, so a
 // changed resource yields ErrChanged, never torn bytes.
+//
+// The read is cut into aligned segments. Resident ones are copied from the
+// cache, and each maximal run of the others is fetched with one range
+// request, as one fill of the cache that concurrent readers of any of its
+// segments share (lru.Cache.GetOrFillRun): they wait for it rather than
+// fetch a segment again. A failed run reaches every one of them and caches
+// nothing. The unit read here is part of every key, so what a lookup finds
+// is always aligned the way it expects, whenever Retune runs; a run keyed
+// just before a Retune may land in the cache under the old unit, where
+// nothing looks it up again and the LRU ages it out.
 func (r *Reader) ReadAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("remote: %s: negative offset %d", r.url, off)
@@ -234,17 +248,21 @@ func (r *Reader) ReadAt(p []byte, off int64) (int, error) {
 	if off >= r.size {
 		return 0, io.EOF
 	}
-	want := len(p)
-	if off+int64(want) > r.size {
-		want = int(r.size - off)
+	end := min(off+int64(len(p)), r.size)
+	unit := r.segBytes.Load()
+	keys := make([]segKey, 0, (end-1)/unit-off/unit+1)
+	for start := off / unit * unit; start < end; start += unit {
+		keys = append(keys, segKey{unit, start})
+	}
+	segs, err := r.cache.GetOrFillRun(keys, func(lo, hi int) ([][]byte, []int64, error) {
+		return r.fetch(keys[lo].start, min(keys[hi-1].start+unit, r.size), unit)
+	})
+	if err != nil {
+		return 0, err
 	}
 	n := 0
-	for n < want {
-		data, start, err := r.segment(off + int64(n))
-		if err != nil {
-			return n, err
-		}
-		n += copy(p[n:want], data[off+int64(n)-start:])
+	for k, seg := range segs {
+		n += copy(p[n:end-off], seg[off+int64(n)-keys[k].start:])
 	}
 	r.read.Add(int64(n))
 	if n < len(p) {
@@ -253,34 +271,18 @@ func (r *Reader) ReadAt(p []byte, off int64) (int, error) {
 	return n, nil
 }
 
-// segment returns the bytes of the aligned segment holding off and the
-// offset they start at, from cache or by fetching. Concurrent misses on
-// one segment share a single fetch; errors are returned to every waiter
-// but never cached. The unit read here is part of the cache key, so what a
-// lookup finds is always aligned the way it expects, whenever Retune runs;
-// a fetch keyed just before a Retune may land in the cache under the old
-// unit, where nothing looks it up again and the LRU ages it out.
-func (r *Reader) segment(off int64) (data []byte, start int64, err error) {
-	unit := r.segBytes.Load()
-	start = off / unit * unit
-	data, err = r.cache.GetOrFill(segKey{unit, start}, func() ([]byte, int64, error) {
-		data, err := r.fetch(start, min(start+unit, r.size))
-		return data, int64(len(data)), err
-	})
-	return data, start, err
-}
-
-// fetch pulls [start, end) in one range request and validates the
-// response shape: a 206 must match the requested span exactly (short or
-// over-long bodies are errors, not truncations), a 200 is accepted only
-// as the full resource with the prefix discarded, anything else fails.
-func (r *Reader) fetch(start, end int64) ([]byte, error) {
-	want := end - start
+// fetch pulls [start, end) in one range request, cut into segments of unit
+// bytes from start, and returns them with their lengths as their costs. It
+// validates the response shape: a 206 must match the requested span
+// exactly (short or over-long bodies are errors, not truncations), a 200
+// is accepted only as the full resource with the prefix discarded,
+// anything else fails.
+func (r *Reader) fetch(start, end, unit int64) ([][]byte, []int64, error) {
 	ctx, cancel := r.reqContext()
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.url, nil)
 	if err != nil {
-		return nil, fmt.Errorf("remote: %s: %w", r.url, err)
+		return nil, nil, fmt.Errorf("remote: %s: %w", r.url, err)
 	}
 	req.Header.Set("Range", fmt.Sprintf("bytes=%d-%d", start, end-1))
 	if r.strong {
@@ -291,41 +293,41 @@ func (r *Reader) fetch(start, end int64) ([]byte, error) {
 	}
 	resp, err := r.client.Do(req)
 	if err != nil {
-		return nil, fmt.Errorf("remote: %s: bytes [%d,%d): %w", r.url, start, end, err)
+		return nil, nil, fmt.Errorf("remote: %s: bytes [%d,%d): %w", r.url, start, end, err)
 	}
 	defer drain(resp)
 	r.requests.Add(1)
 	if et := resp.Header.Get("ETag"); et != "" && r.etag != "" && et != r.etag {
-		return nil, fmt.Errorf("remote: %s: etag %s -> %s: %w", r.url, r.etag, et, ErrChanged)
+		return nil, nil, fmt.Errorf("remote: %s: etag %s -> %s: %w", r.url, r.etag, et, ErrChanged)
 	}
 	switch resp.StatusCode {
 	case http.StatusPartialContent:
 		first, last, total, err := parseContentRange(resp.Header.Get("Content-Range"))
 		if err != nil {
-			return nil, fmt.Errorf("remote: %s: %w", r.url, err)
+			return nil, nil, fmt.Errorf("remote: %s: %w", r.url, err)
 		}
 		if total >= 0 && total != r.size {
-			return nil, fmt.Errorf("remote: %s: size %d -> %d: %w", r.url, r.size, total, ErrChanged)
+			return nil, nil, fmt.Errorf("remote: %s: size %d -> %d: %w", r.url, r.size, total, ErrChanged)
 		}
 		if first != start || last != end-1 {
-			return nil, fmt.Errorf("remote: %s: asked bytes [%d,%d), got [%d,%d]", r.url, start, end, first, last)
+			return nil, nil, fmt.Errorf("remote: %s: asked bytes [%d,%d), got [%d,%d]", r.url, start, end, first, last)
 		}
-		buf := make([]byte, want)
-		if _, err := io.ReadFull(resp.Body, buf); err != nil {
-			return nil, fmt.Errorf("remote: %s: short body for bytes [%d,%d): %w", r.url, start, end, err)
+		segs, costs, err := readSegments(resp.Body, start, end, unit)
+		if err != nil {
+			return nil, nil, fmt.Errorf("remote: %s: short body for bytes [%d,%d): %w", r.url, start, end, err)
 		}
 		var extra [1]byte
 		if m, _ := resp.Body.Read(extra[:]); m > 0 {
-			return nil, fmt.Errorf("remote: %s: over-long body for bytes [%d,%d)", r.url, start, end)
+			return nil, nil, fmt.Errorf("remote: %s: over-long body for bytes [%d,%d)", r.url, start, end)
 		}
-		r.fetched.Add(want)
-		return buf, nil
+		r.fetched.Add(end - start)
+		return segs, costs, nil
 	case http.StatusOK:
 		// Range ignored, or If-Range did not match: the body is the whole
 		// resource, of whichever generation. The ETag comparison above
 		// already rejected a changed validator.
 		if resp.ContentLength >= 0 && resp.ContentLength != r.size {
-			return nil, fmt.Errorf("remote: %s: size %d -> %d: %w", r.url, r.size, resp.ContentLength, ErrChanged)
+			return nil, nil, fmt.Errorf("remote: %s: size %d -> %d: %w", r.url, r.size, resp.ContentLength, ErrChanged)
 		}
 		// A reader pinned to a strong ETag sent If-Range, so a 200 says
 		// the validator no longer matched — or the server ignores ranges.
@@ -334,22 +336,38 @@ func (r *Reader) fetch(start, end int64) ([]byte, error) {
 		// generation, and reading it would be the torn bytes the pin
 		// exists to rule out.
 		if r.strong && resp.Header.Get("ETag") == "" && resp.ContentLength < 0 {
-			return nil, fmt.Errorf("remote: %s: full response with neither ETag nor length to match %s against: %w", r.url, r.etag, ErrChanged)
+			return nil, nil, fmt.Errorf("remote: %s: full response with neither ETag nor length to match %s against: %w", r.url, r.etag, ErrChanged)
 		}
 		if _, err := io.CopyN(io.Discard, resp.Body, start); err != nil {
-			return nil, fmt.Errorf("remote: %s: skipping to %d in full body: %w", r.url, start, err)
+			return nil, nil, fmt.Errorf("remote: %s: skipping to %d in full body: %w", r.url, start, err)
 		}
-		buf := make([]byte, want)
-		if _, err := io.ReadFull(resp.Body, buf); err != nil {
-			return nil, fmt.Errorf("remote: %s: short body at %d in full response: %w", r.url, start, err)
+		segs, costs, err := readSegments(resp.Body, start, end, unit)
+		if err != nil {
+			return nil, nil, fmt.Errorf("remote: %s: short body at %d in full response: %w", r.url, start, err)
 		}
-		r.fetched.Add(start + want)
-		return buf, nil
+		r.fetched.Add(end)
+		return segs, costs, nil
 	case http.StatusRequestedRangeNotSatisfiable:
-		return nil, fmt.Errorf("remote: %s: bytes [%d,%d) not satisfiable (http 416): %w", r.url, start, end, ErrChanged)
+		return nil, nil, fmt.Errorf("remote: %s: bytes [%d,%d) not satisfiable (http 416): %w", r.url, start, end, ErrChanged)
 	default:
-		return nil, fmt.Errorf("remote: %s: http %d fetching bytes [%d,%d)", r.url, resp.StatusCode, start, end)
+		return nil, nil, fmt.Errorf("remote: %s: http %d fetching bytes [%d,%d)", r.url, resp.StatusCode, start, end)
 	}
+}
+
+// readSegments reads bytes [start, end) of the resource from body, each
+// segment of unit bytes into a buffer of its own: segments are cached and
+// evicted one by one, so none may keep another's bytes alive.
+func readSegments(body io.Reader, start, end, unit int64) ([][]byte, []int64, error) {
+	var segs [][]byte
+	var costs []int64
+	for s := start; s < end; s += unit {
+		seg := make([]byte, min(s+unit, end)-s)
+		if _, err := io.ReadFull(body, seg); err != nil {
+			return nil, nil, err
+		}
+		segs, costs = append(segs, seg), append(costs, int64(len(seg)))
+	}
+	return segs, costs, nil
 }
 
 func (r *Reader) reqContext() (context.Context, context.CancelFunc) {
@@ -389,7 +407,7 @@ func parseContentRange(h string) (first, last, total int64, err error) {
 	}
 	if tot == "*" {
 		total = -1
-	} else if total, err = strconv.ParseInt(tot, 10, 64); err != nil {
+	} else if total, err = strconv.ParseInt(tot, 10, 64); err != nil || total < 0 {
 		return 0, 0, 0, fmt.Errorf("bad Content-Range %q", h)
 	}
 	if first < 0 || last < first || (total >= 0 && last >= total) {

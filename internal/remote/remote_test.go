@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -599,4 +600,207 @@ func TestOpenErrors(t *testing.T) {
 	if _, err := Open(empty.URL, Config{}); err == nil {
 		t.Fatal("Open of empty resource succeeded")
 	}
+}
+
+// countingOrigin serves blob like rangeServer, after an optional delay,
+// and counts the range requests after Open's probe. If gate is set, the
+// first of them waits for release and then drops the connection.
+type countingOrigin struct {
+	*httptest.Server
+	ranges  atomic.Int64
+	release func() // idempotent; also runs before the origin closes
+}
+
+func newCountingOrigin(t *testing.T, blob []byte, delay time.Duration, arrived, gate chan struct{}) *countingOrigin {
+	t.Helper()
+	o := &countingOrigin{release: func() {}}
+	if gate != nil {
+		o.release = sync.OnceFunc(func() { close(gate) })
+	}
+	o.Server = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if req.Header.Get("Range") != "bytes=0-0" {
+			if o.ranges.Add(1) == 1 && gate != nil {
+				close(arrived)
+				<-gate
+				w.WriteHeader(http.StatusPartialContent)
+				w.(http.Flusher).Flush()
+				conn, _, _ := w.(http.Hijacker).Hijack()
+				conn.Close()
+				return
+			}
+			time.Sleep(delay)
+		}
+		w.Header().Set("ETag", `"v1"`)
+		http.ServeContent(w, req, "blob.bin", time.Time{}, bytes.NewReader(blob))
+	}))
+	t.Cleanup(o.Close)
+	t.Cleanup(o.release) // before Close, which waits for the handler
+	return o
+}
+
+// TestRunFetch pins the fetch unit: every maximal run of a read's
+// segments that are not resident is one range request, and every segment
+// of it is one fill that concurrent readers share.
+func TestRunFetch(t *testing.T) {
+	const seg = 4 << 10
+	blob := testBlob(64 << 10)
+	open := func(o *countingOrigin) *Reader {
+		t.Helper()
+		r, err := Open(o.URL, Config{SegmentBytes: seg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { r.Close() })
+		return r
+	}
+	read := func(r *Reader, off, n int) error {
+		got := make([]byte, n)
+		if _, err := r.ReadAt(got, int64(off)); err != nil {
+			return err
+		}
+		if !bytes.Equal(got, blob[off:off+n]) {
+			return fmt.Errorf("ReadAt(%d, %d): bytes differ", off, n)
+		}
+		return nil
+	}
+
+	t.Run("cold read is one request", func(t *testing.T) {
+		o := newCountingOrigin(t, blob, 0, nil, nil)
+		r := open(o)
+		// Five segments, the first and last in part.
+		if err := read(r, 1000, 4*seg); err != nil {
+			t.Fatal(err)
+		}
+		if n := o.ranges.Load(); n != 1 {
+			t.Fatalf("cold read of 5 segments issued %d range requests, want 1", n)
+		}
+		if st := r.Stats(); st.BytesFetched != 5*seg || st.Misses != 5 || st.Fills != 5 {
+			t.Fatalf("stats %+v, want 5 segments fetched, missed and filled", st)
+		}
+	})
+
+	t.Run("resident middle splits the run", func(t *testing.T) {
+		o := newCountingOrigin(t, blob, 0, nil, nil)
+		r := open(o)
+		if err := read(r, 2*seg+10, 20); err != nil {
+			t.Fatal(err)
+		}
+		if err := read(r, 0, 5*seg); err != nil {
+			t.Fatal(err)
+		}
+		if n := o.ranges.Load(); n != 3 {
+			t.Fatalf("%d range requests, want 1 for the middle segment and 2 for the runs around it", n)
+		}
+		if st := r.Stats(); st.BytesFetched != 5*seg || st.Hits != 1 {
+			t.Fatalf("stats %+v, want 5 segments fetched once and the middle one hit", st)
+		}
+	})
+
+	t.Run("overlapping readers fetch each segment once", func(t *testing.T) {
+		o := newCountingOrigin(t, blob, 2*time.Millisecond, nil, nil)
+		r := open(o)
+		union := make([]bool, len(blob)/seg)
+		var spans [8][2]int
+		rng := rand.New(rand.NewSource(7))
+		for i := range spans {
+			off := rng.Intn(len(blob) - 6*seg)
+			spans[i] = [2]int{off, 1 + rng.Intn(6*seg)}
+			for s := off / seg; s <= (off+spans[i][1]-1)/seg; s++ {
+				union[s] = true
+			}
+		}
+		var wg sync.WaitGroup
+		for _, sp := range spans {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := read(r, sp[0], sp[1]); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		var want int64
+		for _, in := range union {
+			if in {
+				want += seg
+			}
+		}
+		if st := r.Stats(); st.BytesFetched != want || st.Fills > st.Misses {
+			t.Fatalf("stats %+v, want %d bytes fetched (the union of the spans) and fills <= misses", st, want)
+		}
+	})
+
+	t.Run("failed run reaches every waiter and caches nothing", func(t *testing.T) {
+		arrived, gate := make(chan struct{}), make(chan struct{})
+		o := newCountingOrigin(t, blob, 0, arrived, gate)
+		r := open(o)
+		lead := make(chan error, 1)
+		go func() { lead <- read(r, 0, 4*seg) }()
+		<-arrived
+		errs := make(chan error, 4)
+		for s := 0; s < 4; s++ {
+			go func() { errs <- read(r, s*seg+100, 10) }()
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for r.Stats().Misses < 4+4 {
+			if time.Now().After(deadline) {
+				t.Fatal("readers of the run's segments never reached its flight")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		o.release()
+		if err := <-lead; err == nil {
+			t.Fatal("the failed run's reader got no error")
+		}
+		for s := 0; s < 4; s++ {
+			if err := <-errs; err == nil {
+				t.Fatal("a waiter on the failed run got no error")
+			}
+		}
+		if n := o.ranges.Load(); n != 1 {
+			t.Fatalf("%d range requests, want only the failed run's", n)
+		}
+		if st := r.cache.Stats(); st.Entries != 0 || st.Fills != 4 {
+			t.Fatalf("cache after the failed run: %+v, want 4 fills and nothing resident", st)
+		}
+		if err := read(r, 0, 4*seg); err != nil {
+			t.Fatal(err)
+		}
+		if n := o.ranges.Load(); n != 2 {
+			t.Fatalf("%d range requests, want the retry to fetch the run once more", n)
+		}
+	})
+}
+
+// FuzzParseContentRange holds the Content-Range parser to its contract on
+// any header: no panic; an accepted triple has 0 <= first <= last and a
+// total of -1 or past last; and the triple formatted back into a header
+// parses to itself.
+func FuzzParseContentRange(f *testing.F) {
+	for _, h := range []string{
+		"bytes 0-0/100", "bytes 5-9/100", "bytes 5-9/*",
+		"", "bytes 5-9", "bytes x-9/100", "bytes 9-5/100", "bytes 5-100/100", "0-0/100",
+		"bytes 0-0/-5", // a negative total once passed as an unknown one
+	} {
+		f.Add(h)
+	}
+	f.Fuzz(func(t *testing.T, h string) {
+		first, last, total, err := parseContentRange(h)
+		if err != nil {
+			return
+		}
+		if first < 0 || last < first || (total != -1 && total <= last) {
+			t.Fatalf("parseContentRange(%q) accepted %d-%d/%d", h, first, last, total)
+		}
+		tot := "*"
+		if total >= 0 {
+			tot = strconv.FormatInt(total, 10)
+		}
+		again := fmt.Sprintf("bytes %d-%d/%s", first, last, tot)
+		f2, l2, t2, err := parseContentRange(again)
+		if err != nil || f2 != first || l2 != last || t2 != total {
+			t.Fatalf("%q parsed to %d-%d/%d, but %q to %d-%d/%d, %v", h, first, last, total, again, f2, l2, t2, err)
+		}
+	})
 }

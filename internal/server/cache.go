@@ -77,6 +77,11 @@ func (c *Cache) GetOrFill(k Key, fill func() (blocks, int64, error)) (blocks, er
 	return c.c.GetOrFill(k, fill)
 }
 
+// Has reports whether the batch under k is resident or being decoded,
+// without counting a lookup: a request planning its frame reads
+// (Server.readAhead) skips what its lookups will not have to decode.
+func (c *Cache) Has(k Key) bool { return c.c.Has(k) }
+
 // Purge drops every resident entry (counters are kept). Server.Close
 // uses it so a registry reset cannot leave batches of a closed archive
 // resident under a name a later Add might reuse.

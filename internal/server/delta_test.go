@@ -55,6 +55,13 @@ func campaignArchiveBytes(t testing.TB, steps, keyframe, batchBlocks int) ([]byt
 	if err != nil {
 		t.Fatal(err)
 	}
+	return campaignFrom(t, base, steps, keyframe, batchBlocks)
+}
+
+// campaignFrom is campaignArchiveBytes drifting from a given first
+// snapshot.
+func campaignFrom(t testing.TB, base *amr.Dataset, steps, keyframe, batchBlocks int) ([]byte, []*amr.Dataset) {
+	t.Helper()
 	snaps := []*amr.Dataset{base}
 	for i := 1; i < steps; i++ {
 		snaps = append(snaps, driftSnap(snaps[i-1], fmt.Sprintf("c%d", i), int64(i)))

@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"sort"
 	"sync"
@@ -219,20 +220,30 @@ const (
 	retryBackoff  = 5 * time.Millisecond
 )
 
-// decodeRetry decodes one frame, retrying transient I/O failures with
-// exponential, jittered backoff. Deterministic corruption is never retried
-// — the same bytes would fail the same way — and neither are usage errors.
-func (s *Server) decodeRetry(st *archiveState, mi, li, b int, refs blocks) (blocks, error) {
+// retryIO runs op, retrying transient I/O failures (archive.ErrIO) with
+// exponential, jittered backoff; each retry is counted. Deterministic
+// corruption is never retried — the same bytes would fail the same way —
+// and neither are usage errors.
+func (s *Server) retryIO(op func() error) error {
 	backoff := retryBackoff
 	for attempt := 0; ; attempt++ {
-		v, err := st.r.DecodeBatchOn(mi, li, b, refs)
+		err := op()
 		if err == nil || attempt >= retryAttempts || !errors.Is(err, archive.ErrIO) {
-			return v, err
+			return err
 		}
 		s.health.retries.Add(1)
 		s.sleep(jittered(backoff, s.jitter()))
 		backoff *= 2
 	}
+}
+
+// decodeRetry decodes one frame, read from src, under retryIO.
+func (s *Server) decodeRetry(st *archiveState, src io.ReaderAt, mi, li, b int, refs blocks) (v blocks, err error) {
+	err = s.retryIO(func() (err error) {
+		v, err = st.r.DecodeBatchOn(src, mi, li, b, refs)
+		return err
+	})
+	return v, err
 }
 
 // jittered spreads a backoff over [0.5d, 1.5d) so a fleet of requests

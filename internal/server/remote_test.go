@@ -157,6 +157,17 @@ func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
 	return n, err
 }
 
+// served runs fn on a fresh Server, cold, that serves r alone as "f": the
+// serving tier's read path over r's source.
+func served(r *archive.Reader, fn func(s *Server) error) error {
+	s := New(Config{})
+	defer s.Close()
+	if err := s.AddReader("f", r, nil); err != nil {
+		return err
+	}
+	return fn(s)
+}
+
 // TestRemoteFetchFraction pins the random-access claim on both read
 // paths: one level of one snapshot, or an octant of its finest level,
 // moves at most a tenth of the archive — off a local source, and over
@@ -218,6 +229,21 @@ func TestRemoteFetchFraction(t *testing.T) {
 	}{
 		{"level 1 of member 1", func(r *archive.Reader) error { _, err := r.ExtractLevel(1, 1); return err }},
 		{"octant of member 0", func(r *archive.Reader) error { _, err := r.ExtractRegion(0, octant); return err }},
+		{"served level 1 of member 1", func(r *archive.Reader) error {
+			return served(r, func(s *Server) error { _, _, err := s.LevelContext(context.Background(), "f", 1, 1); return err })
+		}},
+		{"served octant of member 0", func(r *archive.Reader) error {
+			return served(r, func(s *Server) error {
+				// The octant, in each level's own cells, as ExtractRegion scales it.
+				for li, l := range r.Members()[0].Levels {
+					oct := grid.Region{X1: l.Dims.X / 2, Y1: l.Dims.Y / 2, Z1: l.Dims.Z / 2}
+					if _, _, err := s.RegionContext(context.Background(), "f", 0, li, oct); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+		}},
 	}
 	for _, rd := range reads {
 		check := func(path string, moved int64) {
@@ -330,6 +356,84 @@ func TestRemoteFaultsRetryNotQuarantine(t *testing.T) {
 	}
 	if hs.CorruptEvents != 0 {
 		t.Fatalf("network faults counted as corruption strikes: %+v", hs)
+	}
+}
+
+// TestRemoteChainLevelOneRequestPerRun serves the finest level of a
+// chain-depth-3 campaign member from a cold remote mount. Every frame the
+// request decodes — the member's and those of the three members its chain
+// reaches — sits in one contiguous run per member-level, so the request
+// costs at most one origin range request per member, whatever the segment
+// size, and its body is byte-identical to a direct extraction.
+func TestRemoteChainLevelOneRequestPerRun(t *testing.T) {
+	base, err := sim.Generate(sim.Spec{
+		Name: "c0", FinestN: 64, Levels: 2, UnitBlock: 4,
+		Seed: 41, LeafFractions: []float64{0.3, 0.7},
+	}, sim.BaryonDensity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, _ := campaignFrom(t, base, 4, 4, 8)
+	var armed atomic.Bool
+	var ranges atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if armed.Load() && req.Header.Get("Range") != "" {
+			ranges.Add(1)
+		}
+		w.Header().Set("ETag", `"g0"`)
+		http.ServeContent(w, req, "test.taca", time.Time{}, bytes.NewReader(blob))
+	}))
+	defer ts.Close()
+	local, err := archive.Open(bytes.NewReader(blob), int64(len(blob)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const mi, li = 3, 0
+	for m, n := mi, 0; n < 3; m, n = local.Members()[m].Ref, n+1 {
+		idx := &local.Members()[m].Levels[li]
+		for b := range idx.Batches {
+			if !idx.IsDelta(b) {
+				t.Fatalf("member %d level %d batch %d is intra: the chain is not depth 3 throughout", m, li, b)
+			}
+		}
+	}
+
+	s := New(Config{})
+	defer s.Close()
+	// Segments far smaller than a member's level, so per-segment fetches
+	// would cost many requests.
+	if _, err := s.Add("test", ArchiveSpec{Primary: ts.URL, Remote: remote.Config{SegmentBytes: 4 << 10}}); err != nil {
+		t.Fatal(err)
+	}
+	armed.Store(true)
+	rec := get(t, s.Handler(), fmt.Sprintf("/v1/a/test/snap/%d/level/%d", mi, li))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+	}
+	if want := cleanLevelBody(t, blob, mi, li); !bytes.Equal(rec.Body.Bytes(), want) {
+		t.Fatal("served level differs from archive.Reader.ExtractLevel")
+	}
+	n := ranges.Load()
+	t.Logf("cold chain-depth-3 level GET: %d origin range requests", n)
+	if n == 0 || n > 4 {
+		t.Fatalf("cold chain-depth-3 level GET issued %d origin range requests, want 1 to 4", n)
+	}
+	if st := s.Cache().Stats(); st.Decodes != 4*int64(len(local.Members()[mi].Levels[li].Batches)) {
+		t.Fatalf("cache %+v: want every batch of the four chain members decoded once", st)
+	}
+
+	// Warm, every batch is resident: the request plans no run and reads
+	// no byte of the archive.
+	sa, err := s.lookup("test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := sa.mounts[0].Stats().BytesRead
+	if rec := get(t, s.Handler(), fmt.Sprintf("/v1/a/test/snap/%d/level/%d", mi, li)); rec.Code != http.StatusOK {
+		t.Fatalf("warm GET: status %d", rec.Code)
+	}
+	if n := sa.mounts[0].Stats().BytesRead - read; n != 0 {
+		t.Fatalf("warm GET read %d archive bytes, want 0", n)
 	}
 }
 

@@ -2,15 +2,18 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/archive"
 	"repro/internal/faultio"
+	"repro/internal/sim"
 )
 
 var errFlaky = errors.New("injected transient I/O error")
@@ -181,5 +184,60 @@ func TestRetryDecodesNeverExceedMisses(t *testing.T) {
 	}
 	if st := s.Cache().Stats(); st.Decodes > st.Misses {
 		t.Fatalf("decodes %d > misses %d after recovery", st.Decodes, st.Misses)
+	}
+}
+
+// TestRetryRunExhaustionNamesItsMember reads the chain of a single-level
+// campaign, whose members' frames lie back to back in the file, through
+// storage that fails every read touching member 2's frames. The request
+// for member 3 reads its chain as one run per member, so the exhausted
+// run's error names member 2 and the envelope member 3, the one asked
+// for. It fails as transient: no member is struck or quarantined, and
+// the request serves once the storage heals.
+func TestRetryRunExhaustionNamesItsMember(t *testing.T) {
+	base, err := sim.Generate(sim.Spec{
+		Name: "c0", FinestN: 32, Levels: 1, UnitBlock: 4,
+		Seed: 41, LeafFractions: []float64{1},
+	}, sim.BaryonDensity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, _ := campaignFrom(t, base, 4, 4, 8)
+	var logged []string
+	s, fr, sr := flakyServer(t, blob, Config{Workers: 1, Logf: func(format string, args ...any) {
+		logged = append(logged, fmt.Sprintf(format, args...))
+	}})
+	sa, err := s.lookup("test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := sa.reader().Members()
+	span := func(mi int) (lo, hi int64) {
+		fs := ms[mi].Levels[0].Batches
+		return fs[0].Offset, fs[len(fs)-1].Offset + fs[len(fs)-1].Length
+	}
+	lo, hi := span(2)
+	if _, end1 := span(1); ms[3].Ref != 2 || ms[2].Ref != 1 || end1 != lo {
+		t.Fatal("members 1, 2 and 3 are not a chain whose frames lie back to back")
+	}
+	fr.SetPlan(faultio.FailTouching(lo, hi, errFlaky))
+	rec := get(t, s.Handler(), "/v1/a/test/snap/3/level/0")
+	var env errorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || rec.Code != http.StatusInternalServerError || env.Code != "io" || env.Member == nil || *env.Member != 3 {
+		t.Fatalf("status %d, envelope %s (%v): want 500, code io, member 3", rec.Code, rec.Body.String(), err)
+	}
+	if len(logged) != 1 || !strings.Contains(logged[0], "snapshot 2 level 0") {
+		t.Fatalf("logged %q, want one failure naming snapshot 2 alone", logged)
+	}
+	if got := sr.all(); len(got) != retryAttempts {
+		t.Fatalf("slept %d times, want %d", len(got), retryAttempts)
+	}
+	if hs := s.HealthStats(); hs.QuarantinedMembers != 0 || hs.CorruptEvents != 0 {
+		t.Fatalf("a transient run failure struck a member: %+v", hs)
+	}
+	fr.SetPlan(nil)
+	rec = get(t, s.Handler(), "/v1/a/test/snap/3/level/0")
+	if want := cleanLevelBody(t, blob, 3, 0); rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) {
+		t.Fatalf("after storage healed: status %d, body differs from a clean extraction", rec.Code)
 	}
 }

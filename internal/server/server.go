@@ -18,9 +18,12 @@
 //
 // Decoding borrows pooled sz engines through archive.Reader.DecodeBatchOn,
 // the cache resolving each delta frame's reference batch itself (not
-// DecodeBatch, which would decode the chain again), and HTTP response
-// bodies are assembled in pooled buffers, so steady-state serving
-// allocates next to nothing.
+// DecodeBatch, which would decode the chain again) and the request
+// supplying the frame bytes: before its fan-out, a request reads the frames
+// its misses will decode as one read per contiguous run of them (readAhead),
+// so a remote-mounted archive answers it in one range request per run, not
+// one round trip per frame. HTTP response bodies are assembled in pooled
+// buffers, so steady-state serving allocates next to nothing.
 package server
 
 import (
@@ -118,7 +121,8 @@ type Config struct {
 // indices are append-only.
 type archiveState struct {
 	r    *archive.Reader
-	ords [][][]int // [member][level] -> occupied block indices
+	src  io.ReaderAt // r.Section(): the generation's committed bytes
+	ords [][][]int   // [member][level] -> occupied block indices
 
 	// tail is the tail view of a live campaign: the reconstruction the
 	// ingesting writer keeps of each field's newest member as the next
@@ -137,7 +141,7 @@ type archiveState struct {
 // for the members both generations share.
 func newArchiveState(r *archive.Reader, prev *archiveState, tail map[int][]blocks) *archiveState {
 	members := r.Members()
-	st := &archiveState{r: r, ords: make([][][]int, len(members)), tail: tail}
+	st := &archiveState{r: r, src: r.Section(), ords: make([][][]int, len(members)), tail: tail}
 	start := 0
 	if prev != nil {
 		start = copy(st.ords, prev.ords)
@@ -378,15 +382,16 @@ func mountsOf(srcs []replica.Source) []*remote.Reader {
 	return mounts
 }
 
-// tuneRemote sizes the read-ahead segments of every URL source — primary
-// and replicas alike: a failover must not land on a source still cut the
+// tuneRemote sizes the segments of every URL source — primary and
+// replicas alike: a failover must not land on a source still cut the
 // default way — to the parsed archive's typical frame span, unless the
-// spec pinned an explicit size. A frame is the archive's unit of read, so
-// one-frame segments get each frame fetched over the wire exactly once
-// (one fill, then the cache) while keeping scattered ROI reads from
-// dragging in neighbors they never touch — larger segments were measured
-// to double or triple the bytes fetched for region queries for a marginal
-// request-count saving on sequential scans.
+// spec pinned an explicit size. Segments stay the cache unit and runs of
+// them the fetch unit: a request reads each contiguous run of its frames
+// in one call (readAhead), which the source fetches as one range request
+// per run of missing segments. One-frame segments therefore cost a
+// request no round trips, and they keep scattered ROI reads from dragging
+// in neighbors they never touch — larger segments were measured to double
+// or triple the bytes fetched for region queries.
 func tuneRemote(r *archive.Reader, mounts []*remote.Reader, rcfg remote.Config) {
 	fb := r.TypicalFrameBytes()
 	if rcfg.SegmentBytes != 0 || fb <= 0 {
@@ -526,12 +531,12 @@ func (sa *servedArchive) member(st *archiveState, mi int) (*archive.Member, erro
 // blocks decoded from a member later found damaged must not keep serving.
 // A member in the generation's tail view is answered from it next, ahead
 // of the cache and counted by neither of its counters.
-// Transient read failures are retried inside the fill (decodeRetry), so
-// the decodes ≤ misses cache invariant holds across retries; failures
-// that survive retry are inspected by the health state machine, where a
-// deterministic corruption counts a strike toward quarantine against the
-// member it was detected in.
-func (s *Server) batch(sa *servedArchive, st *archiveState, mi, li, b int) (blocks, error) {
+// Frames are read from src (see readAhead), and transient read failures
+// are retried inside the fill (decodeRetry), so the decodes ≤ misses cache
+// invariant holds across retries; failures that survive retry are
+// inspected by the health state machine, where a deterministic corruption
+// counts a strike toward quarantine against the member it was detected in.
+func (s *Server) batch(sa *servedArchive, st *archiveState, src io.ReaderAt, mi, li, b int) (blocks, error) {
 	if err := sa.quarantineErr(st, mi); err != nil {
 		return nil, err
 	}
@@ -547,12 +552,12 @@ func (s *Server) batch(sa *servedArchive, st *archiveState, mi, li, b int) (bloc
 		}
 		var refs blocks
 		if delta {
-			refs, err = s.batch(sa, st, ref, li, b)
+			refs, err = s.batch(sa, st, src, ref, li, b)
 			if err != nil {
 				return nil, 0, err
 			}
 		}
-		v, err := s.decodeRetry(st, mi, li, b, refs)
+		v, err := s.decodeRetry(st, src, mi, li, b, refs)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -572,6 +577,93 @@ func (s *Server) batch(sa *servedArchive, st *archiveState, mi, li, b int) (bloc
 		return v, &memberError{mi: mi, err: err}
 	}
 	return v, nil
+}
+
+// frameRun is one run of stored frames, contiguous in the archive and of
+// one member-level, read by a request ahead of its fan-out.
+type frameRun struct {
+	mi       int
+	off, end int64 // archive byte span
+	data     []byte
+}
+
+// runSource is a request's frame source: the runs it read ahead, sorted by
+// offset, in front of the generation's bytes, which it reads any frame
+// outside them from.
+type runSource struct {
+	src  io.ReaderAt
+	runs []frameRun
+}
+
+func (rs *runSource) ReadAt(p []byte, off int64) (int, error) {
+	i := sort.Search(len(rs.runs), func(i int) bool { return rs.runs[i].end > off })
+	if i < len(rs.runs) && rs.runs[i].off <= off && off+int64(len(p)) <= rs.runs[i].end {
+		return copy(p, rs.runs[i].data[off-rs.runs[i].off:]), nil
+	}
+	return rs.src.ReadAt(p, off)
+}
+
+// readAhead reads the frames that the batches jobs of lv will decode on a
+// miss — each batch's frame and its reference chain's, down to the first
+// batch found resident in the block cache, in the tail view or
+// quarantined — as one read per run of them that is contiguous in the
+// archive and of one member-level, and returns the source the fan-out's
+// fills read frames from: those runs, in front of the generation's bytes.
+// A request so holds at most the stored bytes of the frames it decodes.
+// Each run is one ReadAt, a single range request on a remote mount where
+// per-frame reads would each cost a round trip, retried under the decode
+// path's policy (retryIO); the context is checked between runs. A run that
+// still fails fails the request, as a transient failure that strikes no
+// member: its error names the run's member, and the envelope the
+// requested one, as a failure up a reference chain does in batch. What a planned batch finds when its fill
+// runs does not depend on the plan — a batch evicted meanwhile reads its
+// frame from the generation's bytes.
+func (s *Server) readAhead(ctx context.Context, lv levelView, jobs []int) (io.ReaderAt, error) {
+	members := lv.st.r.Members()
+	var runs []frameRun
+	for _, b := range jobs {
+		for mi := lv.mi; ; mi = members[mi].Ref {
+			if s.cache.Has(Key{Archive: lv.sa.name, Member: mi, Level: lv.li, Batch: b}) ||
+				lv.st.tail[mi] != nil || lv.sa.quarantineErr(lv.st, mi) != nil {
+				break
+			}
+			idx := &members[mi].Levels[lv.li]
+			rec := idx.Batches[b]
+			runs = append(runs, frameRun{mi: mi, off: rec.Offset, end: rec.Offset + rec.Length})
+			if !idx.IsDelta(b) {
+				break
+			}
+		}
+	}
+	if len(runs) == 0 {
+		return lv.st.src, nil
+	}
+	sort.Slice(runs, func(i, j int) bool { return runs[i].off < runs[j].off })
+	merged := runs[:1]
+	for _, f := range runs[1:] {
+		if last := &merged[len(merged)-1]; f.mi == last.mi && f.off == last.end {
+			last.end = f.end
+		} else {
+			merged = append(merged, f)
+		}
+	}
+	for i := range merged {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("server: request aborted: %w", err)
+		}
+		run := &merged[i]
+		run.data = make([]byte, run.end-run.off)
+		err := s.retryIO(func() error {
+			if _, err := lv.st.src.ReadAt(run.data, run.off); err != nil {
+				return fmt.Errorf("server: archive %q snapshot %d level %d: %w: reading frames [%d,%d): %w", lv.sa.name, run.mi, lv.li, archive.ErrIO, run.off, run.end, err)
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, &memberError{mi: lv.mi, err: err}
+		}
+	}
+	return &runSource{src: lv.st.src, runs: merged}, nil
 }
 
 // forEachBatch runs fn(b) for every batch index in jobs, fanning out
@@ -642,8 +734,9 @@ type window struct {
 
 // pin resolves the stored blocks of the level that fall in roi — a
 // non-empty window inside the level's extent — into a window. Only frames
-// with a block inside roi are fetched or decoded, through batch (cache,
-// tail view, quarantine, retry), fanned out across the worker budget.
+// with a block inside roi are fetched or decoded, read ahead (readAhead)
+// and then through batch (cache, tail view, quarantine, retry), fanned out
+// across the worker budget.
 // Pinning stops between batches once ctx is done (deadline overruns
 // surface as context.DeadlineExceeded, which the HTTP layer maps to 504).
 func (s *Server) pin(ctx context.Context, lv levelView, roi grid.Region) (*window, error) {
@@ -670,8 +763,12 @@ func (s *Server) pin(ctx context.Context, lv levelView, roi grid.Region) (*windo
 			k = (b+1)*idx.BatchBlocks - 1 // on to the next batch
 		}
 	}
-	err := s.forEachBatch(ctx, jobs, func(b int) (err error) {
-		w.got[b-w.b0], err = s.batch(lv.sa, lv.st, lv.mi, lv.li, b)
+	src, err := s.readAhead(ctx, lv, jobs)
+	if err != nil {
+		return nil, err
+	}
+	err = s.forEachBatch(ctx, jobs, func(b int) (err error) {
+		w.got[b-w.b0], err = s.batch(lv.sa, lv.st, src, lv.mi, lv.li, b)
 		return err
 	})
 	if err != nil {
@@ -734,8 +831,12 @@ func (s *Server) assembleStream(ctx context.Context, lv levelView, dst []byte) e
 	for b := range jobs {
 		jobs[b] = b
 	}
+	src, err := s.readAhead(ctx, lv, jobs)
+	if err != nil {
+		return err
+	}
 	return s.forEachBatch(ctx, jobs, func(b int) error {
-		bl, err := s.batch(lv.sa, lv.st, lv.mi, lv.li, b)
+		bl, err := s.batch(lv.sa, lv.st, src, lv.mi, lv.li, b)
 		if err != nil {
 			return err
 		}

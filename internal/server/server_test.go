@@ -245,7 +245,7 @@ func TestSingleflightCollapse(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = s.batch(sa, sa.view(), 0, 0, 0)
+			_, errs[i] = s.batch(sa, sa.view(), sa.view().src, 0, 0, 0)
 		}(i)
 	}
 	wg.Wait()
