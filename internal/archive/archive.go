@@ -22,13 +22,14 @@
 //	          uint32 LE footer CRC32C + 8-byte end magic "TACAEND5"
 //
 // Each frame is an independently decodable sz.CompressBlocks stream over
-// up to BatchBlocks occupied unit blocks of one level, in row-major mask
-// order. Block coordinates are never stored: like the codec container,
-// the footer's occupancy masks fully determine which blocks the i-th
-// batch of a level covers, so the index costs one bit per unit block plus
-// a few varints per batch. A level's dims, unit block and mask are the
-// container's level record (codec.ReadLevel), and AddDataset and Open
-// hold members to one rule (amr.CheckLevel, amr.CheckHierarchy).
+// up to BatchBlocks occupied unit blocks of one level, in the level's
+// block order: Mask.OccupiedIndices, of which LevelIndex.Ords holds the
+// one cached copy. Block coordinates are never stored: like the codec
+// container, the footer's occupancy masks fully determine which blocks
+// the i-th batch of a level covers, so the index costs one bit per unit
+// block plus a few varints per batch. A level's dims, unit block and mask
+// are the container's level record (codec.ReadLevel), and AddDataset and
+// Open hold members to one rule (amr.CheckLevel, amr.CheckHierarchy).
 //
 // Integrity: the footer records a CRC32C (Castagnoli) digest of every
 // frame, and readers verify the digest of every frame they read before
@@ -84,6 +85,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"sync"
 
 	"repro/internal/amr"
 	"repro/internal/bitio"
@@ -210,11 +212,31 @@ type LevelIndex struct {
 	// verified structurally only.
 	Sums []uint32
 
-	// occupied caches Mask.Count(), set by decodeFooter and the writer's
-	// plan, the only builders of indices that frames are read through, so
-	// the serving hot paths do not popcount the mask per batch per
-	// request.
+	// occupied caches Mask.Count() and ords the block order (Ords), both
+	// set by cacheOrder in decodeFooter and the writer's plan, the only
+	// builders of indices that frames are read through.
 	occupied int
+	ords     func() []int
+}
+
+// cacheOrder caches the level's occupied count and arms Ords.
+func (li *LevelIndex) cacheOrder() {
+	li.occupied = li.Mask.Count()
+	li.ords = sync.OnceValue(li.Mask.OccupiedIndices)
+}
+
+// Ords returns the level's block order, Mask.OccupiedIndices: batch b
+// holds the blocks Ords()[BatchSpan(b)]. It is computed on first use and
+// shared by every copy of the index; callers must not modify it.
+func (li *LevelIndex) Ords() []int { return li.ords() }
+
+// Occupied returns len(Ords()) without computing the order.
+func (li *LevelIndex) Occupied() int { return li.occupied }
+
+// batchCount is the number of frames the level's occupied blocks fill.
+func (li *LevelIndex) batchCount() int {
+	bb := max(li.BatchBlocks, 1) // 0 only on a level without blocks
+	return (li.occupied + bb - 1) / bb
 }
 
 // sameLayout reports whether levels a and b cover the same blocks batch
@@ -230,8 +252,7 @@ func (li *LevelIndex) IsDelta(b int) bool {
 	return li.Delta != nil && b < len(li.Delta) && li.Delta[b]
 }
 
-// BatchSpan returns the half-open range [lo, hi) of occupied-block
-// ordinals — positions in the row-major order of Mask.OccupiedIndices —
+// BatchSpan returns the half-open range [lo, hi) of positions in Ords
 // that frame b of the level covers. It is the frame-granularity hook the
 // serving layer keys its block cache on: batch b of a level always holds
 // exactly the blocks with ordinals in this span, in order.
@@ -289,7 +310,7 @@ func (m *Member) StoredCells() int {
 	n := 0
 	for i := range m.Levels {
 		li := &m.Levels[i]
-		n += li.Mask.Count() * li.UnitBlock * li.UnitBlock * li.UnitBlock
+		n += li.occupied * li.UnitBlock * li.UnitBlock * li.UnitBlock
 	}
 	return n
 }
@@ -416,15 +437,11 @@ func decodeFooter(buf []byte, ver int) ([]Member, error) {
 			if err := r.Err(); err != nil {
 				return nil, fmt.Errorf("archive: member %d level %d: %w", mi, li, err)
 			}
-			idx.occupied = idx.Mask.Count()
-			want := 0
-			if idx.occupied > 0 {
-				if idx.BatchBlocks == 0 {
-					return nil, fmt.Errorf("archive: member %d level %d has batch size 0", mi, li)
-				}
-				want = (idx.occupied + idx.BatchBlocks - 1) / idx.BatchBlocks
+			idx.cacheOrder()
+			if idx.occupied > 0 && idx.BatchBlocks == 0 {
+				return nil, fmt.Errorf("archive: member %d level %d has batch size 0", mi, li)
 			}
-			if nb != want {
+			if want := idx.batchCount(); nb != want {
 				return nil, fmt.Errorf("archive: member %d level %d has %d batches, mask implies %d", mi, li, nb, want)
 			}
 			for b := range nb {

@@ -50,17 +50,21 @@ func lastFooter(t testing.TB, path string) ([]byte, int) {
 	return blob[len(blob)-len(trailer)-int(flen) : len(blob)-len(trailer)], k.ver
 }
 
-// indexOf is what a Reader knows apart from its source, with the one
-// difference between a parsed and a written index that no caller can see —
-// an empty digest slice against none, on a level without frames — removed.
+// indexOf is what a Reader knows apart from its source, with the two
+// differences between a parsed and a written index that no caller can see
+// removed: an empty digest slice against none, on a level without frames,
+// and the block-order cache (LevelIndex.Ords), a function of the mask,
+// which is compared, and never equal under reflect.DeepEqual.
 func indexOf(r *Reader) (int64, uint64, int, []Member) {
 	members := slices.Clone(r.members)
 	for mi := range members {
 		members[mi].Levels = slices.Clone(members[mi].Levels)
 		for li := range members[mi].Levels {
-			if idx := &members[mi].Levels[li]; len(idx.Sums) == 0 {
+			idx := &members[mi].Levels[li]
+			if len(idx.Sums) == 0 {
 				idx.Sums = nil
 			}
+			idx.ords = nil
 		}
 	}
 	return r.size, r.gen, r.ver, members

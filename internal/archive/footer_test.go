@@ -181,6 +181,23 @@ func FuzzDecodeFooter(f *testing.F) {
 				if len(idx.Batches) != want {
 					t.Fatalf("member %d level %d: %d batches for a mask implying %d", mi, li, len(idx.Batches), want)
 				}
+				if idx.occupied > 1<<20 {
+					continue // a small footer can claim 2^26 blocks: cap the order's memory
+				}
+				ords := idx.Ords()
+				if len(ords) != idx.occupied {
+					t.Fatalf("member %d level %d: %d ordinals for %d occupied blocks", mi, li, len(ords), idx.occupied)
+				}
+				for k, ord := range ords {
+					if ord >= idx.Mask.Len() || !idx.Mask.AtIndex(ord) || (k > 0 && ord <= ords[k-1]) {
+						t.Fatalf("member %d level %d: ordinal %d is %d (after %d) in a mask of %d", mi, li, k, ord, ords[max(k-1, 0)], idx.Mask.Len())
+					}
+				}
+				if nb := len(idx.Batches); nb > 0 {
+					if _, hi := idx.BatchSpan(nb - 1); hi != idx.occupied {
+						t.Fatalf("member %d level %d: last batch ends at %d of %d occupied blocks", mi, li, hi, idx.occupied)
+					}
+				}
 			}
 		}
 	})

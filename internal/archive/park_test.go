@@ -39,7 +39,7 @@ func planFrames(p *levelPlan) int {
 	n := 0
 	for b := range p.idx.Batches {
 		lo, hi := p.idx.BatchSpan(b)
-		if p.want == nil || slices.ContainsFunc(p.ords[lo:hi], p.want.AtIndex) {
+		if p.want == nil || slices.ContainsFunc(p.idx.Ords()[lo:hi], p.want.AtIndex) {
 			n++
 		}
 	}

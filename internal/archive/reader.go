@@ -38,7 +38,9 @@ var ErrIO = errors.New("read error")
 // Reader is a random-access view of a TACA archive. Open parses only the
 // footer index; every extraction then reads exactly the frames it needs
 // through the io.ReaderAt. A Reader holds no mutable state after Open but a
-// counter, so any number of goroutines may extract concurrently.
+// counter and each level's block order (LevelIndex.Ords), which is computed
+// on first use, idempotent and race-free (sync.OnceValue), so any number of
+// goroutines may extract concurrently.
 type Reader struct {
 	// Workers bounds the per-extraction decode pool; 0 means GOMAXPROCS,
 	// 1 decodes serially.
@@ -365,8 +367,8 @@ func (li *LevelIndex) unitDims() grid.Dims {
 
 // DecodeBatch reads and decodes exactly one block-batch frame: batch b of
 // level li of member mi, reference chain included. The returned grids are
-// the frame's occupied unit blocks in row-major mask order — ordinals
-// BatchSpan(b) of the level's Mask.OccupiedIndices() — freshly allocated
+// the frame's occupied unit blocks in block order — ordinals
+// Ords()[BatchSpan(b)] of the level's index — freshly allocated
 // and owned by the caller. This is the frame-granularity extraction hook
 // the serving layer builds its block cache on.
 func (r *Reader) DecodeBatch(mi, li, b int) ([]*grid.Grid3[amr.Value], error) {
@@ -617,7 +619,6 @@ func (r *Reader) extractDataset(m *Member, mi int, wants []*grid.Mask) (*amr.Dat
 type levelPlan struct {
 	li   int
 	idx  *LevelIndex
-	ords []int      // occupied unit-block indices, in ordinal order
 	want *grid.Mask // subset of idx.Mask to extract; nil means all of it
 
 	// The level is allocated inside the decode pool, by the first worker
@@ -686,7 +687,7 @@ func (p *levelPlan) place(r *Reader, fd *frameDecoder, batch int) {
 // scatter copies the non-nil blocks of batch into l.
 func (p *levelPlan) scatter(l *amr.Level, blocks []*grid.Grid3[amr.Value], batch int) {
 	blo, bhi := p.idx.BatchSpan(batch)
-	for k, ord := range p.ords[blo:bhi] {
+	for k, ord := range p.idx.Ords()[blo:bhi] {
 		if blocks[k] != nil {
 			bx, by, bz := p.idx.Mask.Dim.Coords(ord)
 			l.Grid.SetRegion(l.BlockRegion(bx, by, bz), blocks[k].Data)
@@ -714,13 +715,12 @@ func (r *Reader) extract(mi, lo, hi int, wants []*grid.Mask) ([]*amr.Level, erro
 	for k := range plans {
 		p := &plans[k]
 		p.li, p.idx, p.ready.L = lo+k, &m.Levels[lo+k], &p.mu
-		p.ords = p.idx.Mask.OccupiedIndices()
 		if wants != nil {
 			p.want = wants[p.li]
 		}
 		for b := range p.idx.Batches {
 			blo, bhi := p.idx.BatchSpan(b)
-			if p.want == nil || slices.ContainsFunc(p.ords[blo:bhi], p.want.AtIndex) {
+			if p.want == nil || slices.ContainsFunc(p.idx.Ords()[blo:bhi], p.want.AtIndex) {
 				jobs = append(jobs, frameJob{plan: p, batch: b})
 			}
 		}
@@ -739,7 +739,7 @@ func (r *Reader) extract(mi, lo, hi int, wants []*grid.Mask) ([]*amr.Level, erro
 		defer frameDecoders.Put(fd)
 		p, batch := jobs[ji].plan, jobs[ji].batch
 		blo, bhi := p.idx.BatchSpan(batch)
-		ords := p.ords[blo:bhi]
+		ords := p.idx.Ords()[blo:bhi]
 		blocks := fd.scratch(p.idx.unitDims(), len(ords))
 		if p.want != nil {
 			for k, ord := range ords {

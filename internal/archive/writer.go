@@ -95,9 +95,9 @@ type Writer struct {
 
 // fieldRecon is the retained reconstruction of one member, the temporal
 // reference for the next member of the same field: per level, the
-// reconstructed occupied blocks in row-major mask order. Everything else
-// about the member — each level's layout, its delta links, its chain
-// depth — is read from its entry in Writer.members.
+// reconstructed occupied blocks in block order (LevelIndex.Ords).
+// Everything else about the member — each level's layout, its delta
+// links, its chain depth — is read from its entry in Writer.members.
 type fieldRecon struct {
 	index  int // member index the reconstruction belongs to
 	levels [][]*grid.Grid3[amr.Value]
@@ -124,8 +124,8 @@ func NewWriter(w io.Writer) (*Writer, error) {
 
 // Retained returns what campaign mode holds in memory anyway: for the
 // newest sealed member of each field, by member index and then level, the
-// reconstructed occupied unit blocks in row-major mask order — blocks
-// [BatchSpan(b)) of a level are, value for value, what a Reader's
+// reconstructed occupied unit blocks in block order (LevelIndex.Ords) —
+// blocks [BatchSpan(b)) of a level are, value for value, what a Reader's
 // DecodeBatch(mi, li, b) decodes from the frames; the layout they follow
 // is the member's index entry. The map is the caller's; the per-level
 // slices and the blocks are shared with the writer, which never writes
@@ -290,7 +290,6 @@ type levelWrite struct {
 	l     *amr.Level
 	li    int
 	idx   LevelIndex
-	ords  []int      // the occupied block ordinals, row-major
 	opts  sz.Options // ErrorBound is resolved before the first frame is coded
 	first int        // the member-wide frame number of batch 0
 
@@ -300,11 +299,6 @@ type levelWrite struct {
 	// bit-identical structure.
 	capture []*grid.Grid3[amr.Value]
 	ref     []*grid.Grid3[amr.Value]
-}
-
-// nbatch returns the number of frames of the level.
-func (lv *levelWrite) nbatch() int {
-	return (len(lv.ords) + lv.idx.BatchBlocks - 1) / lv.idx.BatchBlocks
 }
 
 // plan lays out l as level li of the member.
@@ -320,11 +314,10 @@ func (mw *memberWriter) plan(lv *levelWrite, li int, l *amr.Level) {
 		Mask:        l.Mask.Clone(),
 		BatchBlocks: batchBlocks,
 	}
-	lv.ords = l.Mask.OccupiedIndices()
-	lv.idx.occupied = len(lv.ords)
+	lv.idx.cacheOrder()
 	lv.opts.QuantBits = mw.cfg.QuantBits
 	if mw.capturing {
-		lv.capture = grid.NewBlocks[amr.Value](lv.idx.unitDims(), len(lv.ords))
+		lv.capture = grid.NewBlocks[amr.Value](lv.idx.unitDims(), lv.idx.occupied)
 		mw.capture = append(mw.capture, lv.capture)
 	}
 	if mw.ref != nil {
@@ -348,7 +341,7 @@ func (mw *memberWriter) encode(fe *frameEncoder, lv *levelWrite, b int) ([]byte,
 	}
 	defer mw.w.gatheredCells.Add(-cells)
 	blocks := fe.scratch(lv.idx.unitDims(), hi-lo)
-	for k, ord := range lv.ords[lo:hi] {
+	for k, ord := range lv.idx.Ords()[lo:hi] {
 		bx, by, bz := lv.l.Mask.Dim.Coords(ord)
 		lv.l.Grid.CopyRegionTo(lv.l.BlockRegion(bx, by, bz), blocks[k].Data)
 	}
@@ -379,7 +372,7 @@ func (mw *memberWriter) write(lv *levelWrite, b int, blob []byte, isDelta bool) 
 	}
 	if isDelta {
 		if lv.idx.Delta == nil {
-			lv.idx.Delta = make([]bool, lv.nbatch())
+			lv.idx.Delta = make([]bool, lv.idx.batchCount())
 		}
 		lv.idx.Delta[b] = true
 		mw.member.Ref = mw.ref.index
@@ -407,7 +400,7 @@ func (mw *memberWriter) addLevels(ls []*amr.Level) error {
 		lv := &lvs[k]
 		mw.plan(lv, k, l)
 		lv.first = len(frames)
-		for b := range lv.nbatch() {
+		for b := range lv.idx.batchCount() {
 			frames = append(frames, frame{lv, b})
 		}
 	}
@@ -421,14 +414,14 @@ func (mw *memberWriter) addLevels(ls []*amr.Level) error {
 		fanout.Run(len(frames), workers, func(j int) error {
 			f := frames[j]
 			lo, hi := f.lv.idx.BatchSpan(f.b)
-			spans[j] = codec.BlockRange(f.lv.l, f.lv.ords[lo:hi])
+			spans[j] = codec.BlockRange(f.lv.l, f.lv.idx.Ords()[lo:hi])
 			return nil
 		})
 	}
 	for k := range lvs {
 		lv := &lvs[k]
 		var r codec.ValueRange
-		for _, s := range spans[lv.first : lv.first+lv.nbatch()] {
+		for _, s := range spans[lv.first : lv.first+lv.idx.batchCount()] {
 			r = r.Merge(s)
 		}
 		lv.opts.ErrorBound = mw.cfg.RangeEB(lv.li, r)
@@ -471,7 +464,7 @@ func (mw *memberWriter) addLevels(ls []*amr.Level) error {
 	}()
 	joined, next := 0, 0
 	for written := 0; ; {
-		for ; joined < len(lvs) && lvs[joined].first+lvs[joined].nbatch() <= written; joined++ {
+		for ; joined < len(lvs) && lvs[joined].first+lvs[joined].idx.batchCount() <= written; joined++ {
 			mw.member.Levels = append(mw.member.Levels, lvs[joined].idx)
 		}
 		if written == len(frames) {

@@ -111,9 +111,9 @@ func (m *Mask) Density() float64 {
 }
 
 // OccupiedIndices returns the linear indices of all set bits in row-major
-// order (z fastest) — the canonical block ordering every mask-driven
-// traversal in this repository uses. Dim.Coords recovers the (x,y,z)
-// coordinates of each entry.
+// order (z fastest), which Dim.Coords turns into (x,y,z): the one block
+// order of the .amr payload, of TACA frames and of tacd's responses. An
+// archived level's index holds the one cached copy (archive.LevelIndex.Ords).
 func (m *Mask) OccupiedIndices() []int {
 	out := make([]int, 0, m.Count())
 	for wi, w := range m.words {

@@ -22,9 +22,9 @@ type Key struct {
 }
 
 // blocks is the cached value: the decoded unit blocks of one frame, in
-// row-major mask order. Entries are shared between requests concurrently
-// and must never be mutated after insertion; the assembly paths only copy
-// out of them.
+// the level's block order (archive.LevelIndex.Ords). Entries are shared
+// between requests concurrently and must never be mutated after
+// insertion; the assembly paths only copy out of them.
 type blocks = []*grid.Grid3[amr.Value]
 
 // CacheStats is a point-in-time snapshot of cache behavior. A batch

@@ -367,7 +367,7 @@ func (s *Server) handleSnap(w http.ResponseWriter, r *http.Request) {
 			Level:          li,
 			Dims:           [3]int{idx.Dims.X, idx.Dims.Y, idx.Dims.Z},
 			UnitBlock:      idx.UnitBlock,
-			OccupiedBlocks: idx.Mask.Count(),
+			OccupiedBlocks: idx.Occupied(),
 			Batches:        len(idx.Batches),
 
 			CompressedBytes: idx.CompressedBytes(),

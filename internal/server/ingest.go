@@ -185,8 +185,7 @@ func (ing *ingester) append(ds *amr.Dataset) (member int, gen uint64, err error)
 	if err != nil {
 		return 0, 0, fmt.Errorf("server: appending snapshot: viewing the committed generation: %w", err)
 	}
-	old := ing.sa.state.Load()
-	ing.sa.state.Store(newArchiveState(r, old, ing.w.Retained()))
+	ing.sa.state.Store(&archiveState{r: r, src: r.Section(), tail: ing.w.Retained()})
 	ing.accepted.Add(1)
 	ing.bytesIn.Add(int64(ds.OriginalBytes()))
 	return len(r.Members()) - 1, r.Generation(), nil

@@ -113,16 +113,14 @@ type Config struct {
 }
 
 // archiveState is the immutable per-generation view of one archive: the
-// Reader over a committed footer plus the precomputed per-level ordinal
-// tables (OccupiedIndices is O(mask) per call, so it is paid once per
-// commit, not per request). Ingest swaps in a fresh state atomically;
-// requests that already loaded the old one keep serving from it, which
-// stays correct because committed bytes are never overwritten and member
-// indices are append-only.
+// Reader over a committed footer, whose indices hold each level's block
+// order (archive.LevelIndex.Ords) and share it with the generation before.
+// Ingest swaps in a fresh state atomically; requests that already loaded
+// the old one keep serving from it, which stays correct because committed
+// bytes are never overwritten and member indices are append-only.
 type archiveState struct {
-	r    *archive.Reader
-	src  io.ReaderAt // r.Section(): the generation's committed bytes
-	ords [][][]int   // [member][level] -> occupied block indices
+	r   *archive.Reader
+	src io.ReaderAt // r.Section(): the generation's committed bytes
 
 	// tail is the tail view of a live campaign: the reconstruction the
 	// ingesting writer keeps of each field's newest member as the next
@@ -135,25 +133,6 @@ type archiveState struct {
 	// never sees one without the other; nil for read-only archives and for
 	// intra-mode ingest, which retains nothing.
 	tail map[int][]blocks
-}
-
-// newArchiveState builds the view for r, reusing prev's ordinal tables
-// for the members both generations share.
-func newArchiveState(r *archive.Reader, prev *archiveState, tail map[int][]blocks) *archiveState {
-	members := r.Members()
-	st := &archiveState{r: r, src: r.Section(), ords: make([][][]int, len(members)), tail: tail}
-	start := 0
-	if prev != nil {
-		start = copy(st.ords, prev.ords)
-	}
-	for mi := start; mi < len(members); mi++ {
-		levels := members[mi].Levels
-		st.ords[mi] = make([][]int, len(levels))
-		for li := range levels {
-			st.ords[mi][li] = levels[li].Mask.OccupiedIndices()
-		}
-	}
-	return st
 }
 
 // servedArchive is one registered archive: an atomically swappable view
@@ -443,7 +422,7 @@ func (s *Server) addArchive(sa *servedArchive, r *archive.Reader) error {
 	if name == "" {
 		return fmt.Errorf("server: empty archive name")
 	}
-	sa.state.Store(newArchiveState(r, nil, nil))
+	sa.state.Store(&archiveState{r: r, src: r.Section()})
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, dup := s.archives[name]; dup {
@@ -683,13 +662,12 @@ func (s *Server) forEachBatch(ctx context.Context, jobs []int, fn func(b int) er
 
 // levelView pins one level of one member in one generation of an archive:
 // everything an assembly needs that does not depend on the request's
-// window.
+// window. The level's block order is idx.Ords().
 type levelView struct {
 	sa     *servedArchive
 	st     *archiveState
 	mi, li int
 	idx    *archive.LevelIndex
-	ords   []int // occupied block indices, row-major (st.ords[mi][li])
 }
 
 // level bounds-checks and resolves level li of member mi of st.
@@ -701,7 +679,7 @@ func (sa *servedArchive) level(st *archiveState, mi, li int) (levelView, error) 
 	if li < 0 || li >= len(m.Levels) {
 		return levelView{}, fmt.Errorf("server: %w: archive %q snapshot %d has no level %d", ErrNotFound, sa.name, mi, li)
 	}
-	return levelView{sa: sa, st: st, mi: mi, li: li, idx: &m.Levels[li], ords: st.ords[mi][li]}, nil
+	return levelView{sa: sa, st: st, mi: mi, li: li, idx: &m.Levels[li]}, nil
 }
 
 // clip bounds a requested window to the level's extent.
@@ -719,10 +697,10 @@ func (lv levelView) clip(roi grid.Region) (grid.Region, error) {
 // the cache may evict a pinned batch, but its blocks stay readable
 // (entries are never mutated) until the window is dropped.
 //
-// Blocks are bucketed by unit-block x-plane for free: ordinals run in
-// row-major mask order, x slowest, so the stored blocks of one x-plane are
-// one run of ordinals, and a slab of planes reads its own blocks without
-// scanning the rest.
+// Blocks are bucketed by unit-block x-plane for free: the block order
+// (idx.Ords()) is row-major over the mask, x slowest, so the stored
+// blocks of one x-plane are one run of ordinals, and a slab of planes
+// reads its own blocks without scanning the rest.
 type window struct {
 	lv    levelView
 	roi   grid.Region // the window, in level cells
@@ -740,12 +718,12 @@ type window struct {
 // Pinning stops between batches once ctx is done (deadline overruns
 // surface as context.DeadlineExceeded, which the HTTP layer maps to 504).
 func (s *Server) pin(ctx context.Context, lv levelView, roi grid.Region) (*window, error) {
-	idx := lv.idx
+	idx, ords := lv.idx, lv.idx.Ords()
 	md := idx.Mask.Dim
 	w := &window{lv: lv, roi: roi, br: roi.Blocks(idx.UnitBlock)}
 	w.first = make([]int, w.br.X1-w.br.X0+1)
 	for p := range w.first {
-		w.first[p] = sort.SearchInts(lv.ords, (w.br.X0+p)*md.Y*md.Z)
+		w.first[p] = sort.SearchInts(ords, (w.br.X0+p)*md.Y*md.Z)
 	}
 	lo, hi := w.first[0], w.first[len(w.first)-1]
 	if lo == hi {
@@ -757,7 +735,7 @@ func (s *Server) pin(ctx context.Context, lv levelView, roi grid.Region) (*windo
 	w.got = make([]blocks, (hi-1)/idx.BatchBlocks-w.b0+1)
 	var jobs []int
 	for k := lo; k < hi; k++ {
-		if _, by, bz := md.Coords(lv.ords[k]); w.inYZ(by, bz) {
+		if _, by, bz := md.Coords(ords[k]); w.inYZ(by, bz) {
 			b := k / idx.BatchBlocks
 			jobs = append(jobs, b)
 			k = (b+1)*idx.BatchBlocks - 1 // on to the next batch
@@ -788,11 +766,11 @@ func (w *window) inYZ(by, bz int) bool {
 // unless the level covers sub, dst must hold zeros there already, as a
 // fresh slice does.
 func (w *window) place(sub grid.Region, dst []amr.Value) {
-	idx, ub := w.lv.idx, w.lv.idx.UnitBlock
+	idx, ords, ub := w.lv.idx, w.lv.idx.Ords(), w.lv.idx.UnitBlock
 	for bx := sub.X0 / ub; bx*ub < sub.X1; bx++ {
 		p := bx - w.br.X0
 		for k := w.first[p]; k < w.first[p+1]; k++ {
-			if _, by, bz := idx.Mask.Dim.Coords(w.lv.ords[k]); w.inYZ(by, bz) {
+			if _, by, bz := idx.Mask.Dim.Coords(ords[k]); w.inYZ(by, bz) {
 				b := k / idx.BatchBlocks
 				blk := w.got[b-w.b0][k-b*idx.BatchBlocks]
 				grid.CopyRegionOverlap(dst, sub, blk.Data, grid.BlockRegion(bx, by, bz, ub))
