@@ -87,6 +87,29 @@ func frameStream(n int) []uint32 {
 	return syms
 }
 
+// residualStream synthesizes one residual (delta) frame's code stream as
+// the decoder meets it in the benchmark's cold_extract workload, where two
+// frames in three are residual: ≈32 k symbols over five bins, the zero
+// residual's code one bit long and the longest three to five. Here it is
+// the centre bin at 65 %, ±1 at 28 % and ±2 at 7 %, which codes in
+// lengths 1, 2, 3, 4, 4 at 1.63 bit/symbol.
+func residualStream(n int) []uint32 {
+	rng := rand.New(rand.NewSource(5))
+	syms := make([]uint32, n)
+	const center = 1 << 15
+	for i := range syms {
+		d := 0
+		if rng.Float64() >= 0.65 {
+			d = 1
+			if rng.Float64() >= 0.8 {
+				d = 2
+			}
+		}
+		syms[i] = uint32(center + d*(1-2*rng.Intn(2)))
+	}
+	return syms
+}
+
 // encodeFrameStream synthesizes one archive frame's code stream as the
 // encoder meets it in the benchmark's campaign_write workload, whose frames
 // are 32,768 symbols (64 blocks of 8³) with a median of 114 distinct
@@ -199,6 +222,40 @@ func BenchmarkHuffmanDecodeFrame(b *testing.B) {
 		d.build(d.canonical())
 	}
 	b.ReportMetric(float64(time.Since(start).Nanoseconds())/builds, "build-ns")
+	b.ReportMetric(float64(8*len(blob))/float64(len(syms)), "bit/sym")
+}
+
+// BenchmarkHuffmanDecodeResidual is BenchmarkHuffmanDecodeFrame on a
+// residual frame's stream (residualStream): a short, shallow codebook,
+// where what a probe can take is bounded by whole steps of the per-symbol
+// loop rather than by the table's index width. It reports the table
+// build alone as build-ns and the codes the table takes a probe as
+// codes/probe.
+func BenchmarkHuffmanDecodeResidual(b *testing.B) {
+	syms := residualStream(32 << 10)
+	blob := Encode(syms)
+	var d Decoder
+	out, err := d.AppendDecode(nil, blob)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(4 * len(syms)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err = d.AppendDecode(out[:0], blob)
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	const builds = 1000
+	start := time.Now()
+	for i := 0; i < builds; i++ {
+		d.build(d.canonical())
+	}
+	b.ReportMetric(float64(time.Since(start).Nanoseconds())/builds, "build-ns")
+	b.ReportMetric(codesPerProbe(&d, blob), "codes/probe")
 	b.ReportMetric(float64(8*len(blob))/float64(len(syms)), "bit/sym")
 }
 

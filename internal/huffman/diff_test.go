@@ -3,15 +3,18 @@ package huffman
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
 // diffStreams are the symbol-stream shapes the fast decode loop has to get
 // right: every count around its 16-symbol entry condition, alphabets of one
 // and two symbols (1-bit codes, the densest pairing), a 1–3-bit codebook
-// whose probes mostly take four codes, symbols past 2^16 (once too wide
-// for a packed field, and inside four-code probes), and codes longer than
-// TableBits arriving back to back so the loop must resume after each.
+// whose probes mostly take four codes, residual frames' five-bin codebook
+// (a window of a few bits, where probes chain single-code steps), symbols
+// past 2^16 (once too wide for a packed field, and inside four-code
+// probes), and codes longer than TableBits arriving back to back so the
+// loop must resume after each.
 func diffStreams() map[string][]uint32 {
 	rng := rand.New(rand.NewSource(41))
 	streams := map[string][]uint32{}
@@ -96,6 +99,33 @@ func diffStreams() map[string][]uint32 {
 			short[i] = uint32(k) << (8 * uint(k)) // 0, 1<<8, 2<<16, 3<<24
 		}
 		streams[fmt.Sprintf("short-codes-mixed-width/n%d", n)] = short
+	}
+	// Residual frames: five bins, the zero residual's code one bit long,
+	// as the benchmark's delta archive codes them. The long stream is a
+	// whole frame's; the short ones, around the 16-symbol entry condition,
+	// hold the bins in the proportions 8:4:2:1:1, which code in the same
+	// lengths 1, 2, 3, 4, 4.
+	streams["residual/n32768"] = residualStream(32 << 10)
+	shuffle := rand.New(rand.NewSource(53)) // rng above keeps its draws
+	for _, n := range []int{15, 16, 17, 31, 32, 33} {
+		res := make([]uint32, n)
+		for i := range res {
+			const center = 1 << 15
+			switch k := i * 16 / n; {
+			case k < 8:
+				res[i] = center
+			case k < 12:
+				res[i] = center + 1
+			case k < 14:
+				res[i] = center - 1
+			case k < 15:
+				res[i] = center + 2
+			default:
+				res[i] = center - 2
+			}
+		}
+		shuffle.Shuffle(n, func(i, j int) { res[i], res[j] = res[j], res[i] })
+		streams[fmt.Sprintf("residual/n%d", n)] = res
 	}
 	return streams
 }
@@ -221,6 +251,17 @@ func tableCodebooks() map[string][]byte {
 			books[name] = oracleEncode(syms)
 		}
 	}
+	// Residual frames' codebooks: a 1-bit code for the centre bin and a
+	// window of three to five bits; 1,2,3,4,5 and 1,3,3,3,5 are
+	// incomplete.
+	for _, lens := range [][]uint64{{1, 3, 3, 3, 3}, {1, 2, 3, 4, 4}, {1, 2, 3, 4, 5}, {1, 3, 3, 3, 5}, {1, 2, 3, 4, 5, 5}} {
+		// Bins from centre−2 up, the centre's length first in lens.
+		pairs := [][2]uint64{{1<<15 - 2, lens[1]}, {1, lens[2]}, {1, lens[0]}}
+		for _, l := range lens[3:] {
+			pairs = append(pairs, [2]uint64{1, l})
+		}
+		books[fmt.Sprintf("residual lengths %v", lens)] = corruptBlob(1, pairs, []byte{0})
+	}
 	rng := rand.New(rand.NewSource(47))
 	for i := 0; i < 300; i++ {
 		// Split random leaves of a complete code until it is deep enough.
@@ -257,16 +298,21 @@ func tableCodebooks() map[string][]byte {
 
 // TestTableEntriesArePairs walks every index of the table built for each
 // codebook and holds its entry to the rule the decode loops rest on: the
-// oracle's step from a full window at that index, then the oracle's next
-// step too when both steps are pairs and the four codes fit the index —
-// so 1, 2 or 4 codes, with the bits they consume and the first code's own
-// length; in a codebook whose window holds no two codes, two single steps
-// stand for a pair where they fit. It also holds the rank→symbol array to
-// the canonical codebook.
+// longest run of the oracle's steps, four codes at most, that the index
+// settles — with the bits they consume and the first code's own length.
+// A step at some offset into the index is settled when the oracle takes
+// the same step there whatever bits follow the index, which the test
+// finds by trying them all. It also holds the rank→symbol array to the
+// canonical codebook.
 func TestTableEntriesArePairs(t *testing.T) {
 	var d Decoder
 	var oracle oracleDecoder
-	quads := 0
+	var entries [5]int // entries by code count
+	type step struct {
+		syms              []uint32
+		l1, total         uint
+		ok, long, settled bool
+	}
 	for name, blob := range tableCodebooks() {
 		if _, _, err := d.parseCodebook(blob); err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -286,25 +332,36 @@ func TestTableEntriesArePairs(t *testing.T) {
 				short++
 			}
 		}
-		// Where the window holds no two codes, every step is one code, and
-		// the entries pair steps that fit the bits left instead.
+		// stepAt is the oracle's step p bits into index w. Its window
+		// reads tableBits bits, of which those past the index are free.
 		const mask = 1<<TableBits - 1
-		noPairs := 2*uint(canon[0].len) > tableBits
-		pair := func(w uint64, bits uint) (syms []uint32, l1, total uint, ok, long bool) {
-			syms, l1, total, ok, long = oracleStep(&oracle, tableBits, w)
-			if ok && noPairs {
-				if syms2, _, total2, ok2, _ := oracleStep(&oracle, tableBits, (w<<total)&mask); ok2 && total+total2 <= bits {
-					syms, total = append(syms, syms2...), total+total2
+		steps := map[[2]uint64]step{}
+		stepAt := func(w uint64, p uint) step {
+			known := (w << p) & mask
+			if s, ok := steps[[2]uint64{uint64(p), known}]; ok {
+				return s
+			}
+			free := max(int(p+tableBits)-TableBits, 0)
+			var s step
+			for c := uint64(0); c < 1<<free; c++ {
+				syms, l1, total, ok, long := oracleStep(&oracle, tableBits, known|c<<(TableBits-tableBits))
+				if c == 0 {
+					s = step{syms, l1, total, ok, long, true}
+				} else if ok != s.ok || long != s.long || l1 != s.l1 || total != s.total || !slices.Equal(syms, s.syms) {
+					s.settled = false
+					break
 				}
 			}
-			return syms, l1, total, ok, long
+			steps[[2]uint64{uint64(p), known}] = s
+			return s
 		}
 		for w := uint64(0); w < 1<<TableBits; w++ {
 			e := d.lut[w]
-			syms, l1, total, ok, long := pair(w, TableBits)
-			if !ok {
+			if s := stepAt(w, 0); !s.settled {
+				t.Fatalf("%s: index %012b: the oracle's first step reads past the index", name, w)
+			} else if !s.ok {
 				want := uint64(0)
-				if long {
+				if s.long {
 					want = lutLong
 				}
 				if e != want {
@@ -312,15 +369,23 @@ func TestTableEntriesArePairs(t *testing.T) {
 				}
 				continue
 			}
-			if len(syms) == 2 {
-				if syms2, _, total2, _, _ := pair((w<<total)&mask, TableBits-total); len(syms2) == 2 && total+total2 <= TableBits {
-					syms, total = append(syms, syms2...), total+total2
-					quads++
+			var syms []uint32
+			var l1, total uint
+			for {
+				s := stepAt(w, total)
+				if !s.settled || !s.ok || len(syms)+len(s.syms) > 4 {
+					break
 				}
+				if total == 0 {
+					l1 = s.l1
+				}
+				syms = append(syms, s.syms...)
+				total += s.total
 			}
+			entries[len(syms)]++
 			count := int(e>>lutCountShift) & 0xf
 			if uint(e&0xff) != total || len1(e) != l1 || count != len(syms) {
-				t.Fatalf("%s: index %012b: entry takes %d codes over %d bits, first %d; the oracle %d over %d, first %d",
+				t.Fatalf("%s: index %012b: entry takes %d codes over %d bits, first %d; the oracle's settled steps %d over %d, first %d",
 					name, w, count, e&0xff, len1(e), len(syms), total, l1)
 			}
 			for k, want := range syms {
@@ -331,7 +396,46 @@ func TestTableEntriesArePairs(t *testing.T) {
 			}
 		}
 	}
-	if quads == 0 {
-		t.Fatal("no four-code entry was built; the test is vacuous")
+	for n := 1; n <= 4; n++ {
+		if entries[n] == 0 {
+			t.Fatalf("no %d-code entry was built; the test is vacuous there", n)
+		}
+	}
+}
+
+// codesPerProbe walks the table built for blob's codebook over its bit
+// stream as the fast loop does, one probe an entry, and returns the codes
+// a probe takes on average. The codebook must have no code longer than
+// TableBits.
+func codesPerProbe(d *Decoder, blob []byte) float64 {
+	nsyms, body, err := d.parseCodebook(blob)
+	if err != nil || nsyms == 0 {
+		panic(fmt.Sprintf("codesPerProbe: %d symbols, %v", nsyms, err))
+	}
+	d.build(d.canonical())
+	body = append(body[:len(body):len(body)], 0, 0) // the index may read past the last byte
+	n, pos, probes := 0, 0, 0
+	for n < nsyms {
+		b := body[pos>>3:]
+		idx := (uint(b[0])<<16 | uint(b[1])<<8 | uint(b[2])) >> (12 - pos&7) & rankMask
+		e := d.lut[idx]
+		if e == 0 || e&0xff == lutLong {
+			panic("codesPerProbe: an invalid or long code")
+		}
+		n += int(e>>lutCountShift) & 0xf
+		pos += int(e & 0xff)
+		probes++
+	}
+	return float64(nsyms) / float64(probes)
+}
+
+// TestResidualCodesPerProbe holds the table to what it is for on a
+// residual frame's stream: whole steps of the per-symbol loop chain
+// through the index, so a probe takes nearly four codes, where entries
+// that chain two steps only when both are pairs take 2.6.
+func TestResidualCodesPerProbe(t *testing.T) {
+	var d Decoder
+	if got := codesPerProbe(&d, Encode(residualStream(32<<10))); got < 3.7 {
+		t.Fatalf("%.3f codes a probe on a residual frame, want at least 3.7", got)
 	}
 }

@@ -61,8 +61,10 @@ func huffFuzzSeeds() [][]byte {
 
 	// The shapes the fast decode loop is differentially tested on (counts
 	// around its entry condition, 1-bit codes, the 1–3-bit codebook of
-	// four-code probes, symbols past 2^16, long codes back to back) and a
-	// few random codebooks over random bits.
+	// four-code probes, residual frames' five-bin codebook at 15–33
+	// symbols, symbols past 2^16, long codes back to back) and a few
+	// random codebooks over random bits. FuzzAppendDecode adds a
+	// bit-flipped and a truncated copy of each.
 	for _, syms := range diffStreams() {
 		if len(syms) <= 200 || len(syms) > 40000 {
 			seeds = append(seeds, oracleEncode(syms))

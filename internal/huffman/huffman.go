@@ -22,8 +22,8 @@
 // canonical ranks into a rank→symbol array, and the bits they consume, so
 // a probe is one table load and four rank loads — 32 KiB of table and
 // 16 KiB of ranks, an L1 cache's worth — and the inner loop refills its
-// bit accumulator once per four probes. The table is built in one nested
-// fill over the canonical codes that writes each entry once. Codes longer
+// bit accumulator once per four probes. The table is built in one walk
+// over the canonical codes that writes each entry once. Codes longer
 // than TableBits take a canonical first-code/offset path and the loop
 // carries on; only the last few symbols of a stream run through a
 // bounds-checking per-probe loop.
@@ -48,15 +48,15 @@ const (
 
 	// TableBits is the index width of the decode table: one
 	// 2^TableBits-entry lookup resolves every code of up to TableBits
-	// bits — and up to three more behind it, when they fit — in a single
-	// probe. Each pooled Decoder keeps a 2^TableBits × 8-byte table
-	// (32 KiB) and a 2^TableBits × 4-byte rank→symbol array (16 KiB) warm
-	// across calls. The width is not a tuning knob: an entry holds four
-	// TableBits-bit ranks above 16 bits of header, which caps it at 12
-	// (checked at compile time below), and a narrower table is slower, as
-	// more codes take the overflow path. Codes longer than TableBits (rare
-	// by construction: a code that long had a tiny frequency) take the
-	// canonical first-code overflow path.
+	// bits — and up to three more behind it, where the index settles
+	// them — in a single probe. Each pooled Decoder keeps a 2^TableBits ×
+	// 8-byte table (32 KiB) and a 2^TableBits × 4-byte rank→symbol array
+	// (16 KiB) warm across calls. The width is not a tuning knob: an entry
+	// holds four TableBits-bit ranks above 16 bits of header, which caps
+	// it at 12 (checked at compile time below), and a narrower table is
+	// slower, as more codes take the overflow path. Codes longer than
+	// TableBits (rare by construction: a code that long had a tiny
+	// frequency) take the canonical first-code overflow path.
 	TableBits = 12
 
 	// AlphabetBits bounds the encoder's symbols to [0, 2^AlphabetBits), the
@@ -510,7 +510,7 @@ func AppendDecode(dst []uint32, blob []byte) ([]uint32, error) {
 // Primary-table entries pack everything one probe needs into 8 bytes:
 //
 //	bits  0–7   total bits the probe consumes
-//	bits  8–11  codes the probe emits: 1, 2 or 4
+//	bits  8–11  codes the probe emits: 1 to 4
 //	bits 12–15  len1, the first code's own length
 //	bits 16–63  the codes' canonical ranks, TableBits bits each, first
 //	            code lowest; unused slots hold rank 0
@@ -522,14 +522,17 @@ func AppendDecode(dst []uint32, blob []byte) ([]uint32, error) {
 //
 // A probe takes whole steps of the per-symbol loop the decoder replaced
 // (oracle_test.go): a step is one code, or two when both fit the window
-// min(maxLen, TableBits). An entry holds its index's first step, and the
-// step after it too when both steps are pairs and all four codes fit the
-// index — so never three codes, and a probe never ends inside a step. The
-// careful loop relies on it: it takes one step at a time, pairing codes by
-// the old loop's rule, from wherever the fast loop stopped. In a codebook
-// whose window holds no two codes (2·minLen > window) every step is one
-// code and any run of codes is whole steps, so there the entries pair
-// codes the same way with the whole index as the window.
+// min(maxLen, TableBits). An entry holds the longest run of steps, four
+// codes at most, that its index settles: a step is settled when the index
+// shows whether it is one code or two — its codes fit the index, and so
+// does the next code, or else the index shows that no code short enough
+// to pair can start there. A one-code step whose successor may still pair
+// past the index ends the entry before it, so a probe never ends inside a
+// step. The careful loop relies on it: it takes one step at a time,
+// pairing codes by the old loop's rule, from wherever the fast loop
+// stopped. The index settles every step whose window it holds: with a
+// window of a few bits, as a residual frame's five-bin codebook has,
+// entries chain up to four steps of one code.
 //
 // A zero entry is an unassigned (invalid) code; lutLong in the low byte
 // marks the prefix of one or more codes longer than the table index,
@@ -876,17 +879,20 @@ func (d *Decoder) resolveLong(acc uint64, tableBits, maxLen uint) (uint32, uint)
 // length. The codebook must be non-empty and satisfy Kraft (validated by
 // the caller), which guarantees every fill range below stays in bounds.
 //
-// The table is filled in one walk, nested four deep (first code, second,
-// third, fourth), that visits the entries in index order and writes each
-// once. It rests on two facts about canonical codes: the codes of up to r
-// bits are a prefix of the canonical order, so each level's candidates
-// are the codes up to a length bound; and, left-aligned to r bits, they
-// cover a prefix of the r-bit range in that order. So a level's candidates
-// tile the start of their parent's range, and the rest of it — where the
-// next code is longer than the bits left, or absent — takes the parent's
-// shorter entry in one fill. Ranges are laid out at the full index width,
-// so the walk fills the whole table for a codebook shallower than
-// TableBits too.
+// The table is filled in one walk over the canonical codes (tableWalk),
+// a code a level to four deep, that visits the entries in index order and
+// writes each once. It rests on two facts about canonical codes: the codes
+// of up to r bits are a prefix of the canonical order, so each level's
+// candidates are the codes up to a length bound; and, left-aligned, they
+// cover a prefix of the code space in that order. So a level's candidates
+// tile the start of their parent's range — the codes that pair with an
+// open step first — and the rest of the range, where the next code is
+// longer than the bits left or absent, takes one of the parent's shorter
+// entries in one fill. The same codes follow wherever a walk reaches the
+// same depth and bits, so a range walked before is copied rather than
+// walked again: most of a deep codebook's table is. Ranges are laid out
+// at the full index width, so the walk fills the whole table for a
+// codebook shallower than TableBits too.
 func (d *Decoder) build(codes []symCode) (tableBits uint, maxLen uint) {
 	maxLen = uint(codes[len(codes)-1].len)
 	tableBits = min(maxLen, TableBits)
@@ -900,11 +906,13 @@ func (d *Decoder) build(codes []symCode) (tableBits uint, maxLen uint) {
 	if maxLen > TableBits {
 		clear(d.count[:])
 	}
+	w := tableWalk{lut: (*[1 << TableBits]uint64)(d.lut), window: tableBits}
 	short := len(codes) // codes[:short] are the ones the table resolves
 	for i, c := range codes {
 		d.syms = append(d.syms, c.sym)
 		cl := uint(c.len)
 		if cl <= TableBits {
+			w.cover[cl] += 1 << (TableBits - cl)
 			continue
 		}
 		short = min(short, i)
@@ -914,58 +922,102 @@ func (d *Decoder) build(codes []symCode) (tableBits uint, maxLen uint) {
 		}
 		d.count[cl]++
 	}
-
-	lut := (*[1 << TableBits]uint64)(d.lut)
-	minLen := uint(codes[0].len)
-	// Two codes pair when both fit the window. Where no two codes do,
-	// every step is one code and any run of codes is whole steps, so
-	// entries pair codes across the whole index instead.
-	window := tableBits
-	if 2*minLen > tableBits {
-		window = TableBits
+	for l := 1; l <= TableBits; l++ {
+		w.cover[l] += w.cover[l-1]
 	}
-	j := 0 // the next entry to write
-	for r1, c1 := range codes[:short] {
-		l1 := uint(c1.len)
-		one := uint64(r1)<<lutRankShift | uint64(l1)<<lutLen1Shift | 1<<lutCountShift | uint64(l1)
-		end1 := j + 1<<(TableBits-l1)
-		for r2, c2 := range codes[:short] {
-			t := l1 + uint(c2.len)
-			if t > window {
-				break
-			}
-			pair := uint64(r2)<<(lutRankShift+TableBits) | uint64(r1)<<lutRankShift | uint64(l1)<<lutLen1Shift
-			two := pair | 2<<lutCountShift | uint64(t)
-			end2 := j + 1<<(TableBits-t)
-			// A second pair joins only when it fits both the window and
-			// the index bits left.
-			room := min(window, TableBits-t)
-			for r3, c3 := range codes[:short] {
-				l3 := uint(c3.len)
-				if l3+minLen > room {
-					break
-				}
-				quad := pair | uint64(r3)<<(lutRankShift+2*TableBits) | 4<<lutCountShift
-				end3 := j + 1<<(TableBits-t-l3)
-				for r4, c4 := range codes[:short] {
-					l4 := uint(c4.len)
-					if l3+l4 > room {
-						break
-					}
-					tt := t + l3 + l4
-					j = fill(lut, j, j+1<<(TableBits-tt), quad|uint64(r4)<<(lutRankShift+3*TableBits)|uint64(tt))
-				}
-				j = fill(lut, j, end3, two)
-			}
-			j = fill(lut, j, end2, two)
-		}
-		j = fill(lut, j, end1, one)
-	}
-	clear(lut[j:])
+	w.codes = codes[:short]
+	w.steps(0, 0, 0, 0, 1<<TableBits)
 	for _, c := range codes[short:] {
-		lut[c.code>>(uint(c.len)-TableBits)] = lutLong
+		w.lut[c.code>>(uint(c.len)-TableBits)] = lutLong
 	}
 	return tableBits, maxLen
+}
+
+// tableWalk is build's fill. It walks the entries in index order, a code
+// a level, knowing at each level whether the codes so far end on a step
+// boundary (steps) or with a step's first code, which the next code may
+// pair with (open).
+type tableWalk struct {
+	lut    *[1 << TableBits]uint64
+	codes  []symCode // the codes of up to TableBits bits, canonical order
+	window uint      // two codes pair when they span at most this many bits
+	// cover[l] is how many of the 2^TableBits indices the codes of up to
+	// l bits cover, left-aligned: a prefix of the index range.
+	cover [TableBits + 1]int
+	j     int // the next entry to write
+	// walked[k][p] is the last range steps walked for k codes over p bits
+	// from rank r on. Every entry under steps is its e plus what the codes
+	// behind it add, so a later call for the same k, p and r copies that
+	// range, less its e and plus its own.
+	walked [4][TableBits + 1]struct {
+		r, j, n int
+		e       uint64
+	}
+}
+
+// withCode is entry e with code r of l bits appended as its (k+1)th code.
+func withCode(e uint64, k uint, r int, l uint) uint64 {
+	e += uint64(r)<<(lutRankShift+k*TableBits) + 1<<lutCountShift + uint64(l)
+	if k == 0 {
+		e += uint64(l) << lutLen1Shift
+	}
+	return e
+}
+
+// steps fills the entries from w.j up to end, whose first p bits are the
+// k < 4 codes of entry e, whole steps all, and whose next code is one of
+// the codes from rank r on: each that fits the index opens a step, and
+// the rest of the range is e.
+func (w *tableWalk) steps(e uint64, k, p uint, r, end int) {
+	if m := &w.walked[k][p]; m.n == end-w.j && m.r == r {
+		src, d := w.lut[m.j:m.j+m.n], e-m.e
+		dst := w.lut[w.j:][:len(src)]
+		for x, v := range src {
+			dst[x] = v + d
+		}
+		w.j = end
+		return
+	} else if k > 0 {
+		m.r, m.j, m.n, m.e = r, w.j, end-w.j, e
+	}
+	for i := r; i < len(w.codes) && p+uint(w.codes[i].len) <= TableBits; i++ {
+		l := uint(w.codes[i].len)
+		w.open(e, withCode(e, k, i, l), k+1, p+l, l)
+	}
+	w.j = fill(w.lut, w.j, end, e)
+}
+
+// open fills the 2^(TableBits−p) entries from w.j on, whose first p bits
+// are the k codes of entry single, the last of them (l bits) a step's
+// first code; before is single without it. A next code of at most
+// window−l bits pairs with it and closes the step, unless it would be a
+// fifth code. Any other next code that fits the index shows the step to
+// be one code, and so does an index that no pairing code can start.
+// Where one may start past the index, the step is not settled and the
+// entry is before: the probe ends on the step boundary ahead of it.
+func (w *tableWalk) open(before, single uint64, k, p, l uint) {
+	start, end := w.j, w.j+1<<(TableBits-p)
+	pairMax := w.window - l
+	i := 0
+	for ; k < 4 && i < len(w.codes) && uint(w.codes[i].len) <= min(pairMax, TableBits-p); i++ {
+		l2 := uint(w.codes[i].len)
+		if e, next := withCode(single, k, i, l2), w.j+1<<(TableBits-p-l2); k == 3 {
+			w.j = fill(w.lut, w.j, next, e)
+		} else {
+			w.steps(e, k+1, p+l2, 0, next)
+		}
+	}
+	// The codes of up to pairMax bits cover a prefix of the next code's
+	// space; the indices that reach into it, past the pairs that fit,
+	// cannot tell whether the step is one code or two.
+	if unsettled := start + (w.cover[pairMax]+1<<p-1)>>p; unsettled > w.j {
+		w.j = fill(w.lut, w.j, unsettled, before)
+	}
+	if k < 4 {
+		w.steps(single, k, p, i, end)
+	} else {
+		w.j = fill(w.lut, w.j, end, single)
+	}
 }
 
 // fill sets lut[lo:hi] to e and returns hi.

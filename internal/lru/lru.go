@@ -187,6 +187,24 @@ func (c *Cache[K, V]) fillRun(keys []K, run []*flight[V], fill func() ([]V, []in
 	return err
 }
 
+// Get returns the value resident under k, counting a hit and making it
+// the most recent entry. A key that is not resident counts nothing, and a
+// fill in flight for it is not waited for: a caller that goes on to
+// GetOrFill k has its miss counted there, once.
+func (c *Cache[K, V]) Get(k K) (V, bool) {
+	sh := c.shard(k)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	e, ok := sh.m[k]
+	if !ok {
+		var zero V
+		return zero, false
+	}
+	sh.hits++
+	sh.moveToFront(e)
+	return e.val, true
+}
+
 // Has reports whether k is resident or being filled, without counting a
 // lookup or touching its recency: a caller planning work that a miss on k
 // would cause asks it first.

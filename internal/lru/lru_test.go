@@ -571,3 +571,47 @@ func TestFillRunConcurrentOverlap(t *testing.T) {
 		t.Fatalf("stats %+v, want %d fills and entries, fills <= misses", st, keys)
 	}
 }
+
+// TestGet: Get answers from a resident entry only, counting it a hit and
+// making it the most recent entry; an absent key and a key being filled
+// count nothing and return at once, so the caller's GetOrFill counts the
+// miss once.
+func TestGet(t *testing.T) {
+	c := New[int, int](20, 1, nil)
+	var calls atomic.Int64
+	if v, ok := c.Get(1); ok || v != 0 {
+		t.Fatalf("Get(1) on an empty cache = %d, %v", v, ok)
+	}
+	for _, k := range []int{1, 2} {
+		if _, err := c.GetOrFill(k, constFill(10*k, 10, &calls)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := c.Stats()
+	if v, ok := c.Get(1); !ok || v != 10 {
+		t.Fatalf("Get(1) = %d, %v; want 10, true", v, ok)
+	}
+	if st := c.Stats(); st.Hits != before.Hits+1 || st.Misses != before.Misses {
+		t.Fatalf("stats after a resident Get: %+v, before %+v", st, before)
+	}
+	// Key 1 is now the most recent, so key 3 evicts key 2.
+	if _, err := c.GetOrFill(3, constFill(30, 10, &calls)); err != nil {
+		t.Fatal(err)
+	}
+	if !c.Has(1) || c.Has(2) {
+		t.Fatalf("after Get(1) and a fill of 3: resident 1 %v, 2 %v; want true, false", c.Has(1), c.Has(2))
+	}
+	s := stall(c, 4, 40, 10, nil)
+	before = c.Stats()
+	if _, ok := c.Get(4); ok {
+		t.Fatal("Get answered a key whose fill is in flight")
+	}
+	if st := c.Stats(); st != before {
+		t.Fatalf("Get of a key in flight counted: %+v, before %+v", st, before)
+	}
+	close(s.release)
+	<-s.done
+	if v, ok := c.Get(4); !ok || v != 40 {
+		t.Fatalf("Get(4) after its fill landed = %d, %v", v, ok)
+	}
+}

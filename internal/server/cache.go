@@ -77,6 +77,11 @@ func (c *Cache) GetOrFill(k Key, fill func() (blocks, int64, error)) (blocks, er
 	return c.c.GetOrFill(k, fill)
 }
 
+// Get returns the batch resident under k, counted as a hit; a batch that
+// is not resident counts nothing here (Server.fetch takes its resident
+// batches this way and hands the rest to GetOrFill, which counts them).
+func (c *Cache) Get(k Key) (blocks, bool) { return c.c.Get(k) }
+
 // Has reports whether the batch under k is resident or being decoded,
 // without counting a lookup: a request planning its frame reads
 // (Server.readAhead) skips what its lookups will not have to decode.

@@ -251,3 +251,58 @@ func TestIngestDeltaChain(t *testing.T) {
 		}
 	}
 }
+
+// TestServedCountsEachBatchOnce holds the block cache's counters to one
+// lookup a batch. A cold level counts one miss for every frame it decodes,
+// its own and its reference chain's, and no hit; the same level again
+// counts one hit a batch and no miss; and so does the .amr route over a
+// member whose every batch is resident.
+func TestServedCountsEachBatchOnce(t *testing.T) {
+	blob, _ := campaignArchiveBytes(t, 4, 4, 8) // a keyframe and three delta members
+	s, r := newTestServer(t, blob, Config{})
+	h := s.Handler()
+	members := r.Members()
+	last := len(members) - 1
+	for li := range members[last].Levels {
+		nb := int64(len(members[last].Levels[li].Batches))
+		chain := int64(0)
+		for b := range members[last].Levels[li].Batches {
+			for mi := last; ; mi = members[mi].Ref {
+				chain++
+				if !members[mi].Levels[li].IsDelta(b) {
+					break
+				}
+			}
+		}
+		if chain == nb {
+			t.Fatalf("level %d: no delta batch, so no reference chain to count", li)
+		}
+		url := fmt.Sprintf("/v1/a/test/snap/%d/level/%d", last, li)
+		st0 := s.Cache().Stats()
+		if rec := get(t, h, url); rec.Code != http.StatusOK {
+			t.Fatalf("level %d: status %d", li, rec.Code)
+		}
+		st1 := s.Cache().Stats()
+		if st1.Hits != st0.Hits || st1.Misses-st0.Misses != chain || st1.Decodes-st0.Decodes != chain {
+			t.Fatalf("level %d cold: %d hits, %d misses, %d decodes; want 0, %d, %d", li,
+				st1.Hits-st0.Hits, st1.Misses-st0.Misses, st1.Decodes-st0.Decodes, chain, chain)
+		}
+		if rec := get(t, h, url); rec.Code != http.StatusOK {
+			t.Fatalf("level %d again: status %d", li, rec.Code)
+		}
+		st2 := s.Cache().Stats()
+		if st2.Hits-st1.Hits != nb || st2.Misses != st1.Misses || st2.Decodes != st1.Decodes {
+			t.Fatalf("level %d warm: %d hits, %d misses, %d decodes; want %d, 0, 0", li,
+				st2.Hits-st1.Hits, st2.Misses-st1.Misses, st2.Decodes-st1.Decodes, nb)
+		}
+	}
+	st0 := s.Cache().Stats()
+	if rec := get(t, h, fmt.Sprintf("/v1/a/test/snap/%d/amr", last)); rec.Code != http.StatusOK {
+		t.Fatalf(".amr: status %d", rec.Code)
+	}
+	st1 := s.Cache().Stats()
+	if st1.Hits-st0.Hits != int64(totalBatches(&members[last])) || st1.Misses != st0.Misses {
+		t.Fatalf(".amr of a resident member: %d hits, %d misses; want %d, 0",
+			st1.Hits-st0.Hits, st1.Misses-st0.Misses, totalBatches(&members[last]))
+	}
+}

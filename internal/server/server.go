@@ -582,21 +582,22 @@ func (rs *runSource) ReadAt(p []byte, off int64) (int, error) {
 	return rs.src.ReadAt(p, off)
 }
 
-// readAhead reads the frames that the batches jobs of lv will decode on a
-// miss — each batch's frame and its reference chain's, down to the first
-// batch found resident in the block cache, in the tail view or
-// quarantined — as one read per run of them that is contiguous in the
-// archive and of one member-level, and returns the source the fan-out's
-// fills read frames from: those runs, in front of the generation's bytes.
-// A request so holds at most the stored bytes of the frames it decodes.
-// Each run is one ReadAt, a single range request on a remote mount where
-// per-frame reads would each cost a round trip, retried under the decode
-// path's policy (retryIO); the context is checked between runs. A run that
-// still fails fails the request, as a transient failure that strikes no
-// member: its error names the run's member, and the envelope the
-// requested one, as a failure up a reference chain does in batch. What a planned batch finds when its fill
-// runs does not depend on the plan — a batch evicted meanwhile reads its
-// frame from the generation's bytes.
+// readAhead reads the frames that the batches jobs of lv, those fetch did
+// not find, will decode on a miss — each batch's frame and its reference
+// chain's, down to the first batch found resident in the block cache, in
+// the tail view or quarantined — as one read per run of them that is
+// contiguous in the archive and of one member-level, and returns the
+// source the fan-out's fills read frames from: those runs, in front of
+// the generation's bytes. A request so holds at most the stored bytes of
+// the frames it decodes. Each run is one ReadAt, a single range request
+// on a remote mount where per-frame reads would each cost a round trip,
+// retried under the decode path's policy (retryIO); the context is
+// checked between runs. A run that still fails fails the request, as a
+// transient failure that strikes no member: its error names the run's
+// member, and the envelope the requested one, as a failure up a reference
+// chain does in batch. What a planned batch finds when its fill runs does
+// not depend on the plan — a batch evicted meanwhile reads its frame from
+// the generation's bytes.
 func (s *Server) readAhead(ctx context.Context, lv levelView, jobs []int) (io.ReaderAt, error) {
 	members := lv.st.r.Members()
 	var runs []frameRun
@@ -645,18 +646,57 @@ func (s *Server) readAhead(ctx context.Context, lv levelView, jobs []int) (io.Re
 	return &runSource{src: lv.st.src, runs: merged}, nil
 }
 
-// forEachBatch runs fn(b) for every batch index in jobs, fanning out
-// across the server's worker budget. fn must only touch disjoint state
-// per batch (the assembly paths write disjoint cell ranges). The context
-// is checked between batches, not inside a decode: a frame decode is
-// short and its result is shared through the cache, so abandoning one
-// mid-flight would poison the shared fill other requests wait on.
-func (s *Server) forEachBatch(ctx context.Context, jobs []int, fn func(b int) error) error {
+// fetch hands use the blocks of every batch in jobs of lv, fanned out
+// across the server's worker budget; use must only touch disjoint state
+// per batch (the assembly paths write disjoint cell ranges). It plans on
+// the request's goroutine first, checking what batch checks in batch's
+// order: a quarantined member fails the request, a member in the tail
+// view is answered from it, and a batch resident in the block cache is
+// taken there, counted as the one hit it is. Only the rest are read ahead
+// (readAhead) and go through batch, whose lookup counts their hits and
+// misses, so no batch is looked up twice. The context is checked between
+// batches, not inside a decode: a frame decode is short and its result is
+// shared through the cache, so abandoning one mid-flight would poison the
+// shared fill other requests wait on.
+func (s *Server) fetch(ctx context.Context, lv levelView, jobs []int, use func(b int, bl blocks) error) error {
+	if len(jobs) == 0 {
+		return nil
+	}
+	if err := lv.sa.quarantineErr(lv.st, lv.mi); err != nil {
+		return err
+	}
+	// got[ji] is batch jobs[ji] where the plan found it, nil where batch
+	// is to find it: a batch holds at least one block.
+	got := make([]blocks, len(jobs))
+	var rest []int
+	levels, inTail := lv.st.tail[lv.mi]
+	for ji, b := range jobs {
+		if inTail {
+			lo, hi := lv.idx.BatchSpan(b)
+			got[ji] = levels[lv.li][lo:hi]
+			lv.sa.tailServed.Add(1)
+		} else if bl, ok := s.cache.Get(Key{Archive: lv.sa.name, Member: lv.mi, Level: lv.li, Batch: b}); ok {
+			got[ji] = bl
+		} else {
+			rest = append(rest, b)
+		}
+	}
+	src, err := s.readAhead(ctx, lv, rest)
+	if err != nil {
+		return err
+	}
 	return fanout.Run(len(jobs), s.cfg.Workers, func(ji int) error {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("server: request aborted: %w", err)
 		}
-		return fn(jobs[ji])
+		bl := got[ji]
+		if bl == nil {
+			var err error
+			if bl, err = s.batch(lv.sa, lv.st, src, lv.mi, lv.li, jobs[ji]); err != nil {
+				return err
+			}
+		}
+		return use(jobs[ji], bl)
 	})
 }
 
@@ -712,9 +752,8 @@ type window struct {
 
 // pin resolves the stored blocks of the level that fall in roi — a
 // non-empty window inside the level's extent — into a window. Only frames
-// with a block inside roi are fetched or decoded, read ahead (readAhead)
-// and then through batch (cache, tail view, quarantine, retry), fanned out
-// across the worker budget.
+// with a block inside roi are fetched or decoded, through fetch (tail
+// view, cache, read-ahead, retry), fanned out across the worker budget.
 // Pinning stops between batches once ctx is done (deadline overruns
 // surface as context.DeadlineExceeded, which the HTTP layer maps to 504).
 func (s *Server) pin(ctx context.Context, lv levelView, roi grid.Region) (*window, error) {
@@ -741,13 +780,9 @@ func (s *Server) pin(ctx context.Context, lv levelView, roi grid.Region) (*windo
 			k = (b+1)*idx.BatchBlocks - 1 // on to the next batch
 		}
 	}
-	src, err := s.readAhead(ctx, lv, jobs)
-	if err != nil {
-		return nil, err
-	}
-	err = s.forEachBatch(ctx, jobs, func(b int) (err error) {
-		w.got[b-w.b0], err = s.batch(lv.sa, lv.st, src, lv.mi, lv.li, b)
-		return err
+	err := s.fetch(ctx, lv, jobs, func(b int, bl blocks) error {
+		w.got[b-w.b0] = bl
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -809,15 +844,7 @@ func (s *Server) assembleStream(ctx context.Context, lv levelView, dst []byte) e
 	for b := range jobs {
 		jobs[b] = b
 	}
-	src, err := s.readAhead(ctx, lv, jobs)
-	if err != nil {
-		return err
-	}
-	return s.forEachBatch(ctx, jobs, func(b int) error {
-		bl, err := s.batch(lv.sa, lv.st, src, lv.mi, lv.li, b)
-		if err != nil {
-			return err
-		}
+	return s.fetch(ctx, lv, jobs, func(b int, bl blocks) error {
 		lo, _ := lv.idx.BatchSpan(b)
 		out := dst[lo*blockBytes:]
 		for _, blk := range bl {

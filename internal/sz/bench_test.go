@@ -199,6 +199,29 @@ func BenchmarkEncodeTemporalBatch(b *testing.B) {
 	})
 }
 
+// BenchmarkDecodeTemporalBatch is the decode twin of
+// BenchmarkEncodeTemporalBatch: the same frame coded against its
+// references, then decoded whole — the entropy stage, whose codebook
+// holds the handful of residual bins a delta frame has, and the temporal
+// kernel — with DEFLATE off, as in BenchmarkDecodeBatch.
+func BenchmarkDecodeTemporalBatch(b *testing.B) {
+	eachBatchKernel(b, func(b *testing.B, edge int, scalar bool) {
+		blocks, refs := benchBatch(b, edge)
+		e := &Encoder[float32]{scalar: scalar}
+		blob, _, err := e.CompressBlocksDelta(blocks, refs, Options{ErrorBound: 0.05, DisableLossless: true}, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		d := &Decoder[float32]{scalar: scalar}
+		out := grid.NewBlocks[float32](blocks[0].Dim, len(blocks))
+		for b.Loop() {
+			if err := d.DecompressBlocksDeltaInto(out, blob, refs); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 func BenchmarkDecodeBatch(b *testing.B) {
 	eachBatchKernel(b, func(b *testing.B, edge int, scalar bool) {
 		blocks, _ := benchBatch(b, edge)
