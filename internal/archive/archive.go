@@ -28,8 +28,9 @@
 // container, the footer's occupancy masks fully determine which blocks
 // the i-th batch of a level covers, so the index costs one bit per unit
 // block plus a few varints per batch. A level's dims, unit block and mask
-// are the container's level record (codec.ReadLevel), and AddDataset and
-// Open hold members to one rule (amr.CheckLevel, amr.CheckHierarchy).
+// are the container's level record (codec.MaskDecoder.ReadLevel), and
+// AddDataset and Open hold members to one rule (amr.CheckLevel,
+// amr.CheckHierarchy).
 //
 // Integrity: the footer records a CRC32C (Castagnoli) digest of every
 // frame, and readers verify the digest of every frame they read before
@@ -402,6 +403,7 @@ func decodeFooter(buf []byte, ver int) ([]Member, error) {
 	// Every record takes more than a byte: a short footer claiming many
 	// members allocates no more than its length.
 	members := make([]Member, 0, min(nm, uint64(len(buf))))
+	var masks codec.MaskDecoder
 	for mi := range int(nm) {
 		m := Member{Ref: -1}
 		m.Name = string(r.Bytes())
@@ -428,7 +430,7 @@ func decodeFooter(buf []byte, ver int) ([]Member, error) {
 			return nil, fmt.Errorf("archive: member %d: %w", mi, err)
 		}
 		for li := range nlev {
-			l, err := codec.ReadLevel(r)
+			l, err := masks.ReadLevel(r)
 			if err != nil {
 				return nil, fmt.Errorf("archive: member %d level %d: %w", mi, li, err)
 			}

@@ -2,6 +2,7 @@ package archive
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/codec"
 	"repro/internal/grid"
 	"repro/internal/replica"
+	"repro/internal/sim"
 )
 
 // benchCampaign is a K=4 campaign at a frame size like the corpus the
@@ -194,6 +196,39 @@ func BenchmarkColdOpen(b *testing.B) {
 			b.Fatalf("%d members", len(fr.Members()))
 		}
 		fr.Close()
+	}
+}
+
+// BenchmarkOpen is Open on an index shaped like the benchmark's intra
+// archive: ten members of three levels, the two fields of each of five
+// snapshots sharing their masks. The archive is in memory, so what it
+// times is the trailer, the footer digest and the footer's decode.
+func BenchmarkOpen(b *testing.B) {
+	var snaps []*amr.Dataset
+	for s := range 5 {
+		fine := 0.1 + 0.1*float64(s)
+		spec := sim.Spec{
+			Name: fmt.Sprintf("snap%d", s), FinestN: 64, Levels: 3, UnitBlock: 4,
+			Seed: int64(300 + s), LeafFractions: []float64{fine, 0.3, 0.7 - fine},
+		}
+		for _, field := range []sim.Field{sim.BaryonDensity, sim.Temperature} {
+			ds, err := sim.Generate(spec, field)
+			if err != nil {
+				b.Fatal(err)
+			}
+			snaps = append(snaps, ds)
+		}
+	}
+	blob := buildArchive(b, snaps, codec.Config{ErrorBound: testEB}, 64)
+	b.ReportAllocs()
+	for b.Loop() {
+		r, err := Open(bytes.NewReader(blob), int64(len(blob)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(r.Members()) != len(snaps) {
+			b.Fatalf("%d members", len(r.Members()))
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/amr"
 	"repro/internal/bitio"
+	"repro/internal/codec"
 	"repro/internal/grid"
 )
 
@@ -201,4 +202,40 @@ func FuzzDecodeFooter(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestFooterMasksAreDistinct opens an archive whose members share their
+// masks — the two fields of each snapshot — and requires every level's
+// mask to equal a fresh codec.DecodeMask of its record and to be an
+// object of its own.
+func TestFooterMasksAreDistinct(t *testing.T) {
+	snaps := testSnapshots(t)
+	if !snaps[0].Levels[0].Mask.Equal(snaps[1].Levels[0].Mask) {
+		t.Fatal("the two fields of a snapshot do not share a mask; the test is vacuous")
+	}
+	blob := buildArchive(t, snaps, codec.Config{ErrorBound: testEB}, 16)
+	r, err := Open(bytes.NewReader(blob), int64(len(blob)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[*grid.Mask]bool{}
+	for mi, m := range r.Members() {
+		for li, idx := range m.Levels {
+			comp, err := codec.EncodeMask(snaps[mi].Levels[li].Mask)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := codec.DecodeMask(idx.Dims.Div(idx.UnitBlock), comp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !idx.Mask.Equal(fresh) {
+				t.Fatalf("member %d level %d: the mask differs from a fresh decode", mi, li)
+			}
+			if seen[idx.Mask] {
+				t.Fatalf("member %d level %d: the mask is another level's", mi, li)
+			}
+			seen[idx.Mask] = true
+		}
+	}
 }

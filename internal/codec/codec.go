@@ -8,7 +8,8 @@
 // the metadata any codec needs; coordinates of sub-blocks are never
 // serialized. The mask costs one bit per unit block, the "negligible
 // (e.g., 0.1%) metadata overhead" of Sec. 3.1. A skeleton's level record
-// (AppendLevel / ReadLevel) is the TACA footer's, held to amr.CheckLevel.
+// (AppendLevel / MaskDecoder.ReadLevel) is the TACA footer's, held to
+// amr.CheckLevel.
 package codec
 
 import (
@@ -17,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/amr"
@@ -313,18 +315,43 @@ const maxInflate = 1032
 // allocated, and the inflate is capped at the mask's own packed size, so a
 // corrupt stream can neither size an allocation nor balloon past it.
 func DecodeMask(d grid.Dims, comp []byte) (*grid.Mask, error) {
+	var md MaskDecoder
+	return md.Decode(d, comp)
+}
+
+// MaskDecoder decodes the masks of one skeleton or footer. One inflate
+// decoder and one buffer serve them all, and a mask whose compressed
+// bytes and dims repeat one already decoded is cloned, not inflated
+// again: the two fields of a catalog snapshot share their masks, and the
+// members of a campaign all share one set. The zero value is ready to
+// use. The masks it returns must stay unchanged while it is in use.
+type MaskDecoder struct {
+	inf    inflate.Decoder
+	packed []byte
+	seen   map[string]*grid.Mask // by compressed bytes
+}
+
+// Decode is DecodeMask through md: each call returns a mask of its own.
+func (md *MaskDecoder) Decode(d grid.Dims, comp []byte) (*grid.Mask, error) {
+	if m := md.seen[string(comp)]; m != nil && m.Dim == d {
+		return m.Clone(), nil
+	}
 	if packed := (d.Count() + 7) / 8; packed > maxInflate*len(comp) {
 		return nil, fmt.Errorf("codec: %d mask bytes cannot inflate to the %d a %v mask packs into", len(comp), packed, d)
 	}
 	m := grid.NewMask(d)
-	var dec inflate.Decoder
-	packed, err := dec.Append(nil, comp, m.PackedLen())
+	packed, err := md.inf.Append(slices.Grow(md.packed[:0], m.PackedLen()), comp, m.PackedLen())
 	if err != nil {
 		return nil, fmt.Errorf("codec: inflating mask: %w", err)
 	}
+	md.packed = packed
 	if err := m.SetPacked(packed); err != nil {
 		return nil, fmt.Errorf("codec: %w", err)
 	}
+	if md.seen == nil {
+		md.seen = make(map[string]*grid.Mask)
+	}
+	md.seen[string(comp)] = m
 	return m, nil
 }
 
@@ -380,10 +407,11 @@ func AppendLevel(dst []byte, d grid.Dims, unitBlock int, m *grid.Mask) ([]byte, 
 	return bitio.AppendBytes(dst, comp), nil
 }
 
-// ReadLevel reads a level record off r. Its geometry passes amr.CheckLevel
-// before the mask is inflated, so a corrupt record errors instead of
-// sizing an allocation or reaching amr.NewLevel's panic (NewDataset).
-func ReadLevel(r *bitio.Reader) (li LevelInfo, err error) {
+// ReadLevel reads a level record off r, its mask through md. Its geometry
+// passes amr.CheckLevel before the mask is inflated, so a corrupt record
+// errors instead of sizing an allocation or reaching amr.NewLevel's panic
+// (NewDataset).
+func (md *MaskDecoder) ReadLevel(r *bitio.Reader) (li LevelInfo, err error) {
 	li.Dims = grid.Dims{X: int(r.Uvarint(math.MaxInt)), Y: int(r.Uvarint(math.MaxInt)), Z: int(r.Uvarint(math.MaxInt))}
 	li.UnitBlock = int(r.Uvarint(math.MaxInt))
 	comp := r.Bytes()
@@ -393,7 +421,7 @@ func ReadLevel(r *bitio.Reader) (li LevelInfo, err error) {
 	if err = amr.CheckLevel(li.Dims, li.UnitBlock); err != nil {
 		return li, err
 	}
-	li.Mask, err = DecodeMask(li.Dims.Div(li.UnitBlock), comp)
+	li.Mask, err = md.Decode(li.Dims.Div(li.UnitBlock), comp)
 	return li, err
 }
 
@@ -456,8 +484,9 @@ func DecodeContainer(blob []byte, wantCodecID byte) (Skeleton, []byte, error) {
 	if nlev == 0 {
 		return sk, nil, fmt.Errorf("codec: implausible level count %d", nlev)
 	}
+	var md MaskDecoder
 	for i := range int(nlev) {
-		li, err := ReadLevel(r)
+		li, err := md.ReadLevel(r)
 		if err != nil {
 			return sk, nil, fmt.Errorf("codec: level %d: %w", i, err)
 		}

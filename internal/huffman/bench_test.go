@@ -1,6 +1,7 @@
 package huffman
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -216,21 +217,29 @@ func BenchmarkHuffmanDecodeFrame(b *testing.B) {
 		}
 	}
 	b.StopTimer()
+	b.ReportMetric(buildNs(&d), "build-ns")
+	b.ReportMetric(float64(8*len(blob))/float64(len(syms)), "bit/sym")
+}
+
+// buildNs times the table build alone (canonical order plus table fill)
+// for the codebook d parsed last.
+func buildNs(d *Decoder) float64 {
 	const builds = 1000
+	var t table
 	start := time.Now()
 	for i := 0; i < builds; i++ {
-		d.build(d.canonical())
+		d.build(&t, d.canonical())
 	}
-	b.ReportMetric(float64(time.Since(start).Nanoseconds())/builds, "build-ns")
-	b.ReportMetric(float64(8*len(blob))/float64(len(syms)), "bit/sym")
+	return float64(time.Since(start).Nanoseconds()) / builds
 }
 
 // BenchmarkHuffmanDecodeResidual is BenchmarkHuffmanDecodeFrame on a
 // residual frame's stream (residualStream): a short, shallow codebook,
 // where what a probe can take is bounded by whole steps of the per-symbol
-// loop rather than by the table's index width. It reports the table
-// build alone as build-ns and the codes the table takes a probe as
-// codes/probe.
+// loop rather than by the table's index width. Its codebook is small, so
+// after the first op the Decoder takes its table from the cache; the
+// build a miss pays is reported alone as build-ns, and the codes the
+// table takes a probe as codes/probe.
 func BenchmarkHuffmanDecodeResidual(b *testing.B) {
 	syms := residualStream(32 << 10)
 	blob := Encode(syms)
@@ -249,14 +258,85 @@ func BenchmarkHuffmanDecodeResidual(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	const builds = 1000
-	start := time.Now()
-	for i := 0; i < builds; i++ {
-		d.build(d.canonical())
-	}
-	b.ReportMetric(float64(time.Since(start).Nanoseconds())/builds, "build-ns")
+	b.ReportMetric(buildNs(&d), "build-ns")
 	b.ReportMetric(codesPerProbe(&d, blob), "codes/probe")
 	b.ReportMetric(float64(8*len(blob))/float64(len(syms)), "bit/sym")
+}
+
+// residualBooks are the seven commonest small codebooks of the benchmark's
+// delta archive (seed 5, every member extracted whole: 294 frames, eleven
+// codebooks; these seven in 130, 49, 40, 38, 25, 3 and 3 frames), as the
+// bins' offsets from the centre bin — the literal marker, symbol 0, at
+// −2^15 — their code lengths and the codes counted in each bin.
+var residualBooks = []struct{ bins, lens, counts []int }{
+	{[]int{-2, -1, 0, 1, 2}, []int{3, 2, 2, 2, 3}, []int{199415, 1261894, 1315299, 1231273, 188983}},
+	{[]int{-2, -1, 0, 1, 2}, []int{4, 2, 1, 3, 4}, []int{62042, 490076, 597201, 383381, 51940}},
+	{[]int{-2, -1, 0, 1, 2}, []int{4, 3, 1, 2, 4}, []int{45696, 317755, 478579, 396996, 50702}},
+	{[]int{-2, -1, 0, 1, 2}, []int{4, 1, 2, 3, 4}, []int{61020, 421823, 364004, 270587, 41734}},
+	{[]int{-2, -1, 0, 1, 2}, []int{4, 3, 2, 1, 4}, []int{24850, 175529, 252510, 289309, 35018}},
+	{[]int{-1 << 15, -2, -1, 0, 1, 2}, []int{5, 4, 3, 1, 2, 5}, []int{3, 3495, 25149, 39366, 27384, 2907}},
+	{[]int{-1, 0, 1, 2}, []int{3, 2, 1, 3}, []int{1023, 3600, 7236, 429}},
+}
+
+// residualChain is one frame of n codes for each of residualBooks, drawn
+// from its bins' counts, coded with its code lengths.
+func residualChain(n int) ([][]byte, error) {
+	rng := rand.New(rand.NewSource(11))
+	var blobs [][]byte
+	var d Decoder
+	for _, book := range residualBooks {
+		total := 0
+		for _, c := range book.counts {
+			total += c
+		}
+		syms := make([]uint32, n)
+		for i := range syms {
+			k, r := 0, rng.Intn(total)
+			for ; r >= book.counts[k]; k++ {
+				r -= book.counts[k]
+			}
+			syms[i] = uint32(1<<15 + book.bins[k])
+		}
+		blob := Encode(syms)
+		if _, _, err := d.parseCodebook(blob); err != nil {
+			return nil, err
+		}
+		for i, c := range d.codes {
+			if int(c.len) != book.lens[i] {
+				return nil, fmt.Errorf("codebook %v: lengths %v drawn", book.lens, d.codes)
+			}
+		}
+		blobs = append(blobs, blob)
+	}
+	return blobs, nil
+}
+
+// BenchmarkHuffmanDecodeResidualChain decodes a residual frame of each of
+// the delta archive's seven commonest codebooks (residualBooks) in turn,
+// an op a round, on one Decoder, as a reader's pooled decoder meets them:
+// the same few codebooks over and over. It reports ns/frame.
+func BenchmarkHuffmanDecodeResidualChain(b *testing.B) {
+	blobs, err := residualChain(32 << 10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var d Decoder
+	var out []uint32
+	round := func() {
+		for _, blob := range blobs {
+			if out, err = d.AppendDecode(out[:0], blob); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	round() // the cache fills
+	b.SetBytes(int64(4 * len(blobs) * (32 << 10)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(blobs)), "ns/frame")
 }
 
 // BenchmarkHuffmanEncodeWide is the encode twin of

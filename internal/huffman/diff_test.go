@@ -2,6 +2,7 @@ package huffman
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -298,16 +299,19 @@ func tableCodebooks() map[string][]byte {
 
 // TestTableEntriesArePairs walks every index of the table built for each
 // codebook and holds its entry to the rule the decode loops rest on: the
-// longest run of the oracle's steps, four codes at most, that the index
-// settles — with the bits they consume and the first code's own length.
-// A step at some offset into the index is settled when the oracle takes
-// the same step there whatever bits follow the index, which the test
-// finds by trying them all. It also holds the rank→symbol array to the
-// canonical codebook.
+// longest run of the oracle's steps, up to the layout's cap, that the
+// index settles — with the bits they consume, the first code's own length
+// and rank 0 in every unused slot. A step at some offset into the index is
+// settled when the oracle takes the same step there whatever bits follow
+// the index, which the test finds by trying them all. The layout must be
+// narrow — 6-bit ranks, eight codes at most — for a codebook of at most
+// eight codes, none longer than TableBits, and wide — TableBits-bit ranks,
+// four codes at most — for any other. It also holds the rank→symbol array
+// to the canonical codebook.
 func TestTableEntriesArePairs(t *testing.T) {
 	var d Decoder
 	var oracle oracleDecoder
-	var entries [5]int // entries by code count
+	var entries [2][narrowCodes + 1]int // entries by layout (wide, narrow) and code count
 	type step struct {
 		syms              []uint32
 		l1, total         uint
@@ -317,20 +321,27 @@ func TestTableEntriesArePairs(t *testing.T) {
 		if _, _, err := d.parseCodebook(blob); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		tab := d.table()
 		canon := d.canonical()
-		d.build(canon)
 		if _, _, err := oracle.parseCodebook(blob); err != nil {
 			t.Fatalf("%s: oracle: %v", name, err)
 		}
 		tableBits, _ := oracle.build(canonicalize(oracle.codes))
 		short := 0
 		for r, c := range canon {
-			if d.syms[r] != c.sym {
-				t.Fatalf("%s: rank %d maps to %d, the codebook has %d", name, r, d.syms[r], c.sym)
+			if tab.syms[r] != c.sym {
+				t.Fatalf("%s: rank %d maps to %d, the codebook has %d", name, r, tab.syms[r], c.sym)
 			}
 			if c.len <= TableBits {
 				short++
 			}
+		}
+		narrow, rankBits, maxCodes := 0, uint(wideRankBits), wideCodes
+		if short == len(canon) && short <= 8 {
+			narrow, rankBits, maxCodes = 1, narrowRankBits, narrowCodes
+		}
+		if tab.rankBits != rankBits {
+			t.Fatalf("%s: %d codes, %d of them short: %d-bit ranks, want %d", name, len(canon), short, tab.rankBits, rankBits)
 		}
 		// stepAt is the oracle's step p bits into index w. Its window
 		// reads tableBits bits, of which those past the index are free.
@@ -356,7 +367,7 @@ func TestTableEntriesArePairs(t *testing.T) {
 			return s
 		}
 		for w := uint64(0); w < 1<<TableBits; w++ {
-			e := d.lut[w]
+			e := tab.lut[w]
 			if s := stepAt(w, 0); !s.settled {
 				t.Fatalf("%s: index %012b: the oracle's first step reads past the index", name, w)
 			} else if !s.ok {
@@ -373,7 +384,7 @@ func TestTableEntriesArePairs(t *testing.T) {
 			var l1, total uint
 			for {
 				s := stepAt(w, total)
-				if !s.settled || !s.ok || len(syms)+len(s.syms) > 4 {
+				if !s.settled || !s.ok || len(syms)+len(s.syms) > maxCodes {
 					break
 				}
 				if total == 0 {
@@ -382,43 +393,50 @@ func TestTableEntriesArePairs(t *testing.T) {
 				syms = append(syms, s.syms...)
 				total += s.total
 			}
-			entries[len(syms)]++
+			entries[narrow][len(syms)]++
 			count := int(e>>lutCountShift) & 0xf
 			if uint(e&0xff) != total || len1(e) != l1 || count != len(syms) {
 				t.Fatalf("%s: index %012b: entry takes %d codes over %d bits, first %d; the oracle's settled steps %d over %d, first %d",
 					name, w, count, e&0xff, len1(e), len(syms), total, l1)
 			}
-			for k, want := range syms {
-				rank := int(e>>(lutRankShift+k*TableBits)) & rankMask
-				if rank >= short || d.syms[rank] != want {
-					t.Fatalf("%s: index %012b: code %d has rank %d (of %d) for symbol %d, want %d", name, w, k, rank, short, d.syms[rank], want)
+			for k := range maxCodes {
+				rank := int(e>>(lutRankShift+uint(k)*rankBits)) & (1<<rankBits - 1)
+				if k >= len(syms) {
+					if rank != 0 {
+						t.Fatalf("%s: index %012b: unused slot %d holds rank %d", name, w, k, rank)
+					}
+					continue
+				}
+				if rank >= short || tab.syms[rank] != syms[k] {
+					t.Fatalf("%s: index %012b: code %d has rank %d (of %d) for symbol %d, want %d", name, w, k, rank, short, tab.syms[rank], syms[k])
 				}
 			}
 		}
 	}
-	for n := 1; n <= 4; n++ {
-		if entries[n] == 0 {
-			t.Fatalf("no %d-code entry was built; the test is vacuous there", n)
+	for narrow, maxCodes := range []int{wideCodes, narrowCodes} {
+		for n := 1; n <= maxCodes; n++ {
+			if entries[narrow][n] == 0 {
+				t.Fatalf("no %d-code entry was built in a table of %d-code entries; the test is vacuous there", n, maxCodes)
+			}
 		}
 	}
 }
 
-// codesPerProbe walks the table built for blob's codebook over its bit
-// stream as the fast loop does, one probe an entry, and returns the codes
-// a probe takes on average. The codebook must have no code longer than
-// TableBits.
+// codesPerProbe walks the table for blob's codebook over its bit stream as
+// the fast loops do, one probe an entry, and returns the codes a probe
+// takes on average. The codebook must have no code longer than TableBits.
 func codesPerProbe(d *Decoder, blob []byte) float64 {
 	nsyms, body, err := d.parseCodebook(blob)
 	if err != nil || nsyms == 0 {
 		panic(fmt.Sprintf("codesPerProbe: %d symbols, %v", nsyms, err))
 	}
-	d.build(d.canonical())
+	lut := d.table().lut
 	body = append(body[:len(body):len(body)], 0, 0) // the index may read past the last byte
 	n, pos, probes := 0, 0, 0
 	for n < nsyms {
 		b := body[pos>>3:]
-		idx := (uint(b[0])<<16 | uint(b[1])<<8 | uint(b[2])) >> (12 - pos&7) & rankMask
-		e := d.lut[idx]
+		idx := (uint(b[0])<<16 | uint(b[1])<<8 | uint(b[2])) >> (12 - pos&7) & (1<<TableBits - 1)
+		e := lut[idx]
 		if e == 0 || e&0xff == lutLong {
 			panic("codesPerProbe: an invalid or long code")
 		}
@@ -431,11 +449,174 @@ func codesPerProbe(d *Decoder, blob []byte) float64 {
 
 // TestResidualCodesPerProbe holds the table to what it is for on a
 // residual frame's stream: whole steps of the per-symbol loop chain
-// through the index, so a probe takes nearly four codes, where entries
-// that chain two steps only when both are pairs take 2.6.
+// through the index, up to eight codes in a narrow entry, so a probe takes
+// over five codes, where four-code entries take 3.8 and entries that chain
+// two steps only when both are pairs take 2.6.
 func TestResidualCodesPerProbe(t *testing.T) {
 	var d Decoder
-	if got := codesPerProbe(&d, Encode(residualStream(32<<10))); got < 3.7 {
-		t.Fatalf("%.3f codes a probe on a residual frame, want at least 3.7", got)
+	if got := codesPerProbe(&d, Encode(residualStream(32<<10))); got < 5.5 {
+		t.Fatalf("%.3f codes a probe on a residual frame, want at least 5.5", got)
+	}
+}
+
+// reframe is blob's codebook over a new bit stream: body, claimed to hold
+// nsyms symbols.
+func reframe(blob []byte, nsyms uint64, body []byte) []byte {
+	var d Decoder
+	if _, _, err := d.parseCodebook(blob); err != nil {
+		panic(err)
+	}
+	var pairs [][2]uint64
+	prev := uint32(0)
+	for _, c := range d.codes {
+		pairs = append(pairs, [2]uint64{uint64(c.sym - prev), uint64(c.len)})
+		prev = c.sym
+	}
+	return corruptBlob(nsyms, pairs, body)
+}
+
+// cachedSlot is the slot of d's table cache that holds the table of the
+// codebook d parsed last, or -1.
+func cachedSlot(d *Decoder) int {
+	key, small := d.smallKey()
+	if !small {
+		return -1
+	}
+	return slices.IndexFunc(d.small[:], func(s smallTable) bool { return s.key == key })
+}
+
+// sameDecode requires a decode to return want's symbols or werr's message.
+func sameDecode(t *testing.T, name string, got []uint32, err error, want []uint32, werr error) {
+	t.Helper()
+	if (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error() {
+		t.Fatalf("%s: error %v, want %v", name, err, werr)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: %d symbols differ from the %d wanted", name, len(got), len(want))
+	}
+}
+
+// TestCachedTableDecodesAsFresh decodes a random bit stream through each
+// tableCodebooks() codebook twice on one Decoder — the second time, for a
+// small codebook, through the table the first left in its cache — and
+// once on a fresh Decoder, and requires the same symbols or the same error
+// each time.
+func TestCachedTableDecodesAsFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	books := tableCodebooks()
+	var d Decoder
+	hits := 0
+	for _, name := range slices.Sorted(maps.Keys(books)) {
+		body := make([]byte, 64+rng.Intn(64))
+		rng.Read(body)
+		blob := reframe(books[name], 1+uint64(rng.Intn(4*len(body))), body)
+		var fresh Decoder
+		want, werr := fresh.AppendDecode(nil, blob)
+		for pass := range 2 {
+			if pass == 1 && cachedSlot(&d) >= 0 {
+				hits++
+			}
+			got, err := d.AppendDecode(nil, blob)
+			sameDecode(t, fmt.Sprintf("%s, pass %d", name, pass), got, err, want, werr)
+		}
+	}
+	if hits < 5 {
+		t.Fatalf("%d decodes from a cached table; the test is vacuous", hits)
+	}
+}
+
+// TestCacheSkipsLargeCodebooks decodes through codebooks the cache must
+// not keep — seven codes, one longer than TableBits, and nine short
+// codes — and requires them to decode as the oracle does from the
+// decoder's own table, with the cache left empty.
+func TestCacheSkipsLargeCodebooks(t *testing.T) {
+	books := map[string][][2]uint64{
+		"a long code": {{0, 1}, {1, 2}, {1, 3}, {1, 4}, {1, 5}, {1, 6}, {1, 13}},
+		"nine codes":  {{0, 1}, {1, 2}, {1, 3}, {1, 4}, {1, 5}, {1, 6}, {1, 7}, {1, 8}, {1, 8}},
+	}
+	rng := rand.New(rand.NewSource(61))
+	var d Decoder
+	var oracle oracleDecoder
+	for name, pairs := range books {
+		body := make([]byte, 200)
+		rng.Read(body)
+		blob := corruptBlob(300, pairs, body)
+		agree(t, &d, &oracle, name, blob)
+		if d.table() != &d.own {
+			t.Fatalf("%s: decoded through a cached table", name)
+		}
+		for i, s := range d.small {
+			if s.key != [smallCodes]uint64{} {
+				t.Fatalf("%s: cache slot %d holds %v", name, i, s.key)
+			}
+		}
+	}
+}
+
+// residualBook is a residual frame's stream of n codes whose five bins sit
+// at base−2 … base+2, in residualStream's proportions.
+func residualBook(base uint32, n int) []uint32 {
+	syms := residualStream(n)
+	for i := range syms {
+		syms[i] = syms[i] - 1<<15 + base
+	}
+	return syms
+}
+
+// TestCacheCycles decodes eleven residual streams whose codebooks differ
+// only in their symbols, in turn, three rounds over, on one Decoder: each
+// round evicts every table before its codebook comes round again. Every
+// decode must give the stream back, and after each one the cache must
+// hold the tables of the last eight codebooks.
+func TestCacheCycles(t *testing.T) {
+	const books = smallTables + 3
+	var streams [books][]uint32
+	var blobs [books][]byte
+	for i := range streams {
+		streams[i] = residualBook(uint32(100+10*i), 1000)
+		blobs[i] = Encode(streams[i])
+	}
+	var d, probe Decoder
+	for round := range 3 {
+		for i, blob := range blobs {
+			got, err := d.AppendDecode(nil, blob)
+			sameDecode(t, fmt.Sprintf("round %d stream %d", round, i), got, err, streams[i], nil)
+			for k := range books {
+				probe.parseCodebook(blobs[k])
+				d.codes = probe.codes
+				age := (i - k + books) % books // decodes since stream k's last
+				want := age < smallTables && age <= round*books+i
+				if cached := cachedSlot(&d) >= 0; cached != want {
+					t.Fatalf("round %d, after stream %d: stream %d's table cached %v", round, i, k, cached)
+				}
+			}
+		}
+	}
+}
+
+// TestCacheAlternates alternates on one Decoder between codebooks that
+// share their lengths but not their symbols, that share their symbols but
+// not their lengths, and a frame's codebook, which the cache does not
+// keep: every decode must give its stream back.
+func TestCacheAlternates(t *testing.T) {
+	streams := [][]uint32{
+		residualBook(1<<15, 4000),
+		residualBook(1<<15+1, 4000), // the same lengths, each symbol one up
+		frameStream(4000),
+		make([]uint32, 4000), // the same symbols, lengths 3, 2, 2, 2, 3
+	}
+	for i := range streams[3] {
+		streams[3][i] = uint32(1<<15 + []int{-2, -1, -1, 0, 0, 1, 1, 2}[i%8])
+	}
+	blobs := make([][]byte, len(streams))
+	for i, s := range streams {
+		blobs[i] = Encode(s)
+	}
+	var d Decoder
+	for round := range 6 {
+		for _, i := range []int{0, 1, 0, 2, 1, 3, 0, 3} {
+			got, err := d.AppendDecode(nil, blobs[i])
+			sameDecode(t, fmt.Sprintf("round %d stream %d", round, i), got, err, streams[i], nil)
+		}
 	}
 }

@@ -80,9 +80,10 @@ func huffFuzzSeeds() [][]byte {
 // codebook validator (Kraft, duplicates, overflow), the LUT build and both
 // decode loops. Corrupt input must error, never panic or over-allocate,
 // and every input must decode — or fail, with the same message — exactly
-// as through the retained per-symbol oracle; successful decodes must
-// survive a re-encode/re-decode round trip and be reproducible through a
-// reused Decoder.
+// as through the retained per-symbol oracle, twice over on one Decoder:
+// the second decode reads a small codebook's table from the cache the
+// first left it in. Successful decodes must survive a re-encode/re-decode
+// round trip and be reproducible through a reused Decoder.
 func FuzzAppendDecode(f *testing.F) {
 	for _, s := range huffFuzzSeeds() {
 		f.Add(s)
@@ -98,6 +99,7 @@ func FuzzAppendDecode(f *testing.F) {
 	var scratch []uint32
 	f.Fuzz(func(t *testing.T, data []byte) {
 		agree(t, &pooled, &oracle, "fuzz input", data)
+		agree(t, &pooled, &oracle, "fuzz input, decoded again", data)
 		syms, err := AppendDecode(nil, data)
 		if err != nil {
 			return

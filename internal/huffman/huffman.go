@@ -16,17 +16,19 @@
 // histogram, one counter per symbol, builds the code lengths from one
 // sort of the codebook's symbols and a two-queue merge, and emits through
 // one packed table — an entry per symbol holding its code and length —
-// eight symbols to a step. The decoder resolves codes
-// through one lookup table indexed by the next TableBits bits of the
-// stream: each 8-byte entry carries up to four complete codes, as
-// canonical ranks into a rank→symbol array, and the bits they consume, so
-// a probe is one table load and four rank loads — 32 KiB of table and
-// 16 KiB of ranks, an L1 cache's worth — and the inner loop refills its
-// bit accumulator once per four probes. The table is built in one walk
-// over the canonical codes that writes each entry once. Codes longer
-// than TableBits take a canonical first-code/offset path and the loop
-// carries on; only the last few symbols of a stream run through a
-// bounds-checking per-probe loop.
+// eight symbols to a step. The decoder resolves codes through one lookup
+// table indexed by the next TableBits bits of the stream: each 8-byte
+// entry carries up to four complete codes — eight for a small codebook,
+// a residual frame's — as canonical ranks into a rank→symbol array, and
+// the bits they consume, so a probe is one table load and four (or
+// eight) rank loads — 32 KiB of table and 16 KiB of ranks, an L1 cache's
+// worth — and the inner loop refills its bit accumulator once per four
+// probes. The table is built in one walk over the canonical codes that
+// writes each entry once; a decoder keeps the tables of the last few small
+// codebooks it met, and builds one again only when its codebook has left
+// them. Codes longer than TableBits take a canonical first-code/offset
+// path and the loop carries on; only the last few symbols of a stream run
+// through a bounds-checking per-probe loop.
 package huffman
 
 import (
@@ -48,15 +50,16 @@ const (
 
 	// TableBits is the index width of the decode table: one
 	// 2^TableBits-entry lookup resolves every code of up to TableBits
-	// bits — and up to three more behind it, where the index settles
-	// them — in a single probe. Each pooled Decoder keeps a 2^TableBits ×
-	// 8-byte table (32 KiB) and a 2^TableBits × 4-byte rank→symbol array
-	// (16 KiB) warm across calls. The width is not a tuning knob: an entry
-	// holds four TableBits-bit ranks above 16 bits of header, which caps
-	// it at 12 (checked at compile time below), and a narrower table is
-	// slower, as more codes take the overflow path. Codes longer than
-	// TableBits (rare by construction: a code that long had a tiny
-	// frequency) take the canonical first-code overflow path.
+	// bits — and up to three more behind it, or seven for a small
+	// codebook, where the index settles them — in a single probe. Each
+	// pooled Decoder keeps a 2^TableBits × 8-byte table (32 KiB) and a
+	// 2^TableBits × 4-byte rank→symbol array (16 KiB) warm across calls,
+	// and a table more for each small codebook it keeps. The width is not
+	// a tuning knob: an entry holds four TableBits-bit ranks above 16 bits
+	// of header, which caps it at 12 (checked at compile time below), and
+	// a narrower table is slower, as more codes take the overflow path.
+	// Codes longer than TableBits (rare by construction: a code that long
+	// had a tiny frequency) take the canonical first-code overflow path.
 	TableBits = 12
 
 	// AlphabetBits bounds the encoder's symbols to [0, 2^AlphabetBits), the
@@ -510,29 +513,37 @@ func AppendDecode(dst []uint32, blob []byte) ([]uint32, error) {
 // Primary-table entries pack everything one probe needs into 8 bytes:
 //
 //	bits  0–7   total bits the probe consumes
-//	bits  8–11  codes the probe emits: 1 to 4
+//	bits  8–11  codes the probe emits: 1 up to the layout's cap
 //	bits 12–15  len1, the first code's own length
-//	bits 16–63  the codes' canonical ranks, TableBits bits each, first
+//	bits 16–63  the codes' canonical ranks, rankBits bits each, first
 //	            code lowest; unused slots hold rank 0
 //
-// A code's rank is its index in canonical (length, symbol) order, and
-// Decoder.syms maps it back to the symbol. Codes of up to TableBits bits
+// A code's rank is its index in canonical (length, symbol) order, and the
+// table's syms maps it back to the symbol. Codes of up to TableBits bits
 // come first in that order, and there are at most 2^TableBits of them, so
-// their ranks fit TableBits bits whatever the symbols' width.
+// their ranks fit TableBits bits whatever the symbols' width. Two layouts
+// share the header. A wide entry holds up to four TableBits-bit ranks; a
+// narrow one up to eight 6-bit ranks, which fill the same 48 bits. A
+// table is narrow when its codebook is small — smallCodes codes at most,
+// none longer than TableBits — as a residual frame's is, and wide
+// otherwise. Intra frames' codebooks take under three codes a probe
+// whatever the cap, so a narrow table would only cost them four more
+// stores a probe and a deeper build. The careful loop reads both layouts
+// alike but for the mask on the first rank.
 //
 // A probe takes whole steps of the per-symbol loop the decoder replaced
 // (oracle_test.go): a step is one code, or two when both fit the window
-// min(maxLen, TableBits). An entry holds the longest run of steps, four
-// codes at most, that its index settles: a step is settled when the index
-// shows whether it is one code or two — its codes fit the index, and so
-// does the next code, or else the index shows that no code short enough
-// to pair can start there. A one-code step whose successor may still pair
-// past the index ends the entry before it, so a probe never ends inside a
-// step. The careful loop relies on it: it takes one step at a time,
-// pairing codes by the old loop's rule, from wherever the fast loop
-// stopped. The index settles every step whose window it holds: with a
-// window of a few bits, as a residual frame's five-bin codebook has,
-// entries chain up to four steps of one code.
+// min(maxLen, TableBits). An entry holds the longest run of steps, up to
+// the layout's cap, that its index settles: a step is settled when the
+// index shows whether it is one code or two — its codes fit the index, and
+// so does the next code, or else the index shows that no code short
+// enough to pair can start there. A one-code step whose successor may
+// still pair past the index ends the entry before it, so a probe never
+// ends inside a step. The careful loop relies on it: it takes one step at
+// a time, pairing codes by the old loop's rule, from wherever the fast
+// loop stopped. The index settles every step whose window it holds: with
+// a window of a few bits, as a residual frame's five-bin codebook has,
+// a narrow entry chains up to eight codes.
 //
 // A zero entry is an unassigned (invalid) code; lutLong in the low byte
 // marks the prefix of one or more codes longer than the table index,
@@ -542,35 +553,71 @@ const (
 	lutCountShift = 8
 	lutLen1Shift  = 12
 	lutRankShift  = 16
-	rankMask      = 1<<TableBits - 1
+
+	wideRankBits   = TableBits
+	wideCodes      = 4
+	narrowRankBits = 6
+	narrowCodes    = 8
 )
 
-// Four ranks of TableBits bits must fit above the entry's header: this
-// constant overflows, and the package does not compile, if they do not.
-const _ uint = 64 - lutRankShift - 4*TableBits
+// Each layout's ranks must fit above the entry's header: these constants
+// overflow, and the package does not compile, if they do not.
+const (
+	_ uint = 64 - lutRankShift - wideCodes*wideRankBits
+	_ uint = 64 - lutRankShift - narrowCodes*narrowRankBits
+)
+
+const (
+	// A small codebook has at most smallCodes codes, none longer than
+	// TableBits: a residual frame's, whose few bins code alike from frame
+	// to frame. Its table is narrow, and the decoder keeps the tables of
+	// the last smallTables small codebooks it met, at up to 32 KiB each.
+	smallCodes  = 8
+	smallTables = 8
+)
 
 // len1 extracts an entry's first-code length: 0 for an invalid or long
 // entry.
 func len1(e uint64) uint { return uint(e>>lutLen1Shift) & 0xf }
 
+// table is one built decode table: the primary lookup table, the
+// rank→symbol array and the layout decode reads them by.
+type table struct {
+	lut *[1 << TableBits]uint64
+	// syms holds the symbols in canonical order: indexed by an entry's
+	// ranks and by the overflow path. Its capacity is at least
+	// 2^rankBits, so a masked rank indexes it without a bounds check.
+	syms      []uint32
+	rankBits  uint // narrowRankBits or wideRankBits
+	tableBits uint // min(maxLen, TableBits): the probe window
+	maxLen    uint
+}
+
+// smallTable is one slot of the decoder's table cache: a small codebook's
+// table and the codebook, as its (symbol, length) list.
+type smallTable struct {
+	key [smallCodes]uint64 // sym<<8 | len in header order, zero past the end
+	t   table
+}
+
 // Decoder holds the reusable decode-side scratch: the parsed codebook, the
-// primary lookup table, the rank→symbol array and the canonical overflow
-// tables, kept warm across calls so steady-state decoding allocates only
-// the output. The zero value is ready to use; a Decoder is not safe for
-// concurrent use — pool one per goroutine (internal/sz's Decoder engines
-// do exactly that).
+// decode tables and the canonical overflow tables, kept warm across calls
+// so steady-state decoding allocates only the output. The zero value is
+// ready to use; a Decoder is not safe for concurrent use — pool one per
+// goroutine (internal/sz's Decoder engines do exactly that).
 type Decoder struct {
 	codes []symCode // parsed codebook, in header (symbol) order
 	canon []symCode // the same codebook in canonical order, codes assigned
-	lut   []uint64  // 2^TableBits packed entries, allocated on first use
-	// syms holds the symbols in canonical order: indexed by a table
-	// entry's ranks and by the overflow path. Its capacity is at least
-	// 2^TableBits, so a masked rank indexes it without a bounds check.
-	syms []uint32
+	own   table     // the table of a codebook the cache does not keep
 
-	// Canonical decode state for code lengths in (TableBits, maxCodeLen]:
-	// at length l, codes occupy [first[l], first[l]+count[l]) and map to
-	// syms[base[l]+...].
+	// small caches the tables of small codebooks, which a decoder meets
+	// again and again; victim is the slot the next miss refills.
+	small  [smallTables]smallTable
+	victim int
+
+	// Canonical decode state for code lengths in (TableBits, maxCodeLen]
+	// of the own table: at length l, codes occupy [first[l],
+	// first[l]+count[l]) and map to own.syms[base[l]+...].
 	first [maxCodeLen + 1]uint64
 	base  [maxCodeLen + 1]int32
 	count [maxCodeLen + 1]uint32
@@ -589,10 +636,10 @@ func (d *Decoder) AppendDecode(dst []uint32, blob []byte) ([]uint32, error) {
 	if nsyms == 0 {
 		return dst, nil
 	}
-	tableBits, maxLen := d.build(d.canonical())
+	t := d.table()
 
 	out := slices.Grow(dst, nsyms)[:len(dst)+nsyms]
-	if err := d.decode(out[len(dst):], body, tableBits, maxLen); err != nil {
+	if err := d.decode(out[len(dst):], body, t); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -699,85 +746,74 @@ func (d *Decoder) canonical() []symCode {
 	return canon
 }
 
-// decode fills out from the bit stream in body through the tables build
-// left behind.
+// table returns the decode table of the parsed codebook. A small
+// codebook's comes from the cache when the same (symbol, length) list was
+// met lately, and is built into the cache's oldest slot when not; any
+// other codebook's is built into the decoder's own table.
+func (d *Decoder) table() *table {
+	key, small := d.smallKey()
+	if !small {
+		d.build(&d.own, d.canonical())
+		return &d.own
+	}
+	for i := range d.small {
+		if d.small[i].key == key {
+			return &d.small[i].t
+		}
+	}
+	s := &d.small[d.victim]
+	d.victim = (d.victim + 1) % smallTables
+	s.key = key
+	d.build(&s.t, d.canonical())
+	return &s.t
+}
+
+// smallKey is the parsed codebook's key in the table cache, and whether
+// the codebook is small: its (symbol, length) list.
+func (d *Decoder) smallKey() (key [smallCodes]uint64, small bool) {
+	if len(d.codes) > smallCodes {
+		return key, false
+	}
+	for i, c := range d.codes {
+		if c.len > TableBits {
+			return key, false
+		}
+		key[i] = uint64(c.sym)<<8 | uint64(c.len)
+	}
+	return key, true
+}
+
+// decode fills out from the bit stream in body through table t.
 //
-// Both loops run on a local bit-reader state — accumulator, valid-bit
+// All loops run on a local bit-reader state — accumulator, valid-bit
 // count and byte cursor — passed by value, so the per-symbol cost is a
 // table load and two shifts with no method-call or pointer traffic. The
 // refills (refillWord, refillTail) load whole big-endian words, byte by
 // byte within eight bytes of the end, and keep the bits of acc beyond nbit
 // equal to the bytes still at pos; a code claiming more bits than the
-// stream holds reports bitio.ErrUnexpectedEOF.
-func (d *Decoder) decode(out []uint32, body []byte, tableBits, maxLen uint) error {
-	// The table is always indexed by TableBits bits, whatever the deepest
-	// code: a constant shift into a fixed-size array needs no mask and no
-	// bounds check on the probe's critical path, and a masked rank into
-	// the fixed-size view of syms none either.
-	lut := (*[1 << TableBits]uint64)(d.lut)
-	syms := (*[1 << TableBits]uint32)(d.syms[:1<<TableBits])
-	const (
-		shift = 64 - TableBits
-		mask  = 1<<TableBits - 1
-	)
+// stream holds reports bitio.ErrUnexpectedEOF. The fast loop of the
+// table's layout runs first (fastWide, fastNarrow), and the careful loop
+// below finishes the stream from wherever it stopped.
+func (d *Decoder) decode(out []uint32, body []byte, t *table) error {
+	const shift = 64 - TableBits
 	var (
 		acc  uint64
 		nbit uint
 		pos  int
 		n    int
 	)
-
-	// Fast loop: one whole-word refill leaves at least 57 valid bits, which
-	// covers four probes of at most TableBits each with no further checks.
-	// Every probe stores all four symbol slots and advances by the entry's
-	// count, so one, two and four codes share one branch-free path. It
-	// runs while at least 16 symbols are owed (four probes of four, so the
-	// unconditional stores stay inside out) and a whole word is left to
-	// load (so every bit consumed is a stream bit and truncation cannot
-	// occur here). A code longer than the table is resolved in place and
-	// the loop resumes: real quantization streams carry one every few
-	// hundred symbols, so a loop that bailed on the first would never run.
-fast:
-	for n+16 <= len(out) && pos+8 <= len(body) {
-		acc, nbit, pos = refillWord(acc, nbit, pos, body)
-		for probe := 0; probe < 4; probe++ {
-			e := lut[acc>>shift]
-			l := uint(e & 0xff)
-			if l-1 < TableBits {
-				o := (*[4]uint32)(out[n:])
-				o[0] = syms[e>>lutRankShift&rankMask]
-				o[1] = syms[e>>(lutRankShift+TableBits)&rankMask]
-				o[2] = syms[e>>(lutRankShift+2*TableBits)&rankMask]
-				o[3] = syms[e>>(lutRankShift+3*TableBits)&rankMask]
-				n += int(e>>lutCountShift) & 0xf
-				acc <<= l & 63
-				nbit -= l
-				continue
-			}
-			if l == 0 {
-				return fmt.Errorf("huffman: invalid code at symbol %d", n)
-			}
-			// lutLong: a code longer than the table.
-			if nbit < maxLen {
-				if pos+8 > len(body) {
-					break fast // the careful loop finishes near the end
-				}
-				acc, nbit, pos = refillWord(acc, nbit, pos, body)
-			}
-			sym, cl := d.resolveLong(acc, tableBits, maxLen)
-			if cl == 0 {
-				return fmt.Errorf("huffman: invalid code at symbol %d", n)
-			}
-			acc <<= cl
-			nbit -= cl
-			out[n] = sym
-			n++
-			continue fast // the budget of four probes per refill is spent
-		}
+	if t.rankBits == narrowRankBits {
+		n, acc, nbit, pos = fastNarrow(out, body, t)
+	} else {
+		n, acc, nbit, pos = d.fastWide(out, body, t)
 	}
 
-	// Careful loop: the last <16 symbols or last 8 bytes, one step at a
-	// time with every length checked against the bits actually left.
+	// Careful loop: the last symbols or last 8 bytes, and any invalid code
+	// a fast loop stopped at, one step at a time with every length checked
+	// against the bits actually left.
+	lut, syms := t.lut, t.syms
+	tableBits, maxLen := t.tableBits, t.maxLen
+	first := uint64(1)<<t.rankBits - 1 // masks an entry's first rank
 	for n < len(out) {
 		// Refill only when the primary probe could run short: the bits of
 		// acc beyond nbit mirror the bytes still at pos, so the probe
@@ -789,7 +825,7 @@ fast:
 		idx := acc >> shift
 		e := lut[idx]
 		l := len1(e)
-		sym := syms[e>>lutRankShift&rankMask]
+		sym := syms[e>>lutRankShift&first]
 		step := 1
 		switch {
 		case e == 0:
@@ -800,7 +836,7 @@ fast:
 			if nbit < maxLen {
 				acc, nbit, pos = refillTail(acc, nbit, pos, body)
 			}
-			if sym, l = d.resolveLong(acc, tableBits, maxLen); l == 0 {
+			if sym, l = d.resolveLong(acc, t); l == 0 {
 				return fmt.Errorf("huffman: invalid code at symbol %d", n)
 			}
 		case n+1 < len(out):
@@ -809,10 +845,10 @@ fast:
 			// symbol count ends between them. The second code is read
 			// from its own entry: an entry's count does not say whether
 			// its first two codes are one step.
-			e2 := lut[(idx<<l)&mask]
+			e2 := lut[(idx<<l)&(1<<TableBits-1)]
 			if l2 := len1(e2); l2 != 0 && l+l2 <= tableBits {
 				l += l2
-				out[n+1] = syms[e2>>lutRankShift&rankMask]
+				out[n+1] = syms[e2>>lutRankShift&first]
 				step = 2
 			}
 		}
@@ -825,6 +861,106 @@ fast:
 		n += step
 	}
 	return nil
+}
+
+// fastWide is decode's fast loop over a wide table: it decodes out from
+// the start while at least 16 symbols are owed and a whole word of body is
+// left, and returns how many it decoded and the bit-reader state it
+// stopped in. At an invalid code it stops, and the careful loop reports
+// it at the same symbol.
+//
+// The table is always indexed by TableBits bits, whatever the deepest
+// code: a constant shift into a fixed-size array needs no mask and no
+// bounds check on the probe's critical path, and a masked rank into the
+// fixed-size view of syms none either. One whole-word refill leaves at
+// least 57 valid bits, which covers four probes of at most TableBits each
+// with no further checks. Every probe stores all four symbol slots and
+// advances by the entry's count, so one to four codes share one
+// branch-free path. The 16 symbols owed are four probes of four, so the
+// unconditional stores stay inside out; the whole word left means every
+// bit consumed is a stream bit, so truncation cannot occur here. A code
+// longer than the table is resolved in place and the loop resumes: real
+// quantization streams carry one every few hundred symbols, so a loop
+// that bailed on the first would never run.
+func (d *Decoder) fastWide(out []uint32, body []byte, t *table) (n int, acc uint64, nbit uint, pos int) {
+	lut := t.lut
+	syms := (*[1 << wideRankBits]uint32)(t.syms[:1<<wideRankBits])
+	const (
+		shift = 64 - TableBits
+		mask  = 1<<wideRankBits - 1
+	)
+	for n+4*wideCodes <= len(out) && pos+8 <= len(body) {
+		acc, nbit, pos = refillWord(acc, nbit, pos, body)
+		for probe := 0; probe < 4; probe++ {
+			e := lut[acc>>shift]
+			l := uint(e & 0xff)
+			if l-1 < TableBits {
+				o := (*[wideCodes]uint32)(out[n:])
+				o[0] = syms[e>>lutRankShift&mask]
+				o[1] = syms[e>>(lutRankShift+wideRankBits)&mask]
+				o[2] = syms[e>>(lutRankShift+2*wideRankBits)&mask]
+				o[3] = syms[e>>(lutRankShift+3*wideRankBits)&mask]
+				n += int(e>>lutCountShift) & 0xf
+				acc <<= l & 63
+				nbit -= l
+				continue
+			}
+			// lutLong, a code longer than the table, unless the code is
+			// invalid; the careful loop takes a long code near the end.
+			if l == 0 || nbit < t.maxLen && pos+8 > len(body) {
+				return n, acc, nbit, pos
+			}
+			if nbit < t.maxLen {
+				acc, nbit, pos = refillWord(acc, nbit, pos, body)
+			}
+			sym, cl := d.resolveLong(acc, t)
+			if cl == 0 {
+				return n, acc, nbit, pos
+			}
+			acc <<= cl
+			nbit -= cl
+			out[n] = sym
+			n++
+			break // the budget of four probes per refill is spent
+		}
+	}
+	return n, acc, nbit, pos
+}
+
+// fastNarrow is fastWide's twin for a narrow table: 6-bit ranks, eight
+// symbol slots stored a probe, and 32 symbols owed (four probes of eight)
+// to enter it. A narrow table has no code longer than TableBits, so the
+// loop has no overflow path.
+func fastNarrow(out []uint32, body []byte, t *table) (n int, acc uint64, nbit uint, pos int) {
+	lut := t.lut
+	syms := (*[1 << narrowRankBits]uint32)(t.syms[:1<<narrowRankBits])
+	const (
+		shift = 64 - TableBits
+		mask  = 1<<narrowRankBits - 1
+	)
+	for n+4*narrowCodes <= len(out) && pos+8 <= len(body) {
+		acc, nbit, pos = refillWord(acc, nbit, pos, body)
+		for probe := 0; probe < 4; probe++ {
+			e := lut[acc>>shift]
+			l := uint(e & 0xff)
+			if l-1 >= TableBits {
+				return n, acc, nbit, pos
+			}
+			o := (*[narrowCodes]uint32)(out[n:])
+			o[0] = syms[e>>lutRankShift&mask]
+			o[1] = syms[e>>(lutRankShift+narrowRankBits)&mask]
+			o[2] = syms[e>>(lutRankShift+2*narrowRankBits)&mask]
+			o[3] = syms[e>>(lutRankShift+3*narrowRankBits)&mask]
+			o[4] = syms[e>>(lutRankShift+4*narrowRankBits)&mask]
+			o[5] = syms[e>>(lutRankShift+5*narrowRankBits)&mask]
+			o[6] = syms[e>>(lutRankShift+6*narrowRankBits)&mask]
+			o[7] = syms[e>>(lutRankShift+7*narrowRankBits)&mask]
+			n += int(e>>lutCountShift) & 0xf
+			acc <<= l & 63
+			nbit -= l
+		}
+	}
+	return n, acc, nbit, pos
 }
 
 // refillWord tops the accumulator up from a whole big-endian word, which
@@ -851,11 +987,13 @@ func refillTail(acc uint64, nbit uint, pos int, body []byte) (uint64, uint, int)
 }
 
 // resolveLong matches the code at the top of acc against the canonical
-// (first code, count) ranges of every length above tableBits, returning
-// its symbol and length, or length 0 if no code matches.
-func (d *Decoder) resolveLong(acc uint64, tableBits, maxLen uint) (uint32, uint) {
+// (first code, count) ranges of every length above t's window, returning
+// its symbol and length, or length 0 if no code matches. Only the own
+// table has codes that long.
+func (d *Decoder) resolveLong(acc uint64, t *table) (uint32, uint) {
+	maxLen := t.maxLen
 	v := acc >> (64 - maxLen)
-	for cl := tableBits + 1; cl <= maxLen; cl++ {
+	for cl := t.tableBits + 1; cl <= maxLen; cl++ {
 		cnt := d.count[cl]
 		if cnt == 0 {
 			continue
@@ -868,54 +1006,63 @@ func (d *Decoder) resolveLong(acc uint64, tableBits, maxLen uint) (uint32, uint)
 		if off >= uint64(cnt) {
 			continue
 		}
-		return d.syms[int(d.base[cl])+int(off)], cl
+		return t.syms[int(d.base[cl])+int(off)], cl
 	}
 	return 0, 0
 }
 
-// build (re)fills the decoder's tables from a canonicalized codebook and
-// returns the probe window — min(maxLen, TableBits), the longest code the
-// table resolves and the most bits a pair may span — and the maximum code
-// length. The codebook must be non-empty and satisfy Kraft (validated by
+// build (re)fills table t from a canonicalized codebook: its layout, its
+// probe window — min(maxLen, TableBits), the longest code the table
+// resolves and the most bits a pair may span — and its maximum code
+// length, and for codes longer than TableBits the decoder's overflow
+// state. The codebook must be non-empty and satisfy Kraft (validated by
 // the caller), which guarantees every fill range below stays in bounds.
 //
-// The table is filled in one walk over the canonical codes (tableWalk),
-// a code a level to four deep, that visits the entries in index order and
-// writes each once. It rests on two facts about canonical codes: the codes
-// of up to r bits are a prefix of the canonical order, so each level's
-// candidates are the codes up to a length bound; and, left-aligned, they
-// cover a prefix of the code space in that order. So a level's candidates
-// tile the start of their parent's range — the codes that pair with an
-// open step first — and the rest of the range, where the next code is
-// longer than the bits left or absent, takes one of the parent's shorter
-// entries in one fill. The same codes follow wherever a walk reaches the
-// same depth and bits, so a range walked before is copied rather than
-// walked again: most of a deep codebook's table is. Ranges are laid out
-// at the full index width, so the walk fills the whole table for a
-// codebook shallower than TableBits too.
-func (d *Decoder) build(codes []symCode) (tableBits uint, maxLen uint) {
-	maxLen = uint(codes[len(codes)-1].len)
-	tableBits = min(maxLen, TableBits)
-	if d.lut == nil {
-		d.lut = make([]uint64, 1<<TableBits)
+// The layout is narrow for a small codebook and wide for any other. The
+// table is filled in one walk over the canonical codes (tableWalk), a
+// code a level to the layout's cap deep, that visits the entries in index
+// order and writes each once. It rests on two facts about canonical
+// codes: the codes of up to r bits are a prefix of the canonical order, so
+// each level's candidates are the codes up to a length bound; and,
+// left-aligned, they cover a prefix of the code space in that order. So a
+// level's candidates tile the start of their parent's range — the codes
+// that pair with an open step first — and the rest of the range, where
+// the next code is longer than the bits left or absent, takes one of the
+// parent's shorter entries in one fill. The same codes follow wherever a
+// walk reaches the same depth and bits, so a range walked before is
+// copied rather than walked again: most of a deep codebook's table is.
+// Ranges are laid out at the full index width, so the walk fills the
+// whole table for a codebook shallower than TableBits too.
+func (d *Decoder) build(t *table, codes []symCode) {
+	t.maxLen = uint(codes[len(codes)-1].len)
+	t.tableBits = min(t.maxLen, TableBits)
+	short := len(codes) // codes[:short] are the ones the table resolves
+	for short > 0 && codes[short-1].len > TableBits {
+		short--
 	}
-	if cap(d.syms) < 1<<TableBits {
-		d.syms = make([]uint32, 0, max(1<<TableBits, len(codes)))
+	w := tableWalk{window: t.tableBits, codes: codes[:short], rankBits: wideRankBits, maxCodes: wideCodes}
+	if len(codes) <= smallCodes && t.maxLen <= TableBits {
+		w.rankBits, w.maxCodes = narrowRankBits, narrowCodes
 	}
-	d.syms = d.syms[:0]
-	if maxLen > TableBits {
+	t.rankBits = w.rankBits
+	if t.lut == nil {
+		t.lut = new([1 << TableBits]uint64)
+	}
+	if need := max(1<<t.rankBits, len(codes)); cap(t.syms) < need {
+		t.syms = make([]uint32, 0, need)
+	}
+	w.lut = t.lut
+	t.syms = t.syms[:0]
+	if t.maxLen > TableBits {
 		clear(d.count[:])
 	}
-	w := tableWalk{lut: (*[1 << TableBits]uint64)(d.lut), window: tableBits}
-	short := len(codes) // codes[:short] are the ones the table resolves
 	for i, c := range codes {
-		d.syms = append(d.syms, c.sym)
+		t.syms = append(t.syms, c.sym)
 		cl := uint(c.len)
 		if cl <= TableBits {
 			w.cover[cl] += 1 << (TableBits - cl)
 			continue
 		}
-		short = min(short, i)
 		if d.count[cl] == 0 {
 			d.first[cl] = c.code
 			d.base[cl] = int32(i)
@@ -925,12 +1072,10 @@ func (d *Decoder) build(codes []symCode) (tableBits uint, maxLen uint) {
 	for l := 1; l <= TableBits; l++ {
 		w.cover[l] += w.cover[l-1]
 	}
-	w.codes = codes[:short]
 	w.steps(0, 0, 0, 0, 1<<TableBits)
 	for _, c := range codes[short:] {
 		w.lut[c.code>>(uint(c.len)-TableBits)] = lutLong
 	}
-	return tableBits, maxLen
 }
 
 // tableWalk is build's fill. It walks the entries in index order, a code
@@ -938,9 +1083,11 @@ func (d *Decoder) build(codes []symCode) (tableBits uint, maxLen uint) {
 // boundary (steps) or with a step's first code, which the next code may
 // pair with (open).
 type tableWalk struct {
-	lut    *[1 << TableBits]uint64
-	codes  []symCode // the codes of up to TableBits bits, canonical order
-	window uint      // two codes pair when they span at most this many bits
+	lut      *[1 << TableBits]uint64
+	codes    []symCode // the codes of up to TableBits bits, canonical order
+	window   uint      // two codes pair when they span at most this many bits
+	rankBits uint      // the layout's rank width
+	maxCodes uint      // and its cap on an entry's codes
 	// cover[l] is how many of the 2^TableBits indices the codes of up to
 	// l bits cover, left-aligned: a prefix of the index range.
 	cover [TableBits + 1]int
@@ -949,15 +1096,15 @@ type tableWalk struct {
 	// from rank r on. Every entry under steps is its e plus what the codes
 	// behind it add, so a later call for the same k, p and r copies that
 	// range, less its e and plus its own.
-	walked [4][TableBits + 1]struct {
+	walked [narrowCodes][TableBits + 1]struct {
 		r, j, n int
 		e       uint64
 	}
 }
 
 // withCode is entry e with code r of l bits appended as its (k+1)th code.
-func withCode(e uint64, k uint, r int, l uint) uint64 {
-	e += uint64(r)<<(lutRankShift+k*TableBits) + 1<<lutCountShift + uint64(l)
+func (w *tableWalk) withCode(e uint64, k uint, r int, l uint) uint64 {
+	e += uint64(r)<<(lutRankShift+k*w.rankBits) + 1<<lutCountShift + uint64(l)
 	if k == 0 {
 		e += uint64(l) << lutLen1Shift
 	}
@@ -965,9 +1112,9 @@ func withCode(e uint64, k uint, r int, l uint) uint64 {
 }
 
 // steps fills the entries from w.j up to end, whose first p bits are the
-// k < 4 codes of entry e, whole steps all, and whose next code is one of
-// the codes from rank r on: each that fits the index opens a step, and
-// the rest of the range is e.
+// k < maxCodes codes of entry e, whole steps all, and whose next code is
+// one of the codes from rank r on: each that fits the index opens a step,
+// and the rest of the range is e.
 func (w *tableWalk) steps(e uint64, k, p uint, r, end int) {
 	if m := &w.walked[k][p]; m.n == end-w.j && m.r == r {
 		src, d := w.lut[m.j:m.j+m.n], e-m.e
@@ -982,7 +1129,7 @@ func (w *tableWalk) steps(e uint64, k, p uint, r, end int) {
 	}
 	for i := r; i < len(w.codes) && p+uint(w.codes[i].len) <= TableBits; i++ {
 		l := uint(w.codes[i].len)
-		w.open(e, withCode(e, k, i, l), k+1, p+l, l)
+		w.open(e, w.withCode(e, k, i, l), k+1, p+l, l)
 	}
 	w.j = fill(w.lut, w.j, end, e)
 }
@@ -990,18 +1137,19 @@ func (w *tableWalk) steps(e uint64, k, p uint, r, end int) {
 // open fills the 2^(TableBits−p) entries from w.j on, whose first p bits
 // are the k codes of entry single, the last of them (l bits) a step's
 // first code; before is single without it. A next code of at most
-// window−l bits pairs with it and closes the step, unless it would be a
-// fifth code. Any other next code that fits the index shows the step to
-// be one code, and so does an index that no pairing code can start.
-// Where one may start past the index, the step is not settled and the
-// entry is before: the probe ends on the step boundary ahead of it.
+// window−l bits pairs with it and closes the step, unless it would be one
+// code past the layout's cap. Any other next code that fits the index
+// shows the step to be one code, and so does an index that no pairing
+// code can start. Where one may start past the index, the step is not
+// settled and the entry is before: the probe ends on the step boundary
+// ahead of it.
 func (w *tableWalk) open(before, single uint64, k, p, l uint) {
 	start, end := w.j, w.j+1<<(TableBits-p)
 	pairMax := w.window - l
 	i := 0
-	for ; k < 4 && i < len(w.codes) && uint(w.codes[i].len) <= min(pairMax, TableBits-p); i++ {
+	for ; k < w.maxCodes && i < len(w.codes) && uint(w.codes[i].len) <= min(pairMax, TableBits-p); i++ {
 		l2 := uint(w.codes[i].len)
-		if e, next := withCode(single, k, i, l2), w.j+1<<(TableBits-p-l2); k == 3 {
+		if e, next := w.withCode(single, k, i, l2), w.j+1<<(TableBits-p-l2); k == w.maxCodes-1 {
 			w.j = fill(w.lut, w.j, next, e)
 		} else {
 			w.steps(e, k+1, p+l2, 0, next)
@@ -1013,7 +1161,7 @@ func (w *tableWalk) open(before, single uint64, k, p, l uint) {
 	if unsettled := start + (w.cover[pairMax]+1<<p-1)>>p; unsettled > w.j {
 		w.j = fill(w.lut, w.j, unsettled, before)
 	}
-	if k < 4 {
+	if k < w.maxCodes {
 		w.steps(single, k, p, i, end)
 	} else {
 		w.j = fill(w.lut, w.j, end, single)
