@@ -304,7 +304,7 @@ func tableCodebooks() map[string][]byte {
 // and rank 0 in every unused slot. A step at some offset into the index is
 // settled when the oracle takes the same step there whatever bits follow
 // the index, which the test finds by trying them all. The layout must be
-// narrow — 6-bit ranks, eight codes at most — for a codebook of at most
+// narrow — 3-bit ranks, eight codes at most — for a codebook of at most
 // eight codes, none longer than TableBits, and wide — TableBits-bit ranks,
 // four codes at most — for any other. It also holds the rank→symbol array
 // to the canonical codebook.

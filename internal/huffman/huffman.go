@@ -20,10 +20,10 @@
 // table indexed by the next TableBits bits of the stream: each 8-byte
 // entry carries up to four complete codes — eight for a small codebook,
 // a residual frame's — as canonical ranks into a rank→symbol array, and
-// the bits they consume, so a probe is one table load and four (or
-// eight) rank loads — 32 KiB of table and 16 KiB of ranks, an L1 cache's
-// worth — and the inner loop refills its bit accumulator once per four
-// probes. The table is built in one walk over the canonical codes that
+// the bits they consume, so a probe is one table load and four rank loads
+// (four loads of a symbol pair for a small codebook) — 32 KiB of table
+// and 16 KiB of ranks, an L1 cache's worth — and the inner loop refills
+// its bit accumulator once per four probes. The table is built in one walk over the canonical codes that
 // writes each entry once; a decoder keeps the tables of the last few small
 // codebooks it met, and builds one again only when its codebook has left
 // them. Codes longer than TableBits take a canonical first-code/offset
@@ -523,13 +523,15 @@ func AppendDecode(dst []uint32, blob []byte) ([]uint32, error) {
 // come first in that order, and there are at most 2^TableBits of them, so
 // their ranks fit TableBits bits whatever the symbols' width. Two layouts
 // share the header. A wide entry holds up to four TableBits-bit ranks; a
-// narrow one up to eight 6-bit ranks, which fill the same 48 bits. A
-// table is narrow when its codebook is small — smallCodes codes at most,
-// none longer than TableBits — as a residual frame's is, and wide
-// otherwise. Intra frames' codebooks take under three codes a probe
-// whatever the cap, so a narrow table would only cost them four more
-// stores a probe and a deeper build. The careful loop reads both layouts
-// alike but for the mask on the first rank.
+// narrow one up to eight 3-bit ranks. A table is narrow when its codebook
+// is small — smallCodes codes at most, none longer than TableBits — as a
+// residual frame's is, and wide otherwise. Intra frames' codebooks take
+// under three codes a probe whatever the cap, so a narrow table would
+// only cost them more stores a probe and a deeper build. The narrow fast
+// loop reads an entry's ranks two at a time, each pair an index into the
+// table's pairs, so a probe stores its eight slots as four 8-byte pairs.
+// The careful loop reads both layouts alike but for the mask on the
+// first rank.
 //
 // A probe takes whole steps of the per-symbol loop the decoder replaced
 // (oracle_test.go): a step is one code, or two when both fit the window
@@ -556,7 +558,7 @@ const (
 
 	wideRankBits   = TableBits
 	wideCodes      = 4
-	narrowRankBits = 6
+	narrowRankBits = 3
 	narrowCodes    = 8
 )
 
@@ -584,6 +586,9 @@ func len1(e uint64) uint { return uint(e>>lutLen1Shift) & 0xf }
 // rank→symbol array and the layout decode reads them by.
 type table struct {
 	lut *[1 << TableBits]uint64
+	// pairs maps two ranks of a narrow entry, the first lowest, to their
+	// two symbols; nil for a wide table.
+	pairs *[1 << (2 * narrowRankBits)][2]uint32
 	// syms holds the symbols in canonical order: indexed by an entry's
 	// ranks and by the overflow path. Its capacity is at least
 	// 2^rankBits, so a masked rank indexes it without a bounds check.
@@ -927,16 +932,16 @@ func (d *Decoder) fastWide(out []uint32, body []byte, t *table) (n int, acc uint
 	return n, acc, nbit, pos
 }
 
-// fastNarrow is fastWide's twin for a narrow table: 6-bit ranks, eight
-// symbol slots stored a probe, and 32 symbols owed (four probes of eight)
-// to enter it. A narrow table has no code longer than TableBits, so the
+// fastNarrow is fastWide's twin for a narrow table: eight symbol slots
+// stored a probe, as four pairs looked up by two ranks at a time, and 32
+// symbols owed (four probes of eight) to enter it. A narrow table has no code longer than TableBits, so the
 // loop has no overflow path.
 func fastNarrow(out []uint32, body []byte, t *table) (n int, acc uint64, nbit uint, pos int) {
-	lut := t.lut
-	syms := (*[1 << narrowRankBits]uint32)(t.syms[:1<<narrowRankBits])
+	lut, pairs := t.lut, t.pairs
 	const (
 		shift = 64 - TableBits
-		mask  = 1<<narrowRankBits - 1
+		mask  = 1<<(2*narrowRankBits) - 1
+		pair  = 2 * narrowRankBits
 	)
 	for n+4*narrowCodes <= len(out) && pos+8 <= len(body) {
 		acc, nbit, pos = refillWord(acc, nbit, pos, body)
@@ -947,14 +952,10 @@ func fastNarrow(out []uint32, body []byte, t *table) (n int, acc uint64, nbit ui
 				return n, acc, nbit, pos
 			}
 			o := (*[narrowCodes]uint32)(out[n:])
-			o[0] = syms[e>>lutRankShift&mask]
-			o[1] = syms[e>>(lutRankShift+narrowRankBits)&mask]
-			o[2] = syms[e>>(lutRankShift+2*narrowRankBits)&mask]
-			o[3] = syms[e>>(lutRankShift+3*narrowRankBits)&mask]
-			o[4] = syms[e>>(lutRankShift+4*narrowRankBits)&mask]
-			o[5] = syms[e>>(lutRankShift+5*narrowRankBits)&mask]
-			o[6] = syms[e>>(lutRankShift+6*narrowRankBits)&mask]
-			o[7] = syms[e>>(lutRankShift+7*narrowRankBits)&mask]
+			*(*[2]uint32)(o[0:2]) = pairs[e>>lutRankShift&mask]
+			*(*[2]uint32)(o[2:4]) = pairs[e>>(lutRankShift+pair)&mask]
+			*(*[2]uint32)(o[4:6]) = pairs[e>>(lutRankShift+2*pair)&mask]
+			*(*[2]uint32)(o[6:8]) = pairs[e>>(lutRankShift+3*pair)&mask]
 			n += int(e>>lutCountShift) & 0xf
 			acc <<= l & 63
 			nbit -= l
@@ -1018,8 +1019,8 @@ func (d *Decoder) resolveLong(acc uint64, t *table) (uint32, uint) {
 // state. The codebook must be non-empty and satisfy Kraft (validated by
 // the caller), which guarantees every fill range below stays in bounds.
 //
-// The layout is narrow for a small codebook and wide for any other. The
-// table is filled in one walk over the canonical codes (tableWalk), a
+// The layout is narrow for a small codebook, whose table also gets its
+// rank pairs, and wide for any other. The table is filled in one walk over the canonical codes (tableWalk), a
 // code a level to the layout's cap deep, that visits the entries in index
 // order and writes each once. It rests on two facts about canonical
 // codes: the codes of up to r bits are a prefix of the canonical order, so
@@ -1075,6 +1076,16 @@ func (d *Decoder) build(t *table, codes []symCode) {
 	w.steps(0, 0, 0, 0, 1<<TableBits)
 	for _, c := range codes[short:] {
 		w.lut[c.code>>(uint(c.len)-TableBits)] = lutLong
+	}
+	if t.rankBits == narrowRankBits {
+		if t.pairs == nil {
+			t.pairs = new([1 << (2 * narrowRankBits)][2]uint32)
+		}
+		// Pairs holding a rank past the codebook are never read.
+		syms := t.syms[:1<<narrowRankBits]
+		for i := range t.pairs {
+			t.pairs[i] = [2]uint32{syms[i&(1<<narrowRankBits-1)], syms[i>>narrowRankBits]}
+		}
 	}
 }
 
