@@ -562,11 +562,13 @@ const (
 	narrowCodes    = 8
 )
 
-// Each layout's ranks must fit above the entry's header: these constants
-// overflow, and the package does not compile, if they do not.
+// Each layout's ranks must fit above the entry's header, and a small
+// codebook's ranks in narrowRankBits: these constants overflow, and the
+// package does not compile, if they do not.
 const (
 	_ uint = 64 - lutRankShift - wideCodes*wideRankBits
 	_ uint = 64 - lutRankShift - narrowCodes*narrowRankBits
+	_ uint = 1<<narrowRankBits - smallCodes
 )
 
 const (
