@@ -23,12 +23,13 @@
 // the bits they consume, so a probe is one table load and four rank loads
 // (four loads of a symbol pair for a small codebook) — 32 KiB of table
 // and 16 KiB of ranks, an L1 cache's worth — and the inner loop refills
-// its bit accumulator once per four probes. The table is built in one walk over the canonical codes that
-// writes each entry once; a decoder keeps the tables of the last few small
-// codebooks it met, and builds one again only when its codebook has left
-// them. Codes longer than TableBits take a canonical first-code/offset
-// path and the loop carries on; only the last few symbols of a stream run
-// through a bounds-checking per-probe loop.
+// its bit accumulator once per four probes. The table is built in one
+// walk over the canonical codes that writes each entry once; a decoder
+// keeps the tables of the last few small codebooks it met, and builds one
+// again only when its codebook has left them. Codes longer than TableBits
+// take a canonical first-code/offset path and the loop carries on; only
+// the last few symbols of a stream run through a bounds-checking
+// per-probe loop.
 package huffman
 
 import (
@@ -936,8 +937,8 @@ func (d *Decoder) fastWide(out []uint32, body []byte, t *table) (n int, acc uint
 
 // fastNarrow is fastWide's twin for a narrow table: eight symbol slots
 // stored a probe, as four pairs looked up by two ranks at a time, and 32
-// symbols owed (four probes of eight) to enter it. A narrow table has no code longer than TableBits, so the
-// loop has no overflow path.
+// symbols owed (four probes of eight) to enter it. A narrow table has no
+// code longer than TableBits, so the loop has no overflow path.
 func fastNarrow(out []uint32, body []byte, t *table) (n int, acc uint64, nbit uint, pos int) {
 	lut, pairs := t.lut, t.pairs
 	const (
@@ -1022,20 +1023,21 @@ func (d *Decoder) resolveLong(acc uint64, t *table) (uint32, uint) {
 // the caller), which guarantees every fill range below stays in bounds.
 //
 // The layout is narrow for a small codebook, whose table also gets its
-// rank pairs, and wide for any other. The table is filled in one walk over the canonical codes (tableWalk), a
-// code a level to the layout's cap deep, that visits the entries in index
-// order and writes each once. It rests on two facts about canonical
-// codes: the codes of up to r bits are a prefix of the canonical order, so
-// each level's candidates are the codes up to a length bound; and,
-// left-aligned, they cover a prefix of the code space in that order. So a
-// level's candidates tile the start of their parent's range — the codes
-// that pair with an open step first — and the rest of the range, where
-// the next code is longer than the bits left or absent, takes one of the
-// parent's shorter entries in one fill. The same codes follow wherever a
-// walk reaches the same depth and bits, so a range walked before is
-// copied rather than walked again: most of a deep codebook's table is.
-// Ranges are laid out at the full index width, so the walk fills the
-// whole table for a codebook shallower than TableBits too.
+// rank pairs and is built only when the decoder's cache misses (table),
+// and wide for any other. The table is filled in one walk over the
+// canonical codes (tableWalk), a code a level to the layout's cap deep,
+// that visits the entries in index order and writes each once. It rests
+// on two facts about canonical codes: the codes of up to r bits are a
+// prefix of the canonical order, so each level's candidates are the codes
+// up to a length bound; and, left-aligned, they cover a prefix of the code
+// space in that order. So a level's candidates tile the start of their
+// parent's range — the codes that pair with an open step first — and the
+// rest of the range, where the next code is longer than the bits left or
+// absent, takes one of the parent's shorter entries in one fill. The same
+// codes follow wherever a walk reaches the same depth and bits, so a range
+// walked before is copied rather than walked again: most of a deep
+// codebook's table is. Ranges are laid out at the full index width, so the
+// walk fills the whole table for a codebook shallower than TableBits too.
 func (d *Decoder) build(t *table, codes []symCode) {
 	t.maxLen = uint(codes[len(codes)-1].len)
 	t.tableBits = min(t.maxLen, TableBits)
