@@ -80,7 +80,7 @@ func (r *Reader) backfillSums() error {
 			sums := make([]uint32, len(idx.Batches))
 			for b := range idx.Batches {
 				blocks := fd.scratch(idx.unitDims(), idx.blockCount(b))
-				if err := r.decodeChain(fd, blocks, mi, li, b); err != nil {
+				if err := r.decodeChain(fd, r.r, blocks, mi, li, b); err != nil {
 					return fmt.Errorf("archive: upgrading to v4: %w", err)
 				}
 				// The chain's last frame read is batch b itself.

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"math"
 	"runtime"
 	"slices"
@@ -150,27 +149,14 @@ func TestParkedScatterBitIdentical(t *testing.T) {
 	}
 }
 
-// signalReaderAt closes seen the first time a read starts at off.
-type signalReaderAt struct {
-	r    io.ReaderAt
-	off  int64
-	once sync.Once
-	seen chan struct{}
-}
-
-func (s *signalReaderAt) ReadAt(p []byte, off int64) (int, error) {
-	if off == s.off {
-		s.once.Do(func() { close(s.seen) })
-	}
-	return s.r.ReadAt(p, off)
-}
-
 // TestCorruptFrameWhileSiblingsParked damages a late frame of the finest
 // level of a checksummed archive and holds the level's allocation until
 // that frame is being read, so that it fails its CRC with earlier frames
 // of the level parked: the extraction must fail with the error one worker
 // reports, and the scratch it parked and the decoders it used must be fit
-// for the next extraction, of the undamaged member beside it.
+// for the next extraction, of the undamaged member beside it. The level's
+// frames are read as one run before any is decoded, so the allocation is
+// held until the frames before the damaged one have parked.
 func TestCorruptFrameWhileSiblingsParked(t *testing.T) {
 	snaps := testCampaign(t, 2)
 	blob := buildArchive(t, snaps, codec.Config{ErrorBound: testEB}, 8)
@@ -183,21 +169,29 @@ func TestCorruptFrameWhileSiblingsParked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const victim = 5 // frames 1–4 are decoded, and parked, before it is read
+	const victim = 5 // frames 1–4 are decoded, and parked, before it fails
 	rec := clean.Members()[0].Levels[0].Batches[victim]
 	damaged := slices.Clone(blob)
 	damaged[rec.Offset+rec.Length/2] ^= 0x10
 
 	var wantErr error
 	for _, workers := range []int{1, 2, 4} {
-		src := &signalReaderAt{r: bytes.NewReader(damaged), off: rec.Offset, seen: make(chan struct{})}
-		r, err := Open(src, int64(len(damaged)))
+		r, err := Open(bytes.NewReader(damaged), int64(len(damaged)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		r.Workers = workers
+		var first sync.Once
 		if workers > 1 {
-			r.levelAlloc = func(*levelPlan) { <-src.seen }
+			r.levelAlloc = func(p *levelPlan) {
+				first.Do(func() {
+					for n := 0; n < victim-1; runtime.Gosched() {
+						p.mu.Lock()
+						n = len(p.parked)
+						p.mu.Unlock()
+					}
+				})
+			}
 		}
 		_, err = r.ExtractLevel(0, 0)
 		if !errors.Is(err, ErrCorrupt) || errors.Is(err, ErrIO) {

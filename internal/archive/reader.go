@@ -1,6 +1,7 @@
 package archive
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -8,6 +9,7 @@ import (
 	"os"
 	"runtime"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -379,29 +381,91 @@ func (r *Reader) DecodeBatch(mi, li, b int) ([]*grid.Grid3[amr.Value], error) {
 	fd := frameDecoders.Get().(*frameDecoder)
 	defer frameDecoders.Put(fd)
 	out := grid.NewBlocks[amr.Value](idx.unitDims(), idx.blockCount(b))
-	if err := r.decodeChain(fd, out, mi, li, b); err != nil {
+	if err := r.decodeChain(fd, r.r, out, mi, li, b); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// decodeChain decodes batch b of level li of member mi into the non-nil
-// entries of dst (nil means the caller does not want that block), reference
-// chain first and in place: the matching batch of the referenced member
-// (structure-identical by footer validation, so batch b covers the same
-// blocks) is decoded recursively down to the nearest intra frame, then each
-// delta frame applies its residuals to dst with dst as its own reference —
-// one set of blocks for the whole chain, and skipped blocks skipped at
-// every depth. References point strictly backward, so the recursion depth
-// is bounded by the keyframe interval the writer used.
-func (r *Reader) decodeChain(fd *frameDecoder, dst []*grid.Grid3[amr.Value], mi, li, b int) error {
+// decodeChain decodes batch b of level li of member mi from src into the
+// non-nil entries of dst (nil means the caller does not want that block),
+// reference chain first and in place: the matching batch of the referenced
+// member (structure-identical by footer validation, so batch b covers the
+// same blocks) is decoded recursively down to the nearest intra frame, then
+// each delta frame applies its residuals to dst with dst as its own
+// reference — one set of blocks for the whole chain, and skipped blocks
+// skipped at every depth. References point strictly backward, so the
+// recursion depth is bounded by the keyframe interval the writer used.
+func (r *Reader) decodeChain(fd *frameDecoder, src io.ReaderAt, dst []*grid.Grid3[amr.Value], mi, li, b int) error {
 	if !r.members[mi].Levels[li].IsDelta(b) {
-		return r.decodeFrame(fd, r.r, dst, mi, li, b, nil)
+		return r.decodeFrame(fd, src, dst, mi, li, b, nil)
 	}
-	if err := r.decodeChain(fd, dst, r.members[mi].Ref, li, b); err != nil {
+	if err := r.decodeChain(fd, src, dst, r.members[mi].Ref, li, b); err != nil {
 		return err
 	}
-	return r.decodeFrame(fd, r.r, dst, mi, li, b, dst)
+	return r.decodeFrame(fd, src, dst, mi, li, b, dst)
+}
+
+// frameRun is one run of frames ReadRuns reads: contiguous, of one member.
+type frameRun struct {
+	mi       int
+	off, end int64 // archive byte span
+	data     []byte
+}
+
+// runSource holds the runs ReadRuns read, sorted by offset, in front of the
+// archive's bytes, which it reads anything outside them from.
+type runSource struct {
+	src  io.ReaderAt
+	runs []frameRun
+}
+
+func (rs *runSource) ReadAt(p []byte, off int64) (int, error) {
+	i := sort.Search(len(rs.runs), func(i int) bool { return rs.runs[i].end > off })
+	if i < len(rs.runs) && rs.runs[i].off <= off && off+int64(len(p)) <= rs.runs[i].end {
+		return copy(p, rs.runs[i].data[off-rs.runs[i].off:]), nil
+	}
+	return rs.src.ReadAt(p, off)
+}
+
+// ReadRuns is the one read planner of extraction, tacc's and tacd's: it
+// reads the frames that decoding batches of level li of member mi reads —
+// each batch's frame and its reference chain's, down to the intra frame or
+// the first link stop(member, batch) names (nil never stops; the batches'
+// own frames are not asked) — with one read(member, p, off) per run of them
+// that is contiguous and of one member, and returns the runs in front of
+// the archive's bytes. A failed or short read fails with ErrCorrupt and
+// ErrIO, naming the run's member and the level. Indices must be in range.
+func (r *Reader) ReadRuns(mi, li int, batches []int, stop func(mi, b int) bool, read func(mi int, p []byte, off int64) (int, error)) (io.ReaderAt, error) {
+	var runs []frameRun
+	for _, b := range batches {
+		for m, more := mi, true; more; m = r.members[m].Ref {
+			idx := &r.members[m].Levels[li]
+			rec := idx.Batches[b]
+			runs = append(runs, frameRun{mi: m, off: rec.Offset, end: rec.Offset + rec.Length})
+			more = idx.IsDelta(b) && (stop == nil || !stop(r.members[m].Ref, b))
+		}
+	}
+	if len(runs) == 0 {
+		return r.r, nil
+	}
+	sort.Slice(runs, func(i, j int) bool { return runs[i].off < runs[j].off })
+	merged := runs[:1]
+	for _, f := range runs[1:] {
+		if last := &merged[len(merged)-1]; f.mi == last.mi && f.off == last.end {
+			last.end = f.end
+		} else {
+			merged = append(merged, f)
+		}
+	}
+	for i := range merged {
+		run := &merged[i]
+		run.data = make([]byte, run.end-run.off)
+		if n, err := read(run.mi, run.data, run.off); err != nil || n < len(run.data) {
+			return nil, fmt.Errorf("archive: member %d level %d: %w: %w: reading frames [%d,%d): %w", run.mi, li, ErrCorrupt, ErrIO, run.off, run.end, cmp.Or(err, io.ErrUnexpectedEOF))
+		}
+	}
+	return &runSource{src: r.r, runs: merged}, nil
 }
 
 // decodeFrame reads frame b of level li of member mi from src, which holds
@@ -614,12 +678,13 @@ func (r *Reader) extractDataset(m *Member, mi int, wants []*grid.Mask) (*amr.Dat
 	return &amr.Dataset{Name: m.Name, Field: m.Field, Ratio: m.Ratio, Levels: levels}, nil
 }
 
-// levelPlan is one level of an extraction: what to decode, and the level
-// being assembled.
+// levelPlan is one level of an extraction: what to decode, where its
+// frames are read from, and the level being assembled.
 type levelPlan struct {
 	li   int
 	idx  *LevelIndex
-	want *grid.Mask // subset of idx.Mask to extract; nil means all of it
+	want *grid.Mask  // subset of idx.Mask to extract; nil means all of it
+	src  io.ReaderAt // the frames the level decodes, read ahead (ReadRuns)
 
 	// The level is allocated inside the decode pool, by the first worker
 	// with blocks to scatter into it, and no worker waits for that: clearing
@@ -705,9 +770,9 @@ type frameJob struct {
 // level, optionally restricts each level to a subset of its occupied
 // blocks (nil, or a nil entry, means all). The frames of every level are
 // planned before a single frame byte is read — only batches holding a
-// wanted block are touched — and run through one pool of at most Workers
-// decoders, so a small level's frames fill the cores a large level's tail
-// leaves idle.
+// wanted block are touched — and read as one ReadAt per run of them
+// (ReadRuns), then run through one pool of at most Workers decoders, so a
+// small level's frames fill the cores a large level's tail leaves idle.
 func (r *Reader) extract(mi, lo, hi int, wants []*grid.Mask) ([]*amr.Level, error) {
 	m := &r.members[mi]
 	plans := make([]levelPlan, hi-lo)
@@ -718,11 +783,17 @@ func (r *Reader) extract(mi, lo, hi int, wants []*grid.Mask) ([]*amr.Level, erro
 		if wants != nil {
 			p.want = wants[p.li]
 		}
+		var batches []int
 		for b := range p.idx.Batches {
 			blo, bhi := p.idx.BatchSpan(b)
 			if p.want == nil || slices.ContainsFunc(p.idx.Ords()[blo:bhi], p.want.AtIndex) {
 				jobs = append(jobs, frameJob{plan: p, batch: b})
+				batches = append(batches, b)
 			}
+		}
+		var err error
+		if p.src, err = r.ReadRuns(mi, p.li, batches, nil, func(_ int, b []byte, off int64) (int, error) { return r.r.ReadAt(b, off) }); err != nil {
+			return nil, err
 		}
 	}
 
@@ -748,7 +819,7 @@ func (r *Reader) extract(mi, lo, hi int, wants []*grid.Mask) ([]*amr.Level, erro
 				}
 			}
 		}
-		if err := r.decodeChain(fd, blocks, mi, p.li, batch); err != nil {
+		if err := r.decodeChain(fd, p.src, blocks, mi, p.li, batch); err != nil {
 			return err
 		}
 		p.place(r, fd, batch)

@@ -84,7 +84,8 @@ func (c *Cache) Get(k Key) (blocks, bool) { return c.c.Get(k) }
 
 // Has reports whether the batch under k is resident or being decoded,
 // without counting a lookup: a request planning its frame reads
-// (Server.readAhead) skips what its lookups will not have to decode.
+// (Server.fetch) ends a reference chain's walk at such a link, which its
+// lookups will not have to decode.
 func (c *Cache) Has(k Key) bool { return c.c.Has(k) }
 
 // Purge drops every resident entry (counters are kept). Server.Close

@@ -437,6 +437,94 @@ func TestRemoteChainLevelOneRequestPerRun(t *testing.T) {
 	}
 }
 
+// TestRemoteChainLevelExtractReadsRuns is TestRemoteChainLevelOneRequestPerRun
+// for archive.Reader on a cold remote mount, which plans its frames with the
+// planner tacd uses: the same level costs at most one origin range request
+// per chain member and matches a local extraction bit for bit, and a whole
+// member costs no more range requests than tacd's DatasetContext of it, at
+// 4 KiB and 32 KiB segments (at 128 KiB, Open's footer read brings in the
+// whole 200 KB archive).
+func TestRemoteChainLevelExtractReadsRuns(t *testing.T) {
+	base, err := sim.Generate(sim.Spec{
+		Name: "c0", FinestN: 64, Levels: 2, UnitBlock: 4,
+		Seed: 41, LeafFractions: []float64{0.3, 0.7},
+	}, sim.BaryonDensity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, _ := campaignFrom(t, base, 4, 4, 8)
+	var ranges atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if req.Header.Get("Range") != "" {
+			ranges.Add(1)
+		}
+		w.Header().Set("ETag", `"g0"`)
+		http.ServeContent(w, req, "test.taca", time.Time{}, bytes.NewReader(blob))
+	}))
+	defer ts.Close()
+	local, err := archive.Open(bytes.NewReader(blob), int64(len(blob)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// mount opens a cold mount and returns the range requests fn makes on it,
+	// footer reads excluded.
+	mount := func(seg int, fn func(r *archive.Reader)) int64 {
+		t.Helper()
+		rr, err := remote.Open(ts.URL, remote.Config{SegmentBytes: seg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rr.Close()
+		r, err := archive.Open(rr, rr.Size())
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := ranges.Load()
+		fn(r)
+		return ranges.Load() - before
+	}
+	const mi, li = 3, 0
+	want, err := local.ExtractLevel(mi, li)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := mount(4<<10, func(r *archive.Reader) {
+		got, err := r.ExtractLevel(mi, li)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(floatBytes(got.Grid.Data), floatBytes(want.Grid.Data)) {
+			t.Fatal("remote ExtractLevel differs from a local one")
+		}
+	})
+	t.Logf("cold chain-depth-3 ExtractLevel: %d origin range requests", n)
+	if n == 0 || n > 4 {
+		t.Fatalf("cold chain-depth-3 ExtractLevel issued %d origin range requests, want 1 to 4", n)
+	}
+
+	for _, seg := range []int{4 << 10, 32 << 10} {
+		extract := mount(seg, func(r *archive.Reader) {
+			if _, err := r.Extract(mi); err != nil {
+				t.Fatal(err)
+			}
+		})
+		s := New(Config{})
+		if _, err := s.Add("test", ArchiveSpec{Primary: ts.URL, Remote: remote.Config{SegmentBytes: seg}}); err != nil {
+			t.Fatal(err)
+		}
+		before := ranges.Load()
+		if _, err := s.DatasetContext(context.Background(), "test", mi); err != nil {
+			t.Fatal(err)
+		}
+		served := ranges.Load() - before
+		s.Close()
+		t.Logf("%d-byte segments: Extract %d, DatasetContext %d origin range requests", seg, extract, served)
+		if extract > served {
+			t.Errorf("%d-byte segments: a remote Extract made %d origin range requests, tacd's DatasetContext %d", seg, extract, served)
+		}
+	}
+}
+
 // TestRemoteMountOnRawEndpoint stacks one serving tier on another: a
 // second Server opens the first Server's /v1/a/{name}/raw endpoint as
 // its primary, and both must serve identical bytes. Also checks the

@@ -20,10 +20,10 @@
 // the cache resolving each delta frame's reference batch itself (not
 // DecodeBatch, which would decode the chain again) and the request
 // supplying the frame bytes: before its fan-out, a request reads the frames
-// its misses will decode as one read per contiguous run of them (readAhead),
-// so a remote-mounted archive answers it in one range request per run, not
-// one round trip per frame. HTTP response bodies are assembled in pooled
-// buffers, so steady-state serving allocates next to nothing.
+// its misses will decode as one read per contiguous run (ReadRuns, as tacc
+// does), so a remote-mounted archive answers it in one range request per
+// run, not one round trip per frame. HTTP response bodies are assembled in
+// pooled buffers, so steady-state serving allocates next to nothing.
 package server
 
 import (
@@ -366,11 +366,11 @@ func mountsOf(srcs []replica.Source) []*remote.Reader {
 // default way — to the parsed archive's typical frame span, unless the
 // spec pinned an explicit size. Segments stay the cache unit and runs of
 // them the fetch unit: a request reads each contiguous run of its frames
-// in one call (readAhead), which the source fetches as one range request
-// per run of missing segments. One-frame segments therefore cost a
-// request no round trips, and they keep scattered ROI reads from dragging
-// in neighbors they never touch — larger segments were measured to double
-// or triple the bytes fetched for region queries.
+// in one call (archive.Reader.ReadRuns), which the source fetches as one
+// range request per run of missing segments. One-frame segments therefore
+// cost a request no round trips, and they keep scattered ROI reads from
+// dragging in neighbors they never touch — larger segments were measured to
+// double or triple the bytes fetched for region queries.
 func tuneRemote(r *archive.Reader, mounts []*remote.Reader, rcfg remote.Config) {
 	fb := r.TypicalFrameBytes()
 	if rcfg.SegmentBytes != 0 || fb <= 0 {
@@ -510,7 +510,7 @@ func (sa *servedArchive) member(st *archiveState, mi int) (*archive.Member, erro
 // blocks decoded from a member later found damaged must not keep serving.
 // A member in the generation's tail view is answered from it next, ahead
 // of the cache and counted by neither of its counters.
-// Frames are read from src (see readAhead), and transient read failures
+// Frames are read from src (the runs fetch read), and transient read failures
 // are retried inside the fill (decodeRetry), so the decodes ≤ misses cache
 // invariant holds across retries; failures that survive retry are
 // inspected by the health state machine, where a deterministic corruption
@@ -558,106 +558,19 @@ func (s *Server) batch(sa *servedArchive, st *archiveState, src io.ReaderAt, mi,
 	return v, nil
 }
 
-// frameRun is one run of stored frames, contiguous in the archive and of
-// one member-level, read by a request ahead of its fan-out.
-type frameRun struct {
-	mi       int
-	off, end int64 // archive byte span
-	data     []byte
-}
-
-// runSource is a request's frame source: the runs it read ahead, sorted by
-// offset, in front of the generation's bytes, which it reads any frame
-// outside them from.
-type runSource struct {
-	src  io.ReaderAt
-	runs []frameRun
-}
-
-func (rs *runSource) ReadAt(p []byte, off int64) (int, error) {
-	i := sort.Search(len(rs.runs), func(i int) bool { return rs.runs[i].end > off })
-	if i < len(rs.runs) && rs.runs[i].off <= off && off+int64(len(p)) <= rs.runs[i].end {
-		return copy(p, rs.runs[i].data[off-rs.runs[i].off:]), nil
-	}
-	return rs.src.ReadAt(p, off)
-}
-
-// readAhead reads the frames that the batches jobs of lv, those fetch did
-// not find, will decode on a miss — each batch's frame and its reference
-// chain's, down to the first batch found resident in the block cache, in
-// the tail view or quarantined — as one read per run of them that is
-// contiguous in the archive and of one member-level, and returns the
-// source the fan-out's fills read frames from: those runs, in front of
-// the generation's bytes. A request so holds at most the stored bytes of
-// the frames it decodes. Each run is one ReadAt, a single range request
-// on a remote mount where per-frame reads would each cost a round trip,
-// retried under the decode path's policy (retryIO); the context is
-// checked between runs. A run that still fails fails the request, as a
-// transient failure that strikes no member: its error names the run's
-// member, and the envelope the requested one, as a failure up a reference
-// chain does in batch. What a planned batch finds when its fill runs does
-// not depend on the plan — a batch evicted meanwhile reads its frame from
-// the generation's bytes.
-func (s *Server) readAhead(ctx context.Context, lv levelView, jobs []int) (io.ReaderAt, error) {
-	members := lv.st.r.Members()
-	var runs []frameRun
-	for _, b := range jobs {
-		for mi := lv.mi; ; mi = members[mi].Ref {
-			if s.cache.Has(Key{Archive: lv.sa.name, Member: mi, Level: lv.li, Batch: b}) ||
-				lv.st.tail[mi] != nil || lv.sa.quarantineErr(lv.st, mi) != nil {
-				break
-			}
-			idx := &members[mi].Levels[lv.li]
-			rec := idx.Batches[b]
-			runs = append(runs, frameRun{mi: mi, off: rec.Offset, end: rec.Offset + rec.Length})
-			if !idx.IsDelta(b) {
-				break
-			}
-		}
-	}
-	if len(runs) == 0 {
-		return lv.st.src, nil
-	}
-	sort.Slice(runs, func(i, j int) bool { return runs[i].off < runs[j].off })
-	merged := runs[:1]
-	for _, f := range runs[1:] {
-		if last := &merged[len(merged)-1]; f.mi == last.mi && f.off == last.end {
-			last.end = f.end
-		} else {
-			merged = append(merged, f)
-		}
-	}
-	for i := range merged {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("server: request aborted: %w", err)
-		}
-		run := &merged[i]
-		run.data = make([]byte, run.end-run.off)
-		err := s.retryIO(func() error {
-			if _, err := lv.st.src.ReadAt(run.data, run.off); err != nil {
-				return fmt.Errorf("server: archive %q snapshot %d level %d: %w: reading frames [%d,%d): %w", lv.sa.name, run.mi, lv.li, archive.ErrIO, run.off, run.end, err)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, &memberError{mi: lv.mi, err: err}
-		}
-	}
-	return &runSource{src: lv.st.src, runs: merged}, nil
-}
-
 // fetch hands use the blocks of every batch in jobs of lv, fanned out
 // across the server's worker budget; use must only touch disjoint state
 // per batch (the assembly paths write disjoint cell ranges). It plans on
 // the request's goroutine first, checking what batch checks in batch's
 // order: a quarantined member fails the request, a member in the tail
 // view is answered from it, and a batch resident in the block cache is
-// taken there, counted as the one hit it is. Only the rest are read ahead
-// (readAhead) and go through batch, whose lookup counts their hits and
-// misses, so no batch is looked up twice. The context is checked between
-// batches, not inside a decode: a frame decode is short and its result is
-// shared through the cache, so abandoning one mid-flight would poison the
-// shared fill other requests wait on.
+// taken there, counted as the one hit it is. Only the rest go through batch,
+// whose lookup counts them; their frames are read first (ReadRuns), chains
+// down to the first link resident, in the tail view or quarantined, each run
+// under retryIO, and a run that fails strikes no member. The context is
+// checked before each run and between batches, not inside a decode: a frame
+// decode is short and its result is shared through the cache, so abandoning
+// one mid-flight would poison the shared fill other requests wait on.
 func (s *Server) fetch(ctx context.Context, lv levelView, jobs []int, use func(b int, bl blocks) error) error {
 	if len(jobs) == 0 {
 		return nil
@@ -681,9 +594,23 @@ func (s *Server) fetch(ctx context.Context, lv levelView, jobs []int, use func(b
 			rest = append(rest, b)
 		}
 	}
-	src, err := s.readAhead(ctx, lv, rest)
+	src, err := lv.st.r.ReadRuns(lv.mi, lv.li, rest, func(mi, b int) bool {
+		return s.cache.Has(Key{Archive: lv.sa.name, Member: mi, Level: lv.li, Batch: b}) ||
+			lv.st.tail[mi] != nil || lv.sa.quarantineErr(lv.st, mi) != nil
+	}, func(mi int, p []byte, off int64) (n int, err error) {
+		if err := ctx.Err(); err != nil {
+			return 0, fmt.Errorf("server: request aborted: %w", err)
+		}
+		err = s.retryIO(func() (err error) {
+			if n, err = lv.st.src.ReadAt(p, off); err != nil {
+				err = fmt.Errorf("server: archive %q snapshot %d level %d: %w: %w", lv.sa.name, mi, lv.li, archive.ErrIO, err)
+			}
+			return err
+		})
+		return n, err
+	})
 	if err != nil {
-		return err
+		return &memberError{mi: lv.mi, err: err}
 	}
 	return fanout.Run(len(jobs), s.cfg.Workers, func(ji int) error {
 		if err := ctx.Err(); err != nil {
